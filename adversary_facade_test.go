@@ -9,12 +9,14 @@ package repro_test
 import (
 	"context"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/adversary"
+	"repro/internal/broadcast"
+	"repro/internal/local"
 )
 
 // adversaryGoldenSchemes is the scheme slice the per-profile goldens cover:
@@ -112,35 +114,42 @@ func TestAdversaryStarvationTyped(t *testing.T) {
 }
 
 // TestGossipEarlyStopUnderDelayExactBill is the in-flight gate's
-// end-to-end regression: under a pure-delay profile, gossip-earlystop must
-// reach the exact cover round, message bill, damage attribution, and
-// outputs of the unstopped fixed-schedule gossip baseline. If early
-// stopping could fire with delayed rumors still in flight, the stopped
-// prefix would no longer be the unstopped schedule's prefix and the bills
-// would drift.
+// end-to-end regression: under a pure-delay profile, the early-stopped
+// gossip stage must reach the exact cover round and message bill of the
+// unstopped fixed schedule (broadcast.Gossip run for the same 100·n-round
+// budget under the same compiled adversary). If early stopping could fire
+// with delayed rumors still in flight, the stopped prefix would no longer be
+// the unstopped schedule's prefix and the bills would drift.
 func TestGossipEarlyStopUnderDelayExactBill(t *testing.T) {
 	g := goldenGraph()
-	spec := repro.MaxID(3)
+	const seed, tBall = 5, 3
 	delay, ok := repro.NamedAdversary("delay2")
 	if !ok {
 		t.Fatal("delay2 profile missing from the registry")
 	}
-	run := func(scheme string) *repro.SimulationResult {
-		eng := repro.NewEngine(repro.WithSeed(5), repro.WithAdversary(delay))
-		res, err := eng.Run(context.Background(), scheme, g, spec)
-		if err != nil {
-			t.Fatalf("%s: %v", scheme, err)
-		}
-		return res
+	eng := repro.NewEngine(repro.WithSeed(seed), repro.WithAdversary(delay))
+	early, err := eng.Run(context.Background(), "gossip-earlystop", g, repro.MaxID(tBall))
+	if err != nil {
+		t.Fatal(err)
 	}
-	full := run("gossip")
-	early := run("gossip-earlystop")
-	if full.Rounds != early.Rounds || full.Messages != early.Messages {
+
+	payloads := make([]any, g.NumNodes())
+	for v := range payloads {
+		payloads[v] = v
+	}
+	cfg := local.Config{Seed: seed, Adversary: adversary.Compile(delay, seed)}
+	full, err := broadcast.Gossip(context.Background(), g, payloads, 100*g.NumNodes(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cover := broadcast.CoverRound(g, full.Arrival, tBall)
+	bill, err := full.MessagesThrough(cover)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cover != early.Rounds || bill != early.Messages {
 		t.Fatalf("bills differ: unstopped %d rounds / %d messages, earlystop %d / %d",
-			full.Rounds, full.Messages, early.Rounds, early.Messages)
-	}
-	if !reflect.DeepEqual(full.Outputs, early.Outputs) {
-		t.Fatal("outputs differ between unstopped and early-stopped gossip under delay")
+			cover, bill, early.Rounds, early.Messages)
 	}
 }
 

@@ -1,9 +1,10 @@
 package repro_test
 
-// One benchmark per experiment in DESIGN.md §4. Each runs the experiment's
-// quick configuration and fails if the paper-shape check does not hold, so
-// `go test -bench=.` doubles as a full reproduction pass at bench scale.
-// The full-size tables in EXPERIMENTS.md come from cmd/experiments.
+// One benchmark per experiment in internal/experiments (experiments.All is
+// the index). Each runs the experiment's quick configuration and fails if
+// the paper-shape check does not hold, so `go test -bench=.` doubles as a
+// full reproduction pass at bench scale. The full-size tables come from
+// cmd/experiments.
 
 import (
 	"context"

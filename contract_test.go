@@ -7,8 +7,8 @@ package repro_test
 // deliberately non-thread-safe observer under the race detector; (2) the
 // engine's runaway round guard must never cancel a run whose *billed*
 // rounds fit the budget, even for schemes that legitimately execute more
-// rounds than they bill (gossip's fixed schedule, hybrid's geometric
-// seeding retries, congest's dilation).
+// rounds than they bill (gossip draining delayed rumors past its cover
+// round, hybrid's geometric seeding retries, congest's dilation).
 
 import (
 	"context"
@@ -76,7 +76,7 @@ func TestObserverSingleGoroutineContract(t *testing.T) {
 // test: for every scheme, measure an unbudgeted run's billed rounds, then
 // rerun with WithMaxRounds set to exactly that bill. The run must succeed
 // with identical outputs — schemes that execute unbilled schedule rounds
-// (gossip runs its full schedule and bills the cover round; hybrid replays
+// (gossip executes the round after its billed cover round; hybrid replays
 // geometrically growing gossip budgets; congest executes its dilated
 // schedule) must not trip the executed-rounds backstop.
 func TestRoundGuardNeverCancelsWithinBudget(t *testing.T) {

@@ -32,7 +32,7 @@ func main() {
 		fmt.Printf("== %s: n=%d m=%d, t=%d\n", tc.name, g.NumNodes(), g.NumEdges(), tr)
 
 		// Direct flooding on G.
-		direct, err := simulate.DirectBroadcastCost(ctx, g, tr, seed, local.Config{Concurrent: true})
+		direct, err := simulate.Collect(ctx, g, g, tr, seed, local.Config{Concurrent: true})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,9 +57,9 @@ func main() {
 		fmt.Printf("   spanner flood:  %8d msgs  %4d rounds  (+one-off spanner: %d msgs, %d rounds)\n",
 			coll.Run.Messages, coll.Run.Rounds, sp.Run.Messages, sp.Run.Rounds)
 
-		// Gossip until every t-ball is covered (generous fixed budget; the
-		// cover round is detected post hoc).
-		_, cover, gmsgs, err := simulate.GossipCollect(ctx, g, tr, 2000, seed, local.Config{Concurrent: true})
+		// Gossip until every t-ball is covered (generous round budget; the
+		// loop stops at the cover round).
+		_, cover, gmsgs, err := simulate.GossipCollectEarly(ctx, g, tr, 2000, seed, local.Config{Concurrent: true})
 		if err != nil {
 			log.Fatal(err)
 		}

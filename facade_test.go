@@ -109,50 +109,6 @@ func TestSchemesMatchDirect(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersMatchEngine pins the compatibility contract: the
-// old entry points are wrappers over the Engine and must produce identical
-// outputs at the same seed.
-func TestDeprecatedWrappersMatchEngine(t *testing.T) {
-	g := testGraph()
-	spec := repro.MaxID(3)
-	const seed, gamma, stageK = 9, 1, 2
-	eng := repro.NewEngine(repro.WithSeed(seed), repro.WithGamma(gamma), repro.WithStageK(stageK))
-
-	old, err := repro.SimulateScheme1(g, spec, gamma, seed, repro.RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := eng.Run(context.Background(), "scheme1", g, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Rounds != cur.Rounds || old.Messages != cur.Messages {
-		t.Fatalf("wrapper cost (%d rounds, %d msgs) != engine cost (%d, %d)",
-			old.Rounds, old.Messages, cur.Rounds, cur.Messages)
-	}
-	for v := range cur.Outputs {
-		if old.Outputs[v] != cur.Outputs[v] {
-			t.Fatalf("node %d: wrapper %v != engine %v", v, old.Outputs[v], cur.Outputs[v])
-		}
-	}
-
-	old2, err := repro.SimulateScheme2EN(g, spec, gamma, stageK, seed, repro.RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A fresh engine: the wrappers construct one per call, so the cost
-	// contract is against an unprimed spanner cache (the shared engine above
-	// would amortize the sampler away on its second run).
-	eng2 := repro.NewEngine(repro.WithSeed(seed), repro.WithGamma(gamma), repro.WithStageK(stageK))
-	cur2, err := eng2.Run(context.Background(), "scheme2en", g, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old2.Messages != cur2.Messages {
-		t.Fatalf("scheme2en wrapper msgs %d != engine %d", old2.Messages, cur2.Messages)
-	}
-}
-
 func TestValidationErrors(t *testing.T) {
 	g := testGraph()
 	spec := repro.MaxID(2)
@@ -170,14 +126,6 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if _, err := repro.NewEngine().Run(context.Background(), "direct", nil, spec); err == nil {
 		t.Fatal("nil graph accepted")
-	}
-	// Replay internals have no option equivalent; the deprecated wrappers
-	// must reject them rather than silently drop them.
-	if _, err := repro.RunDirect(g, spec, 1, repro.RunConfig{NOverride: 5}); err == nil {
-		t.Fatal("NOverride accepted by deprecated wrapper")
-	}
-	if _, err := repro.SimulateScheme1(g, spec, 1, 1, repro.RunConfig{IDMap: make([]repro.NodeID, g.NumNodes())}); err == nil {
-		t.Fatal("IDMap accepted by deprecated wrapper")
 	}
 }
 

@@ -22,11 +22,12 @@
 //     "hybrid" (gossip seeds WithHybridFraction of the t-balls, the
 //     Sampler spanner collects the residue), "globalcompute" (the paper's
 //     Section 7 extension: a spanner BFS tree convergecasts all knowledge),
-//     and the push–pull baseline family: "gossip" (the fixed 100·n-round
-//     schedule), "gossip-earlystop" (a central oracle halts the loop at the
-//     cover round — same bill, a fraction of the wall clock), and
-//     "gossip-converge" (distributed termination detection via a BFS-tree
-//     convergecast, billed as its own phase on top of the gossip bill).
+//     and the push–pull baseline family: "gossip" (a central oracle halts
+//     the round loop at the cover round, and the bill runs through it),
+//     "gossip-earlystop" (the same run under the phase label
+//     "gossip(earlystop)"), and "gossip-converge" (distributed termination
+//     detection via a BFS-tree convergecast, billed as its own phase on top
+//     of the gossip bill).
 //     Every scheme produces outputs bit-identical to "direct" at the same
 //     seed.
 //
@@ -64,17 +65,12 @@
 // live in the internal packages (internal/graph, internal/graph/gen,
 // internal/algorithms, internal/local); the most useful types are aliased
 // here so typical use needs only this package plus the generators.
-//
-// The pre-registry entry points (BuildSpanner, RunDirect, SimulateScheme1,
-// SimulateScheme2, SimulateScheme2EN) remain as deprecated wrappers over
-// the Engine and produce identical outputs at the same seed.
 package repro
 
 import (
 	"repro/internal/adversary"
 	"repro/internal/algorithms"
 	"repro/internal/graph"
-	"repro/internal/local"
 )
 
 // Aliases for the types a typical caller touches.
@@ -87,10 +83,6 @@ type (
 	EdgeID = graph.EdgeID
 	// AlgorithmSpec describes a t-round LOCAL algorithm to simulate.
 	AlgorithmSpec = algorithms.Spec
-	// RunConfig configures the LOCAL simulator directly. New code should
-	// prefer an Engine with functional options; RunConfig remains for the
-	// deprecated entry points.
-	RunConfig = local.Config
 	// AdversaryProfile configures the pluggable network adversary a run
 	// executes against (see WithAdversary): seeded message drops and
 	// duplications, crash-stop failures, per-edge delivery delays, and

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph/gen"
@@ -9,7 +10,7 @@ import (
 
 func TestBuildSpannerDefaults(t *testing.T) {
 	g := gen.ConnectedGNP(200, 0.06, xrand.New(1))
-	sp, err := BuildSpanner(g, SpannerOptions{Seed: 3})
+	sp, err := NewEngine(WithSeed(3)).BuildSpanner(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestBuildSpannerDefaults(t *testing.T) {
 
 func TestBuildSpannerDistributed(t *testing.T) {
 	g := gen.ConnectedGNP(150, 0.08, xrand.New(2))
-	sp, err := BuildSpanner(g, SpannerOptions{K: 1, H: 2, Seed: 5, Distributed: true})
+	sp, err := NewEngine(WithSeed(5), WithSpannerParams(1, 2, 0)).BuildSpanner(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,15 +47,16 @@ func TestBuildSpannerDistributed(t *testing.T) {
 	}
 }
 
-func TestSimulateScheme1MatchesDirect(t *testing.T) {
-	g := gen.ConnectedGNP(80, 0.08, xrand.New(3))
-	spec := MaxID(3)
-	const seed = 7
-	direct, err := RunDirect(g, spec, seed, RunConfig{})
+// runMatchingDirect runs scheme and "direct" under one engine at the given
+// seed and fails unless every node output matches.
+func runMatchingDirect(t *testing.T, g *Graph, spec AlgorithmSpec, seed uint64, scheme string) *SimulationResult {
+	t.Helper()
+	eng := NewEngine(WithSeed(seed), WithGamma(1), WithStageK(2))
+	direct, err := eng.Run(context.Background(), "direct", g, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := SimulateScheme1(g, spec, 1, seed, RunConfig{})
+	sim, err := eng.Run(context.Background(), scheme, g, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +65,12 @@ func TestSimulateScheme1MatchesDirect(t *testing.T) {
 			t.Fatalf("node %d: %v != %v", v, direct.Outputs[v], sim.Outputs[v])
 		}
 	}
+	return sim
+}
+
+func TestSimulateScheme1MatchesDirect(t *testing.T) {
+	g := gen.ConnectedGNP(80, 0.08, xrand.New(3))
+	sim := runMatchingDirect(t, g, MaxID(3), 7, "scheme1")
 	if len(sim.Phases) != 2 {
 		t.Fatal("phase accounting missing")
 	}
@@ -70,49 +78,21 @@ func TestSimulateScheme1MatchesDirect(t *testing.T) {
 
 func TestSimulateScheme2MatchesDirect(t *testing.T) {
 	g := gen.ConnectedGNP(60, 0.12, xrand.New(4))
-	spec := MIS(MISRounds(60))
-	const seed = 9
-	direct, err := RunDirect(g, spec, seed, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := SimulateScheme2(g, spec, 1, 2, seed, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range direct.Outputs {
-		if direct.Outputs[v] != sim.Outputs[v] {
-			t.Fatalf("node %d: %v != %v", v, direct.Outputs[v], sim.Outputs[v])
-		}
-	}
+	runMatchingDirect(t, g, MIS(MISRounds(60)), 9, "scheme2")
 }
 
 func TestFacadeValidation(t *testing.T) {
 	g := NewGraph(3)
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 1) // multigraph
-	if _, err := BuildSpanner(g, SpannerOptions{Distributed: true}); err == nil {
+	if _, err := NewEngine().BuildSpanner(context.Background(), g); err == nil {
 		t.Fatal("distributed build accepted a multigraph")
 	}
 }
 
 func TestSimulateScheme2ENMatchesDirect(t *testing.T) {
 	g := gen.ConnectedGNP(60, 0.12, xrand.New(5))
-	spec := MaxID(2)
-	const seed = 15
-	direct, err := RunDirect(g, spec, seed, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := SimulateScheme2EN(g, spec, 1, 2, seed, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range direct.Outputs {
-		if direct.Outputs[v] != sim.Outputs[v] {
-			t.Fatalf("node %d: %v != %v", v, direct.Outputs[v], sim.Outputs[v])
-		}
-	}
+	sim := runMatchingDirect(t, g, MaxID(2), 15, "scheme2en")
 	if len(sim.Phases) != 3 {
 		t.Fatal("scheme2 phase accounting")
 	}

@@ -1,12 +1,12 @@
 package repro_test
 
-// Golden seed-equivalence tests for the deprecated wrappers (deprecated.go).
-// Each wrapper runs on a pinned graph and seed and its full result — cost
-// ledger and every node output — is compared byte for byte against a
-// committed golden file, so future refactors cannot silently drift the
-// legacy API. Regenerate with:
+// Golden seed-equivalence tests. Every registered scheme and both spanner
+// constructions run on a pinned graph and seed, and the full result — cost
+// ledger and every node output, or the certificate and edge set — is
+// compared byte for byte against a committed golden file, so refactors
+// cannot silently drift behaviour. Regenerate with:
 //
-//	go test -run TestDeprecatedGolden -update-golden .
+//	go test -run Golden -update-golden .
 
 import (
 	"context"
@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/graph/gen"
 	"repro/internal/xrand"
 )
@@ -96,50 +97,23 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestDeprecatedGolden pins every deprecated entry point against committed
-// golden output at a fixed (graph, seed).
-func TestDeprecatedGolden(t *testing.T) {
+// TestSpannerGolden pins the centralized reference Sampler (core.Build) and
+// the distributed protocol behind Engine.BuildSpanner, both at the paper
+// defaults K=2, H=4, against committed golden output at a fixed
+// (graph, seed).
+func TestSpannerGolden(t *testing.T) {
 	g := goldenGraph()
-	spec := repro.MaxID(3)
-	const seed, gamma, stageK = 5, 1, 2
+	const seed = 5
 
-	t.Run("rundirect", func(t *testing.T) {
-		res, err := repro.RunDirect(g, spec, seed, repro.RunConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGolden(t, "rundirect", renderResult(res))
-	})
-	t.Run("scheme1", func(t *testing.T) {
-		res, err := repro.SimulateScheme1(g, spec, gamma, seed, repro.RunConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGolden(t, "scheme1", renderResult(res))
-	})
-	t.Run("scheme2", func(t *testing.T) {
-		res, err := repro.SimulateScheme2(g, spec, gamma, stageK, seed, repro.RunConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGolden(t, "scheme2", renderResult(res))
-	})
-	t.Run("scheme2en", func(t *testing.T) {
-		res, err := repro.SimulateScheme2EN(g, spec, gamma, stageK, seed, repro.RunConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGolden(t, "scheme2en", renderResult(res))
-	})
 	t.Run("spanner-centralized", func(t *testing.T) {
-		sp, err := repro.BuildSpanner(g, repro.SpannerOptions{Seed: seed})
+		res, err := core.Build(g, core.Default(2, 4), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, "spanner-centralized", renderSpanner(sp))
+		checkGolden(t, "spanner-centralized", renderSpanner(&repro.Spanner{Edges: res.S, StretchBound: res.StretchBound()}))
 	})
 	t.Run("spanner-distributed", func(t *testing.T) {
-		sp, err := repro.BuildSpanner(g, repro.SpannerOptions{Seed: seed, Distributed: true})
+		sp, err := repro.NewEngine(repro.WithSeed(seed)).BuildSpanner(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}

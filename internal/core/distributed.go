@@ -16,8 +16,9 @@ import (
 // convergecast sessions over the cluster's spanning tree (depth ≤ 3^j − 1 by
 // Lemma 8), on a global lockstep schedule (see schedule.go).
 //
-// Three devices keep the message complexity at Õ(n^{1+δ+1/h}) — see
-// DESIGN.md §3 for why each is faithful to the paper:
+// Three devices keep the message complexity at Õ(n^{1+δ+1/h}). Each stays
+// within the paper's LOCAL model, which bounds neither message size nor
+// local computation:
 //
 //  1. query replies carry the replying cluster's entire boundary edge-ID
 //     set (one message — LOCAL does not bound message size), letting the

@@ -187,8 +187,9 @@ func TestDistributedMessageAccounting(t *testing.T) {
 func TestDistributedSendsFewerMessagesThanEdgesOnDenseGraph(t *testing.T) {
 	// The free-lunch headline: message complexity o(m) on dense graphs. At
 	// experiment scale the polylog factors need n in the several hundreds
-	// before the crossover appears (EXPERIMENTS.md E4/E11 chart the full
-	// curve); K_500 with h=8 sits comfortably past it.
+	// before the crossover appears (experiments E4/E11 in
+	// internal/experiments chart the full curve); K_500 with h=8 sits
+	// comfortably past it.
 	g := gen.Complete(500) // m = 124750
 	p := Default(2, 8)
 	p.C = 0.5

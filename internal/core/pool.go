@@ -1,27 +1,11 @@
 package core
 
 import (
-	"context"
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/sched"
 	"repro/internal/xrand"
 )
-
-// ParallelFor runs fn(0), ..., fn(n-1) over a worker pool. The workers knob
-// follows the facade's concurrency convention: 0 runs inline sequentially,
-// w > 0 uses w workers, w < 0 uses GOMAXPROCS workers. Results must be
-// written to caller-owned, index-disjoint slots, which keeps the output
-// deterministic regardless of scheduling.
-//
-// It delegates to the shared scheduler in internal/sched — the same package
-// that backs the LOCAL engine's worker pool — and is re-exported here so the
-// facade's existing call sites keep compiling. See sched.ParallelFor for the
-// cancellation and first-error semantics.
-func ParallelFor(ctx context.Context, n, workers int, fn func(i int) error) error {
-	return sched.ParallelFor(ctx, n, workers, fn)
-}
 
 // edgePool is the distributed root's view of X_v: the cluster's unexplored
 // boundary edges, supporting O(1) uniform sampling (with replacement) and

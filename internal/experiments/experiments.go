@@ -2,7 +2,8 @@
 // theory paper — its "tables and figures" are the quantitative claims of its
 // theorems — so each experiment measures one claim and checks its *shape*
 // (who wins, approximate exponents, bounds never violated), not absolute
-// constants. DESIGN.md §4 is the index; EXPERIMENTS.md records the outputs.
+// constants. All is the index; cmd/experiments runs them and prints the
+// tables.
 package experiments
 
 import (

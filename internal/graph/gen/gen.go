@@ -4,8 +4,9 @@
 // parameters ({Family, N, Degree/P/M, Rows, Cols, Seed, Path}) and Build it.
 // The registry behind it (Families) is shared by the CLI flags, the HTTP
 // server's graph spec, and Go callers, so the three surfaces cannot drift.
-// The historical per-family constructors (Complete, GNP, Grid, ...) survive
-// in deprecated.go as thin wrappers over the same implementations.
+// The typed per-family constructors (Complete, GNP, Grid, ...) in
+// constructors.go are the layer under it for Go callers, calling the same
+// implementations.
 //
 // Every generator is deterministic given its seed (or *xrand.RNG argument),
 // so experiments and tests are reproducible. Generators emit edges straight
@@ -179,20 +180,27 @@ func randomTree(n int, rng *xrand.RNG) *graph.Graph {
 	return g
 }
 
+// regularAttempts bounds randomRegular's pairing retries (the historical
+// budget, so every graph that built before still builds identically). A
+// pairing is simple with probability about exp(−(d²−1)/4), so the budget
+// covers small degrees and gives up on degrees the pairing model cannot
+// reach in reasonable time.
+const regularAttempts = 1002
+
 // randomRegular returns a d-regular graph on n nodes via the pairing model,
-// retrying until the pairing is simple. n*d must be even and d < n.
-func randomRegular(n, d int, rng *xrand.RNG) *graph.Graph {
+// retrying until the pairing is simple. n*d must be even and d < n. It
+// returns an error when no simple pairing turns up within regularAttempts
+// tries.
+func randomRegular(n, d int, rng *xrand.RNG) (*graph.Graph, error) {
 	if n*d%2 != 0 || d >= n || d < 0 {
 		panic(fmt.Sprintf("gen: invalid RandomRegular(%d,%d)", n, d))
 	}
-	for attempt := 0; ; attempt++ {
+	for attempt := 0; attempt < regularAttempts; attempt++ {
 		if g, ok := tryPairing(n, d, rng); ok {
-			return g
-		}
-		if attempt > 1000 {
-			panic("gen: RandomRegular failed to produce a simple pairing")
+			return g, nil
 		}
 	}
+	return nil, fmt.Errorf("gen: no simple %d-regular pairing on %d nodes in %d attempts", d, n, regularAttempts)
 }
 
 func tryPairing(n, d int, rng *xrand.RNG) (*graph.Graph, bool) {

@@ -181,7 +181,11 @@ var registry = map[string]Family{
 			if d < 1 || d >= s.N || s.N*d%2 != 0 {
 				return nil, fmt.Errorf("gen: regular needs 1 <= deg < n with n*deg even, got n=%d deg=%d", s.N, d)
 			}
-			return Connectify(randomRegular(s.N, d, rng), rng), nil
+			g, err := randomRegular(s.N, d, rng)
+			if err != nil {
+				return nil, err
+			}
+			return Connectify(g, rng), nil
 		},
 	},
 	"pa": {

@@ -72,7 +72,8 @@ func TestBuildValidation(t *testing.T) {
 		{Family: "barbell", N: 4},
 		{Family: "torus", N: 4}, // derived side 2 < 3
 		{Family: "regular", N: 10, Degree: 11},
-		{Family: "regular", N: 5, Degree: 3}, // odd n*d
+		{Family: "regular", N: 5, Degree: 3},    // odd n*d
+		{Family: "regular", N: 4096, Degree: 6}, // no simple pairing within the retry budget
 		{Family: "pa", N: 3, Degree: 8},
 		{Family: "gnp", N: 10, P: 1.5},
 		{Family: "gnm", N: 5, M: 100},

@@ -265,6 +265,7 @@ func TestServeErrorMapping(t *testing.T) {
 		{"malformed json", `{"scheme":`, http.StatusBadRequest},
 		{"unknown field", `{"scheme":"direct","bogus":1}`, http.StatusBadRequest},
 		{"unknown family", `{"scheme":"direct","graph":{"family":"mobius","n":16}}`, http.StatusBadRequest},
+		{"unreachable regular", `{"scheme":"direct","graph":{"family":"regular","n":200,"deg":12}}`, http.StatusBadRequest},
 		{"self loop", `{"scheme":"direct","graph":{"edges":[[0,0]]}}`, http.StatusBadRequest},
 		{"negative endpoint", `{"scheme":"direct","graph":{"edges":[[-1,2]]}}`, http.StatusBadRequest},
 		{"over node cap", `{"scheme":"direct","graph":{"family":"complete","n":512}}`, http.StatusBadRequest},

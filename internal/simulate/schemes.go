@@ -12,6 +12,7 @@ import (
 	"repro/internal/globalcompute"
 	"repro/internal/graph"
 	"repro/internal/local"
+	"repro/internal/sched"
 	"repro/internal/spanner"
 )
 
@@ -74,8 +75,8 @@ type SchemeResult struct {
 	// SpannerEdges is that spanner's size.
 	SpannerEdges int
 	// FinalSpanner is the edge set of the spanner that carried the final
-	// collection (Sampler's for Scheme1; the simulated off-the-shelf
-	// construction's for Scheme2).
+	// collection (Sampler's for Scheme1Src; the simulated off-the-shelf
+	// construction's for Scheme2WithSrc).
 	FinalSpanner map[graph.EdgeID]bool
 }
 
@@ -150,9 +151,9 @@ func BuildStage1(ctx context.Context, g *graph.Graph, p core.Params, seed uint64
 	return st1, PhaseCost{Name: "sampler", Rounds: sp.Run.Rounds, Messages: sp.Run.Messages}, nil
 }
 
-// replayWorkers translates a simulator config into ParallelFor's concurrency
-// knob: sequential runs replay sequentially, concurrent runs fan out over
-// the configured worker count (GOMAXPROCS when unset).
+// replayWorkers translates a simulator config into sched.ParallelFor's
+// concurrency knob: sequential runs replay sequentially, concurrent runs fan
+// out over the configured worker count (GOMAXPROCS when unset).
 func replayWorkers(cfg local.Config) int {
 	if !cfg.Concurrent {
 		return 0
@@ -163,18 +164,15 @@ func replayWorkers(cfg local.Config) int {
 	return -1
 }
 
-// Scheme1 implements Theorem 3's first trade-off: build a spanner with the
-// distributed Sampler (parameter γ = p.K), then t-local-broadcast the
+// Scheme1Src implements Theorem 3's first trade-off: build a spanner with
+// the distributed Sampler (parameter γ = p.K), then t-local-broadcast the
 // initial knowledge by flooding the spanner for stretch·t rounds. Round
 // complexity O(3^γ·t + 6^γ); message complexity Õ(t·n^{1+2/(2^{γ+1}−1)})
 // with the paper's parameter coupling h = 2^{γ+1}−1.
-func Scheme1(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, seed uint64, cfg local.Config, hooks Hooks) (*SchemeResult, error) {
-	return Scheme1Src(ctx, g, spec, p, seed, cfg, hooks, nil)
-}
-
-// Scheme1Src is Scheme1 with a pluggable stage-1 source (nil means a fresh
-// construction per call). An engine-level spanner cache passes its memoized
-// source here so that repeated runs amortize the construction.
+//
+// src supplies the stage-1 spanner; nil means a fresh construction per call.
+// An engine-level spanner cache passes its memoized source here so that
+// repeated runs amortize the construction.
 func Scheme1Src(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, seed uint64, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
 	if src == nil {
 		src = BuildStage1
@@ -229,7 +227,18 @@ type Stage2 struct {
 }
 
 // BaswanaSenStage2 is the Baswana–Sen construction as a stage-2 target:
-// stretch 2k−1 in O(k²) rounds.
+// stretch 2k−1 in BSRounds(k) = O(k²) rounds.
+//
+// The paper's two-stage scheme simulates the spanner construction of Derbel
+// et al.; this reproduction substitutes Baswana–Sen. Nothing in the
+// simulation depends on that choice: stage 2 collects every node's t₂-ball
+// over the stage-1 spanner and replays the construction locally, which is
+// exact for any fixed-round LOCAL protocol whose per-node output is its
+// incident spanner edges — the Stage2 contract. Any construction meeting it
+// is a valid stage-2 target. What the substitution costs is the target's
+// round count: BSRounds(k) = O(k²) rounds, multiplied by the stage-1
+// stretch in the stage-2 collection. ElkinNeimanStage2 is the k+O(1)-round
+// alternative.
 func BaswanaSenStage2(k int) Stage2 {
 	return Stage2{
 		Name:    "simulate-bs",
@@ -253,15 +262,9 @@ func ElkinNeimanStage2(k int) Stage2 {
 	}
 }
 
-// Scheme2 implements Theorem 3's second trade-off with Baswana–Sen as the
-// off-the-shelf construction (the paper uses Derbel et al.; see DESIGN.md
-// §3.2 for the substitution).
-func Scheme2(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, bsK int, seed uint64, cfg local.Config, hooks Hooks) (*SchemeResult, error) {
-	return Scheme2With(ctx, g, spec, p, BaswanaSenStage2(bsK), seed, cfg, hooks)
-}
-
-// Scheme2With implements Theorem 3's second trade-off, the two-stage
-// pipeline, with a pluggable off-the-shelf construction:
+// Scheme2WithSrc implements Theorem 3's second trade-off, the two-stage
+// pipeline, with a pluggable off-the-shelf construction st2 (see
+// BaswanaSenStage2 for why any Stage2 qualifies):
 //
 //  1. the distributed Sampler builds a stage-1 spanner H with stretch α;
 //  2. H simulates the stage-2 construction: the t₂-ball of every node is
@@ -270,12 +273,9 @@ func Scheme2(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.P
 //     — without sending a single message of the original Ω(m)-message
 //     algorithm;
 //  3. H′ carries the final collection for the target algorithm.
-func Scheme2With(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, st2 Stage2, seed uint64, cfg local.Config, hooks Hooks) (*SchemeResult, error) {
-	return Scheme2WithSrc(ctx, g, spec, p, st2, seed, cfg, hooks, nil)
-}
-
-// Scheme2WithSrc is Scheme2With with a pluggable stage-1 source (nil means a
-// fresh construction per call); see Scheme1Src.
+//
+// src supplies the stage-1 spanner as for Scheme1Src (nil means a fresh
+// construction per call).
 func Scheme2WithSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, st2 Stage2, seed uint64, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
 	if src == nil {
 		src = BuildStage1
@@ -306,7 +306,7 @@ func Scheme2WithSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p
 	// incident edge sets afterwards (set union is order-independent, so the
 	// merged spanner is identical at every concurrency level).
 	nodeEdges := make([]map[graph.EdgeID]bool, g.NumNodes())
-	err = core.ParallelFor(ctx, g.NumNodes(), replayWorkers(cfg), func(v int) error {
+	err = sched.ParallelFor(ctx, g.NumNodes(), replayWorkers(cfg), func(v int) error {
 		out, err := coll2.Replay(st2Spec, graph.NodeID(v))
 		if err != nil {
 			return fmt.Errorf("scheme2 stage-2 replay at %d: %w", v, err)
@@ -356,12 +356,6 @@ func Scheme2WithSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p
 		SpannerEdges: h2.NumEdges(),
 		FinalSpanner: h2edges,
 	}, nil
-}
-
-// DirectBroadcastCost measures the Θ(t·m) baseline: t-local broadcast by
-// flooding the communication graph itself.
-func DirectBroadcastCost(ctx context.Context, g *graph.Graph, t int, seed uint64, cfg local.Config) (*Collection, error) {
-	return Collect(ctx, g, g, t, seed, cfg)
 }
 
 // Scheme1CongestSrc is Scheme1Src under a CONGEST-style bandwidth budget:

@@ -11,11 +11,12 @@
 // reconstruction possible: two collected nodes are adjacent iff their port
 // lists share an edge ID.
 //
-// Scheme1 realizes Theorem 3's first trade-off (spanner built by algorithm
-// Sampler, then one collection); Scheme2 realizes the second, two-stage
-// trade-off (Sampler's spanner simulates an off-the-shelf spanner
-// construction — Baswana–Sen here, substituting for Derbel et al., see
-// DESIGN.md — whose output spanner then carries the final collection).
+// Scheme1Src realizes Theorem 3's first trade-off (spanner built by
+// algorithm Sampler, then one collection); Scheme2WithSrc realizes the
+// second, two-stage trade-off (Sampler's spanner simulates an off-the-shelf
+// spanner construction — Baswana–Sen or Elkin–Neiman here, substituting for
+// Derbel et al.; see BaswanaSenStage2 — whose output spanner then carries the
+// final collection).
 package simulate
 
 import (
@@ -25,9 +26,9 @@ import (
 
 	"repro/internal/algorithms"
 	"repro/internal/broadcast"
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/local"
+	"repro/internal/sched"
 )
 
 // Collection is the outcome of the t-local broadcast of port lists: for
@@ -92,33 +93,16 @@ func CollectBudget(ctx context.Context, g, host *graph.Graph, rounds, bw int, se
 	return collectionFrom(g, fl.Known, seed, fl.Run), nil
 }
 
-// GossipCollect performs the same collection by push–pull gossip (the
-// baseline family of Censor-Hillel et al. and Haeupler). It runs for
-// maxRounds rounds and additionally reports the earliest round at which
-// every t-ball was covered (-1 if never) and the messages spent by then.
-func GossipCollect(ctx context.Context, g *graph.Graph, t, maxRounds int, seed uint64, cfg local.Config) (*Collection, int, int64, error) {
-	cfg.Seed = seed
-	gos, err := broadcast.Gossip(ctx, g, portsOf(g), maxRounds, cfg)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	cover := broadcast.CoverRound(g, gos.Arrival, t)
-	var msgs int64
-	if cover >= 0 {
-		if msgs, err = gos.MessagesThrough(cover); err != nil {
-			return nil, 0, 0, fmt.Errorf("simulate: gossip cover billing: %w", err)
-		}
-	}
-	return collectionFrom(g, gos.Known, seed, gos.Run), cover, msgs, nil
-}
-
-// GossipCollectEarly is GossipCollect with central early stopping: the same
-// schedule, seed, and per-round behaviour, but the round loop ends the
-// moment every node's distance-t ball is covered. The cover round and the
-// message bill through it are bit-identical to GossipCollect's (the executed
-// prefix is the same execution); only the schedule's dead tail — and its
-// wall clock — disappears. The collection holds exactly the knowledge
-// gossip had delivered by the cover round, which suffices for every replay.
+// GossipCollectEarly performs the same collection by push–pull gossip (the
+// baseline family of Censor-Hillel et al. and Haeupler) and ends the round
+// loop the moment every node's distance-t ball is covered (central early
+// stopping). It reports that cover round (-1 if the balls were not covered
+// within maxRounds) and the messages spent through it. The executed prefix
+// is the same execution as the fixed maxRounds-round schedule
+// (broadcast.Gossip), so the cover round and its bill are that schedule's;
+// only the dead tail — and its wall clock — is skipped. The collection holds
+// exactly the knowledge gossip had delivered by the cover round, which
+// suffices for every replay.
 func GossipCollectEarly(ctx context.Context, g *graph.Graph, t, maxRounds int, seed uint64, cfg local.Config) (*Collection, int, int64, error) {
 	cfg.Seed = seed
 	bi := broadcast.NewBallIndex(g, t)
@@ -294,7 +278,7 @@ func (c *Collection) ReplayAll(ctx context.Context, spec algorithms.Spec) ([]any
 // between node replays.
 func (c *Collection) ReplayAllN(ctx context.Context, spec algorithms.Spec, concurrency int) ([]any, error) {
 	out := make([]any, len(c.Ports))
-	err := core.ParallelFor(ctx, len(c.Ports), concurrency, func(v int) error {
+	err := sched.ParallelFor(ctx, len(c.Ports), concurrency, func(v int) error {
 		o, err := c.Replay(spec, graph.NodeID(v))
 		if err != nil {
 			return fmt.Errorf("node %d: %w", v, err)

@@ -11,7 +11,8 @@
 //     Ω(m) bottleneck that algorithm Sampler removes (experiment E5);
 //   - it is the "off-the-shelf spanner algorithm with a better size/stretch
 //     trade-off" simulated in the two-stage message-reduction scheme of the
-//     paper's Section 6 (our substitution for Derbel et al., see DESIGN.md).
+//     paper's Section 6 (our substitution for Derbel et al.; the rationale
+//     is on simulate.BaswanaSenStage2).
 package spanner
 
 import (

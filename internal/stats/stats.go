@@ -97,7 +97,7 @@ func Percentile(xs []float64, p float64) float64 {
 }
 
 // Table renders rows as an aligned plain-text table with a header rule,
-// suitable for experiment logs and EXPERIMENTS.md.
+// suitable for experiment logs (see cmd/experiments).
 func Table(headers []string, rows [][]string) string {
 	widths := make([]int, len(headers))
 	for i, h := range headers {

@@ -10,7 +10,7 @@ import (
 // DefaultMetricsTail is the per-phase ring-buffer capacity of a MetricsSink
 // constructed with a non-positive tail size: enough recent rounds to see
 // what a long schedule was doing when something went wrong, small enough
-// that a sink watching a 100·n-round gossip run stays bounded.
+// that a sink watching a 100·n-round gossip schedule stays bounded.
 const DefaultMetricsTail = 64
 
 // HistBucket is one non-empty cell of a log-bucketed histogram: Count

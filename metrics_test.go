@@ -7,6 +7,7 @@ package repro_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -78,20 +79,27 @@ func TestMetricsSinkMatchesExactLedger(t *testing.T) {
 }
 
 // TestMetricsSinkTailBounded pins the ring-buffer contract at the facade:
-// a long gossip schedule streams thousands of rounds, the tail retains
-// exactly the configured capacity with the most recent rounds.
+// a long gossip schedule streams hundreds of rounds, the tail retains
+// exactly the configured capacity with the most recent rounds. The blackout
+// profile drops every rumor, so gossip never covers and executes its whole
+// 600-round budget before failing with ErrRoundBudget.
 func TestMetricsSinkTailBounded(t *testing.T) {
 	g := gen.Cycle(12)
 	const tail = 16
+	blackout, ok := repro.NamedAdversary("blackout")
+	if !ok {
+		t.Fatal("blackout profile missing from the registry")
+	}
 	sink := repro.NewMetricsSink(tail)
 	eng := repro.NewEngine(
 		repro.WithSeed(3),
 		repro.WithMaxRounds(600),
 		repro.WithRoundLedger(false),
+		repro.WithAdversary(blackout),
 		repro.WithObserver(sink),
 	)
-	if _, err := eng.Run(context.Background(), "gossip", g, repro.MaxID(2)); err != nil {
-		t.Fatal(err)
+	if _, err := eng.Run(context.Background(), "gossip", g, repro.MaxID(2)); !errors.Is(err, repro.ErrRoundBudget) {
+		t.Fatalf("err = %v, want ErrRoundBudget", err)
 	}
 	snap := sink.Snapshot()
 	var gossip *repro.PhaseMetrics

@@ -25,10 +25,10 @@ type PhaseCost = simulate.PhaseCost
 //     scheme1-congest, including its zero-message filler rounds;
 //   - "collect(residue)" — the hybrid scheme's residue flood;
 //   - "gossip(seed)" — the hybrid scheme's gossip seeding stage;
-//   - "gossip" — the push–pull gossip baseline (its fixed schedule, or the
-//     early-stopped prefix under WithEarlyStop — same label either way);
-//   - "gossip(earlystop)" — the gossip-earlystop and gossip-converge
-//     variants' early-stopped gossip stage;
+//   - "gossip" — the push–pull gossip baseline, run until every t-ball is
+//     covered;
+//   - "gossip(earlystop)" — the same gossip stage under the
+//     gossip-earlystop and gossip-converge schemes;
 //   - "converge(halt)" — gossip-converge's distributed termination
 //     detection pass (wave, convergecast-AND, broadcast halt);
 //   - "globalcast" — globalcompute's wave/tree/convergecast protocol.

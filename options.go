@@ -33,7 +33,7 @@ type Options struct {
 	Concurrency int
 	// MaxRounds bounds protocols that manage their own halting. The
 	// pipeline stages with fixed schedules (sampler, collections, direct
-	// runs) override it internally; the gossip scheme uses it as its round
+	// runs) override it internally; the gossip schemes use it as their round
 	// budget (0 means 100·n, matching the historical driver default).
 	MaxRounds int
 	// Deadline is the wall-clock twin of MaxRounds: a positive duration
@@ -59,15 +59,6 @@ type Options struct {
 	// stage must cover with complete t-balls before the spanner collects the
 	// residue. Must lie in (0,1]; default 0.5.
 	HybridFraction float64
-	// EarlyStop makes the plain "gossip" scheme end its round loop at the
-	// cover round instead of executing the full fixed schedule. Bills,
-	// outputs, and the streamed rounds through the cover round are
-	// bit-identical either way — only the schedule's dead tail (and its wall
-	// clock) disappears, along with the tail's RoundCompleted events. Default
-	// false: the baseline faithfully pays for its fixed schedule. The
-	// "gossip-earlystop" and "gossip-converge" scheme variants always stop
-	// early and ignore this knob; hybrid's seeding stage always stops early.
-	EarlyStop bool
 	// CacheSize bounds the engine's stage-1 spanner cache (LRU eviction).
 	// Zero means DefaultCacheSize.
 	CacheSize int
@@ -128,9 +119,9 @@ func WithConcurrency(n int) Option { return func(o *Options) { o.Concurrency = n
 // scheme whose billed LOCAL rounds exceed it fail with ErrRoundBudget (a
 // runaway pipeline is additionally cancelled in flight once its executed
 // rounds pass a safety multiple of the budget). The gossip and hybrid
-// schemes also use it as their gossip stage's schedule length (0 means
-// 100·n, matching the historical driver default), and self-halting
-// protocols inherit it as their MaxRounds bound.
+// schemes also use it as their gossip stage's round budget (0 means 100·n,
+// matching the historical driver default), and self-halting protocols
+// inherit it as their MaxRounds bound.
 func WithMaxRounds(r int) Option { return func(o *Options) { o.MaxRounds = r } }
 
 // WithDeadline sets the engine's wall-clock budget per run — the duration
@@ -158,14 +149,6 @@ func WithBandwidth(words int) Option {
 // hybrid scheme's gossip stage must complete before the Sampler spanner
 // collects the residue. Default 0.5.
 func WithHybridFraction(f float64) Option { return func(o *Options) { o.HybridFraction = f } }
-
-// WithEarlyStop makes the plain "gossip" scheme stop its round loop at the
-// cover round instead of simulating its full fixed schedule (default false).
-// The bill through the cover round, the outputs, and the golden-pinned
-// results are bit-identical with the knob on or off — it is purely a wall
-// clock lever. The dedicated "gossip-earlystop" and "gossip-converge"
-// variants always stop early regardless of this option.
-func WithEarlyStop(on bool) Option { return func(o *Options) { o.EarlyStop = on } }
 
 // WithCacheSize bounds the engine's stage-1 spanner cache to the given
 // number of entries, evicting least-recently-used artifacts beyond it.
@@ -196,11 +179,10 @@ func WithSpannerParams(k, h int, c float64) Option {
 // WithRoundLedger enables (the default) or disables the per-round message
 // ledgers the protocol stages accumulate. With the ledger disabled a run's
 // memory footprint is O(1) in the number of executed rounds — the knob long
-// schedules need (gossip's 100·n-round default, hybrid seeding, CONGEST
-// dilation): outputs, phase costs, and the streamed RoundCompleted events
-// are all unchanged, so pairing the option with a MetricsSink retains
-// bounded per-round statistics; only the unbounded PerRound slices are
-// dropped. The gossip-backed schemes keep their exact cover-round billing
+// schedules need (slow gossip covers, hybrid seeding, CONGEST dilation):
+// outputs, phase costs, and the streamed RoundCompleted events are all
+// unchanged, so pairing the option with a MetricsSink retains bounded
+// per-round statistics; only the unbounded PerRound slices are dropped. The gossip-backed schemes keep their exact cover-round billing
 // through a compact record of cumulative counts at arrival rounds, so
 // results are bit-identical with the ledger on or off.
 func WithRoundLedger(on bool) Option { return func(o *Options) { o.RoundLedger = on } }
@@ -262,7 +244,7 @@ func (o *Options) bandwidth(n int) int {
 	return bw
 }
 
-// gossipBudget resolves the gossip schedule length for the gossip and hybrid
+// gossipBudget resolves the gossip round budget for the gossip and hybrid
 // schemes: the configured MaxRounds, or the historical 100·n default.
 func (o *Options) gossipBudget(n int) int {
 	if o.MaxRounds > 0 {

@@ -180,40 +180,34 @@ func init() {
 	})
 	mustRegister(&schemeFunc{
 		name: "gossip",
-		desc: "push–pull gossip collection baseline (Censor-Hillel et al.; Haeupler)",
+		desc: "push–pull gossip collection baseline (Censor-Hillel et al.; Haeupler), billed through the cover round",
 		run: func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*SimulationResult, error) {
-			return runGossip(ctx, g, spec, o, "gossip", "gossip", o.EarlyStop)
+			res, err := gossipStage(ctx, g, spec, o, "gossip")
+			if err != nil {
+				return nil, err
+			}
+			return replayResult(ctx, "gossip", res, spec, o)
 		},
 	})
 	mustRegister(&schemeFunc{
 		name: "gossip-earlystop",
-		desc: "gossip with central early stop: halts at the cover round, same bill, a fraction of the wall clock",
+		desc: "gossip under the phase label gossip(earlystop): same run and bill, kept for metrics consumers",
 		run: func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*SimulationResult, error) {
-			return runGossip(ctx, g, spec, o, "gossip-earlystop", "gossip(earlystop)", true)
+			res, err := gossipStage(ctx, g, spec, o, "gossip(earlystop)")
+			if err != nil {
+				return nil, err
+			}
+			return replayResult(ctx, "gossip-earlystop", res, spec, o)
 		},
 	})
 	mustRegister(&schemeFunc{
 		name: "gossip-converge",
 		desc: "early-stopped gossip + distributed termination detection (BFS-tree convergecast), detection billed as its own phase",
 		run: func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*SimulationResult, error) {
-			budget := o.gossipBudget(g.NumNodes())
-			hooks := o.hooks()
-			coll, cover, msgs, err := simulate.GossipCollectEarly(ctx, g, spec.T, budget, o.Seed,
-				hooks.RoundConfig(o.localConfig(), "gossip(earlystop)"))
+			res, err := gossipStage(ctx, g, spec, o, "gossip(earlystop)")
 			if err != nil {
 				return nil, err
 			}
-			if cover < 0 {
-				return nil, fmt.Errorf("gossip did not cover the %d-balls within %d rounds (raise WithMaxRounds): %w",
-					spec.T, budget, ErrRoundBudget)
-			}
-			// Rounds/Messages are truncated at the cover round; damage
-			// attribution covers the whole executed schedule (drop/duplicate
-			// counts are not tracked per round, and under delay profiles the
-			// in-flight gate can keep the run going well past cover).
-			gossipCost := PhaseCost{Name: "gossip(earlystop)", Rounds: cover, Messages: msgs,
-				Dropped: coll.Run.Dropped, Duplicated: coll.Run.Duplicated}
-			hooks.PhaseDone(gossipCost)
 			// The central stop check knew coverage was complete; distributed
 			// nodes do not. Bill what *knowing you're done* costs: at the
 			// stop round every node's local predicate ("my ball is covered")
@@ -223,6 +217,7 @@ func init() {
 			for v := range done {
 				done[v] = true
 			}
+			hooks := o.hooks()
 			dcfg := o.localConfig()
 			dcfg.Seed = o.Seed
 			ok, drun, err := globalcompute.DetectTermination(ctx, g, done, g.Diameter(),
@@ -236,17 +231,8 @@ func init() {
 			detectCost := PhaseCost{Name: "converge(halt)", Rounds: drun.Rounds, Messages: drun.Messages,
 				Dropped: drun.Dropped, Duplicated: drun.Duplicated}
 			hooks.PhaseDone(detectCost)
-			outs, err := coll.ReplayAllN(ctx, spec, o.Concurrency)
-			if err != nil {
-				return nil, err
-			}
-			return &SimulationResult{
-				Scheme:   "gossip-converge",
-				Outputs:  outs,
-				Rounds:   cover + drun.Rounds,
-				Messages: msgs + drun.Messages,
-				Phases:   []PhaseCost{gossipCost, detectCost},
-			}, nil
+			res.Phases = append(res.Phases, detectCost)
+			return replayResult(ctx, "gossip-converge", res, spec, o)
 		},
 	})
 	mustRegister(&schemeFunc{
@@ -286,20 +272,16 @@ func init() {
 	})
 }
 
-// runGossip is the shared run body of the gossip family's central variants:
-// the plain fixed-schedule baseline ("gossip", optionally early-stopped via
-// WithEarlyStop) and the always-early-stopping "gossip-earlystop". Both bill
-// the cover round and the messages through it, so their results are
-// bit-identical; early stopping only skips the schedule's dead tail. The
-// phase label distinguishes the variants in observer streams and metrics.
-func runGossip(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options, scheme, phase string, early bool) (*SimulationResult, error) {
+// gossipStage is the collection stage all three gossip schemes share:
+// push–pull gossip runs until every t-ball is covered, within the
+// WithMaxRounds budget, and is billed through that cover round under the
+// given phase label. Dropped and Duplicated attribute the damage of the
+// rounds it executed. Missing the cover within the budget is an
+// ErrRoundBudget.
+func gossipStage(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options, phase string) (*simulate.SchemeResult, error) {
 	budget := o.gossipBudget(g.NumNodes())
 	hooks := o.hooks()
-	collect := simulate.GossipCollect
-	if early {
-		collect = simulate.GossipCollectEarly
-	}
-	coll, cover, msgs, err := collect(ctx, g, spec.T, budget, o.Seed,
+	coll, cover, msgs, err := simulate.GossipCollectEarly(ctx, g, spec.T, budget, o.Seed,
 		hooks.RoundConfig(o.localConfig(), phase))
 	if err != nil {
 		return nil, err
@@ -308,22 +290,10 @@ func runGossip(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options, sc
 		return nil, fmt.Errorf("gossip did not cover the %d-balls within %d rounds (raise WithMaxRounds): %w",
 			spec.T, budget, ErrRoundBudget)
 	}
-	// As with the hybrid seed stage: the bill is truncated at the cover
-	// round, but damage attribution covers the whole executed schedule.
 	cost := PhaseCost{Name: phase, Rounds: cover, Messages: msgs,
 		Dropped: coll.Run.Dropped, Duplicated: coll.Run.Duplicated}
 	hooks.PhaseDone(cost)
-	outs, err := coll.ReplayAllN(ctx, spec, o.Concurrency)
-	if err != nil {
-		return nil, err
-	}
-	return &SimulationResult{
-		Scheme:   scheme,
-		Outputs:  outs,
-		Rounds:   cover,
-		Messages: msgs,
-		Phases:   []PhaseCost{cost},
-	}, nil
+	return &simulate.SchemeResult{Coll: coll, Phases: []PhaseCost{cost}}, nil
 }
 
 // replayResult recovers every node's output from a scheme's collection —
