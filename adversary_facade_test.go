@@ -39,7 +39,8 @@ func renderRunOrError(res *repro.SimulationResult, err error) string {
 // TestAdversaryGolden pins every shipped adversary profile, on every scheme
 // in adversaryGoldenSchemes, against committed golden output — and asserts
 // the sequential and concurrent engines render identically at several
-// worker counts. Adversarial decisions are pure hashes of message identity,
+// worker counts, and that every pinned failure is an ErrRoundBudget or an
+// ErrDeadline. Adversarial decisions are pure hashes of message identity,
 // so a worker-count-dependent render is a determinism regression.
 func TestAdversaryGolden(t *testing.T) {
 	g := goldenGraph()
@@ -61,6 +62,11 @@ func TestAdversaryGolden(t *testing.T) {
 						repro.WithAdversary(profile),
 					)
 					res, err := eng.Run(context.Background(), scheme, g, spec)
+					// A pinned failure must be typed, so callers (and the
+					// service's status mapping) can tell starvation apart.
+					if err != nil && !errors.Is(err, repro.ErrRoundBudget) && !errors.Is(err, repro.ErrDeadline) {
+						t.Errorf("workers=%d: untyped failure: %v", concurrency, err)
+					}
 					return renderRunOrError(res, err)
 				}
 				sequential := run(0)

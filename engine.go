@@ -205,14 +205,10 @@ func (e *Engine) stage1Source(o *Options) simulate.Stage1Source {
 	return e.cachedStage1
 }
 
-// Run looks up the named scheme in the registry, validates the engine's
-// options against it, and executes it on g.
+// Run looks up the named scheme, validates the engine's options against it,
+// and executes it on g.
 func (e *Engine) Run(ctx context.Context, scheme string, g *Graph, spec AlgorithmSpec) (*SimulationResult, error) {
-	s, err := Lookup(scheme)
-	if err != nil {
-		return nil, err
-	}
-	return e.RunSchemeWith(ctx, s, g, spec)
+	return e.RunWith(ctx, scheme, g, spec)
 }
 
 // RunWith is Run with per-run option overrides: the extra options are
@@ -228,10 +224,11 @@ func (e *Engine) RunWith(ctx context.Context, scheme string, g *Graph, spec Algo
 	if err != nil {
 		return nil, err
 	}
-	return e.RunSchemeWith(ctx, s, g, spec, extra...)
+	return e.RunScheme(ctx, s, g, spec, extra...)
 }
 
-// RunScheme executes an already-resolved scheme on g.
+// RunScheme executes an already-resolved scheme on g, with optional per-run
+// option overrides layered over the engine's configuration (see RunWith).
 //
 // A positive WithMaxRounds budget is enforced here, uniformly for every
 // scheme: a result whose billed rounds exceed the budget is discarded and
@@ -250,12 +247,7 @@ func (e *Engine) RunWith(ctx context.Context, scheme string, g *Graph, spec Algo
 // A positive WithDeadline is enforced the same way, as a wall-clock budget:
 // the run executes under a context that expires after the configured
 // duration, and a run cut short by it fails with the typed ErrDeadline.
-func (e *Engine) RunScheme(ctx context.Context, s Scheme, g *Graph, spec AlgorithmSpec) (*SimulationResult, error) {
-	return e.RunSchemeWith(ctx, s, g, spec)
-}
-
-// RunSchemeWith is RunScheme with per-run option overrides; see RunWith.
-func (e *Engine) RunSchemeWith(ctx context.Context, s Scheme, g *Graph, spec AlgorithmSpec, extra ...Option) (*SimulationResult, error) {
+func (e *Engine) RunScheme(ctx context.Context, s *Scheme, g *Graph, spec AlgorithmSpec, extra ...Option) (*SimulationResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

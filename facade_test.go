@@ -43,18 +43,22 @@ func TestRegistryContents(t *testing.T) {
 	if _, err := repro.Lookup("no-such-scheme"); err == nil {
 		t.Fatal("Lookup accepted an unknown scheme")
 	}
-}
-
-func TestRegisterSchemeRejectsDuplicates(t *testing.T) {
-	if err := repro.RegisterScheme(nil); err == nil {
-		t.Fatal("nil scheme accepted")
-	}
-	direct, err := repro.Lookup("direct")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := repro.RegisterScheme(direct); err == nil {
-		t.Fatal("duplicate registration accepted")
+	// The table is sorted with unique names, and every entry round-trips
+	// through Lookup to itself.
+	for i, s := range repro.Schemes() {
+		if i > 0 && names[i-1] >= s.Name() {
+			t.Fatalf("schemes not sorted with unique names: %v", names)
+		}
+		if s.Name() != names[i] {
+			t.Fatalf("Schemes()[%d] = %q, SchemeNames()[%d] = %q", i, s.Name(), i, names[i])
+		}
+		got, err := repro.Lookup(s.Name())
+		if err != nil {
+			t.Fatalf("Lookup(%q): %v", s.Name(), err)
+		}
+		if got != s {
+			t.Fatalf("Lookup(%q) returned a different scheme than Schemes()", s.Name())
+		}
 	}
 }
 

@@ -12,9 +12,9 @@
 // The facade is organized around two abstractions:
 //
 //   - A Scheme is one execution strategy for a t-round algorithm. Schemes
-//     live in a registry keyed by name — Lookup, Schemes, RegisterScheme —
-//     and the built-ins cover the paper and its baselines: "direct" (ground
-//     truth, Θ(t·m) messages), "scheme1" (Theorem 3's first trade-off),
+//     live in a fixed table keyed by name — Lookup, Schemes — and cover the
+//     paper and its baselines: "direct" (ground truth, Θ(t·m) messages),
+//     "scheme1" (Theorem 3's first trade-off),
 //     "scheme2" (the two-stage trade-off with Baswana–Sen), "scheme2en"
 //     (the Elkin–Neiman stage anticipated by the paper's concluding
 //     remarks), "scheme1-congest" (scheme1 under a CONGEST-style

@@ -161,7 +161,7 @@ func E7Scheme1(quick bool) Report {
 	if err != nil {
 		panic(err)
 	}
-	s1, err := simulate.Scheme1Src(context.Background(), dense, spec, p, seed, local.Config{Concurrent: true}, progressHooks("E7"), nil)
+	s1, err := simulate.Scheme1Src(context.Background(), dense, spec, p, local.Config{Seed: seed, Concurrent: true}, progressHooks("E7"), nil)
 	if err != nil {
 		panic(err)
 	}
@@ -201,7 +201,7 @@ func E7Scheme1(quick bool) Report {
 		if err != nil {
 			panic(err)
 		}
-		sw, err := simulate.Scheme1Src(context.Background(), g, spec, p, seed, local.Config{Concurrent: true}, progressHooks("E7"), nil)
+		sw, err := simulate.Scheme1Src(context.Background(), g, spec, p, local.Config{Seed: seed, Concurrent: true}, progressHooks("E7"), nil)
 		if err != nil {
 			panic(err)
 		}
@@ -270,11 +270,12 @@ func E8TwoStage(quick bool) Report {
 	const tr, bsK = 4, 2
 	seed := uint64(41)
 	spec := algorithms.MaxID(tr)
-	s2, err := simulate.Scheme2WithSrc(context.Background(), g, spec, simulate.Scheme1Params(1), simulate.BaswanaSenStage2(bsK), seed, local.Config{Concurrent: true}, progressHooks("E8"), nil)
+	cfg := local.Config{Seed: seed, Concurrent: true}
+	s2, err := simulate.Scheme2WithSrc(context.Background(), g, spec, simulate.Scheme1Params(1), simulate.BaswanaSenStage2(bsK), cfg, progressHooks("E8"), nil)
 	if err != nil {
 		panic(err)
 	}
-	s1, err := simulate.Scheme1Src(context.Background(), g, spec, simulate.Scheme1Params(1), seed, local.Config{Concurrent: true}, progressHooks("E8"), nil)
+	s1, err := simulate.Scheme1Src(context.Background(), g, spec, simulate.Scheme1Params(1), cfg, progressHooks("E8"), nil)
 	if err != nil {
 		panic(err)
 	}
@@ -641,11 +642,12 @@ func E15ElkinNeimanStage(quick bool) Report {
 	spec := algorithms.MaxID(tr)
 	p := simulate.Scheme1Params(1)
 
-	bs, err := simulate.Scheme2WithSrc(context.Background(), g, spec, p, simulate.BaswanaSenStage2(k2), seed, local.Config{Concurrent: true}, progressHooks("E15"), nil)
+	cfg := local.Config{Seed: seed, Concurrent: true}
+	bs, err := simulate.Scheme2WithSrc(context.Background(), g, spec, p, simulate.BaswanaSenStage2(k2), cfg, progressHooks("E15"), nil)
 	if err != nil {
 		panic(err)
 	}
-	en, err := simulate.Scheme2WithSrc(context.Background(), g, spec, p, simulate.ElkinNeimanStage2(k2), seed, local.Config{Concurrent: true}, progressHooks("E15"), nil)
+	en, err := simulate.Scheme2WithSrc(context.Background(), g, spec, p, simulate.ElkinNeimanStage2(k2), cfg, progressHooks("E15"), nil)
 	if err != nil {
 		panic(err)
 	}
@@ -657,7 +659,7 @@ func E15ElkinNeimanStage(quick bool) Report {
 		for _, ph := range tc.r.Phases {
 			rows = append(rows, []string{tc.name, ph.Name, fmt.Sprint(ph.Rounds), fmt.Sprint(ph.Messages)})
 		}
-		rows = append(rows, []string{tc.name, "H' size", fmt.Sprint(tc.r.SpannerEdges), "stretch " + fmt.Sprint(tc.r.StretchUsed)})
+		rows = append(rows, []string{tc.name, "H' size", fmt.Sprint(len(tc.r.FinalSpanner)), "stretch " + fmt.Sprint(tc.r.StretchUsed)})
 		if _, _, err := graph.VerifySpanner(g, tc.r.FinalSpanner, tc.r.StretchUsed); err != nil {
 			rep.Pass = false
 			rep.Notes = append(rep.Notes, tc.name+": invalid stage-2 spanner: "+err.Error())

@@ -25,6 +25,7 @@ package globalcompute
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -259,12 +260,17 @@ func (p *gcNode) flood(env *local.Env, msg gcMsg, except graph.EdgeID) {
 	}
 }
 
+// ErrNotConverged reports a run that ended without every node holding the
+// merged value — only an adversarial network (lost, delayed or crashed
+// control traffic) can starve the protocol so. Test for it with errors.Is.
+var ErrNotConverged = errors.New("globalcompute: aggregation did not converge")
+
 // Converge executes the wave/tree/convergecast/broadcast protocol on host
 // with arbitrary payloads: node v starts with inputs[v], the root merges
 // every input with merge, and the merged value is flooded back down so every
 // node returns it. waveRounds must be an upper bound on host's diameter.
 // Round events stream through cfg.OnRound; cancelling ctx aborts within one
-// node step.
+// node step. A run that does not converge fails with ErrNotConverged.
 func Converge(ctx context.Context, host *graph.Graph, inputs []any, merge Merge, waveRounds int, cfg local.Config) ([]any, local.Result, error) {
 	if len(inputs) != host.NumNodes() {
 		return nil, local.Result{}, fmt.Errorf("globalcompute: %d inputs for %d nodes", len(inputs), host.NumNodes())
@@ -282,12 +288,12 @@ func Converge(ctx context.Context, host *graph.Graph, inputs []any, merge Merge,
 		return nil, res, err
 	}
 	if !res.Halted {
-		return nil, res, fmt.Errorf("globalcompute: aggregation did not converge")
+		return nil, res, ErrNotConverged
 	}
 	out := make([]any, len(nodes))
 	for v, nd := range nodes {
 		if !nd.haveVal {
-			return nil, res, fmt.Errorf("globalcompute: node %d finished without a value", v)
+			return nil, res, fmt.Errorf("globalcompute: node %d finished without a value: %w", v, ErrNotConverged)
 		}
 		out[v] = nd.value
 	}

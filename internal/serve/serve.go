@@ -288,7 +288,7 @@ func decodeRequest(r *http.Request) (*SimulateRequest, *httpError) {
 // prepared is a request resolved against the registry and pool: everything
 // needed to enqueue the run.
 type prepared struct {
-	scheme      repro.Scheme
+	scheme      *repro.Scheme
 	graph       *repro.Graph
 	fingerprint uint64
 	spec        repro.AlgorithmSpec
@@ -364,7 +364,7 @@ func (s *Server) run(ctx context.Context, p *prepared, scheme string, obs repro.
 	)
 	j := &job{ctx: ctx, done: make(chan struct{})}
 	j.fn = func(ctx context.Context) {
-		res, runErr = p.shard.eng.RunSchemeWith(ctx, p.scheme, p.graph, p.spec, extras...)
+		res, runErr = p.shard.eng.RunScheme(ctx, p.scheme, p.graph, p.spec, extras...)
 	}
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)

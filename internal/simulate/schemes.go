@@ -18,9 +18,9 @@ import (
 
 // ErrRoundBudget is the typed failure for runs that exceed their round
 // budget: a scheme whose billed rounds overrun the configured MaxRounds, a
-// gossip stage that fails to cover its t-balls within its budget, or a
-// pipeline the engine's runaway guard had to cancel. Callers test for it
-// with errors.Is.
+// gossip stage that fails to cover its t-balls within its budget, a
+// convergecast that starves within its schedule, or a pipeline the engine's
+// runaway guard had to cancel. Callers test for it with errors.Is.
 var ErrRoundBudget = errors.New("simulate: round budget exceeded")
 
 // PhaseCost is one pipeline stage's price. Dilation is nonzero only for
@@ -72,11 +72,9 @@ type SchemeResult struct {
 	// StretchUsed is the stretch bound of the spanner that carried the
 	// final collection.
 	StretchUsed int
-	// SpannerEdges is that spanner's size.
-	SpannerEdges int
 	// FinalSpanner is the edge set of the spanner that carried the final
 	// collection (Sampler's for Scheme1Src; the simulated off-the-shelf
-	// construction's for Scheme2WithSrc).
+	// construction's for Scheme2WithSrc; nil when no spanner carried it).
 	FinalSpanner map[graph.EdgeID]bool
 }
 
@@ -96,6 +94,36 @@ func (r *SchemeResult) TotalRounds() int {
 		t += p.Rounds
 	}
 	return t
+}
+
+// bill charges one completed stage, reporting it through hooks and appending
+// it to Phases. The cost is the LOCAL run the stage executed, adjusted for
+// stages whose bill differs from their run (a truncated gossip bill, a
+// CONGEST dilation).
+func (r *SchemeResult) bill(hooks Hooks, name string, run local.Result, adjust ...func(*PhaseCost)) {
+	cost := PhaseCost{Name: name, Rounds: run.Rounds, Messages: run.Messages,
+		Dropped: run.Dropped, Duplicated: run.Duplicated}
+	for _, fn := range adjust {
+		fn(&cost)
+	}
+	hooks.PhaseDone(cost)
+	r.Phases = append(r.Phases, cost)
+}
+
+// billedThrough truncates a gossip stage's bill at the round it waited for.
+// Dropped and Duplicated still attribute the whole executed run
+// (drop/duplicate attribution is not tracked per round).
+func billedThrough(round int, messages int64) func(*PhaseCost) {
+	return func(c *PhaseCost) { c.Rounds, c.Messages = round, messages }
+}
+
+// starved types a convergecast that did not converge within its schedule
+// (an adversarial network can do this) as a round-budget failure.
+func starved(err error) error {
+	if errors.Is(err, globalcompute.ErrNotConverged) {
+		return fmt.Errorf("%w: %w", err, ErrRoundBudget)
+	}
+	return err
 }
 
 // Stage1 is a built stage-1 Sampler spanner together with its materialized
@@ -151,6 +179,22 @@ func BuildStage1(ctx context.Context, g *graph.Graph, p core.Params, seed uint64
 	return st1, PhaseCost{Name: "sampler", Rounds: sp.Run.Rounds, Messages: sp.Run.Messages}, nil
 }
 
+// stage1 is the prologue every spanner pipeline shares: it obtains the
+// stage-1 spanner at cfg.Seed from src (nil means a fresh BuildStage1), bills
+// it as the ledger's first phase, and records it as the carrier of the final
+// collection until a later stage replaces it.
+func stage1(ctx context.Context, scheme string, g *graph.Graph, p core.Params, cfg local.Config, hooks Hooks, src Stage1Source) (*Stage1, *SchemeResult, error) {
+	if src == nil {
+		src = BuildStage1
+	}
+	st1, cost, err := src(ctx, g, p, cfg.Seed, cfg, hooks)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s stage-1 spanner: %w", scheme, err)
+	}
+	hooks.PhaseDone(cost)
+	return st1, &SchemeResult{Phases: []PhaseCost{cost}, StretchUsed: st1.Stretch, FinalSpanner: st1.S}, nil
+}
+
 // replayWorkers translates a simulator config into sched.ParallelFor's
 // concurrency knob: sequential runs replay sequentially, concurrent runs fan
 // out over the configured worker count (GOMAXPROCS when unset).
@@ -164,43 +208,41 @@ func replayWorkers(cfg local.Config) int {
 	return -1
 }
 
+// DirectScheme is the direct baseline as a billed pipeline: Direct at
+// cfg.Seed, charged as the single phase "direct". It returns the outputs
+// themselves, so its ledger carries no collection.
+func DirectScheme(ctx context.Context, g *graph.Graph, spec algorithms.Spec, cfg local.Config, hooks Hooks) ([]any, *SchemeResult, error) {
+	outs, run, err := Direct(ctx, g, spec, cfg.Seed, hooks.RoundConfig(cfg, "direct"))
+	if err != nil {
+		return nil, nil, err
+	}
+	res := &SchemeResult{}
+	res.bill(hooks, "direct", run)
+	return outs, res, nil
+}
+
 // Scheme1Src implements Theorem 3's first trade-off: build a spanner with
 // the distributed Sampler (parameter γ = p.K), then t-local-broadcast the
 // initial knowledge by flooding the spanner for stretch·t rounds. Round
 // complexity O(3^γ·t + 6^γ); message complexity Õ(t·n^{1+2/(2^{γ+1}−1)})
-// with the paper's parameter coupling h = 2^{γ+1}−1.
+// with the paper's parameter coupling h = 2^{γ+1}−1. cfg.Seed is the run
+// seed, as for every pipeline.
 //
 // src supplies the stage-1 spanner; nil means a fresh construction per call.
 // An engine-level spanner cache passes its memoized source here so that
 // repeated runs amortize the construction.
-func Scheme1Src(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, seed uint64, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
-	if src == nil {
-		src = BuildStage1
-	}
-	st1, samplerCost, err := src(ctx, g, p, seed, cfg, hooks)
+func Scheme1Src(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
+	st1, res, err := stage1(ctx, "scheme1", g, p, cfg, hooks, src)
 	if err != nil {
-		return nil, fmt.Errorf("scheme1 spanner: %w", err)
+		return nil, err
 	}
-	hooks.PhaseDone(samplerCost)
-	coll, err := Collect(ctx, g, st1.Host, st1.Stretch*spec.T, seed, hooks.RoundConfig(cfg, "collect"))
+	coll, err := Collect(ctx, g, st1.Host, st1.Stretch*spec.T, cfg.Seed, hooks.RoundConfig(cfg, "collect"))
 	if err != nil {
 		return nil, fmt.Errorf("scheme1 collection: %w", err)
 	}
-	collectCost := PhaseCost{
-		Name:       "collect",
-		Rounds:     coll.Run.Rounds,
-		Messages:   coll.Run.Messages,
-		Dropped:    coll.Run.Dropped,
-		Duplicated: coll.Run.Duplicated,
-	}
-	hooks.PhaseDone(collectCost)
-	return &SchemeResult{
-		Coll:         coll,
-		Phases:       []PhaseCost{samplerCost, collectCost},
-		StretchUsed:  st1.Stretch,
-		SpannerEdges: len(st1.S),
-		FinalSpanner: st1.S,
-	}, nil
+	res.bill(hooks, "collect", coll.Run)
+	res.Coll = coll
+	return res, nil
 }
 
 // Scheme1Params returns the paper's parameter coupling for scheme 1: level
@@ -276,16 +318,12 @@ func ElkinNeimanStage2(k int) Stage2 {
 //
 // src supplies the stage-1 spanner as for Scheme1Src (nil means a fresh
 // construction per call).
-func Scheme2WithSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, st2 Stage2, seed uint64, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
-	if src == nil {
-		src = BuildStage1
-	}
+func Scheme2WithSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, st2 Stage2, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
 	// Stage 1: Sampler spanner.
-	st1, samplerCost, err := src(ctx, g, p, seed, cfg, hooks)
+	st1, res, err := stage1(ctx, "scheme2", g, p, cfg, hooks, src)
 	if err != nil {
-		return nil, fmt.Errorf("scheme2 stage-1 spanner: %w", err)
+		return nil, err
 	}
-	hooks.PhaseDone(samplerCost)
 
 	// Stage 2: simulate the off-the-shelf construction over H1.
 	st2Spec := algorithms.Spec{
@@ -298,7 +336,7 @@ func Scheme2WithSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p
 			return st2.Output(pr)
 		},
 	}
-	coll2, err := Collect(ctx, g, st1.Host, st1.Stretch*st2.T, seed, hooks.RoundConfig(cfg, st2.Name))
+	coll2, err := Collect(ctx, g, st1.Host, st1.Stretch*st2.T, cfg.Seed, hooks.RoundConfig(cfg, st2.Name))
 	if err != nil {
 		return nil, fmt.Errorf("scheme2 stage-2 collection: %w", err)
 	}
@@ -323,39 +361,20 @@ func Scheme2WithSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p
 			h2edges[e] = true
 		}
 	}
-	stageCost := PhaseCost{
-		Name:       st2.Name,
-		Rounds:     coll2.Run.Rounds,
-		Messages:   coll2.Run.Messages,
-		Dropped:    coll2.Run.Dropped,
-		Duplicated: coll2.Run.Duplicated,
-	}
-	hooks.PhaseDone(stageCost)
+	res.bill(hooks, st2.Name, coll2.Run)
 	h2, err := g.SubgraphByEdges(h2edges)
 	if err != nil {
 		return nil, fmt.Errorf("scheme2: simulated %s emitted a non-subgraph: %w", st2.Name, err)
 	}
 
 	// Stage 3: final collection over H2.
-	coll, err := Collect(ctx, g, h2, st2.Stretch*spec.T, seed, hooks.RoundConfig(cfg, "collect"))
+	coll, err := Collect(ctx, g, h2, st2.Stretch*spec.T, cfg.Seed, hooks.RoundConfig(cfg, "collect"))
 	if err != nil {
 		return nil, fmt.Errorf("scheme2 final collection: %w", err)
 	}
-	collectCost := PhaseCost{
-		Name:       "collect",
-		Rounds:     coll.Run.Rounds,
-		Messages:   coll.Run.Messages,
-		Dropped:    coll.Run.Dropped,
-		Duplicated: coll.Run.Duplicated,
-	}
-	hooks.PhaseDone(collectCost)
-	return &SchemeResult{
-		Coll:         coll,
-		Phases:       []PhaseCost{samplerCost, stageCost, collectCost},
-		StretchUsed:  st2.Stretch,
-		SpannerEdges: h2.NumEdges(),
-		FinalSpanner: h2edges,
-	}, nil
+	res.bill(hooks, "collect", coll.Run)
+	res.Coll, res.StretchUsed, res.FinalSpanner = coll, st2.Stretch, h2edges
+	return res, nil
 }
 
 // Scheme1CongestSrc is Scheme1Src under a CONGEST-style bandwidth budget:
@@ -366,37 +385,72 @@ func Scheme2WithSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p
 // unbudgeted LOCAL schedule in PhaseCost.Dilation. Outputs replayed from the
 // collection are bit-identical to direct execution — the bandwidth cap
 // reshapes the schedule, never the knowledge.
-func Scheme1CongestSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, bw int, seed uint64, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
-	if src == nil {
-		src = BuildStage1
-	}
-	st1, samplerCost, err := src(ctx, g, p, seed, cfg, hooks)
+func Scheme1CongestSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, bw int, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
+	st1, res, err := stage1(ctx, "scheme1-congest", g, p, cfg, hooks, src)
 	if err != nil {
-		return nil, fmt.Errorf("scheme1-congest spanner: %w", err)
+		return nil, err
 	}
-	hooks.PhaseDone(samplerCost)
 	budgetRounds := st1.Stretch * spec.T
-	coll, err := CollectBudget(ctx, g, st1.Host, budgetRounds, bw, seed, hooks.RoundConfig(cfg, "collect(congest)"))
+	coll, err := CollectBudget(ctx, g, st1.Host, budgetRounds, bw, cfg.Seed, hooks.RoundConfig(cfg, "collect(congest)"))
 	if err != nil {
 		return nil, fmt.Errorf("scheme1-congest collection: %w", err)
 	}
-	collectCost := PhaseCost{
-		Name:     "collect(congest)",
-		Rounds:   coll.Run.Rounds,
-		Messages: coll.Run.Messages,
-		Dilation: float64(coll.Run.Rounds) / float64(budgetRounds+1),
-		// The CONGEST collection is centrally scheduled (no LOCAL engine
-		// run), so it is adversary-exempt by construction: no drops or
-		// duplicates to attribute.
+	// The CONGEST collection is centrally scheduled (no LOCAL engine run),
+	// so it is adversary-exempt by construction: its run attributes no drops
+	// or duplicates.
+	res.bill(hooks, "collect(congest)", coll.Run, func(c *PhaseCost) {
+		c.Dilation = float64(coll.Run.Rounds) / float64(budgetRounds+1)
+	})
+	res.Coll = coll
+	return res, nil
+}
+
+// Gossip is the collection stage the three gossip schemes share: push–pull
+// gossip runs until every t-ball is covered, within budget rounds, and is
+// billed through that cover round under the given phase label. Dropped and
+// Duplicated attribute the damage of the rounds it executed. Missing the
+// cover within the budget is an ErrRoundBudget. No spanner carries the
+// collection.
+func Gossip(ctx context.Context, g *graph.Graph, spec algorithms.Spec, budget int, phase string, cfg local.Config, hooks Hooks) (*SchemeResult, error) {
+	coll, cover, msgs, err := GossipCollectEarly(ctx, g, spec.T, budget, cfg.Seed, hooks.RoundConfig(cfg, phase))
+	if err != nil {
+		return nil, err
 	}
-	hooks.PhaseDone(collectCost)
-	return &SchemeResult{
-		Coll:         coll,
-		Phases:       []PhaseCost{samplerCost, collectCost},
-		StretchUsed:  st1.Stretch,
-		SpannerEdges: len(st1.S),
-		FinalSpanner: st1.S,
-	}, nil
+	if cover < 0 {
+		return nil, fmt.Errorf("gossip did not cover the %d-balls within %d rounds (raise WithMaxRounds): %w",
+			spec.T, budget, ErrRoundBudget)
+	}
+	res := &SchemeResult{Coll: coll}
+	res.bill(hooks, phase, coll.Run, billedThrough(cover, msgs))
+	return res, nil
+}
+
+// GossipConverge is the Gossip stage (phase "gossip(earlystop)") followed by
+// distributed termination detection, billed as its own phase
+// "converge(halt)". The central stop check knew coverage was complete;
+// distributed nodes do not. The second phase bills what knowing you are done
+// costs: at the stop round every node's local predicate ("my ball is
+// covered") is true, and one wave → convergecast-AND → broadcast-halt pass
+// over G's BFS tree carries the unanimous verdict to everyone. A detection
+// pass that starves within its schedule is an ErrRoundBudget.
+func GossipConverge(ctx context.Context, g *graph.Graph, spec algorithms.Spec, budget int, cfg local.Config, hooks Hooks) (*SchemeResult, error) {
+	res, err := Gossip(ctx, g, spec, budget, "gossip(earlystop)", cfg, hooks)
+	if err != nil {
+		return nil, err
+	}
+	done := make([]bool, g.NumNodes())
+	for v := range done {
+		done[v] = true
+	}
+	ok, run, err := globalcompute.DetectTermination(ctx, g, done, g.Diameter(), hooks.RoundConfig(cfg, "converge(halt)"))
+	if err != nil {
+		return nil, fmt.Errorf("gossip-converge termination detection: %w", starved(err))
+	}
+	if !ok {
+		return nil, fmt.Errorf("gossip-converge termination detection returned a false verdict from all-true predicates")
+	}
+	res.bill(hooks, "converge(halt)", run)
+	return res, nil
 }
 
 // HybridSrc composes the gossip baseline with the Sampler spanner pipeline:
@@ -408,18 +462,14 @@ func Scheme1CongestSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec
 // The stage-1 spanner is built first so engine caches amortize it exactly as
 // for the pure spanner schemes. gossipBudget bounds the seeding stage's
 // schedule; failing to cover the fraction within it is an ErrRoundBudget.
-func HybridSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, fraction float64, gossipBudget int, seed uint64, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
+func HybridSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, fraction float64, gossipBudget int, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
 	if fraction <= 0 || fraction > 1 {
 		return nil, fmt.Errorf("hybrid fraction %v outside (0,1]", fraction)
 	}
-	if src == nil {
-		src = BuildStage1
-	}
-	st1, samplerCost, err := src(ctx, g, p, seed, cfg, hooks)
+	st1, res, err := stage1(ctx, "hybrid", g, p, cfg, hooks, src)
 	if err != nil {
-		return nil, fmt.Errorf("hybrid spanner: %w", err)
+		return nil, err
 	}
-	hooks.PhaseDone(samplerCost)
 
 	n := g.NumNodes()
 	ports := portsOf(g)
@@ -434,9 +484,7 @@ func HybridSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core
 	// would have produced. The ball index is built once and shared by the
 	// per-arrival cover tracking and the residue scan below.
 	bi := broadcast.NewBallIndex(g, spec.T)
-	gcfg := cfg
-	gcfg.Seed = seed
-	gos, seedRound, err := broadcast.GossipUntilCovered(ctx, g, ports, bi, need, gossipBudget, hooks.RoundConfig(gcfg, "gossip(seed)"))
+	gos, seedRound, err := broadcast.GossipUntilCovered(ctx, g, ports, bi, need, gossipBudget, hooks.RoundConfig(cfg, "gossip(seed)"))
 	if err != nil {
 		return nil, fmt.Errorf("hybrid gossip stage: %w", err)
 	}
@@ -454,17 +502,7 @@ func HybridSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core
 	if err != nil {
 		return nil, fmt.Errorf("hybrid seed billing: %w", err)
 	}
-	seedCost := PhaseCost{
-		Name:     "gossip(seed)",
-		Rounds:   seedRound,
-		Messages: seedMsgs,
-		// Attribution covers the whole executed seeding run (the bill above
-		// is truncated at the seeding deadline; drop/duplicate attribution
-		// is not tracked per round).
-		Dropped:    gos.Run.Dropped,
-		Duplicated: gos.Run.Duplicated,
-	}
-	hooks.PhaseDone(seedCost)
+	res.bill(hooks, "gossip(seed)", gos.Run, billedThrough(seedRound, seedMsgs))
 
 	// Residue senders: every origin some node's t-ball still misses at the
 	// seeding deadline (central bookkeeping, like broadcast.CoverRound).
@@ -476,24 +514,15 @@ func HybridSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core
 			}
 		}
 	}
-	fcfg := cfg
-	fcfg.Seed = seed
-	fl, err := broadcast.FloodFrom(ctx, st1.Host, ports, residue, st1.Stretch*spec.T, hooks.RoundConfig(fcfg, "collect(residue)"))
+	fl, err := broadcast.FloodFrom(ctx, st1.Host, ports, residue, st1.Stretch*spec.T, hooks.RoundConfig(cfg, "collect(residue)"))
 	if err != nil {
 		return nil, fmt.Errorf("hybrid residue collection: %w", err)
 	}
-	collectCost := PhaseCost{
-		Name:       "collect(residue)",
-		Rounds:     fl.Run.Rounds,
-		Messages:   fl.Run.Messages,
-		Dropped:    fl.Run.Dropped,
-		Duplicated: fl.Run.Duplicated,
-	}
-	hooks.PhaseDone(collectCost)
+	res.bill(hooks, "collect(residue)", fl.Run)
 
 	// Merge: what gossip had delivered by the seeding deadline, plus the
 	// residue flood.
-	coll := &Collection{N: n, Seed: seed, Run: fl.Run}
+	coll := &Collection{N: n, Seed: cfg.Seed, Run: fl.Run}
 	coll.Ports = make([]map[graph.NodeID][]graph.EdgeID, n)
 	for v := 0; v < n; v++ {
 		m := make(map[graph.NodeID][]graph.EdgeID, len(fl.Known[v]))
@@ -507,13 +536,8 @@ func HybridSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core
 		}
 		coll.Ports[v] = m
 	}
-	return &SchemeResult{
-		Coll:         coll,
-		Phases:       []PhaseCost{samplerCost, seedCost, collectCost},
-		StretchUsed:  st1.Stretch,
-		SpannerEdges: len(st1.S),
-		FinalSpanner: st1.S,
-	}, nil
+	res.Coll = coll
+	return res, nil
 }
 
 // GlobalCollectSrc realizes the paper's Section 7 extension as a collection
@@ -521,16 +545,13 @@ func HybridSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core
 // node's port list is convergecast up the tree and the merged table is
 // flooded back down (phase "globalcast"), after which every node can replay
 // any node's t-ball locally. Rounds are O(stretch · diameter); messages are
-// O(n) tree messages carrying tables instead of Θ(t·m) flood traffic.
-func GlobalCollectSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, seed uint64, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
-	if src == nil {
-		src = BuildStage1
-	}
-	st1, samplerCost, err := src(ctx, g, p, seed, cfg, hooks)
+// O(n) tree messages carrying tables instead of Θ(t·m) flood traffic. A
+// convergecast that starves within its schedule is an ErrRoundBudget.
+func GlobalCollectSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
+	st1, res, err := stage1(ctx, "globalcompute", g, p, cfg, hooks, src)
 	if err != nil {
-		return nil, fmt.Errorf("globalcompute spanner: %w", err)
+		return nil, err
 	}
-	hooks.PhaseDone(samplerCost)
 
 	n := g.NumNodes()
 	ports := portsOf(g)
@@ -548,24 +569,15 @@ func GlobalCollectSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec,
 	// The wave deadline must upper-bound the host diameter; the host is a
 	// fixed artifact of this run, so the exact diameter is deterministic.
 	waveRounds := st1.Host.Diameter()
-	ccfg := cfg
-	ccfg.Seed = seed
-	vals, runRes, err := globalcompute.Converge(ctx, st1.Host, inputs, merge, waveRounds, hooks.RoundConfig(ccfg, "globalcast"))
+	vals, run, err := globalcompute.Converge(ctx, st1.Host, inputs, merge, waveRounds, hooks.RoundConfig(cfg, "globalcast"))
 	if err != nil {
-		return nil, fmt.Errorf("globalcompute convergecast: %w", err)
+		return nil, fmt.Errorf("globalcompute convergecast: %w", starved(err))
 	}
-	castCost := PhaseCost{
-		Name:       "globalcast",
-		Rounds:     runRes.Rounds,
-		Messages:   runRes.Messages,
-		Dropped:    runRes.Dropped,
-		Duplicated: runRes.Duplicated,
-	}
-	hooks.PhaseDone(castCost)
+	res.bill(hooks, "globalcast", run)
 
 	// Every node holds the identical merged table (the root's map, shared
 	// and read-only from here on), so the collection can alias it.
-	coll := &Collection{N: n, Seed: seed, Run: runRes}
+	coll := &Collection{N: n, Seed: cfg.Seed, Run: run}
 	coll.Ports = make([]map[graph.NodeID][]graph.EdgeID, n)
 	for v := 0; v < n; v++ {
 		table := vals[v].(map[graph.NodeID][]graph.EdgeID)
@@ -577,11 +589,6 @@ func GlobalCollectSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec,
 		}
 		coll.Ports[v] = table
 	}
-	return &SchemeResult{
-		Coll:         coll,
-		Phases:       []PhaseCost{samplerCost, castCost},
-		StretchUsed:  st1.Stretch,
-		SpannerEdges: len(st1.S),
-		FinalSpanner: st1.S,
-	}, nil
+	res.Coll = coll
+	return res, nil
 }

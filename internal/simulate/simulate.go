@@ -262,14 +262,6 @@ func (c *Collection) Replay(spec algorithms.Spec, v graph.NodeID) (any, error) {
 	return spec.Output(protos[idx[v]]), nil
 }
 
-// ReplayAll replays every node sequentially and returns the full output
-// vector. It is ReplayAllN with concurrency 0; cancelling ctx aborts between
-// node replays (each replay is one small-ball local re-execution, so aborts
-// land within one node's work).
-func (c *Collection) ReplayAll(ctx context.Context, spec algorithms.Spec) ([]any, error) {
-	return c.ReplayAllN(ctx, spec, 0)
-}
-
 // ReplayAllN replays every node and returns the full output vector, fanning
 // the independent per-node re-executions out over a worker pool. The
 // concurrency knob follows the facade convention: 0 sequential, w > 0 that

@@ -52,7 +52,7 @@ func checkFidelity(t *testing.T, g *graph.Graph, spec algorithms.Spec, coll *Col
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := coll.ReplayAll(context.Background(), spec)
+	got, err := coll.ReplayAllN(context.Background(), spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestScheme1Fidelity(t *testing.T) {
 				algorithms.MaxID(3),
 				algorithms.MIS(algorithms.MISRounds(g.NumNodes())),
 			} {
-				res, err := Scheme1Src(context.Background(), g, spec, Scheme1Params(1), seed, local.Config{}, Hooks{}, nil)
+				res, err := Scheme1Src(context.Background(), g, spec, Scheme1Params(1), local.Config{Seed: seed}, Hooks{}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,7 +117,7 @@ func TestScheme1FidelityK2(t *testing.T) {
 	g := gen.ConnectedGNP(70, 0.1, xrand.New(4))
 	const seed = 13
 	spec := algorithms.Coloring(algorithms.ColoringRounds(70))
-	res, err := Scheme1Src(context.Background(), g, spec, Scheme1Params(2), seed, local.Config{}, Hooks{}, nil)
+	res, err := Scheme1Src(context.Background(), g, spec, Scheme1Params(2), local.Config{Seed: seed}, Hooks{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestScheme2FidelityAndSpanner(t *testing.T) {
 	g := gen.ConnectedGNP(70, 0.12, xrand.New(6))
 	const seed = 23
 	spec := algorithms.MaxID(2)
-	res, err := Scheme2WithSrc(context.Background(), g, spec, Scheme1Params(1), BaswanaSenStage2(2), seed, local.Config{}, Hooks{}, nil)
+	res, err := Scheme2WithSrc(context.Background(), g, spec, Scheme1Params(1), BaswanaSenStage2(2), local.Config{Seed: seed}, Hooks{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestScheme2MatchesDirectBS(t *testing.T) {
 	// direct distributed run with the same seed.
 	g := gen.ConnectedGNP(60, 0.15, xrand.New(7))
 	const seed, bsK = 29, 2
-	res, err := Scheme2WithSrc(context.Background(), g, algorithms.MaxID(1), Scheme1Params(1), BaswanaSenStage2(bsK), seed, local.Config{}, Hooks{}, nil)
+	res, err := Scheme2WithSrc(context.Background(), g, algorithms.MaxID(1), Scheme1Params(1), BaswanaSenStage2(bsK), local.Config{Seed: seed}, Hooks{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestSchemeBeatsDirectOnDenseGraph(t *testing.T) {
 	spec := algorithms.MaxID(tr)
 	p := core.Default(2, 8)
 	p.C = 0.5
-	res, err := Scheme1Src(context.Background(), g, spec, p, seed, local.Config{Concurrent: true}, Hooks{}, nil)
+	res, err := Scheme1Src(context.Background(), g, spec, p, local.Config{Seed: seed, Concurrent: true}, Hooks{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestScheme2WithElkinNeiman(t *testing.T) {
 	g := gen.ConnectedGNP(70, 0.12, xrand.New(8))
 	const seed = 37
 	spec := algorithms.MaxID(2)
-	res, err := Scheme2WithSrc(context.Background(), g, spec, Scheme1Params(1), ElkinNeimanStage2(2), seed, local.Config{}, Hooks{}, nil)
+	res, err := Scheme2WithSrc(context.Background(), g, spec, Scheme1Params(1), ElkinNeimanStage2(2), local.Config{Seed: seed}, Hooks{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestScheme2WithElkinNeiman(t *testing.T) {
 	}
 	// The EN stage must cost fewer rounds than the BS stage at the same
 	// stretch (k'=2: EN 5 rounds vs BS 7, times the stage-1 stretch).
-	bs, err := Scheme2WithSrc(context.Background(), g, spec, Scheme1Params(1), BaswanaSenStage2(2), seed, local.Config{}, Hooks{}, nil)
+	bs, err := Scheme2WithSrc(context.Background(), g, spec, Scheme1Params(1), BaswanaSenStage2(2), local.Config{Seed: seed}, Hooks{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestScheme2ENMatchesDirectEN(t *testing.T) {
 	// run edge for edge.
 	g := gen.ConnectedGNP(60, 0.15, xrand.New(9))
 	const seed, k = 43, 2
-	res, err := Scheme2WithSrc(context.Background(), g, algorithms.MaxID(1), Scheme1Params(1), ElkinNeimanStage2(k), seed, local.Config{}, Hooks{}, nil)
+	res, err := Scheme2WithSrc(context.Background(), g, algorithms.MaxID(1), Scheme1Params(1), ElkinNeimanStage2(k), local.Config{Seed: seed}, Hooks{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
