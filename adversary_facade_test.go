@@ -139,16 +139,13 @@ func TestGossipEarlyStopUnderDelayExactBill(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	payloads := make([]any, g.NumNodes())
-	for v := range payloads {
-		payloads[v] = v
-	}
+	payloads := make([][]repro.EdgeID, g.NumNodes())
 	cfg := local.Config{Seed: seed, Adversary: adversary.Compile(delay, seed)}
-	full, err := broadcast.Gossip(context.Background(), g, payloads, 100*g.NumNodes(), cfg)
+	full, _, err := broadcast.Gossip(context.Background(), g, payloads, nil, 0, 100*g.NumNodes(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cover := broadcast.CoverRound(g, full.Arrival, tBall)
+	cover := broadcast.NewBallIndex(g, tBall).CoverRound(full.Arrival)
 	bill, err := full.MessagesThrough(cover)
 	if err != nil {
 		t.Fatal(err)

@@ -176,14 +176,14 @@ func BenchmarkSchemesAmortized(b *testing.B) {
 // whose size is bounded by arrival events, not rounds.
 func BenchmarkLongGossipMemory(b *testing.B) {
 	g := gen.ConnectedGNP(24, 0.2, xrand.New(6))
-	payloads := make([]any, g.NumNodes())
+	payloads := make([][]repro.EdgeID, g.NumNodes())
 	for _, rounds := range []int{1000, 10000} {
 		for _, ledger := range []bool{true, false} {
 			b.Run(fmt.Sprintf("rounds=%d/ledger=%v", rounds, ledger), func(b *testing.B) {
 				b.ReportAllocs()
 				var ledgerBytes float64
 				for i := 0; i < b.N; i++ {
-					res, err := broadcast.Gossip(context.Background(), g, payloads, rounds,
+					res, _, err := broadcast.Gossip(context.Background(), g, payloads, nil, 0, rounds,
 						local.Config{Seed: 7, NoLedger: !ledger})
 					if err != nil {
 						b.Fatal(err)
@@ -224,7 +224,7 @@ func BenchmarkSamplerDistributed(b *testing.B) {
 	b.ResetTimer()
 	var msgs int64
 	for i := 0; i < b.N; i++ {
-		res, err := core.BuildDistributed(g, core.Default(2, 4), uint64(i), local.Config{Concurrent: true})
+		res, err := core.BuildDistributed(g, core.Default(2, 4), uint64(i), local.Config{Workers: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -234,24 +234,24 @@ func BenchmarkSamplerDistributed(b *testing.B) {
 }
 
 func BenchmarkLocalEngineSequential(b *testing.B) {
-	benchLocalEngine(b, false)
+	benchLocalEngine(b, 0)
 }
 
 func BenchmarkLocalEngineConcurrent(b *testing.B) {
-	benchLocalEngine(b, true)
+	benchLocalEngine(b, -1)
 }
 
 // The engine benchmarks always report allocations: they are the perf
 // trajectory's hot-path series (BENCH_10.json) and the subject of CI's
 // allocation-regression gate (cmd/bench -ceiling).
-func benchLocalEngine(b *testing.B, concurrent bool) {
+func benchLocalEngine(b *testing.B, workers int) {
 	b.Helper()
 	g := gen.ConnectedGNP(2000, 0.01, xrand.New(3))
 	spec := repro.MaxID(5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := simulate.Direct(context.Background(), g, spec, uint64(i), local.Config{Concurrent: concurrent}); err != nil {
+		if _, _, err := simulate.Direct(context.Background(), g, spec, uint64(i), local.Config{Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -270,7 +270,7 @@ func BenchmarkCollectOnSpanner(b *testing.B) {
 	b.ResetTimer()
 	var msgs int64
 	for i := 0; i < b.N; i++ {
-		coll, err := simulate.Collect(context.Background(), g, h, sp.StretchBound()*2, uint64(i), local.Config{Concurrent: true})
+		coll, err := simulate.Collect(context.Background(), g, h, sp.StretchBound()*2, uint64(i), local.Config{Workers: -1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -30,6 +30,7 @@ import (
 	"repro"
 	"repro/internal/broadcast"
 	"repro/internal/experiments"
+	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/local"
 )
@@ -89,17 +90,17 @@ func runLong(rounds int) {
 		log.Fatal(err)
 	}
 	sink := repro.NewMetricsSink(0)
-	cfg := local.Config{Seed: 1, Concurrent: true, NoLedger: true,
+	cfg := local.Config{Seed: 1, Workers: -1, NoLedger: true,
 		OnRound: func(r int, m int64) { sink.RoundCompleted("gossip", r, m) }}
 	start := time.Now()
-	res, err := broadcast.Gossip(context.Background(), g, make([]any, g.NumNodes()), rounds, cfg)
+	res, _, err := broadcast.Gossip(context.Background(), g, make([][]graph.EdgeID, g.NumNodes()), nil, 0, rounds, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	sink.PhaseCompleted(repro.PhaseCost{Name: "gossip", Rounds: res.Run.Rounds, Messages: res.Run.Messages})
 	fmt.Printf("long run: gossip schedule of %d rounds on n=%d m=%d (ledger disabled, %.1fs)\n",
 		rounds, g.NumNodes(), g.NumEdges(), time.Since(start).Seconds())
-	if cover := broadcast.CoverRound(g, res.Arrival, 2); cover >= 0 {
+	if cover := broadcast.NewBallIndex(g, 2).CoverRound(res.Arrival); cover >= 0 {
 		msgs, err := res.MessagesThrough(cover)
 		if err != nil {
 			log.Fatal(err)

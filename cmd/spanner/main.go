@@ -82,7 +82,7 @@ func main() {
 		return
 	}
 	if *distributed {
-		res, err := core.BuildDistributedCtx(ctx, g, p, *seed, local.Config{Concurrent: true})
+		res, err := core.BuildDistributedCtx(ctx, g, p, *seed, local.Config{Workers: -1})
 		if err != nil {
 			log.Fatal(err)
 		}

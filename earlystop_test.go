@@ -117,7 +117,7 @@ func TestGossipEarlyStopBillEquivalence(t *testing.T) {
 // gossip and gossip-earlystop each execute exactly cover+1 simulator rounds,
 // strictly fewer than the 100·n+1 rounds of the fixed schedule their budget
 // allows. That the stopped prefix is the fixed schedule's own execution is
-// pinned in internal/broadcast by TestGossipUntilCoverMatchesGossip; CI runs
+// pinned in internal/broadcast by TestGossipEarlyStopMatchesFixedSchedule; CI runs
 // both by name next to the bench gates.
 func TestEarlyStopExecutesFewerRounds(t *testing.T) {
 	fixed := 100*testGraph().NumNodes() + 1

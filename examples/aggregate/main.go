@@ -26,7 +26,7 @@ func main() {
 	fmt.Printf("graph: n=%d m=%d diameter=%d; computing global min of node inputs\n\n",
 		n, g.NumEdges(), diam)
 
-	direct, err := globalcompute.Direct(context.Background(), g, inputs, globalcompute.Min, diam, local.Config{Concurrent: true})
+	direct, err := globalcompute.Direct(context.Background(), g, inputs, globalcompute.Min, diam, local.Config{Workers: -1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func main() {
 
 	p := core.Default(2, 8)
 	p.C = 0.5
-	span, err := globalcompute.OverSpanner(context.Background(), g, inputs, globalcompute.Min, diam, p, seed, local.Config{Concurrent: true})
+	span, err := globalcompute.OverSpanner(context.Background(), g, inputs, globalcompute.Min, diam, p, seed, local.Config{Workers: -1})
 	if err != nil {
 		log.Fatal(err)
 	}

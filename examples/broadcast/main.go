@@ -32,7 +32,7 @@ func main() {
 		fmt.Printf("== %s: n=%d m=%d, t=%d\n", tc.name, g.NumNodes(), g.NumEdges(), tr)
 
 		// Direct flooding on G.
-		direct, err := simulate.Collect(ctx, g, g, tr, seed, local.Config{Concurrent: true})
+		direct, err := simulate.Collect(ctx, g, g, tr, seed, local.Config{Workers: -1})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func main() {
 		// per-use cost).
 		p := core.Default(2, 8)
 		p.C = 0.5
-		sp, err := core.BuildDistributedCtx(ctx, g, p, seed, local.Config{Concurrent: true})
+		sp, err := core.BuildDistributedCtx(ctx, g, p, seed, local.Config{Workers: -1})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		coll, err := simulate.Collect(ctx, g, h, sp.StretchBound()*tr, seed, local.Config{Concurrent: true})
+		coll, err := simulate.Collect(ctx, g, h, sp.StretchBound()*tr, seed, local.Config{Workers: -1})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func main() {
 
 		// Gossip until every t-ball is covered (generous round budget; the
 		// loop stops at the cover round).
-		_, cover, gmsgs, err := simulate.GossipCollectEarly(ctx, g, tr, 2000, seed, local.Config{Concurrent: true})
+		_, cover, gmsgs, err := simulate.GossipCollectEarly(ctx, g, tr, 2000, seed, local.Config{Workers: -1})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -10,6 +10,15 @@
 //     message profile (Θ(n) messages per round), whose round count we
 //     measure empirically — it blows up with the graph's conductance, which
 //     is exactly the behaviour the paper's introduction contrasts against.
+//
+// FloodBudget is Flood under a CONGEST-style word cap per edge and round.
+//
+// Every primitive shares one rumor model. M_v is node v's port list, entry
+// v of a payload table [][]graph.EdgeID; a rumor is the bare origin ID v,
+// charged 1 + len(M_v) words wherever it travels. Each node keeps one map:
+// a flood node's Known (origin → M_o), a gossip node's Arrival (origin →
+// first round heard), from which Gossip derives Known after the run. A
+// Result's Known is the collection simulate replays from.
 package broadcast
 
 import (
@@ -24,20 +33,21 @@ import (
 
 // Result is the outcome of a broadcast run.
 type Result struct {
-	// Known maps, per node, each heard origin to its payload.
-	Known []map[graph.NodeID]any
+	// Known maps, per node, each heard origin u to its payload M_u.
+	Known []map[graph.NodeID][]graph.EdgeID
 	// Arrival maps, per node, each heard origin to the round it was first
-	// heard (own rumor: round 0).
+	// heard (own rumor: round 0). Only Gossip records it; floods leave it
+	// nil.
 	Arrival []map[graph.NodeID]int
 	// Run carries the LOCAL cost metrics.
 	Run local.Result
 
 	// cumAt records, for gossip runs with the per-round ledger disabled,
 	// the cumulative message count through every round in which some node
-	// first heard some origin. Billing deadlines (CoverRound, CoverRounds)
-	// are always such arrival rounds, so this compact record — bounded by
-	// the number of arrival events, independent of the schedule length —
-	// answers every MessagesThrough query the ledger used to serve.
+	// first heard some origin. Billing deadlines (cover rounds) are always
+	// such arrival rounds, so this compact record — bounded by the number
+	// of arrival events, independent of the schedule length — answers every
+	// MessagesThrough query the ledger used to serve.
 	cumAt map[int]int64
 }
 
@@ -46,10 +56,9 @@ type Result struct {
 // accounting. With the per-round ledger enabled it sums Run.PerRound
 // exactly like MessagesUpTo; with the ledger disabled (local.Config's
 // NoLedger) it consults the compact arrival-round record that Gossip
-// maintains, which covers every round CoverRound or CoverRounds can
-// return. Querying a round with no record is an error: it means the caller
-// asked about a non-arrival round of a ledgerless run, which no billing
-// path does.
+// maintains, which covers every round a cover-round query can return.
+// Querying a round with no record is an error: it means the caller asked
+// about a non-arrival round of a ledgerless run, which no billing path does.
 func (r *Result) MessagesThrough(round int) (int64, error) {
 	if r.cumAt == nil {
 		if r.Run.PerRound == nil && r.Run.Rounds > 0 {
@@ -66,51 +75,76 @@ func (r *Result) MessagesThrough(round int) (int64, error) {
 	return 0, fmt.Errorf("broadcast: no cumulative message record at round %d (per-round ledger disabled; only arrival rounds are recorded)", round)
 }
 
-// rumor is one node's message in transit.
-type rumor struct {
-	Origin  graph.NodeID
-	Payload any
+// batch is a set of rumors in transit. A rumor is a bare origin ID: its
+// content M_o is entry o of the run's payload table, which every receiver
+// reads from the same table, and it is charged 1 + len(M_o) words — one for
+// the origin plus the port list it stands for (local.Sizer). Batches travel
+// as pointers: boxing a pointer into the payload interface is
+// allocation-free.
+type batch struct {
+	origins  []graph.NodeID
+	payloads [][]graph.EdgeID
 }
 
-// floodBatch is the set of rumors forwarded over one edge in one round. It
-// travels as a *floodBatch: boxing a pointer into the payload interface is
-// allocation-free, and a batch sent in round r is only ever read in round
-// r+1, so the double-buffered sender can reuse its backing array from round
-// r+2 on.
-type floodBatch []rumor
+// PayloadUnits implements local.Sizer.
+func (b *batch) PayloadUnits() int64 {
+	var u int64
+	for _, o := range b.origins {
+		u += rumorWords(b.payloads, o)
+	}
+	return u
+}
 
-// floodNode floods newly learned rumors to all neighbors each round. The
-// outgoing batch is buffered by round parity: a batch sent in round r is
-// read by receivers in round r+1 — or, under an adversary with delivery
-// delays, as late as round r+1+B — so the buffer ring holds B+2 batches and
-// the buffer of parity p is free for rewriting when p comes around again
-// (after the longest possible in-flight lifetime has passed). The flawless
-// network keeps the historical two buffers.
+// rumorWords is the size of origin o's rumor: one word for the origin plus
+// its port list.
+func rumorWords(payloads [][]graph.EdgeID, o graph.NodeID) int64 {
+	return 1 + int64(len(payloads[o]))
+}
+
+// validate checks the arguments every broadcast entry point shares.
+func validate(host *graph.Graph, payloads [][]graph.EdgeID, rounds int) error {
+	if host == nil {
+		return fmt.Errorf("broadcast: nil host graph")
+	}
+	if len(payloads) != host.NumNodes() {
+		return fmt.Errorf("broadcast: %d payloads for %d nodes", len(payloads), host.NumNodes())
+	}
+	if rounds < 0 {
+		return fmt.Errorf("broadcast: negative round budget")
+	}
+	return nil
+}
+
+// floodNode floods newly learned rumors to all neighbors each round. Its one
+// map, known, is both the dedup set and the result. The outgoing batch is
+// buffered by round parity: a batch sent in round r is read by receivers in
+// round r+1 — or, under an adversary with delivery delays, as late as round
+// r+1+B — so the buffer ring holds B+2 batches and the buffer of parity p is
+// free for rewriting when p comes around again (after the longest possible
+// in-flight lifetime has passed). The flawless network keeps the historical
+// two buffers.
 type floodNode struct {
-	t       int
-	self    any  // this node's own message M_v
-	seed    bool // whether this node injects its own rumor
-	known   map[graph.NodeID]any
-	arrival map[graph.NodeID]int
-	fresh   []floodBatch
+	t        int
+	seed     bool // whether this node injects its own rumor
+	payloads [][]graph.EdgeID
+	known    map[graph.NodeID][]graph.EdgeID
+	fresh    []batch
 }
 
 func (p *floodNode) Step(env *local.Env, round int, inbox []local.Message) {
 	cur := &p.fresh[round%len(p.fresh)]
-	*cur = (*cur)[:0]
+	cur.origins = cur.origins[:0]
 	if round == 0 {
-		p.known = map[graph.NodeID]any{env.ID(): p.self}
-		p.arrival = map[graph.NodeID]int{env.ID(): 0}
+		p.known = map[graph.NodeID][]graph.EdgeID{env.ID(): p.payloads[env.ID()]}
 		if p.seed {
-			*cur = append(*cur, rumor{Origin: env.ID(), Payload: p.self})
+			cur.origins = append(cur.origins, env.ID())
 		}
 	}
 	for _, m := range inbox {
-		for _, r := range *m.Payload.(*floodBatch) {
-			if _, ok := p.known[r.Origin]; !ok {
-				p.known[r.Origin] = r.Payload
-				p.arrival[r.Origin] = round
-				*cur = append(*cur, r)
+		for _, o := range m.Payload.(*batch).origins {
+			if _, ok := p.known[o]; !ok {
+				p.known[o] = p.payloads[o]
+				cur.origins = append(cur.origins, o)
 			}
 		}
 	}
@@ -118,50 +152,39 @@ func (p *floodNode) Step(env *local.Env, round int, inbox []local.Message) {
 		env.Halt()
 		return
 	}
-	if len(*cur) > 0 {
+	if len(cur.origins) > 0 {
 		for _, pt := range env.Ports() {
 			env.Send(pt.Edge, cur)
 		}
 	}
 }
 
-// Flood floods each node's rumor (payloads[v], which may be nil) over host
-// for exactly rounds rounds. After the run, node v knows the rumor of every
-// node within host-distance rounds of v, with Arrival equal to that
-// distance. Cancelling ctx aborts the underlying run.
-func Flood(ctx context.Context, host *graph.Graph, payloads []any, rounds int, cfg local.Config) (*Result, error) {
-	return FloodFrom(ctx, host, payloads, nil, rounds, cfg)
-}
-
-// FloodFrom is Flood restricted to a subset of sources: only nodes with
-// seeds[v] true inject their own rumor (nil seeds means every node seeds,
-// recovering Flood). Non-seeding nodes still forward everything they hear and
-// still know their own payload, so the result's Known sets cover, for every
-// node v, the rumor of every seeding node within host-distance rounds plus v
-// itself. The hybrid scheme uses it to collect only the residue that its
-// gossip stage left uncovered.
-func FloodFrom(ctx context.Context, host *graph.Graph, payloads []any, seeds []bool, rounds int, cfg local.Config) (*Result, error) {
-	if host == nil {
-		return nil, fmt.Errorf("broadcast: nil host graph")
-	}
-	if len(payloads) != host.NumNodes() {
-		return nil, fmt.Errorf("broadcast: %d payloads for %d nodes", len(payloads), host.NumNodes())
+// Flood floods the rumors of the seeding nodes over host for exactly rounds
+// rounds: node v seeds iff seeds[v] (nil seeds means every node seeds).
+// Every node forwards everything it hears and knows its own payload, so
+// after the run Known[v] holds v itself plus every seeding node within
+// host-distance rounds of v. The hybrid scheme floods a seed subset to
+// collect only the residue its gossip stage left uncovered. Cancelling ctx
+// aborts the underlying run.
+func Flood(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, seeds []bool, rounds int, cfg local.Config) (*Result, error) {
+	if err := validate(host, payloads, rounds); err != nil {
+		return nil, err
 	}
 	if seeds != nil && len(seeds) != host.NumNodes() {
 		return nil, fmt.Errorf("broadcast: %d seed flags for %d nodes", len(seeds), host.NumNodes())
-	}
-	if rounds < 0 {
-		return nil, fmt.Errorf("broadcast: negative round budget")
 	}
 	nodes := make([]*floodNode, host.NumNodes())
 	rounds = clampSchedule(&cfg, rounds)
 	parities := 2 + maxDelay(cfg)
 	run, err := local.RunCtx(ctx, host, func(v graph.NodeID) local.Protocol {
 		nd := &floodNode{
-			t:     rounds,
-			self:  payloads[v],
-			seed:  seeds == nil || seeds[v],
-			fresh: make([]floodBatch, parities),
+			t:        rounds,
+			seed:     seeds == nil || seeds[v],
+			payloads: payloads,
+			fresh:    make([]batch, parities),
+		}
+		for i := range nd.fresh {
+			nd.fresh[i].payloads = payloads
 		}
 		nodes[v] = nd
 		return nd
@@ -169,10 +192,9 @@ func FloodFrom(ctx context.Context, host *graph.Graph, payloads []any, seeds []b
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Run: run}
-	for _, nd := range nodes {
-		res.Known = append(res.Known, nd.known)
-		res.Arrival = append(res.Arrival, nd.arrival)
+	res := &Result{Run: run, Known: make([]map[graph.NodeID][]graph.EdgeID, len(nodes))}
+	for v, nd := range nodes {
+		res.Known[v] = nd.known
 	}
 	return res, nil
 }
@@ -250,48 +272,46 @@ func (tr *arrivalTracker) learn(v, u graph.NodeID) {
 
 // gossipNode implements synchronous push–pull gossip: each round it pushes
 // its full rumor set over one uniformly random incident edge and answers
-// last round's pushes with its full set. The rumor snapshot and the
-// push/pull envelopes are buffered by round parity — payloads sent in round
-// r are read in round r+1 (or as late as r+1+B under an adversary with
-// delay bound B, hence B+2 parities in the ring; two on the flawless
+// last round's pushes with its full set. Its one map, arrival, is the rumor
+// set; Gossip derives Known from it once, after the run. The rumor snapshot
+// and the push/pull envelopes are buffered by round parity — payloads sent
+// in round r are read in round r+1 (or as late as r+1+B under an adversary
+// with delay bound B, hence B+2 parities in the ring; two on the flawless
 // network, as historically) and never later, so parity-p buffers are free
 // for reuse when parity p recurs — and the envelopes travel as pointers,
 // whose interface boxing is allocation-free. A steady-state gossip round
-// therefore allocates only when the known set (and with it the snapshot
+// therefore allocates only when the rumor set (and with it the snapshot
 // buffer) grows.
 type gossipNode struct {
 	t       int
 	track   *arrivalTracker
-	known   map[graph.NodeID]any
 	arrival map[graph.NodeID]int
 	replyTo []graph.EdgeID
 	push    []gossipPush
 	pull    []gossipPull
 }
 
-type gossipPush struct{ Rumors []rumor }
-type gossipPull struct{ Rumors []rumor }
+type gossipPush struct{ batch }
+type gossipPull struct{ batch }
 
 func (p *gossipNode) Step(env *local.Env, round int, inbox []local.Message) {
 	if round == 0 {
-		p.known = map[graph.NodeID]any{env.ID(): nil} // payload patched by harness
 		p.arrival = map[graph.NodeID]int{env.ID(): 0}
 		p.track.learn(env.ID(), env.ID())
 	}
 	for _, m := range inbox {
-		var rumors []rumor
+		var in *batch
 		switch msg := m.Payload.(type) {
 		case *gossipPush:
-			rumors = msg.Rumors
+			in = &msg.batch
 			p.replyTo = append(p.replyTo, m.Edge)
 		case *gossipPull:
-			rumors = msg.Rumors
+			in = &msg.batch
 		}
-		for _, r := range rumors {
-			if _, ok := p.known[r.Origin]; !ok {
-				p.known[r.Origin] = r.Payload
-				p.arrival[r.Origin] = round
-				p.track.learn(env.ID(), r.Origin)
+		for _, o := range in.origins {
+			if _, ok := p.arrival[o]; !ok {
+				p.arrival[o] = round
+				p.track.learn(env.ID(), o)
 			}
 		}
 	}
@@ -303,7 +323,7 @@ func (p *gossipNode) Step(env *local.Env, round int, inbox []local.Message) {
 	all := p.snapshot(parity)
 	if len(p.replyTo) > 0 {
 		pull := &p.pull[parity]
-		pull.Rumors = all
+		pull.origins = all
 		for _, e := range p.replyTo {
 			env.Send(e, pull)
 		}
@@ -312,7 +332,7 @@ func (p *gossipNode) Step(env *local.Env, round int, inbox []local.Message) {
 	if env.Degree() > 0 {
 		pt := env.Ports()[env.Rand().Intn(env.Degree())]
 		push := &p.push[parity]
-		push.Rumors = all
+		push.origins = all
 		env.Send(pt.Edge, push)
 	}
 }
@@ -320,74 +340,47 @@ func (p *gossipNode) Step(env *local.Env, round int, inbox []local.Message) {
 // snapshot rebuilds the node's full rumor set into the parity's reusable
 // buffer (the pull envelope of the same parity shares it; both are in
 // flight for exactly one round).
-func (p *gossipNode) snapshot(parity int) []rumor {
-	out := p.pull[parity].Rumors[:0]
-	//freelunch:orderok receivers fold Rumors into their known map (a set); emission order is never observed
-	for o, pl := range p.known {
-		out = append(out, rumor{Origin: o, Payload: pl})
+func (p *gossipNode) snapshot(parity int) []graph.NodeID {
+	out := p.pull[parity].origins[:0]
+	//freelunch:orderok receivers fold origins into their arrival map (a set); emission order is never observed
+	for o := range p.arrival {
+		out = append(out, o)
 	}
-	p.pull[parity].Rumors = out
+	p.pull[parity].origins = out
 	return out
 }
 
-// Gossip runs push–pull gossip on host for exactly rounds rounds (choose a
-// generous budget and use CoverRound to find when coverage was actually
-// achieved). Message complexity is at most 2n per round by construction.
-// Cancelling ctx aborts the underlying run.
-func Gossip(ctx context.Context, host *graph.Graph, payloads []any, rounds int, cfg local.Config) (*Result, error) {
-	res, _, err := gossipRun(ctx, host, payloads, rounds, cfg, nil, 0)
-	return res, err
-}
-
-// GossipUntilCover is Gossip with central early stopping: the run executes
-// the same schedule as Gossip(rounds) but ends the round loop the moment
-// every node has heard the rumor of every member of its distance-t ball (per
-// bi). The executed prefix is bit-identical to the full schedule's — per-node
-// RNG streams depend only on (seed, id), and the stop check runs after the
-// round's barrier — so arrivals, per-round bills, and MessagesThrough answers
-// through the stop round all match Gossip's. The second return value is the
-// cover round (equal to CoverRound on the full run), or -1 if the schedule
-// ended before coverage.
-func GossipUntilCover(ctx context.Context, host *graph.Graph, payloads []any, bi *BallIndex, rounds int, cfg local.Config) (*Result, int, error) {
-	if bi == nil {
-		return nil, 0, fmt.Errorf("broadcast: GossipUntilCover needs a ball index")
+// Gossip runs push–pull gossip on host for at most rounds rounds (message
+// complexity at most 2n per round by construction) and returns the run with
+// its cover round. Cancelling ctx aborts the underlying run.
+//
+// With bi set, the run stops centrally at the end of the first round after
+// which at least target nodes have heard the rumor of every member of their
+// distance-t ball (per bi); target = host.NumNodes() waits for every ball.
+// The executed prefix is bit-identical to the full schedule's — per-node RNG
+// streams depend only on (seed, id), and the stop check runs after the
+// round's barrier — so arrivals, per-round bills, and MessagesThrough
+// answers through the stop round all match the fixed schedule's. The cover
+// round is the earliest round by which target balls were complete, or -1 if
+// the schedule ended first.
+//
+// With bi nil, the whole fixed schedule runs and the cover round is -1; it
+// is the reference the early-stop tests compare against.
+func Gossip(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, bi *BallIndex, target, rounds int, cfg local.Config) (*Result, int, error) {
+	if err := validate(host, payloads, rounds); err != nil {
+		return nil, 0, err
 	}
-	return gossipRun(ctx, host, payloads, rounds, cfg, bi, host.NumNodes())
-}
-
-// GossipUntilCovered is GossipUntilCover's fractional form: it stops as soon
-// as at least target nodes hold their complete distance-t ball, returning
-// the earliest round at which that held (-1 if never within the schedule).
-// The hybrid scheme uses it to find its seeding deadline without simulating
-// the schedule's dead tail.
-func GossipUntilCovered(ctx context.Context, host *graph.Graph, payloads []any, bi *BallIndex, target, rounds int, cfg local.Config) (*Result, int, error) {
-	if bi == nil {
-		return nil, 0, fmt.Errorf("broadcast: GossipUntilCovered needs a ball index")
+	n := host.NumNodes()
+	if bi != nil && bi.Nodes() != n {
+		return nil, 0, fmt.Errorf("broadcast: ball index spans %d nodes, host has %d", bi.Nodes(), n)
 	}
-	if target < 0 || target > host.NumNodes() {
-		return nil, 0, fmt.Errorf("broadcast: cover target %d outside [0,%d]", target, host.NumNodes())
+	if bi != nil && (target < 0 || target > n) {
+		return nil, 0, fmt.Errorf("broadcast: cover target %d outside [0,%d]", target, n)
 	}
-	return gossipRun(ctx, host, payloads, rounds, cfg, bi, target)
-}
-
-// gossipRun is the shared gossip harness. With bi nil it runs the plain
-// fixed schedule; with bi set it installs a StopWhen hook that ends the run
-// at the first round after which at least target nodes' balls are complete,
-// and returns that round (-1 if the schedule ended first).
-func gossipRun(ctx context.Context, host *graph.Graph, payloads []any, rounds int, cfg local.Config, bi *BallIndex, target int) (*Result, int, error) {
-	if host == nil {
-		return nil, 0, fmt.Errorf("broadcast: nil host graph")
-	}
-	if len(payloads) != host.NumNodes() {
-		return nil, 0, fmt.Errorf("broadcast: %d payloads for %d nodes", len(payloads), host.NumNodes())
-	}
-	if bi != nil && bi.Nodes() != host.NumNodes() {
-		return nil, 0, fmt.Errorf("broadcast: ball index spans %d nodes, host has %d", bi.Nodes(), host.NumNodes())
-	}
-	nodes := make([]*gossipNode, host.NumNodes())
+	nodes := make([]*gossipNode, n)
 	rounds = clampSchedule(&cfg, rounds)
 	parities := 2 + maxDelay(cfg)
-	track := newArrivalTracker(host.NumNodes(), bi)
+	track := newArrivalTracker(n, bi)
 	if bi != nil {
 		// The hook is a pure coverage check: the cover round itself is
 		// recovered post-hoc from the recorded arrivals, so an adversary
@@ -425,20 +418,27 @@ func gossipRun(ctx context.Context, host *graph.Graph, payloads []any, rounds in
 			push:  make([]gossipPush, parities),
 			pull:  make([]gossipPull, parities),
 		}
+		for i := range nd.push {
+			nd.push[i].payloads, nd.pull[i].payloads = payloads, payloads
+		}
 		nodes[v] = nd
 		return nd
 	}, cfg)
 	if err != nil {
 		return nil, 0, err
 	}
-	res := &Result{Run: run, cumAt: cumAt}
-	for _, nd := range nodes {
-		// Rumors travel as bare origins; rebind payloads from ground truth.
-		for o := range nd.known {
-			nd.known[o] = payloads[o]
+	res := &Result{
+		Known:   make([]map[graph.NodeID][]graph.EdgeID, n),
+		Arrival: make([]map[graph.NodeID]int, n),
+		Run:     run,
+		cumAt:   cumAt,
+	}
+	for v, nd := range nodes {
+		known := make(map[graph.NodeID][]graph.EdgeID, len(nd.arrival))
+		for o := range nd.arrival {
+			known[o] = payloads[o]
 		}
-		res.Known = append(res.Known, nd.known)
-		res.Arrival = append(res.Arrival, nd.arrival)
+		res.Known[v], res.Arrival[v] = known, nd.arrival
 	}
 	return res, coverAt(bi, res.Arrival, target), nil
 }
@@ -470,40 +470,10 @@ func coverAt(bi *BallIndex, arrival []map[graph.NodeID]int, target int) int {
 	return covered[target-1]
 }
 
-// CoverRound returns the earliest round by which every node had heard the
-// rumor of every node in its distance-t ball of g, or -1 if the run ended
-// before that. Combine with Result.Run.PerRound (see MessagesUpTo) to get
-// the message cost of achieving t-local broadcast.
-func CoverRound(g *graph.Graph, arrival []map[graph.NodeID]int, t int) int {
-	worst := 0
-	for _, r := range CoverRounds(g, arrival, t) {
-		if r < 0 {
-			return -1
-		}
-		if r > worst {
-			worst = r
-		}
-	}
-	return worst
-}
-
-// CoverRounds returns, per node, the earliest round by which that node had
-// heard the rumor of every node in its distance-t ball of g (-1 if the run
-// ended before that). It is the per-node refinement of CoverRound: the hybrid
-// scheme uses it to find the round at which a target fraction of nodes is
-// covered. Callers querying the same (graph, t) repeatedly should build a
-// BallIndex once and use its CoverRounds method — this wrapper rebuilds the
-// ball membership on every call.
-func CoverRounds(g *graph.Graph, arrival []map[graph.NodeID]int, t int) []int {
-	return NewBallIndex(g, t).CoverRounds(arrival)
-}
-
 // BallIndex is the per-node distance-t ball membership of one graph,
 // computed once (one truncated BFS per node) and reused across every query
-// that needs it: CoverRounds calls, the gossip early-stop tracker's
-// per-arrival checks, and hybrid's residue scan. Historically each
-// CoverRounds call re-ran all n BFS traversals; hybrid's geometric retry
-// loop multiplied that by every budget doubling. A BallIndex is immutable
+// that needs it: cover-round queries, the gossip early-stop tracker's
+// per-arrival checks, and hybrid's residue scan. A BallIndex is immutable
 // once built and safe for concurrent readers.
 type BallIndex struct {
 	t    int
@@ -540,9 +510,9 @@ func (bi *BallIndex) Contains(v, u graph.NodeID) bool { return bi.sets[v][u] }
 // and must not be mutated.
 func (bi *BallIndex) Members(v graph.NodeID) map[graph.NodeID]bool { return bi.sets[v] }
 
-// CoverRounds is CoverRounds against the prebuilt index: per node, the
-// earliest round by which every ball member's rumor had arrived (-1 if the
-// run ended before that). Beyond the one output slice it allocates nothing.
+// CoverRounds returns, per node, the earliest round by which every ball
+// member's rumor had arrived (-1 if the run ended before that). Beyond the
+// one output slice it allocates nothing.
 func (bi *BallIndex) CoverRounds(arrival []map[graph.NodeID]int) []int {
 	out := make([]int, len(bi.sets))
 	for v := range bi.sets {
@@ -563,6 +533,14 @@ func (bi *BallIndex) CoverRounds(arrival []map[graph.NodeID]int) []int {
 	return out
 }
 
+// CoverRound returns the earliest round by which every node had heard the
+// rumor of every member of its ball, or -1 if the run ended before that.
+// Combine with Result.MessagesThrough to get the message cost of achieving
+// t-local broadcast.
+func (bi *BallIndex) CoverRound(arrival []map[graph.NodeID]int) int {
+	return coverAt(bi, arrival, bi.Nodes())
+}
+
 // MessagesUpTo sums per-round message counts through the given round
 // (inclusive). Rounds beyond the recorded horizon are ignored.
 func MessagesUpTo(run local.Result, round int) int64 {
@@ -575,34 +553,3 @@ func MessagesUpTo(run local.Result, round int) int64 {
 	}
 	return total
 }
-
-// Payload sizes (local.Sizer): a rumor costs one word for its origin plus
-// the size of its content (port lists count their length).
-
-func rumorUnits(rs []rumor) int64 {
-	var u int64
-	for _, r := range rs {
-		u += 1 + contentUnits(r.Payload)
-	}
-	return u
-}
-
-func contentUnits(p any) int64 {
-	switch v := p.(type) {
-	case []graph.EdgeID:
-		return int64(len(v))
-	case nil:
-		return 0
-	default:
-		return 1
-	}
-}
-
-// PayloadUnits implements local.Sizer for flood batches.
-func (b *floodBatch) PayloadUnits() int64 { return rumorUnits(*b) }
-
-// PayloadUnits implements local.Sizer.
-func (m *gossipPush) PayloadUnits() int64 { return rumorUnits(m.Rumors) }
-
-// PayloadUnits implements local.Sizer.
-func (m *gossipPull) PayloadUnits() int64 { return rumorUnits(m.Rumors) }

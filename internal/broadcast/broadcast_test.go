@@ -2,6 +2,7 @@ package broadcast
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -11,20 +12,29 @@ import (
 	"repro/internal/xrand"
 )
 
-func mkPayloads(n int) []any {
-	p := make([]any, n)
-	for i := range p {
-		p[i] = i * 10
+// fixedGossip runs the fixed-schedule reference: Gossip with no ball index.
+func fixedGossip(t testing.TB, g *graph.Graph, payloads [][]graph.EdgeID, rounds int, cfg local.Config) *Result {
+	t.Helper()
+	res, cover, err := Gossip(context.Background(), g, payloads, nil, 0, rounds, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return p
+	if cover != -1 {
+		t.Fatalf("fixed schedule reported cover round %d, want -1", cover)
+	}
+	return res
 }
 
 func TestFloodExactBalls(t *testing.T) {
 	g := gen.ConnectedGNP(120, 0.04, xrand.New(1))
+	payloads := testPayloads(g.NumNodes())
 	for _, tRounds := range []int{0, 1, 3} {
-		res, err := Flood(context.Background(), g, mkPayloads(g.NumNodes()), tRounds, local.Config{Seed: 2})
+		res, err := Flood(context.Background(), g, payloads, nil, tRounds, local.Config{Seed: 2})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if res.Arrival != nil {
+			t.Fatal("flood recorded arrivals; only gossip keeps them")
 		}
 		for v := 0; v < g.NumNodes(); v++ {
 			ball := g.Ball(graph.NodeID(v), tRounds)
@@ -32,13 +42,9 @@ func TestFloodExactBalls(t *testing.T) {
 				t.Fatalf("t=%d node %d knows %d rumors, ball has %d",
 					tRounds, v, len(res.Known[v]), len(ball))
 			}
-			dist := g.BFS(graph.NodeID(v), tRounds)
 			for _, u := range ball {
-				if res.Known[v][u] != int(u)*10 {
+				if !slices.Equal(res.Known[v][u], payloads[u]) {
 					t.Fatalf("payload corrupted: %v", res.Known[v][u])
-				}
-				if res.Arrival[v][u] != dist[u] {
-					t.Fatalf("arrival %d != distance %d", res.Arrival[v][u], dist[u])
 				}
 			}
 		}
@@ -50,7 +56,7 @@ func TestFloodMessageCost(t *testing.T) {
 	// (round 0 sends on every half-edge... each node sends its own rumor).
 	g := gen.Grid(8, 8)
 	const tr = 4
-	res, err := Flood(context.Background(), g, mkPayloads(g.NumNodes()), tr, local.Config{})
+	res, err := Flood(context.Background(), g, testPayloads(g.NumNodes()), nil, tr, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +82,7 @@ func TestFloodOnSpannerCoversBalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	const tr = 2
-	res, err := Flood(context.Background(), h, mkPayloads(g.NumNodes()), sp.StretchBound()*tr, local.Config{})
+	res, err := Flood(context.Background(), h, testPayloads(g.NumNodes()), nil, sp.StretchBound()*tr, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +95,7 @@ func TestFloodOnSpannerCoversBalls(t *testing.T) {
 	}
 	// And it should cost far fewer messages than flooding g directly when g
 	// is dense relative to the spanner.
-	direct, err := Flood(context.Background(), g, mkPayloads(g.NumNodes()), tr, local.Config{})
+	direct, err := Flood(context.Background(), g, testPayloads(g.NumNodes()), nil, tr, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,26 +103,26 @@ func TestFloodOnSpannerCoversBalls(t *testing.T) {
 }
 
 func TestFloodValidation(t *testing.T) {
-	if _, err := Flood(context.Background(), nil, nil, 1, local.Config{}); err == nil {
+	if _, err := Flood(context.Background(), nil, nil, nil, 1, local.Config{}); err == nil {
 		t.Fatal("nil host accepted")
 	}
 	g := gen.Path(3)
-	if _, err := Flood(context.Background(), g, make([]any, 2), 1, local.Config{}); err == nil {
+	if _, err := Flood(context.Background(), g, testPayloads(2), nil, 1, local.Config{}); err == nil {
 		t.Fatal("short payloads accepted")
 	}
-	if _, err := Flood(context.Background(), g, make([]any, 3), -1, local.Config{}); err == nil {
+	if _, err := Flood(context.Background(), g, testPayloads(3), nil, -1, local.Config{}); err == nil {
 		t.Fatal("negative rounds accepted")
+	}
+	if _, err := Flood(context.Background(), g, testPayloads(3), make([]bool, 2), 1, local.Config{}); err == nil {
+		t.Fatal("short seed flags accepted")
 	}
 }
 
 func TestGossipEventuallyCovers(t *testing.T) {
 	g := gen.ConnectedGNP(60, 0.15, xrand.New(4))
 	const tr = 2
-	res, err := Gossip(context.Background(), g, mkPayloads(g.NumNodes()), 400, local.Config{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cover := CoverRound(g, res.Arrival, tr)
+	res := fixedGossip(t, g, testPayloads(g.NumNodes()), 400, local.Config{Seed: 9})
+	cover := NewBallIndex(g, tr).CoverRound(res.Arrival)
 	if cover < 0 {
 		t.Fatal("gossip did not cover t-balls within 400 rounds")
 	}
@@ -137,42 +143,37 @@ func TestGossipNoLedgerBillingExact(t *testing.T) {
 	g := gen.ConnectedGNP(40, 0.1, xrand.New(9))
 	payloads := testPayloads(g.NumNodes())
 	const rounds, t2 = 200, 2
-	for _, concurrent := range []bool{false, true} {
-		with, err := Gossip(context.Background(), g, payloads, rounds, local.Config{Seed: 4, Concurrent: concurrent})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bare, err := Gossip(context.Background(), g, payloads, rounds, local.Config{Seed: 4, Concurrent: concurrent, NoLedger: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+	bi := NewBallIndex(g, t2)
+	for _, workers := range []int{0, -1} {
+		with := fixedGossip(t, g, payloads, rounds, local.Config{Seed: 4, Workers: workers})
+		bare := fixedGossip(t, g, payloads, rounds, local.Config{Seed: 4, Workers: workers, NoLedger: true})
 		if bare.Run.PerRound != nil {
-			t.Fatalf("concurrent=%v: NoLedger gossip retained %d PerRound entries", concurrent, len(bare.Run.PerRound))
+			t.Fatalf("workers=%d: NoLedger gossip retained %d PerRound entries", workers, len(bare.Run.PerRound))
 		}
 		if bare.Run.Messages != with.Run.Messages || bare.Run.Rounds != with.Run.Rounds {
-			t.Fatalf("concurrent=%v: totals drifted: %+v vs %+v", concurrent, bare.Run, with.Run)
+			t.Fatalf("workers=%d: totals drifted: %+v vs %+v", workers, bare.Run, with.Run)
 		}
 		// Every billing deadline any caller can derive — the global cover
 		// round and every per-node cover round — must answer identically.
-		deadlines := map[int]bool{CoverRound(g, with.Arrival, t2): true}
-		for _, r := range CoverRounds(g, with.Arrival, t2) {
+		deadlines := map[int]bool{bi.CoverRound(with.Arrival): true}
+		for _, r := range bi.CoverRounds(with.Arrival) {
 			deadlines[r] = true
 		}
 		for r := range deadlines {
 			if r < 0 {
-				t.Fatalf("concurrent=%v: gossip did not cover within %d rounds", concurrent, rounds)
+				t.Fatalf("workers=%d: gossip did not cover within %d rounds", workers, rounds)
 			}
 			want := MessagesUpTo(with.Run, r)
 			got, err := bare.MessagesThrough(r)
 			if err != nil {
-				t.Fatalf("concurrent=%v: MessagesThrough(%d): %v", concurrent, r, err)
+				t.Fatalf("workers=%d: MessagesThrough(%d): %v", workers, r, err)
 			}
 			if got != want {
-				t.Fatalf("concurrent=%v: MessagesThrough(%d) = %d, ledger says %d", concurrent, r, got, want)
+				t.Fatalf("workers=%d: MessagesThrough(%d) = %d, ledger says %d", workers, r, got, want)
 			}
 			// The ledgered result must answer through the same API.
 			if lg, err := with.MessagesThrough(r); err != nil || lg != want {
-				t.Fatalf("concurrent=%v: ledgered MessagesThrough(%d) = %d, %v", concurrent, r, lg, err)
+				t.Fatalf("workers=%d: ledgered MessagesThrough(%d) = %d, %v", workers, r, lg, err)
 			}
 		}
 		// A round past every arrival has no record: the error is loud, not
@@ -187,7 +188,7 @@ func TestGossipNoLedgerBillingExact(t *testing.T) {
 				}
 			}
 			if maxArr < rounds-1 {
-				t.Fatalf("concurrent=%v: MessagesThrough(%d) beyond the last arrival (%d) did not error", concurrent, rounds-1, maxArr)
+				t.Fatalf("workers=%d: MessagesThrough(%d) beyond the last arrival (%d) did not error", workers, rounds-1, maxArr)
 			}
 		}
 	}
@@ -195,10 +196,7 @@ func TestGossipNoLedgerBillingExact(t *testing.T) {
 
 func TestGossipMessagesPerRoundBounded(t *testing.T) {
 	g := gen.ConnectedGNP(80, 0.1, xrand.New(5))
-	res, err := Gossip(context.Background(), g, mkPayloads(g.NumNodes()), 50, local.Config{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fixedGossip(t, g, testPayloads(g.NumNodes()), 50, local.Config{Seed: 11})
 	for r, c := range res.Run.PerRound {
 		if c > 2*int64(g.NumNodes()) {
 			t.Fatalf("round %d sent %d messages > 2n", r, c)
@@ -211,11 +209,8 @@ func TestGossipSlowOnBarbell(t *testing.T) {
 	// across at ~1 per round. This is the round blow-up the paper removes.
 	g := gen.Barbell(20, 2) // 42 nodes
 	const tr = 3
-	gossip, err := Gossip(context.Background(), g, mkPayloads(g.NumNodes()), 2000, local.Config{Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cover := CoverRound(g, gossip.Arrival, tr)
+	gossip := fixedGossip(t, g, testPayloads(g.NumNodes()), 2000, local.Config{Seed: 13})
+	cover := NewBallIndex(g, tr).CoverRound(gossip.Arrival)
 	if cover < 0 {
 		t.Fatal("gossip never covered")
 	}
@@ -226,11 +221,8 @@ func TestGossipSlowOnBarbell(t *testing.T) {
 
 func TestCoverRoundNotCovered(t *testing.T) {
 	g := gen.Path(5)
-	res, err := Gossip(context.Background(), g, mkPayloads(5), 0, local.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if CoverRound(g, res.Arrival, 2) != -1 {
+	res := fixedGossip(t, g, testPayloads(5), 0, local.Config{})
+	if NewBallIndex(g, 2).CoverRound(res.Arrival) != -1 {
 		t.Fatal("zero-round gossip cannot cover 2-balls")
 	}
 }

@@ -40,24 +40,18 @@ type edgeQueue struct {
 
 // FloodBudget floods each node's rumor over host with per-edge bandwidth bw
 // (in words per direction per round, bw >= 1). Rumors travel at most `rounds`
-// hops, so the final Known sets equal Flood's at the same arguments; Arrival
-// records the (possibly delayed) round of first hearing. cfg is honored for
-// OnRound and NoLedger only — the schedule is deterministic and needs no
-// seed. Cancelling ctx aborts between rounds.
+// hops, so the final Known sets equal Flood's at the same arguments, and
+// each rumor costs Flood's 1 + len(M_o) words. cfg is honored for OnRound
+// and NoLedger only — the schedule is deterministic and needs no seed.
+// Cancelling ctx aborts between rounds.
 //
 // Because queueing can deliver a rumor first over a longer path, a node
 // re-forwards a rumor whenever a copy arrives with a strictly smaller hop
 // count; this keeps the hop-limited coverage exactly equal to the
 // synchronous flood's, at the price of occasional duplicate transmissions.
-func FloodBudget(ctx context.Context, host *graph.Graph, payloads []any, rounds, bw int, cfg local.Config) (*Result, error) {
-	if host == nil {
-		return nil, fmt.Errorf("broadcast: nil host graph")
-	}
-	if len(payloads) != host.NumNodes() {
-		return nil, fmt.Errorf("broadcast: %d payloads for %d nodes", len(payloads), host.NumNodes())
-	}
-	if rounds < 0 {
-		return nil, fmt.Errorf("broadcast: negative round budget")
+func FloodBudget(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, rounds, bw int, cfg local.Config) (*Result, error) {
+	if err := validate(host, payloads, rounds); err != nil {
+		return nil, err
 	}
 	if bw < 1 {
 		return nil, fmt.Errorf("broadcast: bandwidth %d < 1 word per edge per round", bw)
@@ -66,10 +60,6 @@ func FloodBudget(ctx context.Context, host *graph.Graph, payloads []any, rounds,
 		ctx = context.Background()
 	}
 	n := host.NumNodes()
-
-	// cost is the word size of one queued rumor: one word for the origin plus
-	// its payload content, exactly rumorUnits' accounting.
-	cost := func(it qitem) int64 { return 1 + contentUnits(payloads[it.origin]) }
 
 	// Directed edges, one queue each, in deterministic (node, port) order.
 	nEdges := 0
@@ -84,10 +74,7 @@ func FloodBudget(ctx context.Context, host *graph.Graph, payloads []any, rounds,
 	queues := make([]edgeQueue, nEdges)
 
 	hops := make([]map[graph.NodeID]int, n) // best hop count per heard origin
-	res := &Result{
-		Known:   make([]map[graph.NodeID]any, n),
-		Arrival: make([]map[graph.NodeID]int, n),
-	}
+	res := &Result{Known: make([]map[graph.NodeID][]graph.EdgeID, n)}
 	enqueue := func(v int, it qitem) {
 		//freelunch:orderok queueOf[v] values are distinct queue indices, so the appends target disjoint queues
 		for _, qi := range queueOf[v] {
@@ -96,8 +83,7 @@ func FloodBudget(ctx context.Context, host *graph.Graph, payloads []any, rounds,
 	}
 	for v := 0; v < n; v++ {
 		hops[v] = map[graph.NodeID]int{graph.NodeID(v): 0}
-		res.Known[v] = map[graph.NodeID]any{graph.NodeID(v): payloads[v]}
-		res.Arrival[v] = map[graph.NodeID]int{graph.NodeID(v): 0}
+		res.Known[v] = map[graph.NodeID][]graph.EdgeID{graph.NodeID(v): payloads[v]}
 		if rounds > 0 {
 			enqueue(v, qitem{origin: graph.NodeID(v), hops: 1})
 		}
@@ -130,7 +116,7 @@ func FloodBudget(ctx context.Context, host *graph.Graph, payloads []any, rounds,
 				var words int64
 				for len(q.items) > 0 && budget > 0 {
 					head := q.items[0]
-					rem := cost(head) - q.headSent
+					rem := rumorWords(payloads, head.origin) - q.headSent
 					s := rem
 					if s > budget {
 						s = budget
@@ -138,7 +124,7 @@ func FloodBudget(ctx context.Context, host *graph.Graph, payloads []any, rounds,
 					budget -= s
 					words += s
 					q.headSent += s
-					if q.headSent == cost(head) {
+					if q.headSent == rumorWords(payloads, head.origin) {
 						arrivals = append(arrivals, arrival{at: h.Peer, it: head})
 						q.items = q.items[1:]
 						q.headSent = 0
@@ -159,7 +145,6 @@ func FloodBudget(ctx context.Context, host *graph.Graph, payloads []any, rounds,
 			hops[v][a.it.origin] = a.it.hops
 			if !heard {
 				res.Known[v][a.it.origin] = payloads[a.it.origin]
-				res.Arrival[v][a.it.origin] = round + 1 // heard next round, as under the LOCAL engine
 			}
 			if a.it.hops < rounds {
 				enqueue(v, qitem{origin: a.it.origin, hops: a.it.hops + 1})

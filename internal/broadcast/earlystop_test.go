@@ -1,8 +1,8 @@
 package broadcast
 
-// Tests for the gossip early-stop machinery: the BallIndex that replaces
-// per-call ball rebuilds in cover accounting, the tracker-driven
-// GossipUntilCover/GossipUntilCovered entry points whose executed prefix
+// Tests for the gossip early-stop machinery: the BallIndex that answers
+// cover-round queries without rebuilding balls, the tracker-driven early
+// stop of Gossip (a ball index and a cover target) whose executed prefix
 // must be bit-identical to the fixed schedule's, and the explicit
 // min-semantics between a caller-provided round budget and the broadcast
 // protocols' own schedule lengths.
@@ -17,23 +17,20 @@ import (
 	"repro/internal/xrand"
 )
 
-// TestGossipUntilCoverMatchesGossip pins the tentpole equivalence: the
-// early-stopped run reports exactly the full schedule's cover round, bills
-// exactly the same messages through it, records identical arrivals up to the
-// stop, and executes only cover+1 rounds — on both engines, with the ledger
-// on and off.
-func TestGossipUntilCoverMatchesGossip(t *testing.T) {
+// TestGossipEarlyStopMatchesFixedSchedule pins the early-stop equivalence:
+// the early-stopped run reports exactly the full schedule's cover round,
+// bills exactly the same messages through it, records identical arrivals up
+// to the stop, and executes only cover+1 rounds — on both engines, with the
+// ledger on and off.
+func TestGossipEarlyStopMatchesFixedSchedule(t *testing.T) {
 	g := gen.ConnectedGNP(60, 0.08, xrand.New(9))
 	const tBall = 2
 	const schedule = 6000
-	payloads := mkPayloads(g.NumNodes())
+	payloads := testPayloads(g.NumNodes())
 	bi := NewBallIndex(g, tBall)
 
-	full, err := Gossip(context.Background(), g, payloads, schedule, local.Config{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cover := CoverRound(g, full.Arrival, tBall)
+	full := fixedGossip(t, g, payloads, schedule, local.Config{Seed: 3})
+	cover := bi.CoverRound(full.Arrival)
 	if cover < 0 {
 		t.Fatalf("schedule of %d rounds did not cover the %d-balls", schedule, tBall)
 	}
@@ -45,10 +42,10 @@ func TestGossipUntilCoverMatchesGossip(t *testing.T) {
 	}{
 		{"sequential", local.Config{Seed: 3}},
 		{"sequential-noledger", local.Config{Seed: 3, NoLedger: true}},
-		{"concurrent", local.Config{Seed: 3, Concurrent: true, Workers: 3}},
+		{"concurrent", local.Config{Seed: 3, Workers: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			early, got, err := GossipUntilCover(context.Background(), g, payloads, bi, schedule, tc.cfg)
+			early, got, err := Gossip(context.Background(), g, payloads, bi, g.NumNodes(), schedule, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,20 +75,17 @@ func TestGossipUntilCoverMatchesGossip(t *testing.T) {
 	}
 }
 
-// TestGossipUntilCoveredMatchesSortedCoverRounds pins the fractional variant
-// hybrid's seeding stage rides: the stop round equals the need-th smallest
-// per-node cover round of the full run.
-func TestGossipUntilCoveredMatchesSortedCoverRounds(t *testing.T) {
+// TestGossipCoverTargetMatchesSortedCoverRounds pins the fractional cover
+// target hybrid's seeding stage rides: the stop round equals the need-th
+// smallest per-node cover round of the full run.
+func TestGossipCoverTargetMatchesSortedCoverRounds(t *testing.T) {
 	g := gen.ConnectedGNP(50, 0.1, xrand.New(21))
 	const tBall = 2
 	const schedule = 5000
-	payloads := mkPayloads(g.NumNodes())
+	payloads := testPayloads(g.NumNodes())
 	bi := NewBallIndex(g, tBall)
 
-	full, err := Gossip(context.Background(), g, payloads, schedule, local.Config{Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := fixedGossip(t, g, payloads, schedule, local.Config{Seed: 8})
 	perNode := bi.CoverRounds(full.Arrival)
 	need := g.NumNodes() / 2
 	// The need-th smallest completion round, computed the pedestrian way.
@@ -112,41 +106,38 @@ func TestGossipUntilCoveredMatchesSortedCoverRounds(t *testing.T) {
 		t.Fatalf("full schedule never covered %d nodes", need)
 	}
 
-	_, got, err := GossipUntilCovered(context.Background(), g, payloads, bi, need, schedule, local.Config{Seed: 8})
+	_, got, err := Gossip(context.Background(), g, payloads, bi, need, schedule, local.Config{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("GossipUntilCovered stopped at round %d, want %d", got, want)
+		t.Fatalf("gossip with cover target %d stopped at round %d, want %d", need, got, want)
 	}
 }
 
-// TestGossipUntilCoverBudgetExhausted: a schedule too short to cover must
+// TestGossipEarlyStopBudgetExhausted: a schedule too short to cover must
 // report -1, exactly like CoverRound on the truncated run.
-func TestGossipUntilCoverBudgetExhausted(t *testing.T) {
+func TestGossipEarlyStopBudgetExhausted(t *testing.T) {
 	g := gen.ConnectedGNP(40, 0.1, xrand.New(5))
 	bi := NewBallIndex(g, 3)
-	res, cover, err := GossipUntilCover(context.Background(), g, mkPayloads(g.NumNodes()), bi, 1, local.Config{Seed: 2})
+	res, cover, err := Gossip(context.Background(), g, testPayloads(g.NumNodes()), bi, g.NumNodes(), 1, local.Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cover != -1 {
 		t.Fatalf("1-round schedule reported cover %d, want -1", cover)
 	}
-	if got := CoverRound(g, res.Arrival, 3); got != -1 {
+	if got := bi.CoverRound(res.Arrival); got != -1 {
 		t.Fatalf("CoverRound on the truncated run says %d, want -1", got)
 	}
 }
 
-// TestBallIndexCoverRoundsAllocs is the allocation-regression pin for the
-// CoverRounds satellite fix: querying a prebuilt index must not rebuild the
-// balls (historically one BFS plus one slice and one map per node per call).
+// TestBallIndexCoverRoundsAllocs is the allocation-regression pin for
+// cover-round queries: querying a prebuilt index must not rebuild the balls
+// (one BFS plus one slice and one map per node per call).
 func TestBallIndexCoverRoundsAllocs(t *testing.T) {
 	g := gen.ConnectedGNP(80, 0.06, xrand.New(4))
-	res, err := Gossip(context.Background(), g, mkPayloads(g.NumNodes()), 400, local.Config{Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fixedGossip(t, g, testPayloads(g.NumNodes()), 400, local.Config{Seed: 6})
 	bi := NewBallIndex(g, 2)
 	allocs := testing.AllocsPerRun(20, func() {
 		bi.CoverRounds(res.Arrival)
@@ -156,13 +147,16 @@ func TestBallIndexCoverRoundsAllocs(t *testing.T) {
 	if allocs > 2 {
 		t.Fatalf("BallIndex.CoverRounds allocates %.0f times per call, want <= 2", allocs)
 	}
-	// The index agrees with the rebuild-every-time wrapper.
-	want := CoverRounds(g, res.Arrival, 2)
-	got := bi.CoverRounds(res.Arrival)
-	for v := range want {
-		if got[v] != want[v] {
-			t.Fatalf("node %d: indexed cover round %d != recomputed %d", v, got[v], want[v])
+	// The global cover round is the latest per-node one (every node covered).
+	want := 0
+	for v, r := range bi.CoverRounds(res.Arrival) {
+		if r < 0 {
+			t.Fatalf("node %d not covered within 400 rounds", v)
 		}
+		want = max(want, r)
+	}
+	if got := bi.CoverRound(res.Arrival); got != want {
+		t.Fatalf("CoverRound = %d, latest per-node cover round is %d", got, want)
 	}
 }
 
@@ -173,7 +167,7 @@ func TestBallIndexCoverRoundsAllocs(t *testing.T) {
 // Historically the protocols silently overwrote the caller's budget.
 func TestScheduleBudgetClamp(t *testing.T) {
 	g := gen.Grid(6, 6) // diameter 10: a 5-round flood is properly truncated by a budget of 3
-	payloads := mkPayloads(g.NumNodes())
+	payloads := testPayloads(g.NumNodes())
 	cases := []struct {
 		name       string
 		budget     int // cfg.MaxRounds handed in by the caller
@@ -190,13 +184,13 @@ func TestScheduleBudgetClamp(t *testing.T) {
 		cfg  local.Config
 	}{
 		{"sequential", local.Config{Seed: 1}},
-		{"concurrent", local.Config{Seed: 1, Concurrent: true, Workers: 2}},
+		{"concurrent", local.Config{Seed: 1, Workers: 2}},
 	} {
 		for _, tc := range cases {
 			t.Run(eng.name+"/flood/"+tc.name, func(t *testing.T) {
 				cfg := eng.cfg
 				cfg.MaxRounds = tc.budget
-				res, err := Flood(context.Background(), g, payloads, tc.schedule, cfg)
+				res, err := Flood(context.Background(), g, payloads, nil, tc.schedule, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -218,10 +212,7 @@ func TestScheduleBudgetClamp(t *testing.T) {
 			t.Run(eng.name+"/gossip/"+tc.name, func(t *testing.T) {
 				cfg := eng.cfg
 				cfg.MaxRounds = tc.budget
-				res, err := Gossip(context.Background(), g, payloads, tc.schedule, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				res := fixedGossip(t, g, payloads, tc.schedule, cfg)
 				if res.Run.Rounds != tc.wantRounds {
 					t.Fatalf("gossip executed %d rounds, want %d", res.Run.Rounds, tc.wantRounds)
 				}

@@ -130,7 +130,7 @@ func TestDistributedEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	con, err := BuildDistributed(g, p, 21, local.Config{Concurrent: true, Workers: 8})
+	con, err := BuildDistributed(g, p, 21, local.Config{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,11 +42,11 @@ func E5Baseline(quick bool) Report {
 		{"gnp-dense", gnpWithDegree(n, float64(n)/2, 3)},
 	} {
 		m := int64(tc.g.NumEdges())
-		samp, err := core.BuildDistributed(tc.g, p, 7, local.Config{Concurrent: true})
+		samp, err := core.BuildDistributed(tc.g, p, 7, local.Config{Workers: -1})
 		if err != nil {
 			panic(err)
 		}
-		bs, err := spanner.BaswanaSenDistributed(tc.g, 2, 7, local.Config{Concurrent: true})
+		bs, err := spanner.BaswanaSenDistributed(tc.g, 2, 7, local.Config{Workers: -1})
 		if err != nil {
 			panic(err)
 		}
@@ -157,11 +157,11 @@ func E7Scheme1(quick bool) Report {
 		nDense = 250
 	}
 	dense := gen.Complete(nDense)
-	direct, err := simulate.Collect(context.Background(), dense, dense, tr, seed, local.Config{Concurrent: true})
+	direct, err := simulate.Collect(context.Background(), dense, dense, tr, seed, local.Config{Workers: -1})
 	if err != nil {
 		panic(err)
 	}
-	s1, err := simulate.Scheme1Src(context.Background(), dense, spec, p, local.Config{Seed: seed, Concurrent: true}, progressHooks("E7"), nil)
+	s1, err := simulate.Scheme1Src(context.Background(), dense, spec, p, local.Config{Seed: seed, Workers: -1}, progressHooks("E7"), nil)
 	if err != nil {
 		panic(err)
 	}
@@ -197,11 +197,11 @@ func E7Scheme1(quick bool) Report {
 	var gossipCovers, collectRounds []int
 	for _, n := range sweep {
 		g := gnpWithDegree(n, 12, uint64(n))
-		_, cover, gmsgs, err := simulate.GossipCollectEarly(context.Background(), g, tr, 2000, seed, local.Config{Concurrent: true})
+		_, cover, gmsgs, err := simulate.GossipCollectEarly(context.Background(), g, tr, 2000, seed, local.Config{Workers: -1})
 		if err != nil {
 			panic(err)
 		}
-		sw, err := simulate.Scheme1Src(context.Background(), g, spec, p, local.Config{Seed: seed, Concurrent: true}, progressHooks("E7"), nil)
+		sw, err := simulate.Scheme1Src(context.Background(), g, spec, p, local.Config{Seed: seed, Workers: -1}, progressHooks("E7"), nil)
 		if err != nil {
 			panic(err)
 		}
@@ -230,11 +230,11 @@ func E7Scheme1(quick bool) Report {
 	}
 	bar := gen.Barbell(nB/2, 4)
 	komp := gen.Complete(bar.NumNodes())
-	_, coverBar, _, err := simulate.GossipCollectEarly(context.Background(), bar, tr, 2000, seed, local.Config{Concurrent: true})
+	_, coverBar, _, err := simulate.GossipCollectEarly(context.Background(), bar, tr, 2000, seed, local.Config{Workers: -1})
 	if err != nil {
 		panic(err)
 	}
-	_, coverK, _, err := simulate.GossipCollectEarly(context.Background(), komp, tr, 2000, seed, local.Config{Concurrent: true})
+	_, coverK, _, err := simulate.GossipCollectEarly(context.Background(), komp, tr, 2000, seed, local.Config{Workers: -1})
 	if err != nil {
 		panic(err)
 	}
@@ -270,7 +270,7 @@ func E8TwoStage(quick bool) Report {
 	const tr, bsK = 4, 2
 	seed := uint64(41)
 	spec := algorithms.MaxID(tr)
-	cfg := local.Config{Seed: seed, Concurrent: true}
+	cfg := local.Config{Seed: seed, Workers: -1}
 	s2, err := simulate.Scheme2WithSrc(context.Background(), g, spec, simulate.Scheme1Params(1), simulate.BaswanaSenStage2(bsK), cfg, progressHooks("E8"), nil)
 	if err != nil {
 		panic(err)
@@ -419,7 +419,7 @@ func E11Crossover(quick bool) Report {
 		} else {
 			g = gen.Connectify(gen.GNM(n, m, xrand.New(uint64(m))), xrand.New(uint64(m)))
 		}
-		res, err := core.BuildDistributed(g, p, 19, local.Config{Concurrent: true})
+		res, err := core.BuildDistributed(g, p, 19, local.Config{Workers: -1})
 		if err != nil {
 			panic(err)
 		}
@@ -466,11 +466,11 @@ func E12GlobalCompute(quick bool) Report {
 	}
 	p := core.Default(2, 8)
 	p.C = 0.5
-	direct, err := globalcompute.Direct(context.Background(), g, inputs, globalcompute.Max, 1, local.Config{Concurrent: true})
+	direct, err := globalcompute.Direct(context.Background(), g, inputs, globalcompute.Max, 1, local.Config{Workers: -1})
 	if err != nil {
 		panic(err)
 	}
-	span, err := globalcompute.OverSpanner(context.Background(), g, inputs, globalcompute.Max, 1, p, 21, local.Config{Concurrent: true})
+	span, err := globalcompute.OverSpanner(context.Background(), g, inputs, globalcompute.Max, 1, p, 21, local.Config{Workers: -1})
 	if err != nil {
 		panic(err)
 	}
@@ -524,7 +524,7 @@ func E13BitComplexity(quick bool) Report {
 	var prevMsgRatio = math.Inf(1)
 	for _, n := range sizes {
 		g := gen.Complete(n)
-		res, err := core.BuildDistributed(g, p, 1, local.Config{Concurrent: true})
+		res, err := core.BuildDistributed(g, p, 1, local.Config{Workers: -1})
 		if err != nil {
 			panic(err)
 		}
@@ -642,7 +642,7 @@ func E15ElkinNeimanStage(quick bool) Report {
 	spec := algorithms.MaxID(tr)
 	p := simulate.Scheme1Params(1)
 
-	cfg := local.Config{Seed: seed, Concurrent: true}
+	cfg := local.Config{Seed: seed, Workers: -1}
 	bs, err := simulate.Scheme2WithSrc(context.Background(), g, spec, p, simulate.BaswanaSenStage2(k2), cfg, progressHooks("E15"), nil)
 	if err != nil {
 		panic(err)

@@ -9,8 +9,8 @@ import (
 	"repro/internal/xrand"
 )
 
-func localCfg(concurrent bool) local.Config {
-	return local.Config{Seed: 11, Concurrent: concurrent, Workers: 2}
+func localCfg(workers int) local.Config {
+	return local.Config{Seed: 11, Workers: workers}
 }
 
 // TestDetectTermination pins the termination-detection primitive: the
@@ -24,7 +24,7 @@ func TestDetectTermination(t *testing.T) {
 		allDone[i] = true
 	}
 
-	ok, run, err := DetectTermination(context.Background(), g, allDone, diam, localCfg(false))
+	ok, run, err := DetectTermination(context.Background(), g, allDone, diam, localCfg(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestDetectTermination(t *testing.T) {
 		t.Fatalf("detection billed %d messages over %d rounds; knowing you're done is not free", run.Messages, run.Rounds)
 	}
 
-	okc, runc, err := DetectTermination(context.Background(), g, allDone, diam, localCfg(true))
+	okc, runc, err := DetectTermination(context.Background(), g, allDone, diam, localCfg(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestDetectTermination(t *testing.T) {
 	notDone := make([]bool, g.NumNodes())
 	copy(notDone, allDone)
 	notDone[g.NumNodes()-1] = false
-	ok, _, err = DetectTermination(context.Background(), g, notDone, diam, localCfg(false))
+	ok, _, err = DetectTermination(context.Background(), g, notDone, diam, localCfg(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestDetectTermination(t *testing.T) {
 		t.Fatal("a false predicate did not veto the AND")
 	}
 
-	if _, _, err := DetectTermination(context.Background(), g, make([]bool, 3), diam, localCfg(false)); err == nil {
+	if _, _, err := DetectTermination(context.Background(), g, make([]bool, 3), diam, localCfg(0)); err == nil {
 		t.Fatal("mismatched predicate length not rejected")
 	}
 }

@@ -94,11 +94,11 @@ func TestOverSpannerBeatsDirectOnDense(t *testing.T) {
 	in := inputsMod(g.NumNodes())
 	p := core.Default(2, 8)
 	p.C = 0.5
-	res, err := OverSpanner(context.Background(), g, in, Max, 1, p, 9, local.Config{Concurrent: true})
+	res, err := OverSpanner(context.Background(), g, in, Max, 1, p, 9, local.Config{Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Direct(context.Background(), g, in, Max, 1, local.Config{Concurrent: true})
+	direct, err := Direct(context.Background(), g, in, Max, 1, local.Config{Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Direct(context.Background(), g, in, Sum, g.NumNodes(), local.Config{Seed: 5, Concurrent: true})
+	b, err := Direct(context.Background(), g, in, Sum, g.NumNodes(), local.Config{Seed: 5, Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,9 @@
 // parameters ({Family, N, Degree/P/M, Rows, Cols, Seed, Path}) and Build it.
 // The registry behind it (Families) is shared by the CLI flags, the HTTP
 // server's graph spec, and Go callers, so the three surfaces cannot drift.
-// The typed per-family constructors (Complete, GNP, Grid, ...) in
-// constructors.go are the layer under it for Go callers, calling the same
-// implementations.
+// Each family's implementation is also exported as a typed constructor
+// (Complete, GNP, Grid, ...) for Go callers; Build's family table calls
+// these same functions.
 //
 // Every generator is deterministic given its seed (or *xrand.RNG argument),
 // so experiments and tests are reproducible. Generators emit edges straight
@@ -25,8 +25,8 @@ import (
 	"repro/internal/xrand"
 )
 
-// complete returns the complete graph K_n.
-func complete(n int) *graph.Graph {
+// Complete returns the complete graph K_n.
+func Complete(n int) *graph.Graph {
 	g := graph.NewWithCapacity(n, n*(n-1)/2)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
@@ -36,8 +36,8 @@ func complete(n int) *graph.Graph {
 	return g
 }
 
-// cycle returns the n-cycle (n >= 3).
-func cycle(n int) *graph.Graph {
+// Cycle returns the n-cycle (n >= 3).
+func Cycle(n int) *graph.Graph {
 	g := graph.NewWithCapacity(n, n)
 	if n < 2 {
 		return g
@@ -48,8 +48,8 @@ func cycle(n int) *graph.Graph {
 	return g
 }
 
-// path returns the path on n nodes.
-func path(n int) *graph.Graph {
+// Path returns the path on n nodes.
+func Path(n int) *graph.Graph {
 	g := graph.NewWithCapacity(n, n-1)
 	for v := 0; v+1 < n; v++ {
 		g.AddEdge(graph.NodeID(v), graph.NodeID(v+1))
@@ -57,8 +57,8 @@ func path(n int) *graph.Graph {
 	return g
 }
 
-// star returns the star with one hub (node 0) and n-1 leaves.
-func star(n int) *graph.Graph {
+// Star returns the star with one hub (node 0) and n-1 leaves.
+func Star(n int) *graph.Graph {
 	g := graph.NewWithCapacity(n, n-1)
 	for v := 1; v < n; v++ {
 		g.AddEdge(0, graph.NodeID(v))
@@ -66,8 +66,8 @@ func star(n int) *graph.Graph {
 	return g
 }
 
-// grid returns the rows x cols grid graph.
-func grid(rows, cols int) *graph.Graph {
+// Grid returns the rows x cols grid graph.
+func Grid(rows, cols int) *graph.Graph {
 	g := graph.NewWithCapacity(rows*cols, 2*rows*cols)
 	id := func(r, c int) graph.NodeID { return graph.NodeID(r*cols + c) }
 	for r := 0; r < rows; r++ {
@@ -83,9 +83,9 @@ func grid(rows, cols int) *graph.Graph {
 	return g
 }
 
-// torus returns the rows x cols torus (grid with wraparound); rows and cols
+// Torus returns the rows x cols torus (grid with wraparound); rows and cols
 // must be at least 3 to avoid parallel edges.
-func torus(rows, cols int) *graph.Graph {
+func Torus(rows, cols int) *graph.Graph {
 	if rows < 3 || cols < 3 {
 		panic("gen: torus needs rows, cols >= 3")
 	}
@@ -100,8 +100,8 @@ func torus(rows, cols int) *graph.Graph {
 	return g
 }
 
-// hypercube returns the d-dimensional hypercube on 2^d nodes.
-func hypercube(d int) *graph.Graph {
+// Hypercube returns the d-dimensional hypercube on 2^d nodes.
+func Hypercube(d int) *graph.Graph {
 	n := 1 << d
 	g := graph.NewWithCapacity(n, n*d/2)
 	for v := 0; v < n; v++ {
@@ -115,10 +115,10 @@ func hypercube(d int) *graph.Graph {
 	return g
 }
 
-// gnp returns an Erdős–Rényi G(n, p) graph.
-func gnp(n int, p float64, rng *xrand.RNG) *graph.Graph {
+// GNP returns an Erdős–Rényi G(n, p) graph.
+func GNP(n int, p float64, rng *xrand.RNG) *graph.Graph {
 	if p >= 1 {
-		return complete(n)
+		return Complete(n)
 	}
 	g := graph.New(n)
 	if p <= 0 {
@@ -142,9 +142,9 @@ func gnp(n int, p float64, rng *xrand.RNG) *graph.Graph {
 	return g
 }
 
-// gnm returns a uniform graph with n nodes and exactly m distinct edges
+// GNM returns a uniform graph with n nodes and exactly m distinct edges
 // (no parallel edges). It panics if m exceeds n(n-1)/2.
-func gnm(n, m int, rng *xrand.RNG) *graph.Graph {
+func GNM(n, m int, rng *xrand.RNG) *graph.Graph {
 	max := n * (n - 1) / 2
 	if m > max {
 		panic(fmt.Sprintf("gen: GNM(%d,%d) exceeds %d possible edges", n, m, max))
@@ -170,9 +170,9 @@ func gnm(n, m int, rng *xrand.RNG) *graph.Graph {
 	return g
 }
 
-// randomTree returns a uniformly random recursive tree on n nodes: node v>0
+// RandomTree returns a uniformly random recursive tree on n nodes: node v>0
 // attaches to a uniform node in [0, v).
-func randomTree(n int, rng *xrand.RNG) *graph.Graph {
+func RandomTree(n int, rng *xrand.RNG) *graph.Graph {
 	g := graph.NewWithCapacity(n, n-1)
 	for v := 1; v < n; v++ {
 		g.AddEdge(graph.NodeID(v), graph.NodeID(rng.Intn(v)))
@@ -232,10 +232,10 @@ func tryPairing(n, d int, rng *xrand.RNG) (*graph.Graph, bool) {
 	return g, true
 }
 
-// barbell returns two cliques of size cliqueN joined by a path of pathLen
+// Barbell returns two cliques of size cliqueN joined by a path of pathLen
 // intermediate nodes. This is the canonical low-conductance graph on which
 // gossip-based schemes suffer.
-func barbell(cliqueN, pathLen int) *graph.Graph {
+func Barbell(cliqueN, pathLen int) *graph.Graph {
 	n := 2*cliqueN + pathLen
 	g := graph.NewWithCapacity(n, cliqueN*(cliqueN-1)+pathLen+1)
 	addClique := func(base int) {
@@ -257,10 +257,10 @@ func barbell(cliqueN, pathLen int) *graph.Graph {
 	return g
 }
 
-// preferentialAttachment returns a Barabási–Albert graph: starting from a
+// PreferentialAttachment returns a Barabási–Albert graph: starting from a
 // star on m+1 nodes, each new node attaches to m distinct existing nodes
 // chosen proportionally to degree.
-func preferentialAttachment(n, m int, rng *xrand.RNG) *graph.Graph {
+func PreferentialAttachment(n, m int, rng *xrand.RNG) *graph.Graph {
 	if m < 1 || n < m+1 {
 		panic(fmt.Sprintf("gen: invalid PreferentialAttachment(%d,%d)", n, m))
 	}
@@ -293,7 +293,7 @@ func preferentialAttachment(n, m int, rng *xrand.RNG) *graph.Graph {
 	return g
 }
 
-// expander returns a simple d-regular expander candidate on n >= 3 nodes: a
+// Expander returns a simple d-regular expander candidate on n >= 3 nodes: a
 // uniformly random Hamiltonian base cycle (which alone guarantees
 // connectivity) plus a stub-matching pass that pairs each node's remaining
 // d-2 half-edges at random, deferring any pair that would create a self-loop
@@ -304,7 +304,7 @@ func preferentialAttachment(n, m int, rng *xrand.RNG) *graph.Graph {
 // unusable stub pairs left (likelier as d approaches n), the whole build
 // restarts from a fresh cycle; for the sparse regimes expanders are for
 // (d << n) a restart is rare and the expected cost stays O(n*d).
-func expander(n, d int, rng *xrand.RNG) *graph.Graph {
+func Expander(n, d int, rng *xrand.RNG) *graph.Graph {
 	if n < 3 || d < 2 {
 		panic(fmt.Sprintf("gen: invalid expander(%d,%d): need n >= 3, d >= 2", n, d))
 	}

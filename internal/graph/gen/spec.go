@@ -89,19 +89,19 @@ type Family struct {
 var registry = map[string]Family{
 	"complete": {
 		Name: "complete", Description: "complete graph K_n",
-		build: func(s Spec, _ *xrand.RNG) (*graph.Graph, error) { return complete(s.N), nil },
+		build: func(s Spec, _ *xrand.RNG) (*graph.Graph, error) { return Complete(s.N), nil },
 	},
 	"cycle": {
 		Name: "cycle", Description: "n-cycle",
-		build: func(s Spec, _ *xrand.RNG) (*graph.Graph, error) { return cycle(s.N), nil },
+		build: func(s Spec, _ *xrand.RNG) (*graph.Graph, error) { return Cycle(s.N), nil },
 	},
 	"path": {
 		Name: "path", Description: "path on n nodes",
-		build: func(s Spec, _ *xrand.RNG) (*graph.Graph, error) { return path(s.N), nil },
+		build: func(s Spec, _ *xrand.RNG) (*graph.Graph, error) { return Path(s.N), nil },
 	},
 	"star": {
 		Name: "star", Description: "star: hub plus n-1 leaves",
-		build: func(s Spec, _ *xrand.RNG) (*graph.Graph, error) { return star(s.N), nil },
+		build: func(s Spec, _ *xrand.RNG) (*graph.Graph, error) { return Star(s.N), nil },
 	},
 	"grid": {
 		Name: "grid", Description: "rows x cols grid (square side derived from n when unset)",
@@ -110,7 +110,7 @@ var registry = map[string]Family{
 			if err != nil {
 				return nil, err
 			}
-			return grid(rows, cols), nil
+			return Grid(rows, cols), nil
 		},
 	},
 	"torus": {
@@ -120,7 +120,7 @@ var registry = map[string]Family{
 			if err != nil {
 				return nil, err
 			}
-			return torus(rows, cols), nil
+			return Torus(rows, cols), nil
 		},
 	},
 	"hypercube": {
@@ -129,7 +129,7 @@ var registry = map[string]Family{
 			if s.N < 1 {
 				return nil, fmt.Errorf("gen: hypercube needs n >= 1, got %d", s.N)
 			}
-			return hypercube(int(math.Round(math.Log2(float64(s.N))))), nil
+			return Hypercube(int(math.Round(math.Log2(float64(s.N))))), nil
 		},
 	},
 	"barbell": {
@@ -138,7 +138,7 @@ var registry = map[string]Family{
 			if s.N < 6 {
 				return nil, fmt.Errorf("gen: barbell needs n >= 6, got %d", s.N)
 			}
-			return barbell(s.N/2, 4), nil
+			return Barbell(s.N/2, 4), nil
 		},
 	},
 	"gnp": {
@@ -155,7 +155,7 @@ var registry = map[string]Family{
 			if p < 0 || p > 1 {
 				return nil, fmt.Errorf("gen: gnp probability %g outside [0,1]", p)
 			}
-			return Connectify(gnp(s.N, p, rng), rng), nil
+			return Connectify(GNP(s.N, p, rng), rng), nil
 		},
 	},
 	"gnm": {
@@ -165,13 +165,13 @@ var registry = map[string]Family{
 			if s.M < 0 || s.M > s.N*(s.N-1)/2 {
 				return nil, fmt.Errorf("gen: gnm(%d,%d) needs 0 <= m <= n(n-1)/2", s.N, s.M)
 			}
-			return Connectify(gnm(s.N, s.M, rng), rng), nil
+			return Connectify(GNM(s.N, s.M, rng), rng), nil
 		},
 	},
 	"tree": {
 		Name: "tree", Description: "uniformly random recursive tree",
 		Seeded: true,
-		build:  func(s Spec, rng *xrand.RNG) (*graph.Graph, error) { return randomTree(s.N, rng), nil },
+		build:  func(s Spec, rng *xrand.RNG) (*graph.Graph, error) { return RandomTree(s.N, rng), nil },
 	},
 	"regular": {
 		Name: "regular", Description: "random d-regular graph (pairing model), patched connected",
@@ -199,7 +199,7 @@ var registry = map[string]Family{
 			if s.N < m+1 {
 				return nil, fmt.Errorf("gen: pa needs n >= deg+1, got n=%d deg=%d", s.N, m)
 			}
-			return preferentialAttachment(s.N, m, rng), nil
+			return PreferentialAttachment(s.N, m, rng), nil
 		},
 	},
 	"expander": {
@@ -219,7 +219,7 @@ var registry = map[string]Family{
 			if d >= s.N {
 				return nil, fmt.Errorf("gen: expander needs deg < n for a simple graph, got n=%d deg=%d", s.N, d)
 			}
-			return expander(s.N, d, rng), nil
+			return Expander(s.N, d, rng), nil
 		},
 	},
 	"edgelist": {

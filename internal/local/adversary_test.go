@@ -40,12 +40,12 @@ func TestAdversaryEngineEquivalenceWorkerSweep(t *testing.T) {
 		DelayBound: 2,
 		Crashes:    []adversary.Crash{{Node: 4, Round: 2}},
 	}
-	execute := func(concurrent bool, workers int) ([][]sweepRec, Result) {
+	execute := func(workers int) ([][]sweepRec, Result) {
 		protos := make([]*sweepProto, g.NumNodes())
 		res, err := Run(g, func(v graph.NodeID) Protocol {
 			protos[v] = &sweepProto{t: 6}
 			return protos[v]
-		}, Config{Seed: 21, Concurrent: concurrent, Workers: workers,
+		}, Config{Seed: 21, Workers: workers,
 			Adversary: compileProfile(t, profile, 21)})
 		if err != nil {
 			t.Fatal(err)
@@ -56,12 +56,12 @@ func TestAdversaryEngineEquivalenceWorkerSweep(t *testing.T) {
 		}
 		return logs, res
 	}
-	wantLogs, wantRes := execute(false, 0)
+	wantLogs, wantRes := execute(0)
 	if wantRes.Messages == 0 || wantRes.Dropped == 0 || wantRes.Duplicated == 0 || wantRes.Crashed != 1 {
 		t.Fatalf("degenerate adversarial baseline: %+v", wantRes)
 	}
 	for _, workers := range []int{1, 2, 7, runtime.GOMAXPROCS(0)} {
-		gotLogs, gotRes := execute(true, workers)
+		gotLogs, gotRes := execute(workers)
 		if !reflect.DeepEqual(gotRes, wantRes) {
 			t.Fatalf("workers=%d: Result differs from sequential engine:\n got %+v\nwant %+v", workers, gotRes, wantRes)
 		}
@@ -342,7 +342,7 @@ func TestStopWhenDefersWhileInFlight(t *testing.T) {
 		cfg  Config
 	}{
 		{"sequential", Config{}},
-		{"concurrent", Config{Concurrent: true, Workers: 2}},
+		{"concurrent", Config{Workers: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg

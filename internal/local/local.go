@@ -16,7 +16,8 @@
 // Two engines execute the same Protocol code: a sequential engine and a
 // concurrent engine that fans node steps — and message delivery, sharded by
 // receiver — out over a persistent worker pool (internal/sched) with a
-// barrier per phase. Per-node randomness comes from streams derived from
+// barrier per phase; Config.Workers picks one (0 sequential, nonzero the
+// pool). Per-node randomness comes from streams derived from
 // (seed, node ID), and inboxes are sorted canonically, so both engines
 // produce bit-identical executions — a property the test suite checks.
 //
@@ -119,11 +120,9 @@ type Config struct {
 	// modeling the "O(1)-approximate upper bound on log n" assumption.
 	// Zero means 1.0 (exact).
 	LogNSlack float64
-	// Concurrent selects the worker-pool engine; the default is the
-	// sequential engine. Both produce identical executions.
-	Concurrent bool
-	// Workers bounds the worker pool in concurrent mode; zero means
-	// GOMAXPROCS.
+	// Workers selects the engine, in the facade's concurrency convention:
+	// 0 runs the sequential engine, n > 0 a pool of n workers, n < 0 a pool
+	// of GOMAXPROCS workers. Every setting produces the identical execution.
 	Workers int
 	// IDMap overrides node identities: node v reports ID IDMap[v] and draws
 	// its randomness from the stream of that identity. It exists for the
@@ -427,7 +426,7 @@ type run struct {
 	active   atomic.Int64
 	counters counterRegistry
 
-	pool    *sched.Pool // non-nil iff cfg.Concurrent
+	pool    *sched.Pool // non-nil iff cfg.Workers != 0
 	nshards int         // worker count (1 for the sequential engine)
 	chunk   int         // nodes per shard; shard of node v is v/chunk
 
@@ -517,7 +516,7 @@ func RunCtx(ctx context.Context, g *graph.Graph, f Factory, cfg Config) (Result,
 
 	// Shard geometry first: Env.Send routes by it. The sequential engine is
 	// the one-shard case of the same machinery.
-	if cfg.Concurrent {
+	if cfg.Workers != 0 {
 		r.pool = sched.NewPool(n, cfg.Workers)
 		defer r.pool.Stop()
 		r.nshards = r.pool.Workers()

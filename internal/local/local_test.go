@@ -83,7 +83,7 @@ func TestEnginesIdentical(t *testing.T) {
 	g := gen.ConnectedGNP(150, 0.04, xrand.New(5))
 	for _, rounds := range []int{0, 1, 4} {
 		seq, resSeq := runFloodMax(t, g, rounds, Config{Seed: 9})
-		con, resCon := runFloodMax(t, g, rounds, Config{Seed: 9, Concurrent: true, Workers: 8})
+		con, resCon := runFloodMax(t, g, rounds, Config{Seed: 9, Workers: 8})
 		if !reflect.DeepEqual(seq, con) {
 			t.Fatalf("t=%d: states differ between engines", rounds)
 		}
@@ -108,12 +108,12 @@ func (p *randProto) Step(env *Env, round int, inbox []Message) {
 
 func TestRandStreamsEngineIndependent(t *testing.T) {
 	g := gen.Grid(6, 6)
-	run := func(concurrent bool) [][]uint64 {
+	run := func(workers int) [][]uint64 {
 		states := make([]*randProto, g.NumNodes())
 		_, err := Run(g, func(v graph.NodeID) Protocol {
 			states[v] = &randProto{}
 			return states[v]
-		}, Config{Seed: 123, Concurrent: concurrent})
+		}, Config{Seed: 123, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestRandStreamsEngineIndependent(t *testing.T) {
 		}
 		return out
 	}
-	if !reflect.DeepEqual(run(false), run(true)) {
+	if !reflect.DeepEqual(run(0), run(-1)) {
 		t.Fatal("randomness differs across engines")
 	}
 }
@@ -451,7 +451,7 @@ func TestPayloadUnitsAccounting(t *testing.T) {
 
 func TestPayloadUnitsEngineIndependent(t *testing.T) {
 	g := gen.Grid(5, 5)
-	run := func(concurrent bool) int64 {
+	run := func(workers int) int64 {
 		res, err := Run(g, func(v graph.NodeID) Protocol {
 			return ProtocolFunc(func(env *Env, round int, inbox []Message) {
 				if round < 2 {
@@ -462,13 +462,13 @@ func TestPayloadUnitsEngineIndependent(t *testing.T) {
 					env.Halt()
 				}
 			})
-		}, Config{Seed: 3, Concurrent: concurrent})
+		}, Config{Seed: 3, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.PayloadUnits
 	}
-	if run(false) != run(true) {
+	if run(0) != run(-1) {
 		t.Fatal("payload units differ across engines")
 	}
 }
@@ -477,12 +477,12 @@ func TestRunCtxCancellation(t *testing.T) {
 	// A protocol that never halts; cancellation is the only way out. Both
 	// engines must return ctx.Err() promptly and without deadlock.
 	g := gen.Grid(6, 6)
-	for _, concurrent := range []bool{false, true} {
+	for _, workers := range []int{0, -1} {
 		ctx, cancel := context.WithCancel(context.Background())
 		rounds := 0
 		cfg := Config{
-			Seed:       1,
-			Concurrent: concurrent,
+			Seed:    1,
+			Workers: workers,
 			OnRound: func(round int, messages int64) {
 				rounds++
 				if rounds == 2 {
@@ -499,12 +499,12 @@ func TestRunCtxCancellation(t *testing.T) {
 		}, cfg)
 		cancel()
 		if err != context.Canceled {
-			t.Fatalf("concurrent=%v: err = %v, want context.Canceled", concurrent, err)
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
 		// The run stops within one round of the cancellation point; nothing
 		// near the MaxRounds default executes.
 		if res.Rounds > 3 {
-			t.Fatalf("concurrent=%v: %d rounds ran after cancellation", concurrent, res.Rounds)
+			t.Fatalf("workers=%d: %d rounds ran after cancellation", workers, res.Rounds)
 		}
 	}
 }
@@ -532,28 +532,28 @@ func TestNoLedgerKeepsTotalsAndStream(t *testing.T) {
 	// NoLedger must drop exactly the PerRound slice: totals, counters,
 	// halting, and the OnRound stream are unchanged on both engines.
 	g := gen.ConnectedGNP(40, 0.1, xrand.New(8))
-	for _, concurrent := range []bool{false, true} {
+	for _, workers := range []int{0, -1} {
 		var ledgerMsgs, streamMsgs []int64
-		withOut, withRes := runFloodMax(t, g, 3, Config{Seed: 6, Concurrent: concurrent,
+		withOut, withRes := runFloodMax(t, g, 3, Config{Seed: 6, Workers: workers,
 			OnRound: func(r int, m int64) { ledgerMsgs = append(ledgerMsgs, m) }})
-		out, res := runFloodMax(t, g, 3, Config{Seed: 6, Concurrent: concurrent, NoLedger: true,
+		out, res := runFloodMax(t, g, 3, Config{Seed: 6, Workers: workers, NoLedger: true,
 			OnRound: func(r int, m int64) { streamMsgs = append(streamMsgs, m) }})
 		if res.PerRound != nil {
-			t.Fatalf("concurrent=%v: NoLedger run still retains %d PerRound entries", concurrent, len(res.PerRound))
+			t.Fatalf("workers=%d: NoLedger run still retains %d PerRound entries", workers, len(res.PerRound))
 		}
 		if !reflect.DeepEqual(out, withOut) {
-			t.Fatalf("concurrent=%v: outputs differ without the ledger", concurrent)
+			t.Fatalf("workers=%d: outputs differ without the ledger", workers)
 		}
 		if res.Rounds != withRes.Rounds || res.Messages != withRes.Messages ||
 			res.PayloadUnits != withRes.PayloadUnits || res.Halted != withRes.Halted ||
 			!reflect.DeepEqual(res.Counters, withRes.Counters) {
-			t.Fatalf("concurrent=%v: metrics drifted without the ledger: %+v vs %+v", concurrent, res, withRes)
+			t.Fatalf("workers=%d: metrics drifted without the ledger: %+v vs %+v", workers, res, withRes)
 		}
 		if !reflect.DeepEqual(streamMsgs, ledgerMsgs) {
-			t.Fatalf("concurrent=%v: OnRound stream drifted without the ledger", concurrent)
+			t.Fatalf("workers=%d: OnRound stream drifted without the ledger", workers)
 		}
 		if !reflect.DeepEqual(ledgerMsgs, withRes.PerRound) {
-			t.Fatalf("concurrent=%v: stream %v does not match ledger %v", concurrent, ledgerMsgs, withRes.PerRound)
+			t.Fatalf("workers=%d: stream %v does not match ledger %v", workers, ledgerMsgs, withRes.PerRound)
 		}
 	}
 }
@@ -624,7 +624,7 @@ func TestBusyRoundAllocsSteadyStateZero(t *testing.T) {
 			return testing.AllocsPerRun(5, func() {
 				res, err := Run(g, func(graph.NodeID) Protocol { return &busyProto{payload: "x"} },
 					Config{Seed: 1, MaxRounds: rounds, NoLedger: true,
-						Concurrent: workers > 0, Workers: workers})
+						Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -699,12 +699,12 @@ func TestEngineEquivalenceWorkerSweep(t *testing.T) {
 	if g.IsSimple() {
 		t.Fatal("test graph must contain parallel edges")
 	}
-	execute := func(concurrent bool, workers int) ([][]sweepRec, Result) {
+	execute := func(workers int) ([][]sweepRec, Result) {
 		protos := make([]*sweepProto, g.NumNodes())
 		res, err := Run(g, func(v graph.NodeID) Protocol {
 			protos[v] = &sweepProto{t: 5}
 			return protos[v]
-		}, Config{Seed: 21, Concurrent: concurrent, Workers: workers})
+		}, Config{Seed: 21, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -714,12 +714,12 @@ func TestEngineEquivalenceWorkerSweep(t *testing.T) {
 		}
 		return logs, res
 	}
-	wantLogs, wantRes := execute(false, 0)
+	wantLogs, wantRes := execute(0)
 	if wantRes.Messages == 0 || !wantRes.Halted {
 		t.Fatalf("degenerate baseline run: %+v", wantRes)
 	}
 	for _, workers := range []int{1, 2, 3, 7, runtime.GOMAXPROCS(0)} {
-		gotLogs, gotRes := execute(true, workers)
+		gotLogs, gotRes := execute(workers)
 		if !reflect.DeepEqual(gotRes, wantRes) {
 			t.Fatalf("workers=%d: Result differs from sequential engine:\n got %+v\nwant %+v", workers, gotRes, wantRes)
 		}
@@ -785,7 +785,7 @@ func benchBusyRound(b *testing.B, workers int) {
 	g := gen.Grid(16, 16)
 	b.ReportAllocs()
 	res, err := Run(g, func(graph.NodeID) Protocol { return &busyProto{payload: "x"} },
-		Config{Seed: 1, MaxRounds: b.N, NoLedger: true, Concurrent: workers > 0, Workers: workers})
+		Config{Seed: 1, MaxRounds: b.N, NoLedger: true, Workers: workers})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -799,7 +799,7 @@ func TestOnRoundObserver(t *testing.T) {
 	// OnRound must fire once per executed round, with per-round message
 	// counts matching the result's ledger, in both engines.
 	g := gen.Grid(4, 4)
-	for _, concurrent := range []bool{false, true} {
+	for _, workers := range []int{0, -1} {
 		var rounds []int
 		var msgs []int64
 		res, err := Run(g, func(v graph.NodeID) Protocol {
@@ -812,7 +812,7 @@ func TestOnRoundObserver(t *testing.T) {
 					env.Send(p.Edge, "x")
 				}
 			})
-		}, Config{Seed: 2, Concurrent: concurrent, OnRound: func(r int, m int64) {
+		}, Config{Seed: 2, Workers: workers, OnRound: func(r int, m int64) {
 			rounds = append(rounds, r)
 			msgs = append(msgs, m)
 		}})
@@ -820,7 +820,7 @@ func TestOnRoundObserver(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(rounds) != res.Rounds {
-			t.Fatalf("concurrent=%v: observer saw %d rounds, result has %d", concurrent, len(rounds), res.Rounds)
+			t.Fatalf("workers=%d: observer saw %d rounds, result has %d", workers, len(rounds), res.Rounds)
 		}
 		for i, r := range rounds {
 			if r != i {

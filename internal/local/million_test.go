@@ -44,7 +44,7 @@ func BenchmarkMillionNodeFloodRound(b *testing.B) {
 	// Workers is pinned (not GOMAXPROCS) so allocs/op is identical on every
 	// machine — the committed baseline gates it with zero tolerance.
 	res, err := Run(g, func(graph.NodeID) Protocol { return floodProto{} },
-		Config{Seed: 1, MaxRounds: b.N, NoLedger: true, Concurrent: true, Workers: 4})
+		Config{Seed: 1, MaxRounds: b.N, NoLedger: true, Workers: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -60,15 +60,15 @@ func TestMillionNodeFloodRound(t *testing.T) {
 		t.Skip("million-node run in -short mode")
 	}
 	g := buildMillion(t)
-	for _, concurrent := range []bool{false, true} {
+	for _, workers := range []int{0, -1} {
 		res, err := Run(g, func(graph.NodeID) Protocol { return floodProto{} },
-			Config{Seed: 1, MaxRounds: 2, NoLedger: true, Concurrent: concurrent})
+			Config{Seed: 1, MaxRounds: 2, NoLedger: true, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// 2 rounds x 2 ports per node x 2^20 nodes.
 		if want := int64(2 * 2 * millionN); res.Messages != want {
-			t.Fatalf("concurrent=%v: %d messages, want %d", concurrent, res.Messages, want)
+			t.Fatalf("workers=%d: %d messages, want %d", workers, res.Messages, want)
 		}
 	}
 }

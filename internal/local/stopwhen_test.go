@@ -30,7 +30,7 @@ func TestStopWhenEndsRun(t *testing.T) {
 		cfg  Config
 	}{
 		{"sequential", Config{Seed: 5, MaxRounds: 10}},
-		{"concurrent", Config{Seed: 5, MaxRounds: 10, Concurrent: true, Workers: 2}},
+		{"concurrent", Config{Seed: 5, MaxRounds: 10, Workers: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(stopAt int) (Result, [][]int64) {

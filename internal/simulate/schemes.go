@@ -12,7 +12,6 @@ import (
 	"repro/internal/globalcompute"
 	"repro/internal/graph"
 	"repro/internal/local"
-	"repro/internal/sched"
 	"repro/internal/spanner"
 )
 
@@ -195,19 +194,6 @@ func stage1(ctx context.Context, scheme string, g *graph.Graph, p core.Params, c
 	return st1, &SchemeResult{Phases: []PhaseCost{cost}, StretchUsed: st1.Stretch, FinalSpanner: st1.S}, nil
 }
 
-// replayWorkers translates a simulator config into sched.ParallelFor's
-// concurrency knob: sequential runs replay sequentially, concurrent runs fan
-// out over the configured worker count (GOMAXPROCS when unset).
-func replayWorkers(cfg local.Config) int {
-	if !cfg.Concurrent {
-		return 0
-	}
-	if cfg.Workers > 0 {
-		return cfg.Workers
-	}
-	return -1
-}
-
 // DirectScheme is the direct baseline as a billed pipeline: Direct at
 // cfg.Seed, charged as the single phase "direct". It returns the outputs
 // themselves, so its ledger carries no collection.
@@ -340,24 +326,17 @@ func Scheme2WithSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p
 	if err != nil {
 		return nil, fmt.Errorf("scheme2 stage-2 collection: %w", err)
 	}
-	// The per-node replays are independent; fan them out and merge the
-	// incident edge sets afterwards (set union is order-independent, so the
-	// merged spanner is identical at every concurrency level).
-	nodeEdges := make([]map[graph.EdgeID]bool, g.NumNodes())
-	err = sched.ParallelFor(ctx, g.NumNodes(), replayWorkers(cfg), func(v int) error {
-		out, err := coll2.Replay(st2Spec, graph.NodeID(v))
-		if err != nil {
-			return fmt.Errorf("scheme2 stage-2 replay at %d: %w", v, err)
-		}
-		nodeEdges[v] = out.(map[graph.EdgeID]bool)
-		return nil
-	})
+	// The per-node replays are independent; fan them out over the run's
+	// workers and merge the incident edge sets afterwards (set union is
+	// order-independent, so the merged spanner is identical at every
+	// concurrency level).
+	nodeEdges, err := coll2.ReplayAllN(ctx, st2Spec, cfg.Workers)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scheme2 stage-2 replay: %w", err)
 	}
 	h2edges := make(map[graph.EdgeID]bool)
 	for _, edges := range nodeEdges {
-		for e := range edges {
+		for e := range edges.(map[graph.EdgeID]bool) {
 			h2edges[e] = true
 		}
 	}
@@ -484,7 +463,7 @@ func HybridSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core
 	// would have produced. The ball index is built once and shared by the
 	// per-arrival cover tracking and the residue scan below.
 	bi := broadcast.NewBallIndex(g, spec.T)
-	gos, seedRound, err := broadcast.GossipUntilCovered(ctx, g, ports, bi, need, gossipBudget, hooks.RoundConfig(cfg, "gossip(seed)"))
+	gos, seedRound, err := broadcast.Gossip(ctx, g, ports, bi, need, gossipBudget, hooks.RoundConfig(cfg, "gossip(seed)"))
 	if err != nil {
 		return nil, fmt.Errorf("hybrid gossip stage: %w", err)
 	}
@@ -505,7 +484,7 @@ func HybridSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core
 	res.bill(hooks, "gossip(seed)", gos.Run, billedThrough(seedRound, seedMsgs))
 
 	// Residue senders: every origin some node's t-ball still misses at the
-	// seeding deadline (central bookkeeping, like broadcast.CoverRound).
+	// seeding deadline (central bookkeeping, like BallIndex.CoverRound).
 	residue := make([]bool, n)
 	for v := 0; v < n; v++ {
 		for u := range bi.Members(graph.NodeID(v)) {
@@ -514,29 +493,22 @@ func HybridSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core
 			}
 		}
 	}
-	fl, err := broadcast.FloodFrom(ctx, st1.Host, ports, residue, st1.Stretch*spec.T, hooks.RoundConfig(cfg, "collect(residue)"))
+	fl, err := broadcast.Flood(ctx, st1.Host, ports, residue, st1.Stretch*spec.T, hooks.RoundConfig(cfg, "collect(residue)"))
 	if err != nil {
 		return nil, fmt.Errorf("hybrid residue collection: %w", err)
 	}
 	res.bill(hooks, "collect(residue)", fl.Run)
 
-	// Merge: what gossip had delivered by the seeding deadline, plus the
-	// residue flood.
-	coll := &Collection{N: n, Seed: cfg.Seed, Run: fl.Run}
-	coll.Ports = make([]map[graph.NodeID][]graph.EdgeID, n)
-	for v := 0; v < n; v++ {
-		m := make(map[graph.NodeID][]graph.EdgeID, len(fl.Known[v]))
+	// Merge what gossip had delivered by the seeding deadline into the
+	// residue flood's Known, in place.
+	for v, known := range fl.Known {
 		for origin, r := range gos.Arrival[v] {
 			if r <= seedRound {
-				m[origin] = ports[origin].([]graph.EdgeID)
+				known[origin] = ports[origin]
 			}
 		}
-		for origin, payload := range fl.Known[v] {
-			m[origin] = payload.([]graph.EdgeID)
-		}
-		coll.Ports[v] = m
 	}
-	res.Coll = coll
+	res.Coll = &Collection{N: n, Seed: cfg.Seed, Ports: fl.Known, Run: fl.Run}
 	return res, nil
 }
 
@@ -557,7 +529,7 @@ func GlobalCollectSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec,
 	ports := portsOf(g)
 	inputs := make([]any, n)
 	for v := 0; v < n; v++ {
-		inputs[v] = map[graph.NodeID][]graph.EdgeID{graph.NodeID(v): ports[v].([]graph.EdgeID)}
+		inputs[v] = map[graph.NodeID][]graph.EdgeID{graph.NodeID(v): ports[v]}
 	}
 	merge := func(a, b any) any {
 		ta := a.(map[graph.NodeID][]graph.EdgeID)

@@ -9,7 +9,9 @@
 // rounds, and (2) has every node locally reconstruct its exact t-ball and
 // re-execute the algorithm on it ("replay"). Unique edge IDs make the
 // reconstruction possible: two collected nodes are adjacent iff their port
-// lists share an edge ID.
+// lists share an edge ID. The collection is the broadcast's own record:
+// Collection.Ports is broadcast.Result.Known, origin → port list, as the
+// flood or gossip left it.
 //
 // Scheme1Src realizes Theorem 3's first trade-off (spanner built by
 // algorithm Sampler, then one collection); Scheme2WithSrc realizes the
@@ -39,15 +41,16 @@ type Collection struct {
 	// Seed is the run seed shared by the original network and all replays.
 	Seed uint64
 	// Ports[v] maps each origin u that v heard about to u's incident edge
-	// IDs in the original graph.
+	// IDs in the original graph: the broadcast result's Known, held as is.
 	Ports []map[graph.NodeID][]graph.EdgeID
 	// Run is the cost of the collection phase.
 	Run local.Result
 }
 
-// portsOf extracts every node's (sorted) incident edge list from g.
-func portsOf(g *graph.Graph) []any {
-	out := make([]any, g.NumNodes())
+// portsOf extracts every node's (sorted) incident edge list from g: the
+// payload table M every collection broadcasts.
+func portsOf(g *graph.Graph) [][]graph.EdgeID {
+	out := make([][]graph.EdgeID, g.NumNodes())
 	for v := 0; v < g.NumNodes(); v++ {
 		inc := g.Incident(graph.NodeID(v))
 		edges := make([]graph.EdgeID, len(inc))
@@ -69,11 +72,11 @@ func Collect(ctx context.Context, g, host *graph.Graph, rounds int, seed uint64,
 		return nil, fmt.Errorf("simulate: host spans %d nodes, graph has %d", host.NumNodes(), g.NumNodes())
 	}
 	cfg.Seed = seed
-	fl, err := broadcast.Flood(ctx, host, portsOf(g), rounds, cfg)
+	fl, err := broadcast.Flood(ctx, host, portsOf(g), nil, rounds, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return collectionFrom(g, fl.Known, seed, fl.Run), nil
+	return &Collection{N: g.NumNodes(), Seed: seed, Ports: fl.Known, Run: fl.Run}, nil
 }
 
 // CollectBudget is Collect under a CONGEST-style bandwidth cap: every
@@ -90,7 +93,7 @@ func CollectBudget(ctx context.Context, g, host *graph.Graph, rounds, bw int, se
 	if err != nil {
 		return nil, err
 	}
-	return collectionFrom(g, fl.Known, seed, fl.Run), nil
+	return &Collection{N: g.NumNodes(), Seed: seed, Ports: fl.Known, Run: fl.Run}, nil
 }
 
 // GossipCollectEarly performs the same collection by push–pull gossip (the
@@ -106,7 +109,7 @@ func CollectBudget(ctx context.Context, g, host *graph.Graph, rounds, bw int, se
 func GossipCollectEarly(ctx context.Context, g *graph.Graph, t, maxRounds int, seed uint64, cfg local.Config) (*Collection, int, int64, error) {
 	cfg.Seed = seed
 	bi := broadcast.NewBallIndex(g, t)
-	gos, cover, err := broadcast.GossipUntilCover(ctx, g, portsOf(g), bi, maxRounds, cfg)
+	gos, cover, err := broadcast.Gossip(ctx, g, portsOf(g), bi, g.NumNodes(), maxRounds, cfg)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -116,20 +119,7 @@ func GossipCollectEarly(ctx context.Context, g *graph.Graph, t, maxRounds int, s
 			return nil, 0, 0, fmt.Errorf("simulate: gossip cover billing: %w", err)
 		}
 	}
-	return collectionFrom(g, gos.Known, seed, gos.Run), cover, msgs, nil
-}
-
-func collectionFrom(g *graph.Graph, known []map[graph.NodeID]any, seed uint64, run local.Result) *Collection {
-	coll := &Collection{N: g.NumNodes(), Seed: seed, Run: run}
-	coll.Ports = make([]map[graph.NodeID][]graph.EdgeID, len(known))
-	for v, kn := range known {
-		m := make(map[graph.NodeID][]graph.EdgeID, len(kn))
-		for origin, payload := range kn {
-			m[origin] = payload.([]graph.EdgeID)
-		}
-		coll.Ports[v] = m
-	}
-	return coll
+	return &Collection{N: g.NumNodes(), Seed: seed, Ports: gos.Known, Run: gos.Run}, cover, msgs, nil
 }
 
 // Replay reconstructs node v's exact t-ball from the collection and

@@ -231,11 +231,11 @@ func TestSchemeBeatsDirectOnDenseGraph(t *testing.T) {
 	spec := algorithms.MaxID(tr)
 	p := core.Default(2, 8)
 	p.C = 0.5
-	res, err := Scheme1Src(context.Background(), g, spec, p, local.Config{Seed: seed, Concurrent: true}, Hooks{}, nil)
+	res, err := Scheme1Src(context.Background(), g, spec, p, local.Config{Seed: seed, Workers: -1}, Hooks{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Collect(context.Background(), g, g, tr, seed, local.Config{Concurrent: true})
+	direct, err := Collect(context.Background(), g, g, tr, seed, local.Config{Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -217,7 +217,7 @@ func TestDistributedBSEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BaswanaSenDistributed(g, 3, 13, local.Config{Concurrent: true, Workers: 6})
+	b, err := BaswanaSenDistributed(g, 3, 13, local.Config{Workers: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

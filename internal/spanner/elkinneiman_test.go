@@ -106,7 +106,7 @@ func TestENEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ElkinNeimanDistributed(g, 3, 11, local.Config{Concurrent: true, Workers: 6})
+	b, err := ElkinNeimanDistributed(g, 3, 11, local.Config{Workers: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -261,12 +261,7 @@ func (o *Options) localConfig() local.Config {
 		MaxRounds: o.MaxRounds,
 		LogNSlack: o.LogNSlack,
 		NoLedger:  !o.RoundLedger,
-	}
-	switch {
-	case o.Concurrency > 0:
-		cfg.Concurrent, cfg.Workers = true, o.Concurrency
-	case o.Concurrency < 0:
-		cfg.Concurrent = true
+		Workers:   o.Concurrency,
 	}
 	if o.Adversary != nil && !o.Adversary.IsZero() {
 		cfg.Adversary = adversary.Compile(*o.Adversary, o.Seed)
