@@ -294,6 +294,28 @@ func BenchmarkReplay(b *testing.B) {
 	}
 }
 
+// BenchmarkReplayAll replays every node of BenchmarkReplay's collection in
+// one sequential sweep: the facade's replay phase at WithConcurrency(0). Its
+// allocs/op is CI's replay allocation gate (cmd/bench -ceiling): a sweep
+// that rebuilds each ball into reused buffers allocates little beyond the
+// protocol instances, while per-replay engine setup costs thousands of
+// allocations per node.
+func BenchmarkReplayAll(b *testing.B) {
+	g := gen.ConnectedGNP(300, 0.05, xrand.New(4))
+	spec := repro.MaxID(3)
+	coll, err := simulate.Collect(context.Background(), g, g, spec.T, 7, local.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := coll.ReplayAllN(context.Background(), spec, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkE12GlobalCompute(b *testing.B) { benchExperiment(b, "E12") }
 
 func BenchmarkE13BitComplexity(b *testing.B)  { benchExperiment(b, "E13") }

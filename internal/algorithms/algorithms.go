@@ -43,9 +43,10 @@ type MaxIDNode struct {
 	T    int
 	Best graph.NodeID
 
-	// boxed caches Best converted to the payload interface, re-boxed only
-	// when Best changes: Best stabilizes within a few rounds, after which
-	// the node's per-round sends allocate nothing.
+	// boxed caches Best converted to the payload interface. The node boxes
+	// its own ID once; a larger Best arrives already boxed in a message
+	// payload, and that box is reused, so a node's sends allocate at most
+	// once per run.
 	boxed any
 }
 
@@ -58,14 +59,14 @@ func (p *MaxIDNode) Step(env *local.Env, round int, inbox []local.Message) {
 	}
 	for _, m := range inbox {
 		if v := m.Payload.(graph.NodeID); v > p.Best {
-			p.Best = v
+			p.Best, p.boxed = v, m.Payload
 		}
 	}
 	if round == p.T {
 		env.Halt()
 		return
 	}
-	if p.boxed == nil || p.boxed.(graph.NodeID) != p.Best {
+	if p.boxed == nil {
 		p.boxed = p.Best
 	}
 	for _, pt := range env.Ports() {

@@ -186,3 +186,60 @@ func TestConcurrentLazyRebuild(t *testing.T) {
 		}
 	}
 }
+
+// TestResetMatchesNew rebuilds one graph in place over a sequence of node
+// counts that grows and shrinks, and requires each rebuild to equal a fresh
+// New graph built by the same AddEdgeWithID sequence: incident order, edge
+// table, ID index, auto-ID counter and fingerprint. Once the buffers have
+// grown, a rebuild of an equal-size graph allocates nothing.
+func TestResetMatchesNew(t *testing.T) {
+	build := func(g *Graph, n int) {
+		t.Helper()
+		// Descending IDs on a ring plus chords: exercises the sorted-index
+		// insert path, parallel edges, and rows of varying length.
+		for i := 0; i < n; i++ {
+			id := EdgeID(3*n - i)
+			if err := g.AddEdgeWithID(id, NodeID(i), NodeID((i+1)%n)); err != nil {
+				t.Fatal(err)
+			}
+			if i%3 == 0 && n > 2 {
+				if err := g.AddEdgeWithID(EdgeID(4*n+i), NodeID(i), NodeID((i+2)%n)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	reused := New(0)
+	for _, n := range []int{9, 3, 16, 0, 5, 16} {
+		reused.Reset(n)
+		fresh := New(n)
+		if n >= 2 {
+			build(reused, n)
+			build(fresh, n)
+		}
+		if reused.NumNodes() != n || reused.Fingerprint() != fresh.Fingerprint() {
+			t.Fatalf("n=%d: reset graph differs from a fresh one", n)
+		}
+		for v := 0; v < n; v++ {
+			if got, want := reused.Incident(NodeID(v)), fresh.Incident(NodeID(v)); !slices.Equal(got, want) {
+				t.Fatalf("n=%d node %d: incident %v, want %v", n, v, got, want)
+			}
+		}
+		if err := reused.Validate(); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if n >= 2 {
+			if got, want := reused.AddEdge(0, 1), fresh.AddEdge(0, 1); got != want {
+				t.Fatalf("n=%d: auto ID %d after reset, want %d", n, got, want)
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		reused.Reset(16)
+		build(reused, 16)
+		_ = reused.Incident(0)
+	})
+	if allocs != 0 {
+		t.Fatalf("in-place rebuild allocates %.1f times, want 0", allocs)
+	}
+}

@@ -126,6 +126,22 @@ func NewWithCapacity(n, edgeCap int) *Graph {
 	return g
 }
 
+// Reset empties g onto n nodes (0..n-1) with no edges, as New(n) would, but
+// keeps the capacity of the edge table, the ID index and the CSR arrays, and
+// marks the rows dirty for the next read. A caller that builds many small
+// graphs one after another (the ball replays of internal/simulate) rebuilds
+// one graph in place and allocates nothing once its buffers have grown.
+func (g *Graph) Reset(n int) {
+	if n < 0 {
+		panic("graph: negative node count")
+	}
+	g.n = n
+	g.edges = g.edges[:0]
+	g.byID = g.byID[:0]
+	g.nextID = 0
+	g.clean.Store(false)
+}
+
 // ErrDuplicateEdgeID reports an attempt to reuse an edge ID.
 var ErrDuplicateEdgeID = errors.New("graph: duplicate edge ID")
 
@@ -235,15 +251,18 @@ func (g *Graph) rebuild() {
 	} else {
 		g.halves = make([]Half, 2*len(g.edges))
 	}
-	next := make([]int32, g.n)
-	copy(next, g.rowStart[:g.n])
+	// rowStart[v] doubles as v's fill cursor, which leaves it at the start of
+	// row v+1; shifting the table up one slot restores the row starts, so the
+	// rebuild needs no scratch array.
 	for i := range g.edges {
 		e := &g.edges[i]
-		g.halves[next[e.U]] = Half{Edge: e.ID, Peer: e.V}
-		next[e.U]++
-		g.halves[next[e.V]] = Half{Edge: e.ID, Peer: e.U}
-		next[e.V]++
+		g.halves[g.rowStart[e.U]] = Half{Edge: e.ID, Peer: e.V}
+		g.rowStart[e.U]++
+		g.halves[g.rowStart[e.V]] = Half{Edge: e.ID, Peer: e.U}
+		g.rowStart[e.V]++
 	}
+	copy(g.rowStart[1:], g.rowStart[:g.n])
+	g.rowStart[0] = 0
 	g.clean.Store(true)
 }
 

@@ -39,6 +39,15 @@
 // allocations — a property the test suite pins with testing.AllocsPerRun —
 // and a run's setup memory is O(nodes + edges), which is what lets
 // million-node graphs fit.
+//
+// A Runner carries those buffers from one run to the next: Envs, protocol
+// slots, inboxes, staging buckets, shard totals, the flat port and peer
+// arrays, and the counter registry are truncated and refilled instead of
+// re-made, so a caller executing many small runs in sequence (the ball
+// replays of internal/simulate, one Runner per replay worker) pays for setup
+// memory once. RunCtx is a run on a fresh Runner; both share one engine.
+// Adversary state (the delay ring, the edge-event graph clone) and the
+// worker pool are still built per run.
 package local
 
 import (
@@ -365,10 +374,8 @@ func (e *Env) Count(name string, delta int64) {
 		i = e.run.counters.index(name)
 		e.lastName, e.lastIdx = name, i
 	}
-	if i >= len(e.counts) {
-		grown := make([]int64, i+1)
-		copy(grown, e.counts)
-		e.counts = grown
+	for len(e.counts) <= i {
+		e.counts = append(e.counts, 0) // reuses the capacity of earlier runs
 	}
 	e.counts[i] += delta
 }
@@ -415,6 +422,7 @@ type run struct {
 	inbox    [][]Message    // per-receiver staging, truncated and reused per round
 	portsAll []Port         // every node's sorted ports, one flat backing array
 	peersAll []graph.NodeID // receiver indices parallel to portsAll
+	scratch  []graph.Half   // buildPortViews' per-node sort buffer
 
 	// stages[ws][w] holds the messages sent by step worker ws's nodes to
 	// receivers in shard w. Rows are written lock-free by their owning step
@@ -472,7 +480,30 @@ func Run(g *graph.Graph, f Factory, cfg Config) (Result, error) {
 // Cancellation is checked between node steps in both engines, so a run
 // aborts within one node step's work — well under one round — and returns
 // ctx.Err() together with the metrics accumulated so far.
+//
+// RunCtx is new(Runner).Run: one run on buffers nobody reuses.
 func RunCtx(ctx context.Context, g *graph.Graph, f Factory, cfg Config) (Result, error) {
+	return new(Runner).Run(ctx, g, f, cfg)
+}
+
+// Runner executes runs one after another on reused buffers. Every run
+// resets the per-node and per-shard state it inherits (Envs, protocol
+// slots, inboxes, staging buckets, totals, port views, counter registry)
+// to the new graph, so a sequence of runs on one Runner executes exactly
+// what the same runs on fresh Runners would; only allocation differs. When
+// a run returns, on every path, the Runner drops its references to the
+// graph, the protocols, the configuration and every in-flight payload, so
+// between runs it pins nothing but empty capacity.
+//
+// The zero value is ready to use. A Runner is not safe for concurrent use:
+// callers that run in parallel keep one Runner per goroutine.
+type Runner struct {
+	r run
+}
+
+// Run executes the protocol built by f on g under cfg, exactly as RunCtx
+// does, reusing the buffers of the Runner's previous runs.
+func (rn *Runner) Run(ctx context.Context, g *graph.Graph, f Factory, cfg Config) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -503,11 +534,10 @@ func RunCtx(ctx context.Context, g *graph.Graph, f Factory, cfg Config) (Result,
 			g = g.Clone()
 		}
 	}
-	r := &run{g: g, cfg: cfg, done: ctx.Done()}
-	if cfg.Adversary != nil {
-		r.adv = cfg.Adversary
-		r.advEdges = cfg.Adversary.HasEdgeEvents()
-	}
+	r := &rn.r
+	defer r.release()
+	r.g, r.cfg, r.done = g, cfg, ctx.Done()
+	r.adv, r.advEdges = cfg.Adversary, cfg.Adversary != nil && cfg.Adversary.HasEdgeEvents()
 	effN := n
 	if cfg.NOverride > 0 {
 		effN = cfg.NOverride
@@ -525,40 +555,9 @@ func RunCtx(ctx context.Context, g *graph.Graph, f Factory, cfg Config) (Result,
 		r.nshards = 1
 		r.chunk = n
 	}
-	if r.nshards < 1 {
-		r.nshards = 1
-	}
-	if r.chunk < 1 {
-		r.chunk = 1
-	}
-	r.stages = make([][][]stagedMsg, r.nshards)
-	for ws := range r.stages {
-		r.stages[ws] = make([][]stagedMsg, r.nshards)
-	}
-	r.totals = make([]shardTotals, r.nshards)
-
-	// Flat per-node state: one Env array, one ports array, one peer-index
-	// array — O(nodes + edges) setup memory, no per-node maps.
-	root := xrand.New(cfg.Seed)
-	r.envs = make([]Env, n)
-	r.protos = make([]Protocol, n)
-	r.inbox = make([][]Message, n)
-	for v := 0; v < n; v++ {
-		idx := graph.NodeID(v)
-		id := idx
-		if cfg.IDMap != nil {
-			id = cfg.IDMap[v]
-		}
-		r.envs[v] = Env{
-			run:   r,
-			idx:   idx,
-			id:    id,
-			shard: int32(v / r.chunk),
-			rng:   root.Derived(uint64(id)),
-		}
-		r.protos[v] = f(id)
-	}
-	r.buildPortViews()
+	r.nshards = max(r.nshards, 1)
+	r.chunk = max(r.chunk, 1)
+	r.reset(f)
 	if r.adv != nil && r.adv.MaxDelay() > 0 {
 		// Ring slot d holds messages that mature d delivery phases from now;
 		// slot 0 is drained into inboxes at the top of each delivery. A send
@@ -569,19 +568,24 @@ func RunCtx(ctx context.Context, g *graph.Graph, f Factory, cfg Config) (Result,
 			r.future[d] = make([][]Message, n)
 		}
 	}
-	r.active.Store(int64(n))
-	r.stepFn = func(w, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if r.cancelled() {
-				return
+	if r.stepFn == nil {
+		// Built once per Runner: r is the Runner's own run, so the closures
+		// stay valid for every later run.
+		r.stepFn = func(w, lo, hi int) {
+			for v := lo; v < hi; v++ {
+				if r.cancelled() {
+					return
+				}
+				r.stepOne(v, r.round)
 			}
-			r.stepOne(v, r.round)
 		}
-	}
-	if r.adv != nil {
-		r.deliverFn = func(w, lo, hi int) { r.deliverShardAdv(w, lo, hi) }
-	} else {
-		r.deliverFn = func(w, lo, hi int) { r.deliverShard(w, lo, hi) }
+		r.deliverFn = func(w, lo, hi int) {
+			if r.adv != nil {
+				r.deliverShardAdv(w, lo, hi)
+			} else {
+				r.deliverShard(w, lo, hi)
+			}
+		}
 	}
 
 	res := Result{Counters: make(map[string]int64)}
@@ -663,6 +667,86 @@ func RunCtx(ctx context.Context, g *graph.Graph, f Factory, cfg Config) (Result,
 	return res, nil
 }
 
+// resize returns s with length n, reusing its backing array when it is
+// large enough. Elements up to the old capacity keep their values, so a
+// slice of buffers keeps its inner buffers across a regrowth.
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
+}
+
+// reset readies the run's buffers for a run of r.g under r.cfg with the
+// shard geometry already set: per-node state is resized to the graph and
+// refilled, per-shard state to the shard count, and the counter registry is
+// emptied. Buffers are reused, never re-made, once they are large enough;
+// release has already emptied every inbox and staging bucket.
+//
+//freelunch:noalloc
+func (r *run) reset(f Factory) {
+	n := r.g.NumNodes()
+	if len(r.stages) != r.nshards {
+		//freelunch:allocok regrowth: only when the shard count changes between runs
+		r.stages = make([][][]stagedMsg, r.nshards)
+		for ws := range r.stages {
+			//freelunch:allocok regrowth: only when the shard count changes between runs
+			r.stages[ws] = make([][]stagedMsg, r.nshards)
+		}
+	}
+	r.totals = resize(r.totals, r.nshards) // each delivery zeroes its own worker's totals
+	clear(r.counters.idx)
+	r.counters.names = r.counters.names[:0]
+	r.inFlight = 0
+
+	// Flat per-node state: one Env array, one ports array, one peer-index
+	// array — O(nodes + edges) setup memory, no per-node maps.
+	root := xrand.New(r.cfg.Seed)
+	r.envs = resize(r.envs, n)
+	r.protos = resize(r.protos, n)
+	r.inbox = resize(r.inbox, n)
+	for v := 0; v < n; v++ {
+		idx := graph.NodeID(v)
+		id := idx
+		if r.cfg.IDMap != nil {
+			id = r.cfg.IDMap[v]
+		}
+		r.envs[v] = Env{
+			run:    r,
+			idx:    idx,
+			id:     id,
+			shard:  int32(v / r.chunk),
+			rng:    root.Derived(uint64(id)),
+			counts: r.envs[v].counts[:0],
+		}
+		r.protos[v] = f(id)
+	}
+	r.buildPortViews()
+	r.active.Store(int64(n))
+}
+
+// release ends a run on every return path: it empties every inbox and
+// staging bucket (clearing their payload references) and drops the run's
+// references to the graph, the protocols, the configuration and the
+// adversary, so the Runner keeps only capacity between runs.
+//
+//freelunch:noalloc
+func (r *run) release() {
+	for v := range r.inbox {
+		clear(r.inbox[v])
+		r.inbox[v] = r.inbox[v][:0]
+	}
+	for _, row := range r.stages {
+		for w := range row {
+			clear(row[w])
+			row[w] = row[w][:0]
+		}
+	}
+	clear(r.protos)
+	r.g, r.cfg, r.done, r.pool = nil, Config{}, nil, nil
+	r.adv, r.advEdges, r.future = nil, false, nil
+}
+
 func (r *run) stepOne(v int, round int) {
 	env := &r.envs[v]
 	if env.halted {
@@ -735,17 +819,11 @@ func (r *run) deliverShard(w, lo, hi int) {
 	t := &r.totals[w]
 	t.sent, t.units = 0, 0
 	for v := lo; v < hi; v++ {
-		if r.envs[v].halted {
-			// A halted node never reads or receives again; drop its staging
-			// buffer (and the payloads it references) instead of pinning
-			// them for the rest of the run.
-			r.inbox[v] = nil
-			continue
-		}
-		// clear before truncating: a node that goes quiet after a burst must
-		// not pin the burst's payloads in the reused backing array. The
-		// memclr is linear in last round's inbox, a cost the round already
-		// paid several times over to deliver it.
+		// clear before truncating: a node that goes quiet or halts after a
+		// burst must not pin the burst's payloads in the reused backing
+		// array, whose capacity a Runner keeps for later runs. The memclr is
+		// linear in last round's inbox, a cost the round already paid
+		// several times over to deliver it.
 		clear(r.inbox[v])
 		r.inbox[v] = r.inbox[v][:0]
 	}
@@ -770,24 +848,23 @@ func (r *run) deliverShard(w, lo, hi int) {
 }
 
 // buildPortViews (re)assembles every node's sorted port and peer-index views
-// from the run's current graph into two flat backing arrays. It runs once at
-// setup and again after each adversarial topology event; the nil-adversary
-// path never re-enters it.
+// from the run's current graph into two flat backing arrays, rewritten in
+// place. It runs once at setup and again after each adversarial topology
+// event; the nil-adversary path never re-enters it.
 func (r *run) buildPortViews() {
 	n := r.g.NumNodes()
 	m := r.g.NumEdges()
-	r.portsAll = make([]Port, 0, 2*m)
-	r.peersAll = make([]graph.NodeID, 0, 2*m)
-	var scratch []graph.Half
+	r.portsAll = slices.Grow(r.portsAll[:0], 2*m)
+	r.peersAll = slices.Grow(r.peersAll[:0], 2*m)
 	for v := 0; v < n; v++ {
 		idx := graph.NodeID(v)
 		// Sort a scratch copy of the incident list by edge ID, then emit
 		// ports and peer indices side by side: the two views stay parallel
-		// and the backing arrays never reallocate (capacity is exact).
-		scratch = append(scratch[:0], r.g.Incident(idx)...)
-		slices.SortFunc(scratch, func(a, b graph.Half) int { return cmp.Compare(a.Edge, b.Edge) })
+		// and the backing arrays never reallocate (capacity covers 2m).
+		r.scratch = append(r.scratch[:0], r.g.Incident(idx)...)
+		slices.SortFunc(r.scratch, func(a, b graph.Half) int { return cmp.Compare(a.Edge, b.Edge) })
 		base := len(r.portsAll)
-		for _, h := range scratch {
+		for _, h := range r.scratch {
 			p := NoPeer
 			if r.cfg.KT1 {
 				p = h.Peer
@@ -895,27 +972,19 @@ func (r *run) deliverShardAdv(w, lo, hi int) {
 	delayed := len(r.future) > 0
 	for v := lo; v < hi; v++ {
 		env := &r.envs[v]
-		if env.halted {
-			r.inbox[v] = nil
-			if delayed {
-				mat := r.future[0][v]
-				if env.crashed {
-					// Matured messages to a crashed receiver are destroyed
-					// by the adversary; a voluntary halt's drops stay
-					// ordinary model behaviour.
-					t.dropped += int64(len(mat))
-				}
-				t.pend -= int64(len(mat))
-				clear(mat)
-				r.future[0][v] = mat[:0]
-			}
-			continue
-		}
 		clear(r.inbox[v])
 		in := r.inbox[v][:0]
 		if delayed {
 			mat := r.future[0][v]
-			in = append(in, mat...)
+			switch {
+			case !env.halted:
+				in = append(in, mat...)
+			case env.crashed:
+				// Matured messages to a crashed receiver are destroyed by
+				// the adversary; a voluntary halt's drops stay ordinary
+				// model behaviour.
+				t.dropped += int64(len(mat))
+			}
 			t.pend -= int64(len(mat))
 			clear(mat)
 			r.future[0][v] = mat[:0]

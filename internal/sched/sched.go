@@ -100,18 +100,23 @@ func (p *Pool) work(w int) {
 	}
 }
 
-// ParallelFor runs fn(0), ..., fn(n-1) over a transient worker set. The
+// ParallelFor runs fn(w, 0), ..., fn(w, n-1) over a transient worker set. The
 // workers knob follows the facade's concurrency convention: 0 runs inline
 // sequentially, w > 0 uses w workers, w < 0 uses GOMAXPROCS workers. Results
 // must be written to caller-owned, index-disjoint slots, which keeps the
 // output deterministic regardless of scheduling.
+//
+// w is the index of the worker running item i: 0 on the inline path, and in
+// [0, workers) otherwise (the knob clamped to n). One worker runs its items
+// one after another, so a caller may keep per-worker scratch in a slice
+// indexed by w and reuse it across items without locking.
 //
 // Cancellation is checked before every item, so a cancelled sweep stops
 // within one item's work and returns ctx.Err(). When several items fail, the
 // error of the lowest-indexed failing item that ran is returned (the
 // sequential path's choice; under concurrency a later item may fail first,
 // but the sweep keeps the smallest index observed).
-func ParallelFor(ctx context.Context, n, workers int, fn func(i int) error) error {
+func ParallelFor(ctx context.Context, n, workers int, fn func(w, i int) error) error {
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -123,7 +128,7 @@ func ParallelFor(ctx context.Context, n, workers int, fn func(i int) error) erro
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(i); err != nil {
+			if err := fn(0, i); err != nil {
 				return err
 			}
 		}
@@ -165,7 +170,7 @@ func ParallelFor(ctx context.Context, n, workers int, fn func(i int) error) erro
 				if i >= n {
 					return
 				}
-				if err := fn(i); err != nil {
+				if err := fn(w, i); err != nil {
 					fail(i, err)
 				}
 				completed.Add(1)
