@@ -3,12 +3,14 @@ package repro_test
 // Facade-level pins for the pluggable adversary layer: every shipped
 // profile is golden-pinned bit for bit on both engines at several worker
 // counts, the 100%-drop starvation profile surfaces typed budget errors
-// registry-wide instead of hanging, and early-stopped gossip under delivery
-// delays reaches the exact unstopped bill.
+// registry-wide instead of hanging, early-stopped gossip under delivery
+// delays reaches the exact unstopped bill, and an engine's profile cannot be
+// edited from outside it.
 
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -119,13 +121,13 @@ func TestAdversaryStarvationTyped(t *testing.T) {
 	}
 }
 
-// TestGossipEarlyStopUnderDelayExactBill is the in-flight gate's
-// end-to-end regression: under a pure-delay profile, the early-stopped
-// gossip stage must reach the exact cover round and message bill of the
-// unstopped fixed schedule (broadcast.Gossip run for the same 100·n-round
-// budget under the same compiled adversary). If early stopping could fire
-// with delayed rumors still in flight, the stopped prefix would no longer be
-// the unstopped schedule's prefix and the bills would drift.
+// TestGossipEarlyStopUnderDelayExactBill pins that stopping with delayed
+// messages still in the ring bills the fixed schedule's prefix: under a
+// pure-delay profile, the early-stopped gossip stage reports the exact
+// cover round and message bill of the unstopped fixed schedule
+// (broadcast.Gossip run for the same 100·n-round budget under the same
+// compiled adversary), whose cover round is recovered from its arrivals and
+// billed from its per-round ledger.
 func TestGossipEarlyStopUnderDelayExactBill(t *testing.T) {
 	g := goldenGraph()
 	const seed, tBall = 5, 3
@@ -145,14 +147,66 @@ func TestGossipEarlyStopUnderDelayExactBill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cover := broadcast.NewBallIndex(g, tBall).CoverRound(full.Arrival)
-	bill, err := full.MessagesThrough(cover)
-	if err != nil {
-		t.Fatal(err)
+	// The cover round: the latest round at which some node heard the last
+	// member of its ball.
+	bi := broadcast.NewBallIndex(g, tBall)
+	cover := 0
+	for v, heard := range full.Arrival {
+		for u := range bi.Members(repro.NodeID(v)) {
+			r, ok := heard[u]
+			if !ok {
+				t.Fatalf("node %d never heard ball member %d in the fixed schedule", v, u)
+			}
+			cover = max(cover, r)
+		}
+	}
+	var bill int64
+	for _, m := range full.Run.PerRound[:cover+1] {
+		bill += m
 	}
 	if cover != early.Rounds || bill != early.Messages {
 		t.Fatalf("bills differ: unstopped %d rounds / %d messages, earlystop %d / %d",
 			cover, bill, early.Rounds, early.Messages)
+	}
+}
+
+// TestAdversaryProfileNotAliased pins that an engine's adversary profile is
+// its own: editing the caller's profile after NewEngine, or the profile
+// Engine.Options returns, changes neither the engine's options nor its runs.
+func TestAdversaryProfileNotAliased(t *testing.T) {
+	g := goldenGraph()
+	spec := repro.MaxID(3)
+	profile := repro.AdversaryProfile{
+		Name:       "aliasing",
+		Seed:       3,
+		DropRate:   0.1,
+		Crashes:    []repro.AdversaryCrash{{Node: 1, Round: 1}},
+		EdgeEvents: []repro.AdversaryEdgeEvent{{Round: 2, Op: adversary.DeleteEdge, U: 0, V: 1}},
+	}
+	eng := repro.NewEngine(repro.WithSeed(5), repro.WithAdversary(profile))
+	before, err := eng.Run(context.Background(), "direct", g, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := eng.Options().Adversary.Clone()
+
+	profile.DropRate = 0.9
+	profile.Crashes[0] = repro.AdversaryCrash{Node: 2, Round: 0}
+	profile.EdgeEvents[0].Round = 0
+	got := eng.Options().Adversary
+	got.DropRate = 0.5
+	got.Crashes[0].Round = 7
+	got.EdgeEvents[0].U = 3
+
+	if after := *eng.Options().Adversary; !reflect.DeepEqual(after, want) {
+		t.Fatalf("engine profile changed from outside: %+v, want %+v", after, want)
+	}
+	after, err := eng.Run(context.Background(), "direct", g, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renderResult(after) != renderResult(before) {
+		t.Fatal("editing the caller's or the returned profile perturbed the engine's runs")
 	}
 }
 

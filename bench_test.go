@@ -171,9 +171,8 @@ func BenchmarkSchemesAmortized(b *testing.B) {
 // round scales. The retained ledger (surfaced as the ledgerB/op metric)
 // grows linearly with the schedule when enabled — 8 bytes per executed
 // round — and is identically zero when disabled, while rounds, messages,
-// and coverage stay bit-identical; with the ledger disabled the only
-// round-dependent state left is the compact arrival-round billing record,
-// whose size is bounded by arrival events, not rounds.
+// and coverage stay bit-identical; with the ledger disabled no state grows
+// with the executed rounds.
 func BenchmarkLongGossipMemory(b *testing.B) {
 	g := gen.ConnectedGNP(24, 0.2, xrand.New(6))
 	payloads := make([][]repro.EdgeID, g.NumNodes())

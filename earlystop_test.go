@@ -2,14 +2,15 @@ package repro_test
 
 // Black-box tests of the gossip family: all three variants share one
 // early-stopped gossip stage, so their bills and outputs agree under every
-// adversary profile; that stage executes exactly cover+1 rounds, the CI
-// assertion; and gossip-converge bills termination detection as its own
-// phase.
+// adversary profile; that stage, and hybrid's, executes exactly cover+1
+// rounds, the CI assertion; and gossip-converge bills termination detection
+// as its own phase.
 
 import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro"
@@ -114,25 +115,48 @@ func TestGossipEarlyStopBillEquivalence(t *testing.T) {
 }
 
 // TestEarlyStopExecutesFewerRounds is the CI assertion: on the smoke graph,
-// gossip and gossip-earlystop each execute exactly cover+1 simulator rounds,
-// strictly fewer than the 100·n+1 rounds of the fixed schedule their budget
-// allows. That the stopped prefix is the fixed schedule's own execution is
-// pinned in internal/broadcast by TestGossipEarlyStopMatchesFixedSchedule; CI runs
+// with no adversary and under every shipped profile in which it covers, the
+// gossip stage of gossip, gossip-earlystop and hybrid (its gossip(seed)
+// phase) executes exactly its billed rounds + 1 simulator rounds — rounds
+// 0..cover — strictly fewer than the 100·n+1 rounds of the fixed schedule
+// its budget allows, even with delayed messages still in flight. That the
+// stopped prefix is the fixed schedule's own execution is pinned in
+// internal/broadcast by TestGossipEarlyStopMatchesFixedSchedule; CI runs
 // both by name next to the bench gates.
 func TestEarlyStopExecutesFewerRounds(t *testing.T) {
 	fixed := 100*testGraph().NumNodes() + 1
-	for _, tc := range []struct{ scheme, phase string }{
-		{"gossip", "gossip"},
-		{"gossip-earlystop", "gossip(earlystop)"},
-	} {
-		res, obs := runWithCounter(t, tc.scheme)
-		executed := obs.rounds[tc.phase]
-		if executed != res.Rounds+1 {
-			t.Fatalf("%s executed %d rounds for a bill of %d; want exactly cover+1", tc.scheme, executed, res.Rounds)
-		}
-		if executed >= fixed {
-			t.Fatalf("%s executed %d rounds, fixed schedule %d — want strictly fewer", tc.scheme, executed, fixed)
-		}
+	for _, name := range append([]string{"none"}, repro.AdversaryProfiles()...) {
+		t.Run(name, func(t *testing.T) {
+			var opts []repro.Option
+			if name != "none" {
+				p, ok := repro.NamedAdversary(name)
+				if !ok {
+					t.Fatalf("shipped profile %q did not resolve", name)
+				}
+				opts = append(opts, repro.WithAdversary(p))
+			}
+			for _, tc := range []struct{ scheme, phase string }{
+				{"gossip", "gossip"},
+				{"gossip-earlystop", "gossip(earlystop)"},
+				{"hybrid", "gossip(seed)"},
+			} {
+				_, obs, err := runCounted(tc.scheme, opts...)
+				i := slices.IndexFunc(obs.phases, func(c repro.PhaseCost) bool { return c.Name == tc.phase })
+				if i < 0 {
+					if !errors.Is(err, repro.ErrRoundBudget) {
+						t.Fatalf("%s billed no %s phase: err = %v, want ErrRoundBudget", tc.scheme, tc.phase, err)
+					}
+					continue // the stage did not cover within its budget
+				}
+				billed, executed := obs.phases[i].Rounds, obs.rounds[tc.phase]
+				if executed != billed+1 {
+					t.Fatalf("%s executed %d %s rounds for a bill of %d; want exactly cover+1", tc.scheme, executed, tc.phase, billed)
+				}
+				if executed >= fixed {
+					t.Fatalf("%s executed %d rounds, fixed schedule %d — want strictly fewer", tc.scheme, executed, fixed)
+				}
+			}
+		})
 	}
 }
 

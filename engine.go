@@ -102,10 +102,15 @@ func NewEngine(opts ...Option) *Engine {
 	}
 }
 
-// Options returns a copy of the engine's resolved options.
+// Options returns a copy of the engine's resolved options, the adversary
+// profile and its slices included.
 func (e *Engine) Options() Options {
 	o := e.opts
 	o.Observers = append([]Observer(nil), e.opts.Observers...)
+	if o.Adversary != nil {
+		p := o.Adversary.Clone()
+		o.Adversary = &p
+	}
 	return o
 }
 

@@ -102,6 +102,15 @@ type Profile struct {
 	EdgeEvents []EdgeEvent `json:"edge_events,omitempty"`
 }
 
+// Clone returns a copy of the profile whose Crashes and EdgeEvents have
+// backing arrays of their own.
+func (p *Profile) Clone() Profile {
+	c := *p
+	c.Crashes = slices.Clone(p.Crashes)
+	c.EdgeEvents = slices.Clone(p.EdgeEvents)
+	return c
+}
+
 // IsZero reports whether the profile perturbs nothing.
 func (p *Profile) IsZero() bool {
 	return p.DropRate == 0 && p.DupRate == 0 && p.DelayBound == 0 &&

@@ -18,13 +18,14 @@
 // charged 1 + len(M_v) words wherever it travels. Each node keeps one map:
 // a flood node's Known (origin → M_o), a gossip node's Arrival (origin →
 // first round heard), from which Gossip derives Known after the run. A
-// Result's Known is the collection simulate replays from.
+// Result's Known is the collection simulate replays from, and its Run is
+// the bill: a gossip run with a cover target ends at the barrier of its
+// cover round, so its Run and Known cover exactly rounds 0..cover.
 package broadcast
 
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -39,40 +40,11 @@ type Result struct {
 	// heard (own rumor: round 0). Only Gossip records it; floods leave it
 	// nil.
 	Arrival []map[graph.NodeID]int
+	// Covered counts the nodes that had heard every member of their ball
+	// when the run ended. Only Gossip with a ball index sets it.
+	Covered int
 	// Run carries the LOCAL cost metrics.
 	Run local.Result
-
-	// cumAt records, for gossip runs with the per-round ledger disabled,
-	// the cumulative message count through every round in which some node
-	// first heard some origin. Billing deadlines (cover rounds) are always
-	// such arrival rounds, so this compact record — bounded by the number
-	// of arrival events, independent of the schedule length — answers every
-	// MessagesThrough query the ledger used to serve.
-	cumAt map[int]int64
-}
-
-// MessagesThrough returns the cumulative number of messages sent through
-// the given round (inclusive) — the billing primitive behind cover-round
-// accounting. With the per-round ledger enabled it sums Run.PerRound
-// exactly like MessagesUpTo; with the ledger disabled (local.Config's
-// NoLedger) it consults the compact arrival-round record that Gossip
-// maintains, which covers every round a cover-round query can return.
-// Querying a round with no record is an error: it means the caller asked
-// about a non-arrival round of a ledgerless run, which no billing path does.
-func (r *Result) MessagesThrough(round int) (int64, error) {
-	if r.cumAt == nil {
-		if r.Run.PerRound == nil && r.Run.Rounds > 0 {
-			// A ledgerless run with no arrival-round record (a flood, not a
-			// gossip): there is nothing to bill against — error rather than
-			// silently summing the missing ledger to 0.
-			return 0, fmt.Errorf("broadcast: no per-round ledger and no arrival-round record (run with the ledger enabled to bill by round)")
-		}
-		return MessagesUpTo(r.Run, round), nil
-	}
-	if c, ok := r.cumAt[round]; ok {
-		return c, nil
-	}
-	return 0, fmt.Errorf("broadcast: no cumulative message record at round %d (per-round ledger disabled; only arrival rounds are recorded)", round)
 }
 
 // batch is a set of rumors in transit. A rumor is a bare origin ID: its
@@ -226,22 +198,18 @@ func clampSchedule(cfg *local.Config, schedule int) int {
 }
 
 // arrivalTracker centrally aggregates first-arrival events from all gossip
-// nodes as they happen. The plain arrival counter lets a ledgerless run
-// detect arrival rounds in O(1) per round (instead of scanning all n nodes'
-// flags after every round); with a BallIndex attached it additionally
-// maintains, per node, how many of that node's distance-t ball members are
-// still unheard, and counts the nodes whose balls are complete — the
-// early-stop condition checked after each round's barrier.
+// nodes as they happen. With a BallIndex attached it maintains, per node,
+// how many of that node's distance-t ball members are still unheard, and
+// counts the nodes whose balls are complete — the early-stop condition
+// checked after each round's barrier.
 //
-// Race discipline: arrivals and covered are atomics; left[v] is written only
-// from node v's Step (each node is stepped by exactly one goroutine per
-// round), and the coordinating goroutine reads the atomics only after the
-// round's barrier.
+// Race discipline: covered is atomic; left[v] is written only from node v's
+// Step (each node is stepped by exactly one goroutine per round), and the
+// coordinating goroutine reads covered only after the round's barrier.
 type arrivalTracker struct {
-	arrivals atomic.Int64
-	covered  atomic.Int64
-	ball     *BallIndex
-	left     []int
+	covered atomic.Int64
+	ball    *BallIndex
+	left    []int
 }
 
 func newArrivalTracker(n int, bi *BallIndex) *arrivalTracker {
@@ -260,7 +228,6 @@ func newArrivalTracker(n int, bi *BallIndex) *arrivalTracker {
 //
 //freelunch:noalloc
 func (tr *arrivalTracker) learn(v, u graph.NodeID) {
-	tr.arrivals.Add(1)
 	if tr.ball == nil || !tr.ball.Contains(v, u) {
 		return
 	}
@@ -354,15 +321,16 @@ func (p *gossipNode) snapshot(parity int) []graph.NodeID {
 // complexity at most 2n per round by construction) and returns the run with
 // its cover round. Cancelling ctx aborts the underlying run.
 //
-// With bi set, the run stops centrally at the end of the first round after
-// which at least target nodes have heard the rumor of every member of their
-// distance-t ball (per bi); target = host.NumNodes() waits for every ball.
-// The executed prefix is bit-identical to the full schedule's — per-node RNG
-// streams depend only on (seed, id), and the stop check runs after the
-// round's barrier — so arrivals, per-round bills, and MessagesThrough
-// answers through the stop round all match the fixed schedule's. The cover
-// round is the earliest round by which target balls were complete, or -1 if
-// the schedule ended first.
+// With bi set, the run stops centrally at the barrier of its cover round:
+// the first round after which at least target nodes have heard the rumor of
+// every member of their distance-t ball (per bi); target = host.NumNodes()
+// waits for every ball. The cover round is -1 if the schedule ended first.
+// The run itself is the bill: Run covers rounds 0..cover, and Known holds
+// exactly what was delivered by then. Messages still in flight under an
+// adversary's delays were billed when sent. The executed prefix is
+// bit-identical to the full schedule's — per-node RNG streams depend only on
+// (seed, id), and the stop check runs after the round's barrier — so the
+// cover round and its bill are the fixed schedule's too.
 //
 // With bi nil, the whole fixed schedule runs and the cover round is -1; it
 // is the reference the early-stop tests compare against.
@@ -381,34 +349,14 @@ func Gossip(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, b
 	rounds = clampSchedule(&cfg, rounds)
 	parities := 2 + maxDelay(cfg)
 	track := newArrivalTracker(n, bi)
+	cover := -1
 	if bi != nil {
-		// The hook is a pure coverage check: the cover round itself is
-		// recovered post-hoc from the recorded arrivals, so an adversary
-		// that defers the stop (delayed messages in flight keep the
-		// in-flight gate closed) cannot inflate the billed cover round.
-		cfg.StopWhen = func(int, int64) bool {
-			return track.covered.Load() >= int64(target)
-		}
-	}
-	// With the per-round ledger disabled, record cumulative message counts
-	// at arrival rounds so cover-round billing (MessagesThrough) stays exact
-	// at O(1) memory in executed rounds. The tracker's arrival counter makes
-	// the per-round check O(1): a round recorded an arrival iff the counter
-	// moved since the previous barrier.
-	var cumAt map[int]int64
-	if cfg.NoLedger {
-		cumAt = make(map[int]int64)
-		inner := cfg.OnRound
-		var cum, lastArrivals int64
-		cfg.OnRound = func(r int, m int64) {
-			cum += m
-			if a := track.arrivals.Load(); a != lastArrivals {
-				lastArrivals = a
-				cumAt[r] = cum
+		cfg.StopWhen = func(round int, _ int64) bool {
+			if track.covered.Load() < int64(target) {
+				return false
 			}
-			if inner != nil {
-				inner(r, m)
-			}
+			cover = round
+			return true
 		}
 	}
 	run, err := local.RunCtx(ctx, host, func(v graph.NodeID) local.Protocol {
@@ -430,8 +378,8 @@ func Gossip(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, b
 	res := &Result{
 		Known:   make([]map[graph.NodeID][]graph.EdgeID, n),
 		Arrival: make([]map[graph.NodeID]int, n),
+		Covered: int(track.covered.Load()),
 		Run:     run,
-		cumAt:   cumAt,
 	}
 	for v, nd := range nodes {
 		known := make(map[graph.NodeID][]graph.EdgeID, len(nd.arrival))
@@ -440,41 +388,14 @@ func Gossip(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, b
 		}
 		res.Known[v], res.Arrival[v] = known, nd.arrival
 	}
-	return res, coverAt(bi, res.Arrival, target), nil
-}
-
-// coverAt recovers the run's cover round from the recorded arrivals: the
-// earliest round by which at least target nodes held their complete ball —
-// the target-th smallest per-node cover round — or -1 if the schedule ended
-// first. On a flawless network this equals the round the StopWhen hook fired
-// on (the covered counter first reaches target at exactly that round);
-// under an adversary it is the true coverage round even when delayed
-// in-flight traffic forced the run past it.
-func coverAt(bi *BallIndex, arrival []map[graph.NodeID]int, target int) int {
-	if bi == nil {
-		return -1
-	}
-	if target <= 0 {
-		return 0
-	}
-	var covered []int
-	for _, r := range bi.CoverRounds(arrival) {
-		if r >= 0 {
-			covered = append(covered, r)
-		}
-	}
-	if len(covered) < target {
-		return -1
-	}
-	slices.Sort(covered)
-	return covered[target-1]
+	return res, cover, nil
 }
 
 // BallIndex is the per-node distance-t ball membership of one graph,
 // computed once (one truncated BFS per node) and reused across every query
-// that needs it: cover-round queries, the gossip early-stop tracker's
-// per-arrival checks, and hybrid's residue scan. A BallIndex is immutable
-// once built and safe for concurrent readers.
+// that needs it: the gossip early-stop tracker's per-arrival checks and
+// hybrid's residue scan. A BallIndex is immutable once built and safe for
+// concurrent readers.
 type BallIndex struct {
 	t    int
 	sets []map[graph.NodeID]bool
@@ -509,47 +430,3 @@ func (bi *BallIndex) Contains(v, u graph.NodeID) bool { return bi.sets[v][u] }
 // Members returns v's ball membership set. The map is owned by the index
 // and must not be mutated.
 func (bi *BallIndex) Members(v graph.NodeID) map[graph.NodeID]bool { return bi.sets[v] }
-
-// CoverRounds returns, per node, the earliest round by which every ball
-// member's rumor had arrived (-1 if the run ended before that). Beyond the
-// one output slice it allocates nothing.
-func (bi *BallIndex) CoverRounds(arrival []map[graph.NodeID]int) []int {
-	out := make([]int, len(bi.sets))
-	for v := range bi.sets {
-		worst := 0
-		//freelunch:orderok max-reduction with a missing-member early exit; the result is visit-order-independent
-		for u := range bi.sets[v] {
-			r, ok := arrival[v][u]
-			if !ok {
-				worst = -1
-				break
-			}
-			if r > worst {
-				worst = r
-			}
-		}
-		out[v] = worst
-	}
-	return out
-}
-
-// CoverRound returns the earliest round by which every node had heard the
-// rumor of every member of its ball, or -1 if the run ended before that.
-// Combine with Result.MessagesThrough to get the message cost of achieving
-// t-local broadcast.
-func (bi *BallIndex) CoverRound(arrival []map[graph.NodeID]int) int {
-	return coverAt(bi, arrival, bi.Nodes())
-}
-
-// MessagesUpTo sums per-round message counts through the given round
-// (inclusive). Rounds beyond the recorded horizon are ignored.
-func MessagesUpTo(run local.Result, round int) int64 {
-	var total int64
-	for r, c := range run.PerRound {
-		if r > round {
-			break
-		}
-		total += c
-	}
-	return total
-}

@@ -25,6 +25,57 @@ func fixedGossip(t testing.TB, g *graph.Graph, payloads [][]graph.EdgeID, rounds
 	return res
 }
 
+// The fixed-schedule reference for the early stop: cover rounds recovered
+// after the run from the recorded arrivals, billed from the per-round
+// ledger. Gossip itself stops at its cover round and bills its own run; the
+// tests check it against these.
+
+// coverRounds returns, per node, the earliest round by which every ball
+// member's rumor had arrived, or -1 if the run ended first.
+func coverRounds(bi *BallIndex, arrival []map[graph.NodeID]int) []int {
+	out := make([]int, bi.Nodes())
+	for v := range out {
+		worst := 0
+		//freelunch:orderok max-reduction with a missing-member early exit; the result is visit-order-independent
+		for u := range bi.Members(graph.NodeID(v)) {
+			r, ok := arrival[v][u]
+			if !ok {
+				worst = -1
+				break
+			}
+			worst = max(worst, r)
+		}
+		out[v] = worst
+	}
+	return out
+}
+
+// coverRound returns the earliest round by which every node had heard the
+// rumor of every member of its ball, or -1 if the run ended first.
+func coverRound(bi *BallIndex, arrival []map[graph.NodeID]int) int {
+	worst := 0
+	for _, r := range coverRounds(bi, arrival) {
+		if r < 0 {
+			return -1
+		}
+		worst = max(worst, r)
+	}
+	return worst
+}
+
+// messagesUpTo sums the per-round ledger through round (inclusive). Rounds
+// beyond the recorded horizon are ignored.
+func messagesUpTo(run local.Result, round int) int64 {
+	var total int64
+	for r, c := range run.PerRound {
+		if r > round {
+			break
+		}
+		total += c
+	}
+	return total
+}
+
 func TestFloodExactBalls(t *testing.T) {
 	g := gen.ConnectedGNP(120, 0.04, xrand.New(1))
 	payloads := testPayloads(g.NumNodes())
@@ -122,73 +173,48 @@ func TestGossipEventuallyCovers(t *testing.T) {
 	g := gen.ConnectedGNP(60, 0.15, xrand.New(4))
 	const tr = 2
 	res := fixedGossip(t, g, testPayloads(g.NumNodes()), 400, local.Config{Seed: 9})
-	cover := NewBallIndex(g, tr).CoverRound(res.Arrival)
+	cover := coverRound(NewBallIndex(g, tr), res.Arrival)
 	if cover < 0 {
 		t.Fatal("gossip did not cover t-balls within 400 rounds")
 	}
 	if cover <= tr {
 		t.Fatalf("gossip covered in %d rounds; even flooding needs %d", cover, tr)
 	}
-	msgs := MessagesUpTo(res.Run, cover)
+	msgs := messagesUpTo(res.Run, cover)
 	if msgs <= 0 || msgs > int64(cover+1)*2*int64(g.NumNodes()) {
 		t.Fatalf("gossip messages to cover = %d outside (0, 2n(r+1)]", msgs)
 	}
 }
 
-// TestGossipNoLedgerBillingExact pins the compact arrival-round record: with
-// the per-round ledger disabled, MessagesThrough must return exactly the
-// prefix sums the ledger would have, at every round CoverRound/CoverRounds
-// can name, on both engines — and the run must not retain PerRound.
+// TestGossipNoLedgerBillingExact pins that the early stop's bill does not
+// depend on the ledger: with the per-round ledger on or off, on both
+// engines, the stopped run reports the fixed schedule's cover round and its
+// Run.Messages is the fixed schedule's ledger prefix through that round —
+// and the ledgerless run retains no PerRound.
 func TestGossipNoLedgerBillingExact(t *testing.T) {
 	g := gen.ConnectedGNP(40, 0.1, xrand.New(9))
 	payloads := testPayloads(g.NumNodes())
 	const rounds, t2 = 200, 2
 	bi := NewBallIndex(g, t2)
+	full := fixedGossip(t, g, payloads, rounds, local.Config{Seed: 4})
+	cover := coverRound(bi, full.Arrival)
+	if cover < 0 {
+		t.Fatalf("gossip did not cover within %d rounds", rounds)
+	}
+	want := messagesUpTo(full.Run, cover)
 	for _, workers := range []int{0, -1} {
-		with := fixedGossip(t, g, payloads, rounds, local.Config{Seed: 4, Workers: workers})
-		bare := fixedGossip(t, g, payloads, rounds, local.Config{Seed: 4, Workers: workers, NoLedger: true})
-		if bare.Run.PerRound != nil {
-			t.Fatalf("workers=%d: NoLedger gossip retained %d PerRound entries", workers, len(bare.Run.PerRound))
-		}
-		if bare.Run.Messages != with.Run.Messages || bare.Run.Rounds != with.Run.Rounds {
-			t.Fatalf("workers=%d: totals drifted: %+v vs %+v", workers, bare.Run, with.Run)
-		}
-		// Every billing deadline any caller can derive — the global cover
-		// round and every per-node cover round — must answer identically.
-		deadlines := map[int]bool{bi.CoverRound(with.Arrival): true}
-		for _, r := range bi.CoverRounds(with.Arrival) {
-			deadlines[r] = true
-		}
-		for r := range deadlines {
-			if r < 0 {
-				t.Fatalf("workers=%d: gossip did not cover within %d rounds", workers, rounds)
-			}
-			want := MessagesUpTo(with.Run, r)
-			got, err := bare.MessagesThrough(r)
+		for _, noLedger := range []bool{false, true} {
+			cfg := local.Config{Seed: 4, Workers: workers, NoLedger: noLedger}
+			res, got, err := Gossip(context.Background(), g, payloads, bi, g.NumNodes(), rounds, cfg)
 			if err != nil {
-				t.Fatalf("workers=%d: MessagesThrough(%d): %v", workers, r, err)
+				t.Fatal(err)
 			}
-			if got != want {
-				t.Fatalf("workers=%d: MessagesThrough(%d) = %d, ledger says %d", workers, r, got, want)
+			if got != cover || res.Run.Messages != want {
+				t.Fatalf("workers=%d noLedger=%v: bill (%d, %d), fixed schedule (%d, %d)",
+					workers, noLedger, got, res.Run.Messages, cover, want)
 			}
-			// The ledgered result must answer through the same API.
-			if lg, err := with.MessagesThrough(r); err != nil || lg != want {
-				t.Fatalf("workers=%d: ledgered MessagesThrough(%d) = %d, %v", workers, r, lg, err)
-			}
-		}
-		// A round past every arrival has no record: the error is loud, not
-		// a silent underbill.
-		if _, err := bare.MessagesThrough(rounds - 1); err == nil {
-			maxArr := 0
-			for _, m := range bare.Arrival {
-				for _, r := range m {
-					if r > maxArr {
-						maxArr = r
-					}
-				}
-			}
-			if maxArr < rounds-1 {
-				t.Fatalf("workers=%d: MessagesThrough(%d) beyond the last arrival (%d) did not error", workers, rounds-1, maxArr)
+			if noLedger && res.Run.PerRound != nil {
+				t.Fatalf("workers=%d: NoLedger gossip retained %d PerRound entries", workers, len(res.Run.PerRound))
 			}
 		}
 	}
@@ -210,7 +236,7 @@ func TestGossipSlowOnBarbell(t *testing.T) {
 	g := gen.Barbell(20, 2) // 42 nodes
 	const tr = 3
 	gossip := fixedGossip(t, g, testPayloads(g.NumNodes()), 2000, local.Config{Seed: 13})
-	cover := NewBallIndex(g, tr).CoverRound(gossip.Arrival)
+	cover := coverRound(NewBallIndex(g, tr), gossip.Arrival)
 	if cover < 0 {
 		t.Fatal("gossip never covered")
 	}
@@ -222,17 +248,17 @@ func TestGossipSlowOnBarbell(t *testing.T) {
 func TestCoverRoundNotCovered(t *testing.T) {
 	g := gen.Path(5)
 	res := fixedGossip(t, g, testPayloads(5), 0, local.Config{})
-	if NewBallIndex(g, 2).CoverRound(res.Arrival) != -1 {
+	if coverRound(NewBallIndex(g, 2), res.Arrival) != -1 {
 		t.Fatal("zero-round gossip cannot cover 2-balls")
 	}
 }
 
 func TestMessagesUpTo(t *testing.T) {
 	run := local.Result{PerRound: []int64{5, 7, 11}}
-	if MessagesUpTo(run, 1) != 12 {
+	if messagesUpTo(run, 1) != 12 {
 		t.Fatal("prefix sum wrong")
 	}
-	if MessagesUpTo(run, 99) != 23 {
+	if messagesUpTo(run, 99) != 23 {
 		t.Fatal("overflow horizon wrong")
 	}
 }

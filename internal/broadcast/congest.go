@@ -174,8 +174,7 @@ func FloodBudget(ctx context.Context, host *graph.Graph, payloads [][]graph.Edge
 	}
 	// Filler rounds share the main loop's invariant: the ledger slot
 	// PerRound[r] and the OnRound round argument advance in lockstep, so a
-	// billed round number always indexes its own ledger entry (and the
-	// MessagesUpTo prefix sums stay aligned).
+	// billed round number always indexes its own ledger entry.
 	for res.Run.Rounds < target {
 		if !cfg.NoLedger {
 			res.Run.PerRound = append(res.Run.PerRound, 0)

@@ -89,7 +89,7 @@ func TestFloodBudgetSplitsAndCovers(t *testing.T) {
 // the budgeted flood appends zero-message filler rounds to pad its schedule,
 // and every billed round number must stay aligned across the three views of
 // the run — the OnRound stream, the PerRound ledger position, and the
-// MessagesUpTo prefix sums — with no off-by-one between them.
+// messagesUpTo prefix sums — with no off-by-one between them.
 func TestFloodBudgetRoundIndexConsistency(t *testing.T) {
 	// One-word bandwidth with three-word payloads forces splitting (queues
 	// drain late), and a path keeps traffic sparse enough that trailing
@@ -121,8 +121,8 @@ func TestFloodBudgetRoundIndexConsistency(t *testing.T) {
 			t.Fatalf("round %d: observer saw %d messages, ledger slot has %d", i, seenMsgs[i], res.Run.PerRound[i])
 		}
 		cum += seenMsgs[i]
-		if got := MessagesUpTo(res.Run, i); got != cum {
-			t.Fatalf("MessagesUpTo(%d) = %d, observer cumulative is %d", i, got, cum)
+		if got := messagesUpTo(res.Run, i); got != cum {
+			t.Fatalf("messagesUpTo(%d) = %d, observer cumulative is %d", i, got, cum)
 		}
 	}
 	if cum != res.Run.Messages {

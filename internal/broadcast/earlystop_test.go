@@ -1,11 +1,10 @@
 package broadcast
 
-// Tests for the gossip early-stop machinery: the BallIndex that answers
-// cover-round queries without rebuilding balls, the tracker-driven early
-// stop of Gossip (a ball index and a cover target) whose executed prefix
-// must be bit-identical to the fixed schedule's, and the explicit
-// min-semantics between a caller-provided round budget and the broadcast
-// protocols' own schedule lengths.
+// Tests for the gossip early-stop machinery: the tracker-driven early stop
+// of Gossip (a ball index and a cover target), whose executed prefix must be
+// bit-identical to the fixed schedule's and whose run is its bill, and the
+// explicit min-semantics between a caller-provided round budget and the
+// broadcast protocols' own schedule lengths.
 
 import (
 	"context"
@@ -19,9 +18,9 @@ import (
 
 // TestGossipEarlyStopMatchesFixedSchedule pins the early-stop equivalence:
 // the early-stopped run reports exactly the full schedule's cover round,
-// bills exactly the same messages through it, records identical arrivals up
-// to the stop, and executes only cover+1 rounds — on both engines, with the
-// ledger on and off.
+// sends exactly the messages the full schedule sent through it, records
+// exactly the full schedule's arrivals through it, and executes only
+// cover+1 rounds — on both engines, with the ledger on and off.
 func TestGossipEarlyStopMatchesFixedSchedule(t *testing.T) {
 	g := gen.ConnectedGNP(60, 0.08, xrand.New(9))
 	const tBall = 2
@@ -30,11 +29,11 @@ func TestGossipEarlyStopMatchesFixedSchedule(t *testing.T) {
 	bi := NewBallIndex(g, tBall)
 
 	full := fixedGossip(t, g, payloads, schedule, local.Config{Seed: 3})
-	cover := bi.CoverRound(full.Arrival)
+	cover := coverRound(bi, full.Arrival)
 	if cover < 0 {
 		t.Fatalf("schedule of %d rounds did not cover the %d-balls", schedule, tBall)
 	}
-	wantBill := MessagesUpTo(full.Run, cover)
+	wantBill := messagesUpTo(full.Run, cover)
 
 	for _, tc := range []struct {
 		name string
@@ -55,16 +54,23 @@ func TestGossipEarlyStopMatchesFixedSchedule(t *testing.T) {
 			if early.Run.Rounds != cover+1 {
 				t.Fatalf("early stop executed %d rounds, want cover+1 = %d", early.Run.Rounds, cover+1)
 			}
-			bill, err := early.MessagesThrough(cover)
-			if err != nil {
-				t.Fatal(err)
+			if early.Run.Messages != wantBill {
+				t.Fatalf("early-stopped bill %d != full-schedule bill %d", early.Run.Messages, wantBill)
 			}
-			if bill != wantBill {
-				t.Fatalf("early-stopped bill %d != full-schedule bill %d", bill, wantBill)
-			}
-			// The executed prefix is the same execution: every arrival the
-			// early run recorded matches the full run's round exactly.
+			// The executed prefix is the same execution: the early run
+			// recorded exactly the full run's arrivals through the cover
+			// round, at the same rounds, and Known holds exactly those.
 			for v := range early.Arrival {
+				through := 0
+				for _, r := range full.Arrival[v] {
+					if r <= cover {
+						through++
+					}
+				}
+				if len(early.Arrival[v]) != through || len(early.Known[v]) != through {
+					t.Fatalf("node %d: early run holds %d arrivals and %d known, full run %d through the cover round",
+						v, len(early.Arrival[v]), len(early.Known[v]), through)
+				}
 				for u, r := range early.Arrival[v] {
 					if fr, ok := full.Arrival[v][u]; !ok || fr != r {
 						t.Fatalf("node %d origin %d arrived at %d early, %d (ok=%v) full", v, u, r, fr, ok)
@@ -86,7 +92,7 @@ func TestGossipCoverTargetMatchesSortedCoverRounds(t *testing.T) {
 	bi := NewBallIndex(g, tBall)
 
 	full := fixedGossip(t, g, payloads, schedule, local.Config{Seed: 8})
-	perNode := bi.CoverRounds(full.Arrival)
+	perNode := coverRounds(bi, full.Arrival)
 	need := g.NumNodes() / 2
 	// The need-th smallest completion round, computed the pedestrian way.
 	want := -1
@@ -116,7 +122,7 @@ func TestGossipCoverTargetMatchesSortedCoverRounds(t *testing.T) {
 }
 
 // TestGossipEarlyStopBudgetExhausted: a schedule too short to cover must
-// report -1, exactly like CoverRound on the truncated run.
+// report -1, exactly like the reference coverRound on the truncated run.
 func TestGossipEarlyStopBudgetExhausted(t *testing.T) {
 	g := gen.ConnectedGNP(40, 0.1, xrand.New(5))
 	bi := NewBallIndex(g, 3)
@@ -127,36 +133,8 @@ func TestGossipEarlyStopBudgetExhausted(t *testing.T) {
 	if cover != -1 {
 		t.Fatalf("1-round schedule reported cover %d, want -1", cover)
 	}
-	if got := bi.CoverRound(res.Arrival); got != -1 {
-		t.Fatalf("CoverRound on the truncated run says %d, want -1", got)
-	}
-}
-
-// TestBallIndexCoverRoundsAllocs is the allocation-regression pin for
-// cover-round queries: querying a prebuilt index must not rebuild the balls
-// (one BFS plus one slice and one map per node per call).
-func TestBallIndexCoverRoundsAllocs(t *testing.T) {
-	g := gen.ConnectedGNP(80, 0.06, xrand.New(4))
-	res := fixedGossip(t, g, testPayloads(g.NumNodes()), 400, local.Config{Seed: 6})
-	bi := NewBallIndex(g, 2)
-	allocs := testing.AllocsPerRun(20, func() {
-		bi.CoverRounds(res.Arrival)
-	})
-	// One output slice; rebuilding ball membership would cost >= 2 allocs
-	// per node (slice + set) and fail loudly.
-	if allocs > 2 {
-		t.Fatalf("BallIndex.CoverRounds allocates %.0f times per call, want <= 2", allocs)
-	}
-	// The global cover round is the latest per-node one (every node covered).
-	want := 0
-	for v, r := range bi.CoverRounds(res.Arrival) {
-		if r < 0 {
-			t.Fatalf("node %d not covered within 400 rounds", v)
-		}
-		want = max(want, r)
-	}
-	if got := bi.CoverRound(res.Arrival); got != want {
-		t.Fatalf("CoverRound = %d, latest per-node cover round is %d", got, want)
+	if got := coverRound(bi, res.Arrival); got != -1 {
+		t.Fatalf("coverRound on the truncated run says %d, want -1", got)
 	}
 }
 

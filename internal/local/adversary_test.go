@@ -1,6 +1,7 @@
 package local
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -324,18 +325,42 @@ func TestAdversaryVoidSendDropped(t *testing.T) {
 	}
 }
 
-// TestStopWhenDefersWhileInFlight pins the in-flight gate: central
-// termination detection must not fire while delayed messages are still
-// undelivered, so a run whose StopWhen is true from round 0 still outlives
-// every flight.
-func TestStopWhenDefersWhileInFlight(t *testing.T) {
+// TestStopWhenEndsWithFlightsInRing pins StopWhen's contract under delays:
+// a predicate true from round 0 ends the run after round 0 even though a
+// delayed send is still in the ring. The send is billed and never
+// delivered, the Runner keeps no stranded payload, and a delayed run reused
+// on it afterwards matches a fresh run.
+func TestStopWhenEndsWithFlightsInRing(t *testing.T) {
 	g := gen.Path(2)
 	e := g.Edges()[0].ID
 	profile := adversary.Profile{DelayBound: 3, Seed: 5}
 	const seed = 11
-	delta := adversary.Compile(profile, seed).Delay(e)
-	if delta <= 0 {
+	if delta := adversary.Compile(profile, seed).Delay(e); delta <= 0 {
 		t.Fatalf("fixture needs a delayed edge, got δ=%d", delta)
+	}
+	// run sends once from node 0 over the delayed edge in round 0, counts
+	// what node 1 receives, and halts both nodes in round 4, after the
+	// longest possible flight has landed.
+	run := func(t *testing.T, rn *Runner, cfg Config) (Result, int) {
+		t.Helper()
+		received := 0
+		res, err := rn.Run(context.Background(), g, func(v graph.NodeID) Protocol {
+			return ProtocolFunc(func(env *Env, round int, inbox []Message) {
+				if env.ID() == 1 {
+					received += len(inbox)
+				}
+				if env.ID() == 0 && round == 0 {
+					env.Send(e, "x")
+				}
+				if round == 4 {
+					env.Halt()
+				}
+			})
+		}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, received
 	}
 	for _, tc := range []struct {
 		name string
@@ -347,25 +372,22 @@ func TestStopWhenDefersWhileInFlight(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Seed = seed
-			cfg.MaxRounds = 10
 			cfg.Adversary = compileProfile(t, profile, seed)
-			cfg.StopWhen = func(round int, sent int64) bool { return true }
-			res, err := Run(g, func(v graph.NodeID) Protocol {
-				return ProtocolFunc(func(env *Env, round int, inbox []Message) {
-					if env.ID() == 0 && round == 0 {
-						env.Send(e, "x")
-					}
-				})
-			}, cfg)
-			if err != nil {
-				t.Fatal(err)
+			stop := cfg
+			stop.StopWhen = func(round int, sent int64) bool { return true }
+			var rn Runner
+			res, received := run(t, &rn, stop)
+			if res.Rounds != 1 || res.Messages != 1 || received != 0 {
+				t.Fatalf("stopped run: %d rounds, %d messages, %d received; want 1, 1 (billed), 0 (never delivered)",
+					res.Rounds, res.Messages, received)
 			}
-			// Without the gate the always-true predicate ends the run at
-			// round 0, stranding the flight in the ring. With it, the stop
-			// defers to the end of round δ — the first round whose delivery
-			// drained the flight into the receiver's inbox.
-			if res.Rounds != delta+1 {
-				t.Fatalf("rounds = %d, want %d (stop deferred past the flight)", res.Rounds, delta+1)
+			if held := heldPayloads(&rn); held != 0 {
+				t.Fatalf("Runner holds %d references after the stopped run", held)
+			}
+			reused, gotIn := run(t, &rn, cfg)
+			fresh, wantIn := run(t, new(Runner), cfg)
+			if !reflect.DeepEqual(reused, fresh) || gotIn != wantIn || wantIn != 1 {
+				t.Fatalf("reused Runner: %+v, %d received; fresh: %+v, %d received", reused, gotIn, fresh, wantIn)
 			}
 		})
 	}

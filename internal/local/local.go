@@ -157,16 +157,14 @@ type Config struct {
 	// StopWhen, if non-nil, is consulted after every completed round (after
 	// OnRound) with the round index and its message count; returning true
 	// ends the run before the next round starts. The round it fires on has
-	// executed in full — all sends delivered, ledger and OnRound already fed
-	// — so a stopped run's executed prefix is bit-identical to the same
-	// schedule without the hook. It runs on the engine's coordinating
-	// goroutine, after the round's barrier, and must not call back into the
-	// run. Protocols that centrally detect a completion condition (e.g.
-	// broadcast coverage) use it to skip a fixed schedule's dead tail.
-	// Under an Adversary with delays the hook is additionally deferred past
-	// rounds with delayed messages still in flight, so a centrally detected
-	// completion condition cannot fire while undelivered traffic could still
-	// change it.
+	// executed in full — its sends delivered or, under an Adversary with
+	// delays, queued; ledger and OnRound already fed — so a stopped run's
+	// executed prefix is bit-identical to the same schedule without the
+	// hook. Messages still in flight when it fires were billed when sent and
+	// are never delivered. It runs on the engine's coordinating goroutine,
+	// after the round's barrier, and must not call back into the run.
+	// Protocols that centrally detect a completion condition (e.g. broadcast
+	// coverage) use it to skip a fixed schedule's dead tail.
 	StopWhen func(round int, messages int64) bool
 	// Adversary, if non-nil, perturbs the run: per-message drops and
 	// duplications, crash-stop failures, per-edge FIFO delivery delays, and
@@ -449,8 +447,7 @@ type run struct {
 	// future[d][v] holds messages maturing for node v after d more delivery
 	// phases (slot 0 drains into inboxes at the top of each delivery); the
 	// coordinator rotates the ring once per round.
-	future   [][][]Message
-	inFlight int64 // delayed messages currently in the future ring
+	future [][][]Message
 }
 
 // shardTotals is one delivery worker's per-round message accounting, padded
@@ -461,8 +458,7 @@ type shardTotals struct {
 	units      int64
 	dropped    int64
 	duplicated int64
-	pend       int64 // delta of delayed messages entering/leaving the future ring
-	_          [24]byte
+	_          [32]byte
 }
 
 // Run executes the protocol built by f on g under cfg and returns the cost
@@ -627,7 +623,6 @@ func (rn *Runner) Run(ctx context.Context, g *graph.Graph, f Factory, cfg Config
 			for w := range r.totals {
 				res.Dropped += r.totals[w].dropped
 				res.Duplicated += r.totals[w].duplicated
-				r.inFlight += r.totals[w].pend
 			}
 			// Rotate the future ring: the slot delivery just drained cycles
 			// to the back, and the next round's matured messages move to the
@@ -648,10 +643,7 @@ func (rn *Runner) Run(ctx context.Context, g *graph.Graph, f Factory, cfg Config
 		if cfg.OnRound != nil {
 			cfg.OnRound(round, sent)
 		}
-		// The in-flight gate defers central termination detection past
-		// rounds with delayed messages still undelivered (always zero
-		// without an adversary).
-		if cfg.StopWhen != nil && r.inFlight == 0 && cfg.StopWhen(round, sent) {
+		if cfg.StopWhen != nil && cfg.StopWhen(round, sent) {
 			break
 		}
 	}
@@ -697,7 +689,6 @@ func (r *run) reset(f Factory) {
 	r.totals = resize(r.totals, r.nshards) // each delivery zeroes its own worker's totals
 	clear(r.counters.idx)
 	r.counters.names = r.counters.names[:0]
-	r.inFlight = 0
 
 	// Flat per-node state: one Env array, one ports array, one peer-index
 	// array — O(nodes + edges) setup memory, no per-node maps.
@@ -940,7 +931,6 @@ func (r *run) purgeFuture(id graph.EdgeID, u, v graph.NodeID, res *Result) {
 			for _, m := range slot {
 				if m.Edge == id {
 					res.Dropped++
-					r.inFlight--
 					continue
 				}
 				kept = append(kept, m)
@@ -967,7 +957,7 @@ func (r *run) purgeFuture(id graph.EdgeID, u, v graph.NodeID, res *Result) {
 // flawless network's zero-allocation delivery untouched.
 func (r *run) deliverShardAdv(w, lo, hi int) {
 	t := &r.totals[w]
-	t.sent, t.units, t.dropped, t.duplicated, t.pend = 0, 0, 0, 0, 0
+	t.sent, t.units, t.dropped, t.duplicated = 0, 0, 0, 0
 	a := r.adv
 	delayed := len(r.future) > 0
 	for v := lo; v < hi; v++ {
@@ -985,7 +975,6 @@ func (r *run) deliverShardAdv(w, lo, hi int) {
 				// model behaviour.
 				t.dropped += int64(len(mat))
 			}
-			t.pend -= int64(len(mat))
 			clear(mat)
 			r.future[0][v] = mat[:0]
 		}
@@ -1022,10 +1011,8 @@ func (r *run) deliverShardAdv(w, lo, hi int) {
 			if d := a.Delay(m.edge); d > 0 {
 				slot := r.future[d]
 				slot[m.to] = append(slot[m.to], Message{Edge: m.edge, Payload: m.body, seq: m.seq})
-				t.pend++
 				if dup {
 					slot[m.to] = append(slot[m.to], Message{Edge: m.edge, Payload: m.body, seq: m.seq})
-					t.pend++
 				}
 				continue
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 
 	"repro/internal/algorithms"
@@ -97,7 +98,7 @@ func (r *SchemeResult) TotalRounds() int {
 
 // bill charges one completed stage, reporting it through hooks and appending
 // it to Phases. The cost is the LOCAL run the stage executed, adjusted for
-// stages whose bill differs from their run (a truncated gossip bill, a
+// stages whose bill differs from their run (a gossip cover round, a
 // CONGEST dilation).
 func (r *SchemeResult) bill(hooks Hooks, name string, run local.Result, adjust ...func(*PhaseCost)) {
 	cost := PhaseCost{Name: name, Rounds: run.Rounds, Messages: run.Messages,
@@ -109,11 +110,11 @@ func (r *SchemeResult) bill(hooks Hooks, name string, run local.Result, adjust .
 	r.Phases = append(r.Phases, cost)
 }
 
-// billedThrough truncates a gossip stage's bill at the round it waited for.
-// Dropped and Duplicated still attribute the whole executed run
-// (drop/duplicate attribution is not tracked per round).
-func billedThrough(round int, messages int64) func(*PhaseCost) {
-	return func(c *PhaseCost) { c.Rounds, c.Messages = round, messages }
+// billedThrough bills a gossip stage's rounds as the cover round its run
+// stopped at. The run executed rounds 0..round, so its messages, Dropped
+// and Duplicated are exactly those of the billed rounds.
+func billedThrough(round int) func(*PhaseCost) {
+	return func(c *PhaseCost) { c.Rounds = round }
 }
 
 // starved types a convergecast that did not converge within its schedule
@@ -387,11 +388,11 @@ func Scheme1CongestSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec
 // Gossip is the collection stage the three gossip schemes share: push–pull
 // gossip runs until every t-ball is covered, within budget rounds, and is
 // billed through that cover round under the given phase label. Dropped and
-// Duplicated attribute the damage of the rounds it executed. Missing the
+// Duplicated attribute the damage of exactly those rounds. Missing the
 // cover within the budget is an ErrRoundBudget. No spanner carries the
 // collection.
 func Gossip(ctx context.Context, g *graph.Graph, spec algorithms.Spec, budget int, phase string, cfg local.Config, hooks Hooks) (*SchemeResult, error) {
-	coll, cover, msgs, err := GossipCollectEarly(ctx, g, spec.T, budget, cfg.Seed, hooks.RoundConfig(cfg, phase))
+	coll, cover, _, err := GossipCollectEarly(ctx, g, spec.T, budget, cfg.Seed, hooks.RoundConfig(cfg, phase))
 	if err != nil {
 		return nil, err
 	}
@@ -400,7 +401,7 @@ func Gossip(ctx context.Context, g *graph.Graph, spec algorithms.Spec, budget in
 			spec.T, budget, ErrRoundBudget)
 	}
 	res := &SchemeResult{Coll: coll}
-	res.bill(hooks, phase, coll.Run, billedThrough(cover, msgs))
+	res.bill(hooks, phase, coll.Run, billedThrough(cover))
 	return res, nil
 }
 
@@ -454,41 +455,30 @@ func HybridSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core
 	ports := portsOf(g)
 	need := int(math.Ceil(fraction * float64(n)))
 
-	// Find the seeding deadline — the earliest round by which the target
-	// fraction of nodes holds its complete t-ball — without simulating the
-	// schedule's dead tail (the default budget is 100·n rounds; the fraction
-	// is typically covered in O(polylog n)). The early-stopped run's executed
-	// prefix is bit-identical to the full schedule's, so the deadline,
-	// arrivals, and per-round message bill match what the full schedule
-	// would have produced. The ball index is built once and shared by the
-	// per-arrival cover tracking and the residue scan below.
+	// Gossip stops at the seeding deadline — the earliest round by which
+	// the target fraction of nodes holds its complete t-ball — without
+	// simulating the schedule's dead tail (the default budget is 100·n
+	// rounds; the fraction is typically covered in O(polylog n)). Its run
+	// is the stage's bill, and its Known is what it delivered by the
+	// deadline. The ball index is built once and shared by the per-arrival
+	// cover tracking and the residue scan below.
 	bi := broadcast.NewBallIndex(g, spec.T)
 	gos, seedRound, err := broadcast.Gossip(ctx, g, ports, bi, need, gossipBudget, hooks.RoundConfig(cfg, "gossip(seed)"))
 	if err != nil {
 		return nil, fmt.Errorf("hybrid gossip stage: %w", err)
 	}
 	if seedRound < 0 {
-		covered := 0
-		for _, r := range bi.CoverRounds(gos.Arrival) {
-			if r >= 0 {
-				covered++
-			}
-		}
 		return nil, fmt.Errorf("hybrid gossip stage covered %d of the %d required t-balls within %d rounds: %w",
-			covered, need, gossipBudget, ErrRoundBudget)
+			gos.Covered, need, gossipBudget, ErrRoundBudget)
 	}
-	seedMsgs, err := gos.MessagesThrough(seedRound)
-	if err != nil {
-		return nil, fmt.Errorf("hybrid seed billing: %w", err)
-	}
-	res.bill(hooks, "gossip(seed)", gos.Run, billedThrough(seedRound, seedMsgs))
+	res.bill(hooks, "gossip(seed)", gos.Run, billedThrough(seedRound))
 
 	// Residue senders: every origin some node's t-ball still misses at the
-	// seeding deadline (central bookkeeping, like BallIndex.CoverRound).
+	// seeding deadline (central bookkeeping).
 	residue := make([]bool, n)
 	for v := 0; v < n; v++ {
 		for u := range bi.Members(graph.NodeID(v)) {
-			if r, ok := gos.Arrival[v][u]; !ok || r > seedRound {
+			if _, ok := gos.Known[v][u]; !ok {
 				residue[u] = true
 			}
 		}
@@ -502,11 +492,7 @@ func HybridSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core
 	// Merge what gossip had delivered by the seeding deadline into the
 	// residue flood's Known, in place.
 	for v, known := range fl.Known {
-		for origin, r := range gos.Arrival[v] {
-			if r <= seedRound {
-				known[origin] = ports[origin]
-			}
-		}
+		maps.Copy(known, gos.Known[v])
 	}
 	res.Coll = &Collection{N: n, Seed: cfg.Seed, Ports: fl.Known, Run: fl.Run}
 	return res, nil

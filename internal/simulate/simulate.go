@@ -106,29 +106,22 @@ func CollectBudget(ctx context.Context, g, host *graph.Graph, rounds, bw int, se
 }
 
 // GossipCollectEarly performs the same collection by push–pull gossip (the
-// baseline family of Censor-Hillel et al. and Haeupler) and ends the round
-// loop the moment every node's distance-t ball is covered (central early
-// stopping). It reports that cover round (-1 if the balls were not covered
-// within maxRounds) and the messages spent through it. The executed prefix
-// is the same execution as the fixed maxRounds-round schedule
-// (broadcast.Gossip), so the cover round and its bill are that schedule's;
-// only the dead tail — and its wall clock — is skipped. The collection holds
-// exactly the knowledge gossip had delivered by the cover round, which
-// suffices for every replay.
+// baseline family of Censor-Hillel et al. and Haeupler) and ends the run at
+// the barrier of the round in which every node's distance-t ball is covered
+// (central early stopping). It reports that cover round (-1 if the balls
+// were not covered within maxRounds) and the messages the run sent through
+// it, which are its whole bill. The executed prefix is the same execution
+// as the fixed maxRounds-round schedule (broadcast.Gossip), so the cover
+// round and its bill are that schedule's; only the dead tail — and its wall
+// clock — is skipped. The collection holds exactly the knowledge gossip had
+// delivered by the cover round, which suffices for every replay.
 func GossipCollectEarly(ctx context.Context, g *graph.Graph, t, maxRounds int, seed uint64, cfg local.Config) (*Collection, int, int64, error) {
 	cfg.Seed = seed
-	bi := broadcast.NewBallIndex(g, t)
-	gos, cover, err := broadcast.Gossip(ctx, g, portsOf(g), bi, g.NumNodes(), maxRounds, cfg)
+	gos, cover, err := broadcast.Gossip(ctx, g, portsOf(g), broadcast.NewBallIndex(g, t), g.NumNodes(), maxRounds, cfg)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	var msgs int64
-	if cover >= 0 {
-		if msgs, err = gos.MessagesThrough(cover); err != nil {
-			return nil, 0, 0, fmt.Errorf("simulate: gossip cover billing: %w", err)
-		}
-	}
-	return &Collection{N: g.NumNodes(), Seed: seed, Ports: gos.Known, Run: gos.Run}, cover, msgs, nil
+	return &Collection{N: g.NumNodes(), Seed: seed, Ports: gos.Known, Run: gos.Run}, cover, gos.Run.Messages, nil
 }
 
 // Replay reconstructs node v's exact t-ball from the collection and

@@ -190,9 +190,7 @@ func TestMetricsSinkSnapshotUnderConcurrentRuns(t *testing.T) {
 // TestRoundLedgerOffBitIdentical runs every registered scheme with the
 // per-round ledger enabled and disabled and requires identical observable
 // results: same outputs, same total bill, same phase ledger. Disabling the
-// ledger is a memory knob, never a semantics knob — in particular the
-// gossip-backed schemes' cover-round billing must survive on the compact
-// arrival-round record.
+// ledger is a memory knob, never a semantics knob: no bill reads it.
 func TestRoundLedgerOffBitIdentical(t *testing.T) {
 	g := metricsGraph()
 	spec := repro.MaxID(3)

@@ -182,9 +182,8 @@ func WithSpannerParams(k, h int, c float64) Option {
 // schedules need (slow gossip covers, hybrid seeding, CONGEST dilation):
 // outputs, phase costs, and the streamed RoundCompleted events are all
 // unchanged, so pairing the option with a MetricsSink retains bounded
-// per-round statistics; only the unbounded PerRound slices are dropped. The gossip-backed schemes keep their exact cover-round billing
-// through a compact record of cumulative counts at arrival rounds, so
-// results are bit-identical with the ledger on or off.
+// per-round statistics; only the unbounded PerRound slices are dropped. No
+// bill reads the ledger, so results are bit-identical with it on or off.
 func WithRoundLedger(on bool) Option { return func(o *Options) { o.RoundLedger = on } }
 
 // WithNoCache disables the engine's stage-1 spanner cache, forcing every
@@ -215,8 +214,9 @@ func WithObserver(obs Observer) Option {
 // collection, gossip, and replayed-execution stages feel the profile. Named
 // profiles ship in the internal registry; resolve them through the serve
 // API or cmd/simulate's -adversary flag, or construct an AdversaryProfile
-// literal here.
+// literal here. The option keeps its own copy of p, slices included.
 func WithAdversary(p AdversaryProfile) Option {
+	p = p.Clone()
 	return func(o *Options) { o.Adversary = &p }
 }
 
