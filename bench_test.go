@@ -296,11 +296,33 @@ func BenchmarkReplay(b *testing.B) {
 // BenchmarkReplayAll replays every node of BenchmarkReplay's collection in
 // one sequential sweep: the facade's replay phase at WithConcurrency(0). Its
 // allocs/op is CI's replay allocation gate (cmd/bench -ceiling): a sweep
-// that rebuilds each ball into reused buffers allocates little beyond the
-// protocol instances, while per-replay engine setup costs thousands of
-// allocations per node.
+// that rebuilds each ball into reused buffers and builds protocol instances
+// only inside each ball's light cone allocates little beyond those
+// instances, while per-replay engine setup costs thousands of allocations
+// per node.
 func BenchmarkReplayAll(b *testing.B) {
 	g := gen.ConnectedGNP(300, 0.05, xrand.New(4))
+	spec := repro.MaxID(3)
+	coll, err := simulate.Collect(context.Background(), g, g, spec.T, 7, local.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := coll.ReplayAllN(context.Background(), spec, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReplayAllSparse is the replay sweep in the paper's regime, t
+// much smaller than the diameter: every node of a GNP(1024, avg deg 8)
+// collection, collected on itself, replays MaxID(3) in one sequential
+// sweep. Most of each replay graph lies outside the ball's light cone, so
+// this is where per-node step horizons pay off.
+func BenchmarkReplayAllSparse(b *testing.B) {
+	g := gen.ConnectedGNP(1024, 8.0/1023, xrand.New(4))
 	spec := repro.MaxID(3)
 	coll, err := simulate.Collect(context.Background(), g, g, spec.T, 7, local.Config{})
 	if err != nil {

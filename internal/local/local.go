@@ -48,6 +48,12 @@
 // memory once. RunCtx is a run on a fresh Runner; both share one engine.
 // Adversary state (the delay ring, the edge-event graph clone) and the
 // worker pool are still built per run.
+//
+// Config.Horizon bounds each node's steps: a node steps only in rounds
+// below its horizon, then retires as if it had halted, and nothing is
+// staged for a receiver that will not step again. A ball replay uses it to
+// run only the light cone of the replayed node; without a horizon the hot
+// path pays one nil check per send and per delivery shard.
 package local
 
 import (
@@ -176,6 +182,21 @@ type Config struct {
 	// network byte-identical to historical behaviour. When the profile has
 	// edge events the engine runs on a private clone of the input graph.
 	Adversary *adversary.Adversary
+	// Horizon, if non-nil, gives every node a step horizon: node v steps
+	// only in rounds < Horizon[v] and then retires, which ends its
+	// participation exactly as a halt does (it counts as halted in
+	// Result.Halted). A horizon of at least MaxRounds does not cut the run
+	// short, so that node never retires: it counts as halted only if it
+	// halts. A node with horizon <= 0 is never built — the factory is not
+	// called for it — and never steps, but keeps its edges, so its
+	// neighbours still see their true degree. A send to a node that retires
+	// before the next round is never staged: it is neither delivered nor
+	// counted in Messages, so a horizon run bills only the traffic that
+	// reaches a stepping node. It exists for the light-cone ball replays of
+	// internal/simulate. Horizon must cover every node and cannot be
+	// combined with an Adversary. nil leaves every node stepping until it
+	// halts.
+	Horizon []int32
 }
 
 // DefaultMaxRounds bounds runaway protocols.
@@ -345,6 +366,9 @@ func (e *Env) Send(edge graph.EdgeID, payload any) {
 	e.hint = int32(i + 1)
 	to := e.peers[i]
 	r := e.run
+	if h := r.cfg.Horizon; h != nil && r.retires(h[to]) {
+		return // the receiver retires before it could read the message
+	}
 	bucket := &r.stages[e.shard][int(to)/r.chunk]
 	//freelunch:allocok amortized: staging buckets are truncated and reused across rounds, steady state grows nothing
 	*bucket = append(*bucket, stagedMsg{edge: edge, to: to, seq: e.seq, body: payload})
@@ -518,6 +542,14 @@ func (rn *Runner) Run(ctx context.Context, g *graph.Graph, f Factory, cfg Config
 	n := g.NumNodes()
 	if cfg.IDMap != nil && len(cfg.IDMap) != n {
 		return Result{}, fmt.Errorf("local: IDMap covers %d of %d nodes", len(cfg.IDMap), n)
+	}
+	if cfg.Horizon != nil {
+		if len(cfg.Horizon) != n {
+			return Result{}, fmt.Errorf("local: Horizon covers %d of %d nodes", len(cfg.Horizon), n)
+		}
+		if cfg.Adversary != nil {
+			return Result{}, fmt.Errorf("local: Horizon cannot be combined with an Adversary")
+		}
 	}
 	if cfg.Adversary != nil {
 		profile := cfg.Adversary.Profile()
@@ -696,6 +728,7 @@ func (r *run) reset(f Factory) {
 	r.envs = resize(r.envs, n)
 	r.protos = resize(r.protos, n)
 	r.inbox = resize(r.inbox, n)
+	active := n
 	for v := 0; v < n; v++ {
 		idx := graph.NodeID(v)
 		id := idx
@@ -710,10 +743,16 @@ func (r *run) reset(f Factory) {
 			rng:    root.Derived(uint64(id)),
 			counts: r.envs[v].counts[:0],
 		}
+		if h := r.cfg.Horizon; h != nil && h[v] <= 0 {
+			// Retired before round 0: no protocol, no step, no inbox.
+			r.envs[v].halted = true
+			active--
+			continue
+		}
 		r.protos[v] = f(id)
 	}
 	r.buildPortViews()
-	r.active.Store(int64(n))
+	r.active.Store(int64(active))
 }
 
 // release ends a run on every return path: it empties every inbox and
@@ -738,6 +777,11 @@ func (r *run) release() {
 	r.adv, r.advEdges, r.future = nil, false, nil
 }
 
+// stepOne runs node v's step for the round unless it has halted or
+// retired; retirement at a horizon is marked by delivery (retire), so a
+// horizon costs this path nothing.
+//
+//freelunch:noalloc
 func (r *run) stepOne(v int, round int) {
 	env := &r.envs[v]
 	if env.halted {
@@ -818,6 +862,9 @@ func (r *run) deliverShard(w, lo, hi int) {
 		clear(r.inbox[v])
 		r.inbox[v] = r.inbox[v][:0]
 	}
+	if h := r.cfg.Horizon; h != nil {
+		r.retire(h, lo, hi)
+	}
 	for ws := 0; ws < r.nshards; ws++ {
 		bucket := r.stages[ws][w]
 		t.sent += int64(len(bucket))
@@ -838,6 +885,34 @@ func (r *run) deliverShard(w, lo, hi int) {
 	}
 }
 
+// retires reports whether a node with horizon h retires before the next
+// round. A horizon of at least MaxRounds never ends a node's run early, so
+// such a node never retires and halts only by its own Halt.
+func (r *run) retires(h int32) bool {
+	next := r.round + 1
+	return int(h) <= next && next < r.cfg.MaxRounds
+}
+
+// retire marks halted every node in [lo, hi) that retires before the next
+// round, so it steps no more and the run can end once only retired and
+// halted nodes remain. Sends to such a node were never staged (Env.Send),
+// so nothing is in flight to it. Each delivery worker retires only its own
+// shard, between the round's step and the next.
+//
+//freelunch:noalloc
+func (r *run) retire(h []int32, lo, hi int) {
+	var n int64
+	for v := lo; v < hi; v++ {
+		if env := &r.envs[v]; !env.halted && r.retires(h[v]) {
+			env.halted = true
+			n++
+		}
+	}
+	if n > 0 {
+		r.active.Add(-n)
+	}
+}
+
 // buildPortViews (re)assembles every node's sorted port and peer-index views
 // from the run's current graph into two flat backing arrays, rewritten in
 // place. It runs once at setup and again after each adversarial topology
@@ -847,7 +922,13 @@ func (r *run) buildPortViews() {
 	m := r.g.NumEdges()
 	r.portsAll = slices.Grow(r.portsAll[:0], 2*m)
 	r.peersAll = slices.Grow(r.peersAll[:0], 2*m)
+	hor := r.cfg.Horizon
 	for v := 0; v < n; v++ {
+		if hor != nil && hor[v] <= 0 {
+			// Never built and never stepped: nothing reads its own ports.
+			r.envs[v].ports, r.envs[v].peers = nil, nil
+			continue
+		}
 		idx := graph.NodeID(v)
 		// Sort a scratch copy of the incident list by edge ID, then emit
 		// ports and peer indices side by side: the two views stay parallel

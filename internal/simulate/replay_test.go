@@ -21,14 +21,19 @@ import (
 )
 
 // TestReplayAllNMatchesSequential is the acceptance check for the parallel
-// replay path and its per-worker replayers. On complete, torus, path and
-// GNP graphs, with MaxID and MIS at t in {1, 2, 3} and MIS at its default
-// budget, ReplayAllN at every tested concurrency must equal per-node
-// Replay, and so must one replayer driven through every collection in turn
-// — networks that grow and shrink, balls with synthetic phantoms
-// (collected over t rounds) and with known-origin phantoms (collected over
-// t+1). A leak of any scratch state between replays or collections shows
-// up as a differing output.
+// replay path, its per-worker replayers, and light-cone replay. On
+// complete, torus, path and GNP graphs, with MaxID and MIS at t in
+// {1, 2, 3} and MIS at its default budget, every node's replay must equal
+// the all-stepping reference replay of the same ball — from a fresh
+// Replay, from ReplayAllN at every tested concurrency, and from one
+// replayer driven through every collection in turn: networks that grow and
+// shrink, balls with synthetic phantoms at the rim (collected over t
+// rounds), with known-origin phantoms (collected over t+1), and incomplete
+// copies of each collection, whose missing origins put synthetic phantoms
+// inside the ball, where they must step. Every replay of a complete
+// collection must succeed; an incomplete one may fail only with the
+// reference's error. A leak of any scratch state between replays or
+// collections shows up as a differing output.
 func TestReplayAllNMatchesSequential(t *testing.T) {
 	ctx := context.Background()
 	graphs := []struct {
@@ -53,26 +58,9 @@ func TestReplayAllNMatchesSequential(t *testing.T) {
 					t.Fatal(err)
 				}
 				name := fmt.Sprintf("%s/%s/t=%d/rounds=%d", gc.name, spec.Name, spec.T, rounds)
-				want := make([]any, gc.g.NumNodes())
-				for v := range want {
-					if want[v], err = coll.Replay(spec, graph.NodeID(v)); err != nil {
-						t.Fatalf("%s node %d: %v", name, v, err)
-					}
-					got, err := shared.replay(coll, spec, graph.NodeID(v))
-					if err != nil || got != want[v] {
-						t.Fatalf("%s node %d: shared replayer (%v, %v), fresh %v", name, v, got, err, want[v])
-					}
-				}
-				for _, conc := range []int{0, 1, 2, 3, 8, -1} {
-					got, err := coll.ReplayAllN(ctx, spec, conc)
-					if err != nil {
-						t.Fatalf("%s conc=%d: %v", name, conc, err)
-					}
-					for v := range want {
-						if got[v] != want[v] {
-							t.Fatalf("%s conc=%d node %d: %v, per-node replay %v", name, conc, v, got[v], want[v])
-						}
-					}
+				checkReplays(t, name, &shared, coll, spec, true, 0, 1, 2, 3, 8, -1)
+				for _, drop := range [][2]int{{3, 1}, {4, 0}, {7, 2}} {
+					checkReplays(t, fmt.Sprintf("%s/drop%d:%d", name, drop[0], drop[1]), &shared, dropOrigins(coll, drop[0], drop[1]), spec, false, 0)
 				}
 			}
 		}

@@ -13,12 +13,20 @@
 // Collection.Ports is broadcast.Result.Known, origin → port list, as the
 // flood or gossip left it.
 //
+// Replay runs only the light cone of the replayed node v. After t rounds,
+// v's output depends on a node at distance d only through that node's
+// steps in rounds 0..t-d (the t-ball view of LOCAL), so each node of the
+// replay graph gets the step horizon t+1-d (local.Config.Horizon): nodes at
+// the rim step once, and phantoms beyond the ball are never built. The
+// replayer's rebuild doc comment proves the rule exact.
+//
 // Replay is the end-to-end hot path, so it works on reused scratch: a
-// replayer rebuilds a ball into buffers it keeps (an edge-owner table,
-// NodeID-indexed slots, the ball and phantom lists, one graph reset in
-// place) and runs it on one local.Runner. ReplayAllN keeps one replayer per
-// worker, so a sweep's steady-state replay allocates little beyond the
-// protocol instances; Replay is a single replay on a fresh replayer.
+// replayer rebuilds a ball into buffers it keeps (a flat, epoch-stamped
+// edge-owner table, NodeID-indexed slots, the ball and phantom lists, one
+// graph reset in place and filled in edge-ID order) and runs it on one
+// local.Runner. ReplayAllN keeps one replayer per worker, so a sweep's
+// steady-state replay allocates little beyond the protocol instances;
+// Replay is a single replay on a fresh replayer.
 //
 // Scheme1Src realizes Theorem 3's first trade-off (spanner built by
 // algorithm Sampler, then one collection); Scheme2WithSrc realizes the
@@ -29,8 +37,10 @@
 package simulate
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -161,22 +171,34 @@ func (c *Collection) ReplayAllN(ctx context.Context, spec algorithms.Spec, concu
 }
 
 // replayer holds one worker's scratch for ball replays. Every buffer is
-// truncated or cleared per replay and regrown only when a ball outgrows it,
-// and the replay graph and the engine are rebuilt in place (graph.Reset,
-// local.Runner), so a worker's steady-state replay allocates little beyond
-// the protocol instances themselves. A replayer serves any collection; it
-// is not safe for concurrent use.
+// truncated, or invalidated by an epoch bump, per replay and regrown only
+// when a ball outgrows it, and the replay graph and the engine are rebuilt
+// in place (graph.Reset, local.Runner), so a worker's steady-state replay
+// allocates little beyond the protocol instances themselves. A replayer
+// serves any collection; it is not safe for concurrent use.
 type replayer struct {
-	owners map[graph.EdgeID]int32 // edge → index into recs
+	// owners is an open-addressing table from edge ID to an index into
+	// recs. A slot belongs to the current replay iff its epoch is r.epoch,
+	// so starting a replay empties the table by bumping the epoch.
+	owners []ownerSlot
+	shift  uint8 // 64 - log2(len(owners)): the Fibonacci hash keeps the top bits
+	epoch  uint32
 	recs   []edgeOwners
-	// mark is NodeID-indexed: -1 for a node the current replay has not
-	// touched, otherwise its slot in the replay graph (0 while the BFS
-	// discovers the ball). Every touched node is listed in nodes, through
-	// which mark is reset before each replay returns, error returns
-	// included.
+	// origs lists the replayed node's known origins in map order, and slots
+	// holds the recs index of each of their ports, origin after origin, so
+	// the BFS and phantom passes read owners without hashing anything.
+	origs []knownOrigin
+	slots []int32
+	// known and mark are NodeID-indexed and -1 for a node the current
+	// replay has not touched. known[u] is u's index in origs; mark[u] is
+	// u's BFS distance from v while the BFS runs, then its replay-graph
+	// slot. Every touched node is listed in origs or nodes, through which
+	// both are reset before each replay returns, error returns included.
+	known []int32
 	mark  []int32
 	nodes []graph.NodeID // BFS queue, then the sorted ball, then real phantoms
 	idmap []graph.NodeID // replay-graph slot → identity
+	hor   []int32        // replay-graph slot → step horizon (local.Config.Horizon)
 	pends []pendEdge
 	rg    graph.Graph
 	run   local.Runner
@@ -189,13 +211,28 @@ type replayer struct {
 	vp      local.Protocol
 }
 
+// ownerSlot is one owners-table entry: an edge ID, the epoch of the replay
+// that inserted it, and its record's index in recs.
+type ownerSlot struct {
+	e     graph.EdgeID
+	epoch uint32
+	rec   int32
+}
+
 // edgeOwners records the collected origins whose port lists name one edge:
 // the first two (a, b) and their count n. Two owners make the edge; one
 // makes it a boundary edge; more is corruption.
 type edgeOwners struct {
 	a, b graph.NodeID
 	n    int32
-	seen bool // already emitted as a replay-graph edge
+}
+
+// knownOrigin is one origin the replayed node heard of: its port list and
+// the offset of that list's owner records in the replayer's slots.
+type knownOrigin struct {
+	id    graph.NodeID
+	at    int32
+	ports []graph.EdgeID
 }
 
 // pendEdge is one replay-graph edge between slots a and b.
@@ -206,7 +243,9 @@ type pendEdge struct {
 
 // replay rebuilds v's ball from c into the replayer's buffers and re-executes
 // spec on it with original identities, original network size, and the
-// original seed, so every ball node behaves exactly as in the real run.
+// original seed, so every ball node behaves exactly as in the real run. Each
+// node steps only up to its light-cone horizon (see rebuild), and v's
+// horizon is the whole run, so the run has halted iff v has.
 func (r *replayer) replay(c *Collection, spec algorithms.Spec, v graph.NodeID) (any, error) {
 	if err := r.rebuild(c, spec.T, v); err != nil {
 		return nil, err
@@ -227,6 +266,7 @@ func (r *replayer) replay(c *Collection, spec algorithms.Spec, v graph.NodeID) (
 		IDMap:     r.idmap,
 		NOverride: c.N,
 		NoLedger:  true,
+		Horizon:   r.hor,
 	})
 	if err != nil {
 		return nil, err
@@ -237,22 +277,45 @@ func (r *replayer) replay(c *Collection, spec algorithms.Spec, v graph.NodeID) (
 	return spec.Output(r.vp), nil
 }
 
-// rebuild reconstructs v's t-ball from c into r.rg and r.idmap.
+// rebuild reconstructs v's t-ball from c into r.rg, r.idmap and r.hor.
 //
 // Adjacency among known origins comes from shared edge IDs: an edge ID in
 // two port lists connects the two origins (the unique-edge-ID assumption
-// at work). The ball is every origin within distance t of v; for targets
-// within t these distances equal original-graph distances, because every
-// vertex of a shortest path of length <= t lies in B_{G,t}(v), which the
-// collection covers. Ball members take slots in ascending ID order.
+// at work). One pass over v's collection records every known origin; a
+// second pairs the owners of every edge in the owners table, checking all
+// known origins, in or out of the ball. The ball is every origin within
+// distance t of v; for targets within t these distances equal
+// original-graph distances, because every vertex of a shortest path of
+// length <= t lies in B_{G,t}(v), which the collection covers. Ball members
+// take slots in ascending ID order.
 //
 // Edges leaving the ball get their far endpoint as a "phantom" node — the
 // known origin beyond distance t when the collection heard of it, or a
 // synthetic node otherwise, with identities counting up from c.N.
-// Phantoms take slots in discovery order. They sit at distance >= t+1 from
-// v, so their (arbitrary) behaviour cannot influence v within t rounds;
-// they exist so that boundary nodes of the ball see their true degree.
-// Edges are inserted in (ball node ascending, port order).
+// Phantoms take slots in discovery order (ball node ascending, port order)
+// and exist so that boundary nodes of the ball see their true degree.
+// Edges are inserted in ascending ID order, so the replay graph's ID index
+// only ever appends; the engine orders ports by edge ID, so insertion order
+// changes no execution.
+//
+// The horizon of a node at distance d from v in the replay graph is
+// t+1-d: it steps in rounds 0..t-d only. This is exact. By induction on r,
+// a node u at distance d takes the same step in every round r <= t-d as in
+// a run where every node steps all t+1 rounds. Its round-0 inbox is empty.
+// Its round-r inbox holds what its neighbours sent in round r-1; each sits
+// at some distance d' <= d+1, so r-1 <= t-d' lies within its horizon, by
+// induction it sent the same messages, and all of them were staged because
+// u still steps in round r. v, at distance 0, has horizon t+1, the whole
+// run, so it never retires and computes exactly what it would if every
+// node stepped.
+//
+// Distances come from the BFS. A ball node at distance d is BFS level d. A
+// known-origin phantom hangs only off level t (anything nearer would be in
+// the ball), so it sits at t+1 and gets horizon 0: it is never built. A
+// synthetic phantom has one edge, to its ball node at distance d, so it
+// gets t-d. That is 0 on a complete collection, but an incomplete one (an
+// adversary dropped messages) can put a synthetic phantom at distance
+// d+1 <= t, and there it must step.
 //
 // A corrupt collection fails with an error: an origin outside [0, c.N)
 // (which would alias a synthetic phantom), an edge claimed by more than two
@@ -264,68 +327,54 @@ func (r *replayer) rebuild(c *Collection, t int, v graph.NodeID) error {
 		//freelunch:allocok error path: formats once and ends the replay
 		return fmt.Errorf("simulate: replay of node %d outside [0, %d)", v, c.N)
 	}
-	if r.owners == nil {
-		//freelunch:allocok once per replayer: the table is cleared, not re-made, per replay
-		r.owners = make(map[graph.EdgeID]int32)
-	}
 	for len(r.mark) < c.N {
 		//freelunch:allocok amortized: grows to the largest network once per replayer
 		r.mark = append(r.mark, -1)
+		//freelunch:allocok amortized: grows to the largest network once per replayer
+		r.known = append(r.known, -1)
 	}
 	defer r.unmark()
-	known := c.Ports[v]
-	clear(r.owners)
-	r.recs = r.recs[:0]
 	var (
 		badOrigin graph.NodeID
-		badEdge   graph.EdgeID
 		forged    bool // some origin lies outside [0, c.N); badOrigin is the smallest
-		claimed   bool // some edge has three or more owners; badEdge is the smallest
+		nports    int
 	)
-	//freelunch:orderok owner order only pairs edge endpoints, and both errors report the smallest offender
-	for origin, ports := range known {
+	known := c.Ports[v]
+	//freelunch:allocok amortized: grows to the largest collection once per replayer
+	r.origs = slices.Grow(r.origs, len(known))
+	//freelunch:orderok origin order only pairs edge endpoints, and the error reports the smallest offender
+	for origin, ps := range known {
 		if int(origin) < 0 || int(origin) >= c.N {
 			if !forged || origin < badOrigin {
 				badOrigin, forged = origin, true
 			}
 			continue
 		}
-		for _, e := range ports {
-			k, ok := r.owners[e]
-			if !ok {
-				r.owners[e] = int32(len(r.recs))
-				//freelunch:allocok amortized: truncated and reused across replays
-				r.recs = append(r.recs, edgeOwners{a: origin, n: 1})
-				continue
-			}
-			o := &r.recs[k]
-			if o.n == 1 {
-				o.b = origin
-			}
-			if o.n++; o.n == 3 && (!claimed || e < badEdge) {
-				badEdge, claimed = e, true
-			}
-		}
+		r.known[origin] = int32(len(r.origs))
+		//freelunch:allocok amortized: truncated and reused across replays
+		r.origs = append(r.origs, knownOrigin{id: origin, at: int32(nports), ports: ps})
+		nports += len(ps)
 	}
 	if forged {
 		//freelunch:allocok error path: formats once and ends the replay
 		return fmt.Errorf("simulate: node %d heard of origin %d outside [0, %d)", v, badOrigin, c.N)
 	}
-	if claimed {
+	if bad, claimed := r.pair(nports); claimed {
 		//freelunch:allocok error path: formats once and ends the replay
-		return fmt.Errorf("simulate: edge %d claimed by %d nodes", badEdge, r.recs[r.owners[badEdge]].n)
+		return fmt.Errorf("simulate: edge %d claimed by %d nodes", bad, r.recs[r.owner(bad)].n)
 	}
 
 	// Level-synchronous BFS from v over two-owner edges, expanding levels
-	// 0..t-1, so the queue ends as exactly the ball.
+	// 0..t-1, so the queue ends as exactly the ball; mark holds distances.
 	//freelunch:allocok amortized: truncated and reused across replays
 	r.nodes = append(r.nodes[:0], v)
 	r.mark[v] = 0
 	for d, lo := 0, 0; d < t && lo < len(r.nodes); d++ {
 		for hi := len(r.nodes); lo < hi; lo++ {
 			u := r.nodes[lo]
-			for _, e := range known[u] {
-				o := &r.recs[r.owners[e]]
+			_, recs := r.origin(u)
+			for _, k := range recs {
+				o := &r.recs[k]
 				if o.n != 2 {
 					continue
 				}
@@ -334,7 +383,7 @@ func (r *replayer) rebuild(c *Collection, t int, v graph.NodeID) error {
 					w = o.b
 				}
 				if r.mark[w] < 0 {
-					r.mark[w] = 0
+					r.mark[w] = int32(d + 1)
 					//freelunch:allocok amortized: truncated and reused across replays
 					r.nodes = append(r.nodes, w)
 				}
@@ -342,41 +391,54 @@ func (r *replayer) rebuild(c *Collection, t int, v graph.NodeID) error {
 		}
 	}
 	slices.Sort(r.nodes)
+	ball := len(r.nodes)
 	//freelunch:allocok amortized: truncated and reused across replays
 	r.idmap = append(r.idmap[:0], r.nodes...)
+	r.hor = r.hor[:0]
 	for i, u := range r.nodes {
+		//freelunch:allocok amortized: truncated and reused across replays
+		r.hor = append(r.hor, int32(t+1)-r.mark[u])
 		r.mark[u] = int32(i)
 	}
 
-	ball := len(r.nodes)
+	// Emit every edge with a ball endpoint once: an edge between two ball
+	// nodes from its lower slot, any other from its one ball node.
 	synth := graph.NodeID(c.N) // synthetic phantom identities start beyond all real IDs
 	r.pends = r.pends[:0]
 	for a := 0; a < ball; a++ {
 		u := r.nodes[a]
-		for _, e := range known[u] {
-			o := &r.recs[r.owners[e]]
-			if o.seen {
-				continue
-			}
-			o.seen = true
+		ports, recs := r.origin(u)
+		for i, k := range recs {
+			e := ports[i]
+			own := &r.recs[k]
 			b := int32(len(r.idmap))
-			if o.n == 2 {
-				far := o.a
+			if own.n == 2 {
+				far := own.a
 				if far == u {
-					far = o.b
+					far = own.b
 				}
-				if r.mark[far] >= 0 {
-					b = r.mark[far]
-				} else {
+				switch m := r.mark[far]; {
+				case m == int32(a):
+					//freelunch:allocok error path: formats once and ends the replay
+					return fmt.Errorf("simulate: reconstructed self-loop on edge %d", e)
+				case m >= 0 && m < int32(a):
+					continue // a ball edge, emitted from its lower slot
+				case m >= 0:
+					b = m
+				default:
 					r.mark[far] = b
 					//freelunch:allocok amortized: truncated and reused across replays
 					r.nodes = append(r.nodes, far)
 					//freelunch:allocok amortized: truncated and reused across replays
 					r.idmap = append(r.idmap, far)
+					//freelunch:allocok amortized: truncated and reused across replays
+					r.hor = append(r.hor, 0)
 				}
 			} else {
 				//freelunch:allocok amortized: truncated and reused across replays
 				r.idmap = append(r.idmap, synth)
+				//freelunch:allocok amortized: truncated and reused across replays
+				r.hor = append(r.hor, r.hor[a]-1)
 				synth++
 			}
 			//freelunch:allocok amortized: truncated and reused across replays
@@ -384,12 +446,9 @@ func (r *replayer) rebuild(c *Collection, t int, v graph.NodeID) error {
 		}
 	}
 
+	slices.SortFunc(r.pends, func(p, q pendEdge) int { return cmp.Compare(p.e, q.e) })
 	r.rg.Reset(len(r.idmap))
 	for _, p := range r.pends {
-		if p.a == p.b {
-			//freelunch:allocok error path: formats once and ends the replay
-			return fmt.Errorf("simulate: reconstructed self-loop on edge %d", p.e)
-		}
 		if err := r.rg.AddEdgeWithID(p.e, graph.NodeID(p.a), graph.NodeID(p.b)); err != nil {
 			//freelunch:allocok error path: formats once and ends the replay
 			return fmt.Errorf("simulate: rebuilding ball of %d: %w", v, err)
@@ -398,7 +457,114 @@ func (r *replayer) rebuild(c *Collection, t int, v graph.NodeID) error {
 	return nil
 }
 
-// unmark resets every mark entry the current replay touched.
+// origin returns known origin u's port list and the recs index of each of
+// its ports; both are empty for an origin the replayed node never heard of
+// (only the replayed node itself can be one).
+//
+//freelunch:noalloc
+func (r *replayer) origin(u graph.NodeID) ([]graph.EdgeID, []int32) {
+	k := r.known[u]
+	if k < 0 {
+		return nil, nil
+	}
+	o := &r.origs[k]
+	return o.ports, r.slots[o.at : int(o.at)+len(o.ports)]
+}
+
+// pair records the owners of every port of every known origin in recs,
+// through the owners table, and each port's recs index in slots. It reports
+// the smallest edge with three or more owners, if any. The table is sized
+// for ports/2 distinct edges, which a complete collection names twice each,
+// at load 1/2, and grows on demand past that load.
+//
+//freelunch:noalloc
+func (r *replayer) pair(ports int) (bad graph.EdgeID, claimed bool) {
+	if r.epoch++; r.epoch == 0 {
+		clear(r.owners) // the epoch wrapped: no stale stamp may look current
+		r.epoch = 1
+	}
+	if len(r.owners) < ports {
+		r.grow(ports)
+	}
+	// Sized up front: slots exactly, recs for the distinct edges of a
+	// complete collection, so neither regrows through doubling.
+	//freelunch:allocok amortized: grows to the largest collection once per replayer
+	r.slots = slices.Grow(r.slots[:0], ports)
+	//freelunch:allocok amortized: grows to the largest collection once per replayer
+	r.recs = slices.Grow(r.recs[:0], ports/2)
+	for _, o := range r.origs {
+		for _, e := range o.ports {
+			k := r.owner(e)
+			own := &r.recs[k]
+			switch own.n {
+			case 0:
+				own.a = o.id
+			case 1:
+				own.b = o.id
+			}
+			if own.n++; own.n == 3 && (!claimed || e < bad) {
+				bad, claimed = e, true
+			}
+			//freelunch:allocok amortized: truncated and reused across replays
+			r.slots = append(r.slots, k)
+		}
+	}
+	return bad, claimed
+}
+
+// fib is 2^64 divided by the golden ratio: multiplying by it and keeping
+// the top bits spreads consecutive edge IDs over the owners table.
+const fib = 0x9e3779b97f4a7c15
+
+// owner returns e's index in recs, inserting a fresh record for an edge the
+// current replay has not seen.
+//
+//freelunch:noalloc
+func (r *replayer) owner(e graph.EdgeID) int32 {
+	mask := len(r.owners) - 1
+	for i := int(uint64(e) * fib >> r.shift); ; i = (i + 1) & mask {
+		s := &r.owners[i]
+		if s.epoch != r.epoch {
+			k := int32(len(r.recs))
+			*s = ownerSlot{e: e, epoch: r.epoch, rec: k}
+			//freelunch:allocok amortized: truncated and reused across replays
+			r.recs = append(r.recs, edgeOwners{})
+			if 2*len(r.recs) > len(r.owners) {
+				r.grow(2 * len(r.owners))
+			}
+			return k
+		}
+		if s.e == e {
+			return s.rec
+		}
+	}
+}
+
+// grow replaces the owners table by one of at least size slots (a power of
+// two, at least 16) holding the current replay's entries.
+//
+//freelunch:noalloc
+func (r *replayer) grow(size int) {
+	b := bits.Len(uint(max(size, 16) - 1))
+	old := r.owners
+	//freelunch:allocok amortized: the table only grows, to the largest collection once per replayer
+	r.owners = make([]ownerSlot, 1<<b)
+	r.shift = uint8(64 - b)
+	mask := len(r.owners) - 1
+	for _, s := range old {
+		if s.epoch != r.epoch {
+			continue
+		}
+		i := int(uint64(s.e) * fib >> r.shift)
+		for r.owners[i].epoch == r.epoch {
+			i = (i + 1) & mask
+		}
+		r.owners[i] = s
+	}
+}
+
+// unmark resets every known and mark entry the current replay touched and
+// drops its references to the collection's port lists.
 //
 //freelunch:noalloc
 func (r *replayer) unmark() {
@@ -406,6 +572,11 @@ func (r *replayer) unmark() {
 		r.mark[u] = -1
 	}
 	r.nodes = r.nodes[:0]
+	for _, o := range r.origs {
+		r.known[o.id] = -1
+	}
+	clear(r.origs)
+	r.origs = r.origs[:0]
 }
 
 // Direct runs the algorithm directly on g — the ground truth and the
