@@ -126,8 +126,10 @@ func TestAdversaryStarvationTyped(t *testing.T) {
 // pure-delay profile, the early-stopped gossip stage reports the exact
 // cover round and message bill of the unstopped fixed schedule
 // (broadcast.Gossip run for the same 100·n-round budget under the same
-// compiled adversary), whose cover round is recovered from its arrivals and
-// billed from its per-round ledger.
+// compiled adversary), billed from its per-round ledger. Its cover round is
+// the first r at which the fixed schedule clipped at r rounds has covered
+// every ball: nodes learn before they send, so the clipped run knows what
+// the full schedule knew through round r.
 func TestGossipEarlyStopUnderDelayExactBill(t *testing.T) {
 	g := goldenGraph()
 	const seed, tBall = 5, 3
@@ -143,22 +145,29 @@ func TestGossipEarlyStopUnderDelayExactBill(t *testing.T) {
 
 	payloads := make([][]repro.EdgeID, g.NumNodes())
 	cfg := local.Config{Seed: seed, Adversary: adversary.Compile(delay, seed)}
-	full, _, err := broadcast.Gossip(context.Background(), g, payloads, nil, 0, 100*g.NumNodes(), cfg)
+	schedule := 100 * g.NumNodes()
+	full, _, err := broadcast.Gossip(context.Background(), g, payloads, nil, 0, schedule, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The cover round: the latest round at which some node heard the last
-	// member of its ball.
 	bi := broadcast.NewBallIndex(g, tBall)
-	cover := 0
-	for v, heard := range full.Arrival {
-		for u := range bi.Members(repro.NodeID(v)) {
-			r, ok := heard[u]
-			if !ok {
-				t.Fatalf("node %d never heard ball member %d in the fixed schedule", v, u)
-			}
-			cover = max(cover, r)
+	cover := -1
+	for r := 0; r <= schedule && cover < 0; r++ {
+		clipped, _, err := broadcast.Gossip(context.Background(), g, payloads, nil, 0, r, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		cover = r
+		for v, known := range clipped.Known {
+			for u := range bi.Members(repro.NodeID(v)) {
+				if _, ok := known[u]; !ok {
+					cover = -1
+				}
+			}
+		}
+	}
+	if cover < 0 {
+		t.Fatalf("the fixed schedule never covered every %d-ball", tBall)
 	}
 	var bill int64
 	for _, m := range full.Run.PerRound[:cover+1] {

@@ -1,0 +1,177 @@
+package repro_test
+
+// Damage attribution under the adversary: every run, whichever scheme and
+// profile, bills each phase's drops and duplicates inside its own message
+// count, sums its phases to its totals, fails only with the typed budget
+// errors, and renders identically on both engines. The invariant test pins
+// this for every shipped profile and every registered scheme; the fuzz
+// target explores profiles, graphs and schemes beyond them.
+
+import (
+	"context"
+	"errors"
+	"testing"
+	"time"
+
+	"repro"
+	"repro/internal/graph/gen"
+)
+
+// checkAttribution asserts the accounting invariants of one run's outcome:
+// a failure is typed, and a success has 0 <= Dropped <= Messages and
+// 0 <= Duplicated <= Messages in every phase, with the phases summing to
+// the run's Rounds and Messages.
+func checkAttribution(t *testing.T, label string, res *repro.SimulationResult, err error) {
+	t.Helper()
+	if err != nil {
+		if !errors.Is(err, repro.ErrRoundBudget) && !errors.Is(err, repro.ErrDeadline) {
+			t.Fatalf("%s: untyped failure: %v", label, err)
+		}
+		return
+	}
+	var rounds int
+	var messages int64
+	for _, ph := range res.Phases {
+		if ph.Dropped < 0 || ph.Dropped > ph.Messages {
+			t.Fatalf("%s: phase %s dropped %d of %d messages", label, ph.Name, ph.Dropped, ph.Messages)
+		}
+		if ph.Duplicated < 0 || ph.Duplicated > ph.Messages {
+			t.Fatalf("%s: phase %s duplicated %d of %d messages", label, ph.Name, ph.Duplicated, ph.Messages)
+		}
+		rounds += ph.Rounds
+		messages += ph.Messages
+	}
+	if rounds != res.Rounds || messages != res.Messages {
+		t.Fatalf("%s: phases sum to %d rounds and %d messages, run reports %d and %d",
+			label, rounds, messages, res.Rounds, res.Messages)
+	}
+}
+
+// TestAdversaryDamageAttribution runs every shipped adversary profile
+// against every registered scheme, on the sequential engine and a
+// two-worker pool, and requires each run to satisfy checkAttribution and
+// both engines to render the same result or error.
+func TestAdversaryDamageAttribution(t *testing.T) {
+	g := goldenGraph()
+	spec := repro.MaxID(3)
+	for _, name := range repro.AdversaryProfiles() {
+		profile, ok := repro.NamedAdversary(name)
+		if !ok {
+			t.Fatalf("shipped profile %q did not resolve", name)
+		}
+		for _, s := range repro.Schemes() {
+			t.Run(name+"/"+s.Name(), func(t *testing.T) {
+				var renders [2]string
+				for i, workers := range []int{0, 2} {
+					eng := repro.NewEngine(
+						repro.WithSeed(5),
+						repro.WithConcurrency(workers),
+						repro.WithAdversary(profile),
+					)
+					res, err := eng.RunScheme(context.Background(), s, g, spec)
+					checkAttribution(t, s.Name(), res, err)
+					renders[i] = renderRunOrError(res, err)
+				}
+				if renders[0] != renders[1] {
+					t.Fatalf("workers=2 drifted from the sequential engine:\n--- concurrent ---\n%s--- sequential ---\n%s",
+						renders[1], renders[0])
+				}
+			})
+		}
+	}
+}
+
+// fuzzRoundBudget is the round budget of every fuzzed run. The flawless
+// network finishes every registered scheme on every decodable graph well
+// inside it, so a budget failure is the adversary's doing.
+const fuzzRoundBudget = 4000
+
+// FuzzAdversaryProfile decodes fuzz bytes into an adversary profile (seed,
+// drop and duplication rates in [0, 1], delay bound <= 3, at most 3 crashes
+// and at most 3 edge events), a small generated graph (n <= 32), a
+// registered scheme and a MaxID radius, and runs the scheme on the
+// sequential engine and a two-worker pool under a round budget the flawless
+// network meets and a generous deadline as a hang guard. No run may panic;
+// every error must be typed; a successful run must satisfy
+// checkAttribution; and the two engines must render the same outcome
+// unless the wall clock cut one of them short. A profile that perturbs
+// nothing must succeed.
+func FuzzAdversaryProfile(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 10 {
+			return
+		}
+		families := []string{"gnp", "torus", "path", "tree", "regular", "cycle", "grid", "pa", "star", "complete"}
+		gs := gen.Spec{
+			Family: families[int(data[0])%len(families)],
+			N:      2 + int(data[1])%31,
+			Degree: float64(2 + int(data[2])%4),
+			Seed:   uint64(data[3]),
+		}
+		g, err := gen.Build(gs)
+		if err != nil || g.NumNodes() > 32 {
+			return // a shape the family rejects
+		}
+		schemes := repro.Schemes()
+		s := schemes[int(data[4])%len(schemes)]
+		spec := repro.MaxID(1 + int(data[5])%3)
+		profile := repro.AdversaryProfile{
+			Seed:       uint64(data[6]),
+			DropRate:   float64(data[7]) / 255,
+			DupRate:    float64(data[8]) / 255,
+			DelayBound: int(data[9]) % 4,
+		}
+		rest := data[10:]
+		if len(rest) > 0 {
+			crashes := int(rest[0]) % 4
+			rest = rest[1:]
+			for ; crashes > 0 && len(rest) >= 2; crashes-- {
+				profile.Crashes = append(profile.Crashes, repro.AdversaryCrash{
+					Node:  repro.NodeID(rest[0] % 40),
+					Round: int(rest[1] % 32),
+				})
+				rest = rest[2:]
+			}
+		}
+		if len(rest) > 0 {
+			events := int(rest[0]) % 4
+			rest = rest[1:]
+			for ; events > 0 && len(rest) >= 3; events-- {
+				// Endpoints range past small graphs (the engine ignores such
+				// events) but never coincide: a self-loop is not an event.
+				u := repro.NodeID(rest[1] % 40)
+				v := (u + 1 + repro.NodeID(rest[2]%39)) % 40
+				ev := repro.AdversaryEdgeEvent{Round: int(rest[0] % 32), Op: repro.InsertEdge, U: u, V: v}
+				if rest[0]&0x80 != 0 {
+					ev.Op = repro.DeleteEdge
+				}
+				profile.EdgeEvents = append(profile.EdgeEvents, ev)
+				rest = rest[3:]
+			}
+		}
+
+		label := s.Name() + " on " + gs.Key()
+		var renders [2]string
+		deadline := false
+		for i, workers := range []int{0, 2} {
+			eng := repro.NewEngine(
+				repro.WithSeed(uint64(data[3])+1),
+				repro.WithConcurrency(workers),
+				repro.WithMaxRounds(fuzzRoundBudget),
+				repro.WithDeadline(time.Minute),
+				repro.WithAdversary(profile),
+			)
+			res, err := eng.RunScheme(context.Background(), s, g, spec)
+			checkAttribution(t, label, res, err)
+			if err != nil && profile.IsZero() {
+				t.Fatalf("%s: the flawless network failed: %v", label, err)
+			}
+			deadline = deadline || errors.Is(err, repro.ErrDeadline)
+			renders[i] = renderRunOrError(res, err)
+		}
+		if !deadline && renders[0] != renders[1] {
+			t.Fatalf("%s: workers=2 drifted from the sequential engine:\n--- concurrent ---\n%s--- sequential ---\n%s",
+				label, renders[1], renders[0])
+		}
+	})
+}

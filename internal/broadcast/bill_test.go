@@ -74,7 +74,7 @@ func TestBroadcastBillPin(t *testing.T) {
 			if err != nil {
 				return nil, 0, err
 			}
-			return r, coverRound(bi, r.Arrival), nil
+			return r, coverRound(t, g, payloads, bi, 30, local.Config{Seed: 5}), nil
 		}, bill{2360, 31, 396502, 8}},
 	}
 	for _, tc := range cases {

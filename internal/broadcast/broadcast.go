@@ -15,12 +15,12 @@
 //
 // Every primitive shares one rumor model. M_v is node v's port list, entry
 // v of a payload table [][]graph.EdgeID; a rumor is the bare origin ID v,
-// charged 1 + len(M_v) words wherever it travels. Each node keeps one map:
-// a flood node's Known (origin → M_o), a gossip node's Arrival (origin →
-// first round heard), from which Gossip derives Known after the run. A
-// Result's Known is the collection simulate replays from, and its Run is
-// the bill: a gossip run with a cover target ends at the barrier of its
-// cover round, so its Run and Known cover exactly rounds 0..cover.
+// charged 1 + len(M_v) words wherever it travels. Each node, flood or
+// gossip, keeps one map, its Known (origin → M_o), which is both its dedup
+// set and its result. A Result's Known is the collection simulate replays
+// from, and its Run is the bill: a gossip run with a cover target ends at
+// the barrier of its cover round, so its Run and Known cover exactly rounds
+// 0..cover.
 package broadcast
 
 import (
@@ -36,10 +36,6 @@ import (
 type Result struct {
 	// Known maps, per node, each heard origin u to its payload M_u.
 	Known []map[graph.NodeID][]graph.EdgeID
-	// Arrival maps, per node, each heard origin to the round it was first
-	// heard (own rumor: round 0). Only Gossip records it; floods leave it
-	// nil.
-	Arrival []map[graph.NodeID]int
 	// Covered counts the nodes that had heard every member of their ball
 	// when the run ended. Only Gossip with a ball index sets it.
 	Covered int
@@ -239,8 +235,8 @@ func (tr *arrivalTracker) learn(v, u graph.NodeID) {
 
 // gossipNode implements synchronous push–pull gossip: each round it pushes
 // its full rumor set over one uniformly random incident edge and answers
-// last round's pushes with its full set. Its one map, arrival, is the rumor
-// set; Gossip derives Known from it once, after the run. The rumor snapshot
+// last round's pushes with its full set. Its one map, known, is both the
+// dedup set and the result, as in floodNode. The rumor snapshot
 // and the push/pull envelopes are buffered by round parity — payloads sent
 // in round r are read in round r+1 (or as late as r+1+B under an adversary
 // with delay bound B, hence B+2 parities in the ring; two on the flawless
@@ -250,12 +246,13 @@ func (tr *arrivalTracker) learn(v, u graph.NodeID) {
 // therefore allocates only when the rumor set (and with it the snapshot
 // buffer) grows.
 type gossipNode struct {
-	t       int
-	track   *arrivalTracker
-	arrival map[graph.NodeID]int
-	replyTo []graph.EdgeID
-	push    []gossipPush
-	pull    []gossipPull
+	t        int
+	track    *arrivalTracker
+	payloads [][]graph.EdgeID
+	known    map[graph.NodeID][]graph.EdgeID
+	replyTo  []graph.EdgeID
+	push     []gossipPush
+	pull     []gossipPull
 }
 
 type gossipPush struct{ batch }
@@ -263,7 +260,7 @@ type gossipPull struct{ batch }
 
 func (p *gossipNode) Step(env *local.Env, round int, inbox []local.Message) {
 	if round == 0 {
-		p.arrival = map[graph.NodeID]int{env.ID(): 0}
+		p.known = map[graph.NodeID][]graph.EdgeID{env.ID(): p.payloads[env.ID()]}
 		p.track.learn(env.ID(), env.ID())
 	}
 	for _, m := range inbox {
@@ -276,8 +273,8 @@ func (p *gossipNode) Step(env *local.Env, round int, inbox []local.Message) {
 			in = &msg.batch
 		}
 		for _, o := range in.origins {
-			if _, ok := p.arrival[o]; !ok {
-				p.arrival[o] = round
+			if _, ok := p.known[o]; !ok {
+				p.known[o] = p.payloads[o]
 				p.track.learn(env.ID(), o)
 			}
 		}
@@ -309,8 +306,8 @@ func (p *gossipNode) Step(env *local.Env, round int, inbox []local.Message) {
 // flight for exactly one round).
 func (p *gossipNode) snapshot(parity int) []graph.NodeID {
 	out := p.pull[parity].origins[:0]
-	//freelunch:orderok receivers fold origins into their arrival map (a set); emission order is never observed
-	for o := range p.arrival {
+	//freelunch:orderok receivers fold origins into their known map (a set); emission order is never observed
+	for o := range p.known {
 		out = append(out, o)
 	}
 	p.pull[parity].origins = out
@@ -361,10 +358,11 @@ func Gossip(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, b
 	}
 	run, err := local.RunCtx(ctx, host, func(v graph.NodeID) local.Protocol {
 		nd := &gossipNode{
-			t:     rounds,
-			track: track,
-			push:  make([]gossipPush, parities),
-			pull:  make([]gossipPull, parities),
+			t:        rounds,
+			track:    track,
+			payloads: payloads,
+			push:     make([]gossipPush, parities),
+			pull:     make([]gossipPull, parities),
 		}
 		for i := range nd.push {
 			nd.push[i].payloads, nd.pull[i].payloads = payloads, payloads
@@ -377,16 +375,11 @@ func Gossip(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, b
 	}
 	res := &Result{
 		Known:   make([]map[graph.NodeID][]graph.EdgeID, n),
-		Arrival: make([]map[graph.NodeID]int, n),
 		Covered: int(track.covered.Load()),
 		Run:     run,
 	}
 	for v, nd := range nodes {
-		known := make(map[graph.NodeID][]graph.EdgeID, len(nd.arrival))
-		for o := range nd.arrival {
-			known[o] = payloads[o]
-		}
-		res.Known[v], res.Arrival[v] = known, nd.arrival
+		res.Known[v] = nd.known
 	}
 	return res, cover, nil
 }

@@ -25,36 +25,54 @@ func fixedGossip(t testing.TB, g *graph.Graph, payloads [][]graph.EdgeID, rounds
 	return res
 }
 
-// The fixed-schedule reference for the early stop: cover rounds recovered
-// after the run from the recorded arrivals, billed from the per-round
-// ledger. Gossip itself stops at its cover round and bills its own run; the
-// tests check it against these.
+// The fixed-schedule reference for the early stop: cover rounds found by
+// running the fixed schedule clipped at r rounds, billed from the per-round
+// ledger. Nodes learn before they send, so the clipped run's Known is the
+// full schedule's Known through round r, with or without an adversary.
+// Gossip itself stops at its cover round and bills its own run; the tests
+// check it against these.
 
-// coverRounds returns, per node, the earliest round by which every ball
-// member's rumor had arrived, or -1 if the run ended first.
-func coverRounds(bi *BallIndex, arrival []map[graph.NodeID]int) []int {
+// coverRounds returns, per node, the earliest round r <= rounds by which
+// every ball member's rumor had arrived under the fixed schedule, or -1 if
+// no such round exists.
+func coverRounds(t testing.TB, g *graph.Graph, payloads [][]graph.EdgeID, bi *BallIndex, rounds int, cfg local.Config) []int {
+	t.Helper()
 	out := make([]int, bi.Nodes())
 	for v := range out {
-		worst := 0
-		//freelunch:orderok max-reduction with a missing-member early exit; the result is visit-order-independent
-		for u := range bi.Members(graph.NodeID(v)) {
-			r, ok := arrival[v][u]
-			if !ok {
-				worst = -1
-				break
+		out[v] = -1
+	}
+	left := len(out)
+	for r := 0; r <= rounds && left > 0; r++ {
+		known := fixedGossip(t, g, payloads, r, cfg).Known
+		for v := range out {
+			if out[v] < 0 && heardBall(bi, graph.NodeID(v), known[v]) {
+				out[v] = r
+				left--
 			}
-			worst = max(worst, r)
 		}
-		out[v] = worst
 	}
 	return out
 }
 
-// coverRound returns the earliest round by which every node had heard the
-// rumor of every member of its ball, or -1 if the run ended first.
-func coverRound(bi *BallIndex, arrival []map[graph.NodeID]int) int {
+// heardBall reports whether known holds the rumor of every member of v's
+// ball.
+func heardBall(bi *BallIndex, v graph.NodeID, known map[graph.NodeID][]graph.EdgeID) bool {
+	//freelunch:orderok all-members test with an early exit; the result is visit-order-independent
+	for u := range bi.Members(v) {
+		if _, ok := known[u]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// coverRound returns the earliest round r <= rounds by which every node had
+// heard the rumor of every member of its ball under the fixed schedule, or
+// -1 if no such round exists.
+func coverRound(t testing.TB, g *graph.Graph, payloads [][]graph.EdgeID, bi *BallIndex, rounds int, cfg local.Config) int {
+	t.Helper()
 	worst := 0
-	for _, r := range coverRounds(bi, arrival) {
+	for _, r := range coverRounds(t, g, payloads, bi, rounds, cfg) {
 		if r < 0 {
 			return -1
 		}
@@ -83,9 +101,6 @@ func TestFloodExactBalls(t *testing.T) {
 		res, err := Flood(context.Background(), g, payloads, nil, tRounds, local.Config{Seed: 2})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if res.Arrival != nil {
-			t.Fatal("flood recorded arrivals; only gossip keeps them")
 		}
 		for v := 0; v < g.NumNodes(); v++ {
 			ball := g.Ball(graph.NodeID(v), tRounds)
@@ -172,8 +187,9 @@ func TestFloodValidation(t *testing.T) {
 func TestGossipEventuallyCovers(t *testing.T) {
 	g := gen.ConnectedGNP(60, 0.15, xrand.New(4))
 	const tr = 2
-	res := fixedGossip(t, g, testPayloads(g.NumNodes()), 400, local.Config{Seed: 9})
-	cover := coverRound(NewBallIndex(g, tr), res.Arrival)
+	payloads := testPayloads(g.NumNodes())
+	res := fixedGossip(t, g, payloads, 400, local.Config{Seed: 9})
+	cover := coverRound(t, g, payloads, NewBallIndex(g, tr), 400, local.Config{Seed: 9})
 	if cover < 0 {
 		t.Fatal("gossip did not cover t-balls within 400 rounds")
 	}
@@ -197,7 +213,7 @@ func TestGossipNoLedgerBillingExact(t *testing.T) {
 	const rounds, t2 = 200, 2
 	bi := NewBallIndex(g, t2)
 	full := fixedGossip(t, g, payloads, rounds, local.Config{Seed: 4})
-	cover := coverRound(bi, full.Arrival)
+	cover := coverRound(t, g, payloads, bi, rounds, local.Config{Seed: 4})
 	if cover < 0 {
 		t.Fatalf("gossip did not cover within %d rounds", rounds)
 	}
@@ -235,8 +251,7 @@ func TestGossipSlowOnBarbell(t *testing.T) {
 	// across at ~1 per round. This is the round blow-up the paper removes.
 	g := gen.Barbell(20, 2) // 42 nodes
 	const tr = 3
-	gossip := fixedGossip(t, g, testPayloads(g.NumNodes()), 2000, local.Config{Seed: 13})
-	cover := coverRound(NewBallIndex(g, tr), gossip.Arrival)
+	cover := coverRound(t, g, testPayloads(g.NumNodes()), NewBallIndex(g, tr), 2000, local.Config{Seed: 13})
 	if cover < 0 {
 		t.Fatal("gossip never covered")
 	}
@@ -247,8 +262,7 @@ func TestGossipSlowOnBarbell(t *testing.T) {
 
 func TestCoverRoundNotCovered(t *testing.T) {
 	g := gen.Path(5)
-	res := fixedGossip(t, g, testPayloads(5), 0, local.Config{})
-	if coverRound(NewBallIndex(g, 2), res.Arrival) != -1 {
+	if coverRound(t, g, testPayloads(5), NewBallIndex(g, 2), 0, local.Config{}) != -1 {
 		t.Fatal("zero-round gossip cannot cover 2-balls")
 	}
 }

@@ -61,23 +61,18 @@ func FloodBudget(ctx context.Context, host *graph.Graph, payloads [][]graph.Edge
 	}
 	n := host.NumNodes()
 
-	// Directed edges, one queue each, in deterministic (node, port) order.
-	nEdges := 0
-	queueOf := make([]map[graph.EdgeID]int, n) // node -> edge ID -> queue index
+	// Directed edges, one queue each, in deterministic (node, port) order:
+	// the queue of v's i-th incident half is base[v]+i.
+	base := make([]int, n+1)
 	for v := 0; v < n; v++ {
-		queueOf[v] = make(map[graph.EdgeID]int)
-		for _, h := range host.Incident(graph.NodeID(v)) {
-			queueOf[v][h.Edge] = nEdges
-			nEdges++
-		}
+		base[v+1] = base[v] + host.Degree(graph.NodeID(v))
 	}
-	queues := make([]edgeQueue, nEdges)
+	queues := make([]edgeQueue, base[n])
 
 	hops := make([]map[graph.NodeID]int, n) // best hop count per heard origin
 	res := &Result{Known: make([]map[graph.NodeID][]graph.EdgeID, n)}
 	enqueue := func(v int, it qitem) {
-		//freelunch:orderok queueOf[v] values are distinct queue indices, so the appends target disjoint queues
-		for _, qi := range queueOf[v] {
+		for qi := base[v]; qi < base[v+1]; qi++ {
 			queues[qi].items = append(queues[qi].items, it)
 		}
 	}
@@ -110,8 +105,8 @@ func FloodBudget(ctx context.Context, host *graph.Graph, payloads [][]graph.Edge
 		arrivals = arrivals[:0]
 		var sent, units int64
 		for v := 0; v < n; v++ {
-			for _, h := range host.Incident(graph.NodeID(v)) {
-				q := &queues[queueOf[v][h.Edge]]
+			for i, h := range host.Incident(graph.NodeID(v)) {
+				q := &queues[base[v]+i]
 				budget := int64(bw)
 				var words int64
 				for len(q.items) > 0 && budget > 0 {

@@ -18,8 +18,8 @@ import (
 
 // TestGossipEarlyStopMatchesFixedSchedule pins the early-stop equivalence:
 // the early-stopped run reports exactly the full schedule's cover round,
-// sends exactly the messages the full schedule sent through it, records
-// exactly the full schedule's arrivals through it, and executes only
+// sends exactly the messages the full schedule sent through it, knows
+// exactly what the full schedule knew through it, and executes only
 // cover+1 rounds — on both engines, with the ledger on and off.
 func TestGossipEarlyStopMatchesFixedSchedule(t *testing.T) {
 	g := gen.ConnectedGNP(60, 0.08, xrand.New(9))
@@ -29,11 +29,12 @@ func TestGossipEarlyStopMatchesFixedSchedule(t *testing.T) {
 	bi := NewBallIndex(g, tBall)
 
 	full := fixedGossip(t, g, payloads, schedule, local.Config{Seed: 3})
-	cover := coverRound(bi, full.Arrival)
+	cover := coverRound(t, g, payloads, bi, schedule, local.Config{Seed: 3})
 	if cover < 0 {
 		t.Fatalf("schedule of %d rounds did not cover the %d-balls", schedule, tBall)
 	}
 	wantBill := messagesUpTo(full.Run, cover)
+	through := fixedGossip(t, g, payloads, cover, local.Config{Seed: 3}).Known
 
 	for _, tc := range []struct {
 		name string
@@ -57,23 +58,16 @@ func TestGossipEarlyStopMatchesFixedSchedule(t *testing.T) {
 			if early.Run.Messages != wantBill {
 				t.Fatalf("early-stopped bill %d != full-schedule bill %d", early.Run.Messages, wantBill)
 			}
-			// The executed prefix is the same execution: the early run
-			// recorded exactly the full run's arrivals through the cover
-			// round, at the same rounds, and Known holds exactly those.
-			for v := range early.Arrival {
-				through := 0
-				for _, r := range full.Arrival[v] {
-					if r <= cover {
-						through++
-					}
+			// The executed prefix is the same execution: the early run knows
+			// exactly what the fixed schedule knew through the cover round.
+			for v := range early.Known {
+				if len(early.Known[v]) != len(through[v]) {
+					t.Fatalf("node %d: early run knows %d origins, full run %d through the cover round",
+						v, len(early.Known[v]), len(through[v]))
 				}
-				if len(early.Arrival[v]) != through || len(early.Known[v]) != through {
-					t.Fatalf("node %d: early run holds %d arrivals and %d known, full run %d through the cover round",
-						v, len(early.Arrival[v]), len(early.Known[v]), through)
-				}
-				for u, r := range early.Arrival[v] {
-					if fr, ok := full.Arrival[v][u]; !ok || fr != r {
-						t.Fatalf("node %d origin %d arrived at %d early, %d (ok=%v) full", v, u, r, fr, ok)
+				for u := range early.Known[v] {
+					if _, ok := through[v][u]; !ok {
+						t.Fatalf("node %d knows origin %d early but not through the cover round of the full run", v, u)
 					}
 				}
 			}
@@ -91,8 +85,7 @@ func TestGossipCoverTargetMatchesSortedCoverRounds(t *testing.T) {
 	payloads := testPayloads(g.NumNodes())
 	bi := NewBallIndex(g, tBall)
 
-	full := fixedGossip(t, g, payloads, schedule, local.Config{Seed: 8})
-	perNode := coverRounds(bi, full.Arrival)
+	perNode := coverRounds(t, g, payloads, bi, schedule, local.Config{Seed: 8})
 	need := g.NumNodes() / 2
 	// The need-th smallest completion round, computed the pedestrian way.
 	want := -1
@@ -122,19 +115,20 @@ func TestGossipCoverTargetMatchesSortedCoverRounds(t *testing.T) {
 }
 
 // TestGossipEarlyStopBudgetExhausted: a schedule too short to cover must
-// report -1, exactly like the reference coverRound on the truncated run.
+// report -1, exactly like the reference coverRound on the same schedule.
 func TestGossipEarlyStopBudgetExhausted(t *testing.T) {
 	g := gen.ConnectedGNP(40, 0.1, xrand.New(5))
 	bi := NewBallIndex(g, 3)
-	res, cover, err := Gossip(context.Background(), g, testPayloads(g.NumNodes()), bi, g.NumNodes(), 1, local.Config{Seed: 2})
+	payloads := testPayloads(g.NumNodes())
+	_, cover, err := Gossip(context.Background(), g, payloads, bi, g.NumNodes(), 1, local.Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cover != -1 {
 		t.Fatalf("1-round schedule reported cover %d, want -1", cover)
 	}
-	if got := coverRound(bi, res.Arrival); got != -1 {
-		t.Fatalf("coverRound on the truncated run says %d, want -1", got)
+	if got := coverRound(t, g, payloads, bi, 1, local.Config{Seed: 2}); got != -1 {
+		t.Fatalf("coverRound on the 1-round schedule says %d, want -1", got)
 	}
 }
 

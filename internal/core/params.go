@@ -161,19 +161,3 @@ func (p Params) PredictedSizeExponent() float64 { return 1 + p.Delta() }
 
 // PredictedMessageExponent returns 1 + δ + 1/H from Theorem 11.
 func (p Params) PredictedMessageExponent() float64 { return 1 + p.Delta() + p.Epsilon() }
-
-// PredictedRounds returns the Theorem 11 round bound shape 3^K·(2H+O(1)) —
-// we use the exact per-level accounting of the distributed implementation:
-// each of the K+1 levels runs at most 2H trials, each trial costing a
-// constant number of cluster-tree broadcast/convergecast sessions of depth
-// ≤ 3^j, plus a constant number of sessions for cluster formation.
-func (p Params) PredictedRounds() int {
-	total := 0
-	for j := 0; j <= p.K; j++ {
-		depth := pow3(j)
-		perTrial := 2*depth + 4  // convergecast + broadcast + query + reply
-		formation := 6*depth + 6 // center draw, probe, join, tree rebuild
-		total += 2*p.H*perTrial + formation
-	}
-	return total
-}

@@ -84,29 +84,6 @@ func (g *Graph) Components() ([]int, int) {
 	return label, next
 }
 
-// Eccentricity returns the maximum finite distance from v, or Unreachable if
-// v reaches no other node in a graph with more than one node.
-func (g *Graph) Eccentricity(v NodeID) int {
-	dist := g.BFS(v, -1)
-	ecc := 0
-	reached := false
-	for u, d := range dist {
-		if NodeID(u) == v {
-			continue
-		}
-		if d != Unreachable {
-			reached = true
-			if d > ecc {
-				ecc = d
-			}
-		}
-	}
-	if !reached && g.n > 1 {
-		return Unreachable
-	}
-	return ecc
-}
-
 // Diameter returns the exact diameter (max pairwise distance) of a connected
 // graph by running a BFS from every node; it returns Unreachable for
 // disconnected graphs. Intended for the modest graph sizes used in tests and
@@ -125,27 +102,6 @@ func (g *Graph) Diameter() int {
 		}
 	}
 	return diam
-}
-
-// DiameterLowerBound returns a cheap lower bound on the diameter via a double
-// BFS sweep from src. For trees it is exact; for general graphs it is a lower
-// bound that is usually tight in practice.
-func (g *Graph) DiameterLowerBound(src NodeID) int {
-	dist := g.BFS(src, -1)
-	far, fd := src, 0
-	for v, d := range dist {
-		if d > fd {
-			far, fd = NodeID(v), d
-		}
-	}
-	dist = g.BFS(far, -1)
-	best := 0
-	for _, d := range dist {
-		if d > best {
-			best = d
-		}
-	}
-	return best
 }
 
 // Ball returns the set of nodes within distance t of v (including v), the

@@ -93,7 +93,14 @@ var registry = map[string]Family{
 	},
 	"cycle": {
 		Name: "cycle", Description: "n-cycle",
-		build: func(s Spec, _ *xrand.RNG) (*graph.Graph, error) { return Cycle(s.N), nil },
+		build: func(s Spec, _ *xrand.RNG) (*graph.Graph, error) {
+			if s.N == 2 {
+				// Cycle(2) doubles its one edge: a multigraph, which the
+				// spanner-based schemes reject.
+				return nil, fmt.Errorf("gen: cycle needs n != 2 for a simple graph")
+			}
+			return Cycle(s.N), nil
+		},
 	},
 	"path": {
 		Name: "path", Description: "path on n nodes",

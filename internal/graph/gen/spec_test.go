@@ -71,6 +71,7 @@ func TestBuildValidation(t *testing.T) {
 		{Family: "nope", N: 10},
 		{Family: "barbell", N: 4},
 		{Family: "torus", N: 4}, // derived side 2 < 3
+		{Family: "cycle", N: 2}, // a doubled edge, not a simple graph
 		{Family: "regular", N: 10, Degree: 11},
 		{Family: "regular", N: 5, Degree: 3},    // odd n*d
 		{Family: "regular", N: 4096, Degree: 6}, // no simple pairing within the retry budget

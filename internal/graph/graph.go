@@ -333,23 +333,6 @@ func (g *Graph) EdgesBetween(u, v NodeID) []EdgeID {
 	return out
 }
 
-// MaxDegree returns the maximum degree over all nodes (0 for empty graphs).
-func (g *Graph) MaxDegree() int {
-	if g.n == 0 {
-		return 0
-	}
-	if !g.clean.Load() {
-		g.rebuild()
-	}
-	max := int32(0)
-	for v := 0; v < g.n; v++ {
-		if d := g.rowStart[v+1] - g.rowStart[v]; d > max {
-			max = d
-		}
-	}
-	return int(max)
-}
-
 // ErrNoSuchEdge reports a removal of an edge ID not in the graph.
 var ErrNoSuchEdge = errors.New("graph: no such edge")
 

@@ -54,6 +54,14 @@
 // staged for a receiver that will not step again. A ball replay uses it to
 // run only the light cone of the replayed node; without a horizon the hot
 // path pays one nil check per send and per delivery shard.
+//
+// Every run, flawless or adversarial, delivers through one loop
+// (deliverShard), and the flawless network is its adversary-free case. The
+// loop bills every staged message; behind a single nil test it hands the
+// message to the adversary's per-message step, which counts the drops only
+// an adversary can cause (void sends over vanished edges, messages to
+// crashed receivers) and applies Config.Adversary's drop, duplication and
+// delay decisions. Without an adversary those counts stay zero.
 package local
 
 import (
@@ -178,8 +186,9 @@ type Config struct {
 	// crashes and topology, at the round boundary). Decisions are pure
 	// functions of (profile seed, run seed, round, edge, receiver, send
 	// order), so both engines at every worker count execute bit-identical
-	// adversarial runs. nil (the default) leaves the flawless synchronous
-	// network byte-identical to historical behaviour. When the profile has
+	// adversarial runs. The engine's one delivery loop consults it behind a
+	// single nil test, so nil (the default) is the flawless synchronous
+	// network: nothing dropped, duplicated or delayed. When the profile has
 	// edge events the engine runs on a private clone of the input graph.
 	Adversary *adversary.Adversary
 	// Horizon, if non-nil, gives every node a step horizon: node v steps
@@ -464,8 +473,7 @@ type run struct {
 	stepFn    func(w, lo, hi int)
 	deliverFn func(w, lo, hi int)
 
-	// Adversary state; all nil/zero (and untouched on the hot path) for
-	// unperturbed runs.
+	// Adversary state; all nil/zero for unperturbed runs.
 	adv      *adversary.Adversary
 	advEdges bool // profile has edge events: tolerate sends on vanished edges
 	// future[d][v] holds messages maturing for node v after d more delivery
@@ -475,8 +483,8 @@ type run struct {
 }
 
 // shardTotals is one delivery worker's per-round message accounting, padded
-// to a cache line so workers do not false-share. The adversary fields stay
-// zero (and unread) on the nil-adversary path.
+// to a cache line so workers do not false-share. Without an adversary,
+// dropped and duplicated stay zero.
 type shardTotals struct {
 	sent       int64
 	units      int64
@@ -607,13 +615,7 @@ func (rn *Runner) Run(ctx context.Context, g *graph.Graph, f Factory, cfg Config
 				r.stepOne(v, r.round)
 			}
 		}
-		r.deliverFn = func(w, lo, hi int) {
-			if r.adv != nil {
-				r.deliverShardAdv(w, lo, hi)
-			} else {
-				r.deliverShard(w, lo, hi)
-			}
-		}
+		r.deliverFn = r.deliverShard
 	}
 
 	res := Result{Counters: make(map[string]int64)}
@@ -650,21 +652,17 @@ func (rn *Runner) Run(ctx context.Context, g *graph.Graph, f Factory, cfg Config
 		for w := range r.totals {
 			sent += r.totals[w].sent
 			units += r.totals[w].units
+			res.Dropped += r.totals[w].dropped
+			res.Duplicated += r.totals[w].duplicated
 		}
-		if r.adv != nil {
-			for w := range r.totals {
-				res.Dropped += r.totals[w].dropped
-				res.Duplicated += r.totals[w].duplicated
-			}
-			// Rotate the future ring: the slot delivery just drained cycles
+		if len(r.future) > 0 {
+			// Rotate the delay ring: the slot delivery just drained cycles
 			// to the back, and the next round's matured messages move to the
 			// front. The slot headers (and their truncated per-node slices)
 			// are reused, so a steady-state round allocates nothing here.
-			if len(r.future) > 0 {
-				f0 := r.future[0]
-				copy(r.future, r.future[1:])
-				r.future[len(r.future)-1] = f0
-			}
+			f0 := r.future[0]
+			copy(r.future, r.future[1:])
+			r.future[len(r.future)-1] = f0
 		}
 		if !cfg.NoLedger {
 			res.PerRound = append(res.PerRound, sent)
@@ -837,14 +835,23 @@ func sortInbox(in []Message) {
 	slices.SortStableFunc(in, msgOrder)
 }
 
-// deliverShard moves this round's sends for the receivers in [lo, hi) —
-// exactly the messages staged in bucket column w — into next round's
-// inboxes, and accumulates this worker's message totals. Draining the
-// column in step-worker order yields the (sender, send order) staging order
-// of the sequential engine, and the canonical (edge, seq) sort on top makes
-// both engines expose identical inboxes at every worker count. Each message
-// is read once, by the one worker owning its receiver's shard; messages to
-// halted receivers are dropped (but still billed, as the model prescribes).
+// deliverShard is the engine's one delivery loop. It moves this round's
+// sends for the receivers in [lo, hi) — exactly the messages staged in
+// bucket column w — into next round's inboxes, and accumulates this worker's
+// totals. Draining the column in step-worker order yields the (sender, send
+// order) staging order of the sequential engine, and the canonical
+// (edge, seq) sort on top makes both engines expose identical inboxes at
+// every worker count. Each message is read once, by the one worker owning
+// its receiver's shard, and billed (with its payload units) whatever befalls
+// it: messages to halted receivers are dropped, as the model prescribes.
+//
+// Under an Adversary, matured delayed messages (the delay ring's front
+// slot) enter the inbox first; because an edge's delay is constant, matured
+// and fresh traffic never share an edge in one inbox, so the canonical sort
+// remains a total order, and every staged message goes through perturb.
+// Without an adversary the ring is empty and the one adversary test per
+// message is the only cost the adversarial machinery adds.
+//
 // All staging buffers are truncated and reused: a steady-state round
 // allocates nothing, and payload references are cleared so finished bursts
 // do not pin their payloads.
@@ -852,7 +859,7 @@ func sortInbox(in []Message) {
 //freelunch:noalloc
 func (r *run) deliverShard(w, lo, hi int) {
 	t := &r.totals[w]
-	t.sent, t.units = 0, 0
+	t.sent, t.units, t.dropped, t.duplicated = 0, 0, 0, 0
 	for v := lo; v < hi; v++ {
 		// clear before truncating: a node that goes quiet or halts after a
 		// burst must not pin the burst's payloads in the reused backing
@@ -862,15 +869,23 @@ func (r *run) deliverShard(w, lo, hi int) {
 		clear(r.inbox[v])
 		r.inbox[v] = r.inbox[v][:0]
 	}
+	if len(r.future) > 0 {
+		r.drainMatured(t, lo, hi)
+	}
 	if h := r.cfg.Horizon; h != nil {
 		r.retire(h, lo, hi)
 	}
+	a := r.adv
 	for ws := 0; ws < r.nshards; ws++ {
 		bucket := r.stages[ws][w]
 		t.sent += int64(len(bucket))
 		for i := range bucket {
 			m := &bucket[i]
 			t.units += payloadUnits(m.body)
+			if a != nil {
+				r.perturb(t, a, m)
+				continue
+			}
 			if r.envs[m.to].halted {
 				continue // dropped: receiver terminated
 			}
@@ -882,6 +897,67 @@ func (r *run) deliverShard(w, lo, hi int) {
 	}
 	for v := lo; v < hi; v++ {
 		sortInbox(r.inbox[v])
+	}
+}
+
+// perturb delivers one staged message under the adversary. A void send
+// (over an edge that vanished mid-run), a message to a crashed receiver and
+// a message the adversary drops count as dropped; a message to a
+// voluntarily halted receiver is the model's ordinary drop, as without an
+// adversary. A delayed message is parked in the delay ring instead of the
+// inbox, and a duplicate is billed as one extra message and delivered
+// adjacent to the original.
+//
+//freelunch:noalloc
+func (r *run) perturb(t *shardTotals, a *adversary.Adversary, m *stagedMsg) {
+	if m.to < 0 {
+		t.dropped++
+		return
+	}
+	if env := &r.envs[m.to]; env.halted {
+		if env.crashed {
+			t.dropped++
+		}
+		return
+	}
+	if a.Drop(r.round, m.edge, m.to, m.seq) {
+		t.dropped++
+		return
+	}
+	in := &r.inbox[m.to]
+	if d := a.Delay(m.edge); d > 0 {
+		in = &r.future[d][m.to]
+	}
+	msg := Message{Edge: m.edge, Payload: m.body, seq: m.seq}
+	//freelunch:allocok amortized: inbox and delay-ring backing arrays are truncated and reused across rounds
+	*in = append(*in, msg)
+	if a.Duplicate(r.round, m.edge, m.to, m.seq) {
+		t.sent++
+		t.units += payloadUnits(m.body)
+		t.duplicated++
+		//freelunch:allocok amortized: inbox and delay-ring backing arrays are truncated and reused across rounds
+		*in = append(*in, msg)
+	}
+}
+
+// drainMatured moves the delay ring's front slot for the receivers in
+// [lo, hi) into their (just emptied) inboxes. Matured messages to a crashed
+// receiver are destroyed by the adversary and counted as dropped; a
+// voluntary halt's drops stay ordinary model behaviour.
+//
+//freelunch:noalloc
+func (r *run) drainMatured(t *shardTotals, lo, hi int) {
+	for v := lo; v < hi; v++ {
+		mat := r.future[0][v]
+		switch env := &r.envs[v]; {
+		case !env.halted:
+			//freelunch:allocok amortized: inbox backing arrays are truncated and reused across rounds
+			r.inbox[v] = append(r.inbox[v], mat...)
+		case env.crashed:
+			t.dropped += int64(len(mat))
+		}
+		clear(mat)
+		r.future[0][v] = mat[:0]
 	}
 }
 
@@ -1023,89 +1099,5 @@ func (r *run) purgeFuture(id graph.EdgeID, u, v graph.NodeID, res *Result) {
 			}
 			r.future[d][w] = kept
 		}
-	}
-}
-
-// deliverShardAdv is deliverShard's adversary-aware twin: the same
-// column-drain in step-worker order (so both engines stay bit-identical at
-// every worker count), with the adversary consulted per message. Matured
-// delayed messages (the future ring's front slot) enter the inbox first;
-// because an edge's delay is constant, matured and fresh traffic never share
-// an edge in one inbox, and the canonical (edge, seq) sort remains a total
-// order. Every send — dropped, delayed, or void — is billed at send time;
-// duplicates are billed as one extra message and delivered adjacent to the
-// original. The nil-adversary path never enters this function, keeping the
-// flawless network's zero-allocation delivery untouched.
-func (r *run) deliverShardAdv(w, lo, hi int) {
-	t := &r.totals[w]
-	t.sent, t.units, t.dropped, t.duplicated = 0, 0, 0, 0
-	a := r.adv
-	delayed := len(r.future) > 0
-	for v := lo; v < hi; v++ {
-		env := &r.envs[v]
-		clear(r.inbox[v])
-		in := r.inbox[v][:0]
-		if delayed {
-			mat := r.future[0][v]
-			switch {
-			case !env.halted:
-				in = append(in, mat...)
-			case env.crashed:
-				// Matured messages to a crashed receiver are destroyed by
-				// the adversary; a voluntary halt's drops stay ordinary
-				// model behaviour.
-				t.dropped += int64(len(mat))
-			}
-			clear(mat)
-			r.future[0][v] = mat[:0]
-		}
-		r.inbox[v] = in
-	}
-	round := r.round
-	for ws := 0; ws < r.nshards; ws++ {
-		bucket := r.stages[ws][w]
-		t.sent += int64(len(bucket))
-		for i := range bucket {
-			m := &bucket[i]
-			t.units += payloadUnits(m.body)
-			if m.to < 0 {
-				t.dropped++ // void send: the edge vanished mid-run
-				continue
-			}
-			env := &r.envs[m.to]
-			if env.halted {
-				if env.crashed {
-					t.dropped++
-				}
-				continue
-			}
-			if a.Drop(round, m.edge, m.to, m.seq) {
-				t.dropped++
-				continue
-			}
-			dup := a.Duplicate(round, m.edge, m.to, m.seq)
-			if dup {
-				t.sent++
-				t.units += payloadUnits(m.body)
-				t.duplicated++
-			}
-			if d := a.Delay(m.edge); d > 0 {
-				slot := r.future[d]
-				slot[m.to] = append(slot[m.to], Message{Edge: m.edge, Payload: m.body, seq: m.seq})
-				if dup {
-					slot[m.to] = append(slot[m.to], Message{Edge: m.edge, Payload: m.body, seq: m.seq})
-				}
-				continue
-			}
-			r.inbox[m.to] = append(r.inbox[m.to], Message{Edge: m.edge, Payload: m.body, seq: m.seq})
-			if dup {
-				r.inbox[m.to] = append(r.inbox[m.to], Message{Edge: m.edge, Payload: m.body, seq: m.seq})
-			}
-		}
-		clear(bucket)
-		r.stages[ws][w] = bucket[:0]
-	}
-	for v := lo; v < hi; v++ {
-		sortInbox(r.inbox[v])
 	}
 }
