@@ -159,7 +159,7 @@ func TestGossipEarlyStopUnderDelayExactBill(t *testing.T) {
 		}
 		cover = r
 		for v, known := range clipped.Known {
-			for u := range bi.Members(repro.NodeID(v)) {
+			for _, u := range bi.Members(repro.NodeID(v)) {
 				if _, ok := known[u]; !ok {
 					cover = -1
 				}

@@ -89,8 +89,15 @@ func main() {
 		report(g, res.S, res.StretchBound())
 		fmt.Printf("rounds: %d  messages: %d (%.2f per edge)\n",
 			res.Run.Rounds, res.Run.Messages, float64(res.Run.Messages)/float64(g.NumEdges()))
-		for _, key := range []string{core.CntQuery, core.CntReply, core.CntTree, core.CntProbe, core.CntAccept, core.CntJoin} {
-			fmt.Printf("  %-16s %d\n", key, res.Run.Counters[key])
+		tr := res.Traffic
+		for _, kind := range []struct {
+			name string
+			n    int64
+		}{
+			{"sampler.query", tr.Query}, {"sampler.reply", tr.Reply}, {"sampler.tree", tr.Tree},
+			{"sampler.probe", tr.Probe}, {"sampler.accept", tr.Accept}, {"sampler.join", tr.Join},
+		} {
+			fmt.Printf("  %-16s %d\n", kind.name, kind.n)
 		}
 		return
 	}

@@ -26,6 +26,7 @@ package broadcast
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -387,23 +388,19 @@ func Gossip(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, b
 // BallIndex is the per-node distance-t ball membership of one graph,
 // computed once (one truncated BFS per node) and reused across every query
 // that needs it: the gossip early-stop tracker's per-arrival checks and
-// hybrid's residue scan. A BallIndex is immutable once built and safe for
-// concurrent readers.
+// hybrid's residue scan. Each ball is kept as the ascending node list
+// graph.Ball returns, so membership is a binary search. A BallIndex is
+// immutable once built and safe for concurrent readers.
 type BallIndex struct {
-	t    int
-	sets []map[graph.NodeID]bool
+	t     int
+	balls [][]graph.NodeID
 }
 
 // NewBallIndex computes the distance-t ball of every node of g.
 func NewBallIndex(g *graph.Graph, t int) *BallIndex {
-	bi := &BallIndex{t: t, sets: make([]map[graph.NodeID]bool, g.NumNodes())}
-	for v := 0; v < g.NumNodes(); v++ {
-		ball := g.Ball(graph.NodeID(v), t)
-		m := make(map[graph.NodeID]bool, len(ball))
-		for _, u := range ball {
-			m[u] = true
-		}
-		bi.sets[v] = m
+	bi := &BallIndex{t: t, balls: make([][]graph.NodeID, g.NumNodes())}
+	for v := range bi.balls {
+		bi.balls[v] = g.Ball(graph.NodeID(v), t)
 	}
 	return bi
 }
@@ -412,14 +409,17 @@ func NewBallIndex(g *graph.Graph, t int) *BallIndex {
 func (bi *BallIndex) T() int { return bi.t }
 
 // Nodes returns the number of nodes the index spans.
-func (bi *BallIndex) Nodes() int { return len(bi.sets) }
+func (bi *BallIndex) Nodes() int { return len(bi.balls) }
 
 // Size returns |B_{G,t}(v)|.
-func (bi *BallIndex) Size(v graph.NodeID) int { return len(bi.sets[v]) }
+func (bi *BallIndex) Size(v graph.NodeID) int { return len(bi.balls[v]) }
 
 // Contains reports whether u lies within distance t of v.
-func (bi *BallIndex) Contains(v, u graph.NodeID) bool { return bi.sets[v][u] }
+func (bi *BallIndex) Contains(v, u graph.NodeID) bool {
+	_, ok := slices.BinarySearch(bi.balls[v], u)
+	return ok
+}
 
-// Members returns v's ball membership set. The map is owned by the index
-// and must not be mutated.
-func (bi *BallIndex) Members(v graph.NodeID) map[graph.NodeID]bool { return bi.sets[v] }
+// Members returns the members of v's ball in ascending order. The slice is
+// owned by the index and must not be mutated.
+func (bi *BallIndex) Members(v graph.NodeID) []graph.NodeID { return bi.balls[v] }

@@ -57,8 +57,7 @@ func coverRounds(t testing.TB, g *graph.Graph, payloads [][]graph.EdgeID, bi *Ba
 // heardBall reports whether known holds the rumor of every member of v's
 // ball.
 func heardBall(bi *BallIndex, v graph.NodeID, known map[graph.NodeID][]graph.EdgeID) bool {
-	//freelunch:orderok all-members test with an early exit; the result is visit-order-independent
-	for u := range bi.Members(v) {
+	for _, u := range bi.Members(v) {
 		if _, ok := known[u]; !ok {
 			return false
 		}

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/local"
@@ -35,15 +35,27 @@ import (
 // requires non-negative edge IDs.
 const noEdge = graph.EdgeID(-1)
 
-// Counter names used in local.Result.Counters.
-const (
-	CntQuery  = "sampler.query"  // trial + fail-safe query messages
-	CntReply  = "sampler.reply"  // their replies
-	CntTree   = "sampler.tree"   // broadcast/convergecast/flood traffic
-	CntAccept = "sampler.accept" // spanner-membership notifications
-	CntProbe  = "sampler.probe"  // center-status probes + replies
-	CntJoin   = "sampler.join"   // cluster-merge messages
-)
+// Traffic splits the distributed Sampler's messages by kind. Every message
+// the protocol sends is of exactly one kind, so the fields sum to the run's
+// message total.
+type Traffic struct {
+	Query  int64 // trial + fail-safe query messages
+	Reply  int64 // their replies
+	Tree   int64 // broadcast/convergecast/flood traffic
+	Accept int64 // spanner-membership notifications
+	Probe  int64 // center-status probes + replies
+	Join   int64 // cluster-merge messages
+}
+
+// add accumulates o into t.
+func (t *Traffic) add(o Traffic) {
+	t.Query += o.Query
+	t.Reply += o.Reply
+	t.Tree += o.Tree
+	t.Accept += o.Accept
+	t.Probe += o.Probe
+	t.Join += o.Join
+}
 
 // DistResult is the outcome of the distributed Sampler.
 type DistResult struct {
@@ -53,8 +65,10 @@ type DistResult struct {
 	// FDecided is the union of F-sets decided by cluster roots; it must
 	// equal S (checked by tests).
 	FDecided map[graph.EdgeID]bool
-	// Run carries the LOCAL-model cost metrics (rounds, messages, counters).
+	// Run carries the LOCAL-model cost metrics (rounds, messages).
 	Run local.Result
+	// Traffic splits Run.Messages by message kind.
+	Traffic Traffic
 	// ScheduleRounds is the fixed global schedule length (the run uses
 	// exactly this many rounds).
 	ScheduleRounds int
@@ -124,6 +138,7 @@ func BuildDistributedCtx(ctx context.Context, g *graph.Graph, p Params, seed uin
 		for _, e := range nd.fDecided {
 			res.FDecided[e] = true
 		}
+		res.Traffic.add(nd.sent)
 	}
 	return res, nil
 }
@@ -182,6 +197,7 @@ type distNode struct {
 	// Outputs.
 	inS      map[graph.EdgeID]bool
 	fDecided []graph.EdgeID
+	sent     Traffic // this node's sends, by kind
 }
 
 var _ local.Protocol = (*distNode)(nil)
@@ -280,7 +296,7 @@ func (nd *distNode) enterPhase(env *local.Env, ph phase) {
 			}
 			for _, e := range edges {
 				env.Send(e, kind)
-				env.Count(CntQuery, 1)
+				nd.sent.Query++
 			}
 			nd.mySamples = nil
 			nd.myFS = nil
@@ -294,7 +310,7 @@ func (nd *distNode) enterPhase(env *local.Env, ph phase) {
 		if !nd.dead {
 			for _, e := range nd.myProbes {
 				env.Send(e, mProbe{})
-				env.Count(CntProbe, 1)
+				nd.sent.Probe++
 			}
 			nd.myProbes = nil
 		}
@@ -310,7 +326,7 @@ func (nd *distNode) enterPhase(env *local.Env, ph phase) {
 		nd.flushAccepts(env)
 		if nd.sendJoin {
 			env.Send(nd.joinEdge, mJoin{JoinerRoot: nd.clusterRoot, B: nd.cb})
-			env.Count(CntJoin, 1)
+			nd.sent.Join++
 			nd.sendJoin = false
 		}
 	case phNewCluster:
@@ -335,7 +351,7 @@ func (nd *distNode) enterPhase(env *local.Env, ph phase) {
 func (nd *distNode) flushAccepts(env *local.Env) {
 	for _, e := range nd.accepts {
 		env.Send(e, mAccept{})
-		env.Count(CntAccept, 1)
+		nd.sent.Accept++
 	}
 	nd.accepts = nil
 }
@@ -346,7 +362,7 @@ func (nd *distNode) forwardDown(env *local.Env, from graph.EdgeID, payload any) 
 	for e := range nd.tree {
 		if e != from {
 			env.Send(e, payload)
-			env.Count(CntTree, 1)
+			nd.sent.Tree++
 		}
 	}
 }
@@ -380,7 +396,7 @@ func (nd *distNode) rootCenterBcast(env *local.Env, ph phase) {
 	for _, e := range nd.queried {
 		probes = append(probes, e)
 	}
-	sort.Slice(probes, func(i, j int) bool { return probes[i] < probes[j] })
+	slices.Sort(probes)
 	msg := mCenter{IsCenter: nd.isCenterFlag, Probes: probes, FAdds: nd.fPending}
 	nd.fPending = nil
 	nd.handleCenter(env, msg)
@@ -455,7 +471,7 @@ func (nd *distNode) rootNewClusterFlood(env *local.Env) {
 	nd.resetRootLevelState()
 	for e := range nd.tree {
 		env.Send(e, mNewCluster{Root: nd.id, B: nd.cb, Depth: 0})
-		env.Count(CntTree, 1)
+		nd.sent.Tree++
 	}
 }
 
@@ -468,10 +484,10 @@ func (nd *distNode) handleMessage(env *local.Env, ph phase, m local.Message) {
 		nd.forwardDown(env, m.Edge, msg)
 	case mQuery:
 		env.Send(m.Edge, nd.composeReply(ph, false))
-		env.Count(CntReply, 1)
+		nd.sent.Reply++
 	case mFSQuery:
 		env.Send(m.Edge, nd.composeReply(ph, true))
-		env.Count(CntReply, 1)
+		nd.sent.Reply++
 	case mReply:
 		nd.itemsReply = append(nd.itemsReply, replyItem{
 			Edge: m.Edge, Root: msg.Root, Dead: msg.Dead, IsCenter: msg.IsCenter, B: msg.B,
@@ -489,7 +505,7 @@ func (nd *distNode) handleMessage(env *local.Env, ph phase, m local.Message) {
 		// edge is in the spanner; record that before answering.
 		nd.inS[m.Edge] = true
 		env.Send(m.Edge, mProbeReply{Root: nd.clusterRoot, IsCenter: nd.centerCluster})
-		env.Count(CntProbe, 1)
+		nd.sent.Probe++
 	case mProbeReply:
 		nd.itemsProbe = append(nd.itemsProbe, probeItem{Edge: m.Edge, Root: msg.Root, IsCenter: msg.IsCenter})
 	case mConvProbe:
@@ -605,7 +621,7 @@ func (nd *distNode) handleNewCluster(env *local.Env, from graph.EdgeID, m mNewCl
 	for e := range newTree {
 		if e != from {
 			env.Send(e, mNewCluster{Root: m.Root, B: m.B, Depth: m.Depth + 1})
-			env.Count(CntTree, 1)
+			nd.sent.Tree++
 		}
 	}
 	nd.tree = newTree
@@ -654,7 +670,7 @@ func (nd *distNode) convMaybeComplete(env *local.Env, ph phase) {
 			payload = mConvJoin{Items: nd.itemsJoin}
 		}
 		env.Send(nd.parent, payload)
-		env.Count(CntTree, 1)
+		nd.sent.Tree++
 		return
 	}
 	switch ph.kind {
@@ -763,27 +779,25 @@ func (nd *distNode) finalizeFSConv(env *local.Env, ph phase) {
 // finalizeJoinConv merges the accepted joiners' boundaries with the center's
 // own using the count-one rule: an edge ID contributed by two constituent
 // boundaries has both endpoints inside the merged cluster and disappears.
+// Sorting the concatenated lists puts equal IDs side by side, so the merged
+// boundary is the IDs that occur exactly once, already in order.
 func (nd *distNode) finalizeJoinConv() {
 	if nd.decis != decCenter {
 		nd.itemsJoin = nil // stale aggregates at a joining/dying old root
 		return
 	}
-	counts := make(map[graph.EdgeID]int, len(nd.cb.list))
-	for _, e := range nd.cb.list {
-		counts[e]++
-	}
+	all := slices.Clone(nd.cb.list)
 	for _, it := range nd.itemsJoin {
-		for _, e := range it.B.list {
-			counts[e]++
-		}
+		all = append(all, it.B.list...)
 	}
+	slices.Sort(all)
 	var edges []graph.EdgeID
-	for e, c := range counts {
-		if c == 1 {
+	for i, e := range all {
+		if (i == 0 || all[i-1] != e) && (i+1 == len(all) || all[i+1] != e) {
 			edges = append(edges, e)
 		}
 	}
-	nd.pendingNewB = newBoundary(edges)
+	nd.pendingNewB = &boundary{list: edges}
 	nd.itemsJoin = nil
 }
 

@@ -166,21 +166,32 @@ func TestDistributedRejectsMultigraph(t *testing.T) {
 }
 
 func TestDistributedMessageAccounting(t *testing.T) {
+	// The per-kind tally lives in each node's state and is summed after the
+	// run, so it must cover every message the engine billed and be the same
+	// whether the nodes stepped on one goroutine or many.
 	g := gen.ConnectedGNP(200, 0.1, xrand.New(8))
-	res := buildDist(t, g, Default(2, 2), 9)
-	var byKind int64
-	for _, k := range []string{CntQuery, CntReply, CntTree, CntAccept, CntProbe, CntJoin} {
-		byKind += res.Run.Counters[k]
-	}
-	if byKind != res.Run.Messages {
-		t.Fatalf("counters sum to %d but runtime counted %d messages", byKind, res.Run.Messages)
-	}
-	if res.Run.Counters[CntQuery] == 0 || res.Run.Counters[CntTree] == 0 {
-		t.Fatalf("expected nonzero query and tree traffic: %+v", res.Run.Counters)
-	}
-	// Every query gets exactly one reply.
-	if res.Run.Counters[CntQuery] != res.Run.Counters[CntReply] {
-		t.Fatalf("queries %d != replies %d", res.Run.Counters[CntQuery], res.Run.Counters[CntReply])
+	var want Traffic
+	for _, workers := range []int{0, 2, -1} {
+		res, err := BuildDistributed(g, Default(2, 2), 9, local.Config{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		tr := res.Traffic
+		if byKind := tr.Query + tr.Reply + tr.Tree + tr.Accept + tr.Probe + tr.Join; byKind != res.Run.Messages {
+			t.Fatalf("workers=%d: traffic sums to %d but runtime counted %d messages", workers, byKind, res.Run.Messages)
+		}
+		if tr.Query == 0 || tr.Tree == 0 {
+			t.Fatalf("workers=%d: expected nonzero query and tree traffic: %+v", workers, tr)
+		}
+		// Every query gets exactly one reply.
+		if tr.Query != tr.Reply {
+			t.Fatalf("workers=%d: queries %d != replies %d", workers, tr.Query, tr.Reply)
+		}
+		if workers == 0 {
+			want = tr
+		} else if tr != want {
+			t.Fatalf("workers=%d: traffic %+v differs from the sequential engine's %+v", workers, tr, want)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -13,22 +13,13 @@ import (
 // read-only.
 type boundary struct {
 	list []graph.EdgeID // sorted
-	set  map[graph.EdgeID]bool
 }
 
 func newBoundary(edges []graph.EdgeID) *boundary {
-	b := &boundary{
-		list: append([]graph.EdgeID(nil), edges...),
-		set:  make(map[graph.EdgeID]bool, len(edges)),
-	}
-	sort.Slice(b.list, func(i, j int) bool { return b.list[i] < b.list[j] })
-	for _, e := range b.list {
-		b.set[e] = true
-	}
+	b := &boundary{list: append([]graph.EdgeID(nil), edges...)}
+	slices.Sort(b.list)
 	return b
 }
-
-func (b *boundary) contains(e graph.EdgeID) bool { return b != nil && b.set[e] }
 
 // Message payloads of the distributed Sampler. Every type is dispatched on
 // receipt by type, not by phase, which makes the state machine robust to

@@ -269,8 +269,8 @@ func E4Messages(quick bool) Report {
 		rows = append(rows, []string{
 			fmt.Sprint(n), fmt.Sprint(g.NumEdges()), fmt.Sprint(res.Run.Messages),
 			stats.F(ratio),
-			fmt.Sprint(res.Run.Counters[core.CntQuery]),
-			fmt.Sprint(res.Run.Counters[core.CntTree]),
+			fmt.Sprint(res.Traffic.Query),
+			fmt.Sprint(res.Traffic.Tree),
 		})
 		if ratio >= prevRatio {
 			rep.Pass = false

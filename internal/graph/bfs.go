@@ -105,7 +105,7 @@ func (g *Graph) Diameter() int {
 }
 
 // Ball returns the set of nodes within distance t of v (including v), the
-// set B_{G,t}(v) from the paper's Section 6.
+// set B_{G,t}(v) from the paper's Section 6, in ascending node order.
 func (g *Graph) Ball(v NodeID, t int) []NodeID {
 	dist := g.BFS(v, t)
 	out := make([]NodeID, 0, 16)

@@ -41,13 +41,16 @@
 // million-node graphs fit.
 //
 // A Runner carries those buffers from one run to the next: Envs, protocol
-// slots, inboxes, staging buckets, shard totals, the flat port and peer
-// arrays, and the counter registry are truncated and refilled instead of
-// re-made, so a caller executing many small runs in sequence (the ball
-// replays of internal/simulate, one Runner per replay worker) pays for setup
-// memory once. RunCtx is a run on a fresh Runner; both share one engine.
-// Adversary state (the delay ring, the edge-event graph clone) and the
-// worker pool are still built per run.
+// slots, inboxes, staging buckets, shard totals, and the flat port and
+// peer arrays are truncated and refilled instead of re-made, so a caller
+// executing many small runs in sequence (the ball replays of
+// internal/simulate, one Runner per replay worker) pays for setup memory
+// once. A run's Result holds only totals and the per-round ledger; a
+// protocol that wants a finer breakdown of its traffic (the distributed
+// Sampler's per-kind tally) keeps it in its own node state. RunCtx is a
+// run on a fresh Runner; both share one engine. Adversary state (the delay
+// ring, the edge-event graph clone) and the worker pool are still built per
+// run.
 //
 // Config.Horizon bounds each node's steps: a node steps only in rounds
 // below its horizon, then retires as if it had halted, and nothing is
@@ -70,7 +73,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/adversary"
@@ -163,10 +165,10 @@ type Config struct {
 	// must not call back into the run.
 	OnRound func(round int, messages int64)
 	// NoLedger disables the Result.PerRound ledger, whose length otherwise
-	// grows with every executed round. Totals, counters, halting, and the
-	// OnRound stream are unaffected, so a long-schedule run keeps O(1)
-	// memory in executed rounds by streaming rounds through OnRound (e.g.
-	// into the facade's MetricsSink) instead of retaining the slice.
+	// grows with every executed round. Totals, halting, and the OnRound
+	// stream are unaffected, so a long-schedule run keeps O(1) memory in
+	// executed rounds by streaming rounds through OnRound (e.g. into the
+	// facade's MetricsSink) instead of retaining the slice.
 	NoLedger bool
 	// StopWhen, if non-nil, is consulted after every completed round (after
 	// OnRound) with the round index and its message count; returning true
@@ -230,10 +232,6 @@ type Result struct {
 	// nodes count as halted: a crash-stop failure ends the node's
 	// participation exactly as a voluntary halt does.
 	Halted bool
-	// Counters aggregates Env.Count calls from all nodes, keyed by name.
-	// Protocols use it to attribute message traffic to phases (e.g. query
-	// vs. cluster-tree traffic in the distributed Sampler).
-	Counters map[string]int64
 
 	// Dropped counts messages the adversary destroyed in transit: random
 	// losses, messages addressed to crashed receivers, and messages on
@@ -291,15 +289,6 @@ type Env struct {
 	hint    int32 // rotating port-position hint: protocols that send along
 	halted  bool  // their port list in order resolve each edge in O(1)
 	crashed bool  // halted by an adversarial crash-stop failure
-
-	counts []int64 // indexed by the run's counter registry
-
-	// lastName/lastIdx memoize the node's most recent counter lookup so a
-	// protocol hammering one counter name skips the registry's shared
-	// read-lock entirely (counter names are static literals, so the string
-	// compare is usually a pointer comparison).
-	lastName string
-	lastIdx  int
 }
 
 // stagedMsg is one send awaiting delivery, staged in a per-(step worker,
@@ -395,52 +384,6 @@ func (e *Env) Halt() {
 	}
 }
 
-// Count adds delta to a named per-run counter (aggregated across nodes into
-// Result.Counters). Names are interned once per run in a shared registry, so
-// the per-call cost is an index lookup into a per-node slice — no per-node
-// map and no steady-state allocation.
-func (e *Env) Count(name string, delta int64) {
-	i := e.lastIdx
-	if name != e.lastName || e.lastName == "" {
-		i = e.run.counters.index(name)
-		e.lastName, e.lastIdx = name, i
-	}
-	for len(e.counts) <= i {
-		e.counts = append(e.counts, 0) // reuses the capacity of earlier runs
-	}
-	e.counts[i] += delta
-}
-
-// counterRegistry interns counter names for one run. Interning takes the
-// write lock only the first time a name is seen; every later Count from any
-// node is a read-locked map hit yielding a stable slice index.
-type counterRegistry struct {
-	mu    sync.RWMutex
-	idx   map[string]int
-	names []string
-}
-
-func (cr *counterRegistry) index(name string) int {
-	cr.mu.RLock()
-	i, ok := cr.idx[name]
-	cr.mu.RUnlock()
-	if ok {
-		return i
-	}
-	cr.mu.Lock()
-	defer cr.mu.Unlock()
-	if i, ok = cr.idx[name]; ok {
-		return i
-	}
-	if cr.idx == nil {
-		cr.idx = make(map[string]int)
-	}
-	i = len(cr.names)
-	cr.idx[name] = i
-	cr.names = append(cr.names, name)
-	return i
-}
-
 // run is the shared state of one execution.
 type run struct {
 	g    *graph.Graph
@@ -462,8 +405,7 @@ type run struct {
 	stages [][][]stagedMsg
 	totals []shardTotals // per delivery worker, cache-line padded
 
-	active   atomic.Int64
-	counters counterRegistry
+	active atomic.Int64
 
 	pool    *sched.Pool // non-nil iff cfg.Workers != 0
 	nshards int         // worker count (1 for the sequential engine)
@@ -516,12 +458,12 @@ func RunCtx(ctx context.Context, g *graph.Graph, f Factory, cfg Config) (Result,
 
 // Runner executes runs one after another on reused buffers. Every run
 // resets the per-node and per-shard state it inherits (Envs, protocol
-// slots, inboxes, staging buckets, totals, port views, counter registry)
-// to the new graph, so a sequence of runs on one Runner executes exactly
-// what the same runs on fresh Runners would; only allocation differs. When
-// a run returns, on every path, the Runner drops its references to the
-// graph, the protocols, the configuration and every in-flight payload, so
-// between runs it pins nothing but empty capacity.
+// slots, inboxes, staging buckets, totals, port views) to the new graph,
+// so a sequence of runs on one Runner executes exactly what the same runs
+// on fresh Runners would; only allocation differs. When a run returns, on
+// every path, the Runner drops its references to the graph, the protocols,
+// the configuration and every in-flight payload, so between runs it pins
+// nothing but empty capacity.
 //
 // The zero value is ready to use. A Runner is not safe for concurrent use:
 // callers that run in parallel keep one Runner per goroutine.
@@ -618,7 +560,7 @@ func (rn *Runner) Run(ctx context.Context, g *graph.Graph, f Factory, cfg Config
 		r.deliverFn = r.deliverShard
 	}
 
-	res := Result{Counters: make(map[string]int64)}
+	var res Result
 	for round := 0; round < cfg.MaxRounds; round++ {
 		if r.adv != nil {
 			r.applyAdversaryRound(round, &res)
@@ -681,9 +623,7 @@ func (rn *Runner) Run(ctx context.Context, g *graph.Graph, f Factory, cfg Config
 	for v := 0; v < n; v++ {
 		if !r.envs[v].halted {
 			res.Halted = false
-		}
-		for i, c := range r.envs[v].counts {
-			res.Counters[r.counters.names[i]] += c
+			break
 		}
 	}
 	return res, nil
@@ -701,9 +641,9 @@ func resize[T any](s []T, n int) []T {
 
 // reset readies the run's buffers for a run of r.g under r.cfg with the
 // shard geometry already set: per-node state is resized to the graph and
-// refilled, per-shard state to the shard count, and the counter registry is
-// emptied. Buffers are reused, never re-made, once they are large enough;
-// release has already emptied every inbox and staging bucket.
+// refilled, and per-shard state to the shard count. Buffers are reused,
+// never re-made, once they are large enough; release has already emptied
+// every inbox and staging bucket.
 //
 //freelunch:noalloc
 func (r *run) reset(f Factory) {
@@ -717,8 +657,6 @@ func (r *run) reset(f Factory) {
 		}
 	}
 	r.totals = resize(r.totals, r.nshards) // each delivery zeroes its own worker's totals
-	clear(r.counters.idx)
-	r.counters.names = r.counters.names[:0]
 
 	// Flat per-node state: one Env array, one ports array, one peer-index
 	// array — O(nodes + edges) setup memory, no per-node maps.
@@ -734,12 +672,11 @@ func (r *run) reset(f Factory) {
 			id = r.cfg.IDMap[v]
 		}
 		r.envs[v] = Env{
-			run:    r,
-			idx:    idx,
-			id:     id,
-			shard:  int32(v / r.chunk),
-			rng:    root.Derived(uint64(id)),
-			counts: r.envs[v].counts[:0],
+			run:   r,
+			idx:   idx,
+			id:    id,
+			shard: int32(v / r.chunk),
+			rng:   root.Derived(uint64(id)),
 		}
 		if h := r.cfg.Horizon; h != nil && h[v] <= 0 {
 			// Retired before round 0: no protocol, no step, no inbox.

@@ -14,10 +14,12 @@ import (
 
 // floodMax is a tiny LOCAL protocol: every node repeatedly broadcasts the
 // largest node ID it has seen; after t rounds each node knows the max ID in
-// its t-ball. It exercises Send, inboxes, halting, and determinism.
+// its t-ball. It exercises Send, inboxes, halting, and determinism, and
+// tallies its own sends so tests can check them against the engine's bill.
 type floodMax struct {
-	t    int
-	best graph.NodeID
+	t      int
+	best   graph.NodeID
+	floods int64
 }
 
 func (p *floodMax) Step(env *Env, round int, inbox []Message) {
@@ -36,7 +38,7 @@ func (p *floodMax) Step(env *Env, round int, inbox []Message) {
 	for _, port := range env.Ports() {
 		env.Send(port.Edge, p.best)
 	}
-	env.Count("floods", int64(env.Degree()))
+	p.floods += int64(env.Degree())
 }
 
 func runFloodMax(t *testing.T, g *graph.Graph, rounds int, cfg Config) ([]graph.NodeID, Result) {
@@ -130,14 +132,25 @@ func TestRandStreamsEngineIndependent(t *testing.T) {
 
 func TestMessageCounting(t *testing.T) {
 	g := gen.Complete(5) // 10 edges
-	_, res := runFloodMax(t, g, 2, Config{Seed: 1})
+	states := make([]*floodMax, g.NumNodes())
+	res, err := Run(g, func(v graph.NodeID) Protocol {
+		states[v] = &floodMax{t: 2}
+		return states[v]
+	}, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Rounds 0,1,2 each send over every half-edge: 3 * 2*10 = 60 messages...
 	// round 2 is the halt round (no sends), so rounds 0 and 1 send: 2*20.
 	if res.Messages != 40 {
 		t.Fatalf("messages = %d, want 40", res.Messages)
 	}
-	if res.Counters["floods"] != 40 {
-		t.Fatalf("counter = %d, want 40", res.Counters["floods"])
+	var floods int64
+	for _, s := range states {
+		floods += s.floods
+	}
+	if floods != 40 {
+		t.Fatalf("protocol tallied %d sends, want 40", floods)
 	}
 	if len(res.PerRound) != 3 || res.PerRound[0] != 20 || res.PerRound[2] != 0 {
 		t.Fatalf("per-round = %v", res.PerRound)
@@ -529,8 +542,8 @@ func TestRunCtxPreCancelled(t *testing.T) {
 }
 
 func TestNoLedgerKeepsTotalsAndStream(t *testing.T) {
-	// NoLedger must drop exactly the PerRound slice: totals, counters,
-	// halting, and the OnRound stream are unchanged on both engines.
+	// NoLedger must drop exactly the PerRound slice: totals, halting, and
+	// the OnRound stream are unchanged on both engines.
 	g := gen.ConnectedGNP(40, 0.1, xrand.New(8))
 	for _, workers := range []int{0, -1} {
 		var ledgerMsgs, streamMsgs []int64
@@ -545,8 +558,7 @@ func TestNoLedgerKeepsTotalsAndStream(t *testing.T) {
 			t.Fatalf("workers=%d: outputs differ without the ledger", workers)
 		}
 		if res.Rounds != withRes.Rounds || res.Messages != withRes.Messages ||
-			res.PayloadUnits != withRes.PayloadUnits || res.Halted != withRes.Halted ||
-			!reflect.DeepEqual(res.Counters, withRes.Counters) {
+			res.PayloadUnits != withRes.PayloadUnits || res.Halted != withRes.Halted {
 			t.Fatalf("workers=%d: metrics drifted without the ledger: %+v vs %+v", workers, res, withRes)
 		}
 		if !reflect.DeepEqual(streamMsgs, ledgerMsgs) {
@@ -599,17 +611,20 @@ func TestNoLedgerAllocsO1PerRound(t *testing.T) {
 }
 
 // busyProto saturates the message plane: every round it sends a pre-boxed
-// payload over every port and bumps a counter, and it never halts. Every
-// simulator-side cost of a busy round — outbox staging, delivery, inbox
-// sorting, counter accounting — recurs each round, so allocation growth
-// across schedules measures the steady-state cost of a busy round.
-type busyProto struct{ payload any }
+// payload over every port and counts its own step, and it never halts.
+// Every simulator-side cost of a busy round — outbox staging, delivery,
+// inbox sorting — recurs each round, so allocation growth across schedules
+// measures the steady-state cost of a busy round.
+type busyProto struct {
+	payload any
+	steps   int64
+}
 
 func (p *busyProto) Step(env *Env, round int, inbox []Message) {
 	for _, pt := range env.Ports() {
 		env.Send(pt.Edge, p.payload)
 	}
-	env.Count("busy", 1)
+	p.steps++
 }
 
 func TestBusyRoundAllocsSteadyStateZero(t *testing.T) {
@@ -619,20 +634,24 @@ func TestBusyRoundAllocsSteadyStateZero(t *testing.T) {
 	// allocations (noise), on both engines. This is the busy-round
 	// complement of TestNoLedgerAllocsO1PerRound's quiet-round bound.
 	g := gen.Grid(5, 5)
+	protos := make([]*busyProto, g.NumNodes())
 	for _, workers := range []int{0, 2} { // 0 = sequential engine
 		measure := func(rounds int) float64 {
 			return testing.AllocsPerRun(5, func() {
-				res, err := Run(g, func(graph.NodeID) Protocol { return &busyProto{payload: "x"} },
-					Config{Seed: 1, MaxRounds: rounds, NoLedger: true,
-						Workers: workers})
+				res, err := Run(g, func(v graph.NodeID) Protocol {
+					protos[v] = &busyProto{payload: "x"}
+					return protos[v]
+				}, Config{Seed: 1, MaxRounds: rounds, NoLedger: true, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if res.Rounds != rounds {
 					t.Fatalf("executed %d rounds, want %d", res.Rounds, rounds)
 				}
-				if res.Counters["busy"] != int64(rounds*g.NumNodes()) {
-					t.Fatalf("counter = %d", res.Counters["busy"])
+				for v, p := range protos {
+					if p.steps != int64(rounds) {
+						t.Fatalf("node %d stepped %d of %d rounds", v, p.steps, rounds)
+					}
 				}
 			})
 		}
@@ -662,10 +681,11 @@ type sweepRec struct {
 }
 
 // sweepProto multi-sends on every port (several copies per edge per round)
-// and logs its inbox verbatim.
+// and logs its inbox verbatim, tallying its own sends.
 type sweepProto struct {
-	t   int
-	log []sweepRec
+	t    int
+	log  []sweepRec
+	sent int64
 }
 
 func (p *sweepProto) Step(env *Env, round int, inbox []Message) {
@@ -682,7 +702,7 @@ func (p *sweepProto) Step(env *Env, round int, inbox []Message) {
 			env.Send(pt.Edge, sweepPayload{From: env.ID(), Copy: k, Draw: env.Rand().Uint64()})
 		}
 	}
-	env.Count("sweep-sends", int64(copies*env.Degree()))
+	p.sent += int64(copies * env.Degree())
 }
 
 func TestEngineEquivalenceWorkerSweep(t *testing.T) {
@@ -699,7 +719,7 @@ func TestEngineEquivalenceWorkerSweep(t *testing.T) {
 	if g.IsSimple() {
 		t.Fatal("test graph must contain parallel edges")
 	}
-	execute := func(workers int) ([][]sweepRec, Result) {
+	execute := func(workers int) ([][]sweepRec, []int64, Result) {
 		protos := make([]*sweepProto, g.NumNodes())
 		res, err := Run(g, func(v graph.NodeID) Protocol {
 			protos[v] = &sweepProto{t: 5}
@@ -709,22 +729,33 @@ func TestEngineEquivalenceWorkerSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		logs := make([][]sweepRec, len(protos))
+		sent := make([]int64, len(protos))
 		for i, p := range protos {
-			logs[i] = p.log
+			logs[i], sent[i] = p.log, p.sent
 		}
-		return logs, res
+		return logs, sent, res
 	}
-	wantLogs, wantRes := execute(0)
+	wantLogs, wantSent, wantRes := execute(0)
 	if wantRes.Messages == 0 || !wantRes.Halted {
 		t.Fatalf("degenerate baseline run: %+v", wantRes)
 	}
+	var tallied int64
+	for _, n := range wantSent {
+		tallied += n
+	}
+	if tallied != wantRes.Messages {
+		t.Fatalf("protocols tallied %d sends, engine billed %d", tallied, wantRes.Messages)
+	}
 	for _, workers := range []int{1, 2, 3, 7, runtime.GOMAXPROCS(0)} {
-		gotLogs, gotRes := execute(workers)
+		gotLogs, gotSent, gotRes := execute(workers)
 		if !reflect.DeepEqual(gotRes, wantRes) {
 			t.Fatalf("workers=%d: Result differs from sequential engine:\n got %+v\nwant %+v", workers, gotRes, wantRes)
 		}
 		if !reflect.DeepEqual(gotLogs, wantLogs) {
 			t.Fatalf("workers=%d: inbox transcripts differ from sequential engine", workers)
+		}
+		if !reflect.DeepEqual(gotSent, wantSent) {
+			t.Fatalf("workers=%d: per-node send tallies differ from sequential engine", workers)
 		}
 	}
 }

@@ -477,7 +477,7 @@ func HybridSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core
 	// seeding deadline (central bookkeeping).
 	residue := make([]bool, n)
 	for v := 0; v < n; v++ {
-		for u := range bi.Members(graph.NodeID(v)) {
+		for _, u := range bi.Members(graph.NodeID(v)) {
 			if _, ok := gos.Known[v][u]; !ok {
 				residue[u] = true
 			}

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"time"
@@ -269,43 +270,37 @@ func (o *Options) localConfig() local.Config {
 	return cfg
 }
 
-// samplerParams resolves the Sampler parameters the schemes use for their
-// stage-1 spanner: the explicit WithSpannerParams override when present,
-// otherwise the paper's γ-coupling.
-func (o *Options) samplerParams() core.Params {
+// spannerParams resolves Sampler parameters: the WithSpannerParams override
+// (depth SpannerK, trial parameter SpannerH defaulting to 4) when SpannerK
+// is positive, fallback otherwise. A nonzero SpannerC replaces the
+// threshold scale either way.
+func (o *Options) spannerParams(fallback func() core.Params) core.Params {
+	var p core.Params
 	if o.SpannerK > 0 {
-		h := o.SpannerH
-		if h == 0 {
-			h = 4
-		}
-		p := core.Default(o.SpannerK, h)
-		if o.SpannerC != 0 {
-			p.C = o.SpannerC
-		}
-		return p
+		p = core.Default(o.SpannerK, cmp.Or(o.SpannerH, 4))
+	} else {
+		p = fallback()
 	}
-	p := simulate.Scheme1Params(o.Gamma)
 	if o.SpannerC != 0 {
 		p.C = o.SpannerC
 	}
 	return p
 }
 
-// buildSpannerParams resolves the parameters Engine.BuildSpanner uses:
-// explicit overrides when present, otherwise the paper defaults K=2, H=4.
+// samplerParams resolves the Sampler parameters the schemes use for their
+// stage-1 spanner; without an override they follow the paper's γ-coupling.
+func (o *Options) samplerParams() core.Params {
+	return o.spannerParams(func() core.Params { return simulate.Scheme1Params(o.Gamma) })
+}
+
+// buildSpannerParams resolves the parameters Engine.BuildSpanner uses;
+// without an override they are the paper defaults K=2, H=4 (an explicit
+// SpannerH still applies). A negative SpannerK is passed through, so the
+// build rejects it.
 func (o *Options) buildSpannerParams() core.Params {
-	k, h := o.SpannerK, o.SpannerH
-	if k == 0 {
-		k = 2
-	}
-	if h == 0 {
-		h = 4
-	}
-	p := core.Default(k, h)
-	if o.SpannerC != 0 {
-		p.C = o.SpannerC
-	}
-	return p
+	return o.spannerParams(func() core.Params {
+		return core.Default(cmp.Or(o.SpannerK, 2), cmp.Or(o.SpannerH, 4))
+	})
 }
 
 // hooks fans pipeline events out to every registered observer.
