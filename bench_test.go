@@ -232,6 +232,23 @@ func BenchmarkSamplerDistributed(b *testing.B) {
 	b.ReportMetric(float64(msgs), "msgs/op")
 }
 
+// BenchmarkSamplerDistributedTorus is the sparse regime the GNP benchmark
+// above misses: on a 36×36 torus with the facade's scheme1 parameters a
+// root draws far more samples per trial than its pool holds.
+func BenchmarkSamplerDistributedTorus(b *testing.B) {
+	g := gen.Torus(36, 36)
+	b.ResetTimer()
+	var msgs int64
+	for i := 0; i < b.N; i++ {
+		res, err := core.BuildDistributed(g, simulate.Scheme1Params(1), uint64(i), local.Config{Workers: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		msgs = res.Run.Messages
+	}
+	b.ReportMetric(float64(msgs), "msgs/op")
+}
+
 func BenchmarkLocalEngineSequential(b *testing.B) {
 	benchLocalEngine(b, 0)
 }

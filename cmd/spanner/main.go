@@ -1,6 +1,6 @@
 // Command spanner builds a spanner with algorithm Sampler on a generated
-// graph and reports size, measured stretch, and (in distributed mode) round
-// and message costs.
+// graph and reports size, measured stretch, and (in distributed mode) round,
+// message and payload-word costs.
 //
 // Usage:
 //
@@ -89,6 +89,7 @@ func main() {
 		report(g, res.S, res.StretchBound())
 		fmt.Printf("rounds: %d  messages: %d (%.2f per edge)\n",
 			res.Run.Rounds, res.Run.Messages, float64(res.Run.Messages)/float64(g.NumEdges()))
+		fmt.Printf("words: %d\n", res.Run.PayloadUnits)
 		tr := res.Traffic
 		for _, kind := range []struct {
 			name string

@@ -16,9 +16,9 @@ import (
 // convergecast sessions over the cluster's spanning tree (depth ≤ 3^j − 1 by
 // Lemma 8), on a global lockstep schedule (see schedule.go).
 //
-// Three devices keep the message complexity at Õ(n^{1+δ+1/h}). Each stays
-// within the paper's LOCAL model, which bounds neither message size nor
-// local computation:
+// Four devices keep the message complexity at Õ(n^{1+δ+1/h}) and its
+// simulation cheap. Each stays within the paper's LOCAL model, which bounds
+// neither message size nor local computation:
 //
 //  1. query replies carry the replying cluster's entire boundary edge-ID
 //     set (one message — LOCAL does not bound message size), letting the
@@ -29,7 +29,12 @@ import (
 //  3. clusters that stop participating ("unclustered"/dead) never announce
 //     their death on their boundary; staleness is discovered lazily by the
 //     DEAD query reply, which also carries the dead cluster's final boundary
-//     for bulk peeling.
+//     for bulk peeling;
+//  4. a root broadcasts each trial's distinct draws (in first-draw order)
+//     rather than the raw with-replacement sequence, and the broadcast is
+//     still billed one word per draw: a repeat changes no decision, since
+//     the root's reduction skips an edge it has already peeled and a member
+//     queries each incident edge once.
 
 // noEdge marks "no edge" in tree bookkeeping; the distributed Sampler
 // requires non-negative edge IDs.
@@ -372,19 +377,12 @@ func (nd *distNode) forwardDown(env *local.Env, from graph.EdgeID, payload any) 
 func (nd *distNode) rootTrialBcast(env *local.Env, ph phase) {
 	idle := nd.fCount >= nd.p.threshold(ph.level, nEstimate(env)) || nd.x.empty()
 	var samples []graph.EdgeID
+	var draws int
 	if !idle {
-		count := nd.p.samplesPerTrial(ph.level, nEstimate(env))
-		samples = make([]graph.EdgeID, 0, count)
-		for i := 0; i < count; i++ {
-			e, ok := nd.x.sample(env.Rand())
-			if !ok {
-				break
-			}
-			samples = append(samples, e)
-		}
+		samples, draws = nd.x.drawDistinct(env.Rand(), nd.p.samplesPerTrial(ph.level, nEstimate(env)))
 	}
 	nd.sampleOrder = samples
-	msg := mTrial{Samples: samples, FAdds: nd.fPending, Idle: idle}
+	msg := mTrial{Samples: samples, Draws: draws, FAdds: nd.fPending, Idle: idle}
 	nd.fPending = nil
 	nd.handleTrial(env, msg)
 	nd.forwardDown(env, noEdge, msg)
@@ -563,13 +561,13 @@ func (nd *distNode) markFAdds(fAdds []graph.EdgeID) {
 }
 
 // ownIncident filters a broadcast edge list down to this node's own edges,
-// deduplicated, preserving order.
+// preserving order. Every list it is given is duplicate-free — a trial's
+// distinct draws, the probe edges (one per queried cluster) and the
+// fail-safe snapshot — so the output is too.
 func (nd *distNode) ownIncident(edges []graph.EdgeID) []graph.EdgeID {
 	var out []graph.EdgeID
-	seen := make(map[graph.EdgeID]bool)
 	for _, e := range edges {
-		if nd.myEdges[e] && !seen[e] {
-			seen[e] = true
+		if nd.myEdges[e] {
 			out = append(out, e)
 		}
 	}
@@ -686,7 +684,7 @@ func (nd *distNode) convMaybeComplete(env *local.Env, ph phase) {
 }
 
 // finalizeTrialConv is the root's reduction of a trial: process replies in
-// draw order, peel replying clusters out of X_v, and grow F up to the
+// first-draw order, peel replying clusters out of X_v, and grow F up to the
 // threshold budget — the exact logic of the centralized Cluster_j step 1.
 func (nd *distNode) finalizeTrialConv(env *local.Env, ph phase) {
 	byEdge := make(map[graph.EdgeID]replyItem, len(nd.itemsReply))

@@ -356,3 +356,45 @@ func TestDistributedPropertyRandomGraphs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDistributedBillPin pins the distributed Sampler's whole bill —
+// messages, rounds, payload words, the per-kind split and |S| — on two
+// regimes at both engines. On the torus a root draws far more samples than
+// its pool holds; on the complete graph with C = 0.5 the pool dwarfs the
+// draws. No golden records payload units, so this is the test that catches
+// a change to what a trial broadcast is charged.
+func TestDistributedBillPin(t *testing.T) {
+	dense := Default(2, 7)
+	dense.C = 0.5
+	for _, tc := range []struct {
+		name     string
+		g        *graph.Graph
+		p        Params
+		seed     uint64
+		messages int64
+		rounds   int
+		units    int64
+		traffic  Traffic
+		s        int
+	}{
+		{"torus36", gen.Torus(36, 36), Default(2, 7), 7, 81711, 524, 1281375,
+			Traffic{Query: 9402, Reply: 9402, Tree: 39650, Accept: 7562, Probe: 14848, Join: 847}, 2592},
+		{"complete112", gen.Complete(112), dense, 5, 17329, 524, 3341724,
+			Traffic{Query: 3561, Reply: 3561, Tree: 4921, Accept: 1912, Probe: 3276, Join: 98}, 1674},
+	} {
+		for _, workers := range []int{0, 2} {
+			res, err := BuildDistributed(tc.g, tc.p, tc.seed, local.Config{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := [...]int64{res.Run.Messages, int64(res.Run.Rounds), res.Run.PayloadUnits, int64(len(res.S))}
+			want := [...]int64{tc.messages, int64(tc.rounds), tc.units, int64(tc.s)}
+			if got != want {
+				t.Errorf("%s/workers=%d: (messages, rounds, units, |S|) = %v, want %v", tc.name, workers, got, want)
+			}
+			if res.Traffic != tc.traffic {
+				t.Errorf("%s/workers=%d: traffic = %+v, want %+v", tc.name, workers, res.Traffic, tc.traffic)
+			}
+		}
+	}
+}

@@ -27,8 +27,11 @@ func newBoundary(edges []graph.EdgeID) *boundary {
 
 // mTrial flows down the cluster tree at each trial: the root's sampled query
 // edges plus spanner-edge additions decided since the previous broadcast.
+// Samples holds the distinct edges of the trial's Draws draws (with
+// replacement), in first-draw order; the message is billed per draw.
 type mTrial struct {
 	Samples []graph.EdgeID
+	Draws   int
 	FAdds   []graph.EdgeID
 	Idle    bool // the root finished early; no queries this trial
 }
@@ -161,7 +164,7 @@ func blen(b *boundary) int64 {
 
 // PayloadUnits implements local.Sizer.
 func (m mTrial) PayloadUnits() int64 {
-	return 1 + int64(len(m.Samples)) + int64(len(m.FAdds))
+	return 1 + int64(m.Draws) + int64(len(m.FAdds))
 }
 
 // PayloadUnits implements local.Sizer.

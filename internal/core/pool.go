@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/xrand"
@@ -16,6 +16,11 @@ import (
 type edgePool struct {
 	list []graph.EdgeID
 	pos  map[graph.EdgeID]int
+
+	// stamp[i] == epoch marks list[i] as already drawn in the current
+	// drawDistinct call; bumping epoch clears every mark at once.
+	stamp []int
+	epoch int
 }
 
 // newEdgePool builds a pool over the given edges. The input is copied and
@@ -25,7 +30,7 @@ func newEdgePool(edges []graph.EdgeID) *edgePool {
 		list: append([]graph.EdgeID(nil), edges...),
 		pos:  make(map[graph.EdgeID]int, len(edges)),
 	}
-	sort.Slice(p.list, func(i, j int) bool { return p.list[i] < p.list[j] })
+	slices.Sort(p.list)
 	for i, e := range p.list {
 		p.pos[e] = i
 	}
@@ -41,12 +46,29 @@ func (p *edgePool) contains(e graph.EdgeID) bool {
 	return ok
 }
 
-// sample returns a uniform unexplored edge; ok is false on an empty pool.
-func (p *edgePool) sample(rng *xrand.RNG) (graph.EdgeID, bool) {
+// drawDistinct draws count edges uniformly with replacement — exactly count
+// rng.Intn(size) calls — and returns the distinct edges in first-draw order
+// together with the number of draws. A trial's draws repeat heavily once the
+// pool is small, and a repeat adds nothing: the root's reduction skips every
+// edge it has already peeled, and a member queries each incident edge once.
+// On an empty pool it draws nothing.
+func (p *edgePool) drawDistinct(rng *xrand.RNG, count int) ([]graph.EdgeID, int) {
 	if len(p.list) == 0 {
-		return 0, false
+		return nil, 0
 	}
-	return p.list[rng.Intn(len(p.list))], true
+	if p.stamp == nil {
+		p.stamp = make([]int, len(p.list)) // the list only shrinks
+	}
+	p.epoch++
+	out := make([]graph.EdgeID, 0, min(count, len(p.list)))
+	for range count {
+		i := rng.Intn(len(p.list))
+		if p.stamp[i] != p.epoch {
+			p.stamp[i] = p.epoch
+			out = append(out, p.list[i])
+		}
+	}
+	return out, count
 }
 
 // remove deletes e if present.
@@ -75,6 +97,6 @@ func (p *edgePool) removeAll(edges []graph.EdgeID) {
 // fail-safe broadcast, whose content must be deterministic).
 func (p *edgePool) snapshot() []graph.EdgeID {
 	out := append([]graph.EdgeID(nil), p.list...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
