@@ -29,8 +29,10 @@ type Spec struct {
 	// invoked from multiple goroutines at once and must not mutate state
 	// shared across calls.
 	New func(v graph.NodeID) local.Protocol
-	// Output extracts a node's final output from its protocol instance. The
-	// returned value must be comparable with == for fidelity checks.
+	// Output extracts a node's final output from its protocol instance. For
+	// the facade's target algorithms the returned value must be comparable
+	// with == for fidelity checks. A spanner.Construction's outputs are edge
+	// sets (map[graph.EdgeID]bool), compared as sets.
 	Output func(p local.Protocol) any
 }
 

@@ -512,9 +512,6 @@ func (nd *distNode) handleMessage(env *local.Env, ph phase, m local.Message) {
 	case mFS:
 		nd.handleFS(env, msg)
 		nd.forwardDown(env, m.Edge, msg)
-	case mConvFS:
-		nd.itemsReply = append(nd.itemsReply, msg.Items...)
-		nd.convWaiting--
 	case mDecide:
 		nd.handleDecide(env, msg)
 		nd.forwardDown(env, m.Edge, msg)
@@ -658,12 +655,10 @@ func (nd *distNode) convMaybeComplete(env *local.Env, ph phase) {
 	if !nd.isRoot {
 		var payload any
 		switch ph.kind {
-		case phTrialConv:
+		case phTrialConv, phFSConv:
 			payload = mConvReply{Items: nd.itemsReply}
 		case phProbeConv:
 			payload = mConvProbe{Items: nd.itemsProbe}
-		case phFSConv:
-			payload = mConvFS{Items: nd.itemsReply}
 		case phJoinConv:
 			payload = mConvJoin{Items: nd.itemsJoin}
 		}

@@ -65,7 +65,8 @@ type replyItem struct {
 	B        *boundary
 }
 
-// mConvReply carries aggregated query replies toward the root.
+// mConvReply carries aggregated replies toward the root: the query replies
+// of a trial's convergecast and the fail-safe replies of the fail-safe's.
 type mConvReply struct{ Items []replyItem }
 
 // mCenter flows down after the trials: the cluster's center coin, the edges
@@ -102,9 +103,6 @@ type mFS struct{ Edges []graph.EdgeID }
 // mFSQuery is the fail-safe variant of mQuery (answered by mReply with
 // IsCenter set).
 type mFSQuery struct{}
-
-// mConvFS carries aggregated fail-safe replies toward the root.
-type mConvFS struct{ Items []replyItem }
 
 // decision is a cluster's fate at the end of a level.
 type decision int
@@ -192,15 +190,6 @@ func (m mConvProbe) PayloadUnits() int64 { return 1 + 3*int64(len(m.Items)) }
 
 // PayloadUnits implements local.Sizer.
 func (m mFS) PayloadUnits() int64 { return 1 + int64(len(m.Edges)) }
-
-// PayloadUnits implements local.Sizer.
-func (m mConvFS) PayloadUnits() int64 {
-	var u int64
-	for _, it := range m.Items {
-		u += 4 + blen(it.B)
-	}
-	return 1 + u
-}
 
 // PayloadUnits implements local.Sizer.
 func (m mDecide) PayloadUnits() int64 { return 2 + int64(len(m.FAdds)) }

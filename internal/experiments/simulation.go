@@ -17,6 +17,14 @@ import (
 	"repro/internal/xrand"
 )
 
+// mustConstruction unwraps a stage-2 construction built at a valid k.
+func mustConstruction(c spanner.Construction, err error) spanner.Construction {
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // E5Baseline contrasts the distributed Sampler with distributed Baswana–Sen
 // (the Ω(m)-message family the paper improves on): on a dense graph, Sampler
 // must send fewer messages, while Baswana–Sen's messages track m.
@@ -33,6 +41,7 @@ func E5Baseline(quick bool) Report {
 	}
 	p := core.Default(2, 8)
 	p.C = 0.5
+	bsc := mustConstruction(spanner.BaswanaSenConstruction(2))
 	var rows [][]string
 	for _, tc := range []struct {
 		name string
@@ -46,21 +55,21 @@ func E5Baseline(quick bool) Report {
 		if err != nil {
 			panic(err)
 		}
-		bs, err := spanner.BaswanaSenDistributed(tc.g, 2, 7, local.Config{Workers: -1})
+		_, bs, err := simulate.Direct(context.Background(), tc.g, bsc.Spec, 7, local.Config{Workers: -1})
 		if err != nil {
 			panic(err)
 		}
 		rows = append(rows, []string{
 			tc.name, fmt.Sprint(m),
 			fmt.Sprint(samp.Run.Messages), stats.F(float64(samp.Run.Messages) / float64(m)),
-			fmt.Sprint(bs.Run.Messages), stats.F(float64(bs.Run.Messages) / float64(m)),
-			fmt.Sprint(samp.Run.Rounds), fmt.Sprint(bs.Run.Rounds),
+			fmt.Sprint(bs.Messages), stats.F(float64(bs.Messages) / float64(m)),
+			fmt.Sprint(samp.Run.Rounds), fmt.Sprint(bs.Rounds),
 		})
-		if samp.Run.Messages >= bs.Run.Messages {
+		if samp.Run.Messages >= bs.Messages {
 			rep.Pass = false
 			rep.Notes = append(rep.Notes, tc.name+": Sampler did not beat Baswana–Sen on messages")
 		}
-		if bs.Run.Messages < 2*m {
+		if bs.Messages < 2*m {
 			rep.Pass = false
 			rep.Notes = append(rep.Notes, tc.name+": Baswana–Sen below the Θ(m) floor?")
 		}
@@ -271,7 +280,7 @@ func E8TwoStage(quick bool) Report {
 	seed := uint64(41)
 	spec := algorithms.MaxID(tr)
 	cfg := local.Config{Seed: seed, Workers: -1}
-	s2, err := simulate.Scheme2WithSrc(context.Background(), g, spec, simulate.Scheme1Params(1), simulate.BaswanaSenStage2(bsK), cfg, progressHooks("E8"), nil)
+	s2, err := simulate.Scheme2WithSrc(context.Background(), g, spec, simulate.Scheme1Params(1), mustConstruction(spanner.BaswanaSenConstruction(bsK)), cfg, progressHooks("E8"), nil)
 	if err != nil {
 		panic(err)
 	}
@@ -555,7 +564,7 @@ func E13BitComplexity(quick bool) Report {
 
 // E14SpannerQuality prices the message-efficiency: at a matched stretch
 // bound, how much larger is Sampler's spanner than the classic greedy
-// spanner's and Baswana–Sen's?
+// spanner's and the distributed Baswana–Sen protocol's (run directly)?
 func E14SpannerQuality(quick bool) Report {
 	rep := Report{
 		ID:    "E14",
@@ -584,10 +593,11 @@ func E14SpannerQuality(quick bool) Report {
 		if err != nil {
 			panic(err)
 		}
-		bs, err := spanner.BaswanaSen(g, 3, 3)
+		bsOuts, _, err := simulate.Direct(context.Background(), g, mustConstruction(spanner.BaswanaSenConstruction(3)).Spec, 3, local.Config{Workers: -1})
 		if err != nil {
 			panic(err)
 		}
+		bs := spanner.Edges(bsOuts)
 		greedy, err := spanner.Greedy(g, 3)
 		if err != nil {
 			panic(err)
@@ -596,7 +606,7 @@ func E14SpannerQuality(quick bool) Report {
 		if err != nil {
 			panic(err)
 		}
-		_, srB, err := graph.VerifySpanner(g, bs.S, 5)
+		_, srB, err := graph.VerifySpanner(g, bs, 5)
 		if err != nil {
 			panic(err)
 		}
@@ -607,7 +617,7 @@ func E14SpannerQuality(quick bool) Report {
 		rows = append(rows, []string{
 			tc.name, fmt.Sprint(g.NumEdges()),
 			fmt.Sprintf("%d (max %d)", len(samp.S), srS.MaxEdgeStretch),
-			fmt.Sprintf("%d (max %d)", len(bs.S), srB.MaxEdgeStretch),
+			fmt.Sprintf("%d (max %d)", len(bs), srB.MaxEdgeStretch),
 			fmt.Sprintf("%d (max %d)", len(greedy.S), srG.MaxEdgeStretch),
 			stats.F(float64(len(samp.S)) / float64(len(greedy.S))),
 		})
@@ -643,11 +653,13 @@ func E15ElkinNeimanStage(quick bool) Report {
 	p := simulate.Scheme1Params(1)
 
 	cfg := local.Config{Seed: seed, Workers: -1}
-	bs, err := simulate.Scheme2WithSrc(context.Background(), g, spec, p, simulate.BaswanaSenStage2(k2), cfg, progressHooks("E15"), nil)
+	bsc := mustConstruction(spanner.BaswanaSenConstruction(k2))
+	enc := mustConstruction(spanner.ElkinNeimanConstruction(k2))
+	bs, err := simulate.Scheme2WithSrc(context.Background(), g, spec, p, bsc, cfg, progressHooks("E15"), nil)
 	if err != nil {
 		panic(err)
 	}
-	en, err := simulate.Scheme2WithSrc(context.Background(), g, spec, p, simulate.ElkinNeimanStage2(k2), cfg, progressHooks("E15"), nil)
+	en, err := simulate.Scheme2WithSrc(context.Background(), g, spec, p, enc, cfg, progressHooks("E15"), nil)
 	if err != nil {
 		panic(err)
 	}
@@ -672,7 +684,7 @@ func E15ElkinNeimanStage(quick bool) Report {
 	} else {
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
 			"middle phase: EN %d rounds vs BS %d (budgets %d vs %d times the stage-1 stretch)",
-			en.Phases[1].Rounds, bs.Phases[1].Rounds, spanner.ENRounds(k2), spanner.BSRounds(k2)))
+			en.Phases[1].Rounds, bs.Phases[1].Rounds, enc.T, bsc.T))
 	}
 	// Fidelity spot check for the EN pipeline.
 	want, _, err := simulate.Direct(context.Background(), g, spec, seed, local.Config{})

@@ -239,73 +239,25 @@ func Scheme1Params(gamma int) core.Params {
 	return core.Default(gamma, (1<<(gamma+1))-1)
 }
 
-// Stage2 describes an off-the-shelf distributed spanner construction the
-// two-stage scheme can simulate: a fixed-round-budget LOCAL protocol whose
-// per-node output is its incident spanner edges.
-type Stage2 struct {
-	// Name labels the phase in cost tables.
-	Name string
-	// T is the protocol's fixed round budget.
-	T int
-	// Stretch is the construction's stretch bound.
-	Stretch int
-	// New builds a protocol instance.
-	New func() local.Protocol
-	// Output extracts a node's incident spanner edges.
-	Output func(local.Protocol) map[graph.EdgeID]bool
-}
-
-// BaswanaSenStage2 is the Baswana–Sen construction as a stage-2 target:
-// stretch 2k−1 in BSRounds(k) = O(k²) rounds.
-//
-// The paper's two-stage scheme simulates the spanner construction of Derbel
-// et al.; this reproduction substitutes Baswana–Sen. Nothing in the
-// simulation depends on that choice: stage 2 collects every node's t₂-ball
-// over the stage-1 spanner and replays the construction locally, which is
-// exact for any fixed-round LOCAL protocol whose per-node output is its
-// incident spanner edges — the Stage2 contract. Any construction meeting it
-// is a valid stage-2 target. What the substitution costs is the target's
-// round count: BSRounds(k) = O(k²) rounds, multiplied by the stage-1
-// stretch in the stage-2 collection. ElkinNeimanStage2 is the k+O(1)-round
-// alternative.
-func BaswanaSenStage2(k int) Stage2 {
-	return Stage2{
-		Name:    "simulate-bs",
-		T:       spanner.BSRounds(k),
-		Stretch: 2*k - 1,
-		New:     func() local.Protocol { return spanner.NewBSNode(k) },
-		Output:  func(p local.Protocol) map[graph.EdgeID]bool { return p.(*spanner.BSNode).InS },
-	}
-}
-
-// ElkinNeimanStage2 is the Elkin–Neiman construction as a stage-2 target:
-// stretch 2k−1 in only k+O(1) rounds — the improvement the paper's
-// concluding remarks anticipate (experiment E15 quantifies it).
-func ElkinNeimanStage2(k int) Stage2 {
-	return Stage2{
-		Name:    "simulate-en",
-		T:       spanner.ENRounds(k),
-		Stretch: 2*k - 1,
-		New:     func() local.Protocol { return spanner.NewENNode(k) },
-		Output:  func(p local.Protocol) map[graph.EdgeID]bool { return p.(*spanner.ENNode).InS },
-	}
-}
-
 // Scheme2WithSrc implements Theorem 3's second trade-off, the two-stage
-// pipeline, with a pluggable off-the-shelf construction st2 (see
-// BaswanaSenStage2 for why any Stage2 qualifies):
+// pipeline, with a pluggable off-the-shelf construction c (see
+// spanner.BaswanaSenConstruction for why any Construction qualifies):
 //
 //  1. the distributed Sampler builds a stage-1 spanner H with stretch α;
 //  2. H simulates the stage-2 construction: the t₂-ball of every node is
-//     collected over H in α·t₂ rounds and the construction is replayed
-//     locally, yielding each node's incident edges of the better spanner H′
-//     — without sending a single message of the original Ω(m)-message
-//     algorithm;
+//     collected over H in α·t₂ rounds (phase "simulate-"+c.Name) and c.Spec
+//     is replayed locally, yielding each node's incident edges of the better
+//     spanner H′ — without sending a single message of the original
+//     Ω(m)-message algorithm;
 //  3. H′ carries the final collection for the target algorithm.
+//
+// Stage 2 replays exactly the Spec that simulate.Direct runs as the
+// construction's baseline, so every node's replayed edge set equals its
+// direct-run output.
 //
 // src supplies the stage-1 spanner as for Scheme1Src (nil means a fresh
 // construction per call).
-func Scheme2WithSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, st2 Stage2, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
+func Scheme2WithSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, c spanner.Construction, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
 	// Stage 1: Sampler spanner.
 	st1, res, err := stage1(ctx, "scheme2", g, p, cfg, hooks, src)
 	if err != nil {
@@ -313,17 +265,8 @@ func Scheme2WithSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p
 	}
 
 	// Stage 2: simulate the off-the-shelf construction over H1.
-	st2Spec := algorithms.Spec{
-		Name: st2.Name,
-		T:    st2.T,
-		New:  func(graph.NodeID) local.Protocol { return st2.New() },
-		Output: func(pr local.Protocol) any {
-			// A node's output is its incident H' edges (both endpoints of
-			// every H' edge know it, by the protocols' accept messages).
-			return st2.Output(pr)
-		},
-	}
-	coll2, err := Collect(ctx, g, st1.Host, st1.Stretch*st2.T, cfg.Seed, hooks.RoundConfig(cfg, st2.Name))
+	phase := "simulate-" + c.Name
+	coll2, err := Collect(ctx, g, st1.Host, st1.Stretch*c.T, cfg.Seed, hooks.RoundConfig(cfg, phase))
 	if err != nil {
 		return nil, fmt.Errorf("scheme2 stage-2 collection: %w", err)
 	}
@@ -331,29 +274,24 @@ func Scheme2WithSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p
 	// workers and merge the incident edge sets afterwards (set union is
 	// order-independent, so the merged spanner is identical at every
 	// concurrency level).
-	nodeEdges, err := coll2.ReplayAllN(ctx, st2Spec, cfg.Workers)
+	outs, err := coll2.ReplayAllN(ctx, c.Spec, cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("scheme2 stage-2 replay: %w", err)
 	}
-	h2edges := make(map[graph.EdgeID]bool)
-	for _, edges := range nodeEdges {
-		for e := range edges.(map[graph.EdgeID]bool) {
-			h2edges[e] = true
-		}
-	}
-	res.bill(hooks, st2.Name, coll2.Run)
+	h2edges := spanner.Edges(outs)
+	res.bill(hooks, phase, coll2.Run)
 	h2, err := g.SubgraphByEdges(h2edges)
 	if err != nil {
-		return nil, fmt.Errorf("scheme2: simulated %s emitted a non-subgraph: %w", st2.Name, err)
+		return nil, fmt.Errorf("scheme2: simulated %s emitted a non-subgraph: %w", c.Name, err)
 	}
 
 	// Stage 3: final collection over H2.
-	coll, err := Collect(ctx, g, h2, st2.Stretch*spec.T, cfg.Seed, hooks.RoundConfig(cfg, "collect"))
+	coll, err := Collect(ctx, g, h2, c.Stretch*spec.T, cfg.Seed, hooks.RoundConfig(cfg, "collect"))
 	if err != nil {
 		return nil, fmt.Errorf("scheme2 final collection: %w", err)
 	}
 	res.bill(hooks, "collect", coll.Run)
-	res.Coll, res.StretchUsed, res.FinalSpanner = coll, st2.Stretch, h2edges
+	res.Coll, res.StretchUsed, res.FinalSpanner = coll, c.Stretch, h2edges
 	return res, nil
 }
 

@@ -30,10 +30,13 @@
 //
 // Scheme1Src realizes Theorem 3's first trade-off (spanner built by
 // algorithm Sampler, then one collection); Scheme2WithSrc realizes the
-// second, two-stage trade-off (Sampler's spanner simulates an off-the-shelf
-// spanner construction — Baswana–Sen or Elkin–Neiman here, substituting for
-// Derbel et al.; see BaswanaSenStage2 — whose output spanner then carries the
-// final collection).
+// second, two-stage trade-off: Sampler's spanner simulates an off-the-shelf
+// spanner construction, a spanner.Construction (Baswana–Sen or
+// Elkin–Neiman here, substituting for Derbel et al.; see
+// spanner.BaswanaSenConstruction), whose output spanner then carries the
+// final collection. A construction is one algorithms.Spec: scheme2 replays
+// it from collected balls, and Direct runs it on G as the Θ(k·m)-message
+// baseline.
 package simulate
 
 import (
@@ -580,8 +583,12 @@ func (r *replayer) unmark() {
 }
 
 // Direct runs the algorithm directly on g — the ground truth and the
-// Θ(t·m)-message baseline.
+// Θ(t·m)-message baseline. For a spanner.Construction's Spec it is the
+// construction's direct distributed run.
 func Direct(ctx context.Context, g *graph.Graph, spec algorithms.Spec, seed uint64, cfg local.Config) ([]any, local.Result, error) {
+	if g == nil {
+		return nil, local.Result{}, fmt.Errorf("simulate: nil graph")
+	}
 	protos := make([]local.Protocol, g.NumNodes())
 	cfg.Seed = seed
 	cfg.MaxRounds = spec.T + 1

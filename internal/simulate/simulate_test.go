@@ -2,6 +2,8 @@ package simulate
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/algorithms"
@@ -148,7 +150,7 @@ func TestScheme2FidelityAndSpanner(t *testing.T) {
 	g := gen.ConnectedGNP(70, 0.12, xrand.New(6))
 	const seed = 23
 	spec := algorithms.MaxID(2)
-	res, err := Scheme2WithSrc(context.Background(), g, spec, Scheme1Params(1), BaswanaSenStage2(2), local.Config{Seed: seed}, Hooks{}, nil)
+	res, err := Scheme2WithSrc(context.Background(), g, spec, Scheme1Params(1), construction(t, spanner.BaswanaSenConstruction, 2), local.Config{Seed: seed}, Hooks{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,24 +173,20 @@ func TestScheme2MatchesDirectBS(t *testing.T) {
 	// The simulated Baswana–Sen must produce exactly the edge set of a
 	// direct distributed run with the same seed.
 	g := gen.ConnectedGNP(60, 0.15, xrand.New(7))
-	const seed, bsK = 29, 2
-	res, err := Scheme2WithSrc(context.Background(), g, algorithms.MaxID(1), Scheme1Params(1), BaswanaSenStage2(bsK), local.Config{Seed: seed}, Hooks{}, nil)
+	const seed = 29
+	bsc := construction(t, spanner.BaswanaSenConstruction, 2)
+	res, err := Scheme2WithSrc(context.Background(), g, algorithms.MaxID(1), Scheme1Params(1), bsc, local.Config{Seed: seed}, Hooks{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Direct BS run with identical seed: the replayed construction must
 	// reproduce it edge for edge (both use the same per-node RNG streams).
-	direct, err := spanner.BaswanaSenDistributed(g, bsK, seed, local.Config{})
+	outs, _, err := Direct(context.Background(), g, bsc.Spec, seed, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(direct.S) != len(res.FinalSpanner) {
-		t.Fatalf("simulated BS has %d edges, direct %d", len(res.FinalSpanner), len(direct.S))
-	}
-	for e := range direct.S {
-		if !res.FinalSpanner[e] {
-			t.Fatal("simulated and direct BS disagree")
-		}
+	if direct := spanner.Edges(outs); !reflect.DeepEqual(direct, res.FinalSpanner) {
+		t.Fatalf("simulated BS has %d edges, direct %d; the edge sets differ", len(res.FinalSpanner), len(direct))
 	}
 }
 
@@ -278,7 +276,7 @@ func TestScheme2WithElkinNeiman(t *testing.T) {
 	g := gen.ConnectedGNP(70, 0.12, xrand.New(8))
 	const seed = 37
 	spec := algorithms.MaxID(2)
-	res, err := Scheme2WithSrc(context.Background(), g, spec, Scheme1Params(1), ElkinNeimanStage2(2), local.Config{Seed: seed}, Hooks{}, nil)
+	res, err := Scheme2WithSrc(context.Background(), g, spec, Scheme1Params(1), construction(t, spanner.ElkinNeimanConstruction, 2), local.Config{Seed: seed}, Hooks{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +286,7 @@ func TestScheme2WithElkinNeiman(t *testing.T) {
 	}
 	// The EN stage must cost fewer rounds than the BS stage at the same
 	// stretch (k'=2: EN 5 rounds vs BS 7, times the stage-1 stretch).
-	bs, err := Scheme2WithSrc(context.Background(), g, spec, Scheme1Params(1), BaswanaSenStage2(2), local.Config{Seed: seed}, Hooks{}, nil)
+	bs, err := Scheme2WithSrc(context.Background(), g, spec, Scheme1Params(1), construction(t, spanner.BaswanaSenConstruction, 2), local.Config{Seed: seed}, Hooks{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,21 +300,73 @@ func TestScheme2ENMatchesDirectEN(t *testing.T) {
 	// Same seed: the simulated EN run must reproduce the direct distributed
 	// run edge for edge.
 	g := gen.ConnectedGNP(60, 0.15, xrand.New(9))
-	const seed, k = 43, 2
-	res, err := Scheme2WithSrc(context.Background(), g, algorithms.MaxID(1), Scheme1Params(1), ElkinNeimanStage2(k), local.Config{Seed: seed}, Hooks{}, nil)
+	const seed = 43
+	enc := construction(t, spanner.ElkinNeimanConstruction, 2)
+	res, err := Scheme2WithSrc(context.Background(), g, algorithms.MaxID(1), Scheme1Params(1), enc, local.Config{Seed: seed}, Hooks{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := spanner.ElkinNeimanDistributed(g, k, seed, local.Config{})
+	outs, _, err := Direct(context.Background(), g, enc.Spec, seed, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(direct.S) != len(res.FinalSpanner) {
-		t.Fatalf("simulated EN has %d edges, direct %d", len(res.FinalSpanner), len(direct.S))
+	if direct := spanner.Edges(outs); !reflect.DeepEqual(direct, res.FinalSpanner) {
+		t.Fatalf("simulated EN has %d edges, direct %d; the edge sets differ", len(res.FinalSpanner), len(direct))
 	}
-	for e := range direct.S {
-		if !res.FinalSpanner[e] {
-			t.Fatal("simulated and direct EN disagree")
+}
+
+// construction returns build's construction at k, failing t if k is
+// rejected.
+func construction(t *testing.T, build func(int) (spanner.Construction, error), k int) spanner.Construction {
+	t.Helper()
+	c, err := build(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestStage2ReplayMatchesDirectPerNode checks scheme2's stage 2 node by
+// node. The union comparisons above would pass even if a replayed node
+// missed an edge its other endpoint holds; here every node's replayed edge
+// set, collected over a stage-1 host, must equal its own output in a direct
+// run of the same construction at the same seed, at every worker count.
+func TestStage2ReplayMatchesDirectPerNode(t *testing.T) {
+	ctx := context.Background()
+	const seed = 31
+	for _, gc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"gnp", gen.ConnectedGNP(60, 0.12, xrand.New(10))},
+		{"pa", gen.PreferentialAttachment(60, 3, xrand.New(11))},
+	} {
+		st1, _, err := BuildStage1(ctx, gc.g, Scheme1Params(1), seed, local.Config{}, Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []spanner.Construction{construction(t, spanner.BaswanaSenConstruction, 2), construction(t, spanner.ElkinNeimanConstruction, 2)} {
+			want, _, err := Direct(ctx, gc.g, c.Spec, seed, local.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			coll, err := Collect(ctx, gc.g, st1.Host, st1.Stretch*c.T, seed, local.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []int{0, 2} {
+				t.Run(fmt.Sprintf("%s/%s/workers=%d", gc.name, c.Name, w), func(t *testing.T) {
+					got, err := coll.ReplayAllN(ctx, c.Spec, w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for v := range want {
+						if !reflect.DeepEqual(got[v], want[v]) {
+							t.Fatalf("node %d: replayed %v, direct %v", v, got[v], want[v])
+						}
+					}
+				})
+			}
 		}
 	}
 }

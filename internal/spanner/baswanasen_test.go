@@ -1,34 +1,72 @@
-package spanner
+package spanner_test
 
 import (
+	"context"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/local"
+	"repro/internal/simulate"
+	"repro/internal/spanner"
 	"repro/internal/xrand"
 )
 
+// construct returns build's construction at k, failing t if k is rejected.
+func construct(t testing.TB, build func(int) (spanner.Construction, error), k int) spanner.Construction {
+	t.Helper()
+	c, err := build(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// direct runs c on g directly under the LOCAL engine (simulate.Direct, the
+// construction's Θ(k·m)-message baseline) and returns every node's incident
+// spanner edges and the run's cost.
+func direct(c spanner.Construction, g *graph.Graph, seed uint64, cfg local.Config) ([]map[graph.EdgeID]bool, local.Result, error) {
+	outs, run, err := simulate.Direct(context.Background(), g, c.Spec, seed, cfg)
+	if err != nil {
+		return nil, run, err
+	}
+	nodes := make([]map[graph.EdgeID]bool, len(outs))
+	for v, o := range outs {
+		nodes[v] = o.(map[graph.EdgeID]bool)
+	}
+	return nodes, run, nil
+}
+
+// build is direct reduced to the spanner it built: the union of the
+// per-node outputs.
+func build(t testing.TB, c spanner.Construction, g *graph.Graph, seed uint64, cfg local.Config) (map[graph.EdgeID]bool, local.Result) {
+	t.Helper()
+	outs, run, err := simulate.Direct(context.Background(), g, c.Spec, seed, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spanner.Edges(outs), run
+}
+
 func TestBaswanaSenRejectsBadInput(t *testing.T) {
-	if _, err := BaswanaSen(nil, 2, 1); err == nil {
+	if _, _, err := direct(construct(t, spanner.BaswanaSenConstruction, 2), nil, 1, local.Config{}); err == nil {
 		t.Fatal("nil graph accepted")
 	}
-	if _, err := BaswanaSen(gen.Cycle(4), 0, 1); err == nil {
+	if _, err := spanner.BaswanaSenConstruction(0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
 
 func TestBaswanaSenK1IsWholeGraph(t *testing.T) {
 	g := gen.ConnectedGNP(60, 0.1, xrand.New(1))
-	res, err := BaswanaSen(g, 1, 2)
-	if err != nil {
-		t.Fatal(err)
+	c := construct(t, spanner.BaswanaSenConstruction, 1)
+	s, _ := build(t, c, g, 2, local.Config{})
+	if len(s) != g.NumEdges() {
+		t.Fatalf("k=1 spanner has %d of %d edges", len(s), g.NumEdges())
 	}
-	if len(res.S) != g.NumEdges() {
-		t.Fatalf("k=1 spanner has %d of %d edges", len(res.S), g.NumEdges())
-	}
-	if res.StretchBound() != 1 {
+	if c.Stretch != 1 {
 		t.Fatal("k=1 stretch bound")
 	}
 }
@@ -47,11 +85,9 @@ func TestBaswanaSenValidSpanner(t *testing.T) {
 		{"hypercube-k3", gen.Hypercube(8), 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := BaswanaSen(tc.g, tc.k, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := graph.VerifySpanner(tc.g, res.S, res.StretchBound()); err != nil {
+			c := construct(t, spanner.BaswanaSenConstruction, tc.k)
+			s, _ := build(t, c, tc.g, 7, local.Config{})
+			if _, _, err := graph.VerifySpanner(tc.g, s, c.Stretch); err != nil {
 				t.Fatalf("invalid spanner: %v", err)
 			}
 		})
@@ -60,37 +96,29 @@ func TestBaswanaSenValidSpanner(t *testing.T) {
 
 func TestBaswanaSenSparsifies(t *testing.T) {
 	g := gen.Complete(300) // m = 44850
-	res, err := BaswanaSen(g, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := build(t, construct(t, spanner.BaswanaSenConstruction, 3), g, 5, local.Config{})
 	// Expected size O(k n^{1+1/k}) = 3·300^{4/3} ≈ 6000; allow 3x.
-	if float64(len(res.S)) > 3*SizeBound(300, 3) {
-		t.Fatalf("spanner size %d far above expectation %v", len(res.S), SizeBound(300, 3))
+	if float64(len(s)) > 3*spanner.SizeBound(300, 3) {
+		t.Fatalf("spanner size %d far above expectation %v", len(s), spanner.SizeBound(300, 3))
 	}
-	if len(res.S)*3 > g.NumEdges() {
-		t.Fatalf("no sparsification: %d of %d", len(res.S), g.NumEdges())
+	if len(s)*3 > g.NumEdges() {
+		t.Fatalf("no sparsification: %d of %d", len(s), g.NumEdges())
 	}
 }
 
 func TestBaswanaSenDeterministic(t *testing.T) {
 	g := gen.ConnectedGNP(200, 0.05, xrand.New(3))
-	a, err := BaswanaSen(g, 2, 11)
+	c := construct(t, spanner.BaswanaSenConstruction, 2)
+	a, _, err := direct(c, g, 11, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BaswanaSen(g, 2, 11)
+	b, _, err := direct(c, g, 11, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ea, eb := a.sortedEdgeIDs(), b.sortedEdgeIDs()
-	if len(ea) != len(eb) {
-		t.Fatal("sizes differ")
-	}
-	for i := range ea {
-		if ea[i] != eb[i] {
-			t.Fatal("edge sets differ for same seed")
-		}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("per-node edge sets differ for same seed")
 	}
 }
 
@@ -100,11 +128,15 @@ func TestBaswanaSenProperty(t *testing.T) {
 		k := int(kRaw%3) + 1
 		rng := xrand.New(seed)
 		g := gen.Connectify(gen.GNP(n, 0.2, rng), rng)
-		res, err := BaswanaSen(g, k, seed)
+		c, err := spanner.BaswanaSenConstruction(k)
 		if err != nil {
 			return false
 		}
-		_, _, err = graph.VerifySpanner(g, res.S, res.StretchBound())
+		outs, _, err := simulate.Direct(context.Background(), g, c.Spec, seed, local.Config{})
+		if err != nil {
+			return false
+		}
+		_, _, err = graph.VerifySpanner(g, spanner.Edges(outs), c.Stretch)
 		return err == nil
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
@@ -112,49 +144,12 @@ func TestBaswanaSenProperty(t *testing.T) {
 	}
 }
 
-func TestBSRounds(t *testing.T) {
-	if BSRounds(1) != 3 {
-		t.Fatalf("BSRounds(1) = %d", BSRounds(1))
-	}
-	if BSRounds(2) != 7 {
-		t.Fatalf("BSRounds(2) = %d", BSRounds(2))
-	}
-	if BSRounds(3) != 12 {
-		t.Fatalf("BSRounds(3) = %d", BSRounds(3))
-	}
-}
-
-func TestBSLocateCoversAllRounds(t *testing.T) {
-	for k := 1; k <= 4; k++ {
-		prevIter, prevPh := 0, bsPhase(0)
-		for r := 0; r < BSRounds(k); r++ {
-			iter, ph := bsLocate(r, k)
-			if iter < 1 || iter > k {
-				t.Fatalf("k=%d round %d: iter %d", k, r, iter)
-			}
-			if ph == bsDone {
-				t.Fatalf("k=%d round %d: done before budget", k, r)
-			}
-			if iter < prevIter {
-				t.Fatal("iteration went backwards")
-			}
-			prevIter, prevPh = iter, ph
-		}
-		_ = prevPh
-		if _, ph := bsLocate(BSRounds(k), k); ph != bsDone {
-			t.Fatalf("k=%d: budget round is not done", k)
-		}
-	}
-}
-
 func TestDistributedBSValidSpanner(t *testing.T) {
 	for _, k := range []int{1, 2, 3} {
 		g := gen.ConnectedGNP(200, 0.07, xrand.New(4))
-		res, err := BaswanaSenDistributed(g, k, 9, local.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := graph.VerifySpanner(g, res.S, res.StretchBound()); err != nil {
+		c := construct(t, spanner.BaswanaSenConstruction, k)
+		s, _ := build(t, c, g, 9, local.Config{})
+		if _, _, err := graph.VerifySpanner(g, s, c.Stretch); err != nil {
 			t.Fatalf("k=%d: invalid spanner: %v", k, err)
 		}
 	}
@@ -162,77 +157,72 @@ func TestDistributedBSValidSpanner(t *testing.T) {
 
 func TestDistributedBSMessageComplexityIsThetaM(t *testing.T) {
 	// The baseline's defining property: messages scale with m, not n.
-	k := 2
+	c := construct(t, spanner.BaswanaSenConstruction, 2)
 	sparse := gen.ConnectedGNP(300, 0.03, xrand.New(5))
 	dense := gen.Complete(300)
-	rs, err := BaswanaSenDistributed(sparse, k, 5, local.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd, err := BaswanaSenDistributed(dense, k, 5, local.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rs := build(t, c, sparse, 5, local.Config{})
+	_, rd := build(t, c, dense, 5, local.Config{})
 	// Announcements alone send >= 2m messages (k=2: two announce rounds).
-	if rs.Run.Messages < 2*int64(sparse.NumEdges()) {
-		t.Fatalf("sparse: %d messages < 2m", rs.Run.Messages)
+	if rs.Messages < 2*int64(sparse.NumEdges()) {
+		t.Fatalf("sparse: %d messages < 2m", rs.Messages)
 	}
-	if rd.Run.Messages < 2*int64(dense.NumEdges()) {
-		t.Fatalf("dense: %d messages < 2m", rd.Run.Messages)
+	if rd.Messages < 2*int64(dense.NumEdges()) {
+		t.Fatalf("dense: %d messages < 2m", rd.Messages)
 	}
-	ratio := float64(rd.Run.Messages) / float64(rs.Run.Messages)
+	ratio := float64(rd.Messages) / float64(rs.Messages)
 	mRatio := float64(dense.NumEdges()) / float64(sparse.NumEdges())
 	if ratio < mRatio/3 {
 		t.Fatalf("message growth %.1f does not track edge growth %.1f", ratio, mRatio)
 	}
 }
 
+// bothEndpointsKnow fails t unless every edge some node outputs is output
+// by both of its endpoints — the property that makes spanner.Edges, a
+// union, equal to what any single endpoint knows.
+func bothEndpointsKnow(t *testing.T, g *graph.Graph, nodes []map[graph.EdgeID]bool) {
+	t.Helper()
+	n := 0
+	for _, edges := range nodes {
+		for e := range edges {
+			ge, _ := g.EdgeByID(e)
+			if !nodes[ge.U][e] || !nodes[ge.V][e] {
+				t.Fatalf("edge %d not known to both endpoints", e)
+			}
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatal("empty spanner")
+	}
+}
+
 func TestDistributedBSBothEndpointsKnow(t *testing.T) {
 	g := gen.ConnectedGNP(150, 0.06, xrand.New(6))
-	nodes := make([]*BSNode, g.NumNodes())
-	_, err := local.Run(g, func(v graph.NodeID) local.Protocol {
-		nodes[v] = NewBSNode(2)
-		return nodes[v]
-	}, local.Config{Seed: 8, MaxRounds: BSRounds(2) + 1})
+	nodes, _, err := direct(construct(t, spanner.BaswanaSenConstruction, 2), g, 8, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	union := make(map[graph.EdgeID]bool)
-	for _, nd := range nodes {
-		for e := range nd.InS {
-			union[e] = true
-		}
-	}
-	for e := range union {
-		ge, _ := g.EdgeByID(e)
-		if !nodes[ge.U].InS[e] || !nodes[ge.V].InS[e] {
-			t.Fatalf("edge %d not known to both endpoints", e)
-		}
-	}
+	bothEndpointsKnow(t, g, nodes)
 }
 
 func TestDistributedBSEnginesAgree(t *testing.T) {
 	g := gen.ConnectedGNP(120, 0.08, xrand.New(7))
-	a, err := BaswanaSenDistributed(g, 3, 13, local.Config{})
+	c := construct(t, spanner.BaswanaSenConstruction, 3)
+	a, ra, err := direct(c, g, 13, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BaswanaSenDistributed(g, 3, 13, local.Config{Workers: 6})
+	b, rb, err := direct(c, g, 13, local.Config{Workers: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.S) != len(b.S) || a.Run.Messages != b.Run.Messages {
+	if ra.Messages != rb.Messages || !reflect.DeepEqual(a, b) {
 		t.Fatal("engines disagree")
-	}
-	for e := range a.S {
-		if !b.S[e] {
-			t.Fatal("edge sets differ across engines")
-		}
 	}
 }
 
 func TestSizeBound(t *testing.T) {
-	if SizeBound(100, 1) != 100*100 {
-		t.Fatalf("SizeBound(100,1) = %v", SizeBound(100, 1))
+	if spanner.SizeBound(100, 1) != 100*100 {
+		t.Fatalf("SizeBound(100,1) = %v", spanner.SizeBound(100, 1))
 	}
 }

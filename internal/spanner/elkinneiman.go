@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/algorithms"
 	"repro/internal/graph"
 	"repro/internal/local"
 )
@@ -39,10 +40,25 @@ import (
 // Expected size is O(n^{1+1/k}): window arrivals per node count the
 // exponentials within 1 of the maximum, e^β = n^{1/k} in expectation.
 
-// ENRounds returns the protocol's fixed round budget for parameter k: one
-// start round, k propagation rounds, one decision/accept round, and one
-// receipt round.
-func ENRounds(k int) int { return k + 3 }
+// ElkinNeimanConstruction is Elkin–Neiman with parameter k >= 1: a
+// (2k−1)-spanner in k+3 rounds — one start round, k propagation rounds, one
+// decision/accept round and one receipt round. It is the improvement the
+// paper's concluding remarks anticipate for the two-stage scheme
+// (experiment E15 quantifies it).
+func ElkinNeimanConstruction(k int) (Construction, error) {
+	if k < 1 {
+		return Construction{}, fmt.Errorf("spanner: k = %d, need k >= 1", k)
+	}
+	return Construction{
+		Spec: algorithms.Spec{
+			Name:   "en",
+			T:      k + 3,
+			New:    func(graph.NodeID) local.Protocol { return NewENNode(k) },
+			Output: func(p local.Protocol) any { return p.(*ENNode).InS },
+		},
+		Stretch: 2*k - 1,
+	}, nil
+}
 
 // enMsg carries the continuous arrival time at the receiver.
 type enMsg struct{ T float64 }
@@ -53,8 +69,7 @@ type enAccept struct{}
 // PayloadUnits implements local.Sizer.
 func (enMsg) PayloadUnits() int64 { return 1 }
 
-// ENNode is the per-node protocol state. Exported so the simulation layer
-// can replay it (scheme 2 with the Elkin–Neiman stage).
+// ENNode is the per-node protocol state.
 type ENNode struct {
 	K int
 
@@ -128,43 +143,4 @@ func (nd *ENNode) Step(env *local.Env, round int, inbox []local.Message) {
 		}
 		env.Halt()
 	}
-}
-
-// ENDistResult is the outcome of a direct distributed run.
-type ENDistResult struct {
-	S   map[graph.EdgeID]bool
-	K   int
-	Run local.Result
-}
-
-// StretchBound returns 2K−1.
-func (r *ENDistResult) StretchBound() int { return 2*r.K - 1 }
-
-// ElkinNeimanDistributed runs the protocol directly on g. Like Baswana–Sen
-// it can sweep many edges per round (Θ(k·m) messages worst case); its value
-// is the O(k) round budget when *simulated* in the two-stage scheme.
-func ElkinNeimanDistributed(g *graph.Graph, k int, seed uint64, cfg local.Config) (*ENDistResult, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("spanner: k = %d, need k >= 1", k)
-	}
-	nodes := make([]*ENNode, g.NumNodes())
-	cfg.Seed = seed
-	cfg.MaxRounds = ENRounds(k) + 1
-	run, err := local.Run(g, func(v graph.NodeID) local.Protocol {
-		nodes[v] = NewENNode(k)
-		return nodes[v]
-	}, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if !run.Halted {
-		return nil, fmt.Errorf("spanner: Elkin–Neiman did not halt in %d rounds", ENRounds(k))
-	}
-	res := &ENDistResult{S: make(map[graph.EdgeID]bool), K: k, Run: run}
-	for _, nd := range nodes {
-		for e := range nd.InS {
-			res.S[e] = true
-		}
-	}
-	return res, nil
 }

@@ -1,24 +1,30 @@
-package spanner
+package spanner_test
 
 import (
+	"context"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/local"
+	"repro/internal/simulate"
+	"repro/internal/spanner"
 	"repro/internal/xrand"
 )
 
 func TestENRejectsBadInput(t *testing.T) {
-	if _, err := ElkinNeimanDistributed(gen.Cycle(4), 0, 1, local.Config{}); err == nil {
+	if _, err := spanner.ElkinNeimanConstruction(0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
 
 func TestENRounds(t *testing.T) {
-	if ENRounds(2) != 5 || ENRounds(3) != 6 {
-		t.Fatalf("ENRounds wrong: %d, %d", ENRounds(2), ENRounds(3))
+	c2 := construct(t, spanner.ElkinNeimanConstruction, 2)
+	c3 := construct(t, spanner.ElkinNeimanConstruction, 3)
+	if c2.T != 5 || c3.T != 6 {
+		t.Fatalf("EN round budgets wrong: %d, %d", c2.T, c3.T)
 	}
 }
 
@@ -37,11 +43,9 @@ func TestENValidSpanner(t *testing.T) {
 		{"barbell-k2", gen.Barbell(25, 4), 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := ElkinNeimanDistributed(tc.g, tc.k, 7, local.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := graph.VerifySpanner(tc.g, res.S, res.StretchBound()); err != nil {
+			c := construct(t, spanner.ElkinNeimanConstruction, tc.k)
+			s, _ := build(t, c, tc.g, 7, local.Config{})
+			if _, _, err := graph.VerifySpanner(tc.g, s, c.Stretch); err != nil {
 				t.Fatalf("invalid spanner: %v", err)
 			}
 		})
@@ -50,14 +54,11 @@ func TestENValidSpanner(t *testing.T) {
 
 func TestENSparsifiesDenseGraph(t *testing.T) {
 	g := gen.Complete(300) // m = 44850
-	res, err := ElkinNeimanDistributed(g, 2, 3, local.Config{})
-	if err != nil {
-		t.Fatal(err)
+	s, _ := build(t, construct(t, spanner.ElkinNeimanConstruction, 2), g, 3, local.Config{})
+	if len(s)*3 > g.NumEdges() {
+		t.Fatalf("EN kept %d of %d edges; expected sparsification", len(s), g.NumEdges())
 	}
-	if len(res.S)*3 > g.NumEdges() {
-		t.Fatalf("EN kept %d of %d edges; expected sparsification", len(res.S), g.NumEdges())
-	}
-	if _, _, err := graph.VerifySpanner(g, res.S, 3); err != nil {
+	if _, _, err := graph.VerifySpanner(g, s, 3); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -66,57 +67,37 @@ func TestENRoundBudgetBeatsBaswanaSen(t *testing.T) {
 	// The whole point of the Section 7 remark: EN's round budget is O(k),
 	// Baswana–Sen's is O(k²) — so simulating EN in the two-stage scheme
 	// costs proportionally fewer rounds.
-	for k := 2; k <= 5; k++ {
-		if ENRounds(k) >= BSRounds(k) && k > 2 {
-			t.Fatalf("k=%d: ENRounds %d >= BSRounds %d", k, ENRounds(k), BSRounds(k))
+	for k := 3; k <= 5; k++ {
+		en := construct(t, spanner.ElkinNeimanConstruction, k)
+		bs := construct(t, spanner.BaswanaSenConstruction, k)
+		if en.T >= bs.T {
+			t.Fatalf("k=%d: EN budget %d >= BS budget %d", k, en.T, bs.T)
 		}
 	}
 }
 
 func TestENBothEndpointsKnow(t *testing.T) {
 	g := gen.ConnectedGNP(150, 0.08, xrand.New(2))
-	nodes := make([]*ENNode, g.NumNodes())
-	_, err := local.Run(g, func(v graph.NodeID) local.Protocol {
-		nodes[v] = NewENNode(2)
-		return nodes[v]
-	}, local.Config{Seed: 5, MaxRounds: ENRounds(2) + 1})
+	nodes, _, err := direct(construct(t, spanner.ElkinNeimanConstruction, 2), g, 5, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	union := map[graph.EdgeID]bool{}
-	for _, nd := range nodes {
-		for e := range nd.InS {
-			union[e] = true
-		}
-	}
-	if len(union) == 0 {
-		t.Fatal("empty spanner")
-	}
-	for e := range union {
-		ge, _ := g.EdgeByID(e)
-		if !nodes[ge.U].InS[e] || !nodes[ge.V].InS[e] {
-			t.Fatalf("edge %d not known to both endpoints", e)
-		}
-	}
+	bothEndpointsKnow(t, g, nodes)
 }
 
 func TestENEnginesAgree(t *testing.T) {
 	g := gen.ConnectedGNP(120, 0.08, xrand.New(3))
-	a, err := ElkinNeimanDistributed(g, 3, 11, local.Config{})
+	c := construct(t, spanner.ElkinNeimanConstruction, 3)
+	a, _, err := direct(c, g, 11, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ElkinNeimanDistributed(g, 3, 11, local.Config{Workers: 6})
+	b, _, err := direct(c, g, 11, local.Config{Workers: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.S) != len(b.S) {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatal("engines disagree")
-	}
-	for e := range a.S {
-		if !b.S[e] {
-			t.Fatal("edge sets differ across engines")
-		}
 	}
 }
 
@@ -126,12 +107,15 @@ func TestENProperty(t *testing.T) {
 		k := int(kRaw%3) + 2
 		rng := xrand.New(seed)
 		g := gen.Connectify(gen.GNP(n, 0.2, rng), rng)
-		res, err := ElkinNeimanDistributed(g, k, seed, local.Config{})
+		c, err := spanner.ElkinNeimanConstruction(k)
 		if err != nil {
 			return false
 		}
-		_, _, err = graph.VerifySpanner(g, res.S, res.StretchBound())
+		outs, _, err := simulate.Direct(context.Background(), g, c.Spec, seed, local.Config{})
 		if err != nil {
+			return false
+		}
+		if _, _, err = graph.VerifySpanner(g, spanner.Edges(outs), c.Stretch); err != nil {
 			t.Log(err)
 			return false
 		}

@@ -6,6 +6,17 @@ import (
 	"repro/internal/graph"
 )
 
+// Result is Greedy's output.
+type Result struct {
+	// S is the spanner edge set.
+	S map[graph.EdgeID]bool
+	// K is the stretch parameter: S is a (2K−1)-spanner.
+	K int
+}
+
+// StretchBound returns 2K−1.
+func (r *Result) StretchBound() int { return 2*r.K - 1 }
+
 // Greedy builds the classic greedy (2k−1)-spanner (Althöfer et al.):
 // process edges in a fixed order and keep an edge only if the current
 // spanner distance between its endpoints exceeds 2k−1. The result is a

@@ -1,4 +1,4 @@
-package spanner
+package spanner_test
 
 import (
 	"testing"
@@ -6,21 +6,23 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
+	"repro/internal/local"
+	"repro/internal/spanner"
 	"repro/internal/xrand"
 )
 
 func TestGreedyRejectsBadInput(t *testing.T) {
-	if _, err := Greedy(nil, 2); err == nil {
+	if _, err := spanner.Greedy(nil, 2); err == nil {
 		t.Fatal("nil graph accepted")
 	}
-	if _, err := Greedy(gen.Cycle(4), 0); err == nil {
+	if _, err := spanner.Greedy(gen.Cycle(4), 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
 
 func TestGreedyK1KeepsSimpleGraph(t *testing.T) {
 	g := gen.ConnectedGNP(60, 0.1, xrand.New(1))
-	res, err := Greedy(g, 1)
+	res, err := spanner.Greedy(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +34,7 @@ func TestGreedyK1KeepsSimpleGraph(t *testing.T) {
 func TestGreedyValidAndSparse(t *testing.T) {
 	for _, k := range []int{2, 3} {
 		g := gen.Complete(150)
-		res, err := Greedy(g, k)
+		res, err := spanner.Greedy(g, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,8 +43,8 @@ func TestGreedyValidAndSparse(t *testing.T) {
 		}
 		// Greedy on K_n with stretch 2k−1 keeps O(n^{1+1/k}) edges; allow
 		// slack but demand real sparsification.
-		if float64(len(res.S)) > SizeBound(150, k) {
-			t.Fatalf("k=%d: %d edges above the O(k n^{1+1/k}) ballpark %v", k, len(res.S), SizeBound(150, k))
+		if float64(len(res.S)) > spanner.SizeBound(150, k) {
+			t.Fatalf("k=%d: %d edges above the O(k n^{1+1/k}) ballpark %v", k, len(res.S), spanner.SizeBound(150, k))
 		}
 	}
 }
@@ -51,23 +53,20 @@ func TestGreedySmallerThanRandomizedConstructions(t *testing.T) {
 	// Greedy is the quality yardstick: on dense graphs it should not be
 	// larger than Baswana–Sen at the same stretch.
 	g := gen.Complete(200)
-	greedy, err := Greedy(g, 2)
+	greedy, err := spanner.Greedy(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs, err := BaswanaSen(g, 2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(greedy.S) > len(bs.S) {
-		t.Fatalf("greedy (%d) larger than Baswana–Sen (%d) at stretch 3", len(greedy.S), len(bs.S))
+	bs, _ := build(t, construct(t, spanner.BaswanaSenConstruction, 2), g, 7, local.Config{})
+	if len(greedy.S) > len(bs) {
+		t.Fatalf("greedy (%d) larger than Baswana–Sen (%d) at stretch 3", len(greedy.S), len(bs))
 	}
 }
 
 func TestGreedyDropsParallelEdges(t *testing.T) {
 	base := gen.Cycle(10)
 	g := gen.Multi(base, func(e graph.Edge) int { return 3 })
-	res, err := Greedy(g, 1)
+	res, err := spanner.Greedy(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func TestGreedyProperty(t *testing.T) {
 		k := int(kRaw%3) + 1
 		rng := xrand.New(seed)
 		g := gen.Connectify(gen.GNP(n, 0.25, rng), rng)
-		res, err := Greedy(g, k)
+		res, err := spanner.Greedy(g, k)
 		if err != nil {
 			return false
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/simulate"
+	"repro/internal/spanner"
 )
 
 // Scheme is one execution strategy for a t-round LOCAL algorithm: the
@@ -115,20 +116,14 @@ var schemes = []Scheme{
 		},
 	},
 	{
-		name: "scheme2",
-		desc: "Theorem 3 (ii): Sampler spanner simulates Baswana–Sen, whose spanner collects",
-		pipeline: func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*simulate.SchemeResult, error) {
-			return simulate.Scheme2WithSrc(ctx, g, spec, o.samplerParams(), simulate.BaswanaSenStage2(o.StageK),
-				o.localConfig(), o.hooks(), o.stage1)
-		},
+		name:     "scheme2",
+		desc:     "Theorem 3 (ii): Sampler spanner simulates Baswana–Sen, whose spanner collects",
+		pipeline: scheme2(spanner.BaswanaSenConstruction),
 	},
 	{
-		name: "scheme2en",
-		desc: "scheme2 with Elkin–Neiman as the simulated stage (k+O(1) rounds vs O(k²))",
-		pipeline: func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*simulate.SchemeResult, error) {
-			return simulate.Scheme2WithSrc(ctx, g, spec, o.samplerParams(), simulate.ElkinNeimanStage2(o.StageK),
-				o.localConfig(), o.hooks(), o.stage1)
-		},
+		name:     "scheme2en",
+		desc:     "scheme2 with Elkin–Neiman as the simulated stage (k+O(1) rounds vs O(k²))",
+		pipeline: scheme2(spanner.ElkinNeimanConstruction),
 	},
 }
 
@@ -137,6 +132,18 @@ var schemes = []Scheme{
 func gossip(phase string) func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*simulate.SchemeResult, error) {
 	return func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*simulate.SchemeResult, error) {
 		return simulate.Gossip(ctx, g, spec, o.gossipBudget(g.NumNodes()), phase, o.localConfig(), o.hooks())
+	}
+}
+
+// scheme2 is the two-stage pipeline whose stage 2 simulates the
+// construction that build makes for WithStageK's k.
+func scheme2(build func(k int) (spanner.Construction, error)) func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*simulate.SchemeResult, error) {
+	return func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*simulate.SchemeResult, error) {
+		c, err := build(o.StageK)
+		if err != nil {
+			return nil, err
+		}
+		return simulate.Scheme2WithSrc(ctx, g, spec, o.samplerParams(), c, o.localConfig(), o.hooks(), o.stage1)
 	}
 }
 
