@@ -354,6 +354,28 @@ func BenchmarkReplayAllSparse(b *testing.B) {
 	}
 }
 
+// BenchmarkReplayAllComplete is the replay sweep in the dense regime: every
+// node of K_112, collected on itself, replays MaxID(2) in one sequential
+// sweep. Every ball is the whole network, so each replay walks all 112
+// heard origins and all 6216 edges; the collection pairs its edge owners on
+// the first sweep only, as every later replay of the same collection
+// shares that pairing.
+func BenchmarkReplayAllComplete(b *testing.B) {
+	g := gen.Complete(112)
+	spec := repro.MaxID(2)
+	coll, err := simulate.Collect(context.Background(), g, g, spec.T, 7, local.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := coll.ReplayAllN(context.Background(), spec, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkE12GlobalCompute(b *testing.B) { benchExperiment(b, "E12") }
 
 func BenchmarkE13BitComplexity(b *testing.B)  { benchExperiment(b, "E13") }

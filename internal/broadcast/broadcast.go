@@ -15,12 +15,13 @@
 //
 // Every primitive shares one rumor model. M_v is node v's port list, entry
 // v of a payload table [][]graph.EdgeID; a rumor is the bare origin ID v,
-// charged 1 + len(M_v) words wherever it travels. Each node, flood or
-// gossip, keeps one map, its Known (origin → M_o), which is both its dedup
-// set and its result. A Result's Known is the collection simulate replays
-// from, and its Run is the bill: a gossip run with a cover target ends at
-// the barrier of its cover round, so its Run and Known cover exactly rounds
-// 0..cover.
+// charged 1 + len(M_v) words wherever it travels. Every receiver reads M_v
+// from the same table, so a node records only whom it heard: its Known, a
+// set of origins, is both its dedup set and its result. A Result's Known,
+// together with the payload table the run was given, is the collection
+// simulate replays from, and its Run is the bill: a gossip run with a cover
+// target ends at the barrier of its cover round, so its Run and Known cover
+// exactly rounds 0..cover.
 package broadcast
 
 import (
@@ -35,8 +36,9 @@ import (
 
 // Result is the outcome of a broadcast run.
 type Result struct {
-	// Known maps, per node, each heard origin u to its payload M_u.
-	Known []map[graph.NodeID][]graph.EdgeID
+	// Known is, per node, the set of origins it heard, itself included;
+	// the payload of origin u is entry u of the run's payload table.
+	Known []map[graph.NodeID]struct{}
 	// Covered counts the nodes that had heard every member of their ball
 	// when the run ended. Only Gossip with a ball index sets it.
 	Covered int
@@ -85,7 +87,7 @@ func validate(host *graph.Graph, payloads [][]graph.EdgeID, rounds int) error {
 }
 
 // floodNode floods newly learned rumors to all neighbors each round. Its one
-// map, known, is both the dedup set and the result. The outgoing batch is
+// set, known, is both the dedup set and the result. The outgoing batch is
 // buffered by round parity: a batch sent in round r is read by receivers in
 // round r+1 — or, under an adversary with delivery delays, as late as round
 // r+1+B — so the buffer ring holds B+2 batches and the buffer of parity p is
@@ -93,18 +95,17 @@ func validate(host *graph.Graph, payloads [][]graph.EdgeID, rounds int) error {
 // in-flight lifetime has passed). The flawless network keeps the historical
 // two buffers.
 type floodNode struct {
-	t        int
-	seed     bool // whether this node injects its own rumor
-	payloads [][]graph.EdgeID
-	known    map[graph.NodeID][]graph.EdgeID
-	fresh    []batch
+	t     int
+	seed  bool // whether this node injects its own rumor
+	known map[graph.NodeID]struct{}
+	fresh []batch
 }
 
 func (p *floodNode) Step(env *local.Env, round int, inbox []local.Message) {
 	cur := &p.fresh[round%len(p.fresh)]
 	cur.origins = cur.origins[:0]
 	if round == 0 {
-		p.known = map[graph.NodeID][]graph.EdgeID{env.ID(): p.payloads[env.ID()]}
+		p.known = map[graph.NodeID]struct{}{env.ID(): {}}
 		if p.seed {
 			cur.origins = append(cur.origins, env.ID())
 		}
@@ -112,7 +113,7 @@ func (p *floodNode) Step(env *local.Env, round int, inbox []local.Message) {
 	for _, m := range inbox {
 		for _, o := range m.Payload.(*batch).origins {
 			if _, ok := p.known[o]; !ok {
-				p.known[o] = p.payloads[o]
+				p.known[o] = struct{}{}
 				cur.origins = append(cur.origins, o)
 			}
 		}
@@ -147,10 +148,9 @@ func Flood(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, se
 	parities := 2 + maxDelay(cfg)
 	run, err := local.RunCtx(ctx, host, func(v graph.NodeID) local.Protocol {
 		nd := &floodNode{
-			t:        rounds,
-			seed:     seeds == nil || seeds[v],
-			payloads: payloads,
-			fresh:    make([]batch, parities),
+			t:     rounds,
+			seed:  seeds == nil || seeds[v],
+			fresh: make([]batch, parities),
 		}
 		for i := range nd.fresh {
 			nd.fresh[i].payloads = payloads
@@ -161,7 +161,7 @@ func Flood(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, se
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Run: run, Known: make([]map[graph.NodeID][]graph.EdgeID, len(nodes))}
+	res := &Result{Run: run, Known: make([]map[graph.NodeID]struct{}, len(nodes))}
 	for v, nd := range nodes {
 		res.Known[v] = nd.known
 	}
@@ -236,7 +236,7 @@ func (tr *arrivalTracker) learn(v, u graph.NodeID) {
 
 // gossipNode implements synchronous push–pull gossip: each round it pushes
 // its full rumor set over one uniformly random incident edge and answers
-// last round's pushes with its full set. Its one map, known, is both the
+// last round's pushes with its full set. Its one set, known, is both the
 // dedup set and the result, as in floodNode. The rumor snapshot
 // and the push/pull envelopes are buffered by round parity — payloads sent
 // in round r are read in round r+1 (or as late as r+1+B under an adversary
@@ -247,13 +247,12 @@ func (tr *arrivalTracker) learn(v, u graph.NodeID) {
 // therefore allocates only when the rumor set (and with it the snapshot
 // buffer) grows.
 type gossipNode struct {
-	t        int
-	track    *arrivalTracker
-	payloads [][]graph.EdgeID
-	known    map[graph.NodeID][]graph.EdgeID
-	replyTo  []graph.EdgeID
-	push     []gossipPush
-	pull     []gossipPull
+	t       int
+	track   *arrivalTracker
+	known   map[graph.NodeID]struct{}
+	replyTo []graph.EdgeID
+	push    []gossipPush
+	pull    []gossipPull
 }
 
 type gossipPush struct{ batch }
@@ -261,7 +260,7 @@ type gossipPull struct{ batch }
 
 func (p *gossipNode) Step(env *local.Env, round int, inbox []local.Message) {
 	if round == 0 {
-		p.known = map[graph.NodeID][]graph.EdgeID{env.ID(): p.payloads[env.ID()]}
+		p.known = map[graph.NodeID]struct{}{env.ID(): {}}
 		p.track.learn(env.ID(), env.ID())
 	}
 	for _, m := range inbox {
@@ -275,7 +274,7 @@ func (p *gossipNode) Step(env *local.Env, round int, inbox []local.Message) {
 		}
 		for _, o := range in.origins {
 			if _, ok := p.known[o]; !ok {
-				p.known[o] = p.payloads[o]
+				p.known[o] = struct{}{}
 				p.track.learn(env.ID(), o)
 			}
 		}
@@ -359,11 +358,10 @@ func Gossip(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, b
 	}
 	run, err := local.RunCtx(ctx, host, func(v graph.NodeID) local.Protocol {
 		nd := &gossipNode{
-			t:        rounds,
-			track:    track,
-			payloads: payloads,
-			push:     make([]gossipPush, parities),
-			pull:     make([]gossipPull, parities),
+			t:     rounds,
+			track: track,
+			push:  make([]gossipPush, parities),
+			pull:  make([]gossipPull, parities),
 		}
 		for i := range nd.push {
 			nd.push[i].payloads, nd.pull[i].payloads = payloads, payloads
@@ -375,7 +373,7 @@ func Gossip(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, b
 		return nil, 0, err
 	}
 	res := &Result{
-		Known:   make([]map[graph.NodeID][]graph.EdgeID, n),
+		Known:   make([]map[graph.NodeID]struct{}, n),
 		Covered: int(track.covered.Load()),
 		Run:     run,
 	}

@@ -70,7 +70,7 @@ func FloodBudget(ctx context.Context, host *graph.Graph, payloads [][]graph.Edge
 	queues := make([]edgeQueue, base[n])
 
 	hops := make([]map[graph.NodeID]int, n) // best hop count per heard origin
-	res := &Result{Known: make([]map[graph.NodeID][]graph.EdgeID, n)}
+	res := &Result{Known: make([]map[graph.NodeID]struct{}, n)}
 	enqueue := func(v int, it qitem) {
 		for qi := base[v]; qi < base[v+1]; qi++ {
 			queues[qi].items = append(queues[qi].items, it)
@@ -78,7 +78,7 @@ func FloodBudget(ctx context.Context, host *graph.Graph, payloads [][]graph.Edge
 	}
 	for v := 0; v < n; v++ {
 		hops[v] = map[graph.NodeID]int{graph.NodeID(v): 0}
-		res.Known[v] = map[graph.NodeID][]graph.EdgeID{graph.NodeID(v): payloads[v]}
+		res.Known[v] = map[graph.NodeID]struct{}{graph.NodeID(v): {}}
 		if rounds > 0 {
 			enqueue(v, qitem{origin: graph.NodeID(v), hops: 1})
 		}
@@ -139,7 +139,7 @@ func FloodBudget(ctx context.Context, host *graph.Graph, payloads [][]graph.Edge
 			}
 			hops[v][a.it.origin] = a.it.hops
 			if !heard {
-				res.Known[v][a.it.origin] = payloads[a.it.origin]
+				res.Known[v][a.it.origin] = struct{}{}
 			}
 			if a.it.hops < rounds {
 				enqueue(v, qitem{origin: a.it.origin, hops: a.it.hops + 1})

@@ -639,7 +639,7 @@ func E15ElkinNeimanStage(quick bool) Report {
 	rep := Report{
 		ID:    "E15",
 		Title: "two-stage scheme with Elkin–Neiman (Section 7 improvement)",
-		Claim: "the Elkin–Neiman stage costs fewer rounds and messages than Baswana–Sen at equal stretch",
+		Claim: "the Elkin–Neiman stage costs fewer middle-phase rounds than Baswana–Sen at equal stretch",
 		Pass:  true,
 	}
 	n := 300
@@ -686,6 +686,9 @@ func E15ElkinNeimanStage(quick bool) Report {
 			"middle phase: EN %d rounds vs BS %d (budgets %d vs %d times the stage-1 stretch)",
 			en.Phases[1].Rounds, bs.Phases[1].Rounds, enc.T, bsc.T))
 	}
+	rep.Notes = append(rep.Notes, fmt.Sprintf("messages: %s %d, collect %d (EN) vs %s %d, collect %d (BS)",
+		en.Phases[1].Name, en.Phases[1].Messages, en.Phases[2].Messages,
+		bs.Phases[1].Name, bs.Phases[1].Messages, bs.Phases[2].Messages))
 	// Fidelity spot check for the EN pipeline.
 	want, _, err := simulate.Direct(context.Background(), g, spec, seed, local.Config{})
 	if err != nil {

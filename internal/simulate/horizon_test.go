@@ -56,9 +56,10 @@ func replayAllStepping(t *testing.T, r *replayer, c *Collection, spec algorithms
 
 // checkReplays replays every node of c and requires a fresh Replay, the
 // shared replayer and a ReplayAllN at each given concurrency to agree,
-// output or error, with the all-stepping reference. On a complete
-// collection every replay must also succeed: only incomplete ones may fail,
-// and then only as the reference does.
+// output or error, with the all-stepping reference. Each ReplayAllN runs on
+// a fresh copy of c, so its workers race to pair the copy's table. On a
+// complete collection every replay must also succeed: only incomplete ones
+// may fail, and then only as the reference does.
 func checkReplays(t *testing.T, name string, shared *replayer, c *Collection, spec algorithms.Spec, complete bool, concs ...int) {
 	t.Helper()
 	var ref replayer
@@ -82,7 +83,7 @@ func checkReplays(t *testing.T, name string, shared *replayer, c *Collection, sp
 		}
 	}
 	for _, conc := range concs {
-		all, err := c.ReplayAllN(context.Background(), spec, conc)
+		all, err := cloneCollection(c).ReplayAllN(context.Background(), spec, conc)
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("%s conc=%d: ReplayAllN error %v, all-stepping %v", name, conc, err, wantErr)
 		}
@@ -94,8 +95,8 @@ func checkReplays(t *testing.T, name string, shared *replayer, c *Collection, sp
 	}
 }
 
-// dropOrigins deletes origins from the collection's Known sets — every
-// origin u != v of Known[v] with u%period == phase — so the gaps put
+// dropOrigins deletes origins from the collection's heard sets — every
+// origin u != v of Ports[v] with u%period == phase — so the gaps put
 // synthetic phantoms inside the balls, as a lossy network does.
 func dropOrigins(c *Collection, period, phase int) *Collection {
 	out := cloneCollection(c)

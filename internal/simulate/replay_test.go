@@ -9,6 +9,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -127,23 +129,22 @@ func TestReplayAllNPreCancelled(t *testing.T) {
 
 // TestReplayRejectsOutOfRangeOrigin pins the origin range check: an origin
 // outside [0, N) would alias a synthetic phantom (whose IDs count up from N)
-// or index past the replayer's NodeID-indexed scratch, so Replay rejects it
-// with an error naming the replayed node and the origin. The first case is
-// the original repro: on Path(5) the phantom for edge 99 used to resolve to
-// the forged node 5 and fail as a misleading self-loop. In the second, the
-// forged node sits beyond the ball and used to be accepted silently.
+// or index past the table and the replayer's NodeID-indexed scratch, so
+// Replay rejects a heard set naming one with an error naming the replayed
+// node and the origin. In the first case the forged origin 5 on Path(5)
+// has the ID of the phantom that replaces the dropped node 2; in the
+// second, the forged node would sit beyond the ball.
 func TestReplayRejectsOutOfRangeOrigin(t *testing.T) {
 	spec := algorithms.MaxID(2)
 	for _, tc := range []struct {
 		name   string
 		origin graph.NodeID
-		ports  []graph.EdgeID
-		drop   graph.NodeID // origin deleted from node 0's knowledge, -1 for none
+		drop   graph.NodeID // origin deleted from node 0's heard set, -1 for none
 		want   string
 	}{
-		{"phantom-alias-in-ball", 5, []graph.EdgeID{1, 99}, 2, "node 0 heard of origin 5 outside [0, 5)"},
-		{"phantom-id-beyond-ball", 5, []graph.EdgeID{2}, -1, "node 0 heard of origin 5 outside [0, 5)"},
-		{"negative", -3, []graph.EdgeID{2}, -1, "node 0 heard of origin -3 outside [0, 5)"},
+		{"phantom-alias-in-ball", 5, 2, "node 0 heard of origin 5 outside [0, 5)"},
+		{"phantom-id-beyond-ball", 5, -1, "node 0 heard of origin 5 outside [0, 5)"},
+		{"negative", -3, -1, "node 0 heard of origin -3 outside [0, 5)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := gen.Path(5)
@@ -151,7 +152,7 @@ func TestReplayRejectsOutOfRangeOrigin(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coll.Ports[0][tc.origin] = tc.ports
+			coll.Ports[0][tc.origin] = struct{}{}
 			delete(coll.Ports[0], tc.drop)
 			_, err = coll.Replay(spec, 0)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -171,42 +172,34 @@ func TestReplayRejectsOutOfRangeOrigin(t *testing.T) {
 	}
 }
 
-// cloneCollection deep-copies the mutable parts of a collection so fuzz
-// mutations cannot leak across fuzz iterations.
+// cloneCollection deep-copies the table and the heard sets of a collection
+// so fuzz mutations cannot leak across fuzz iterations. The copy pairs its
+// own table on its first replay.
 func cloneCollection(c *Collection) *Collection {
-	out := &Collection{N: c.N, Seed: c.Seed, Run: c.Run}
-	out.Ports = make([]map[graph.NodeID][]graph.EdgeID, len(c.Ports))
-	for v, m := range c.Ports {
-		cm := make(map[graph.NodeID][]graph.EdgeID, len(m))
-		for origin, ports := range m {
-			cm[origin] = append([]graph.EdgeID(nil), ports...)
-		}
-		out.Ports[v] = cm
+	table := make([][]graph.EdgeID, len(c.Table))
+	for u, row := range c.Table {
+		table[u] = slices.Clone(row)
 	}
-	return out
+	heard := make([]map[graph.NodeID]struct{}, len(c.Ports))
+	for v, m := range c.Ports {
+		heard[v] = maps.Clone(m)
+	}
+	return newCollection(table, heard, c.Seed, c.Run)
 }
 
-// sortedOrigins returns a collection node's known origins in ascending
-// order, so fuzz mutations are deterministic for a given input.
-func sortedOrigins(m map[graph.NodeID][]graph.EdgeID) []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(m))
-	for origin := range m {
-		out = append(out, origin)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+// sortedOrigins returns a heard set in ascending order, so fuzz mutations
+// are deterministic for a given input.
+func sortedOrigins(m map[graph.NodeID]struct{}) []graph.NodeID {
+	return slices.Sorted(maps.Keys(m))
 }
 
 // FuzzReplayDetectsCorruption generalizes TestReplayDetectsCorruptCollection
-// to arbitrary corruption of the collected balls: byte flips in collected
-// edge IDs, injected and dropped ports, and forged origins. The invariant is
-// that Replay never panics or hangs on a corrupt collection — it either
-// detects the corruption and errors, or degrades to a (possibly wrong)
-// output; both are acceptable, a crash is not.
+// to arbitrary corruption of a collection: byte flips in the table's edge
+// IDs, injected and dropped table ports, and forged origins in the heard
+// sets, in range and out of it. The invariant is that Replay never panics
+// or hangs on a corrupt collection — it either detects the corruption and
+// errors, or degrades to a (possibly wrong) output; both are acceptable, a
+// crash is not.
 func FuzzReplayDetectsCorruption(f *testing.F) {
 	g := gen.ConnectedGNP(24, 0.15, xrand.New(31))
 	spec := algorithms.MaxID(2)
@@ -232,27 +225,33 @@ func FuzzReplayDetectsCorruption(f *testing.F) {
 			if len(origins) == 0 {
 				continue
 			}
+			// A table op corrupts the row of one of v's heard origins, or
+			// v's own row in place of a forged origin's, which has none.
 			origin := origins[int(a)%len(origins)]
-			ports := m[origin]
+			if int(origin) < 0 || int(origin) >= c.N {
+				origin = graph.NodeID(v)
+			}
+			ports := c.Table[origin]
 			switch op % 5 {
-			case 0: // flip one byte of a collected edge ID
+			case 0: // flip one byte of a table edge ID
 				if mask := graph.EdgeID(uint64(a) << (8 * (b % 8))); mask != 0 && len(ports) > 0 {
 					i := int(b) % len(ports)
 					ports[i] ^= mask
 					mutated = true
 				}
 			case 1: // inject a foreign (possibly duplicate) port
-				m[origin] = append(ports, graph.EdgeID(int64(a)<<8|int64(b)))
+				c.Table[origin] = append(ports, graph.EdgeID(int64(a)<<8|int64(b)))
 				mutated = true
 			case 2: // drop a port
 				if len(ports) > 0 {
 					i := int(b) % len(ports)
-					m[origin] = append(ports[:i:i], ports[i+1:]...)
+					c.Table[origin] = append(ports[:i:i], ports[i+1:]...)
 					mutated = true
 				}
-			case 3: // forge an origin with a stolen port list
-				if target := graph.NodeID(int(a) % c.N); target != origin {
-					m[target] = append([]graph.EdgeID(nil), ports...)
+			case 3: // forge an in-range origin v never heard of
+				target := graph.NodeID(int(a) % c.N)
+				if _, ok := m[target]; !ok {
+					m[target] = struct{}{}
 					mutated = true
 				}
 			case 4: // forge an origin outside [0, N): a synthetic phantom's ID, or negative
@@ -260,7 +259,7 @@ func FuzzReplayDetectsCorruption(f *testing.F) {
 				if b%2 == 1 {
 					target = graph.NodeID(-1 - int(a))
 				}
-				m[target] = append([]graph.EdgeID(nil), ports...)
+				m[target] = struct{}{}
 				mutated = true
 			}
 		}

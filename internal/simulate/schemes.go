@@ -432,7 +432,7 @@ func HybridSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core
 	for v, known := range fl.Known {
 		maps.Copy(known, gos.Known[v])
 	}
-	res.Coll = &Collection{N: n, Seed: cfg.Seed, Ports: fl.Known, Run: fl.Run}
+	res.Coll = newCollection(ports, fl.Known, cfg.Seed, fl.Run)
 	return res, nil
 }
 
@@ -471,20 +471,21 @@ func GlobalCollectSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec,
 	}
 	res.bill(hooks, "globalcast", run)
 
-	// Every node holds the identical merged table (the root's map, shared
-	// and read-only from here on), so the collection can alias it.
-	coll := &Collection{N: n, Seed: cfg.Seed, Run: run}
-	coll.Ports = make([]map[graph.NodeID][]graph.EdgeID, n)
+	// Every node holds the merged table (the root's map, shared and
+	// read-only from here on). A table of n origins names every node, so
+	// every node heard all of them and the heard sets alias one full set.
+	all := make(map[graph.NodeID]struct{}, n)
+	heard := make([]map[graph.NodeID]struct{}, n)
 	for v := 0; v < n; v++ {
-		table := vals[v].(map[graph.NodeID][]graph.EdgeID)
-		if len(table) != n {
+		if table := vals[v].(map[graph.NodeID][]graph.EdgeID); len(table) != n {
 			// An incomplete table means the wave/convergecast starved within
 			// its schedule (an adversarial network can do this): a budget
 			// failure, typed so callers can test for it.
 			return nil, fmt.Errorf("globalcompute: node %d's table covers %d of %d nodes: %w", v, len(table), n, ErrRoundBudget)
 		}
-		coll.Ports[v] = table
+		all[graph.NodeID(v)] = struct{}{}
+		heard[v] = all
 	}
-	res.Coll = coll
+	res.Coll = newCollection(ports, heard, cfg.Seed, run)
 	return res, nil
 }

@@ -9,9 +9,11 @@
 // rounds, and (2) has every node locally reconstruct its exact t-ball and
 // re-execute the algorithm on it ("replay"). Unique edge IDs make the
 // reconstruction possible: two collected nodes are adjacent iff their port
-// lists share an edge ID. The collection is the broadcast's own record:
-// Collection.Ports is broadcast.Result.Known, origin → port list, as the
-// flood or gossip left it.
+// lists share an edge ID. The collection is the broadcast's own record: the
+// one payload table every node broadcast (Collection.Table, row u being u's
+// port list) and the set of origins each node heard (Collection.Ports,
+// broadcast.Result.Known as the flood or gossip left it). Every collection
+// is built by one constructor from these two.
 //
 // Replay runs only the light cone of the replayed node v. After t rounds,
 // v's output depends on a node at distance d only through that node's
@@ -20,13 +22,16 @@
 // the rim step once, and phantoms beyond the ball are never built. The
 // replayer's rebuild doc comment proves the rule exact.
 //
-// Replay is the end-to-end hot path, so it works on reused scratch: a
-// replayer rebuilds a ball into buffers it keeps (a flat, epoch-stamped
-// edge-owner table, NodeID-indexed slots, the ball and phantom lists, one
-// graph reset in place and filled in edge-ID order) and runs it on one
-// local.Runner. ReplayAllN keeps one replayer per worker, so a sweep's
-// steady-state replay allocates little beyond the protocol instances;
-// Replay is a single replay on a fresh replayer.
+// Replay is the end-to-end hot path. Which two table rows share an edge ID
+// is the same for every ball, so a collection pairs its edge owners once,
+// on its first replay, and every replay after it reads that pairing; the
+// pairing is also where a corrupt table is caught. A replay then only marks
+// the replayed node's heard origins and walks the pairing from it, into
+// buffers its replayer keeps (NodeID-indexed marks, the ball and phantom
+// lists, one graph reset in place and filled in edge-ID order), and runs
+// the ball on one local.Runner. ReplayAllN keeps one replayer per worker,
+// so a sweep's steady-state replay allocates little beyond the protocol
+// instances; Replay is a single replay on a fresh replayer.
 //
 // Scheme1Src realizes Theorem 3's first trade-off (spanner built by
 // algorithm Sampler, then one collection); Scheme2WithSrc realizes the
@@ -43,10 +48,9 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"slices"
-	"sort"
+	"sync"
 
 	"repro/internal/algorithms"
 	"repro/internal/broadcast"
@@ -55,31 +59,47 @@ import (
 	"repro/internal/sched"
 )
 
-// Collection is the outcome of the t-local broadcast of port lists: for
-// every node, the port list of every node it heard about.
+// Collection is the outcome of the t-local broadcast of port lists: the
+// payload table every node broadcast and, for every node, the origins it
+// heard. It is read-only once replayed: the first replay pairs the table's
+// edge owners for every later one.
 type Collection struct {
-	// N is the size of the original network (for replays).
+	// N is the size of the original network (for replays): len(Table).
 	N int
 	// Seed is the run seed shared by the original network and all replays.
 	Seed uint64
-	// Ports[v] maps each origin u that v heard about to u's incident edge
-	// IDs in the original graph: the broadcast result's Known, held as is.
-	Ports []map[graph.NodeID][]graph.EdgeID
+	// Table[u] is u's incident edge IDs in the original graph, ascending:
+	// the payload table the broadcast carried, one row per origin.
+	Table [][]graph.EdgeID
+	// Ports[v] is the set of origins v heard, itself included: the
+	// broadcast result's Known, held as is. v knows Table[u] for every u in
+	// it.
+	Ports []map[graph.NodeID]struct{}
 	// Run is the cost of the collection phase.
 	Run local.Result
+
+	paired sync.Once
+	peers  [][]graph.NodeID // see pair
+	bad    error
+}
+
+// newCollection is the one constructor of a Collection: the payload table
+// the broadcast carried and every node's heard set.
+func newCollection(table [][]graph.EdgeID, heard []map[graph.NodeID]struct{}, seed uint64, run local.Result) *Collection {
+	return &Collection{N: len(table), Seed: seed, Table: table, Ports: heard, Run: run}
 }
 
 // portsOf extracts every node's (sorted) incident edge list from g: the
 // payload table M every collection broadcasts.
 func portsOf(g *graph.Graph) [][]graph.EdgeID {
 	out := make([][]graph.EdgeID, g.NumNodes())
-	for v := 0; v < g.NumNodes(); v++ {
+	for v := range out {
 		inc := g.Incident(graph.NodeID(v))
 		edges := make([]graph.EdgeID, len(inc))
 		for i, h := range inc {
 			edges[i] = h.Edge
 		}
-		sort.Slice(edges, func(i, j int) bool { return edges[i] < edges[j] })
+		slices.Sort(edges)
 		out[v] = edges
 	}
 	return out
@@ -87,18 +107,17 @@ func portsOf(g *graph.Graph) [][]graph.EdgeID {
 
 // Collect floods every node's original-graph port list over host for the
 // given number of rounds. host must span the same node set as g (it is g
-// itself for the direct baseline, or a spanner of g for the schemes).
+// itself for the direct baseline, or a spanner of g for the schemes); the
+// broadcast rejects a host whose node count differs from the table's.
 // Cancelling ctx aborts the flood mid-round.
 func Collect(ctx context.Context, g, host *graph.Graph, rounds int, seed uint64, cfg local.Config) (*Collection, error) {
-	if g.NumNodes() != host.NumNodes() {
-		return nil, fmt.Errorf("simulate: host spans %d nodes, graph has %d", host.NumNodes(), g.NumNodes())
-	}
 	cfg.Seed = seed
-	fl, err := broadcast.Flood(ctx, host, portsOf(g), nil, rounds, cfg)
+	table := portsOf(g)
+	fl, err := broadcast.Flood(ctx, host, table, nil, rounds, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Collection{N: g.NumNodes(), Seed: seed, Ports: fl.Known, Run: fl.Run}, nil
+	return newCollection(table, fl.Known, seed, fl.Run), nil
 }
 
 // CollectBudget is Collect under a CONGEST-style bandwidth cap: every
@@ -107,15 +126,13 @@ func Collect(ctx context.Context, g, host *graph.Graph, rounds int, seed uint64,
 // returned collection holds exactly the knowledge Collect would have
 // gathered; only the round schedule (and hence Run.Rounds) dilates.
 func CollectBudget(ctx context.Context, g, host *graph.Graph, rounds, bw int, seed uint64, cfg local.Config) (*Collection, error) {
-	if g.NumNodes() != host.NumNodes() {
-		return nil, fmt.Errorf("simulate: host spans %d nodes, graph has %d", host.NumNodes(), g.NumNodes())
-	}
 	cfg.Seed = seed
-	fl, err := broadcast.FloodBudget(ctx, host, portsOf(g), rounds, bw, cfg)
+	table := portsOf(g)
+	fl, err := broadcast.FloodBudget(ctx, host, table, rounds, bw, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Collection{N: g.NumNodes(), Seed: seed, Ports: fl.Known, Run: fl.Run}, nil
+	return newCollection(table, fl.Known, seed, fl.Run), nil
 }
 
 // GossipCollectEarly performs the same collection by push–pull gossip (the
@@ -130,11 +147,12 @@ func CollectBudget(ctx context.Context, g, host *graph.Graph, rounds, bw int, se
 // delivered by the cover round, which suffices for every replay.
 func GossipCollectEarly(ctx context.Context, g *graph.Graph, t, maxRounds int, seed uint64, cfg local.Config) (*Collection, int, int64, error) {
 	cfg.Seed = seed
-	gos, cover, err := broadcast.Gossip(ctx, g, portsOf(g), broadcast.NewBallIndex(g, t), g.NumNodes(), maxRounds, cfg)
+	table := portsOf(g)
+	gos, cover, err := broadcast.Gossip(ctx, g, table, broadcast.NewBallIndex(g, t), g.NumNodes(), maxRounds, cfg)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return &Collection{N: g.NumNodes(), Seed: seed, Ports: gos.Known, Run: gos.Run}, cover, gos.Run.Messages, nil
+	return newCollection(table, gos.Known, seed, gos.Run), cover, gos.Run.Messages, nil
 }
 
 // Replay reconstructs node v's exact t-ball from the collection and
@@ -173,31 +191,72 @@ func (c *Collection) ReplayAllN(ctx context.Context, spec algorithms.Spec, concu
 	return out, nil
 }
 
+// pair returns, for every table port, the port's other owner: peers[u][i]
+// is the origin w != u whose row also names edge Table[u][i], or -1 when no
+// other row names it. Unique edge IDs make this the adjacency of the whole
+// network, so it is derived once per collection, on its first replay, and
+// shared read-only by every replay after it. A corrupt table fails every
+// replay: an edge named by more than two rows, or twice by one row (a
+// self-loop). The error names the smallest such edge.
+func (c *Collection) pair() ([][]graph.NodeID, error) {
+	c.paired.Do(func() {
+		type port struct {
+			e    graph.EdgeID
+			u, i int32
+		}
+		total := 0
+		for _, row := range c.Table {
+			total += len(row)
+		}
+		ports := make([]port, 0, total)
+		for u, row := range c.Table {
+			for i, e := range row {
+				ports = append(ports, port{e: e, u: int32(u), i: int32(i)})
+			}
+		}
+		slices.SortFunc(ports, func(p, q port) int { return cmp.Compare(p.e, q.e) })
+		flat := make([]graph.NodeID, len(ports))
+		c.peers = make([][]graph.NodeID, len(c.Table))
+		for u, row := range c.Table {
+			c.peers[u], flat = flat[:len(row):len(row)], flat[len(row):]
+		}
+		for lo, hi := 0, 0; lo < len(ports); lo = hi {
+			hi = lo + 1
+			for hi < len(ports) && ports[hi].e == ports[lo].e {
+				hi++
+			}
+			a, b := ports[lo], ports[hi-1]
+			switch {
+			case hi-lo > 2:
+				c.bad = fmt.Errorf("simulate: edge %d claimed by %d nodes", a.e, hi-lo)
+				return
+			case hi-lo == 1:
+				c.peers[a.u][a.i] = -1
+			case a.u == b.u:
+				c.bad = fmt.Errorf("simulate: reconstructed self-loop on edge %d", a.e)
+				return
+			default:
+				c.peers[a.u][a.i], c.peers[b.u][b.i] = graph.NodeID(b.u), graph.NodeID(a.u)
+			}
+		}
+	})
+	return c.peers, c.bad
+}
+
 // replayer holds one worker's scratch for ball replays. Every buffer is
-// truncated, or invalidated by an epoch bump, per replay and regrown only
-// when a ball outgrows it, and the replay graph and the engine are rebuilt
-// in place (graph.Reset, local.Runner), so a worker's steady-state replay
-// allocates little beyond the protocol instances themselves. A replayer
-// serves any collection; it is not safe for concurrent use.
+// truncated per replay and regrown only when a ball outgrows it, and the
+// replay graph and the engine are rebuilt in place (graph.Reset,
+// local.Runner), so a worker's steady-state replay allocates little beyond
+// the protocol instances themselves. A replayer serves any collection; it
+// is not safe for concurrent use.
 type replayer struct {
-	// owners is an open-addressing table from edge ID to an index into
-	// recs. A slot belongs to the current replay iff its epoch is r.epoch,
-	// so starting a replay empties the table by bumping the epoch.
-	owners []ownerSlot
-	shift  uint8 // 64 - log2(len(owners)): the Fibonacci hash keeps the top bits
-	epoch  uint32
-	recs   []edgeOwners
-	// origs lists the replayed node's known origins in map order, and slots
-	// holds the recs index of each of their ports, origin after origin, so
-	// the BFS and phantom passes read owners without hashing anything.
-	origs []knownOrigin
-	slots []int32
-	// known and mark are NodeID-indexed and -1 for a node the current
-	// replay has not touched. known[u] is u's index in origs; mark[u] is
-	// u's BFS distance from v while the BFS runs, then its replay-graph
-	// slot. Every touched node is listed in origs or nodes, through which
-	// both are reset before each replay returns, error returns included.
-	known []int32
+	// heard and mark are NodeID-indexed. heard[u] says whether the replayed
+	// node heard of u. mark[u] is -1 for a node the current replay has not
+	// reached, u's BFS distance from v while the BFS runs, then its
+	// replay-graph slot. Both are reset before each replay returns, error
+	// returns included: heard through the replayed node's heard set, mark
+	// through nodes, which lists every reached node.
+	heard []bool
 	mark  []int32
 	nodes []graph.NodeID // BFS queue, then the sorted ball, then real phantoms
 	idmap []graph.NodeID // replay-graph slot → identity
@@ -212,30 +271,6 @@ type replayer struct {
 	spec    algorithms.Spec
 	v       graph.NodeID
 	vp      local.Protocol
-}
-
-// ownerSlot is one owners-table entry: an edge ID, the epoch of the replay
-// that inserted it, and its record's index in recs.
-type ownerSlot struct {
-	e     graph.EdgeID
-	epoch uint32
-	rec   int32
-}
-
-// edgeOwners records the collected origins whose port lists name one edge:
-// the first two (a, b) and their count n. Two owners make the edge; one
-// makes it a boundary edge; more is corruption.
-type edgeOwners struct {
-	a, b graph.NodeID
-	n    int32
-}
-
-// knownOrigin is one origin the replayed node heard of: its port list and
-// the offset of that list's owner records in the replayer's slots.
-type knownOrigin struct {
-	id    graph.NodeID
-	at    int32
-	ports []graph.EdgeID
 }
 
 // pendEdge is one replay-graph edge between slots a and b.
@@ -282,24 +317,21 @@ func (r *replayer) replay(c *Collection, spec algorithms.Spec, v graph.NodeID) (
 
 // rebuild reconstructs v's t-ball from c into r.rg, r.idmap and r.hor.
 //
-// Adjacency among known origins comes from shared edge IDs: an edge ID in
-// two port lists connects the two origins (the unique-edge-ID assumption
-// at work). One pass over v's collection records every known origin; a
-// second pairs the owners of every edge in the owners table, checking all
-// known origins, in or out of the ball. The ball is every origin within
-// distance t of v; for targets within t these distances equal
-// original-graph distances, because every vertex of a shortest path of
-// length <= t lies in B_{G,t}(v), which the collection covers. Ball members
-// take slots in ascending ID order.
+// Adjacency among heard origins comes from shared edge IDs: a port of a
+// heard origin u joins u to the other owner w of its edge (c.pair) only if
+// v heard of w too. The ball is every heard origin within distance t of v;
+// for targets within t these distances equal original-graph distances,
+// because every vertex of a shortest path of length <= t lies in
+// B_{G,t}(v), which the collection covers. Ball members take slots in
+// ascending ID order.
 //
 // Edges leaving the ball get their far endpoint as a "phantom" node — the
-// known origin beyond distance t when the collection heard of it, or a
-// synthetic node otherwise, with identities counting up from c.N.
-// Phantoms take slots in discovery order (ball node ascending, port order)
-// and exist so that boundary nodes of the ball see their true degree.
-// Edges are inserted in ascending ID order, so the replay graph's ID index
-// only ever appends; the engine orders ports by edge ID, so insertion order
-// changes no execution.
+// heard origin beyond distance t when v heard of it, or a synthetic node
+// otherwise, with identities counting up from c.N. Phantoms take slots in
+// discovery order (ball node ascending, port order) and exist so that
+// boundary nodes of the ball see their true degree. Edges are inserted in
+// ascending ID order, so the replay graph's ID index only ever appends; the
+// engine orders ports by edge ID, so insertion order changes no execution.
 //
 // The horizon of a node at distance d from v in the replay graph is
 // t+1-d: it steps in rounds 0..t-d only. This is exact. By induction on r,
@@ -313,16 +345,16 @@ func (r *replayer) replay(c *Collection, spec algorithms.Spec, v graph.NodeID) (
 // node stepped.
 //
 // Distances come from the BFS. A ball node at distance d is BFS level d. A
-// known-origin phantom hangs only off level t (anything nearer would be in
+// heard-origin phantom hangs only off level t (anything nearer would be in
 // the ball), so it sits at t+1 and gets horizon 0: it is never built. A
 // synthetic phantom has one edge, to its ball node at distance d, so it
 // gets t-d. That is 0 on a complete collection, but an incomplete one (an
 // adversary dropped messages) can put a synthetic phantom at distance
 // d+1 <= t, and there it must step.
 //
-// A corrupt collection fails with an error: an origin outside [0, c.N)
-// (which would alias a synthetic phantom), an edge claimed by more than two
-// origins, or a reconstructed self-loop.
+// A corrupt collection fails with an error: a heard origin outside
+// [0, c.N) (which would alias a synthetic phantom), or a table c.pair
+// rejects.
 //
 //freelunch:noalloc
 func (r *replayer) rebuild(c *Collection, t int, v graph.NodeID) error {
@@ -334,58 +366,47 @@ func (r *replayer) rebuild(c *Collection, t int, v graph.NodeID) error {
 		//freelunch:allocok amortized: grows to the largest network once per replayer
 		r.mark = append(r.mark, -1)
 		//freelunch:allocok amortized: grows to the largest network once per replayer
-		r.known = append(r.known, -1)
+		r.heard = append(r.heard, false)
 	}
-	defer r.unmark()
+	heard := c.Ports[v]
+	defer r.unmark(heard)
 	var (
 		badOrigin graph.NodeID
 		forged    bool // some origin lies outside [0, c.N); badOrigin is the smallest
-		nports    int
 	)
-	known := c.Ports[v]
-	//freelunch:allocok amortized: grows to the largest collection once per replayer
-	r.origs = slices.Grow(r.origs, len(known))
-	//freelunch:orderok origin order only pairs edge endpoints, and the error reports the smallest offender
-	for origin, ps := range known {
+	//freelunch:orderok marking a set; the error reports the smallest offender
+	for origin := range heard {
 		if int(origin) < 0 || int(origin) >= c.N {
 			if !forged || origin < badOrigin {
 				badOrigin, forged = origin, true
 			}
 			continue
 		}
-		r.known[origin] = int32(len(r.origs))
-		//freelunch:allocok amortized: truncated and reused across replays
-		r.origs = append(r.origs, knownOrigin{id: origin, at: int32(nports), ports: ps})
-		nports += len(ps)
+		r.heard[origin] = true
 	}
 	if forged {
 		//freelunch:allocok error path: formats once and ends the replay
 		return fmt.Errorf("simulate: node %d heard of origin %d outside [0, %d)", v, badOrigin, c.N)
 	}
-	if bad, claimed := r.pair(nports); claimed {
-		//freelunch:allocok error path: formats once and ends the replay
-		return fmt.Errorf("simulate: edge %d claimed by %d nodes", bad, r.recs[r.owner(bad)].n)
+	peers, err := c.pair()
+	if err != nil {
+		return err
 	}
 
-	// Level-synchronous BFS from v over two-owner edges, expanding levels
-	// 0..t-1, so the queue ends as exactly the ball; mark holds distances.
+	// Level-synchronous BFS from v over edges between heard origins,
+	// expanding levels 0..t-1, so the queue ends as exactly the ball; mark
+	// holds distances.
 	//freelunch:allocok amortized: truncated and reused across replays
 	r.nodes = append(r.nodes[:0], v)
 	r.mark[v] = 0
 	for d, lo := 0, 0; d < t && lo < len(r.nodes); d++ {
 		for hi := len(r.nodes); lo < hi; lo++ {
 			u := r.nodes[lo]
-			_, recs := r.origin(u)
-			for _, k := range recs {
-				o := &r.recs[k]
-				if o.n != 2 {
-					continue
-				}
-				w := o.a
-				if w == u {
-					w = o.b
-				}
-				if r.mark[w] < 0 {
+			if !r.heard[u] {
+				continue // only v itself can be unheard: it knows no ports
+			}
+			for _, w := range peers[u] {
+				if w >= 0 && r.heard[w] && r.mark[w] < 0 {
 					r.mark[w] = int32(d + 1)
 					//freelunch:allocok amortized: truncated and reused across replays
 					r.nodes = append(r.nodes, w)
@@ -410,20 +431,13 @@ func (r *replayer) rebuild(c *Collection, t int, v graph.NodeID) error {
 	r.pends = r.pends[:0]
 	for a := 0; a < ball; a++ {
 		u := r.nodes[a]
-		ports, recs := r.origin(u)
-		for i, k := range recs {
-			e := ports[i]
-			own := &r.recs[k]
+		if !r.heard[u] {
+			continue
+		}
+		for i, e := range c.Table[u] {
 			b := int32(len(r.idmap))
-			if own.n == 2 {
-				far := own.a
-				if far == u {
-					far = own.b
-				}
+			if far := peers[u][i]; far >= 0 && r.heard[far] {
 				switch m := r.mark[far]; {
-				case m == int32(a):
-					//freelunch:allocok error path: formats once and ends the replay
-					return fmt.Errorf("simulate: reconstructed self-loop on edge %d", e)
 				case m >= 0 && m < int32(a):
 					continue // a ball edge, emitted from its lower slot
 				case m >= 0:
@@ -460,126 +474,19 @@ func (r *replayer) rebuild(c *Collection, t int, v graph.NodeID) error {
 	return nil
 }
 
-// origin returns known origin u's port list and the recs index of each of
-// its ports; both are empty for an origin the replayed node never heard of
-// (only the replayed node itself can be one).
+// unmark resets every heard and mark entry the current replay touched.
 //
 //freelunch:noalloc
-func (r *replayer) origin(u graph.NodeID) ([]graph.EdgeID, []int32) {
-	k := r.known[u]
-	if k < 0 {
-		return nil, nil
-	}
-	o := &r.origs[k]
-	return o.ports, r.slots[o.at : int(o.at)+len(o.ports)]
-}
-
-// pair records the owners of every port of every known origin in recs,
-// through the owners table, and each port's recs index in slots. It reports
-// the smallest edge with three or more owners, if any. The table is sized
-// for ports/2 distinct edges, which a complete collection names twice each,
-// at load 1/2, and grows on demand past that load.
-//
-//freelunch:noalloc
-func (r *replayer) pair(ports int) (bad graph.EdgeID, claimed bool) {
-	if r.epoch++; r.epoch == 0 {
-		clear(r.owners) // the epoch wrapped: no stale stamp may look current
-		r.epoch = 1
-	}
-	if len(r.owners) < ports {
-		r.grow(ports)
-	}
-	// Sized up front: slots exactly, recs for the distinct edges of a
-	// complete collection, so neither regrows through doubling.
-	//freelunch:allocok amortized: grows to the largest collection once per replayer
-	r.slots = slices.Grow(r.slots[:0], ports)
-	//freelunch:allocok amortized: grows to the largest collection once per replayer
-	r.recs = slices.Grow(r.recs[:0], ports/2)
-	for _, o := range r.origs {
-		for _, e := range o.ports {
-			k := r.owner(e)
-			own := &r.recs[k]
-			switch own.n {
-			case 0:
-				own.a = o.id
-			case 1:
-				own.b = o.id
-			}
-			if own.n++; own.n == 3 && (!claimed || e < bad) {
-				bad, claimed = e, true
-			}
-			//freelunch:allocok amortized: truncated and reused across replays
-			r.slots = append(r.slots, k)
-		}
-	}
-	return bad, claimed
-}
-
-// fib is 2^64 divided by the golden ratio: multiplying by it and keeping
-// the top bits spreads consecutive edge IDs over the owners table.
-const fib = 0x9e3779b97f4a7c15
-
-// owner returns e's index in recs, inserting a fresh record for an edge the
-// current replay has not seen.
-//
-//freelunch:noalloc
-func (r *replayer) owner(e graph.EdgeID) int32 {
-	mask := len(r.owners) - 1
-	for i := int(uint64(e) * fib >> r.shift); ; i = (i + 1) & mask {
-		s := &r.owners[i]
-		if s.epoch != r.epoch {
-			k := int32(len(r.recs))
-			*s = ownerSlot{e: e, epoch: r.epoch, rec: k}
-			//freelunch:allocok amortized: truncated and reused across replays
-			r.recs = append(r.recs, edgeOwners{})
-			if 2*len(r.recs) > len(r.owners) {
-				r.grow(2 * len(r.owners))
-			}
-			return k
-		}
-		if s.e == e {
-			return s.rec
-		}
-	}
-}
-
-// grow replaces the owners table by one of at least size slots (a power of
-// two, at least 16) holding the current replay's entries.
-//
-//freelunch:noalloc
-func (r *replayer) grow(size int) {
-	b := bits.Len(uint(max(size, 16) - 1))
-	old := r.owners
-	//freelunch:allocok amortized: the table only grows, to the largest collection once per replayer
-	r.owners = make([]ownerSlot, 1<<b)
-	r.shift = uint8(64 - b)
-	mask := len(r.owners) - 1
-	for _, s := range old {
-		if s.epoch != r.epoch {
-			continue
-		}
-		i := int(uint64(s.e) * fib >> r.shift)
-		for r.owners[i].epoch == r.epoch {
-			i = (i + 1) & mask
-		}
-		r.owners[i] = s
-	}
-}
-
-// unmark resets every known and mark entry the current replay touched and
-// drops its references to the collection's port lists.
-//
-//freelunch:noalloc
-func (r *replayer) unmark() {
+func (r *replayer) unmark(heard map[graph.NodeID]struct{}) {
 	for _, u := range r.nodes {
 		r.mark[u] = -1
 	}
 	r.nodes = r.nodes[:0]
-	for _, o := range r.origs {
-		r.known[o.id] = -1
+	for u := range heard {
+		if int(u) >= 0 && int(u) < len(r.heard) {
+			r.heard[u] = false
+		}
 	}
-	clear(r.origs)
-	r.origs = r.origs[:0]
 }
 
 // Direct runs the algorithm directly on g — the ground truth and the

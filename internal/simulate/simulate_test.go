@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/algorithms"
@@ -15,25 +16,64 @@ import (
 	"repro/internal/xrand"
 )
 
+// TestCollectDirectEqualsBalls checks the collection format every producer
+// shares: one table row per node, equal to portsOf(g), and a heard set per
+// node covering its t-ball. Flooding g itself for t rounds hears exactly
+// the ball.
 func TestCollectDirectEqualsBalls(t *testing.T) {
+	ctx := context.Background()
 	g := gen.ConnectedGNP(100, 0.05, xrand.New(1))
+	want := portsOf(g)
+	cfg := local.Config{Seed: 7}
 	for _, tr := range []int{0, 1, 3} {
-		coll, err := Collect(context.Background(), g, g, tr, 7, local.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := 0; v < g.NumNodes(); v++ {
-			ball := g.Ball(graph.NodeID(v), tr)
-			if len(coll.Ports[v]) != len(ball) {
-				t.Fatalf("t=%d node %d collected %d, ball %d", tr, v, len(coll.Ports[v]), len(ball))
-			}
-			for _, u := range ball {
-				ports, ok := coll.Ports[v][u]
-				if !ok {
-					t.Fatalf("missing origin %d", u)
+		spec := algorithms.MaxID(tr)
+		producers := []struct {
+			name  string
+			exact bool
+			run   func() (*Collection, error)
+		}{
+			{"Collect", true, func() (*Collection, error) { return Collect(ctx, g, g, tr, 7, local.Config{}) }},
+			{"CollectBudget", true, func() (*Collection, error) { return CollectBudget(ctx, g, g, tr, 3, 7, local.Config{}) }},
+			{"GossipCollectEarly", false, func() (*Collection, error) {
+				coll, _, _, err := GossipCollectEarly(ctx, g, tr, 600, 7, local.Config{})
+				return coll, err
+			}},
+			{"HybridSrc", false, func() (*Collection, error) {
+				res, err := HybridSrc(ctx, g, spec, Scheme1Params(1), 0.5, 600, cfg, Hooks{}, nil)
+				if err != nil {
+					return nil, err
 				}
-				if len(ports) != g.Degree(u) {
-					t.Fatalf("origin %d ports %d != degree %d", u, len(ports), g.Degree(u))
+				return res.Coll, nil
+			}},
+			{"GlobalCollectSrc", false, func() (*Collection, error) {
+				res, err := GlobalCollectSrc(ctx, g, spec, Scheme1Params(1), cfg, Hooks{}, nil)
+				if err != nil {
+					return nil, err
+				}
+				return res.Coll, nil
+			}},
+		}
+		for _, p := range producers {
+			coll, err := p.run()
+			if err != nil {
+				t.Fatalf("t=%d %s: %v", tr, p.name, err)
+			}
+			if len(coll.Table) != g.NumNodes() || len(coll.Ports) != g.NumNodes() || coll.N != g.NumNodes() {
+				t.Fatalf("t=%d %s: %d rows, %d heard sets, N=%d for %d nodes",
+					tr, p.name, len(coll.Table), len(coll.Ports), coll.N, g.NumNodes())
+			}
+			if !reflect.DeepEqual(coll.Table, want) {
+				t.Fatalf("t=%d %s: table differs from portsOf(g)", tr, p.name)
+			}
+			for v := 0; v < g.NumNodes(); v++ {
+				ball := g.Ball(graph.NodeID(v), tr)
+				if p.exact && len(coll.Ports[v]) != len(ball) {
+					t.Fatalf("t=%d %s: node %d heard %d origins, ball %d", tr, p.name, v, len(coll.Ports[v]), len(ball))
+				}
+				for _, u := range ball {
+					if _, ok := coll.Ports[v][u]; !ok {
+						t.Fatalf("t=%d %s: node %d never heard ball member %d", tr, p.name, v, u)
+					}
 				}
 			}
 		}
@@ -43,6 +83,9 @@ func TestCollectDirectEqualsBalls(t *testing.T) {
 func TestCollectHostMismatch(t *testing.T) {
 	if _, err := Collect(context.Background(), gen.Path(3), gen.Path(4), 1, 1, local.Config{}); err == nil {
 		t.Fatal("node-count mismatch accepted")
+	}
+	if _, err := CollectBudget(context.Background(), gen.Path(3), gen.Path(4), 1, 2, 1, local.Config{}); err == nil {
+		t.Fatal("node-count mismatch accepted under a bandwidth cap")
 	}
 }
 
@@ -259,16 +302,34 @@ func TestSchemeBeatsDirectOnDenseGraph(t *testing.T) {
 	}
 }
 
+// TestReplayDetectsCorruptCollection checks that pairing a corrupt table
+// fails every replay: an edge claimed by three rows, or named twice by one
+// row (a self-loop).
 func TestReplayDetectsCorruptCollection(t *testing.T) {
 	g := gen.Path(3)
-	coll, err := Collect(context.Background(), g, g, 2, 1, local.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt: a third node claims an existing edge.
-	coll.Ports[0][2] = append(coll.Ports[0][2], coll.Ports[0][0][0])
-	if _, err := coll.Replay(algorithms.MaxID(2), 0); err == nil {
-		t.Fatal("corrupt collection accepted")
+	for _, tc := range []struct {
+		name    string
+		corrupt func(table [][]graph.EdgeID) string // returns the wanted error
+	}{
+		{"third-owner", func(table [][]graph.EdgeID) string {
+			table[2] = append(table[2], table[0][0])
+			return fmt.Sprintf("edge %d claimed by 3 nodes", table[0][0])
+		}},
+		{"self-loop", func(table [][]graph.EdgeID) string {
+			table[0] = append(table[0], 99, 99)
+			return "reconstructed self-loop on edge 99"
+		}},
+	} {
+		coll, err := Collect(context.Background(), g, g, 2, 1, local.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := tc.corrupt(coll.Table)
+		for v := 0; v < g.NumNodes(); v++ {
+			if _, err := coll.Replay(algorithms.MaxID(2), graph.NodeID(v)); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: node %d: error %v, want one containing %q", tc.name, v, err, want)
+			}
+		}
 	}
 }
 
