@@ -390,21 +390,17 @@ func Gossip(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, b
 // graph.Ball returns, so membership is a binary search. A BallIndex is
 // immutable once built and safe for concurrent readers.
 type BallIndex struct {
-	t     int
 	balls [][]graph.NodeID
 }
 
 // NewBallIndex computes the distance-t ball of every node of g.
 func NewBallIndex(g *graph.Graph, t int) *BallIndex {
-	bi := &BallIndex{t: t, balls: make([][]graph.NodeID, g.NumNodes())}
+	bi := &BallIndex{balls: make([][]graph.NodeID, g.NumNodes())}
 	for v := range bi.balls {
 		bi.balls[v] = g.Ball(graph.NodeID(v), t)
 	}
 	return bi
 }
-
-// T returns the ball radius the index was built for.
-func (bi *BallIndex) T() int { return bi.t }
 
 // Nodes returns the number of nodes the index spans.
 func (bi *BallIndex) Nodes() int { return len(bi.balls) }

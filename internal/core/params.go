@@ -28,9 +28,8 @@ import (
 // probability below n^{-c}; at experiment scale (n in the thousands) using
 // the analysis constants verbatim would make every node query essentially
 // its whole neighborhood and the spanner degenerate to the input graph.
-// Params therefore exposes the constants and the log exponents; Default uses
-// log-power 1 for both (the standard empirical scaling), and Paper restores
-// the paper's log¹/log³ exponents.
+// The sample count therefore uses log n, not log³ n (the standard empirical
+// scaling); C keeps the paper's coupling of the two constants.
 type Params struct {
 	// K is the paper's k: number of contraction levels, 1 ≤ K. The stretch
 	// bound is 2·3^K − 1 and the size exponent is 1 + 1/(2^{K+1}−1).
@@ -39,17 +38,11 @@ type Params struct {
 	// the per-trial sample count carries a factor n^{1/H}. Larger H means
 	// more rounds and fewer messages.
 	H int
-	// C scales the target neighbor count ("threshold"):
-	//   threshold_j = max(1, ceil(C · n^{2^j·δ} · log2(n)^ThresholdLogPow)).
+	// C scales the target neighbor count ("threshold") and, squared, the
+	// per-trial sample count:
+	//   threshold_j = max(1, ceil(C · n^{2^j·δ} · log2(n)))
+	//   samples_j   = max(1, ceil(C² · n^{2^j·δ + 1/H} · log2(n))).
 	C float64
-	// CSample scales the per-trial sample count:
-	//   samples_j = max(1, ceil(CSample · n^{2^j·δ + 1/H} · log2(n)^SampleLogPow)).
-	// Zero means C·C, the paper's coupling.
-	CSample float64
-	// ThresholdLogPow and SampleLogPow are the log2(n) exponents in the two
-	// quantities above. The paper uses 1 and 3.
-	ThresholdLogPow int
-	SampleLogPow    int
 	// FailSafe guarantees the stretch bound deterministically: a node that
 	// finishes its trials neither light (all neighbors found) nor merged
 	// into a cluster queries its remaining unexplored edges exhaustively,
@@ -67,17 +60,10 @@ type Params struct {
 	DisablePeeling bool
 }
 
-// Default returns the parameters used by the experiments: constants 1,
-// log-power 1, fail-safe on.
+// Default returns the parameters used by the experiments: constant 1,
+// fail-safe on.
 func Default(k, h int) Params {
-	return Params{K: k, H: h, C: 1, ThresholdLogPow: 1, SampleLogPow: 1, FailSafe: true}
-}
-
-// Paper returns parameters with the paper's asymptotic forms (log n and
-// log³ n) and confidence constant c. Intended for small-n sanity runs; see
-// the Params doc comment for why experiments scale the log powers down.
-func Paper(k, h int, c float64) Params {
-	return Params{K: k, H: h, C: c, ThresholdLogPow: 1, SampleLogPow: 3, FailSafe: false}
+	return Params{K: k, H: h, C: 1, FailSafe: true}
 }
 
 // Validate reports whether the parameters are usable.
@@ -90,12 +76,6 @@ func (p Params) Validate() error {
 	}
 	if p.C <= 0 {
 		return fmt.Errorf("core: C = %v, need C > 0", p.C)
-	}
-	if p.CSample < 0 {
-		return fmt.Errorf("core: CSample = %v, need CSample >= 0", p.CSample)
-	}
-	if p.ThresholdLogPow < 0 || p.SampleLogPow < 0 {
-		return fmt.Errorf("core: negative log powers")
 	}
 	return nil
 }
@@ -130,20 +110,16 @@ func (p Params) centerProb(j, n int) float64 {
 }
 
 // threshold returns the level-j target neighbor count
-// min-capped at 1: ceil(C · n^{2^j·δ} · log2(n)^ThresholdLogPow).
+// min-capped at 1: ceil(C · n^{2^j·δ} · log2(n)).
 func (p Params) threshold(j, n int) int {
-	v := p.C * math.Pow(float64(n), float64(int64(1)<<j)*p.Delta()) * math.Pow(logn(n), float64(p.ThresholdLogPow))
+	v := p.C * math.Pow(float64(n), float64(int64(1)<<j)*p.Delta()) * logn(n)
 	return atLeast1(v)
 }
 
 // samplesPerTrial returns the level-j per-trial query-edge sample count
-// ceil(CSample · n^{2^j·δ + 1/H} · log2(n)^SampleLogPow).
+// min-capped at 1: ceil(C² · n^{2^j·δ + 1/H} · log2(n)).
 func (p Params) samplesPerTrial(j, n int) int {
-	cs := p.CSample
-	if cs == 0 {
-		cs = p.C * p.C
-	}
-	v := cs * math.Pow(float64(n), float64(int64(1)<<j)*p.Delta()+p.Epsilon()) * math.Pow(logn(n), float64(p.SampleLogPow))
+	v := p.C * p.C * math.Pow(float64(n), float64(int64(1)<<j)*p.Delta()+p.Epsilon()) * logn(n)
 	return atLeast1(v)
 }
 

@@ -17,12 +17,9 @@ func TestParamsValidate(t *testing.T) {
 	}{
 		{Default(1, 1), true},
 		{Default(3, 8), true},
-		{Paper(2, 4, 0.5), true},
 		{Params{K: 0, H: 1, C: 1}, false},
 		{Params{K: 1, H: 0, C: 1}, false},
 		{Params{K: 1, H: 1, C: 0}, false},
-		{Params{K: 1, H: 1, C: 1, CSample: -1}, false},
-		{Params{K: 1, H: 1, C: 1, ThresholdLogPow: -1}, false},
 	}
 	for i, c := range cases {
 		if err := c.p.Validate(); (err == nil) != c.ok {
@@ -54,6 +51,141 @@ func TestParamsDerived(t *testing.T) {
 	}
 	if got := p2.PredictedMessageExponent(); math.Abs(got-(1+1.0/7+0.25)) > 1e-12 {
 		t.Fatalf("msg exponent = %v", got)
+	}
+}
+
+// TestLevelQuantitiesPinned pins the Sampler's per-level knobs — threshold
+// and per-trial sample count at C = 1 and C = 0.5, and the center-marking
+// probability — for K ∈ {1,2,3}, H ∈ {2,4,8}, n ∈ {2,100,4096,65536} and every
+// level j ∈ [0, K]. The spanner goldens cover two parameter points; a change
+// in how the formulas are evaluated (operand order, a folded constant) that
+// moves one integer anywhere in this grid shows here.
+func TestLevelQuantitiesPinned(t *testing.T) {
+	cases := []struct {
+		k, h, n, j int
+		th1, s1    int // threshold and samplesPerTrial at C = 1
+		th05, s05  int // the same at C = 0.5
+		centerProb float64
+	}{
+		{1, 2, 2, 0, 2, 2, 1, 1, 0.7937005259840999},
+		{1, 2, 2, 1, 2, 3, 1, 1, 0.6299605249474366},
+		{1, 2, 100, 0, 31, 309, 16, 78, 0.21544346900318836},
+		{1, 2, 100, 1, 144, 1432, 72, 358, 0.0464158883361278},
+		{1, 2, 4096, 0, 192, 12288, 96, 3072, 0.06250000000000004},
+		{1, 2, 4096, 1, 3072, 196608, 1536, 49152, 0.00390625},
+		{1, 2, 65536, 0, 646, 165141, 323, 41286, 0.024803141437003125},
+		{1, 2, 65536, 1, 26008, 6658043, 13004, 1664511, 0.0006151958251439812},
+		{1, 4, 2, 0, 2, 2, 1, 1, 0.7937005259840999},
+		{1, 4, 2, 1, 2, 2, 1, 1, 0.6299605249474366},
+		{1, 4, 100, 0, 31, 98, 16, 25, 0.21544346900318836},
+		{1, 4, 100, 1, 144, 453, 72, 114, 0.0464158883361278},
+		{1, 4, 4096, 0, 192, 1536, 96, 384, 0.06250000000000004},
+		{1, 4, 4096, 1, 3072, 24576, 1536, 6144, 0.00390625},
+		{1, 4, 65536, 0, 646, 10322, 323, 2581, 0.024803141437003125},
+		{1, 4, 65536, 1, 26008, 416128, 13004, 104032, 0.0006151958251439812},
+		{1, 8, 2, 0, 2, 2, 1, 1, 0.7937005259840999},
+		{1, 8, 2, 1, 2, 2, 1, 1, 0.6299605249474366},
+		{1, 8, 100, 0, 31, 55, 16, 14, 0.21544346900318836},
+		{1, 8, 100, 1, 144, 255, 72, 64, 0.0464158883361278},
+		{1, 8, 4096, 0, 192, 544, 96, 136, 0.06250000000000004},
+		{1, 8, 4096, 1, 3072, 8689, 1536, 2173, 0.00390625},
+		{1, 8, 65536, 0, 646, 2581, 323, 646, 0.024803141437003125},
+		{1, 8, 65536, 1, 26008, 104032, 13004, 26008, 0.0006151958251439812},
+		{2, 2, 2, 0, 2, 2, 1, 1, 0.9057236642639067},
+		{2, 2, 2, 1, 2, 2, 1, 1, 0.820335356007638},
+		{2, 2, 2, 2, 2, 3, 1, 1, 0.6729500963161781},
+		{2, 2, 100, 0, 13, 129, 7, 33, 0.5179474679231212},
+		{2, 2, 100, 1, 25, 248, 13, 62, 0.2682695795279726},
+		{2, 2, 100, 2, 93, 924, 47, 231, 0.07196856730011522},
+		{2, 2, 4096, 0, 40, 2521, 20, 631, 0.3047534135511189},
+		{2, 2, 4096, 1, 130, 8270, 65, 2068, 0.0928746430710593},
+		{2, 2, 4096, 2, 1392, 89037, 696, 22260, 0.008625699325576658},
+		{2, 2, 65536, 0, 79, 19973, 40, 4994, 0.20508383900190952},
+		{2, 2, 65536, 1, 381, 97387, 191, 24347, 0.042059381019761144},
+		{2, 2, 65536, 2, 9045, 2315444, 4523, 578861, 0.0017689915317654432},
+		{2, 4, 2, 0, 2, 2, 1, 1, 0.9057236642639067},
+		{2, 4, 2, 1, 2, 2, 1, 1, 0.820335356007638},
+		{2, 4, 2, 2, 2, 2, 1, 1, 0.6729500963161781},
+		{2, 4, 100, 0, 13, 41, 7, 11, 0.5179474679231212},
+		{2, 4, 100, 1, 25, 79, 13, 20, 0.2682695795279726},
+		{2, 4, 100, 2, 93, 292, 47, 73, 0.07196856730011522},
+		{2, 4, 4096, 0, 40, 316, 20, 79, 0.3047534135511189},
+		{2, 4, 4096, 1, 130, 1034, 65, 259, 0.0928746430710593},
+		{2, 4, 4096, 2, 1392, 11130, 696, 2783, 0.008625699325576658},
+		{2, 4, 65536, 0, 79, 1249, 40, 313, 0.20508383900190952},
+		{2, 4, 65536, 1, 381, 6087, 191, 1522, 0.042059381019761144},
+		{2, 4, 65536, 2, 9045, 144716, 4523, 36179, 0.0017689915317654432},
+		{2, 8, 2, 0, 2, 2, 1, 1, 0.9057236642639067},
+		{2, 8, 2, 1, 2, 2, 1, 1, 0.820335356007638},
+		{2, 8, 2, 2, 2, 2, 1, 1, 0.6729500963161781},
+		{2, 8, 100, 0, 13, 23, 7, 6, 0.5179474679231212},
+		{2, 8, 100, 1, 25, 45, 13, 12, 0.2682695795279726},
+		{2, 8, 100, 2, 93, 165, 47, 42, 0.07196856730011522},
+		{2, 8, 4096, 0, 40, 112, 20, 28, 0.3047534135511189},
+		{2, 8, 4096, 1, 130, 366, 65, 92, 0.0928746430710593},
+		{2, 8, 4096, 2, 1392, 3935, 696, 984, 0.008625699325576658},
+		{2, 8, 65536, 0, 79, 313, 40, 79, 0.20508383900190952},
+		{2, 8, 65536, 1, 381, 1522, 191, 381, 0.042059381019761144},
+		{2, 8, 65536, 2, 9045, 36179, 4523, 9045, 0.0017689915317654432},
+		{3, 2, 2, 0, 2, 2, 1, 1, 0.9548416039104165},
+		{3, 2, 2, 1, 2, 2, 1, 1, 0.9117224885582169},
+		{3, 2, 2, 2, 2, 2, 1, 1, 0.8312378961427878},
+		{3, 2, 2, 3, 2, 3, 1, 1, 0.6909564399838881},
+		{3, 2, 100, 0, 10, 91, 5, 23, 0.7356422544596413},
+		{3, 2, 100, 1, 13, 123, 7, 31, 0.5411695265464637},
+		{3, 2, 100, 2, 23, 227, 12, 57, 0.2928644564625236},
+		{3, 2, 100, 3, 78, 775, 39, 194, 0.08576958985908943},
+		{3, 2, 4096, 0, 21, 1338, 11, 335, 0.5743491774985175},
+		{3, 2, 4096, 1, 37, 2329, 19, 583, 0.3298769776932236},
+		{3, 2, 4096, 2, 111, 7058, 56, 1765, 0.10881882041201553},
+		{3, 2, 4096, 3, 1014, 64857, 507, 16215, 0.011841535675862479},
+		{3, 2, 65536, 0, 34, 8580, 17, 2145, 0.47742080195520825},
+		{3, 2, 65536, 1, 71, 17971, 36, 4493, 0.22793062213955423},
+		{3, 2, 65536, 2, 308, 78842, 154, 19711, 0.05195236850892425},
+		{3, 2, 65536, 3, 5929, 1517572, 2965, 379393, 0.002699048593687063},
+		{3, 4, 2, 0, 2, 2, 1, 1, 0.9548416039104165},
+		{3, 4, 2, 1, 2, 2, 1, 1, 0.9117224885582169},
+		{3, 4, 2, 2, 2, 2, 1, 1, 0.8312378961427878},
+		{3, 4, 2, 3, 2, 2, 1, 1, 0.6909564399838881},
+		{3, 4, 100, 0, 10, 29, 5, 8, 0.7356422544596413},
+		{3, 4, 100, 1, 13, 39, 7, 10, 0.5411695265464637},
+		{3, 4, 100, 2, 23, 72, 12, 18, 0.2928644564625236},
+		{3, 4, 100, 3, 78, 245, 39, 62, 0.08576958985908943},
+		{3, 4, 4096, 0, 21, 168, 11, 42, 0.5743491774985175},
+		{3, 4, 4096, 1, 37, 292, 19, 73, 0.3298769776932236},
+		{3, 4, 4096, 2, 111, 883, 56, 221, 0.10881882041201553},
+		{3, 4, 4096, 3, 1014, 8108, 507, 2027, 0.011841535675862479},
+		{3, 4, 65536, 0, 34, 537, 17, 135, 0.47742080195520825},
+		{3, 4, 65536, 1, 71, 1124, 36, 281, 0.22793062213955423},
+		{3, 4, 65536, 2, 308, 4928, 154, 1232, 0.05195236850892425},
+		{3, 4, 65536, 3, 5929, 94849, 2965, 23713, 0.002699048593687063},
+		{3, 8, 2, 0, 2, 2, 1, 1, 0.9548416039104165},
+		{3, 8, 2, 1, 2, 2, 1, 1, 0.9117224885582169},
+		{3, 8, 2, 2, 2, 2, 1, 1, 0.8312378961427878},
+		{3, 8, 2, 3, 2, 2, 1, 1, 0.6909564399838881},
+		{3, 8, 100, 0, 10, 17, 5, 5, 0.7356422544596413},
+		{3, 8, 100, 1, 13, 22, 7, 6, 0.5411695265464637},
+		{3, 8, 100, 2, 23, 41, 12, 11, 0.2928644564625236},
+		{3, 8, 100, 3, 78, 138, 39, 35, 0.08576958985908943},
+		{3, 8, 4096, 0, 21, 60, 11, 15, 0.5743491774985175},
+		{3, 8, 4096, 1, 37, 103, 19, 26, 0.3298769776932236},
+		{3, 8, 4096, 2, 111, 312, 56, 78, 0.10881882041201553},
+		{3, 8, 4096, 3, 1014, 2867, 507, 717, 0.011841535675862479},
+		{3, 8, 65536, 0, 34, 135, 17, 34, 0.47742080195520825},
+		{3, 8, 65536, 1, 71, 281, 36, 71, 0.22793062213955423},
+		{3, 8, 65536, 2, 308, 1232, 154, 308, 0.05195236850892425},
+		{3, 8, 65536, 3, 5929, 23713, 2965, 5929, 0.002699048593687063},
+	}
+	for _, c := range cases {
+		p1, p05 := Default(c.k, c.h), Default(c.k, c.h)
+		p05.C = 0.5
+		got := [4]int{p1.threshold(c.j, c.n), p1.samplesPerTrial(c.j, c.n), p05.threshold(c.j, c.n), p05.samplesPerTrial(c.j, c.n)}
+		if want := [4]int{c.th1, c.s1, c.th05, c.s05}; got != want {
+			t.Errorf("K=%d H=%d n=%d j=%d: (threshold, samples) at C=1, C=0.5 = %v, want %v", c.k, c.h, c.n, c.j, got, want)
+		}
+		if pc := p1.centerProb(c.j, c.n); pc != c.centerProb {
+			t.Errorf("K=%d H=%d n=%d j=%d: centerProb = %v, want %v", c.k, c.h, c.n, c.j, pc, c.centerProb)
+		}
 	}
 }
 

@@ -13,12 +13,13 @@
 //
 // The direct baseline floods the whole graph, paying Θ(D·m) messages.
 //
-// The protocol is generic over the aggregated value: Converge runs it with
-// an arbitrary commutative-associative merge over opaque payloads, which is
-// what the registry's "globalcompute" scheme uses to convergecast every
-// node's port list and replay arbitrary t-round algorithms from the merged
-// table; Direct and OverSpanner keep the paper's int64 aggregation API on
-// top of it. All entry points take a context (cancellation aborts within one
+// This package is steps 2 and 3 and nothing else: Converge runs them on
+// whatever host it is given, with a typed commutative-associative merge.
+// Callers supply the host — G itself for the direct baseline, or the
+// Sampler spanner's subgraph, which the engine builds and caches like every
+// other stage-1 spanner. The registry's "globalcompute" scheme convergecasts
+// port tables with it; DetectTermination convergecasts completion
+// predicates under AND. Both take a context (cancellation aborts within one
 // node step) and honor local.Config.OnRound, so engine observers see every
 // round of the wave, convergecast, and broadcast phases.
 package globalcompute
@@ -29,62 +30,18 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/local"
 )
 
-// Aggregator combines node inputs. It must be commutative and associative
-// (the tree imposes an arbitrary combination order).
-type Aggregator func(a, b int64) int64
-
-// Sum aggregates by addition.
-func Sum(a, b int64) int64 { return a + b }
-
-// Min aggregates by minimum.
-func Min(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Max aggregates by maximum.
-func Max(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Result is the outcome of a global computation.
-type Result struct {
-	// Values holds each node's learned aggregate (all equal on success).
-	Values []int64
-	// Run carries the aggregation protocol's cost (excluding spanner
-	// construction, reported separately).
-	Run local.Result
-	// SpannerRun carries the spanner construction cost (zero when running
-	// on the raw graph).
-	SpannerRun local.Result
-	// HostEdges is the edge count of the graph the protocol actually ran on.
-	HostEdges int
-}
-
-// TotalMessages is the full pipeline's message bill.
-func (r *Result) TotalMessages() int64 { return r.Run.Messages + r.SpannerRun.Messages }
-
-// TotalRounds is the full pipeline's round bill.
-func (r *Result) TotalRounds() int { return r.Run.Rounds + r.SpannerRun.Rounds }
-
 // phases of the aggregation protocol; all nodes share the schedule bounds
 // but progress is event-driven (BFS wave, then convergecast, then final
 // broadcast), so the protocol is correct for any diameter and halts itself.
-type gcMsg struct {
+type gcMsg[T any] struct {
 	Kind  gcKind
 	Root  graph.NodeID
 	Dist  int
-	Value any
+	Value T
 }
 
 type gcKind int
@@ -99,7 +56,7 @@ const (
 // PayloadUnits implements local.Sizer: a kind word plus the kind-specific
 // content — (root, dist) for waves, the carried value for aggregates and the
 // final broadcast.
-func (m gcMsg) PayloadUnits() int64 {
+func (m gcMsg[T]) PayloadUnits() int64 {
 	switch m.Kind {
 	case gcWave:
 		return 3
@@ -126,11 +83,6 @@ func valueUnits(v any) int64 {
 	}
 }
 
-// Merge combines two aggregate payloads. It must be commutative and
-// associative up to the equality the caller cares about; it may mutate and
-// return a, but must not retain b's substructure for later mutation.
-type Merge func(a, b any) any
-
 // gcNode runs leader election by min-ID wave + BFS-tree aggregation.
 //
 // Wave phase: every node starts a wave for itself; waves carry (root, dist)
@@ -140,9 +92,9 @@ type Merge func(a, b any) any
 // Tree phase: each node's parent is the edge its winning wave arrived on;
 // children register, then leaves start the convergecast. Done phase: the
 // root floods the final value down the tree.
-type gcNode struct {
-	input      any
-	merge      Merge
+type gcNode[T any] struct {
+	input      T
+	merge      func(a, b T) T
 	waveRounds int
 
 	root     graph.NodeID
@@ -151,26 +103,26 @@ type gcNode struct {
 	hasPar   bool
 	children map[graph.EdgeID]bool
 	pending  map[graph.EdgeID]bool // children that have not reported yet
-	acc      any
+	acc      T
 	sentUp   bool
-	value    any
+	value    T
 	haveVal  bool
 }
 
-func (p *gcNode) Step(env *local.Env, round int, inbox []local.Message) {
+func (p *gcNode[T]) Step(env *local.Env, round int, inbox []local.Message) {
 	if round == 0 {
 		p.root = env.ID()
 		p.dist = 0
 		p.acc = p.input
 		p.children = make(map[graph.EdgeID]bool)
-		p.flood(env, gcMsg{Kind: gcWave, Root: p.root, Dist: 0}, noEdge)
+		p.flood(env, gcMsg[T]{Kind: gcWave, Root: p.root, Dist: 0}, noEdge)
 		return
 	}
 	improved := false
 	var from graph.EdgeID
 	var fromDist int
 	for _, m := range inbox {
-		msg := m.Payload.(gcMsg)
+		msg := m.Payload.(gcMsg[T])
 		switch msg.Kind {
 		case gcWave:
 			if msg.Root < p.root {
@@ -197,7 +149,7 @@ func (p *gcNode) Step(env *local.Env, round int, inbox []local.Message) {
 				p.haveVal = true
 				p.value = msg.Value
 				for _, e := range sortedChildren(p.children) {
-					env.Send(e, gcMsg{Kind: gcDone, Value: p.value})
+					env.Send(e, gcMsg[T]{Kind: gcDone, Value: p.value})
 				}
 				env.Halt()
 				return
@@ -208,7 +160,7 @@ func (p *gcNode) Step(env *local.Env, round int, inbox []local.Message) {
 		p.hasPar = true
 		p.parent = from
 		p.children = make(map[graph.EdgeID]bool) // stale subtree forgotten
-		p.flood(env, gcMsg{Kind: gcWave, Root: p.root, Dist: fromDist + 1}, from)
+		p.flood(env, gcMsg[T]{Kind: gcWave, Root: p.root, Dist: fromDist + 1}, from)
 	}
 	// Wave settling deadline: register with the final parent, then start
 	// the convergecast once every registered child has reported.
@@ -218,19 +170,19 @@ func (p *gcNode) Step(env *local.Env, round int, inbox []local.Message) {
 			p.pending[e] = true
 		}
 		if p.hasPar {
-			env.Send(p.parent, gcMsg{Kind: gcParent})
+			env.Send(p.parent, gcMsg[T]{Kind: gcParent})
 		}
 	}
 	if round > p.waveRounds && p.pending != nil && len(p.pending) == 0 && !p.sentUp {
 		p.sentUp = true
 		if p.hasPar {
-			env.Send(p.parent, gcMsg{Kind: gcAgg, Value: p.acc})
+			env.Send(p.parent, gcMsg[T]{Kind: gcAgg, Value: p.acc})
 		} else {
 			// Root: the aggregate is complete; flood the result.
 			p.haveVal = true
 			p.value = p.acc
 			for _, e := range sortedChildren(p.children) {
-				env.Send(e, gcMsg{Kind: gcDone, Value: p.value})
+				env.Send(e, gcMsg[T]{Kind: gcDone, Value: p.value})
 			}
 			env.Halt()
 		}
@@ -252,7 +204,7 @@ func sortedChildren(m map[graph.EdgeID]bool) []graph.EdgeID {
 // noEdge marks "no arrival edge" for the initial wave.
 const noEdge = graph.EdgeID(-1)
 
-func (p *gcNode) flood(env *local.Env, msg gcMsg, except graph.EdgeID) {
+func (p *gcNode[T]) flood(env *local.Env, msg gcMsg[T], except graph.EdgeID) {
 	for _, pt := range env.Ports() {
 		if pt.Edge != except {
 			env.Send(pt.Edge, msg)
@@ -262,26 +214,30 @@ func (p *gcNode) flood(env *local.Env, msg gcMsg, except graph.EdgeID) {
 
 // ErrNotConverged reports a run that ended without every node holding the
 // merged value — only an adversarial network (lost, delayed or crashed
-// control traffic) can starve the protocol so. Test for it with errors.Is.
+// control traffic) can starve the protocol so, or a wave deadline below the
+// host's diameter. Test for it with errors.Is.
 var ErrNotConverged = errors.New("globalcompute: aggregation did not converge")
 
-// Converge executes the wave/tree/convergecast/broadcast protocol on host
-// with arbitrary payloads: node v starts with inputs[v], the root merges
-// every input with merge, and the merged value is flooded back down so every
-// node returns it. waveRounds must be an upper bound on host's diameter.
-// Round events stream through cfg.OnRound; cancelling ctx aborts within one
-// node step. A run that does not converge fails with ErrNotConverged.
-func Converge(ctx context.Context, host *graph.Graph, inputs []any, merge Merge, waveRounds int, cfg local.Config) ([]any, local.Result, error) {
+// Converge executes the wave/tree/convergecast/broadcast protocol on host:
+// node v starts with inputs[v], the root merges every input with merge, and
+// the merged value is flooded back down so every node returns it. merge must
+// be commutative and associative (the tree imposes an arbitrary combination
+// order); it may mutate and return a, but must not retain b's substructure
+// for later mutation. waveRounds must be an upper bound on host's diameter —
+// over a spanner of stretch α, α times a bound on G's diameter. Round events
+// stream through cfg.OnRound; cancelling ctx aborts within one node step. A
+// run that does not converge fails with ErrNotConverged.
+func Converge[T any](ctx context.Context, host *graph.Graph, inputs []T, merge func(a, b T) T, waveRounds int, cfg local.Config) ([]T, local.Result, error) {
 	if len(inputs) != host.NumNodes() {
 		return nil, local.Result{}, fmt.Errorf("globalcompute: %d inputs for %d nodes", len(inputs), host.NumNodes())
 	}
 	if waveRounds < 1 {
 		waveRounds = 1
 	}
-	nodes := make([]*gcNode, host.NumNodes())
+	nodes := make([]*gcNode[T], host.NumNodes())
 	cfg.MaxRounds = waveRounds*3 + host.NumNodes() + 16
 	res, err := local.RunCtx(ctx, host, func(v graph.NodeID) local.Protocol {
-		nodes[v] = &gcNode{input: inputs[v], merge: merge, waveRounds: waveRounds}
+		nodes[v] = &gcNode[T]{input: inputs[v], merge: merge, waveRounds: waveRounds}
 		return nodes[v]
 	}, cfg)
 	if err != nil {
@@ -290,7 +246,7 @@ func Converge(ctx context.Context, host *graph.Graph, inputs []any, merge Merge,
 	if !res.Halted {
 		return nil, res, ErrNotConverged
 	}
-	out := make([]any, len(nodes))
+	out := make([]T, len(nodes))
 	for v, nd := range nodes {
 		if !nd.haveVal {
 			return nil, res, fmt.Errorf("globalcompute: node %d finished without a value: %w", v, ErrNotConverged)
@@ -312,69 +268,6 @@ func Converge(ctx context.Context, host *graph.Graph, inputs []any, merge Merge,
 // price. waveRounds must upper-bound host's diameter; each control message
 // carries O(1) words.
 func DetectTermination(ctx context.Context, host *graph.Graph, done []bool, waveRounds int, cfg local.Config) (bool, local.Result, error) {
-	if len(done) != host.NumNodes() {
-		return false, local.Result{}, fmt.Errorf("globalcompute: %d predicates for %d nodes", len(done), host.NumNodes())
-	}
-	inputs := make([]any, len(done))
-	for i, d := range done {
-		inputs[i] = d
-	}
-	and := func(a, b any) any { return a.(bool) && b.(bool) }
-	vals, res, err := Converge(ctx, host, inputs, and, waveRounds, cfg)
-	if err != nil {
-		return false, res, err
-	}
-	return vals[0].(bool), res, nil
-}
-
-// run is Converge specialized back to the paper's int64 aggregation.
-func run(ctx context.Context, host *graph.Graph, inputs []int64, agg Aggregator, waveRounds int, cfg local.Config) ([]int64, local.Result, error) {
-	boxed := make([]any, len(inputs))
-	for i, v := range inputs {
-		boxed[i] = v
-	}
-	vals, res, err := Converge(ctx, host, boxed, func(a, b any) any { return agg(a.(int64), b.(int64)) }, waveRounds, cfg)
-	if err != nil {
-		return nil, res, err
-	}
-	out := make([]int64, len(vals))
-	for i, v := range vals {
-		out[i] = v.(int64)
-	}
-	return out, res, nil
-}
-
-// Direct computes the aggregate by running the protocol on the raw graph:
-// the Θ(D·m)-message baseline.
-func Direct(ctx context.Context, g *graph.Graph, inputs []int64, agg Aggregator, diamBound int, cfg local.Config) (*Result, error) {
-	if len(inputs) != g.NumNodes() {
-		return nil, fmt.Errorf("globalcompute: %d inputs for %d nodes", len(inputs), g.NumNodes())
-	}
-	vals, runRes, err := run(ctx, g, inputs, agg, diamBound, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Values: vals, Run: runRes, HostEdges: g.NumEdges()}, nil
-}
-
-// OverSpanner computes the aggregate over a Sampler spanner: the paper's
-// Section 7 pipeline. diamBound must upper-bound the diameter of g; the
-// spanner's wave deadline is stretched by the certified stretch factor.
-func OverSpanner(ctx context.Context, g *graph.Graph, inputs []int64, agg Aggregator, diamBound int, p core.Params, seed uint64, cfg local.Config) (*Result, error) {
-	if len(inputs) != g.NumNodes() {
-		return nil, fmt.Errorf("globalcompute: %d inputs for %d nodes", len(inputs), g.NumNodes())
-	}
-	sp, err := core.BuildDistributedCtx(ctx, g, p, seed, cfg)
-	if err != nil {
-		return nil, err
-	}
-	h, err := g.SubgraphByEdges(sp.S)
-	if err != nil {
-		return nil, err
-	}
-	vals, runRes, err := run(ctx, h, inputs, agg, diamBound*sp.StretchBound(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Values: vals, Run: runRes, SpannerRun: sp.Run, HostEdges: h.NumEdges()}, nil
+	vals, res, err := Converge(ctx, host, done, func(a, b bool) bool { return a && b }, waveRounds, cfg)
+	return err == nil && !slices.Contains(vals, false), res, err
 }

@@ -2,6 +2,8 @@ package globalcompute
 
 import (
 	"context"
+	"errors"
+	"maps"
 	"testing"
 
 	"repro/internal/core"
@@ -19,7 +21,14 @@ func inputsMod(n int) []int64 {
 	return in
 }
 
-func oracle(in []int64, agg Aggregator) int64 {
+// aggregates are the paper's example global functions, as Converge merges.
+var aggregates = map[string]func(a, b int64) int64{
+	"sum": func(a, b int64) int64 { return a + b },
+	"min": func(a, b int64) int64 { return min(a, b) },
+	"max": func(a, b int64) int64 { return max(a, b) },
+}
+
+func oracle(in []int64, agg func(a, b int64) int64) int64 {
 	acc := in[0]
 	for _, v := range in[1:] {
 		acc = agg(acc, v)
@@ -27,10 +36,30 @@ func oracle(in []int64, agg Aggregator) int64 {
 	return acc
 }
 
-func TestAggregators(t *testing.T) {
-	if Sum(2, 3) != 5 || Min(2, 3) != 2 || Max(2, 3) != 3 {
-		t.Fatal("aggregator basics")
+// requireAll fails unless every node returned want.
+func requireAll(t *testing.T, name string, vals []int64, want int64) {
+	t.Helper()
+	for v, got := range vals {
+		if got != want {
+			t.Fatalf("%s node %d: got %d want %d", name, v, got, want)
+		}
 	}
+}
+
+// spannerHost builds the Sampler spanner of g and returns it as a host
+// subgraph with its certified stretch and construction cost: the Section 7
+// pipeline's first step, which the engine otherwise provides.
+func spannerHost(t *testing.T, g *graph.Graph, p core.Params, seed uint64, cfg local.Config) (*graph.Graph, int, local.Result) {
+	t.Helper()
+	sp, err := core.BuildDistributed(g, p, seed, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := g.SubgraphByEdges(sp.S)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, sp.StretchBound(), sp.Run
 }
 
 func TestDirectComputesAggregates(t *testing.T) {
@@ -43,23 +72,18 @@ func TestDirectComputesAggregates(t *testing.T) {
 	} {
 		in := inputsMod(g.NumNodes())
 		diam := g.NumNodes() // safe bound
-		for _, agg := range []Aggregator{Sum, Min, Max} {
-			res, err := Direct(context.Background(), g, in, agg, diam, local.Config{Seed: 2})
+		for aggName, agg := range aggregates {
+			vals, _, err := Converge(context.Background(), g, in, agg, diam, local.Config{Seed: 2})
 			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+				t.Fatalf("%s/%s: %v", name, aggName, err)
 			}
-			want := oracle(in, agg)
-			for v, got := range res.Values {
-				if got != want {
-					t.Fatalf("%s node %d: got %d want %d", name, v, got, want)
-				}
-			}
+			requireAll(t, name+"/"+aggName, vals, oracle(in, agg))
 		}
 	}
 }
 
 func TestDirectRejectsBadInputs(t *testing.T) {
-	if _, err := Direct(context.Background(), gen.Path(3), []int64{1}, Sum, 3, local.Config{}); err == nil {
+	if _, _, err := Converge(context.Background(), gen.Path(3), []int64{1}, aggregates["sum"], 3, local.Config{}); err == nil {
 		t.Fatal("short inputs accepted")
 	}
 }
@@ -67,22 +91,16 @@ func TestDirectRejectsBadInputs(t *testing.T) {
 func TestOverSpannerMatchesDirect(t *testing.T) {
 	g := gen.ConnectedGNP(150, 0.1, xrand.New(3))
 	in := inputsMod(g.NumNodes())
-	diam := g.Diameter()
-	p := core.Default(1, 2)
-	res, err := OverSpanner(context.Background(), g, in, Sum, diam, p, 7, local.Config{})
+	h, stretch, spRun := spannerHost(t, g, core.Default(1, 2), 7, local.Config{})
+	vals, _, err := Converge(context.Background(), h, in, aggregates["sum"], g.Diameter()*stretch, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := oracle(in, Sum)
-	for v, got := range res.Values {
-		if got != want {
-			t.Fatalf("node %d: got %d want %d", v, got, want)
-		}
-	}
-	if res.SpannerRun.Messages == 0 {
+	requireAll(t, "sum", vals, oracle(in, aggregates["sum"]))
+	if spRun.Messages == 0 {
 		t.Fatal("spanner cost missing")
 	}
-	if res.HostEdges >= g.NumEdges() {
+	if h.NumEdges() >= g.NumEdges() {
 		t.Log("spanner did not sparsify (possible on sparse inputs)")
 	}
 }
@@ -94,79 +112,71 @@ func TestOverSpannerBeatsDirectOnDense(t *testing.T) {
 	in := inputsMod(g.NumNodes())
 	p := core.Default(2, 8)
 	p.C = 0.5
-	res, err := OverSpanner(context.Background(), g, in, Max, 1, p, 9, local.Config{Workers: -1})
+	cfg := local.Config{Workers: -1}
+	agg := aggregates["max"]
+	h, stretch, spRun := spannerHost(t, g, p, 9, cfg)
+	span, spanRun, err := Converge(context.Background(), h, in, agg, stretch, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Direct(context.Background(), g, in, Max, 1, local.Config{Workers: -1})
+	direct, directRun, err := Converge(context.Background(), g, in, agg, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := oracle(in, Max)
-	for v := range res.Values {
-		if res.Values[v] != want || direct.Values[v] != want {
-			t.Fatal("wrong aggregate")
-		}
-	}
-	if res.TotalMessages() >= direct.TotalMessages() {
-		t.Fatalf("spanner pipeline (%d msgs) did not beat direct (%d msgs)",
-			res.TotalMessages(), direct.TotalMessages())
+	want := oracle(in, agg)
+	requireAll(t, "spanner", span, want)
+	requireAll(t, "direct", direct, want)
+	if total := spRun.Messages + spanRun.Messages; total >= directRun.Messages {
+		t.Fatalf("spanner pipeline (%d msgs) did not beat direct (%d msgs)", total, directRun.Messages)
 	}
 	t.Logf("spanner: %d msgs (%d spanner + %d agg) vs direct %d msgs",
-		res.TotalMessages(), res.SpannerRun.Messages, res.Run.Messages, direct.TotalMessages())
+		spRun.Messages+spanRun.Messages, spRun.Messages, spanRun.Messages, directRun.Messages)
 }
 
 func TestEnginesAgree(t *testing.T) {
 	g := gen.ConnectedGNP(80, 0.08, xrand.New(4))
 	in := inputsMod(g.NumNodes())
-	a, err := Direct(context.Background(), g, in, Sum, g.NumNodes(), local.Config{Seed: 5})
+	_, a, err := Converge(context.Background(), g, in, aggregates["sum"], g.NumNodes(), local.Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Direct(context.Background(), g, in, Sum, g.NumNodes(), local.Config{Seed: 5, Workers: -1})
+	_, b, err := Converge(context.Background(), g, in, aggregates["sum"], g.NumNodes(), local.Config{Seed: 5, Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Run.Messages != b.Run.Messages || a.Run.Rounds != b.Run.Rounds {
+	if a.Messages != b.Messages || a.Rounds != b.Rounds {
 		t.Fatal("engines disagree")
 	}
 }
 
+// TestWaveDeadlineTooShortFails pins that a wave deadline below the host's
+// diameter is detected, not silently turned into wrong values: on a path of
+// diameter 29 with deadline 3, nodes register with their parents while the
+// min-ID wave is still travelling, and the convergecast never completes.
 func TestWaveDeadlineTooShortFails(t *testing.T) {
-	// A wave deadline below the diameter must be detected, not silently
-	// produce wrong values.
-	g := gen.Path(30) // diameter 29
+	g := gen.Path(30)
 	in := inputsMod(30)
-	res, err := Direct(context.Background(), g, in, Min, 3, local.Config{})
-	if err != nil {
-		return // acceptable: explicit failure
-	}
-	// If it "succeeded", values must still be correct or the run flagged.
-	want := oracle(in, Min)
-	for _, got := range res.Values {
-		if got != want {
-			return // wrong values are possible but then err should... fail
+	for name, agg := range aggregates {
+		vals, _, err := Converge(context.Background(), g, in, agg, 3, local.Config{})
+		if !errors.Is(err, ErrNotConverged) {
+			t.Fatalf("%s: deadline 3 on a diameter-29 path returned %v (err %v), want ErrNotConverged", name, vals, err)
 		}
 	}
-	t.Log("short deadline happened to suffice (waves settle fast on paths)")
 }
 
-// TestConvergeCollectsTables drives the generic payload path the registry's
+// TestConvergeCollectsTables drives the typed table path the registry's
 // "globalcompute" scheme uses: every node starts with a one-entry table and
 // the merged table, returned at every node, must cover all nodes.
 func TestConvergeCollectsTables(t *testing.T) {
 	g := gen.ConnectedGNP(60, 0.08, xrand.New(9))
 	n := g.NumNodes()
-	inputs := make([]any, n)
+	inputs := make([]map[graph.NodeID][]graph.EdgeID, n)
 	for v := 0; v < n; v++ {
 		inputs[v] = map[graph.NodeID][]graph.EdgeID{graph.NodeID(v): nil}
 	}
-	merge := func(a, b any) any {
-		ta := a.(map[graph.NodeID][]graph.EdgeID)
-		for k, v := range b.(map[graph.NodeID][]graph.EdgeID) {
-			ta[k] = v
-		}
-		return ta
+	merge := func(a, b map[graph.NodeID][]graph.EdgeID) map[graph.NodeID][]graph.EdgeID {
+		maps.Copy(a, b)
+		return a
 	}
 	rounds := 0
 	cfg := local.Config{Seed: 2, OnRound: func(int, int64) { rounds++ }}
@@ -174,8 +184,7 @@ func TestConvergeCollectsTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v, raw := range vals {
-		table := raw.(map[graph.NodeID][]graph.EdgeID)
+	for v, table := range vals {
 		if len(table) != n {
 			t.Fatalf("node %d's table covers %d of %d nodes", v, len(table), n)
 		}
@@ -195,7 +204,7 @@ func TestConvergeHonorsCancellation(t *testing.T) {
 	cancel()
 	g := gen.ConnectedGNP(60, 0.08, xrand.New(9))
 	in := inputsMod(g.NumNodes())
-	if _, err := Direct(ctx, g, in, Sum, g.NumNodes(), local.Config{}); err == nil {
+	if _, _, err := Converge(ctx, g, in, aggregates["sum"], g.NumNodes(), local.Config{}); err == nil {
 		t.Fatal("cancelled context accepted")
 	}
 }

@@ -451,16 +451,13 @@ func GlobalCollectSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec,
 
 	n := g.NumNodes()
 	ports := portsOf(g)
-	inputs := make([]any, n)
+	inputs := make([]map[graph.NodeID][]graph.EdgeID, n)
 	for v := 0; v < n; v++ {
 		inputs[v] = map[graph.NodeID][]graph.EdgeID{graph.NodeID(v): ports[v]}
 	}
-	merge := func(a, b any) any {
-		ta := a.(map[graph.NodeID][]graph.EdgeID)
-		for origin, pl := range b.(map[graph.NodeID][]graph.EdgeID) {
-			ta[origin] = pl
-		}
-		return ta
+	merge := func(a, b map[graph.NodeID][]graph.EdgeID) map[graph.NodeID][]graph.EdgeID {
+		maps.Copy(a, b)
+		return a
 	}
 	// The wave deadline must upper-bound the host diameter; the host is a
 	// fixed artifact of this run, so the exact diameter is deterministic.
@@ -477,7 +474,7 @@ func GlobalCollectSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec,
 	all := make(map[graph.NodeID]struct{}, n)
 	heard := make([]map[graph.NodeID]struct{}, n)
 	for v := 0; v < n; v++ {
-		if table := vals[v].(map[graph.NodeID][]graph.EdgeID); len(table) != n {
+		if table := vals[v]; len(table) != n {
 			// An incomplete table means the wave/convergecast starved within
 			// its schedule (an adversarial network can do this): a budget
 			// failure, typed so callers can test for it.
