@@ -223,7 +223,7 @@ func BenchmarkSamplerDistributed(b *testing.B) {
 	b.ResetTimer()
 	var msgs int64
 	for i := 0; i < b.N; i++ {
-		res, err := core.BuildDistributed(g, core.Default(2, 4), uint64(i), local.Config{Workers: -1})
+		res, err := core.BuildDistributed(context.Background(), g, core.Default(2, 4), uint64(i), local.Config{Workers: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func BenchmarkSamplerDistributedTorus(b *testing.B) {
 	b.ResetTimer()
 	var msgs int64
 	for i := 0; i < b.N; i++ {
-		res, err := core.BuildDistributed(g, simulate.Scheme1Params(1), uint64(i), local.Config{Workers: -1})
+		res, err := core.BuildDistributed(context.Background(), g, simulate.Scheme1Params(1), uint64(i), local.Config{Workers: -1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,6 @@
 // Command spanner builds a spanner with algorithm Sampler on a generated
 // graph and reports size, measured stretch, and (in distributed mode) round,
-// message and payload-word costs.
+// message and payload-word costs and the number of fail-safe rescues.
 //
 // Usage:
 //
@@ -82,7 +82,7 @@ func main() {
 		return
 	}
 	if *distributed {
-		res, err := core.BuildDistributedCtx(ctx, g, p, *seed, local.Config{Workers: -1})
+		res, err := core.BuildDistributed(ctx, g, p, *seed, local.Config{Workers: -1})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -90,6 +90,7 @@ func main() {
 		fmt.Printf("rounds: %d  messages: %d (%.2f per edge)\n",
 			res.Run.Rounds, res.Run.Messages, float64(res.Run.Messages)/float64(g.NumEdges()))
 		fmt.Printf("words: %d\n", res.Run.PayloadUnits)
+		fmt.Printf("failsafe: %d\n", res.FailSafeNodes)
 		tr := res.Traffic
 		for _, kind := range []struct {
 			name string

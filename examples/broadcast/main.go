@@ -42,7 +42,7 @@ func main() {
 		// per-use cost).
 		p := core.Default(2, 8)
 		p.C = 0.5
-		sp, err := core.BuildDistributedCtx(ctx, g, p, seed, local.Config{Workers: -1})
+		sp, err := core.BuildDistributed(ctx, g, p, seed, local.Config{Workers: -1})
 		if err != nil {
 			log.Fatal(err)
 		}

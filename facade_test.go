@@ -15,6 +15,7 @@ import (
 
 	"repro"
 	"repro/internal/graph/gen"
+	"repro/internal/local"
 	"repro/internal/xrand"
 )
 
@@ -130,6 +131,71 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if _, err := repro.NewEngine().Run(context.Background(), "direct", nil, spec); err == nil {
 		t.Fatal("nil graph accepted")
+	}
+}
+
+// peerSum is a one-round algorithm whose output is the sum of its ports'
+// Peer fields: the neighbor-ID sum under KT1, minus the degree otherwise.
+type peerSum struct{ sum repro.NodeID }
+
+func (p *peerSum) Step(env *local.Env, round int, _ []local.Message) {
+	if round == 0 {
+		for _, pt := range env.Ports() {
+			p.sum += pt.Peer
+		}
+	}
+	if round == 1 {
+		env.Halt()
+	}
+}
+
+// TestKT1DirectOnly checks that KT1 is honored by direct and rejected by
+// every scheme that replays a collection, which cannot carry neighbor IDs:
+// run under KT1 anyway, an algorithm that reads Port.Peer would diverge
+// from direct with no error. Without KT1 every scheme matches direct.
+func TestKT1DirectOnly(t *testing.T) {
+	g := gen.ConnectedGNP(60, 8.0/59, xrand.New(11))
+	spec := repro.AlgorithmSpec{
+		Name:   "peersum",
+		T:      1,
+		New:    func(repro.NodeID) local.Protocol { return &peerSum{} },
+		Output: func(p local.Protocol) any { return p.(*peerSum).sum },
+	}
+	ctx := context.Background()
+	eng := repro.NewEngine(repro.WithSeed(5))
+	kt1, err := eng.RunWith(ctx, "direct", g, spec, repro.WithKT1(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range kt1.Outputs {
+		var want repro.NodeID
+		for _, h := range g.Incident(repro.NodeID(v)) {
+			want += h.Peer
+		}
+		if kt1.Outputs[v] != want {
+			t.Fatalf("direct under KT1: node %d output %v, want neighbor-ID sum %d", v, kt1.Outputs[v], want)
+		}
+	}
+	direct, err := eng.Run(ctx, "direct", g, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range repro.Schemes() {
+		if s.Name() == "direct" {
+			continue
+		}
+		if _, err := eng.RunScheme(ctx, s, g, spec, repro.WithKT1(true)); !errors.Is(err, repro.ErrKT1Unsupported) {
+			t.Errorf("%s under KT1: err = %v, want ErrKT1Unsupported", s.Name(), err)
+		}
+		res, err := eng.RunScheme(ctx, s, g, spec)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		for v := range direct.Outputs {
+			if res.Outputs[v] != direct.Outputs[v] {
+				t.Fatalf("%s: node %d output %v, direct %v", s.Name(), v, res.Outputs[v], direct.Outputs[v])
+			}
+		}
 	}
 }
 

@@ -16,6 +16,18 @@ import (
 // convergecast sessions over the cluster's spanning tree (depth ≤ 3^j − 1 by
 // Lemma 8), on a global lockstep schedule (see schedule.go).
 //
+// A tree broadcast is the main session. Its five messages — trial, center,
+// fail-safe, decide and flush — are treeMsg values: a live root builds one in
+// rootMsg at the start of each broadcast phase, and broadcast applies it at
+// every cluster node (treeMsg.apply) and relays the interface value it
+// received, without re-boxing it, to the node's tree children. One receipt
+// case in handleMessage serves all five.
+//
+// The fail-safe is part of the protocol, not an option: a root that would
+// end a level neither light nor merged queries every remaining unexplored
+// edge, turning the paper's whp stretch guarantee (Lemmas 5–6) into a
+// worst-case one. DistResult.FailSafeNodes counts how often it carried edges.
+//
 // Four devices keep the message complexity at Õ(n^{1+δ+1/h}) and its
 // simulation cheap. Each stays within the paper's LOCAL model, which bounds
 // neither message size nor local computation:
@@ -77,6 +89,11 @@ type DistResult struct {
 	// ScheduleRounds is the fixed global schedule length (the run uses
 	// exactly this many rounds).
 	ScheduleRounds int
+	// FailSafeNodes counts the root fail-safe broadcasts that carried
+	// edges: each rescues one level-graph node by exhaustive querying, the
+	// distributed twin of Result.FailSafeNodes. Under the paper's whp
+	// analysis it is 0.
+	FailSafeNodes int
 	// Params echoes the parameters.
 	Params Params
 
@@ -87,17 +104,14 @@ type DistResult struct {
 func (r *DistResult) StretchBound() int { return r.Params.StretchBound() }
 
 // BuildDistributed runs the distributed Sampler on g under the LOCAL
-// simulator and returns the spanner with full cost accounting. It is
-// BuildDistributedCtx with an uncancellable context.
-func BuildDistributed(g *graph.Graph, p Params, seed uint64, cfg local.Config) (*DistResult, error) {
-	return BuildDistributedCtx(context.Background(), g, p, seed, cfg)
-}
-
-// BuildDistributedCtx is BuildDistributed with cancellation: cancelling ctx
-// aborts the underlying LOCAL run mid-round.
-func BuildDistributedCtx(ctx context.Context, g *graph.Graph, p Params, seed uint64, cfg local.Config) (*DistResult, error) {
+// simulator and returns the spanner with full cost accounting. Cancelling
+// ctx aborts the underlying LOCAL run mid-round.
+func BuildDistributed(ctx context.Context, g *graph.Graph, p Params, seed uint64, cfg local.Config) (*DistResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
+	}
+	if p.DisablePeeling {
+		return nil, fmt.Errorf("core: the distributed Sampler always peels; DisablePeeling is supported by the centralized Sampler only")
 	}
 	if g == nil {
 		return nil, fmt.Errorf("core: nil graph")
@@ -144,6 +158,7 @@ func BuildDistributedCtx(ctx context.Context, g *graph.Graph, p Params, seed uin
 			res.FDecided[e] = true
 		}
 		res.Traffic.add(nd.sent)
+		res.FailSafeNodes += nd.failSafes
 	}
 	return res, nil
 }
@@ -154,7 +169,6 @@ type distNode struct {
 	p        Params
 	id       graph.NodeID
 	phaseIdx int
-	inited   bool
 
 	myEdges map[graph.EdgeID]bool // my incident edges (immutable after init)
 
@@ -180,6 +194,7 @@ type distNode struct {
 	fsOrder       []graph.EdgeID
 	isCenterFlag  bool
 	pendingNewB   *boundary
+	failSafes     int // fail-safe broadcasts that carried edges
 
 	// Member transients (prepared by broadcast receipt, consumed by the
 	// following send slot).
@@ -213,7 +228,7 @@ var _ local.Protocol = (*distNode)(nil)
 // schedule guarantees every message arrives within the phase that consumes
 // it (see schedule.go for the round accounting).
 func (nd *distNode) Step(env *local.Env, round int, inbox []local.Message) {
-	if !nd.inited {
+	if round == 0 {
 		nd.init(env)
 	}
 	idx, ph := nd.sched.at(round, nd.phaseIdx)
@@ -237,7 +252,6 @@ func (nd *distNode) Step(env *local.Env, round int, inbox []local.Message) {
 // init sets up the level-0 singleton cluster: every node is its own root,
 // its boundary is its incident edge set, and its tree is empty.
 func (nd *distNode) init(env *local.Env) {
-	nd.inited = true
 	ports := env.Ports()
 	nd.myEdges = make(map[graph.EdgeID]bool, len(ports))
 	edges := make([]graph.EdgeID, 0, len(ports))
@@ -278,9 +292,9 @@ func (nd *distNode) children() int {
 
 func (nd *distNode) enterPhase(env *local.Env, ph phase) {
 	switch ph.kind {
-	case phTrialBcast:
+	case phTrialBcast, phCenterBcast, phFSBcast, phDecideBcast, phFlushBcast:
 		if nd.isRoot && !nd.dead {
-			nd.rootTrialBcast(env, ph)
+			nd.broadcast(env, noEdge, nd.rootMsg(env, ph))
 		}
 	case phTrialConv, phProbeConv, phFSConv, phJoinConv:
 		if !nd.dead {
@@ -293,22 +307,17 @@ func (nd *distNode) enterPhase(env *local.Env, ph phase) {
 	case phTrialQuery, phFSQuery:
 		nd.flushAccepts(env)
 		if !nd.dead {
+			q := mQuery{FS: ph.kind == phFSQuery}
 			edges := nd.mySamples
-			kind := any(mQuery{})
-			if ph.kind == phFSQuery {
+			if q.FS {
 				edges = nd.myFS
-				kind = mFSQuery{}
 			}
 			for _, e := range edges {
-				env.Send(e, kind)
+				env.Send(e, q)
 				nd.sent.Query++
 			}
 			nd.mySamples = nil
 			nd.myFS = nil
-		}
-	case phCenterBcast:
-		if nd.isRoot && !nd.dead {
-			nd.rootCenterBcast(env, ph)
 		}
 	case phProbeSend:
 		nd.flushAccepts(env)
@@ -318,14 +327,6 @@ func (nd *distNode) enterPhase(env *local.Env, ph phase) {
 				nd.sent.Probe++
 			}
 			nd.myProbes = nil
-		}
-	case phFSBcast:
-		if nd.isRoot && !nd.dead {
-			nd.rootFSBcast(env, ph)
-		}
-	case phDecideBcast:
-		if nd.isRoot && !nd.dead {
-			nd.rootDecideBcast(env, ph)
 		}
 	case phJoinSend:
 		nd.flushAccepts(env)
@@ -338,13 +339,6 @@ func (nd *distNode) enterPhase(env *local.Env, ph phase) {
 		nd.floodSeen = false
 		if nd.isRoot && !nd.dead && nd.decis == decCenter {
 			nd.rootNewClusterFlood(env)
-		}
-	case phFlushBcast:
-		if nd.isRoot && !nd.dead {
-			msg := mFlush{FAdds: nd.fPending}
-			nd.fPending = nil
-			nd.handleFlush(env, msg)
-			nd.forwardDown(env, noEdge, msg)
 		}
 	case phFlushAccept:
 		nd.flushAccepts(env)
@@ -361,12 +355,15 @@ func (nd *distNode) flushAccepts(env *local.Env) {
 	nd.accepts = nil
 }
 
-// forwardDown relays a broadcast payload over every tree edge except the one
-// it arrived on (noEdge for the root: send to all children).
-func (nd *distNode) forwardDown(env *local.Env, from graph.EdgeID, payload any) {
+// broadcast applies a tree broadcast at this node and relays it over every
+// tree edge except the one it arrived on (noEdge at the root: to all
+// children). The relay sends the received interface value itself, so it
+// re-boxes nothing.
+func (nd *distNode) broadcast(env *local.Env, from graph.EdgeID, msg treeMsg) {
+	msg.apply(nd)
 	for e := range nd.tree {
 		if e != from {
-			env.Send(e, payload)
+			env.Send(e, msg)
 			nd.sent.Tree++
 		}
 	}
@@ -374,86 +371,71 @@ func (nd *distNode) forwardDown(env *local.Env, from graph.EdgeID, payload any) 
 
 // ----------------------------------------------------------- root entry ---
 
-func (nd *distNode) rootTrialBcast(env *local.Env, ph phase) {
-	idle := nd.fCount >= nd.p.threshold(ph.level, nEstimate(env)) || nd.x.empty()
-	var samples []graph.EdgeID
-	var draws int
-	if !idle {
-		samples, draws = nd.x.drawDistinct(env.Rand(), nd.p.samplesPerTrial(ph.level, nEstimate(env)))
-	}
-	nd.sampleOrder = samples
-	msg := mTrial{Samples: samples, Draws: draws, FAdds: nd.fPending, Idle: idle}
-	nd.fPending = nil
-	nd.handleTrial(env, msg)
-	nd.forwardDown(env, noEdge, msg)
-}
-
-func (nd *distNode) rootCenterBcast(env *local.Env, ph phase) {
-	nd.isCenterFlag = env.Rand().Bernoulli(nd.p.centerProb(ph.level, nEstimate(env)))
-	probes := make([]graph.EdgeID, 0, len(nd.queried))
-	for _, e := range nd.queried {
-		probes = append(probes, e)
-	}
-	slices.Sort(probes)
-	msg := mCenter{IsCenter: nd.isCenterFlag, Probes: probes, FAdds: nd.fPending}
-	nd.fPending = nil
-	nd.handleCenter(env, msg)
-	nd.forwardDown(env, noEdge, msg)
-}
-
-func (nd *distNode) rootFSBcast(env *local.Env, ph phase) {
-	need := nd.p.FailSafe && !nd.x.empty()
-	if need && ph.level < nd.p.K {
-		// Only a node that would otherwise end up unclustered-and-not-light
-		// needs rescuing: non-center, unexplored edges remaining, and no
-		// center among its queried neighbors.
-		if nd.isCenterFlag || nd.anyQueriedCenter() {
-			need = false
+// rootMsg builds the tree broadcast a live root sends at the start of a
+// broadcast phase.
+func (nd *distNode) rootMsg(env *local.Env, ph phase) treeMsg {
+	n := nEstimate(env)
+	switch ph.kind {
+	case phTrialBcast:
+		idle := nd.fCount >= nd.p.threshold(ph.level, n) || nd.x.empty()
+		var draws int
+		nd.sampleOrder = nil
+		if !idle {
+			nd.sampleOrder, draws = nd.x.drawDistinct(env.Rand(), nd.p.samplesPerTrial(ph.level, n))
 		}
-	}
-	if need {
-		nd.fsOrder = nd.x.snapshot()
-	} else {
+		return mTrial{Samples: nd.sampleOrder, Draws: draws, FAdds: nd.takeFAdds(), Idle: idle}
+	case phCenterBcast:
+		nd.isCenterFlag = env.Rand().Bernoulli(nd.p.centerProb(ph.level, n))
+		probes := make([]graph.EdgeID, 0, len(nd.queried))
+		for _, e := range nd.queried {
+			probes = append(probes, e)
+		}
+		slices.Sort(probes)
+		return mCenter{IsCenter: nd.isCenterFlag, Probes: probes, FAdds: nd.takeFAdds()}
+	case phFSBcast:
+		// Below level K only a root that would otherwise end up
+		// unclustered-and-not-light needs rescuing: non-center, unexplored
+		// edges remaining, and no center among its queried neighbors.
 		nd.fsOrder = nil
-	}
-	msg := mFS{Edges: nd.fsOrder}
-	nd.handleFS(env, msg)
-	nd.forwardDown(env, noEdge, msg)
-}
-
-func (nd *distNode) anyQueriedCenter() bool {
-	for _, isC := range nd.queriedCenter {
-		if isC {
-			return true
+		if !nd.x.empty() && (ph.level == nd.p.K || (!nd.isCenterFlag && nd.smallestQueriedCenter() == noNode)) {
+			nd.fsOrder = nd.x.snapshot()
+			nd.failSafes++
 		}
-	}
-	return false
-}
-
-func (nd *distNode) rootDecideBcast(env *local.Env, ph phase) {
-	var msg mDecide
-	switch {
-	case nd.isCenterFlag:
-		msg = mDecide{Decision: decCenter}
-	default:
-		// Join the smallest queried center, if any (the paper allows an
-		// arbitrary choice; smallest keeps runs reproducible).
-		target := noNode
-		for u, isC := range nd.queriedCenter {
-			if isC && (target == noNode || u < target) {
-				target = u
-			}
-		}
-		if target != noNode {
+		return mFS{Edges: nd.fsOrder}
+	case phDecideBcast:
+		msg := mDecide{Decision: decDead}
+		if nd.isCenterFlag {
+			msg.Decision = decCenter
+		} else if target := nd.smallestQueriedCenter(); target != noNode {
 			msg = mDecide{Decision: decJoin, JoinEdge: nd.queried[target]}
-		} else {
-			msg = mDecide{Decision: decDead}
+		}
+		msg.FAdds = nd.takeFAdds()
+		return msg
+	case phFlushBcast:
+		return mFlush{FAdds: nd.takeFAdds()}
+	}
+	panic(fmt.Sprintf("core: node %d: %v is not a broadcast phase", nd.id, ph))
+}
+
+// takeFAdds hands the F additions decided since the last broadcast to the
+// next one.
+func (nd *distNode) takeFAdds() []graph.EdgeID {
+	f := nd.fPending
+	nd.fPending = nil
+	return f
+}
+
+// smallestQueriedCenter returns the smallest queried center, or noNode if
+// none: the center a non-center root joins (the paper allows an arbitrary
+// choice; smallest keeps runs reproducible).
+func (nd *distNode) smallestQueriedCenter() graph.NodeID {
+	target := noNode
+	for u, isC := range nd.queriedCenter {
+		if isC && (target == noNode || u < target) {
+			target = u
 		}
 	}
-	msg.FAdds = nd.fPending
-	nd.fPending = nil
-	nd.handleDecide(env, msg)
-	nd.forwardDown(env, noEdge, msg)
+	return target
 }
 
 func (nd *distNode) rootNewClusterFlood(env *local.Env) {
@@ -477,14 +459,10 @@ func (nd *distNode) rootNewClusterFlood(env *local.Env) {
 
 func (nd *distNode) handleMessage(env *local.Env, ph phase, m local.Message) {
 	switch msg := m.Payload.(type) {
-	case mTrial:
-		nd.handleTrial(env, msg)
-		nd.forwardDown(env, m.Edge, msg)
+	case treeMsg:
+		nd.broadcast(env, m.Edge, msg)
 	case mQuery:
-		env.Send(m.Edge, nd.composeReply(ph, false))
-		nd.sent.Reply++
-	case mFSQuery:
-		env.Send(m.Edge, nd.composeReply(ph, true))
+		env.Send(m.Edge, nd.composeReply(ph, msg.FS))
 		nd.sent.Reply++
 	case mReply:
 		nd.itemsReply = append(nd.itemsReply, replyItem{
@@ -495,9 +473,6 @@ func (nd *distNode) handleMessage(env *local.Env, ph phase, m local.Message) {
 	case mConvReply:
 		nd.itemsReply = append(nd.itemsReply, msg.Items...)
 		nd.convWaiting--
-	case mCenter:
-		nd.handleCenter(env, msg)
-		nd.forwardDown(env, m.Edge, msg)
 	case mProbe:
 		// A probe travels over an F-edge of the probing cluster, so this
 		// edge is in the spanner; record that before answering.
@@ -509,12 +484,6 @@ func (nd *distNode) handleMessage(env *local.Env, ph phase, m local.Message) {
 	case mConvProbe:
 		nd.itemsProbe = append(nd.itemsProbe, msg.Items...)
 		nd.convWaiting--
-	case mFS:
-		nd.handleFS(env, msg)
-		nd.forwardDown(env, m.Edge, msg)
-	case mDecide:
-		nd.handleDecide(env, msg)
-		nd.forwardDown(env, m.Edge, msg)
 	case mJoin:
 		nd.acceptedJoins = append(nd.acceptedJoins, m.Edge)
 		nd.itemsJoin = append(nd.itemsJoin, joinItem{Edge: m.Edge, B: msg.B})
@@ -523,9 +492,6 @@ func (nd *distNode) handleMessage(env *local.Env, ph phase, m local.Message) {
 		nd.convWaiting--
 	case mNewCluster:
 		nd.handleNewCluster(env, m.Edge, msg)
-	case mFlush:
-		nd.handleFlush(env, msg)
-		nd.forwardDown(env, m.Edge, msg)
 	default:
 		panic(fmt.Sprintf("core: node %d: unexpected message %T in phase %v", nd.id, m.Payload, ph))
 	}
@@ -571,22 +537,22 @@ func (nd *distNode) ownIncident(edges []graph.EdgeID) []graph.EdgeID {
 	return out
 }
 
-func (nd *distNode) handleTrial(env *local.Env, m mTrial) {
+func (m mTrial) apply(nd *distNode) {
 	nd.markFAdds(m.FAdds)
 	nd.mySamples = nd.ownIncident(m.Samples)
 }
 
-func (nd *distNode) handleCenter(env *local.Env, m mCenter) {
+func (m mCenter) apply(nd *distNode) {
 	nd.markFAdds(m.FAdds)
 	nd.centerCluster = m.IsCenter
 	nd.myProbes = nd.ownIncident(m.Probes)
 }
 
-func (nd *distNode) handleFS(env *local.Env, m mFS) {
+func (m mFS) apply(nd *distNode) {
 	nd.myFS = nd.ownIncident(m.Edges)
 }
 
-func (nd *distNode) handleDecide(env *local.Env, m mDecide) {
+func (m mDecide) apply(nd *distNode) {
 	nd.markFAdds(m.FAdds)
 	nd.decis = m.Decision
 	switch m.Decision {
@@ -598,6 +564,10 @@ func (nd *distNode) handleDecide(env *local.Env, m mDecide) {
 			nd.joinEdge = m.JoinEdge
 		}
 	}
+}
+
+func (m mFlush) apply(nd *distNode) {
+	nd.markFAdds(m.FAdds)
 }
 
 func (nd *distNode) handleNewCluster(env *local.Env, from graph.EdgeID, m mNewCluster) {
@@ -632,10 +602,6 @@ func (nd *distNode) handleNewCluster(env *local.Env, from graph.EdgeID, m mNewCl
 	nd.queried = nil
 	nd.queriedCenter = nil
 	nd.pendingNewB = nil
-}
-
-func (nd *distNode) handleFlush(env *local.Env, m mFlush) {
-	nd.markFAdds(m.FAdds)
 }
 
 // -------------------------------------------------------- convergecasts ---

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -13,7 +14,7 @@ import (
 
 func buildDist(t *testing.T, g *graph.Graph, p Params, seed uint64) *DistResult {
 	t.Helper()
-	res, err := BuildDistributed(g, p, seed, local.Config{})
+	res, err := BuildDistributed(context.Background(), g, p, seed, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +127,11 @@ func TestDistributedBothEndpointsKnow(t *testing.T) {
 func TestDistributedEnginesAgree(t *testing.T) {
 	g := gen.ConnectedGNP(100, 0.08, xrand.New(7))
 	p := Default(2, 2)
-	seq, err := BuildDistributed(g, p, 21, local.Config{})
+	seq, err := BuildDistributed(context.Background(), g, p, 21, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	con, err := BuildDistributed(g, p, 21, local.Config{Workers: 8})
+	con, err := BuildDistributed(context.Background(), g, p, 21, local.Config{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +161,18 @@ func TestDistributedRejectsMultigraph(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 1)
-	if _, err := BuildDistributed(g, Default(1, 1), 1, local.Config{}); err == nil {
+	if _, err := BuildDistributed(context.Background(), g, Default(1, 1), 1, local.Config{}); err == nil {
 		t.Fatal("multigraph accepted")
+	}
+}
+
+func TestDistributedRejectsDisablePeeling(t *testing.T) {
+	// The protocol always peels (a query reply carries the whole boundary),
+	// so the centralized-only ablation knob must fail loudly, not be ignored.
+	p := Default(1, 1)
+	p.DisablePeeling = true
+	if _, err := BuildDistributed(context.Background(), gen.Cycle(5), p, 1, local.Config{}); err == nil {
+		t.Fatal("DisablePeeling accepted")
 	}
 }
 
@@ -172,7 +183,7 @@ func TestDistributedMessageAccounting(t *testing.T) {
 	g := gen.ConnectedGNP(200, 0.1, xrand.New(8))
 	var want Traffic
 	for _, workers := range []int{0, 2, -1} {
-		res, err := BuildDistributed(g, Default(2, 2), 9, local.Config{Workers: workers})
+		res, err := BuildDistributed(context.Background(), g, Default(2, 2), 9, local.Config{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -282,7 +293,7 @@ func BenchmarkBuildDistributedK2(b *testing.B) {
 	g := gen.ConnectedGNP(500, 0.05, xrand.New(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildDistributed(g, Default(2, 2), uint64(i), local.Config{}); err != nil {
+		if _, err := BuildDistributed(context.Background(), g, Default(2, 2), uint64(i), local.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -310,11 +321,11 @@ func TestDistributedLogNSlackRobust(t *testing.T) {
 	// just a denser one (thresholds grow with the overestimate).
 	g := gen.ConnectedGNP(150, 0.1, xrand.New(12))
 	p := Default(1, 2)
-	exact, err := BuildDistributed(g, p, 5, local.Config{})
+	exact, err := BuildDistributed(context.Background(), g, p, 5, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slacked, err := BuildDistributed(g, p, 5, local.Config{LogNSlack: 1.3})
+	slacked, err := BuildDistributed(context.Background(), g, p, 5, local.Config{LogNSlack: 1.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +351,7 @@ func TestDistributedPropertyRandomGraphs(t *testing.T) {
 		h := int(hRaw%2) + 1
 		rng := xrand.New(seed)
 		g := gen.Connectify(gen.GNP(n, 0.2, rng), rng)
-		res, err := BuildDistributed(g, Default(k, h), seed^0x5A5A, local.Config{})
+		res, err := BuildDistributed(context.Background(), g, Default(k, h), seed^0x5A5A, local.Config{})
 		if err != nil {
 			t.Log(err)
 			return false
@@ -358,8 +369,8 @@ func TestDistributedPropertyRandomGraphs(t *testing.T) {
 }
 
 // TestDistributedBillPin pins the distributed Sampler's whole bill —
-// messages, rounds, payload words, the per-kind split and |S| — on two
-// regimes at both engines. On the torus a root draws far more samples than
+// messages, rounds, payload words, the per-kind split, |S| and the number of
+// fail-safe rescues — on two regimes at both engines. On the torus a root draws far more samples than
 // its pool holds; on the complete graph with C = 0.5 the pool dwarfs the
 // draws. No golden records payload units, so this is the test that catches
 // a change to what a trial broadcast is charged.
@@ -376,21 +387,22 @@ func TestDistributedBillPin(t *testing.T) {
 		units    int64
 		traffic  Traffic
 		s        int
+		failSafe int
 	}{
 		{"torus36", gen.Torus(36, 36), Default(2, 7), 7, 81711, 524, 1281375,
-			Traffic{Query: 9402, Reply: 9402, Tree: 39650, Accept: 7562, Probe: 14848, Join: 847}, 2592},
+			Traffic{Query: 9402, Reply: 9402, Tree: 39650, Accept: 7562, Probe: 14848, Join: 847}, 2592, 0},
 		{"complete112", gen.Complete(112), dense, 5, 17329, 524, 3341724,
-			Traffic{Query: 3561, Reply: 3561, Tree: 4921, Accept: 1912, Probe: 3276, Join: 98}, 1674},
+			Traffic{Query: 3561, Reply: 3561, Tree: 4921, Accept: 1912, Probe: 3276, Join: 98}, 1674, 2},
 	} {
 		for _, workers := range []int{0, 2} {
-			res, err := BuildDistributed(tc.g, tc.p, tc.seed, local.Config{Workers: workers})
+			res, err := BuildDistributed(context.Background(), tc.g, tc.p, tc.seed, local.Config{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := [...]int64{res.Run.Messages, int64(res.Run.Rounds), res.Run.PayloadUnits, int64(len(res.S))}
-			want := [...]int64{tc.messages, int64(tc.rounds), tc.units, int64(tc.s)}
+			got := [...]int64{res.Run.Messages, int64(res.Run.Rounds), res.Run.PayloadUnits, int64(len(res.S)), int64(res.FailSafeNodes)}
+			want := [...]int64{tc.messages, int64(tc.rounds), tc.units, int64(tc.s), int64(tc.failSafe)}
 			if got != want {
-				t.Errorf("%s/workers=%d: (messages, rounds, units, |S|) = %v, want %v", tc.name, workers, got, want)
+				t.Errorf("%s/workers=%d: (messages, rounds, units, |S|, fail-safes) = %v, want %v", tc.name, workers, got, want)
 			}
 			if res.Traffic != tc.traffic {
 				t.Errorf("%s/workers=%d: traffic = %+v, want %+v", tc.name, workers, res.Traffic, tc.traffic)

@@ -15,8 +15,8 @@ import (
 //     and each cluster contains exactly one center;
 //   - the subgraph of H = (V, S) induced by each cluster C_j(v) is connected
 //     with diameter ≤ 3^j − 1 (Lemma 8);
-//   - with the fail-safe enabled, every unclustered node is light (the
-//     premise of Theorem 9's stretch argument).
+//   - every unclustered node is light (the premise of Theorem 9's stretch
+//     argument, which the fail-safe guarantees).
 //
 // It returns nil if all invariants hold.
 func (r *Result) ValidateHierarchy(g *graph.Graph) error {
@@ -30,14 +30,14 @@ func (r *Result) ValidateHierarchy(g *graph.Graph) error {
 		return err
 	}
 	for _, lvl := range r.Levels {
-		if err := validateLevel(lvl, g, h, r.Params); err != nil {
+		if err := validateLevel(lvl, g, h); err != nil {
 			return fmt.Errorf("level %d: %w", lvl.J, err)
 		}
 	}
 	return nil
 }
 
-func validateLevel(lvl *Level, g, h *graph.Graph, p Params) error {
+func validateLevel(lvl *Level, g, h *graph.Graph) error {
 	// Disjointness of the level's clusters over original nodes.
 	seen := make(map[graph.NodeID]int, g.NumNodes())
 	for v, members := range lvl.OrigMembers {
@@ -58,13 +58,12 @@ func validateLevel(lvl *Level, g, h *graph.Graph, p Params) error {
 			return fmt.Errorf("cluster %d induced diameter %d exceeds 3^%d-1 = %d", v, d, lvl.J, bound)
 		}
 	}
-	// One center per next-level cluster, and unclustered ⇒ light when the
-	// fail-safe is on.
+	// One center per next-level cluster, and unclustered ⇒ light.
 	if lvl.Assign != nil {
 		centersPerCluster := make(map[int]int)
 		for v, c := range lvl.Assign {
 			if c == graph.Dropped {
-				if p.FailSafe && !lvl.Light[v] {
+				if !lvl.Light[v] {
 					return fmt.Errorf("unclustered node %d is not light", v)
 				}
 				continue
@@ -83,7 +82,7 @@ func validateLevel(lvl *Level, g, h *graph.Graph, p Params) error {
 				return fmt.Errorf("node %d assigned to centerless cluster %d", v, c)
 			}
 		}
-	} else if p.FailSafe {
+	} else {
 		// Final level: everyone is unclustered and must be light.
 		for v, light := range lvl.Light {
 			if !light {

@@ -25,6 +25,14 @@ func newBoundary(edges []graph.EdgeID) *boundary {
 // receipt by type, not by phase, which makes the state machine robust to
 // scheduling slack. Slices inside messages are read-only for receivers.
 
+// treeMsg is a tree broadcast: a cluster root builds it (rootMsg), and every
+// node of the cluster applies it and relays it to its tree children
+// (broadcast). mTrial, mCenter, mFS, mDecide and mFlush implement it.
+type treeMsg interface {
+	// apply is what the message does at a cluster node, the root included.
+	apply(nd *distNode)
+}
+
 // mTrial flows down the cluster tree at each trial: the root's sampled query
 // edges plus spanner-edge additions decided since the previous broadcast.
 // Samples holds the distinct edges of the trial's Draws draws (with
@@ -36,15 +44,17 @@ type mTrial struct {
 	Idle    bool // the root finished early; no queries this trial
 }
 
-// mQuery asks the far endpoint of a sampled edge to identify its cluster.
-type mQuery struct{}
+// mQuery asks the far endpoint of a sampled edge (FS: of a fail-safe edge)
+// to identify its cluster. It is billed one word; boxing a one-bool struct
+// does not allocate.
+type mQuery struct{ FS bool }
 
-// mReply answers a query (and a fail-safe query). B carries the replying
-// cluster's full boundary — the device that lets the querier peel off every
-// parallel edge to that cluster at once. A nil B means "peel only the query
-// edge" (level 0, where the input graph is simple and the boundary is
-// redundant). IsCenter is meaningful only for fail-safe replies, which
-// happen after center coins are public knowledge inside each cluster.
+// mReply answers a query. B carries the replying cluster's full boundary —
+// the device that lets the querier peel off every parallel edge to that
+// cluster at once. A nil B means "peel only the query edge" (level 0, where
+// the input graph is simple and the boundary is redundant). IsCenter is
+// meaningful only for fail-safe replies, which happen after center coins
+// are public knowledge inside each cluster.
 type mReply struct {
 	Root     graph.NodeID
 	Dead     bool
@@ -99,10 +109,6 @@ type mConvProbe struct{ Items []probeItem }
 // mFS flows down when the fail-safe fires: every remaining unexplored edge
 // is to be queried exhaustively.
 type mFS struct{ Edges []graph.EdgeID }
-
-// mFSQuery is the fail-safe variant of mQuery (answered by mReply with
-// IsCenter set).
-type mFSQuery struct{}
 
 // decision is a cluster's fate at the end of a level.
 type decision int

@@ -30,6 +30,15 @@ import (
 // its whole neighborhood and the spanner degenerate to the input graph.
 // The sample count therefore uses log n, not log³ n (the standard empirical
 // scaling); C keeps the paper's coupling of the two constants.
+//
+// The fail-safe is always on in both implementations: a node that finishes
+// its trials neither light (all neighbors found) nor merged into a cluster
+// queries its remaining unexplored edges exhaustively, making it light. The
+// paper instead argues this case away whp (Lemmas 5–6); the fail-safe turns
+// the whp stretch guarantee into a worst-case one at the cost of extra
+// messages in the rare failure event. Result.FailSafeNodes and
+// DistResult.FailSafeNodes report how often it fires, so experiments can
+// quote the whp behaviour.
 type Params struct {
 	// K is the paper's k: number of contraction levels, 1 ≤ K. The stretch
 	// bound is 2·3^K − 1 and the size exponent is 1 + 1/(2^{K+1}−1).
@@ -43,27 +52,19 @@ type Params struct {
 	//   threshold_j = max(1, ceil(C · n^{2^j·δ} · log2(n)))
 	//   samples_j   = max(1, ceil(C² · n^{2^j·δ + 1/H} · log2(n))).
 	C float64
-	// FailSafe guarantees the stretch bound deterministically: a node that
-	// finishes its trials neither light (all neighbors found) nor merged
-	// into a cluster queries its remaining unexplored edges exhaustively,
-	// making it light. The paper instead argues this case away whp
-	// (Lemmas 5–6); FailSafe converts the whp guarantee into a worst-case
-	// one at the cost of extra messages in the rare failure event. Results
-	// report how often it fires so experiments can quote the whp behaviour.
-	FailSafe bool
 	// DisablePeeling is an ablation knob (experiment E10): when set, a
 	// queried neighbor's parallel edges are NOT removed from the unexplored
 	// pool — only the sampled edge itself is — so high-multiplicity
 	// neighbors keep swallowing samples. This is exactly the failure mode
 	// the paper's iterative peeling idea exists to prevent (Section 1.3).
-	// Supported by the centralized implementation only.
+	// Only the centralized Sampler (Build) supports it; BuildDistributed
+	// rejects it with an error.
 	DisablePeeling bool
 }
 
-// Default returns the parameters used by the experiments: constant 1,
-// fail-safe on.
+// Default returns the parameters used by the experiments: constant 1.
 func Default(k, h int) Params {
-	return Params{K: k, H: h, C: 1, FailSafe: true}
+	return Params{K: k, H: h, C: 1}
 }
 
 // Validate reports whether the parameters are usable.

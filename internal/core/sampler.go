@@ -46,7 +46,7 @@ type Level struct {
 	Trials  int64
 	Samples int64
 	// FailSafe counts nodes rescued by the exhaustive-query fail-safe (see
-	// Params.FailSafe); under the paper's whp analysis this is 0.
+	// Params); under the paper's whp analysis this is 0.
 	FailSafe int
 	// EdgesAdded is the number of spanner edges contributed by this level.
 	EdgesAdded int
@@ -110,9 +110,9 @@ func Build(g *graph.Graph, p Params, seed uint64) (*Result, error) {
 		runClusterStep1(lvl, p, levelRNG.Derive(0x51))
 
 		if j < p.K {
-			markCentersAndCluster(lvl, p, levelRNG.Derive(0xCE))
+			markCentersAndCluster(lvl, levelRNG.Derive(0xCE))
 		} else {
-			finalLevelFailSafe(lvl, p)
+			finalLevelFailSafe(lvl)
 		}
 
 		// Collect this level's F into S.
@@ -331,20 +331,18 @@ func (lvl *Level) exhaust(v int) {
 // markCentersAndCluster executes the second step of Cluster_j: draw centers,
 // apply the fail-safe to would-be-unclustered non-light nodes, and merge
 // every non-center with a queried center into that center's cluster.
-func markCentersAndCluster(lvl *Level, p Params, rng *xrand.RNG) {
+func markCentersAndCluster(lvl *Level, rng *xrand.RNG) {
 	nj := lvl.G.NumNodes()
 	lvl.Center = make([]bool, nj)
 	for v := 0; v < nj; v++ {
 		lvl.Center[v] = rng.Derive(uint64(v)).Bernoulli(lvl.CenterProb)
 	}
-	if p.FailSafe {
-		for v := 0; v < nj; v++ {
-			if lvl.Center[v] || lvl.Light[v] {
-				continue
-			}
-			if lvl.queriedCenter(v) == noNode {
-				lvl.exhaust(v)
-			}
+	for v := 0; v < nj; v++ {
+		if lvl.Center[v] || lvl.Light[v] {
+			continue
+		}
+		if lvl.queriedCenter(v) == noNode {
+			lvl.exhaust(v)
 		}
 	}
 	lvl.Assign = make([]int, nj)
@@ -380,12 +378,9 @@ func (lvl *Level) queriedCenter(v int) graph.NodeID {
 }
 
 // finalLevelFailSafe enforces the paper's Lemma 6 corollary ("every node in
-// G_k is light") deterministically when the fail-safe is on: any level-K
-// node still holding unexplored edges queries them all.
-func finalLevelFailSafe(lvl *Level, p Params) {
-	if !p.FailSafe {
-		return
-	}
+// G_k is light") deterministically: any level-K node still holding
+// unexplored edges queries them all.
+func finalLevelFailSafe(lvl *Level) {
 	for v := 0; v < lvl.G.NumNodes(); v++ {
 		if !lvl.Light[v] {
 			lvl.exhaust(v)

@@ -384,31 +384,6 @@ func TestLightHeavyDichotomy(t *testing.T) {
 	}
 }
 
-func TestNoFailSafeStillValidSubsetProperty(t *testing.T) {
-	// Without the fail-safe the stretch bound holds only whp; the spanner
-	// must still be a subgraph and the hierarchy must still be disjoint.
-	g := gen.ConnectedGNP(300, 0.06, xrand.New(8))
-	p := Default(2, 2)
-	p.FailSafe = false
-	res := buildOn(t, g, p, 2)
-	for e := range res.S {
-		if !g.HasEdgeID(e) {
-			t.Fatal("spanner edge outside graph")
-		}
-	}
-	for _, lvl := range res.Levels {
-		seen := map[graph.NodeID]bool{}
-		for _, ms := range lvl.OrigMembers {
-			for _, m := range ms {
-				if seen[m] {
-					t.Fatal("clusters overlap")
-				}
-				seen[m] = true
-			}
-		}
-	}
-}
-
 func TestMultigraphInputHandled(t *testing.T) {
 	// Sampler's key idea is handling multiplicities; feed it a multigraph
 	// directly (as would arise mid-hierarchy).

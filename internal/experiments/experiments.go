@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -207,7 +208,7 @@ func E3Rounds(quick bool) Report {
 			roundsByN := map[int]int{}
 			for _, n := range ns {
 				g := gnpWithDegree(n, 10, uint64(n))
-				res, err := core.BuildDistributed(g, core.Default(k, h), 5, local.Config{Workers: -1})
+				res, err := core.BuildDistributed(context.Background(), g, core.Default(k, h), 5, local.Config{Workers: -1})
 				if err != nil {
 					panic(err)
 				}
@@ -258,7 +259,7 @@ func E4Messages(quick bool) Report {
 	prevRatio := math.Inf(1)
 	for _, n := range sizes {
 		g := gen.Complete(n)
-		res, err := core.BuildDistributed(g, p, 1, local.Config{Workers: -1})
+		res, err := core.BuildDistributed(context.Background(), g, p, 1, local.Config{Workers: -1})
 		if err != nil {
 			panic(err)
 		}

@@ -53,7 +53,7 @@ func E5Baseline(quick bool) Report {
 		{"gnp-dense", gnpWithDegree(n, float64(n)/2, 3)},
 	} {
 		m := int64(tc.g.NumEdges())
-		samp, err := core.BuildDistributed(tc.g, p, 7, local.Config{Workers: -1})
+		samp, err := core.BuildDistributed(context.Background(), tc.g, p, 7, local.Config{Workers: -1})
 		if err != nil {
 			panic(err)
 		}
@@ -430,7 +430,7 @@ func E11Crossover(quick bool) Report {
 		} else {
 			g = gen.Connectify(gen.GNM(n, m, xrand.New(uint64(m))), xrand.New(uint64(m)))
 		}
-		res, err := core.BuildDistributed(g, p, 19, local.Config{Workers: -1})
+		res, err := core.BuildDistributed(context.Background(), g, p, 19, local.Config{Workers: -1})
 		if err != nil {
 			panic(err)
 		}
@@ -544,7 +544,7 @@ func E13BitComplexity(quick bool) Report {
 	var prevMsgRatio = math.Inf(1)
 	for _, n := range sizes {
 		g := gen.Complete(n)
-		res, err := core.BuildDistributed(g, p, 1, local.Config{Workers: -1})
+		res, err := core.BuildDistributed(context.Background(), g, p, 1, local.Config{Workers: -1})
 		if err != nil {
 			panic(err)
 		}

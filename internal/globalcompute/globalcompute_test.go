@@ -51,7 +51,7 @@ func requireAll(t *testing.T, name string, vals []int64, want int64) {
 // pipeline's first step, which the engine otherwise provides.
 func spannerHost(t *testing.T, g *graph.Graph, p core.Params, seed uint64, cfg local.Config) (*graph.Graph, int, local.Result) {
 	t.Helper()
-	sp, err := core.BuildDistributed(g, p, seed, cfg)
+	sp, err := core.BuildDistributed(context.Background(), g, p, seed, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,9 @@ type RunOptions struct {
 	StageK         int     `json:"stage_k,omitempty"`
 	Bandwidth      int     `json:"bandwidth,omitempty"`
 	HybridFraction float64 `json:"hybrid_fraction,omitempty"`
-	KT1            bool    `json:"kt1,omitempty"`
+	// KT1 is honored by the direct scheme only; any other scheme answers
+	// 400 (repro.ErrKT1Unsupported).
+	KT1 bool `json:"kt1,omitempty"`
 	// MaxRounds caps billed LOCAL rounds (ErrRoundBudget -> 422).
 	MaxRounds int `json:"max_rounds,omitempty"`
 	// DeadlineMS caps wall-clock time (ErrDeadline -> 504). Zero takes the

@@ -161,7 +161,7 @@ func BuildStage1(ctx context.Context, g *graph.Graph, p core.Params, seed uint64
 	// perturbations apply to the simulation traffic the spanner carries, not
 	// to building the spanner itself.
 	cfg.Adversary = nil
-	sp, err := core.BuildDistributedCtx(ctx, g, p, seed, hooks.RoundConfig(cfg, "sampler"))
+	sp, err := core.BuildDistributed(ctx, g, p, seed, hooks.RoundConfig(cfg, "sampler"))
 	if err != nil {
 		return nil, PhaseCost{}, err
 	}

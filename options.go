@@ -21,7 +21,8 @@ type Options struct {
 	// Seed drives all randomness (graph algorithms and protocol coin flips).
 	Seed uint64
 	// KT1 exposes neighbor IDs on ports; the default (false) is the paper's
-	// unique-edge-ID model, strictly between KT0 and KT1.
+	// unique-edge-ID model, strictly between KT0 and KT1. Only the direct
+	// scheme supports it; every other scheme fails with ErrKT1Unsupported.
 	KT1 bool
 	// Concurrency selects the execution engine: 0 runs the sequential
 	// engine, n > 0 the concurrent engine with n workers, and n < 0 the
@@ -109,7 +110,9 @@ type Option func(*Options)
 func WithSeed(seed uint64) Option { return func(o *Options) { o.Seed = seed } }
 
 // WithKT1 enables (or disables) the KT1 model variant in which nodes know
-// their neighbors' IDs.
+// their neighbors' IDs. Only the direct scheme supports it: the other
+// schemes replay collected balls, which cannot carry neighbor IDs, so their
+// Validate (and every Run) fails with ErrKT1Unsupported.
 func WithKT1(on bool) Option { return func(o *Options) { o.KT1 = on } }
 
 // WithConcurrency selects the execution engine: 0 sequential, n > 0

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/simulate"
@@ -32,8 +33,24 @@ func (s *Scheme) Name() string { return s.name }
 func (s *Scheme) Description() string { return s.desc }
 
 // Validate rejects option combinations the scheme cannot honor, before any
-// simulation work starts.
-func (s *Scheme) Validate(o *Options) error { return o.validate() }
+// simulation work starts. Every scheme but direct rejects KT1 with
+// ErrKT1Unsupported.
+func (s *Scheme) Validate(o *Options) error {
+	if err := o.validate(); err != nil {
+		return err
+	}
+	if o.KT1 && s.run == nil {
+		return ErrKT1Unsupported
+	}
+	return nil
+}
+
+// ErrKT1Unsupported is the typed failure of WithKT1(true) on any scheme but
+// direct. A collection of port lists carries a ball's edge IDs but not its
+// nodes' neighbor IDs, so every replay runs without KT1, and an algorithm
+// that reads Port.Peer would silently diverge from direct execution. Test
+// for it with errors.Is.
+var ErrKT1Unsupported = errors.New("KT1 is supported by the direct scheme only: a collection does not carry neighbor IDs")
 
 // Run simulates spec on g under o. Outputs are bit-identical to a direct run
 // at the same seed for every scheme; cancelling ctx aborts the pipeline
