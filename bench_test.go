@@ -311,12 +311,12 @@ func BenchmarkReplay(b *testing.B) {
 }
 
 // BenchmarkReplayAll replays every node of BenchmarkReplay's collection in
-// one sequential sweep: the facade's replay phase at WithConcurrency(0). Its
-// allocs/op is CI's replay allocation gate (cmd/bench -ceiling): a sweep
-// that rebuilds each ball into reused buffers and builds protocol instances
-// only inside each ball's light cone allocates little beyond those
-// instances, while per-replay engine setup costs thousands of allocations
-// per node.
+// one sequential sweep: the facade's replay phase at WithConcurrency(0).
+// Three rounds span most of this GNP: 282 of its 300 nodes hear their whole
+// component, a closed heard set, so the sweep times one shared run of the
+// component for those and a light-cone replay for each of the other 18.
+// Its allocs/op is a CI allocation gate (cmd/bench -ceiling): a return to
+// one replay per node, or to per-replay engine setup, multiplies it.
 func BenchmarkReplayAll(b *testing.B) {
 	g := gen.ConnectedGNP(300, 0.05, xrand.New(4))
 	spec := repro.MaxID(3)
@@ -337,7 +337,10 @@ func BenchmarkReplayAll(b *testing.B) {
 // much smaller than the diameter: every node of a GNP(1024, avg deg 8)
 // collection, collected on itself, replays MaxID(3) in one sequential
 // sweep. Most of each replay graph lies outside the ball's light cone, so
-// this is where per-node step horizons pay off.
+// this is where per-node step horizons pay off. No heard set is closed, so
+// every node replays its light cone: this is the light-cone sweep's
+// benchmark and CI allocation gate, and the control for shared replay,
+// which must not cost it anything.
 func BenchmarkReplayAllSparse(b *testing.B) {
 	g := gen.ConnectedGNP(1024, 8.0/1023, xrand.New(4))
 	spec := repro.MaxID(3)
@@ -356,10 +359,11 @@ func BenchmarkReplayAllSparse(b *testing.B) {
 
 // BenchmarkReplayAllComplete is the replay sweep in the dense regime: every
 // node of K_112, collected on itself, replays MaxID(2) in one sequential
-// sweep. Every ball is the whole network, so each replay walks all 112
-// heard origins and all 6216 edges; the collection pairs its edge owners on
-// the first sweep only, as every later replay of the same collection
-// shares that pairing.
+// sweep. Every node hears the whole network, a closed heard set, so the
+// sweep runs K_112 once and hands all 112 nodes their outputs from that
+// run; the collection pairs its edge owners and labels their components on
+// the first sweep only. Its allocs/op is a CI allocation gate: a return to
+// one replay per node multiplies it.
 func BenchmarkReplayAllComplete(b *testing.B) {
 	g := gen.Complete(112)
 	spec := repro.MaxID(2)

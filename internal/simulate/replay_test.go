@@ -195,25 +195,60 @@ func sortedOrigins(m map[graph.NodeID]struct{}) []graph.NodeID {
 
 // FuzzReplayDetectsCorruption generalizes TestReplayDetectsCorruptCollection
 // to arbitrary corruption of a collection: byte flips in the table's edge
-// IDs, injected and dropped table ports, and forged origins in the heard
-// sets, in range and out of it. The invariant is that Replay never panics
-// or hangs on a corrupt collection — it either detects the corruption and
-// errors, or degrades to a (possibly wrong) output; both are acceptable, a
-// crash is not.
+// IDs, injected and dropped table ports, forged origins in the heard sets,
+// in range and out of it, and deleted origins. The first byte picks the
+// base collection: a GNP collected over t rounds, whose heard sets are
+// open, or K_12 collected on itself, whose heard sets are all closed, so
+// that ReplayAllN shares one run among them. The invariant is that Replay
+// never panics or hangs on a corrupt collection — it either detects the
+// corruption and errors, or degrades to a (possibly wrong) output; both are
+// acceptable, a crash is not — and that ReplayAllN, shared runs included,
+// agrees with per-node Replay.
 func FuzzReplayDetectsCorruption(f *testing.F) {
-	g := gen.ConnectedGNP(24, 0.15, xrand.New(31))
 	spec := algorithms.MaxID(2)
-	base, err := Collect(context.Background(), g, g, spec.T, 1, local.Config{})
-	if err != nil {
-		f.Fatal(err)
+	var bases []*Collection
+	for _, g := range []*graph.Graph{gen.ConnectedGNP(24, 0.15, xrand.New(31)), gen.Complete(12)} {
+		base, err := Collect(context.Background(), g, g, spec.T, 1, local.Config{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		bases = append(bases, base)
 	}
-	// Seed corpus: one op per mutation kind, plus a multi-op mix.
-	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{3, 0, 7, 1})
-	f.Add([]byte{5, 1, 2, 200})
-	f.Add([]byte{1, 2, 3, 4, 9, 1, 0, 255, 17, 3, 5, 8})
-	f.Add([]byte{2, 4, 1, 0, 7, 4, 3, 1})
+	// Seed corpus: one op per mutation kind, plus a multi-op mix, on the
+	// open base.
+	f.Add([]byte{0, 0, 0, 0, 0})
+	f.Add([]byte{0, 3, 0, 7, 1})
+	f.Add([]byte{0, 5, 1, 2, 200})
+	f.Add([]byte{0, 1, 2, 3, 4, 9, 1, 0, 255, 17, 3, 5, 8})
+	f.Add([]byte{0, 2, 4, 1, 0, 7, 4, 3, 1})
+	// Forged closed: node 0 of the open base is told every origin it
+	// missed, so its heard set is its component and it alone shares a run.
+	forged := []byte{0}
+	for u := range bases[0].N {
+		if _, ok := bases[0].Ports[0][graph.NodeID(u)]; !ok {
+			forged = append(forged, 0, 3, byte(u), 0)
+		}
+	}
+	f.Add(forged)
+	// On the closed base: the clean clone; a heard set that passes the
+	// size test but is not the component (node 0 loses origin 5 and gains
+	// the out-of-range origin 12); a dropped port, which leaves its edge
+	// one owner and opens the component; an edge a third row claims; an
+	// edge its own row names twice; and a parallel edge between nodes 0
+	// and 1, which keeps the component closed (node 1 first deletes origin
+	// 0, so that byte 0 picks row 1 from its heard set).
+	f.Add([]byte{1})
+	f.Add([]byte{1, 0, 5, 5, 0, 0, 4, 0, 0})
+	f.Add([]byte{1, 0, 2, 3, 4})
+	f.Add([]byte{1, 0, 1, 0, 20})
+	f.Add([]byte{1, 0, 1, 0, 3})
+	f.Add([]byte{1, 1, 5, 0, 0, 0, 1, 0, 200, 1, 1, 0, 200})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		base := bases[int(data[0])%len(bases)]
+		data = data[1:]
 		c := cloneCollection(base)
 		mutated := false
 		for len(data) >= 4 {
@@ -232,7 +267,7 @@ func FuzzReplayDetectsCorruption(f *testing.F) {
 				origin = graph.NodeID(v)
 			}
 			ports := c.Table[origin]
-			switch op % 5 {
+			switch op % 6 {
 			case 0: // flip one byte of a table edge ID
 				if mask := graph.EdgeID(uint64(a) << (8 * (b % 8))); mask != 0 && len(ports) > 0 {
 					i := int(b) % len(ports)
@@ -260,6 +295,9 @@ func FuzzReplayDetectsCorruption(f *testing.F) {
 					target = graph.NodeID(-1 - int(a))
 				}
 				m[target] = struct{}{}
+				mutated = true
+			case 5: // delete an origin v heard
+				delete(m, origins[int(a)%len(origins)])
 				mutated = true
 			}
 		}

@@ -33,6 +33,22 @@
 // so a sweep's steady-state replay allocates little beyond the protocol
 // instances; Replay is a single replay on a fresh replayer.
 //
+// ReplayAllN shares one run among the nodes whose heard sets are closed. v's
+// heard set is closed when its component of the edge-owner pairing has no
+// dangling port (an edge named by one row only) and v heard exactly that
+// component. Then the collection reconstructs the whole component with no
+// phantom: every port of every member pairs with a member v heard. A
+// t-round algorithm's output at a node is a function of its t-hop view,
+// which lies inside its component, so one run of the component with every
+// node stepping the whole run gives every member the output its light-cone
+// replay gives. Two closed members of one component heard the same set, the
+// component, and every payload is a row of the one shared Table, so they
+// hold equal information: each could have run the same computation from its
+// own collection. A sweep therefore runs each closed component once and
+// hands every closed member its own output; every other node replays its
+// light cone. Replay is local computation, outside every bill, so sharing
+// changes no bill.
+//
 // Scheme1Src realizes Theorem 3's first trade-off (spanner built by
 // algorithm Sampler, then one collection); Scheme2WithSrc realizes the
 // second, two-stage trade-off: Sampler's spanner simulates an off-the-shelf
@@ -51,6 +67,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/algorithms"
 	"repro/internal/broadcast"
@@ -80,7 +97,17 @@ type Collection struct {
 
 	paired sync.Once
 	peers  [][]graph.NodeID // see pair
+	comp   []int32          // comp[u] is u's component of the pairing; see pair
+	comps  []component      // indexed by component
 	bad    error
+}
+
+// component is one connected component of a collection's edge-owner
+// pairing: its node count, and whether some member's port has no other
+// owner (peer -1), which keeps every heard set that covers it open.
+type component struct {
+	size int32
+	open bool
 }
 
 // newCollection is the one constructor of a Collection: the payload table
@@ -158,7 +185,8 @@ func GossipCollectEarly(ctx context.Context, g *graph.Graph, t, maxRounds int, s
 // Replay reconstructs node v's exact t-ball from the collection and
 // re-executes the algorithm on it, returning v's output — the value it
 // would have produced in a direct t-round run on the original graph. It is
-// one replay on a fresh replayer; ReplayAllN reuses one per worker.
+// one light-cone replay on a fresh replayer, whatever v heard: the oracle
+// for ReplayAllN's shared runs.
 func (c *Collection) Replay(spec algorithms.Spec, v graph.NodeID) (any, error) {
 	return new(replayer).replay(c, spec, v)
 }
@@ -169,15 +197,57 @@ func (c *Collection) Replay(spec algorithms.Spec, v graph.NodeID) (any, error) {
 // many workers, w < 0 GOMAXPROCS. Each worker keeps one replayer for all of
 // its nodes. Output slots are indexed by node, so the result is
 // byte-identical at every concurrency level; cancelling ctx aborts between
-// node replays.
+// node replays and inside a shared run.
+//
+// A node whose heard set is closed (see the package doc) takes its output
+// from its component's shared run: the first closed member to arrive
+// rebuilds the component and runs it once with every node stepping the
+// whole run, and every closed member reads its own slot. The rule is exact.
+// A closed heard set is v's whole component, so the run holds every
+// member's t-hop view in full; closed members of one component heard equal
+// sets, so each takes only what its own collection determines. Every other
+// node, and every member of a shared run that fails, replays its light
+// cone, so a sweep fails with the same lowest node's error as per-node
+// Replay. Replay is unbilled: sharing moves no bill.
 func (c *Collection) ReplayAllN(ctx context.Context, spec algorithms.Spec, concurrency int) ([]any, error) {
+	out, _, err := c.replayAll(ctx, spec, concurrency)
+	return out, err
+}
+
+// sharedRun is one closed component's full-horizon run within a sweep,
+// made by the first closed member to reach it.
+type sharedRun struct {
+	once sync.Once
+	ids  []graph.NodeID // the component, ascending: the run's identity per slot
+	outs []any          // outs[i] is the output of ids[i]
+	err  error
+}
+
+// replayAll is ReplayAllN that also reports how many nodes took their
+// output from a shared run.
+func (c *Collection) replayAll(ctx context.Context, spec algorithms.Spec, concurrency int) ([]any, int, error) {
 	if concurrency < 0 {
 		concurrency = runtime.GOMAXPROCS(0)
 	}
+	// pair labels the components closed reads. A table it rejects gets
+	// none, so every node replays its light cone, which reports the error.
+	_, _ = c.pair()
+	runs := make([]sharedRun, len(c.comps))
+	var shared atomic.Int64
 	// ParallelFor's worker indices lie in [0, max(concurrency, 1)).
 	reps := make([]replayer, max(concurrency, 1))
 	out := make([]any, len(c.Ports))
 	err := sched.ParallelFor(ctx, len(c.Ports), concurrency, func(w, v int) error {
+		if k, ok := c.closed(v); ok {
+			s := &runs[k]
+			s.once.Do(func() { s.ids, s.outs, s.err = reps[w].replayShared(ctx, c, spec, graph.NodeID(v)) })
+			if s.err == nil {
+				i, _ := slices.BinarySearch(s.ids, graph.NodeID(v))
+				out[v] = s.outs[i]
+				shared.Add(1)
+				return nil
+			}
+		}
 		o, err := reps[w].replay(c, spec, graph.NodeID(v))
 		if err != nil {
 			return fmt.Errorf("node %d: %w", v, err)
@@ -186,9 +256,36 @@ func (c *Collection) ReplayAllN(ctx context.Context, spec algorithms.Spec, concu
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return out, nil
+	return out, int(shared.Load()), nil
+}
+
+// closed reports whether v's heard set is closed, and v's component: the
+// component has no dangling port, v heard as many origins as it has
+// members, and every origin v heard is one of them. A heard set is a set,
+// so the three together make it the component. The count test rejects an
+// open heard set of any other size in O(1); only a set of the component's
+// size is walked. Every node of a collection whose table pair rejects is
+// open.
+//
+//freelunch:noalloc
+func (c *Collection) closed(v int) (int32, bool) {
+	if v >= len(c.comp) {
+		return 0, false
+	}
+	k := c.comp[v]
+	heard := c.Ports[v]
+	if c.comps[k].open || len(heard) != int(c.comps[k].size) {
+		return k, false
+	}
+	//freelunch:orderok a membership test: every order gives the same answer
+	for u := range heard {
+		if int(u) < 0 || int(u) >= len(c.comp) || c.comp[u] != k {
+			return k, false
+		}
+	}
+	return k, true
 }
 
 // pair returns, for every table port, the port's other owner: peers[u][i]
@@ -198,6 +295,10 @@ func (c *Collection) ReplayAllN(ctx context.Context, spec algorithms.Spec, concu
 // shared read-only by every replay after it. A corrupt table fails every
 // replay: an edge named by more than two rows, or twice by one row (a
 // self-loop). The error names the smallest such edge.
+//
+// pair also labels the connected components of that adjacency (c.comp and
+// c.comps, numbered in order of their smallest member) for ReplayAllN's
+// closure test. A rejected table gets no components.
 func (c *Collection) pair() ([][]graph.NodeID, error) {
 	c.paired.Do(func() {
 		type port struct {
@@ -238,6 +339,32 @@ func (c *Collection) pair() ([][]graph.NodeID, error) {
 			default:
 				c.peers[a.u][a.i], c.peers[b.u][b.i] = graph.NodeID(b.u), graph.NodeID(a.u)
 			}
+		}
+		c.comp = make([]int32, len(c.Table))
+		for u := range c.comp {
+			c.comp[u] = -1
+		}
+		queue := make([]graph.NodeID, 0, len(c.Table))
+		for s := range c.comp {
+			if c.comp[s] >= 0 {
+				continue
+			}
+			k := int32(len(c.comps))
+			open := false
+			c.comp[s] = k
+			queue = append(queue[:0], graph.NodeID(s))
+			for i := 0; i < len(queue); i++ {
+				for _, w := range c.peers[queue[i]] {
+					switch {
+					case w < 0:
+						open = true
+					case c.comp[w] < 0:
+						c.comp[w] = k
+						queue = append(queue, w)
+					}
+				}
+			}
+			c.comps = append(c.comps, component{size: int32(len(queue)), open: open})
 		}
 	})
 	return c.peers, c.bad
@@ -313,6 +440,42 @@ func (r *replayer) replay(c *Collection, spec algorithms.Spec, v graph.NodeID) (
 		return nil, fmt.Errorf("simulate: replay of %s did not halt in %d rounds", spec.Name, spec.T)
 	}
 	return spec.Output(r.vp), nil
+}
+
+// replayShared rebuilds v's closed component from c and runs spec on it
+// with every node stepping the whole run, returning the component's
+// identities ascending and each one's output. rebuild to a depth of the
+// component's size reaches every member, and a closed heard set leaves no
+// phantom, so the replay graph is the component and its slots are the
+// members in order. Unlike a light-cone replay, the run fails unless every
+// node halts.
+func (r *replayer) replayShared(ctx context.Context, c *Collection, spec algorithms.Spec, v graph.NodeID) ([]graph.NodeID, []any, error) {
+	if err := r.rebuild(c, len(c.Ports[v]), v); err != nil {
+		return nil, nil, err
+	}
+	protos := make([]local.Protocol, 0, len(r.idmap))
+	run, err := r.run.Run(ctx, &r.rg, func(id graph.NodeID) local.Protocol {
+		p := spec.New(id)
+		protos = append(protos, p)
+		return p
+	}, local.Config{
+		Seed:      c.Seed,
+		MaxRounds: spec.T + 1,
+		IDMap:     r.idmap,
+		NOverride: c.N,
+		NoLedger:  true,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if !run.Halted {
+		return nil, nil, fmt.Errorf("simulate: shared replay of %s did not halt in %d rounds", spec.Name, spec.T)
+	}
+	outs := make([]any, len(protos))
+	for i, p := range protos {
+		outs[i] = spec.Output(p)
+	}
+	return slices.Clone(r.idmap), outs, nil
 }
 
 // rebuild reconstructs v's t-ball from c into r.rg, r.idmap and r.hor.
