@@ -236,20 +236,26 @@ func (tr *arrivalTracker) learn(v, u graph.NodeID) {
 
 // gossipNode implements synchronous push–pull gossip: each round it pushes
 // its full rumor set over one uniformly random incident edge and answers
-// last round's pushes with its full set. Its one set, known, is both the
-// dedup set and the result, as in floodNode. The rumor snapshot
-// and the push/pull envelopes are buffered by round parity — payloads sent
-// in round r are read in round r+1 (or as late as r+1+B under an adversary
-// with delay bound B, hence B+2 parities in the ring; two on the flawless
-// network, as historically) and never later, so parity-p buffers are free
-// for reuse when parity p recurs — and the envelopes travel as pointers,
-// whose interface boxing is allocation-free. A steady-state gossip round
-// therefore allocates only when the rumor set (and with it the snapshot
-// buffer) grows.
+// last round's pushes with its full set. known is the dedup set and the
+// result, as in floodNode; order lists the same origins in the order this
+// node learned them, and only ever grows by appending.
+//
+// A round's push and pull carry the prefix order[:L:L], L = len(order), with
+// no copy. That is safe under an adversary with delay bound B, whose
+// envelopes may be read as late as round r+1+B, because no element of an
+// in-flight prefix is ever written again: a later append writes at index L
+// or beyond, or moves order to a new array and leaves the old one to the
+// envelopes that still hold it. The envelope structs themselves are reused,
+// so they are buffered by round parity — B+2 parities in the ring (two on
+// the flawless network, as historically), and parity p's envelopes are free
+// when p recurs — and travel as pointers, whose interface boxing is
+// allocation-free. A steady-state gossip round therefore allocates only when
+// order grows.
 type gossipNode struct {
 	t       int
 	track   *arrivalTracker
 	known   map[graph.NodeID]struct{}
+	order   []graph.NodeID
 	replyTo []graph.EdgeID
 	push    []gossipPush
 	pull    []gossipPull
@@ -261,6 +267,7 @@ type gossipPull struct{ batch }
 func (p *gossipNode) Step(env *local.Env, round int, inbox []local.Message) {
 	if round == 0 {
 		p.known = map[graph.NodeID]struct{}{env.ID(): {}}
+		p.order = append(p.order, env.ID())
 		p.track.learn(env.ID(), env.ID())
 	}
 	for _, m := range inbox {
@@ -275,6 +282,7 @@ func (p *gossipNode) Step(env *local.Env, round int, inbox []local.Message) {
 		for _, o := range in.origins {
 			if _, ok := p.known[o]; !ok {
 				p.known[o] = struct{}{}
+				p.order = append(p.order, o)
 				p.track.learn(env.ID(), o)
 			}
 		}
@@ -284,7 +292,7 @@ func (p *gossipNode) Step(env *local.Env, round int, inbox []local.Message) {
 		return
 	}
 	parity := round % len(p.push)
-	all := p.snapshot(parity)
+	all := p.order[:len(p.order):len(p.order)]
 	if len(p.replyTo) > 0 {
 		pull := &p.pull[parity]
 		pull.origins = all
@@ -299,19 +307,6 @@ func (p *gossipNode) Step(env *local.Env, round int, inbox []local.Message) {
 		push.origins = all
 		env.Send(pt.Edge, push)
 	}
-}
-
-// snapshot rebuilds the node's full rumor set into the parity's reusable
-// buffer (the pull envelope of the same parity shares it; both are in
-// flight for exactly one round).
-func (p *gossipNode) snapshot(parity int) []graph.NodeID {
-	out := p.pull[parity].origins[:0]
-	//freelunch:orderok receivers fold origins into their known map (a set); emission order is never observed
-	for o := range p.known {
-		out = append(out, o)
-	}
-	p.pull[parity].origins = out
-	return out
 }
 
 // Gossip runs push–pull gossip on host for at most rounds rounds (message
@@ -384,22 +379,18 @@ func Gossip(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, b
 }
 
 // BallIndex is the per-node distance-t ball membership of one graph,
-// computed once (one truncated BFS per node) and reused across every query
-// that needs it: the gossip early-stop tracker's per-arrival checks and
-// hybrid's residue scan. Each ball is kept as the ascending node list
-// graph.Ball returns, so membership is a binary search. A BallIndex is
-// immutable once built and safe for concurrent readers.
+// computed once (graph.Balls: one search kernel, one flat array) and reused
+// across every query that needs it: the gossip early-stop tracker's
+// per-arrival checks and hybrid's residue scan. Each ball is kept as the
+// ascending node list graph.Ball returns, so membership is a binary search.
+// A BallIndex is immutable once built and safe for concurrent readers.
 type BallIndex struct {
 	balls [][]graph.NodeID
 }
 
 // NewBallIndex computes the distance-t ball of every node of g.
 func NewBallIndex(g *graph.Graph, t int) *BallIndex {
-	bi := &BallIndex{balls: make([][]graph.NodeID, g.NumNodes())}
-	for v := range bi.balls {
-		bi.balls[v] = g.Ball(graph.NodeID(v), t)
-	}
-	return bi
+	return &BallIndex{balls: g.Balls(t)}
 }
 
 // Nodes returns the number of nodes the index spans.

@@ -53,8 +53,8 @@ func validateLevel(lvl *Level, g, h *graph.Graph) error {
 	}
 	// Lemma 8: induced diameter bound.
 	bound := pow3(lvl.J) - 1
-	for v, members := range lvl.OrigMembers {
-		if d := inducedDiameter(h, members); d < 0 || d > bound {
+	for v, d := range h.InducedDiameters(lvl.OrigMembers) {
+		if d < 0 || d > bound {
 			return fmt.Errorf("cluster %d induced diameter %d exceeds 3^%d-1 = %d", v, d, lvl.J, bound)
 		}
 	}
@@ -91,45 +91,6 @@ func validateLevel(lvl *Level, g, h *graph.Graph) error {
 		}
 	}
 	return nil
-}
-
-// inducedDiameter returns the diameter of the subgraph of h induced by the
-// given members, or -1 if that subgraph is disconnected.
-func inducedDiameter(h *graph.Graph, members []graph.NodeID) int {
-	if len(members) == 1 {
-		return 0
-	}
-	inSet := make(map[graph.NodeID]bool, len(members))
-	for _, m := range members {
-		inSet[m] = true
-	}
-	diam := 0
-	for _, src := range members {
-		dist := map[graph.NodeID]int{src: 0}
-		queue := []graph.NodeID{src}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, half := range h.Incident(v) {
-				if !inSet[half.Peer] {
-					continue
-				}
-				if _, ok := dist[half.Peer]; !ok {
-					dist[half.Peer] = dist[v] + 1
-					queue = append(queue, half.Peer)
-				}
-			}
-		}
-		if len(dist) != len(members) {
-			return -1
-		}
-		for _, d := range dist {
-			if d > diam {
-				diam = d
-			}
-		}
-	}
-	return diam
 }
 
 // Trace renders a human-readable level-by-level account of the run — the

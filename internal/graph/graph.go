@@ -91,8 +91,16 @@ func (e Edge) Other(v NodeID) NodeID {
 // Graph is an undirected multigraph. The zero value is an empty graph with no
 // nodes; use New to create a graph with a fixed node count.
 //
-// Graph is safe for concurrent reads once constructed; mutation must not
-// race with reads or other mutations.
+// The edge table and its ID index are the graph; everything else is derived
+// from them lazily, on the first read after a mutation, and dropped by the
+// next mutation (AddEdge, AddEdgeWithID, RemoveEdgeID, Reset):
+//
+//   - the CSR rows behind Incident, Degree and every search;
+//   - the diameter memo behind Diameter, Unreachable included.
+//
+// Graph is safe for concurrent reads once constructed, including the reads
+// that derive this state; mutation must not race with reads or other
+// mutations.
 type Graph struct {
 	n      int
 	edges  []Edge  // dense edge table, insertion order
@@ -104,6 +112,10 @@ type Graph struct {
 	mu       sync.Mutex // serializes rebuilds among concurrent readers
 	rowStart []int32    // len n+1; node v's halves are halves[rowStart[v]:rowStart[v+1]]
 	halves   []Half     // one flat backing array for every incident list
+
+	// diam is 0 until Diameter runs after the last mutation, then the
+	// diameter minus Unreachable plus one (so Unreachable is stored as 1).
+	diam atomic.Int64
 }
 
 // New returns an empty graph on n nodes (0..n-1) and no edges.
@@ -128,9 +140,10 @@ func NewWithCapacity(n, edgeCap int) *Graph {
 
 // Reset empties g onto n nodes (0..n-1) with no edges, as New(n) would, but
 // keeps the capacity of the edge table, the ID index and the CSR arrays, and
-// marks the rows dirty for the next read. A caller that builds many small
-// graphs one after another (the ball replays of internal/simulate) rebuilds
-// one graph in place and allocates nothing once its buffers have grown.
+// drops the derived rows and diameter for the next read. A caller that
+// builds many small graphs one after another (the ball replays of
+// internal/simulate) rebuilds one graph in place and allocates nothing once
+// its buffers have grown.
 func (g *Graph) Reset(n int) {
 	if n < 0 {
 		panic("graph: negative node count")
@@ -139,7 +152,7 @@ func (g *Graph) Reset(n int) {
 	g.edges = g.edges[:0]
 	g.byID = g.byID[:0]
 	g.nextID = 0
-	g.clean.Store(false)
+	g.invalidate()
 }
 
 // ErrDuplicateEdgeID reports an attempt to reuse an edge ID.
@@ -198,8 +211,22 @@ func (g *Graph) AddEdgeWithID(id EdgeID, u, v NodeID) error {
 		g.byID = slices.Insert(g.byID, pos, idx)
 	}
 	g.edges = append(g.edges, Edge{ID: id, U: u, V: v})
-	g.clean.Store(false)
+	g.invalidate()
 	return nil
+}
+
+// invalidate marks the lazily derived state stale after a mutation: the CSR
+// rows are rebuilt on the next read and the diameter on the next Diameter.
+// Mutation never races with reads, so each field is stored only when it
+// changes: a run of AddEdge calls (a ball rebuild in replay) pays two
+// atomic loads per edge, not two atomic stores.
+func (g *Graph) invalidate() {
+	if g.clean.Load() {
+		g.clean.Store(false)
+	}
+	if g.diam.Load() != 0 {
+		g.diam.Store(0)
+	}
 }
 
 // searchID locates id in the sorted index: the insertion position and
@@ -356,7 +383,7 @@ func (g *Graph) RemoveEdgeID(id EdgeID) error {
 			g.byID[i]--
 		}
 	}
-	g.clean.Store(false)
+	g.invalidate()
 	return nil
 }
 
@@ -367,7 +394,7 @@ func (g *Graph) Clone() *Graph {
 		edges:  slices.Clone(g.edges),
 		byID:   slices.Clone(g.byID),
 		nextID: g.nextID,
-		// CSR arrays stay unset; the clone rebuilds on first read.
+		// Derived state stays unset; the clone rebuilds it on first read.
 	}
 }
 

@@ -24,9 +24,10 @@ type StretchReport struct {
 // (Connected=false, MaxEdgeStretch set to Unreachable).
 //
 // The computation runs one (bounded) BFS in H per node of g that has at
-// least one incident g-edge, O(n · (n+|S|)) in the worst case but far less
-// when bound is small, which it always is for spanner validation (the paper
-// guarantees stretch ≤ 2·3^k − 1).
+// least one incident g-edge, on one reused search kernel: each run touches
+// only the radius-bound ball of its source, so the whole check costs the
+// sum of those balls, not n per source. bound is always small for spanner
+// validation (the paper guarantees stretch ≤ 2·3^k − 1).
 func EdgeStretch(g, h *Graph, bound int) (StretchReport, error) {
 	if g.NumNodes() != h.NumNodes() {
 		return StretchReport{}, fmt.Errorf("graph: node count mismatch %d vs %d", g.NumNodes(), h.NumNodes())
@@ -34,6 +35,7 @@ func EdgeStretch(g, h *Graph, bound int) (StretchReport, error) {
 	rep := StretchReport{Edges: h.NumEdges(), Connected: true}
 	var sum int64
 	var count int64
+	s := newSearch(h, 0)
 	for v := 0; v < g.NumNodes(); v++ {
 		// Consider each g-edge once, from its smaller endpoint.
 		needs := false
@@ -46,12 +48,12 @@ func EdgeStretch(g, h *Graph, bound int) (StretchReport, error) {
 		if !needs {
 			continue
 		}
-		dist := h.BFS(NodeID(v), bound)
+		s.run(NodeID(v), bound, nil)
 		for _, half := range g.Incident(NodeID(v)) {
 			if half.Peer <= NodeID(v) {
 				continue
 			}
-			d := dist[half.Peer]
+			d := int(s.dist[half.Peer])
 			if d == Unreachable {
 				rep.Connected = false
 				rep.MaxEdgeStretch = Unreachable
