@@ -22,8 +22,9 @@
 //     "hybrid" (gossip seeds WithHybridFraction of the t-balls, the
 //     Sampler spanner collects the residue), "globalcompute" (the paper's
 //     Section 7 extension: a spanner BFS tree convergecasts all knowledge),
-//     and the push–pull baseline family: "gossip" (a central oracle halts
-//     the round loop at the cover round, and the bill runs through it),
+//     and the push–pull baseline family: "gossip" (an oracle-stopped lower
+//     bound: a central oracle halts the round loop at the cover round, and
+//     the bill runs through it),
 //     "gossip-earlystop" (the same run under the phase label
 //     "gossip(earlystop)"), and "gossip-converge" (distributed termination
 //     detection via a BFS-tree convergecast, billed as its own phase on top

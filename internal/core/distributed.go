@@ -23,6 +23,14 @@ import (
 // received, without re-boxing it, to the node's tree children. One receipt
 // case in handleMessage serves all five.
 //
+// A convergecast is the way back up, and its four — trial replies, probe
+// replies, fail-safe replies and accepted joins — share one path too. A
+// node collects convItem values in one slice: the replies and joins it
+// receives itself and its children's aggregates. Once every child has
+// reported, it sends the slice to its parent as one mConv message (one
+// receipt case serves all four), and the root reduces it in the phase's
+// finalize step. Each item's kind fixes its word bill.
+//
 // The fail-safe is part of the protocol, not an option: a root that would
 // end a level neither light nor merged queries every remaining unexplored
 // edge, turning the paper's whp stretch guarantee (Lemmas 5–6) into a
@@ -177,7 +185,7 @@ type distNode struct {
 	isRoot        bool
 	hasParent     bool
 	parent        graph.EdgeID
-	tree          map[graph.EdgeID]bool // my incident cluster-tree edges
+	tree          []graph.EdgeID // my incident cluster-tree edges, sorted
 	depth         int
 	clusterRoot   graph.NodeID
 	cb            *boundary
@@ -185,7 +193,7 @@ type distNode struct {
 	decis         decision
 
 	// Root-only level state.
-	x             *edgePool
+	x             edgePool
 	fCount        int
 	queried       map[graph.NodeID]graph.EdgeID
 	queriedCenter map[graph.NodeID]bool
@@ -210,9 +218,7 @@ type distNode struct {
 	// Convergecast state.
 	convWaiting int
 	convSent    bool
-	itemsReply  []replyItem
-	itemsProbe  []probeItem
-	itemsJoin   []joinItem
+	items       []convItem
 
 	// Outputs.
 	inS      map[graph.EdgeID]bool
@@ -261,14 +267,13 @@ func (nd *distNode) init(env *local.Env) {
 	}
 	nd.isRoot = true
 	nd.clusterRoot = nd.id
-	nd.tree = make(map[graph.EdgeID]bool)
 	nd.cb = newBoundary(edges)
 	nd.resetRootLevelState()
 	nd.inS = make(map[graph.EdgeID]bool)
 }
 
 func (nd *distNode) resetRootLevelState() {
-	nd.x = newEdgePool(nd.cb.list)
+	nd.x = newEdgePool(slices.Clone(nd.cb.list)) // the boundary is shared
 	nd.fCount = 0
 	nd.queried = make(map[graph.NodeID]graph.EdgeID)
 	nd.queriedCenter = make(map[graph.NodeID]bool)
@@ -300,9 +305,7 @@ func (nd *distNode) enterPhase(env *local.Env, ph phase) {
 		if !nd.dead {
 			nd.convWaiting = nd.children()
 			nd.convSent = false
-			nd.itemsReply = nil
-			nd.itemsProbe = nil
-			nd.itemsJoin = nil
+			nd.items = nil
 		}
 	case phTrialQuery, phFSQuery:
 		nd.flushAccepts(env)
@@ -361,7 +364,7 @@ func (nd *distNode) flushAccepts(env *local.Env) {
 // re-boxes nothing.
 func (nd *distNode) broadcast(env *local.Env, from graph.EdgeID, msg treeMsg) {
 	msg.apply(nd)
-	for e := range nd.tree {
+	for _, e := range nd.tree {
 		if e != from {
 			env.Send(e, msg)
 			nd.sent.Tree++
@@ -387,6 +390,7 @@ func (nd *distNode) rootMsg(env *local.Env, ph phase) treeMsg {
 	case phCenterBcast:
 		nd.isCenterFlag = env.Rand().Bernoulli(nd.p.centerProb(ph.level, n))
 		probes := make([]graph.EdgeID, 0, len(nd.queried))
+		//freelunch:orderok collected, then sorted below
 		for _, e := range nd.queried {
 			probes = append(probes, e)
 		}
@@ -430,6 +434,7 @@ func (nd *distNode) takeFAdds() []graph.EdgeID {
 // choice; smallest keeps runs reproducible).
 func (nd *distNode) smallestQueriedCenter() graph.NodeID {
 	target := noNode
+	//freelunch:orderok the smallest key is the same in every order
 	for u, isC := range nd.queriedCenter {
 		if isC && (target == noNode || u < target) {
 			target = u
@@ -443,16 +448,22 @@ func (nd *distNode) rootNewClusterFlood(env *local.Env) {
 		panic(fmt.Sprintf("core: node %d: center root has no merged boundary", nd.id))
 	}
 	nd.cb = nd.pendingNewB
-	for _, e := range nd.acceptedJoins {
-		nd.tree[e] = true
-	}
-	nd.acceptedJoins = nil
+	nd.growTree()
 	nd.depth = 0
 	nd.resetRootLevelState()
-	for e := range nd.tree {
+	for _, e := range nd.tree {
 		env.Send(e, mNewCluster{Root: nd.id, B: nd.cb, Depth: 0})
 		nd.sent.Tree++
 	}
+}
+
+// growTree adds the accepted join edges, and extra, to the cluster tree. The
+// tree stays sorted and duplicate-free, so every relay sends in edge order.
+func (nd *distNode) growTree(extra ...graph.EdgeID) {
+	tree := slices.Concat(nd.tree, nd.acceptedJoins, extra)
+	slices.Sort(tree)
+	nd.tree = slices.Compact(tree)
+	nd.acceptedJoins = nil
 }
 
 // -------------------------------------------------------------- receipt ---
@@ -465,14 +476,14 @@ func (nd *distNode) handleMessage(env *local.Env, ph phase, m local.Message) {
 		env.Send(m.Edge, nd.composeReply(ph, msg.FS))
 		nd.sent.Reply++
 	case mReply:
-		nd.itemsReply = append(nd.itemsReply, replyItem{
-			Edge: m.Edge, Root: msg.Root, Dead: msg.Dead, IsCenter: msg.IsCenter, B: msg.B,
+		nd.items = append(nd.items, convItem{
+			Kind: convReply, Edge: m.Edge, Root: msg.Root, Dead: msg.Dead, IsCenter: msg.IsCenter, B: msg.B,
 		})
+	case mConv:
+		nd.items = append(nd.items, msg...)
+		nd.convWaiting--
 	case mAccept:
 		nd.inS[m.Edge] = true
-	case mConvReply:
-		nd.itemsReply = append(nd.itemsReply, msg.Items...)
-		nd.convWaiting--
 	case mProbe:
 		// A probe travels over an F-edge of the probing cluster, so this
 		// edge is in the spanner; record that before answering.
@@ -480,16 +491,10 @@ func (nd *distNode) handleMessage(env *local.Env, ph phase, m local.Message) {
 		env.Send(m.Edge, mProbeReply{Root: nd.clusterRoot, IsCenter: nd.centerCluster})
 		nd.sent.Probe++
 	case mProbeReply:
-		nd.itemsProbe = append(nd.itemsProbe, probeItem{Edge: m.Edge, Root: msg.Root, IsCenter: msg.IsCenter})
-	case mConvProbe:
-		nd.itemsProbe = append(nd.itemsProbe, msg.Items...)
-		nd.convWaiting--
+		nd.items = append(nd.items, convItem{Kind: convProbe, Edge: m.Edge, Root: msg.Root, IsCenter: msg.IsCenter})
 	case mJoin:
 		nd.acceptedJoins = append(nd.acceptedJoins, m.Edge)
-		nd.itemsJoin = append(nd.itemsJoin, joinItem{Edge: m.Edge, B: msg.B})
-	case mConvJoin:
-		nd.itemsJoin = append(nd.itemsJoin, msg.Items...)
-		nd.convWaiting--
+		nd.items = append(nd.items, convItem{Kind: convJoin, Edge: m.Edge, B: msg.B})
 	case mNewCluster:
 		nd.handleNewCluster(env, m.Edge, msg)
 	default:
@@ -575,30 +580,21 @@ func (nd *distNode) handleNewCluster(env *local.Env, from graph.EdgeID, m mNewCl
 		panic(fmt.Sprintf("core: node %d: duplicate new-cluster flood", nd.id))
 	}
 	nd.floodSeen = true
-	newTree := make(map[graph.EdgeID]bool, len(nd.tree)+len(nd.acceptedJoins)+1)
-	for e := range nd.tree {
-		newTree[e] = true
-	}
-	for _, e := range nd.acceptedJoins {
-		newTree[e] = true
-	}
-	newTree[from] = true
-	for e := range newTree {
+	nd.growTree(from)
+	for _, e := range nd.tree {
 		if e != from {
 			env.Send(e, mNewCluster{Root: m.Root, B: m.B, Depth: m.Depth + 1})
 			nd.sent.Tree++
 		}
 	}
-	nd.tree = newTree
 	nd.hasParent = true
 	nd.parent = from
 	nd.depth = m.Depth + 1
 	nd.clusterRoot = m.Root
 	nd.cb = m.B
 	nd.isRoot = false
-	nd.acceptedJoins = nil
 	nd.decis = decNone
-	nd.x = nil
+	nd.x = edgePool{}
 	nd.queried = nil
 	nd.queriedCenter = nil
 	nd.pendingNewB = nil
@@ -619,16 +615,7 @@ func (nd *distNode) convMaybeComplete(env *local.Env, ph phase) {
 	}
 	nd.convSent = true
 	if !nd.isRoot {
-		var payload any
-		switch ph.kind {
-		case phTrialConv, phFSConv:
-			payload = mConvReply{Items: nd.itemsReply}
-		case phProbeConv:
-			payload = mConvProbe{Items: nd.itemsProbe}
-		case phJoinConv:
-			payload = mConvJoin{Items: nd.itemsJoin}
-		}
-		env.Send(nd.parent, payload)
+		env.Send(nd.parent, mConv(nd.items))
 		nd.sent.Tree++
 		return
 	}
@@ -638,7 +625,7 @@ func (nd *distNode) convMaybeComplete(env *local.Env, ph phase) {
 	case phProbeConv:
 		nd.finalizeProbeConv()
 	case phFSConv:
-		nd.finalizeFSConv(env, ph)
+		nd.finalizeFSConv()
 	case phJoinConv:
 		nd.finalizeJoinConv()
 	}
@@ -648,36 +635,48 @@ func (nd *distNode) convMaybeComplete(env *local.Env, ph phase) {
 // first-draw order, peel replying clusters out of X_v, and grow F up to the
 // threshold budget — the exact logic of the centralized Cluster_j step 1.
 func (nd *distNode) finalizeTrialConv(env *local.Env, ph phase) {
-	byEdge := make(map[graph.EdgeID]replyItem, len(nd.itemsReply))
-	for _, it := range nd.itemsReply {
-		byEdge[it.Edge] = it
-	}
 	threshold := nd.p.threshold(ph.level, nEstimate(env))
-	for _, e := range nd.sampleOrder {
-		if !nd.x.contains(e) {
-			continue // peeled earlier in this trial (parallel duplicate)
-		}
-		it, ok := byEdge[e]
-		if !ok {
-			panic(fmt.Sprintf("core: root %d: no reply for sampled edge %d", nd.id, e))
-		}
+	nd.walkReplies(nd.sampleOrder, func(e graph.EdgeID, it convItem) bool {
 		if it.Dead {
 			nd.peelReply(e, it)
-			continue
+			return true
 		}
 		if it.Root == nd.id {
 			panic(fmt.Sprintf("core: root %d: boundary contains intra-cluster edge %d", nd.id, e))
 		}
 		if nd.fCount >= threshold {
-			break // budget reached; mirrors the centralized cap
+			return false // budget reached; mirrors the centralized cap
 		}
 		if _, dup := nd.queried[it.Root]; dup {
 			panic(fmt.Sprintf("core: root %d: cluster %d re-discovered; peeling failed", nd.id, it.Root))
 		}
 		nd.addF(it.Root, e)
 		nd.peelReply(e, it)
-	}
+		return true
+	})
 	nd.sampleOrder = nil
+}
+
+// walkReplies is the reply lookup both reply reductions share: it hands
+// visit each edge of order that is still unexplored, with the reply that
+// answered the query over it, until visit returns false.
+func (nd *distNode) walkReplies(order []graph.EdgeID, visit func(e graph.EdgeID, it convItem) bool) {
+	byEdge := make(map[graph.EdgeID]convItem, len(nd.items))
+	for _, it := range nd.items {
+		byEdge[it.Edge] = it
+	}
+	for _, e := range order {
+		if !nd.x.contains(e) {
+			continue // peeled earlier in this walk (parallel duplicate)
+		}
+		it, ok := byEdge[e]
+		if !ok {
+			panic(fmt.Sprintf("core: root %d: no reply for queried edge %d", nd.id, e))
+		}
+		if !visit(e, it) {
+			return
+		}
+	}
 }
 
 func (nd *distNode) addF(root graph.NodeID, e graph.EdgeID) {
@@ -687,7 +686,7 @@ func (nd *distNode) addF(root graph.NodeID, e graph.EdgeID) {
 	nd.fDecided = append(nd.fDecided, e)
 }
 
-func (nd *distNode) peelReply(e graph.EdgeID, it replyItem) {
+func (nd *distNode) peelReply(e graph.EdgeID, it convItem) {
 	if it.B != nil {
 		nd.x.removeAll(it.B.list)
 	} else {
@@ -696,7 +695,7 @@ func (nd *distNode) peelReply(e graph.EdgeID, it replyItem) {
 }
 
 func (nd *distNode) finalizeProbeConv() {
-	for _, it := range nd.itemsProbe {
+	for _, it := range nd.items {
 		if _, known := nd.queried[it.Root]; !known {
 			panic(fmt.Sprintf("core: root %d: probe reply from unknown cluster %d", nd.id, it.Root))
 		}
@@ -707,28 +706,18 @@ func (nd *distNode) finalizeProbeConv() {
 // finalizeFSConv is the fail-safe reduction: every remaining edge was
 // queried, so peel everything and record every newly discovered neighbor
 // (no budget cap — the point is to become light).
-func (nd *distNode) finalizeFSConv(env *local.Env, ph phase) {
+func (nd *distNode) finalizeFSConv() {
 	if len(nd.fsOrder) == 0 {
 		return
 	}
-	byEdge := make(map[graph.EdgeID]replyItem, len(nd.itemsReply))
-	for _, it := range nd.itemsReply {
-		byEdge[it.Edge] = it
-	}
-	for _, e := range nd.fsOrder {
-		if !nd.x.contains(e) {
-			continue
-		}
-		it, ok := byEdge[e]
-		if !ok {
-			panic(fmt.Sprintf("core: root %d: no fail-safe reply for edge %d", nd.id, e))
-		}
+	nd.walkReplies(nd.fsOrder, func(e graph.EdgeID, it convItem) bool {
 		if !it.Dead {
 			nd.addF(it.Root, e)
 			nd.queriedCenter[it.Root] = it.IsCenter
 		}
 		nd.peelReply(e, it)
-	}
+		return true
+	})
 	if !nd.x.empty() {
 		panic(fmt.Sprintf("core: root %d: fail-safe left %d unexplored edges", nd.id, nd.x.size()))
 	}
@@ -742,11 +731,11 @@ func (nd *distNode) finalizeFSConv(env *local.Env, ph phase) {
 // boundary is the IDs that occur exactly once, already in order.
 func (nd *distNode) finalizeJoinConv() {
 	if nd.decis != decCenter {
-		nd.itemsJoin = nil // stale aggregates at a joining/dying old root
+		nd.items = nil // stale aggregates at a joining/dying old root
 		return
 	}
 	all := slices.Clone(nd.cb.list)
-	for _, it := range nd.itemsJoin {
+	for _, it := range nd.items {
 		all = append(all, it.B.list...)
 	}
 	slices.Sort(all)
@@ -757,7 +746,7 @@ func (nd *distNode) finalizeJoinConv() {
 		}
 	}
 	nd.pendingNewB = &boundary{list: edges}
-	nd.itemsJoin = nil
+	nd.items = nil
 }
 
 // ----------------------------------------------------------------- exit ---

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/graph"
@@ -20,7 +22,7 @@ import (
 //
 // It returns nil if all invariants hold.
 func (r *Result) ValidateHierarchy(g *graph.Graph) error {
-	for id := range r.S {
+	for _, id := range slices.Sorted(maps.Keys(r.S)) {
 		if !g.HasEdgeID(id) {
 			return fmt.Errorf("core: spanner edge %d not in input graph", id)
 		}
@@ -72,8 +74,8 @@ func validateLevel(lvl *Level, g, h *graph.Graph) error {
 				centersPerCluster[c]++
 			}
 		}
-		for c, count := range centersPerCluster {
-			if count != 1 {
+		for _, c := range slices.Sorted(maps.Keys(centersPerCluster)) {
+			if count := centersPerCluster[c]; count != 1 {
 				return fmt.Errorf("cluster %d has %d centers", c, count)
 			}
 		}

@@ -66,19 +66,6 @@ type mReply struct {
 // spanner.
 type mAccept struct{}
 
-// replyItem is a (query edge, reply) pair aggregated up the tree.
-type replyItem struct {
-	Edge     graph.EdgeID
-	Root     graph.NodeID
-	Dead     bool
-	IsCenter bool
-	B        *boundary
-}
-
-// mConvReply carries aggregated replies toward the root: the query replies
-// of a trial's convergecast and the fail-safe replies of the fail-safe's.
-type mConvReply struct{ Items []replyItem }
-
 // mCenter flows down after the trials: the cluster's center coin, the edges
 // over which to probe queried clusters for their center status, and F
 // additions from the final trial.
@@ -96,15 +83,6 @@ type mProbeReply struct {
 	Root     graph.NodeID
 	IsCenter bool
 }
-
-type probeItem struct {
-	Edge     graph.EdgeID
-	Root     graph.NodeID
-	IsCenter bool
-}
-
-// mConvProbe carries aggregated probe replies toward the root.
-type mConvProbe struct{ Items []probeItem }
 
 // mFS flows down when the fail-safe fires: every remaining unexplored edge
 // is to be queried exhaustively.
@@ -134,13 +112,35 @@ type mJoin struct {
 	B          *boundary
 }
 
-type joinItem struct {
-	Edge graph.EdgeID
-	B    *boundary
+// convKind tells what a convergecast item reports. Each convergecast
+// aggregates one kind.
+type convKind uint8
+
+const (
+	convReply convKind = iota // a (fail-safe) query reply
+	convProbe                 // a probe reply
+	convJoin                  // an accepted join
+)
+
+// convWords is an item's word bill by kind, not counting the boundary set
+// it may carry.
+var convWords = [...]int64{convReply: 4, convProbe: 3, convJoin: 2}
+
+// convItem is one report that a convergecast aggregates toward the cluster
+// root: a reply or probe reply received over Edge, or a join accepted over
+// it. Fields a kind does not use stay zero.
+type convItem struct {
+	Edge     graph.EdgeID
+	Root     graph.NodeID
+	Dead     bool
+	IsCenter bool
+	Kind     convKind // in the padding after the flags: the item stays 24 bytes
+	B        *boundary
 }
 
-// mConvJoin carries accepted joins toward the center root.
-type mConvJoin struct{ Items []joinItem }
+// mConv carries a convergecast's aggregated items one hop toward the root.
+// It is a slice, so an empty aggregate boxes without allocating.
+type mConv []convItem
 
 // mNewCluster floods the merged cluster: new root, new boundary, and hop
 // depth. Receipt re-roots joiner trees automatically (first-arrival edge
@@ -175,12 +175,12 @@ func (m mTrial) PayloadUnits() int64 {
 func (m mReply) PayloadUnits() int64 { return 3 + blen(m.B) }
 
 // PayloadUnits implements local.Sizer.
-func (m mConvReply) PayloadUnits() int64 {
-	var u int64
-	for _, it := range m.Items {
-		u += 4 + blen(it.B)
+func (m mConv) PayloadUnits() int64 {
+	u := int64(1)
+	for _, it := range m {
+		u += convWords[it.Kind] + blen(it.B)
 	}
-	return 1 + u
+	return u
 }
 
 // PayloadUnits implements local.Sizer.
@@ -192,9 +192,6 @@ func (m mCenter) PayloadUnits() int64 {
 func (m mProbeReply) PayloadUnits() int64 { return 2 }
 
 // PayloadUnits implements local.Sizer.
-func (m mConvProbe) PayloadUnits() int64 { return 1 + 3*int64(len(m.Items)) }
-
-// PayloadUnits implements local.Sizer.
 func (m mFS) PayloadUnits() int64 { return 1 + int64(len(m.Edges)) }
 
 // PayloadUnits implements local.Sizer.
@@ -202,15 +199,6 @@ func (m mDecide) PayloadUnits() int64 { return 2 + int64(len(m.FAdds)) }
 
 // PayloadUnits implements local.Sizer.
 func (m mJoin) PayloadUnits() int64 { return 2 + blen(m.B) }
-
-// PayloadUnits implements local.Sizer.
-func (m mConvJoin) PayloadUnits() int64 {
-	var u int64
-	for _, it := range m.Items {
-		u += 2 + blen(it.B)
-	}
-	return 1 + u
-}
 
 // PayloadUnits implements local.Sizer.
 func (m mNewCluster) PayloadUnits() int64 { return 3 + blen(m.B) }

@@ -7,12 +7,15 @@ import (
 	"repro/internal/xrand"
 )
 
-// edgePool is the distributed root's view of X_v: the cluster's unexplored
-// boundary edges, supporting O(1) uniform sampling (with replacement) and
-// O(1) removal. Unlike the centralized neighborhood structure, the root does
-// NOT know which cluster an edge leads to — that is the whole point of the
-// algorithm — so removal happens by explicit edge sets carried in query
-// replies.
+// edgePool is X_v, a level-graph node's unexplored edge pool, and both
+// Samplers draw from and peel it: the centralized Sampler indexes it by
+// neighbor (neighborhood), the distributed root peels it by the boundary sets
+// that query replies carry, since it cannot tell which cluster an edge leads
+// to. It supports O(1) uniform sampling with replacement and O(1) removal.
+// The pool keeps its caller's order — the centralized Sampler's incident
+// order, the distributed root's sorted boundary — and removal moves the last
+// edge into the hole, so every draw is a function of that order and the
+// removals so far.
 type edgePool struct {
 	list []graph.EdgeID
 	pos  map[graph.EdgeID]int
@@ -23,15 +26,11 @@ type edgePool struct {
 	epoch int
 }
 
-// newEdgePool builds a pool over the given edges. The input is copied and
-// sorted so pool evolution is deterministic.
-func newEdgePool(edges []graph.EdgeID) *edgePool {
-	p := &edgePool{
-		list: append([]graph.EdgeID(nil), edges...),
-		pos:  make(map[graph.EdgeID]int, len(edges)),
-	}
-	slices.Sort(p.list)
-	for i, e := range p.list {
+// newEdgePool builds a pool over edges, in their order. The pool takes the
+// slice over and reorders it as edges leave.
+func newEdgePool(edges []graph.EdgeID) edgePool {
+	p := edgePool{list: edges, pos: make(map[graph.EdgeID]int, len(edges))}
+	for i, e := range edges {
 		p.pos[e] = i
 	}
 	return p

@@ -28,7 +28,8 @@ func testPool(size int) *edgePool {
 	for i := range edges {
 		edges[i] = graph.EdgeID(7*(size-i) + 3) // unsorted, sparse IDs
 	}
-	return newEdgePool(edges)
+	p := newEdgePool(edges)
+	return &p
 }
 
 // checkDraw runs one drawDistinct call against a twin RNG and checks the
@@ -85,5 +86,15 @@ func TestDrawDistinctAcrossTrials(t *testing.T) {
 		got := checkDraw(t, p, uint64(100+trial), 30)
 		p.remove(got[0])
 		p.remove(got[len(got)-1])
+	}
+}
+
+// TestEdgePoolKeepsCallerOrder checks that a new pool lists its edges in the
+// order given: the centralized Sampler's draws follow its incident order,
+// the distributed root's its sorted boundary.
+func TestEdgePoolKeepsCallerOrder(t *testing.T) {
+	p := newEdgePool([]graph.EdgeID{9, 2, 7, 4})
+	if want := []graph.EdgeID{9, 2, 7, 4}; !slices.Equal(p.list, want) {
+		t.Fatalf("pool over %v lists %v", want, p.list)
 	}
 }

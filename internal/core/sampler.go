@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/xrand"
@@ -151,62 +152,30 @@ func Build(g *graph.Graph, p Params, seed uint64) (*Result, error) {
 	return res, nil
 }
 
-// neighborhood is the per-node sampling state: the unexplored edge pool X_v
-// with O(1) uniform sampling and O(parallel-edges) removal of a neighbor's
-// edge bundle.
+// neighborhood is the centralized Sampler's per-node state: the pool X_v
+// and, over it, a neighbor index that peels a neighbor's whole bundle of
+// parallel edges at once.
 type neighborhood struct {
-	pool  []graph.EdgeID                  // unexplored edges, unordered
-	pos   map[graph.EdgeID]int            // edge -> index in pool
-	byNbr map[graph.NodeID][]graph.EdgeID // neighbor -> its parallel edges
-	nbrOf map[graph.EdgeID]graph.NodeID   // edge -> far endpoint
+	edgePool
+	byNbr map[graph.NodeID][]graph.EdgeID // neighbor -> its unexplored edges
 }
 
 func newNeighborhood(g *graph.Graph, v graph.NodeID) *neighborhood {
 	inc := g.Incident(v)
-	nb := &neighborhood{
-		pool:  make([]graph.EdgeID, 0, len(inc)),
-		pos:   make(map[graph.EdgeID]int, len(inc)),
-		byNbr: make(map[graph.NodeID][]graph.EdgeID),
-		nbrOf: make(map[graph.EdgeID]graph.NodeID, len(inc)),
+	edges := make([]graph.EdgeID, len(inc))
+	byNbr := make(map[graph.NodeID][]graph.EdgeID)
+	for i, h := range inc {
+		edges[i] = h.Edge
+		byNbr[h.Peer] = append(byNbr[h.Peer], h.Edge)
 	}
-	for _, h := range inc {
-		nb.pos[h.Edge] = len(nb.pool)
-		nb.pool = append(nb.pool, h.Edge)
-		nb.byNbr[h.Peer] = append(nb.byNbr[h.Peer], h.Edge)
-		nb.nbrOf[h.Edge] = h.Peer
-	}
-	return nb
+	return &neighborhood{edgePool: newEdgePool(edges), byNbr: byNbr}
 }
 
-// sample returns a uniform unexplored edge (with replacement); ok is false
-// when the pool is empty.
-func (nb *neighborhood) sample(rng *xrand.RNG) (graph.EdgeID, bool) {
-	if len(nb.pool) == 0 {
-		return 0, false
-	}
-	return nb.pool[rng.Intn(len(nb.pool))], true
-}
-
-// removeOne deletes a single edge from the pool (the no-peeling ablation
-// path; see Params.DisablePeeling).
-func (nb *neighborhood) removeOne(e graph.EdgeID) {
-	i, ok := nb.pos[e]
-	if !ok {
-		return
-	}
-	last := len(nb.pool) - 1
-	moved := nb.pool[last]
-	nb.pool[i] = moved
-	nb.pos[moved] = i
-	nb.pool = nb.pool[:last]
-	delete(nb.pos, e)
-	u := nb.nbrOf[e]
-	rest := nb.byNbr[u][:0]
-	for _, other := range nb.byNbr[u] {
-		if other != e {
-			rest = append(rest, other)
-		}
-	}
+// removeOne deletes a single edge, which leads to u, from the pool (the
+// no-peeling ablation path; see Params.DisablePeeling).
+func (nb *neighborhood) removeOne(u graph.NodeID, e graph.EdgeID) {
+	nb.remove(e)
+	rest := slices.DeleteFunc(nb.byNbr[u], func(other graph.EdgeID) bool { return other == e })
 	if len(rest) == 0 {
 		delete(nb.byNbr, u)
 	} else {
@@ -217,30 +186,8 @@ func (nb *neighborhood) removeOne(e graph.EdgeID) {
 // peel removes every edge leading to u from the pool ("peeling off" the
 // neighbor in the paper's terminology).
 func (nb *neighborhood) peel(u graph.NodeID) {
-	for _, e := range nb.byNbr[u] {
-		i, ok := nb.pos[e]
-		if !ok {
-			continue
-		}
-		last := len(nb.pool) - 1
-		moved := nb.pool[last]
-		nb.pool[i] = moved
-		nb.pos[moved] = i
-		nb.pool = nb.pool[:last]
-		delete(nb.pos, e)
-	}
+	nb.removeAll(nb.byNbr[u])
 	delete(nb.byNbr, u)
-}
-
-// remainingNeighbors returns the unqueried neighbors, sorted for
-// determinism.
-func (nb *neighborhood) remainingNeighbors() []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(nb.byNbr))
-	for u := range nb.byNbr {
-		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // runClusterStep1 executes the first step of procedure Cluster_j (the
@@ -260,20 +207,15 @@ func runClusterStep1(lvl *Level, p Params, rng *xrand.RNG) {
 		queried := make(map[graph.NodeID]graph.EdgeID)
 		lvl.queried[v] = queried
 
-		for trial := 0; trial < 2*p.H && len(lvl.F[v]) < lvl.Threshold && len(nb.pool) > 0; trial++ {
+		for trial := 0; trial < 2*p.H && len(lvl.F[v]) < lvl.Threshold && !nb.empty(); trial++ {
 			lvl.Trials++
 			// Draw the whole trial's samples from the start-of-trial pool
 			// (the paper draws all of F'_v before the peeling loop), then
-			// peel in draw order.
-			drawn := make([]graph.EdgeID, 0, lvl.SamplesPerTrial)
-			for s := 0; s < lvl.SamplesPerTrial; s++ {
-				e, ok := nb.sample(nodeRNG)
-				if !ok {
-					break
-				}
-				drawn = append(drawn, e)
-				lvl.Samples++
-			}
+			// peel in first-draw order. A repeated draw needs no visit: the
+			// first one either ended the walk or took its edge out of the
+			// pool.
+			drawn, draws := nb.drawDistinct(nodeRNG, lvl.SamplesPerTrial)
+			lvl.Samples += int64(draws)
 			for _, e := range drawn {
 				if len(lvl.F[v]) >= lvl.Threshold {
 					// Budget reached: the while-condition of the paper's
@@ -282,28 +224,29 @@ func runClusterStep1(lvl *Level, p Params, rng *xrand.RNG) {
 					// n^{1/h}·log²n) would void the Lemma 10 size bound.
 					break
 				}
-				if _, present := nb.pos[e]; !present {
+				if !nb.contains(e) {
 					// The neighbor behind e was peeled earlier in this
-					// trial; a with-replacement duplicate or parallel edge.
+					// trial, through a parallel edge.
 					continue
 				}
-				u := nb.nbrOf[e]
+				ge, _ := g.EdgeByID(e)
+				u := ge.Other(graph.NodeID(v))
 				if _, dup := queried[u]; dup {
 					// Reachable only with peeling disabled (E10 ablation):
 					// the duplicate neighbor wastes the sample.
-					nb.removeOne(e)
+					nb.removeOne(u, e)
 					continue
 				}
 				queried[u] = e
 				lvl.F[v] = append(lvl.F[v], e)
 				if p.DisablePeeling {
-					nb.removeOne(e)
+					nb.removeOne(u, e)
 				} else {
 					nb.peel(u)
 				}
 			}
 		}
-		if len(nb.pool) == 0 {
+		if nb.empty() {
 			lvl.Light[v] = true
 		} else if len(queried) >= lvl.Threshold {
 			lvl.Heavy[v] = true
@@ -316,7 +259,7 @@ func runClusterStep1(lvl *Level, p Params, rng *xrand.RNG) {
 // query message per remaining unexplored edge).
 func (lvl *Level) exhaust(v int) {
 	nb := lvl.nbhd[v]
-	for _, u := range nb.remainingNeighbors() {
+	for _, u := range slices.Sorted(maps.Keys(nb.byNbr)) {
 		e := nb.byNbr[u][0]
 		lvl.queried[v][u] = e
 		lvl.F[v] = append(lvl.F[v], e)
@@ -369,6 +312,7 @@ func markCentersAndCluster(lvl *Level, rng *xrand.RNG) {
 // (the paper allows an arbitrary choice; smallest makes runs reproducible).
 func (lvl *Level) queriedCenter(v int) graph.NodeID {
 	best := noNode
+	//freelunch:orderok the smallest key is the same in every order
 	for u := range lvl.queried[v] {
 		if lvl.Center[u] && (best == noNode || u < best) {
 			best = u

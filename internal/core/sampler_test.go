@@ -1,7 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -473,5 +477,102 @@ func BenchmarkBuildK2(b *testing.B) {
 		if _, err := Build(g, Default(2, 3), uint64(i)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// shuffledIDGraph rebuilds a connected GNP graph with its edge IDs permuted
+// (AddEdgeWithID keeps insertion order), so every node's incident list is in
+// neither ID nor any other sorted order.
+func shuffledIDGraph(n int, p float64, seed uint64) *graph.Graph {
+	base := gen.ConnectedGNP(n, p, xrand.New(seed))
+	perm := xrand.New(seed + 1).Perm(base.NumEdges())
+	g := graph.New(n)
+	for i, e := range base.Edges() {
+		if err := g.AddEdgeWithID(graph.EdgeID(perm[i]), e.U, e.V); err != nil {
+			panic(err)
+		}
+	}
+	return g
+}
+
+// spannerDigest is an FNV-1a digest of S's edge IDs in ascending order.
+func spannerDigest(s map[graph.EdgeID]bool) uint64 {
+	h := fnv.New64a()
+	for _, e := range slices.Sorted(maps.Keys(s)) {
+		_ = binary.Write(h, binary.LittleEndian, int64(e))
+	}
+	return h.Sum64()
+}
+
+// TestCentralizedSamplerPin pins the centralized Sampler where the spanner
+// goldens cannot see it: on a graph whose incident lists are not in ID
+// order, and on a multigraph with peeling disabled (the E10 ablation path).
+// Every trial draws from X_v in the caller's incident order, so a pool that
+// reorders its edges (by sorting them, say) moves the draws and fails here.
+func TestCentralizedSamplerPin(t *testing.T) {
+	type levelPin struct {
+		trials, samples int64
+		edgesAdded      int
+		failSafe        int
+	}
+	// C = 0.25 keeps thresholds low enough that both runs prune and rescue
+	// nodes through the fail-safe.
+	p := Default(2, 2)
+	p.C = 0.25
+	noPeel := p
+	noPeel.DisablePeeling = true
+	cases := []struct {
+		name   string
+		g      *graph.Graph
+		p      Params
+		size   int
+		digest uint64
+		levels []levelPin
+	}{
+		{
+			name:   "shuffled-ids",
+			g:      shuffledIDGraph(120, 0.3, 5),
+			p:      p,
+			size:   1021,
+			digest: 0x850c92bac3da184b,
+			levels: []levelPin{{120, 1258, 501, 2}, {67, 1326, 384, 2}, {39, 2847, 136, 0}},
+		},
+		{
+			name:   "multigraph-no-peeling",
+			g:      gen.Multi(gen.ConnectedGNP(40, 0.2, xrand.New(8)), func(e graph.Edge) int { return 1 + int(e.ID%4) }),
+			p:      noPeel,
+			size:   225,
+			digest: 0x2aa318fb192067e3,
+			levels: []levelPin{{46, 226, 126, 1}, {32, 445, 88, 9}, {20, 423, 11, 2}},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res := buildOn(t, tc.g, tc.p, 21)
+			verify(t, tc.g, res)
+			var levels []levelPin
+			for _, lvl := range res.Levels {
+				levels = append(levels, levelPin{lvl.Trials, lvl.Samples, lvl.EdgesAdded, lvl.FailSafe})
+			}
+			if len(res.S) != tc.size || spannerDigest(res.S) != tc.digest || !slices.Equal(levels, tc.levels) {
+				t.Fatalf("|S| = %d, digest %#x, levels (trials, samples, edges added, fail-safe) %v; want %d, %#x, %v",
+					len(res.S), spannerDigest(res.S), levels, tc.size, tc.digest, tc.levels)
+			}
+		})
+	}
+}
+
+// TestValidateHierarchyNamesSmallestForeignEdge checks that the error for a
+// spanner edge missing from the input graph is reproducible: it names the
+// smallest such edge, whatever order S's map yields.
+func TestValidateHierarchyNamesSmallestForeignEdge(t *testing.T) {
+	g := gen.Path(4)
+	res := buildOn(t, g, Default(1, 2), 1)
+	for _, e := range []graph.EdgeID{90, 70, 80} {
+		res.S[e] = true
+	}
+	err := res.ValidateHierarchy(g)
+	if err == nil || err.Error() != "core: spanner edge 70 not in input graph" {
+		t.Fatalf("ValidateHierarchy = %v, want it to name edge 70", err)
 	}
 }

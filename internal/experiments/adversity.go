@@ -47,7 +47,7 @@ func E17DegradationUnderAdversity(quick bool) Report {
 		n = 50
 		drops = []float64{0, 0.1}
 	}
-	schemes := []string{"direct", "scheme1", "scheme2", "gossip-earlystop"}
+	schemes := []string{"direct", "scheme1", "scheme2", "gossip"}
 	g := gnpWithDegree(n, 10, 77)
 	spec := repro.MaxID(3)
 	const seed = 13

@@ -148,19 +148,24 @@ func E2Stretch(quick bool) Report {
 	if quick {
 		n = 200
 	}
-	workloads := map[string]*graph.Graph{
-		"gnp":       gnpWithDegree(n, 12, 1),
-		"grid":      gen.Grid(isqrt(n), isqrt(n)),
-		"hypercube": gen.Hypercube(9),
-		"community": gen.Community(6, n/6, math.Min(1, 24/float64(n/6)), 0.002, xrand.New(2)),
-		"complete":  gen.Complete(n / 2), // dense: the spanner actually prunes here
-	}
+	cube := 9
 	if quick {
-		workloads["hypercube"] = gen.Hypercube(7)
+		cube = 7
+	}
+	workloads := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"gnp", gnpWithDegree(n, 12, 1)},
+		{"grid", gen.Grid(isqrt(n), isqrt(n))},
+		{"hypercube", gen.Hypercube(cube)},
+		{"community", gen.Community(6, n/6, math.Min(1, 24/float64(n/6)), 0.002, xrand.New(2))},
+		{"complete", gen.Complete(n / 2)}, // dense: the spanner actually prunes here
 	}
 	var rows [][]string
 	for _, k := range []int{1, 2, 3} {
-		for name, g := range workloads {
+		for _, w := range workloads {
+			name, g := w.name, w.g
 			p := core.Default(k, 2)
 			p.C = 0.5
 			res, err := core.Build(g, p, uint64(100+k))

@@ -38,3 +38,13 @@ func TestReportString(t *testing.T) {
 		}
 	}
 }
+
+// TestE2RowsDeterministic renders quick E2 twice. Its rows must come out in
+// the same order both times: a table built by ranging over a map would
+// shuffle them from run to run.
+func TestE2RowsDeterministic(t *testing.T) {
+	a, b := E2Stretch(true).String(), E2Stretch(true).String()
+	if a != b {
+		t.Fatalf("two quick E2 runs rendered different reports:\n%s\n%s", a, b)
+	}
+}

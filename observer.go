@@ -25,8 +25,8 @@ type PhaseCost = simulate.PhaseCost
 //     scheme1-congest, including its zero-message filler rounds;
 //   - "collect(residue)" — the hybrid scheme's residue flood;
 //   - "gossip(seed)" — the hybrid scheme's gossip seeding stage;
-//   - "gossip" — the push–pull gossip baseline, run until every t-ball is
-//     covered;
+//   - "gossip" — the push–pull gossip baseline, run until a central oracle
+//     sees every t-ball covered: an oracle-stopped lower bound;
 //   - "gossip(earlystop)" — the same gossip stage under the
 //     gossip-earlystop and gossip-converge schemes;
 //   - "converge(halt)" — gossip-converge's distributed termination

@@ -94,7 +94,7 @@ var schemes = []Scheme{
 	},
 	{
 		name:     "gossip",
-		desc:     "push–pull gossip collection baseline (Censor-Hillel et al.; Haeupler), billed through the cover round",
+		desc:     "push–pull gossip collection baseline (Censor-Hillel et al.; Haeupler): an oracle-stopped lower bound, billed through the cover round a central oracle detects",
 		pipeline: gossip("gossip"),
 	},
 	{
