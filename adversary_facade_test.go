@@ -25,7 +25,7 @@ import (
 // the ground truth, both paper pipelines, the early-stopping gossip
 // baseline, and the Section 7 extension — every distinct protocol family
 // the adversary can perturb.
-var adversaryGoldenSchemes = []string{"direct", "scheme1", "scheme2", "gossip-earlystop", "globalcompute"}
+var adversaryGoldenSchemes = []string{"direct", "scheme1", "scheme2", "gossip", "globalcompute"}
 
 // renderRunOrError renders a run like the golden files do, or pins the
 // error string: under crash and blackout profiles some schemes must fail
@@ -123,13 +123,13 @@ func TestAdversaryStarvationTyped(t *testing.T) {
 
 // TestGossipEarlyStopUnderDelayExactBill pins that stopping with delayed
 // messages still in the ring bills the fixed schedule's prefix: under a
-// pure-delay profile, the early-stopped gossip stage reports the exact
-// cover round and message bill of the unstopped fixed schedule
+// pure-delay profile, the gossip scheme's early-stopped stage reports the
+// exact cover round and message bill of the unstopped fixed schedule
 // (broadcast.Gossip run for the same 100·n-round budget under the same
-// compiled adversary), billed from its per-round ledger. Its cover round is
-// the first r at which the fixed schedule clipped at r rounds has covered
-// every ball: nodes learn before they send, so the clipped run knows what
-// the full schedule knew through round r.
+// compiled adversary), summed over that run's OnRound stream. Its cover
+// round is the first r at which the fixed schedule clipped at r rounds has
+// covered every ball: nodes learn before they send, so the clipped run
+// knows what the full schedule knew through round r.
 func TestGossipEarlyStopUnderDelayExactBill(t *testing.T) {
 	g := goldenGraph()
 	const seed, tBall = 5, 3
@@ -138,7 +138,7 @@ func TestGossipEarlyStopUnderDelayExactBill(t *testing.T) {
 		t.Fatal("delay2 profile missing from the registry")
 	}
 	eng := repro.NewEngine(repro.WithSeed(seed), repro.WithAdversary(delay))
-	early, err := eng.Run(context.Background(), "gossip-earlystop", g, repro.MaxID(tBall))
+	early, err := eng.Run(context.Background(), "gossip", g, repro.MaxID(tBall))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +146,10 @@ func TestGossipEarlyStopUnderDelayExactBill(t *testing.T) {
 	payloads := make([][]repro.EdgeID, g.NumNodes())
 	cfg := local.Config{Seed: seed, Adversary: adversary.Compile(delay, seed)}
 	schedule := 100 * g.NumNodes()
-	full, _, err := broadcast.Gossip(context.Background(), g, payloads, nil, 0, schedule, cfg)
-	if err != nil {
+	var full []int64
+	fullCfg := cfg
+	fullCfg.OnRound = func(_ int, m int64) { full = append(full, m) }
+	if _, _, err := broadcast.Gossip(context.Background(), g, payloads, nil, 0, schedule, fullCfg); err != nil {
 		t.Fatal(err)
 	}
 	bi := broadcast.NewBallIndex(g, tBall)
@@ -170,11 +172,11 @@ func TestGossipEarlyStopUnderDelayExactBill(t *testing.T) {
 		t.Fatalf("the fixed schedule never covered every %d-ball", tBall)
 	}
 	var bill int64
-	for _, m := range full.Run.PerRound[:cover+1] {
+	for _, m := range full[:cover+1] {
 		bill += m
 	}
 	if cover != early.Rounds || bill != early.Messages {
-		t.Fatalf("bills differ: unstopped %d rounds / %d messages, earlystop %d / %d",
+		t.Fatalf("bills differ: unstopped %d rounds / %d messages, gossip %d / %d",
 			cover, bill, early.Rounds, early.Messages)
 	}
 }

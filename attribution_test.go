@@ -10,6 +10,10 @@ package repro_test
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -86,6 +90,13 @@ func TestAdversaryDamageAttribution(t *testing.T) {
 // inside it, so a budget failure is the adversary's doing.
 const fuzzRoundBudget = 4000
 
+// fuzzScheme is the registered scheme FuzzAdversaryProfile runs for its
+// scheme byte, data[4].
+func fuzzScheme(b byte) *repro.Scheme {
+	schemes := repro.Schemes()
+	return schemes[int(b)%len(schemes)]
+}
+
 // FuzzAdversaryProfile decodes fuzz bytes into an adversary profile (seed,
 // drop and duplication rates in [0, 1], delay bound <= 3, at most 3 crashes
 // and at most 3 edge events), a small generated graph (n <= 32), a
@@ -112,8 +123,7 @@ func FuzzAdversaryProfile(f *testing.F) {
 		if err != nil || g.NumNodes() > 32 {
 			return // a shape the family rejects
 		}
-		schemes := repro.Schemes()
-		s := schemes[int(data[4])%len(schemes)]
+		s := fuzzScheme(data[4])
 		spec := repro.MaxID(1 + int(data[5])%3)
 		profile := repro.AdversaryProfile{
 			Seed:       uint64(data[6]),
@@ -174,4 +184,60 @@ func FuzzAdversaryProfile(f *testing.F) {
 				label, renders[1], renders[0])
 		}
 	})
+}
+
+// misnamedSeeds names the scheme of each committed FuzzAdversaryProfile seed
+// whose file name records the failure it reproduces instead of its scheme.
+var misnamedSeeds = map[string]string{
+	"crasher-cycle2-multigraph": "scheme2",
+}
+
+// TestFuzzAdversarySeedsTargetNamedScheme pins every committed seed of
+// FuzzAdversaryProfile to the scheme its file name names. The fuzz body
+// picks its scheme as data[4] modulo the size of the scheme table, so a
+// change to the table silently retargets every seed whose byte it moves.
+// A seed's name must end with its scheme's name or with that name's last
+// dash-separated word ("dup-regular-converge" runs gossip-converge), unless
+// misnamedSeeds lists it.
+func TestFuzzAdversarySeedsTargetNamedScheme(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzAdversaryProfile")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) == 0 {
+		t.Fatalf("no seeds under %s", dir)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		blob, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(blob)), "\n")
+		lit, ok := strings.CutPrefix(lines[len(lines)-1], "[]byte(")
+		if !ok || len(lines) != 2 || lines[0] != "go test fuzz v1" {
+			t.Fatalf("%s: not a one-value []byte corpus file", name)
+		}
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(data) < 10 {
+			t.Fatalf("%s: %d bytes, the fuzz body skips inputs under 10", name, len(data))
+		}
+		got := fuzzScheme(data[4]).Name()
+		want, ok := misnamedSeeds[name]
+		if !ok {
+			words := strings.Split(got, "-")
+			if strings.HasSuffix(name, "-"+got) || strings.HasSuffix(name, "-"+words[len(words)-1]) {
+				continue
+			}
+			t.Errorf("seed %s runs scheme %s (byte %#02x); its name must end with the scheme it targets", name, got, data[4])
+			continue
+		}
+		if got != want {
+			t.Errorf("seed %s runs scheme %s (byte %#02x), want %s", name, got, data[4], want)
+		}
+	}
 }

@@ -95,7 +95,7 @@ func BenchmarkSchemesUnderDrop(b *testing.B) {
 	if !ok {
 		b.Fatal("drop10 profile missing from the registry")
 	}
-	for _, name := range []string{"direct", "scheme1", "scheme2", "gossip-earlystop"} {
+	for _, name := range []string{"direct", "scheme1", "scheme2", "gossip"} {
 		b.Run(name, func(b *testing.B) {
 			eng := repro.NewEngine(
 				repro.WithSeed(5),
@@ -131,7 +131,7 @@ func BenchmarkSchemesAmortized(b *testing.B) {
 	spec := repro.MaxID(3)
 	for _, s := range repro.Schemes() {
 		name := s.Name()
-		if name == "direct" || name == "gossip" || name == "gossip-earlystop" || name == "gossip-converge" {
+		if name == "direct" || name == "gossip" || name == "gossip-converge" {
 			continue // no stage-1 construction to amortize
 		}
 		for _, mode := range []string{"cold", "warm"} {
@@ -165,39 +165,27 @@ func BenchmarkSchemesAmortized(b *testing.B) {
 	}
 }
 
-// BenchmarkLongGossipMemory demonstrates the round-ledger bound on a long
-// gossip schedule (the regime the streaming metrics sink exists for): run
-// with -benchmem and compare ledger=true against ledger=false at the two
-// round scales. The retained ledger (surfaced as the ledgerB/op metric)
-// grows linearly with the schedule when enabled — 8 bytes per executed
-// round — and is identically zero when disabled, while rounds, messages,
-// and coverage stay bit-identical; with the ledger disabled no state grows
-// with the executed rounds.
+// BenchmarkLongGossipMemory demonstrates that a run's memory does not grow
+// with its rounds on a long gossip schedule (the regime the streaming
+// metrics sink exists for): run with -benchmem and compare the two round
+// scales. A run keeps only totals, so a 10x longer schedule costs the
+// same B/op and allocs/op, while rounds and messages grow with it.
 func BenchmarkLongGossipMemory(b *testing.B) {
 	g := gen.ConnectedGNP(24, 0.2, xrand.New(6))
 	payloads := make([][]repro.EdgeID, g.NumNodes())
 	for _, rounds := range []int{1000, 10000} {
-		for _, ledger := range []bool{true, false} {
-			b.Run(fmt.Sprintf("rounds=%d/ledger=%v", rounds, ledger), func(b *testing.B) {
-				b.ReportAllocs()
-				var ledgerBytes float64
-				for i := 0; i < b.N; i++ {
-					res, _, err := broadcast.Gossip(context.Background(), g, payloads, nil, 0, rounds,
-						local.Config{Seed: 7, NoLedger: !ledger})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Run.Rounds != rounds+1 {
-						b.Fatalf("executed %d rounds, want %d", res.Run.Rounds, rounds+1)
-					}
-					if ledger != (res.Run.PerRound != nil) {
-						b.Fatalf("ledger=%v but PerRound has %d entries", ledger, len(res.Run.PerRound))
-					}
-					ledgerBytes = float64(len(res.Run.PerRound)) * 8
+		b.Run(fmt.Sprintf("rounds=%d", rounds), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, _, err := broadcast.Gossip(context.Background(), g, payloads, nil, 0, rounds, local.Config{Seed: 7})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(ledgerBytes, "ledgerB/op")
-			})
-		}
+				if res.Run.Rounds != rounds+1 {
+					b.Fatalf("executed %d rounds, want %d", res.Run.Rounds, rounds+1)
+				}
+			}
+		})
 	}
 }
 

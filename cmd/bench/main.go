@@ -2,7 +2,7 @@
 // machine-readable snapshot — the repo's perf trajectory format. Each
 // invocation runs `go test -bench` with -benchmem, parses every benchmark
 // line into {name, iterations, metrics} (ns/op, B/op, allocs/op, plus any
-// custom metrics like msgs/op or ledgerB/op), and writes them as JSON.
+// custom metrics like msgs/op or dropped/op), and writes them as JSON.
 //
 // The committed baseline lives at BENCH_10.json (regenerate with
 // `go run ./cmd/bench`); CI runs the same entry point on every commit and

@@ -12,10 +12,9 @@
 //
 // With -longrun N the suite is skipped and a single fixed N-round gossip
 // schedule (broadcast.Gossip with no cover target, so it never stops early)
-// runs with the per-round ledger disabled and a streaming MetricsSink
-// attached — the O(1)-memory regime for schedules far beyond what the
-// PerRound ledgers can afford — and the sink's JSON snapshot, the run's
-// only record, is printed.
+// runs with a streaming MetricsSink attached. Every run is O(1) memory in
+// executed rounds, so the sink's JSON snapshot, the run's only per-round
+// record, is printed.
 package main
 
 import (
@@ -40,7 +39,7 @@ func main() {
 	quick := flag.Bool("quick", false, "run bench-scale configurations")
 	progress := flag.Bool("progress", false, "stream live per-phase pipeline progress")
 	only := flag.String("run", "", "comma-separated experiment IDs (default all)")
-	longrun := flag.Int("longrun", 0, "run one N-round gossip schedule with the ledger disabled and print the MetricsSink snapshot, instead of the suite")
+	longrun := flag.Int("longrun", 0, "run one N-round gossip schedule and print its MetricsSink snapshot, instead of the suite")
 	flag.Parse()
 
 	if *longrun > 0 {
@@ -81,17 +80,16 @@ func main() {
 }
 
 // runLong is the long-run mode: a gossip schedule of the requested length
-// on a fixed sparse graph, executed at O(1) memory in rounds (ledger off),
-// observed only through the bounded metrics sink. It demonstrates — and
-// gives a CLI probe for — the regime the sink was built for: schedules far
-// longer than the per-round ledgers could afford to retain.
+// on a fixed sparse graph, observed only through the bounded metrics sink.
+// It gives a CLI probe for the regime the sink was built for: schedules
+// whose per-round counts would be too many to keep.
 func runLong(rounds int) {
 	g, err := gen.Build(gen.Spec{Family: "gnp", N: 64, P: 0.08, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
 	sink := repro.NewMetricsSink(0)
-	cfg := local.Config{Seed: 1, Workers: -1, NoLedger: true,
+	cfg := local.Config{Seed: 1, Workers: -1,
 		OnRound: func(r int, m int64) { sink.RoundCompleted("gossip", r, m) }}
 	start := time.Now()
 	res, _, err := broadcast.Gossip(context.Background(), g, make([][]graph.EdgeID, g.NumNodes()), nil, 0, rounds, cfg)
@@ -99,7 +97,7 @@ func runLong(rounds int) {
 		log.Fatal(err)
 	}
 	sink.PhaseCompleted(repro.PhaseCost{Name: "gossip", Rounds: res.Run.Rounds, Messages: res.Run.Messages})
-	fmt.Printf("long run: gossip schedule of %d rounds on n=%d m=%d (ledger disabled, %.1fs)\n",
+	fmt.Printf("long run: gossip schedule of %d rounds on n=%d m=%d (%.1fs)\n",
 		rounds, g.NumNodes(), g.NumEdges(), time.Since(start).Seconds())
 	blob, err := json.MarshalIndent(sink.Snapshot(), "", "  ")
 	if err != nil {

@@ -49,7 +49,6 @@ func main() {
 		progress   = flag.Bool("progress", false, "stream live per-round progress from the observer")
 		nocache    = flag.Bool("nocache", false, "disable the engine's stage-1 spanner cache")
 		metrics    = flag.Bool("metrics", false, "stream rounds into a bounded MetricsSink and print its JSON snapshot after the runs")
-		ledger     = flag.Bool("ledger", true, "keep the internal per-round ledgers; -ledger=false makes long runs O(1) memory in executed rounds")
 	)
 	flag.Parse()
 
@@ -70,7 +69,6 @@ func main() {
 		repro.WithGamma(*gamma),
 		repro.WithStageK(*stageK),
 		repro.WithHybridFraction(*hybridFrac),
-		repro.WithRoundLedger(*ledger),
 		repro.WithObserver(progressObserver(*progress)),
 	}
 	if *bandwidth != 0 {

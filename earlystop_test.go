@@ -1,6 +1,6 @@
 package repro_test
 
-// Black-box tests of the gossip family: all three variants share one
+// Black-box tests of the gossip family: both gossip schemes share one
 // early-stopped gossip stage, so their bills and outputs agree under every
 // adversary profile; that stage, and hybrid's, executes exactly cover+1
 // rounds, the CI assertion; and gossip-converge bills termination detection
@@ -50,11 +50,10 @@ func runCounted(scheme string, opts ...repro.Option) (*repro.SimulationResult, *
 }
 
 // TestGossipEarlyStopBillEquivalence is the one-path pin: with no adversary
-// and under every shipped profile, gossip, gossip-earlystop, and
-// gossip-converge's first phase (its gossip stage, as streamed to the
-// observer) agree on rounds, messages, and dropped and duplicated counts, and
-// the runs that finish agree on outputs — or all three fail to cover with
-// ErrRoundBudget. Termination detection may still starve after the gossip
+// and under every shipped profile, gossip and gossip-converge's first phase
+// (its gossip(earlystop) stage, as streamed to the observer) agree on
+// rounds, messages, and dropped and duplicated counts, and the runs that
+// finish agree on outputs — or both fail to cover with ErrRoundBudget. Termination detection may still starve after the gossip
 // stage under lossy profiles; gossip-converge then fails in its second phase,
 // and that failure must be an ErrRoundBudget too.
 func TestGossipEarlyStopBillEquivalence(t *testing.T) {
@@ -76,7 +75,7 @@ func TestGossipEarlyStopBillEquivalence(t *testing.T) {
 			}
 			var runs []run
 			starved := 0
-			for _, s := range []string{"gossip", "gossip-earlystop", "gossip-converge"} {
+			for _, s := range []string{"gossip", "gossip-converge"} {
 				res, obs, err := runCounted(s, opts...)
 				if len(obs.phases) == 0 {
 					if !errors.Is(err, repro.ErrRoundBudget) {
@@ -90,7 +89,7 @@ func TestGossipEarlyStopBillEquivalence(t *testing.T) {
 			}
 			if starved > 0 {
 				if starved != len(runs) {
-					t.Fatalf("%d of %d gossip variants starved; want all or none", starved, len(runs))
+					t.Fatalf("%d of %d gossip schemes starved; want all or none", starved, len(runs))
 				}
 				return
 			}
@@ -116,8 +115,8 @@ func TestGossipEarlyStopBillEquivalence(t *testing.T) {
 
 // TestEarlyStopExecutesFewerRounds is the CI assertion: on the smoke graph,
 // with no adversary and under every shipped profile in which it covers, the
-// gossip stage of gossip, gossip-earlystop and hybrid (its gossip(seed)
-// phase) executes exactly its billed rounds + 1 simulator rounds — rounds
+// gossip stage of gossip, gossip-converge (its gossip(earlystop) phase) and
+// hybrid (its gossip(seed) phase) executes exactly its billed rounds + 1 simulator rounds — rounds
 // 0..cover — strictly fewer than the 100·n+1 rounds of the fixed schedule
 // its budget allows, even with delayed messages still in flight. That the
 // stopped prefix is the fixed schedule's own execution is pinned in
@@ -137,7 +136,7 @@ func TestEarlyStopExecutesFewerRounds(t *testing.T) {
 			}
 			for _, tc := range []struct{ scheme, phase string }{
 				{"gossip", "gossip"},
-				{"gossip-earlystop", "gossip(earlystop)"},
+				{"gossip-converge", "gossip(earlystop)"},
 				{"hybrid", "gossip(seed)"},
 			} {
 				_, obs, err := runCounted(tc.scheme, opts...)

@@ -200,15 +200,20 @@ func TestKT1DirectOnly(t *testing.T) {
 }
 
 // TestObserverStreamsPhases checks that observers see every phase with the
-// same ledger the result reports, in order.
+// same ledger the result reports, in order, and that the round stream, the
+// run's only per-round record, adds up to the result's bill.
 func TestObserverStreamsPhases(t *testing.T) {
 	g := testGraph()
 	var seen []repro.PhaseCost
 	var rounds int
+	var msgs int64
 	eng := repro.NewEngine(
 		repro.WithSeed(3),
 		repro.WithObserver(repro.ObserverFuncs{
-			OnRound: func(phase string, round int, messages int64) { rounds++ },
+			OnRound: func(phase string, round int, messages int64) {
+				rounds++
+				msgs += messages
+			},
 			OnPhase: func(c repro.PhaseCost) { seen = append(seen, c) },
 		}),
 	)
@@ -224,8 +229,9 @@ func TestObserverStreamsPhases(t *testing.T) {
 			t.Fatalf("phase %d: observed %+v != reported %+v", i, seen[i], res.Phases[i])
 		}
 	}
-	if rounds != res.Rounds {
-		t.Fatalf("observer counted %d rounds, result reports %d", rounds, res.Rounds)
+	if rounds != res.Rounds || msgs != res.Messages {
+		t.Fatalf("observer counted %d rounds and %d messages, result reports %d and %d",
+			rounds, msgs, res.Rounds, res.Messages)
 	}
 }
 

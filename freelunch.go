@@ -24,11 +24,9 @@
 //     Section 7 extension: a spanner BFS tree convergecasts all knowledge),
 //     and the push–pull baseline family: "gossip" (an oracle-stopped lower
 //     bound: a central oracle halts the round loop at the cover round, and
-//     the bill runs through it),
-//     "gossip-earlystop" (the same run under the phase label
-//     "gossip(earlystop)"), and "gossip-converge" (distributed termination
-//     detection via a BFS-tree convergecast, billed as its own phase on top
-//     of the gossip bill).
+//     the bill runs through it) and "gossip-converge" (distributed
+//     termination detection via a BFS-tree convergecast, billed as its own
+//     phase on top of the gossip bill).
 //     Every scheme produces outputs bit-identical to "direct" at the same
 //     seed.
 //
@@ -43,9 +41,9 @@
 // is cancelled, in both the sequential and the concurrent engine. Observers
 // registered with WithObserver stream round- and phase-completion events
 // while a simulation is in flight; MetricsSink is a ready-made observer
-// that reduces the stream to bounded per-phase statistics, and
-// WithRoundLedger(false) drops the internal per-round ledgers so long
-// schedules run at O(1) memory in executed rounds.
+// that reduces the stream to bounded per-phase statistics. A run keeps no
+// per-round record of its own, so even long schedules run at O(1) memory
+// in executed rounds.
 //
 // WithAdversary subjects a run to a pluggable network adversary — seeded
 // message drops and duplications, crash-stop failures, bounded per-edge

@@ -29,10 +29,18 @@ func run(pass *framework.Pass) error {
 		waivers := contract.FileWaivers(pass.Fset, f)
 		c := &checker{pass: pass}
 		ast.Inspect(f, func(n ast.Node) bool {
-			// Track enclosing blocks so collect-then-sort can look at the
-			// statement following a range.
-			if b, ok := n.(*ast.BlockStmt); ok {
-				c.blocks = append(c.blocks, b)
+			// Track enclosing statement lists (blocks and the bodies of
+			// switch and select clauses) so collect-then-sort can look at
+			// the statement following a range.
+			switch s := n.(type) {
+			case *ast.BlockStmt:
+				c.lists = append(c.lists, s.List)
+				return true
+			case *ast.CaseClause:
+				c.lists = append(c.lists, s.Body)
+				return true
+			case *ast.CommClause:
+				c.lists = append(c.lists, s.Body)
 				return true
 			}
 			rng, ok := n.(*ast.RangeStmt)
@@ -64,8 +72,8 @@ func run(pass *framework.Pass) error {
 
 // checker carries the per-file state for order-insensitivity analysis.
 type checker struct {
-	pass   *framework.Pass
-	blocks []*ast.BlockStmt
+	pass  *framework.Pass
+	lists [][]ast.Stmt
 }
 
 // orderInsensitive reports whether the range statement's effect provably
@@ -420,12 +428,12 @@ func (c *checker) appendOnlyTarget(stmts []ast.Stmt) types.Object {
 }
 
 // stmtAfter finds the statement immediately following s in its enclosing
-// block, if any.
+// block or clause body, if any.
 func (c *checker) stmtAfter(s ast.Stmt) ast.Stmt {
-	for _, b := range c.blocks {
-		for i, st := range b.List {
-			if st == s && i+1 < len(b.List) {
-				return b.List[i+1]
+	for _, list := range c.lists {
+		for i, st := range list {
+			if st == s && i+1 < len(list) {
+				return list[i+1]
 			}
 		}
 	}

@@ -33,6 +33,42 @@ func scheduleSorted(rounds map[int]int) []crash {
 	return out
 }
 
+// probesFor collects then sorts inside a switch case body, which is a
+// clause's statement list rather than a block: still nothing to flag.
+func probesFor(phase int, queried map[int]int) []int {
+	switch phase {
+	case 1:
+		probes := make([]int, 0, len(queried))
+		for _, e := range queried {
+			probes = append(probes, e)
+		}
+		sort.Ints(probes)
+		return probes
+	case 2:
+		var probes []int
+		for _, e := range queried { // want `range over map in deterministic package`
+			probes = append(probes, e)
+		}
+		return probes
+	}
+	return nil
+}
+
+// drainSorted does the same inside a select clause body.
+func drainSorted(done chan struct{}, queried map[int]int) []int {
+	select {
+	case <-done:
+		var probes []int
+		for node := range queried {
+			probes = append(probes, node)
+		}
+		sort.Ints(probes)
+		return probes
+	default:
+		return nil
+	}
+}
+
 // maxCrashRound carries a justified waiver: suppressed.
 func maxCrashRound(rounds map[int]int) int {
 	last := -1

@@ -2,6 +2,7 @@ package broadcast
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -25,8 +26,8 @@ func fixedGossip(t testing.TB, g *graph.Graph, payloads [][]graph.EdgeID, rounds
 }
 
 // The fixed-schedule reference for the early stop: cover rounds found by
-// running the fixed schedule clipped at r rounds, billed from the per-round
-// ledger. Nodes learn before they send, so the clipped run's Known is the
+// running the fixed schedule clipped at r rounds, billed from its OnRound
+// stream. Nodes learn before they send, so the clipped run's Known is the
 // full schedule's Known through round r, with or without an adversary.
 // Gossip itself stops at its cover round and bills its own run; the tests
 // check it against these.
@@ -79,11 +80,19 @@ func coverRound(t testing.TB, g *graph.Graph, payloads [][]graph.EdgeID, bi *Bal
 	return worst
 }
 
-// messagesUpTo sums the per-round ledger through round (inclusive). Rounds
+// onRounds returns cfg with an OnRound hook that appends each round's
+// message count to *rounds, in round order: the per-round record a run
+// streams instead of keeping.
+func onRounds(cfg local.Config, rounds *[]int64) local.Config {
+	cfg.OnRound = func(_ int, m int64) { *rounds = append(*rounds, m) }
+	return cfg
+}
+
+// messagesUpTo sums a per-round stream through round (inclusive). Rounds
 // beyond the recorded horizon are ignored.
-func messagesUpTo(run local.Result, round int) int64 {
+func messagesUpTo(rounds []int64, round int) int64 {
 	var total int64
-	for r, c := range run.PerRound {
+	for r, c := range rounds {
 		if r > round {
 			break
 		}
@@ -186,7 +195,8 @@ func TestGossipEventuallyCovers(t *testing.T) {
 	g := gen.ConnectedGNP(60, 0.15, xrand.New(4))
 	const tr = 2
 	payloads := testPayloads(g.NumNodes())
-	res := fixedGossip(t, g, payloads, 400, local.Config{Seed: 9})
+	var stream []int64
+	fixedGossip(t, g, payloads, 400, onRounds(local.Config{Seed: 9}, &stream))
 	cover := coverRound(t, g, payloads, NewBallIndex(g, tr), 400, local.Config{Seed: 9})
 	if cover < 0 {
 		t.Fatal("gossip did not cover t-balls within 400 rounds")
@@ -194,41 +204,46 @@ func TestGossipEventuallyCovers(t *testing.T) {
 	if cover <= tr {
 		t.Fatalf("gossip covered in %d rounds; even flooding needs %d", cover, tr)
 	}
-	msgs := messagesUpTo(res.Run, cover)
+	msgs := messagesUpTo(stream, cover)
 	if msgs <= 0 || msgs > int64(cover+1)*2*int64(g.NumNodes()) {
 		t.Fatalf("gossip messages to cover = %d outside (0, 2n(r+1)]", msgs)
 	}
 }
 
-// TestGossipNoLedgerBillingExact pins that the early stop's bill does not
-// depend on the ledger: with the per-round ledger on or off, on both
-// engines, the stopped run reports the fixed schedule's cover round and its
-// Run.Messages is the fixed schedule's ledger prefix through that round —
-// and the ledgerless run retains no PerRound.
+// TestGossipNoLedgerBillingExact pins that the early stop's bill needs no
+// per-round record: on both engines, with and without an OnRound stream,
+// the stopped run reports the fixed schedule's cover round and its
+// Run.Messages is the fixed schedule's stream prefix through that round,
+// and a streamed run's stream is exactly that prefix.
 func TestGossipNoLedgerBillingExact(t *testing.T) {
 	g := gen.ConnectedGNP(40, 0.1, xrand.New(9))
 	payloads := testPayloads(g.NumNodes())
 	const rounds, t2 = 200, 2
 	bi := NewBallIndex(g, t2)
-	full := fixedGossip(t, g, payloads, rounds, local.Config{Seed: 4})
+	var full []int64
+	fixedGossip(t, g, payloads, rounds, onRounds(local.Config{Seed: 4}, &full))
 	cover := coverRound(t, g, payloads, bi, rounds, local.Config{Seed: 4})
 	if cover < 0 {
 		t.Fatalf("gossip did not cover within %d rounds", rounds)
 	}
-	want := messagesUpTo(full.Run, cover)
+	want := messagesUpTo(full, cover)
 	for _, workers := range []int{0, -1} {
-		for _, noLedger := range []bool{false, true} {
-			cfg := local.Config{Seed: 4, Workers: workers, NoLedger: noLedger}
+		for _, streamed := range []bool{false, true} {
+			var stream []int64
+			cfg := local.Config{Seed: 4, Workers: workers}
+			if streamed {
+				cfg = onRounds(cfg, &stream)
+			}
 			res, got, err := Gossip(context.Background(), g, payloads, bi, g.NumNodes(), rounds, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != cover || res.Run.Messages != want {
-				t.Fatalf("workers=%d noLedger=%v: bill (%d, %d), fixed schedule (%d, %d)",
-					workers, noLedger, got, res.Run.Messages, cover, want)
+				t.Fatalf("workers=%d streamed=%v: bill (%d, %d), fixed schedule (%d, %d)",
+					workers, streamed, got, res.Run.Messages, cover, want)
 			}
-			if noLedger && res.Run.PerRound != nil {
-				t.Fatalf("workers=%d: NoLedger gossip retained %d PerRound entries", workers, len(res.Run.PerRound))
+			if streamed && !slices.Equal(stream, full[:cover+1]) {
+				t.Fatalf("workers=%d: stream %v is not the fixed schedule's prefix %v", workers, stream, full[:cover+1])
 			}
 		}
 	}
@@ -236,8 +251,12 @@ func TestGossipNoLedgerBillingExact(t *testing.T) {
 
 func TestGossipMessagesPerRoundBounded(t *testing.T) {
 	g := gen.ConnectedGNP(80, 0.1, xrand.New(5))
-	res := fixedGossip(t, g, testPayloads(g.NumNodes()), 50, local.Config{Seed: 11})
-	for r, c := range res.Run.PerRound {
+	var stream []int64
+	res := fixedGossip(t, g, testPayloads(g.NumNodes()), 50, onRounds(local.Config{Seed: 11}, &stream))
+	if len(stream) != res.Run.Rounds {
+		t.Fatalf("stream has %d rounds, run executed %d", len(stream), res.Run.Rounds)
+	}
+	for r, c := range stream {
 		if c > 2*int64(g.NumNodes()) {
 			t.Fatalf("round %d sent %d messages > 2n", r, c)
 		}
@@ -266,7 +285,7 @@ func TestCoverRoundNotCovered(t *testing.T) {
 }
 
 func TestMessagesUpTo(t *testing.T) {
-	run := local.Result{PerRound: []int64{5, 7, 11}}
+	run := []int64{5, 7, 11}
 	if messagesUpTo(run, 1) != 12 {
 		t.Fatal("prefix sum wrong")
 	}

@@ -42,7 +42,7 @@ type edgeQueue struct {
 // (in words per direction per round, bw >= 1). Rumors travel at most `rounds`
 // hops, so the final Known sets equal Flood's at the same arguments, and
 // each rumor costs Flood's 1 + len(M_o) words. cfg is honored for OnRound
-// and NoLedger only — the schedule is deterministic and needs no seed.
+// only — the schedule is deterministic and needs no seed.
 // Cancelling ctx aborts between rounds.
 //
 // Because queueing can deliver a rumor first over a longer path, a node
@@ -145,9 +145,6 @@ func FloodBudget(ctx context.Context, host *graph.Graph, payloads [][]graph.Edge
 				enqueue(v, qitem{origin: a.it.origin, hops: a.it.hops + 1})
 			}
 		}
-		if !cfg.NoLedger {
-			res.Run.PerRound = append(res.Run.PerRound, sent)
-		}
 		res.Run.Messages += sent
 		res.Run.PayloadUnits += units
 		res.Run.Rounds++
@@ -167,13 +164,10 @@ func FloodBudget(ctx context.Context, host *graph.Graph, payloads [][]graph.Edge
 	if res.Run.Rounds+1 > target {
 		target = res.Run.Rounds + 1
 	}
-	// Filler rounds share the main loop's invariant: the ledger slot
-	// PerRound[r] and the OnRound round argument advance in lockstep, so a
-	// billed round number always indexes its own ledger entry.
+	// Filler rounds share the main loop's invariant: the OnRound round
+	// argument and Run.Rounds advance in lockstep, so the stream carries
+	// exactly one entry per billed round, numbered in order.
 	for res.Run.Rounds < target {
-		if !cfg.NoLedger {
-			res.Run.PerRound = append(res.Run.PerRound, 0)
-		}
 		res.Run.Rounds++
 		if cfg.OnRound != nil {
 			cfg.OnRound(round, 0)

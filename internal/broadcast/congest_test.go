@@ -87,8 +87,8 @@ func TestFloodBudgetSplitsAndCovers(t *testing.T) {
 
 // TestFloodBudgetRoundIndexConsistency is the filler-round regression test:
 // the budgeted flood appends zero-message filler rounds to pad its schedule,
-// and every billed round number must stay aligned across the three views of
-// the run — the OnRound stream, the PerRound ledger position, and the
+// and every billed round number must stay aligned across the views of the
+// run — the OnRound round argument, the stream position, and the
 // messagesUpTo prefix sums — with no off-by-one between them.
 func TestFloodBudgetRoundIndexConsistency(t *testing.T) {
 	// One-word bandwidth with three-word payloads forces splitting (queues
@@ -108,20 +108,17 @@ func TestFloodBudgetRoundIndexConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seenRounds) != res.Run.Rounds || len(res.Run.PerRound) != res.Run.Rounds {
-		t.Fatalf("observer saw %d rounds, ledger has %d, result bills %d",
-			len(seenRounds), len(res.Run.PerRound), res.Run.Rounds)
+	if len(seenRounds) != res.Run.Rounds || len(seenMsgs) != res.Run.Rounds {
+		t.Fatalf("observer saw %d round numbers and %d counts, result bills %d rounds",
+			len(seenRounds), len(seenMsgs), res.Run.Rounds)
 	}
 	var cum int64
 	for i := range seenRounds {
 		if seenRounds[i] != i {
 			t.Fatalf("OnRound fired for round %d at position %d", seenRounds[i], i)
 		}
-		if seenMsgs[i] != res.Run.PerRound[i] {
-			t.Fatalf("round %d: observer saw %d messages, ledger slot has %d", i, seenMsgs[i], res.Run.PerRound[i])
-		}
 		cum += seenMsgs[i]
-		if got := messagesUpTo(res.Run, i); got != cum {
+		if got := messagesUpTo(seenMsgs, i); got != cum {
 			t.Fatalf("messagesUpTo(%d) = %d, observer cumulative is %d", i, got, cum)
 		}
 	}
@@ -133,46 +130,36 @@ func TestFloodBudgetRoundIndexConsistency(t *testing.T) {
 	if res.Run.Rounds < rounds+1 {
 		t.Fatalf("billed %d rounds, below the %d-round LOCAL schedule", res.Run.Rounds, rounds+1)
 	}
-	if last := res.Run.PerRound[res.Run.Rounds-1]; last != 0 {
+	if last := seenMsgs[res.Run.Rounds-1]; last != 0 {
 		t.Fatalf("final round carried %d messages, want a zero filler round", last)
 	}
 }
 
-// TestFloodBudgetNoLedger pins the ledger opt-out on the centrally simulated
-// CONGEST schedule: PerRound stays nil while the OnRound stream, the round
-// count, and all totals are unchanged.
+// TestFloodBudgetNoLedger pins that the centrally simulated CONGEST
+// schedule keeps no per-round record of its own: a run with an OnRound
+// stream and a bare run bill the same totals, and the stream has one entry
+// per billed round and sums to the bill.
 func TestFloodBudgetNoLedger(t *testing.T) {
 	g := gen.ConnectedGNP(40, 0.1, xrand.New(3))
 	payloads := testPayloads(g.NumNodes())
 	const rounds, bw = 4, 1
-	var ledgerStream, bareStream []int64
-	with, err := FloodBudget(context.Background(), g, payloads, rounds, bw, local.Config{
-		OnRound: func(r int, m int64) { ledgerStream = append(ledgerStream, m) },
-	})
+	var stream []int64
+	with, err := FloodBudget(context.Background(), g, payloads, rounds, bw, onRounds(local.Config{}, &stream))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := FloodBudget(context.Background(), g, payloads, rounds, bw, local.Config{
-		NoLedger: true,
-		OnRound:  func(r int, m int64) { bareStream = append(bareStream, m) },
-	})
+	bare, err := FloodBudget(context.Background(), g, payloads, rounds, bw, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bare.Run.PerRound != nil {
-		t.Fatalf("NoLedger run retained %d PerRound entries", len(bare.Run.PerRound))
+	if bare.Run != with.Run {
+		t.Fatalf("totals drifted with the stream attached: %+v vs %+v", bare.Run, with.Run)
 	}
-	if bare.Run.Rounds != with.Run.Rounds || bare.Run.Messages != with.Run.Messages ||
-		bare.Run.PayloadUnits != with.Run.PayloadUnits {
-		t.Fatalf("totals drifted without the ledger: %+v vs %+v", bare.Run, with.Run)
+	if len(stream) != bare.Run.Rounds {
+		t.Fatalf("stream has %d rounds, result bills %d", len(stream), bare.Run.Rounds)
 	}
-	if len(bareStream) != len(ledgerStream) {
-		t.Fatalf("stream length drifted: %d vs %d", len(bareStream), len(ledgerStream))
-	}
-	for i := range bareStream {
-		if bareStream[i] != ledgerStream[i] {
-			t.Fatalf("round %d: stream %d vs %d", i, bareStream[i], ledgerStream[i])
-		}
+	if sum := messagesUpTo(stream, len(stream)); sum != bare.Run.Messages {
+		t.Fatalf("stream sums to %d messages, result bills %d", sum, bare.Run.Messages)
 	}
 }
 

@@ -8,6 +8,7 @@ package broadcast
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -20,7 +21,9 @@ import (
 // the early-stopped run reports exactly the full schedule's cover round,
 // sends exactly the messages the full schedule sent through it, knows
 // exactly what the full schedule knew through it, and executes only
-// cover+1 rounds — on both engines, with the ledger on and off.
+// cover+1 rounds — on both engines. The sequential-noledger case also
+// streams its rounds through OnRound, which must be exactly the full
+// schedule's stream through the cover round.
 func TestGossipEarlyStopMatchesFixedSchedule(t *testing.T) {
 	g := gen.ConnectedGNP(60, 0.08, xrand.New(9))
 	const tBall = 2
@@ -28,26 +31,36 @@ func TestGossipEarlyStopMatchesFixedSchedule(t *testing.T) {
 	payloads := testPayloads(g.NumNodes())
 	bi := NewBallIndex(g, tBall)
 
-	full := fixedGossip(t, g, payloads, schedule, local.Config{Seed: 3})
+	var full []int64
+	fixedGossip(t, g, payloads, schedule, onRounds(local.Config{Seed: 3}, &full))
 	cover := coverRound(t, g, payloads, bi, schedule, local.Config{Seed: 3})
 	if cover < 0 {
 		t.Fatalf("schedule of %d rounds did not cover the %d-balls", schedule, tBall)
 	}
-	wantBill := messagesUpTo(full.Run, cover)
+	wantBill := messagesUpTo(full, cover)
 	through := fixedGossip(t, g, payloads, cover, local.Config{Seed: 3}).Known
 
 	for _, tc := range []struct {
-		name string
-		cfg  local.Config
+		name     string
+		cfg      local.Config
+		streamed bool
 	}{
-		{"sequential", local.Config{Seed: 3}},
-		{"sequential-noledger", local.Config{Seed: 3, NoLedger: true}},
-		{"concurrent", local.Config{Seed: 3, Workers: 3}},
+		{"sequential", local.Config{Seed: 3}, false},
+		{"sequential-noledger", local.Config{Seed: 3}, true},
+		{"concurrent", local.Config{Seed: 3, Workers: 3}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			early, got, err := Gossip(context.Background(), g, payloads, bi, g.NumNodes(), schedule, tc.cfg)
+			var stream []int64
+			cfg := tc.cfg
+			if tc.streamed {
+				cfg = onRounds(cfg, &stream)
+			}
+			early, got, err := Gossip(context.Background(), g, payloads, bi, g.NumNodes(), schedule, cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.streamed && !slices.Equal(stream, full[:cover+1]) {
+				t.Fatalf("early stop streamed %v, full schedule %v through the cover round", stream, full[:cover+1])
 			}
 			if got != cover {
 				t.Fatalf("early stop reported cover round %d, full schedule says %d", got, cover)

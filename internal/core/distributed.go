@@ -113,10 +113,14 @@ func (r *DistResult) StretchBound() int { return r.Params.StretchBound() }
 
 // BuildDistributed runs the distributed Sampler on g under the LOCAL
 // simulator and returns the spanner with full cost accounting. Cancelling
-// ctx aborts the underlying LOCAL run mid-round.
+// ctx aborts the underlying LOCAL run mid-round. The protocol assumes the
+// reliable synchronous network, so a cfg carrying an Adversary is an error.
 func BuildDistributed(ctx context.Context, g *graph.Graph, p Params, seed uint64, cfg local.Config) (*DistResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.Adversary != nil {
+		return nil, fmt.Errorf("core: the distributed Sampler needs the reliable network; run it without an adversary")
 	}
 	if p.DisablePeeling {
 		return nil, fmt.Errorf("core: the distributed Sampler always peels; DisablePeeling is supported by the centralized Sampler only")
@@ -390,7 +394,6 @@ func (nd *distNode) rootMsg(env *local.Env, ph phase) treeMsg {
 	case phCenterBcast:
 		nd.isCenterFlag = env.Rand().Bernoulli(nd.p.centerProb(ph.level, n))
 		probes := make([]graph.EdgeID, 0, len(nd.queried))
-		//freelunch:orderok collected, then sorted below
 		for _, e := range nd.queried {
 			probes = append(probes, e)
 		}

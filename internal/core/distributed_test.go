@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/adversary"
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/local"
@@ -163,6 +164,21 @@ func TestDistributedRejectsMultigraph(t *testing.T) {
 	g.AddEdge(0, 1)
 	if _, err := BuildDistributed(context.Background(), g, Default(1, 1), 1, local.Config{}); err == nil {
 		t.Fatal("multigraph accepted")
+	}
+}
+
+func TestDistributedRejectsAdversary(t *testing.T) {
+	// A lossy network breaks the protocol's query/reply pairing; the
+	// Sampler must refuse the adversary up front instead of panicking
+	// mid-run on a reply that never arrived.
+	profile, ok := adversary.Named("drop10")
+	if !ok {
+		t.Fatal("drop10 profile missing")
+	}
+	g := gen.ConnectedGNP(60, 0.1, xrand.New(1))
+	cfg := local.Config{Adversary: adversary.Compile(profile, 1)}
+	if _, err := BuildDistributed(context.Background(), g, Default(2, 4), 1, cfg); err == nil {
+		t.Fatal("adversary accepted")
 	}
 }
 

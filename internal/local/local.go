@@ -45,12 +45,13 @@
 // peer arrays are truncated and refilled instead of re-made, so a caller
 // executing many small runs in sequence (the ball replays of
 // internal/simulate, one Runner per replay worker) pays for setup memory
-// once. A run's Result holds only totals and the per-round ledger; a
-// protocol that wants a finer breakdown of its traffic (the distributed
-// Sampler's per-kind tally) keeps it in its own node state. RunCtx is a
-// run on a fresh Runner; both share one engine. Adversary state (the delay
-// ring, the edge-event graph clone) and the worker pool are still built per
-// run.
+// once. A run's Result holds only totals, so its memory is O(1) in
+// executed rounds; OnRound streams each round's count to a caller that
+// wants them. A protocol that wants a finer breakdown of its traffic (the
+// distributed Sampler's per-kind tally) keeps it in its own node state.
+// RunCtx is a run on a fresh Runner; both share one engine. Adversary
+// state (the delay ring, the edge-event graph clone) and the worker pool
+// are still built per run.
 //
 // Config.Horizon bounds each node's steps: a node steps only in rounds
 // below its horizon, then retires as if it had halted, and nothing is
@@ -164,17 +165,14 @@ type Config struct {
 	// engine's coordinating goroutine (never concurrently with itself) and
 	// must not call back into the run.
 	OnRound func(round int, messages int64)
-	// NoLedger disables the Result.PerRound ledger, whose length otherwise
-	// grows with every executed round. Totals, halting, and the OnRound
-	// stream are unaffected, so a long-schedule run keeps O(1) memory in
-	// executed rounds by streaming rounds through OnRound (e.g. into the
-	// facade's MetricsSink) instead of retaining the slice.
+	// Deprecated: ignored; cmd/e2ebench still sets it and the next
+	// benchmark change deletes it.
 	NoLedger bool
 	// StopWhen, if non-nil, is consulted after every completed round (after
 	// OnRound) with the round index and its message count; returning true
 	// ends the run before the next round starts. The round it fires on has
 	// executed in full — its sends delivered or, under an Adversary with
-	// delays, queued; ledger and OnRound already fed — so a stopped run's
+	// delays, queued; OnRound already fed — so a stopped run's
 	// executed prefix is bit-identical to the same schedule without the
 	// hook. Messages still in flight when it fires were billed when sent and
 	// are never delivered. It runs on the engine's coordinating goroutine,
@@ -225,9 +223,6 @@ type Result struct {
 	// counts messages — but it quantifies how much the model's unbounded
 	// messages are leaned on (the CONGEST-side view).
 	PayloadUnits int64
-	// PerRound is the number of messages sent in each round. It is nil
-	// when the run was configured with Config.NoLedger.
-	PerRound []int64
 	// Halted reports whether every node halted before MaxRounds. Crashed
 	// nodes count as halted: a crash-stop failure ends the node's
 	// participation exactly as a voluntary halt does.
@@ -605,9 +600,6 @@ func (rn *Runner) Run(ctx context.Context, g *graph.Graph, f Factory, cfg Config
 			f0 := r.future[0]
 			copy(r.future, r.future[1:])
 			r.future[len(r.future)-1] = f0
-		}
-		if !cfg.NoLedger {
-			res.PerRound = append(res.PerRound, sent)
 		}
 		res.Messages += sent
 		res.PayloadUnits += units

@@ -58,6 +58,13 @@ func runFloodMax(t *testing.T, g *graph.Graph, rounds int, cfg Config) ([]graph.
 	return out, res
 }
 
+// onRounds returns cfg with an OnRound hook that appends each round's
+// message count to *rounds, in round order.
+func onRounds(cfg Config, rounds *[]int64) Config {
+	cfg.OnRound = func(_ int, m int64) { *rounds = append(*rounds, m) }
+	return cfg
+}
+
 func TestFloodMaxCorrect(t *testing.T) {
 	g := gen.Cycle(11)
 	const tRounds = 3
@@ -84,15 +91,16 @@ func TestFloodMaxCorrect(t *testing.T) {
 func TestEnginesIdentical(t *testing.T) {
 	g := gen.ConnectedGNP(150, 0.04, xrand.New(5))
 	for _, rounds := range []int{0, 1, 4} {
-		seq, resSeq := runFloodMax(t, g, rounds, Config{Seed: 9})
-		con, resCon := runFloodMax(t, g, rounds, Config{Seed: 9, Workers: 8})
+		var perSeq, perCon []int64
+		seq, resSeq := runFloodMax(t, g, rounds, onRounds(Config{Seed: 9}, &perSeq))
+		con, resCon := runFloodMax(t, g, rounds, onRounds(Config{Seed: 9, Workers: 8}, &perCon))
 		if !reflect.DeepEqual(seq, con) {
 			t.Fatalf("t=%d: states differ between engines", rounds)
 		}
 		if resSeq.Messages != resCon.Messages || resSeq.Rounds != resCon.Rounds {
 			t.Fatalf("t=%d: metrics differ: %+v vs %+v", rounds, resSeq, resCon)
 		}
-		if !reflect.DeepEqual(resSeq.PerRound, resCon.PerRound) {
+		if !reflect.DeepEqual(perSeq, perCon) {
 			t.Fatalf("t=%d: per-round traffic differs", rounds)
 		}
 	}
@@ -133,10 +141,11 @@ func TestRandStreamsEngineIndependent(t *testing.T) {
 func TestMessageCounting(t *testing.T) {
 	g := gen.Complete(5) // 10 edges
 	states := make([]*floodMax, g.NumNodes())
+	var perRound []int64
 	res, err := Run(g, func(v graph.NodeID) Protocol {
 		states[v] = &floodMax{t: 2}
 		return states[v]
-	}, Config{Seed: 1})
+	}, onRounds(Config{Seed: 1}, &perRound))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +161,8 @@ func TestMessageCounting(t *testing.T) {
 	if floods != 40 {
 		t.Fatalf("protocol tallied %d sends, want 40", floods)
 	}
-	if len(res.PerRound) != 3 || res.PerRound[0] != 20 || res.PerRound[2] != 0 {
-		t.Fatalf("per-round = %v", res.PerRound)
+	if len(perRound) != 3 || perRound[0] != 20 || perRound[2] != 0 {
+		t.Fatalf("per-round = %v", perRound)
 	}
 }
 
@@ -542,31 +551,34 @@ func TestRunCtxPreCancelled(t *testing.T) {
 }
 
 func TestNoLedgerKeepsTotalsAndStream(t *testing.T) {
-	// NoLedger must drop exactly the PerRound slice: totals, halting, and
-	// the OnRound stream are unchanged on both engines.
+	// A run keeps no per-round record: the OnRound stream is the only one.
+	// Attaching it must change nothing — outputs and the whole Result are
+	// those of a bare run — and it must carry one count per executed round,
+	// summing to the bill, identically on both engines.
 	g := gen.ConnectedGNP(40, 0.1, xrand.New(8))
+	var streams [][]int64
 	for _, workers := range []int{0, -1} {
-		var ledgerMsgs, streamMsgs []int64
-		withOut, withRes := runFloodMax(t, g, 3, Config{Seed: 6, Workers: workers,
-			OnRound: func(r int, m int64) { ledgerMsgs = append(ledgerMsgs, m) }})
-		out, res := runFloodMax(t, g, 3, Config{Seed: 6, Workers: workers, NoLedger: true,
-			OnRound: func(r int, m int64) { streamMsgs = append(streamMsgs, m) }})
-		if res.PerRound != nil {
-			t.Fatalf("workers=%d: NoLedger run still retains %d PerRound entries", workers, len(res.PerRound))
-		}
+		var stream []int64
+		withOut, withRes := runFloodMax(t, g, 3, onRounds(Config{Seed: 6, Workers: workers}, &stream))
+		out, res := runFloodMax(t, g, 3, Config{Seed: 6, Workers: workers})
 		if !reflect.DeepEqual(out, withOut) {
-			t.Fatalf("workers=%d: outputs differ without the ledger", workers)
+			t.Fatalf("workers=%d: outputs differ with the stream attached", workers)
 		}
-		if res.Rounds != withRes.Rounds || res.Messages != withRes.Messages ||
-			res.PayloadUnits != withRes.PayloadUnits || res.Halted != withRes.Halted {
-			t.Fatalf("workers=%d: metrics drifted without the ledger: %+v vs %+v", workers, res, withRes)
+		if res != withRes {
+			t.Fatalf("workers=%d: metrics drifted with the stream attached: %+v vs %+v", workers, res, withRes)
 		}
-		if !reflect.DeepEqual(streamMsgs, ledgerMsgs) {
-			t.Fatalf("workers=%d: OnRound stream drifted without the ledger", workers)
+		var sum int64
+		for _, m := range stream {
+			sum += m
 		}
-		if !reflect.DeepEqual(ledgerMsgs, withRes.PerRound) {
-			t.Fatalf("workers=%d: stream %v does not match ledger %v", workers, ledgerMsgs, withRes.PerRound)
+		if len(stream) != res.Rounds || sum != res.Messages {
+			t.Fatalf("workers=%d: stream has %d rounds summing to %d, result bills (%d, %d)",
+				workers, len(stream), sum, res.Rounds, res.Messages)
 		}
+		streams = append(streams, stream)
+	}
+	if !reflect.DeepEqual(streams[0], streams[1]) {
+		t.Fatalf("stream differs across engines: %v vs %v", streams[0], streams[1])
 	}
 }
 
@@ -577,15 +589,15 @@ type idleProto struct{}
 func (idleProto) Step(*Env, int, []Message) {}
 
 func TestNoLedgerAllocsO1PerRound(t *testing.T) {
-	// With the ledger disabled, a run's allocations must not grow with the
-	// number of executed rounds: an 8x longer schedule may cost at most a
-	// few more allocations (noise), not the ledger's append growth — the
-	// memory contract WithRoundLedger(false) promises long schedules.
+	// A default run's allocations must not grow with the number of
+	// executed rounds: an 8x longer schedule may cost at most a few more
+	// allocations (noise), never a per-round record's append growth. This
+	// is the O(1)-memory-in-rounds contract long schedules rely on.
 	g := gen.Path(8)
-	measure := func(rounds int, noLedger bool) float64 {
+	measure := func(rounds int) float64 {
 		return testing.AllocsPerRun(5, func() {
 			res, err := Run(g, func(graph.NodeID) Protocol { return idleProto{} },
-				Config{Seed: 1, MaxRounds: rounds, NoLedger: noLedger})
+				Config{Seed: 1, MaxRounds: rounds})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -594,19 +606,9 @@ func TestNoLedgerAllocsO1PerRound(t *testing.T) {
 			}
 		})
 	}
-	short, long := measure(1000, true), measure(8000, true)
+	short, long := measure(1000), measure(8000)
 	if long > short+4 {
-		t.Fatalf("allocations grew with rounds despite NoLedger: %.0f at 1000 rounds, %.0f at 8000", short, long)
-	}
-	// Control: the same schedule with the ledger on retains one int64 per
-	// round (8000 entries), so the ledger is really what NoLedger removes.
-	res, err := Run(g, func(graph.NodeID) Protocol { return idleProto{} },
-		Config{Seed: 1, MaxRounds: 8000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.PerRound) != 8000 {
-		t.Fatalf("ledger-on control retained %d entries, want 8000", len(res.PerRound))
+		t.Fatalf("allocations grew with rounds: %.0f at 1000 rounds, %.0f at 8000", short, long)
 	}
 }
 
@@ -641,7 +643,7 @@ func TestBusyRoundAllocsSteadyStateZero(t *testing.T) {
 				res, err := Run(g, func(v graph.NodeID) Protocol {
 					protos[v] = &busyProto{payload: "x"}
 					return protos[v]
-				}, Config{Seed: 1, MaxRounds: rounds, NoLedger: true, Workers: workers})
+				}, Config{Seed: 1, MaxRounds: rounds, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -816,7 +818,7 @@ func benchBusyRound(b *testing.B, workers int) {
 	g := gen.Grid(16, 16)
 	b.ReportAllocs()
 	res, err := Run(g, func(graph.NodeID) Protocol { return &busyProto{payload: "x"} },
-		Config{Seed: 1, MaxRounds: b.N, NoLedger: true, Workers: workers})
+		Config{Seed: 1, MaxRounds: b.N, Workers: workers})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -828,7 +830,7 @@ func BenchmarkBusyRoundConcurrent(b *testing.B) { benchBusyRound(b, 4) }
 
 func TestOnRoundObserver(t *testing.T) {
 	// OnRound must fire once per executed round, with per-round message
-	// counts matching the result's ledger, in both engines.
+	// counts summing to the result's bill, in both engines.
 	g := gen.Grid(4, 4)
 	for _, workers := range []int{0, -1} {
 		var rounds []int
@@ -853,13 +855,15 @@ func TestOnRoundObserver(t *testing.T) {
 		if len(rounds) != res.Rounds {
 			t.Fatalf("workers=%d: observer saw %d rounds, result has %d", workers, len(rounds), res.Rounds)
 		}
+		var sum int64
 		for i, r := range rounds {
 			if r != i {
 				t.Fatalf("round indices out of order: %v", rounds)
 			}
-			if msgs[i] != res.PerRound[i] {
-				t.Fatalf("round %d: observed %d messages, ledger has %d", i, msgs[i], res.PerRound[i])
-			}
+			sum += msgs[i]
+		}
+		if sum != res.Messages {
+			t.Fatalf("observer saw %d messages, result bills %d", sum, res.Messages)
 		}
 	}
 }

@@ -44,7 +44,7 @@ func BenchmarkMillionNodeFloodRound(b *testing.B) {
 	// Workers is pinned (not GOMAXPROCS) so allocs/op is identical on every
 	// machine — the committed baseline gates it with zero tolerance.
 	res, err := Run(g, func(graph.NodeID) Protocol { return floodProto{} },
-		Config{Seed: 1, MaxRounds: b.N, NoLedger: true, Workers: 4})
+		Config{Seed: 1, MaxRounds: b.N, Workers: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestMillionNodeFloodRound(t *testing.T) {
 	g := buildMillion(t)
 	for _, workers := range []int{0, -1} {
 		res, err := Run(g, func(graph.NodeID) Protocol { return floodProto{} },
-			Config{Seed: 1, MaxRounds: 2, NoLedger: true, Workers: workers})
+			Config{Seed: 1, MaxRounds: 2, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

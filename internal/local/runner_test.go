@@ -93,8 +93,7 @@ func heldPayloads(rn *Runner) int {
 }
 
 // TestRunnerReuseMatchesFresh drives one Runner through runs that grow and
-// shrink n, switch protocols, toggle KT1, IDMap, NOverride and the ledger,
-// cover every engine setting, and apply drop, delay, crash and edge-event
+// shrink n, switch protocols, toggle KT1, IDMap and NOverride, cover every engine setting, and apply drop, delay, crash and edge-event
 // adversaries. Every Result and every node's output must equal a fresh
 // RunCtx of the same run, and between runs the Runner must hold no payload.
 func TestRunnerReuseMatchesFresh(t *testing.T) {
@@ -156,7 +155,7 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 		{"maxid-gnp30-delay2", gnp(30, 0.1, 3), maxid, 5, Config{Seed: 7, Workers: 2, Adversary: profile("delay2")}},
 		{"mis-gnp41-crash2", gnp(41, 0.08, 4), mis, 9, Config{Seed: 8, Adversary: profile("crash2")}},
 		{"maxid-gnp41-dynamic", gnp(41, 0.08, 5), maxid, 5, Config{Seed: 9, Workers: -1, Adversary: profile("dynamic")}},
-		{"maxid-gnp80-noledger", gnp(80, 0.05, 6), maxid, 4, Config{Seed: 10, NoLedger: true}},
+		{"maxid-gnp80", gnp(80, 0.05, 6), maxid, 4, Config{Seed: 10}},
 		{"mis-path3", gen.Path(3), mis, 5, Config{Seed: 11, Workers: 2, IDMap: reversed(3, 0)}},
 		{"maxid-gnp41-again", gnp(41, 0.08, 1), maxid, 4, Config{Seed: 3, Workers: 2}},
 	}

@@ -20,8 +20,7 @@ func (p *chatterProto) Step(env *Env, round int, inbox []Message) {
 }
 
 // TestStopWhenEndsRun pins the StopWhen contract on both engines: the hook
-// fires after the round it names has fully executed (ledger fed, OnRound
-// delivered), the run ends before the next round, and the executed prefix is
+// fires after the round it names has fully executed (OnRound delivered), the run ends before the next round, and the executed prefix is
 // bit-identical to the unstopped schedule's.
 func TestStopWhenEndsRun(t *testing.T) {
 	g := gen.Grid(4, 4)
@@ -33,10 +32,14 @@ func TestStopWhenEndsRun(t *testing.T) {
 		{"concurrent", Config{Seed: 5, MaxRounds: 10, Workers: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(stopAt int) (Result, [][]int64) {
+			run := func(stopAt int) (Result, []int64, [][]int64) {
 				cfg := tc.cfg
 				var rounds []int
-				cfg.OnRound = func(r int, _ int64) { rounds = append(rounds, r) }
+				var sent []int64
+				cfg.OnRound = func(r int, m int64) {
+					rounds = append(rounds, r)
+					sent = append(sent, m)
+				}
 				if stopAt >= 0 {
 					cfg.StopWhen = func(r int, _ int64) bool { return r >= stopAt }
 				}
@@ -56,24 +59,29 @@ func TestStopWhenEndsRun(t *testing.T) {
 				for v, p := range protos {
 					traces[v] = p.seen
 				}
-				return res, traces
+				return res, sent, traces
 			}
 
-			full, fullTraces := run(-1)
+			full, fullSent, fullTraces := run(-1)
 			if full.Rounds != 10 {
 				t.Fatalf("unstopped run executed %d rounds, want MaxRounds=10", full.Rounds)
 			}
-			stopped, traces := run(3)
+			stopped, sent, traces := run(3)
 			if stopped.Rounds != 4 {
 				t.Fatalf("stopped run executed %d rounds, want 4", stopped.Rounds)
 			}
-			if len(stopped.PerRound) != 4 {
-				t.Fatalf("stopped run's ledger has %d rounds, want 4", len(stopped.PerRound))
+			if len(sent) != 4 {
+				t.Fatalf("stopped run streamed %d rounds, want 4", len(sent))
 			}
-			for r := range stopped.PerRound {
-				if stopped.PerRound[r] != full.PerRound[r] {
-					t.Fatalf("round %d: stopped sent %d, full sent %d", r, stopped.PerRound[r], full.PerRound[r])
+			var billed int64
+			for r := range sent {
+				if sent[r] != fullSent[r] {
+					t.Fatalf("round %d: stopped sent %d, full sent %d", r, sent[r], fullSent[r])
 				}
+				billed += sent[r]
+			}
+			if stopped.Messages != billed {
+				t.Fatalf("stopped run bills %d messages, its stream sums to %d", stopped.Messages, billed)
 			}
 			for v := range traces {
 				for r, c := range traces[v] {

@@ -135,7 +135,7 @@ type Server struct {
 }
 
 // New builds a Server: cfg.Shards engines (each configured with the shared
-// cache/concurrency settings and ledger-free runs) plus their workers.
+// cache/concurrency settings) plus their workers.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -149,9 +149,6 @@ func New(cfg Config) *Server {
 		return repro.NewEngine(
 			repro.WithCacheSize(cfg.CacheSize),
 			repro.WithConcurrency(cfg.Concurrency),
-			// The service aggregates via MetricsSinks; per-round ledgers
-			// would grow long-run memory for no reader.
-			repro.WithRoundLedger(false),
 		)
 	})
 	mux := http.NewServeMux()

@@ -44,7 +44,7 @@ func replayAllStepping(t *testing.T, r *replayer, c *Collection, spec algorithms
 			vp = p
 		}
 		return p
-	}, local.Config{Seed: c.Seed, MaxRounds: spec.T + 1, IDMap: r.idmap, NOverride: c.N, NoLedger: true})
+	}, local.Config{Seed: c.Seed, MaxRounds: spec.T + 1, IDMap: r.idmap, NOverride: c.N})
 	if err != nil {
 		return nil, err
 	}

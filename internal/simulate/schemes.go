@@ -323,7 +323,7 @@ func Scheme1CongestSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec
 	return res, nil
 }
 
-// Gossip is the collection stage the three gossip schemes share: push–pull
+// Gossip is the collection stage the two gossip schemes share: push–pull
 // gossip runs until every t-ball is covered, within budget rounds, and is
 // billed through that cover round under the given phase label. Dropped and
 // Duplicated attribute the damage of exactly those rounds. Missing the

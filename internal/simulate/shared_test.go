@@ -35,20 +35,16 @@ func collectionSchemes(t *testing.T) []collectionScheme {
 	p := Scheme1Params(1)
 	bs := construction(t, spanner.BaswanaSenConstruction, 2)
 	en := construction(t, spanner.ElkinNeimanConstruction, 2)
-	gossip := func(phase string) func(context.Context, *graph.Graph, algorithms.Spec, local.Config) (*SchemeResult, error) {
-		return func(ctx context.Context, g *graph.Graph, spec algorithms.Spec, cfg local.Config) (*SchemeResult, error) {
-			return Gossip(ctx, g, spec, 10*g.NumNodes(), phase, cfg, Hooks{})
-		}
-	}
 	return []collectionScheme{
 		{"globalcompute", func(ctx context.Context, g *graph.Graph, spec algorithms.Spec, cfg local.Config) (*SchemeResult, error) {
 			return GlobalCollectSrc(ctx, g, spec, p, cfg, Hooks{}, nil)
 		}},
-		{"gossip", gossip("gossip")},
+		{"gossip", func(ctx context.Context, g *graph.Graph, spec algorithms.Spec, cfg local.Config) (*SchemeResult, error) {
+			return Gossip(ctx, g, spec, 10*g.NumNodes(), "gossip", cfg, Hooks{})
+		}},
 		{"gossip-converge", func(ctx context.Context, g *graph.Graph, spec algorithms.Spec, cfg local.Config) (*SchemeResult, error) {
 			return GossipConverge(ctx, g, spec, 10*g.NumNodes(), cfg, Hooks{})
 		}},
-		{"gossip-earlystop", gossip("gossip(earlystop)")},
 		{"hybrid", func(ctx context.Context, g *graph.Graph, spec algorithms.Spec, cfg local.Config) (*SchemeResult, error) {
 			return HybridSrc(ctx, g, spec, p, 0.5, 10*g.NumNodes(), cfg, Hooks{}, nil)
 		}},

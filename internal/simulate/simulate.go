@@ -430,7 +430,6 @@ func (r *replayer) replay(c *Collection, spec algorithms.Spec, v graph.NodeID) (
 		MaxRounds: spec.T + 1,
 		IDMap:     r.idmap,
 		NOverride: c.N,
-		NoLedger:  true,
 		Horizon:   r.hor,
 	})
 	if err != nil {
@@ -463,7 +462,6 @@ func (r *replayer) replayShared(ctx context.Context, c *Collection, spec algorit
 		MaxRounds: spec.T + 1,
 		IDMap:     r.idmap,
 		NOverride: c.N,
-		NoLedger:  true,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -3,8 +3,7 @@ package stats
 // Streaming aggregates for long simulation runs: a fixed-capacity ring
 // buffer and a log-bucketed histogram. Both hold O(1) memory in the number
 // of observations, which is what lets the facade's metrics sink watch a
-// 100·n-round gossip schedule without the unbounded per-round ledgers the
-// protocol results would otherwise accumulate.
+// 100·n-round gossip schedule at O(1) memory in its rounds.
 
 import "math/bits"
 

@@ -62,9 +62,9 @@ type MetricsSnapshot struct {
 // bounded per-phase statistics: totals, a log-bucketed histogram of
 // per-round message counts, and a fixed-capacity ring of the most recent
 // rounds. Its memory is O(phases · tail) regardless of how many rounds a
-// run executes, which makes it the streaming replacement for the per-round
-// ledgers that WithRoundLedger(false) drops — a long-schedule run keeps
-// full aggregate observability at O(1) memory in executed rounds.
+// run executes, and runs keep no per-round record of their own, so a
+// long-schedule run keeps full aggregate observability at O(1) memory in
+// executed rounds.
 //
 // A MetricsSink is safe for concurrent use: the Observer contract delivers
 // events from each run's coordinating goroutine, so a sink shared by

@@ -1,9 +1,9 @@
 package repro_test
 
-// Tests for the streaming metrics sink and the WithRoundLedger opt-out: the
-// sink's bounded aggregates must agree with the exact ledgers, snapshots
-// must be safe while concurrent runs share the sink, and disabling the
-// ledger must leave every scheme's observable result bit-identical.
+// Tests for the streaming metrics sink, a run's only per-round record: the
+// sink's bounded aggregates must agree with an exact recording of the
+// stream, snapshots must be safe while concurrent runs share the sink, and
+// attaching it must leave every scheme's observable result bit-identical.
 
 import (
 	"context"
@@ -94,7 +94,6 @@ func TestMetricsSinkTailBounded(t *testing.T) {
 	eng := repro.NewEngine(
 		repro.WithSeed(3),
 		repro.WithMaxRounds(600),
-		repro.WithRoundLedger(false),
 		repro.WithAdversary(blackout),
 		repro.WithObserver(sink),
 	)
@@ -187,36 +186,43 @@ func TestMetricsSinkSnapshotUnderConcurrentRuns(t *testing.T) {
 	}
 }
 
-// TestRoundLedgerOffBitIdentical runs every registered scheme with the
-// per-round ledger enabled and disabled and requires identical observable
-// results: same outputs, same total bill, same phase ledger. Disabling the
-// ledger is a memory knob, never a semantics knob: no bill reads it.
+// TestRoundLedgerOffBitIdentical runs every registered scheme bare and with
+// a MetricsSink attached and requires identical observable results: same
+// outputs, same total bill, same phase ledger. A run keeps no per-round
+// record of its own, so the stream the sink reduces is the only one; it is
+// a window on the run, never a semantics knob. The sink must also account
+// for the whole bill: its phases' billed totals sum to the result's.
 func TestRoundLedgerOffBitIdentical(t *testing.T) {
 	g := metricsGraph()
 	spec := repro.MaxID(3)
 	for _, s := range repro.Schemes() {
 		t.Run(s.Name(), func(t *testing.T) {
-			run := func(ledger bool) *repro.SimulationResult {
-				eng := repro.NewEngine(
-					repro.WithSeed(9),
-					repro.WithRoundLedger(ledger),
-				)
+			run := func(opts ...repro.Option) *repro.SimulationResult {
+				eng := repro.NewEngine(append([]repro.Option{repro.WithSeed(9)}, opts...)...)
 				res, err := eng.RunScheme(context.Background(), s, g, spec)
 				if err != nil {
-					t.Fatalf("ledger=%v: %v", ledger, err)
+					t.Fatal(err)
 				}
 				return res
 			}
-			on, off := run(true), run(false)
-			if !reflect.DeepEqual(on.Outputs, off.Outputs) {
-				t.Fatal("outputs differ with the ledger disabled")
+			sink := repro.NewMetricsSink(0)
+			bare, sunk := run(), run(repro.WithObserver(sink))
+			if !reflect.DeepEqual(bare.Outputs, sunk.Outputs) {
+				t.Fatal("outputs differ with the sink attached")
 			}
-			if on.Rounds != off.Rounds || on.Messages != off.Messages {
-				t.Fatalf("bill drifted: ledger on (%d rounds, %d msgs), off (%d, %d)",
-					on.Rounds, on.Messages, off.Rounds, off.Messages)
+			if bare.Rounds != sunk.Rounds || bare.Messages != sunk.Messages {
+				t.Fatalf("bill drifted: bare (%d rounds, %d msgs), with sink (%d, %d)",
+					bare.Rounds, bare.Messages, sunk.Rounds, sunk.Messages)
 			}
-			if !reflect.DeepEqual(on.Phases, off.Phases) {
-				t.Fatalf("phase ledger drifted:\non:  %+v\noff: %+v", on.Phases, off.Phases)
+			if !reflect.DeepEqual(bare.Phases, sunk.Phases) {
+				t.Fatalf("phase ledger drifted:\nbare: %+v\nsink: %+v", bare.Phases, sunk.Phases)
+			}
+			var billed int64
+			for _, ph := range sink.Snapshot().Phases {
+				billed += ph.BilledMessages
+			}
+			if billed != bare.Messages {
+				t.Fatalf("sink billed %d messages, result bills %d", billed, bare.Messages)
 			}
 		})
 	}

@@ -28,7 +28,7 @@ type PhaseCost = simulate.PhaseCost
 //   - "gossip" — the push–pull gossip baseline, run until a central oracle
 //     sees every t-ball covered: an oracle-stopped lower bound;
 //   - "gossip(earlystop)" — the same gossip stage under the
-//     gossip-earlystop and gossip-converge schemes;
+//     gossip-converge scheme;
 //   - "converge(halt)" — gossip-converge's distributed termination
 //     detection pass (wave, convergecast-AND, broadcast halt);
 //   - "globalcast" — globalcompute's wave/tree/convergecast protocol.
@@ -45,10 +45,10 @@ type PhaseCost = simulate.PhaseCost
 // phase is therefore a breaking change for metrics consumers.
 //
 // PhaseCompleted fires when a whole pipeline stage finishes, with its cost.
-// RoundCompleted streams regardless of WithRoundLedger: with the ledger
-// disabled, observers are the only per-round record a run leaves, and the
-// ready-made MetricsSink reduces the stream to bounded per-phase statistics
-// (totals, log-bucketed histograms, a ring of recent rounds).
+// RoundCompleted is the only per-round record a run leaves: results keep
+// totals only, and the ready-made MetricsSink reduces the stream to
+// bounded per-phase statistics (totals, log-bucketed histograms, a ring of
+// recent rounds).
 //
 // Within a single Run, callbacks fire on that run's coordinating goroutine
 // and are never invoked concurrently with each other; an observer shared by

@@ -64,10 +64,8 @@ type Options struct {
 	// CacheSize bounds the engine's stage-1 spanner cache (LRU eviction).
 	// Zero means DefaultCacheSize.
 	CacheSize int
-	// RoundLedger keeps the internal per-round message ledgers
-	// (local.Result.PerRound) the protocol stages accumulate. Default
-	// true; WithRoundLedger(false) drops them so a run's memory stays
-	// O(1) in executed rounds (see WithRoundLedger).
+	// Deprecated: ignored; cmd/e2ebench still sets it and the next
+	// benchmark change deletes it.
 	RoundLedger bool
 	// SpannerK, SpannerH, SpannerC override the Sampler parameters
 	// wholesale (hierarchy depth, trial parameter, whp-threshold scale).
@@ -180,16 +178,6 @@ func WithSpannerParams(k, h int, c float64) Option {
 	}
 }
 
-// WithRoundLedger enables (the default) or disables the per-round message
-// ledgers the protocol stages accumulate. With the ledger disabled a run's
-// memory footprint is O(1) in the number of executed rounds — the knob long
-// schedules need (slow gossip covers, hybrid seeding, CONGEST dilation):
-// outputs, phase costs, and the streamed RoundCompleted events are all
-// unchanged, so pairing the option with a MetricsSink retains bounded
-// per-round statistics; only the unbounded PerRound slices are dropped. No
-// bill reads the ledger, so results are bit-identical with it on or off.
-func WithRoundLedger(on bool) Option { return func(o *Options) { o.RoundLedger = on } }
-
 // WithNoCache disables the engine's stage-1 spanner cache, forcing every
 // Run and BuildSpanner to construct the Sampler spanner from scratch (the
 // pre-cache behaviour, useful for benchmarking the full pipeline cost).
@@ -226,7 +214,7 @@ func WithAdversary(p AdversaryProfile) Option {
 
 // newOptions applies defaults and then the given options.
 func newOptions(opts []Option) Options {
-	o := Options{Gamma: 1, StageK: 2, HybridFraction: 0.5, RoundLedger: true}
+	o := Options{Gamma: 1, StageK: 2, HybridFraction: 0.5}
 	for _, fn := range opts {
 		if fn != nil {
 			fn(&o)
@@ -264,7 +252,6 @@ func (o *Options) localConfig() local.Config {
 		KT1:       o.KT1,
 		MaxRounds: o.MaxRounds,
 		LogNSlack: o.LogNSlack,
-		NoLedger:  !o.RoundLedger,
 		Workers:   o.Concurrency,
 	}
 	if o.Adversary != nil && !o.Adversary.IsZero() {

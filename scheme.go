@@ -93,9 +93,11 @@ var schemes = []Scheme{
 		},
 	},
 	{
-		name:     "gossip",
-		desc:     "push–pull gossip collection baseline (Censor-Hillel et al.; Haeupler): an oracle-stopped lower bound, billed through the cover round a central oracle detects",
-		pipeline: gossip("gossip"),
+		name: "gossip",
+		desc: "push–pull gossip collection baseline (Censor-Hillel et al.; Haeupler): an oracle-stopped lower bound, billed through the cover round a central oracle detects",
+		pipeline: func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*simulate.SchemeResult, error) {
+			return simulate.Gossip(ctx, g, spec, o.gossipBudget(g.NumNodes()), "gossip", o.localConfig(), o.hooks())
+		},
 	},
 	{
 		name: "gossip-converge",
@@ -103,11 +105,6 @@ var schemes = []Scheme{
 		pipeline: func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*simulate.SchemeResult, error) {
 			return simulate.GossipConverge(ctx, g, spec, o.gossipBudget(g.NumNodes()), o.localConfig(), o.hooks())
 		},
-	},
-	{
-		name:     "gossip-earlystop",
-		desc:     "gossip under the phase label gossip(earlystop): same run and bill, kept for metrics consumers",
-		pipeline: gossip("gossip(earlystop)"),
 	},
 	{
 		name: "hybrid",
@@ -142,14 +139,6 @@ var schemes = []Scheme{
 		desc:     "scheme2 with Elkin–Neiman as the simulated stage (k+O(1) rounds vs O(k²))",
 		pipeline: scheme2(spanner.ElkinNeimanConstruction),
 	},
-}
-
-// gossip is the pipeline of the gossip schemes that bill only the gossip
-// stage, under the given phase label.
-func gossip(phase string) func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*simulate.SchemeResult, error) {
-	return func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*simulate.SchemeResult, error) {
-		return simulate.Gossip(ctx, g, spec, o.gossipBudget(g.NumNodes()), phase, o.localConfig(), o.hooks())
-	}
 }
 
 // scheme2 is the two-stage pipeline whose stage 2 simulates the
