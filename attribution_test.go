@@ -5,7 +5,8 @@ package repro_test
 // count, sums its phases to its totals, fails only with the typed budget
 // errors, and renders identically on both engines. The invariant test pins
 // this for every shipped profile and every registered scheme; the fuzz
-// target explores profiles, graphs and schemes beyond them.
+// target explores profiles, graphs, schemes and algorithms beyond them, and
+// checks the theorem itself on each input's flawless run.
 
 import (
 	"context"
@@ -97,16 +98,65 @@ func fuzzScheme(b byte) *repro.Scheme {
 	return schemes[int(b)%len(schemes)]
 }
 
+// fuzzSpec is the algorithm FuzzAdversaryProfile runs for its algorithm
+// byte, data[5]: radius 1+b%3, and (b/3)%4 picks maxid, mis, coloring, or
+// bfs from node 0.
+func fuzzSpec(b byte) repro.AlgorithmSpec {
+	t := 1 + int(b)%3
+	switch (b / 3) % 4 {
+	case 1:
+		return repro.MIS(t)
+	case 2:
+		return repro.Coloring(t)
+	case 3:
+		return repro.BFSLayers(0, t)
+	}
+	return repro.MaxID(t)
+}
+
+// checkFlawless runs s once on the flawless network and checks the theorem
+// on it: the run succeeds and satisfies checkAttribution, the messages its
+// RoundCompleted stream reports sum to its bill, and every node's output
+// equals direct execution's.
+func checkFlawless(t *testing.T, label string, s *repro.Scheme, g *repro.Graph, spec repro.AlgorithmSpec, seed uint64) {
+	t.Helper()
+	var streamed int64
+	eng := repro.NewEngine(
+		repro.WithSeed(seed),
+		repro.WithMaxRounds(fuzzRoundBudget),
+		repro.WithDeadline(time.Minute),
+		repro.WithObserver(repro.ObserverFuncs{OnRound: func(_ string, _ int, m int64) { streamed += m }}),
+	)
+	res, err := eng.RunScheme(context.Background(), s, g, spec)
+	if err != nil {
+		t.Fatalf("%s: the flawless network failed: %v", label, err)
+	}
+	checkAttribution(t, label, res, nil)
+	if streamed != res.Messages {
+		t.Fatalf("%s: RoundCompleted streamed %d messages, the run reports %d", label, streamed, res.Messages)
+	}
+	direct, err := repro.NewEngine(repro.WithSeed(seed)).Run(context.Background(), "direct", g, spec)
+	if err != nil {
+		t.Fatalf("%s: direct: %v", label, err)
+	}
+	for v := range direct.Outputs {
+		if res.Outputs[v] != direct.Outputs[v] {
+			t.Fatalf("%s: node %d output %v, direct %v", label, v, res.Outputs[v], direct.Outputs[v])
+		}
+	}
+}
+
 // FuzzAdversaryProfile decodes fuzz bytes into an adversary profile (seed,
 // drop and duplication rates in [0, 1], delay bound <= 3, at most 3 crashes
 // and at most 3 edge events), a small generated graph (n <= 32), a
-// registered scheme and a MaxID radius, and runs the scheme on the
-// sequential engine and a two-worker pool under a round budget the flawless
-// network meets and a generous deadline as a hang guard. No run may panic;
-// every error must be typed; a successful run must satisfy
-// checkAttribution; and the two engines must render the same outcome
-// unless the wall clock cut one of them short. A profile that perturbs
-// nothing must succeed.
+// registered scheme and an algorithm (fuzzSpec). It first runs the scheme
+// once on the flawless network, which must pass checkFlawless. It then
+// runs the scheme under the profile on the sequential engine and a
+// two-worker pool, under a round budget the flawless network meets and a
+// generous deadline as a hang guard. No run may panic; every error must be
+// typed; a successful run must satisfy checkAttribution; and the two
+// engines must render the same outcome unless the wall clock cut one of
+// them short. A profile that perturbs nothing must succeed.
 func FuzzAdversaryProfile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 10 {
@@ -124,7 +174,7 @@ func FuzzAdversaryProfile(f *testing.F) {
 			return // a shape the family rejects
 		}
 		s := fuzzScheme(data[4])
-		spec := repro.MaxID(1 + int(data[5])%3)
+		spec := fuzzSpec(data[5])
 		profile := repro.AdversaryProfile{
 			Seed:       uint64(data[6]),
 			DropRate:   float64(data[7]) / 255,
@@ -160,7 +210,8 @@ func FuzzAdversaryProfile(f *testing.F) {
 			}
 		}
 
-		label := s.Name() + " on " + gs.Key()
+		label := s.Name() + "/" + spec.Name + " on " + gs.Key()
+		checkFlawless(t, label, s, g, spec, uint64(data[3])+1)
 		var renders [2]string
 		deadline := false
 		for i, workers := range []int{0, 2} {

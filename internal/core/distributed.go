@@ -16,12 +16,14 @@ import (
 // convergecast sessions over the cluster's spanning tree (depth ≤ 3^j − 1 by
 // Lemma 8), on a global lockstep schedule (see schedule.go).
 //
-// A tree broadcast is the main session. Its five messages — trial, center,
-// fail-safe, decide and flush — are treeMsg values: a live root builds one in
-// rootMsg at the start of each broadcast phase, and broadcast applies it at
-// every cluster node (treeMsg.apply) and relays the interface value it
-// received, without re-boxing it, to the node's tree children. One receipt
-// case in handleMessage serves all five.
+// A tree broadcast is the main session. Its six messages — trial, center,
+// fail-safe, decide, flush and new-cluster — are treeMsg values: a live root
+// builds one in rootMsg at the start of each broadcast phase, and broadcast
+// applies it at every cluster node (treeMsg.apply, given the arrival edge)
+// and relays the interface value it received, without re-boxing it, to the
+// node's tree children. One receipt case in handleMessage serves all six.
+// The new-cluster flood runs over the merged tree: each member re-roots as
+// it applies the flood, taking the arrival edge as its parent.
 //
 // A convergecast is the way back up, and its four — trial replies, probe
 // replies, fail-safe replies and accepted joins — share one path too. A
@@ -87,9 +89,6 @@ type DistResult struct {
 	// S is the spanner edge set, assembled from the endpoints' local
 	// knowledge (every edge of S is known to both its endpoints).
 	S map[graph.EdgeID]bool
-	// FDecided is the union of F-sets decided by cluster roots; it must
-	// equal S (checked by tests).
-	FDecided map[graph.EdgeID]bool
 	// Run carries the LOCAL-model cost metrics (rounds, messages).
 	Run local.Result
 	// Traffic splits Run.Messages by message kind.
@@ -156,7 +155,6 @@ func BuildDistributed(ctx context.Context, g *graph.Graph, p Params, seed uint64
 	}
 	res := &DistResult{
 		S:              make(map[graph.EdgeID]bool),
-		FDecided:       make(map[graph.EdgeID]bool),
 		Run:            run,
 		ScheduleRounds: sched.total,
 		Params:         p,
@@ -165,9 +163,6 @@ func BuildDistributed(ctx context.Context, g *graph.Graph, p Params, seed uint64
 	for _, nd := range nodes {
 		for e := range nd.inS {
 			res.S[e] = true
-		}
-		for _, e := range nd.fDecided {
-			res.FDecided[e] = true
 		}
 		res.Traffic.add(nd.sent)
 		res.FailSafeNodes += nd.failSafes
@@ -187,37 +182,32 @@ type distNode struct {
 	// Cluster membership (current level).
 	dead          bool
 	isRoot        bool
-	hasParent     bool
-	parent        graph.EdgeID
+	parent        graph.EdgeID   // meaningful when !isRoot
 	tree          []graph.EdgeID // my incident cluster-tree edges, sorted
-	depth         int
 	clusterRoot   graph.NodeID
 	cb            *boundary
-	centerCluster bool
+	centerCluster bool // the root's coin, known cluster-wide after mCenter
 	decis         decision
 
 	// Root-only level state.
 	x             edgePool
-	fCount        int
-	queried       map[graph.NodeID]graph.EdgeID
+	queried       map[graph.NodeID]graph.EdgeID // one F-edge per queried cluster
 	queriedCenter map[graph.NodeID]bool
 	fPending      []graph.EdgeID
 	sampleOrder   []graph.EdgeID
 	fsOrder       []graph.EdgeID
-	isCenterFlag  bool
 	pendingNewB   *boundary
 	failSafes     int // fail-safe broadcasts that carried edges
 
 	// Member transients (prepared by broadcast receipt, consumed by the
-	// following send slot).
-	mySamples     []graph.EdgeID
-	myProbes      []graph.EdgeID
-	myFS          []graph.EdgeID
+	// following send slot). mySends holds the trial's sampled edges, the
+	// probe edges or the fail-safe edges, whichever the last broadcast
+	// handed this node.
+	mySends       []graph.EdgeID
 	accepts       []graph.EdgeID
-	sendJoin      bool
-	joinEdge      graph.EdgeID
+	joinEdge      graph.EdgeID // noEdge unless this node ships its cluster's join
 	acceptedJoins []graph.EdgeID
-	floodSeen     bool
+	bcastSeen     bool // this broadcast phase's message has been applied here
 
 	// Convergecast state.
 	convWaiting int
@@ -226,8 +216,8 @@ type distNode struct {
 
 	// Outputs.
 	inS      map[graph.EdgeID]bool
-	fDecided []graph.EdgeID
-	sent     Traffic // this node's sends, by kind
+	fDecided []graph.EdgeID // F-edges decided here as a root; tests union them
+	sent     Traffic        // this node's sends, by kind
 }
 
 var _ local.Protocol = (*distNode)(nil)
@@ -271,6 +261,7 @@ func (nd *distNode) init(env *local.Env) {
 	}
 	nd.isRoot = true
 	nd.clusterRoot = nd.id
+	nd.joinEdge = noEdge // 0 is a valid edge ID
 	nd.cb = newBoundary(edges)
 	nd.resetRootLevelState()
 	nd.inS = make(map[graph.EdgeID]bool)
@@ -278,12 +269,10 @@ func (nd *distNode) init(env *local.Env) {
 
 func (nd *distNode) resetRootLevelState() {
 	nd.x = newEdgePool(slices.Clone(nd.cb.list)) // the boundary is shared
-	nd.fCount = 0
 	nd.queried = make(map[graph.NodeID]graph.EdgeID)
 	nd.queriedCenter = make(map[graph.NodeID]bool)
 	nd.sampleOrder = nil
 	nd.fsOrder = nil
-	nd.isCenterFlag = false
 	nd.pendingNewB = nil
 	nd.decis = decNone
 }
@@ -291,7 +280,7 @@ func (nd *distNode) resetRootLevelState() {
 // children returns the number of tree children (tree edges minus parent).
 func (nd *distNode) children() int {
 	n := len(nd.tree)
-	if nd.hasParent {
+	if !nd.isRoot {
 		n--
 	}
 	return n
@@ -301,9 +290,12 @@ func (nd *distNode) children() int {
 
 func (nd *distNode) enterPhase(env *local.Env, ph phase) {
 	switch ph.kind {
-	case phTrialBcast, phCenterBcast, phFSBcast, phDecideBcast, phFlushBcast:
+	case phTrialBcast, phCenterBcast, phFSBcast, phDecideBcast, phNewCluster, phFlushBcast:
+		nd.bcastSeen = false
 		if nd.isRoot && !nd.dead {
-			nd.broadcast(env, noEdge, nd.rootMsg(env, ph))
+			if msg := nd.rootMsg(env, ph); msg != nil {
+				nd.broadcast(env, noEdge, msg)
+			}
 		}
 	case phTrialConv, phProbeConv, phFSConv, phJoinConv:
 		if !nd.dead {
@@ -311,41 +303,26 @@ func (nd *distNode) enterPhase(env *local.Env, ph phase) {
 			nd.convSent = false
 			nd.items = nil
 		}
-	case phTrialQuery, phFSQuery:
+	case phTrialQuery, phFSQuery, phProbeSend:
 		nd.flushAccepts(env)
 		if !nd.dead {
-			q := mQuery{FS: ph.kind == phFSQuery}
-			edges := nd.mySamples
-			if q.FS {
-				edges = nd.myFS
+			var msg any = mQuery{FS: ph.kind == phFSQuery}
+			tally := &nd.sent.Query
+			if ph.kind == phProbeSend {
+				msg, tally = mProbe{}, &nd.sent.Probe
 			}
-			for _, e := range edges {
-				env.Send(e, q)
-				nd.sent.Query++
+			for _, e := range nd.mySends {
+				env.Send(e, msg)
+				*tally++
 			}
-			nd.mySamples = nil
-			nd.myFS = nil
-		}
-	case phProbeSend:
-		nd.flushAccepts(env)
-		if !nd.dead {
-			for _, e := range nd.myProbes {
-				env.Send(e, mProbe{})
-				nd.sent.Probe++
-			}
-			nd.myProbes = nil
+			nd.mySends = nil
 		}
 	case phJoinSend:
 		nd.flushAccepts(env)
-		if nd.sendJoin {
-			env.Send(nd.joinEdge, mJoin{JoinerRoot: nd.clusterRoot, B: nd.cb})
+		if nd.joinEdge != noEdge {
+			env.Send(nd.joinEdge, mJoin{B: nd.cb})
 			nd.sent.Join++
-			nd.sendJoin = false
-		}
-	case phNewCluster:
-		nd.floodSeen = false
-		if nd.isRoot && !nd.dead && nd.decis == decCenter {
-			nd.rootNewClusterFlood(env)
+			nd.joinEdge = noEdge
 		}
 	case phFlushAccept:
 		nd.flushAccepts(env)
@@ -365,9 +342,13 @@ func (nd *distNode) flushAccepts(env *local.Env) {
 // broadcast applies a tree broadcast at this node and relays it over every
 // tree edge except the one it arrived on (noEdge at the root: to all
 // children). The relay sends the received interface value itself, so it
-// re-boxes nothing.
+// re-boxes nothing. A tree delivers each broadcast to a node once.
 func (nd *distNode) broadcast(env *local.Env, from graph.EdgeID, msg treeMsg) {
-	msg.apply(nd)
+	if nd.bcastSeen {
+		panic(fmt.Sprintf("core: node %d: duplicate %T broadcast", nd.id, msg))
+	}
+	nd.bcastSeen = true
+	msg.apply(nd, from)
 	for _, e := range nd.tree {
 		if e != from {
 			env.Send(e, msg)
@@ -379,45 +360,57 @@ func (nd *distNode) broadcast(env *local.Env, from graph.EdgeID, msg treeMsg) {
 // ----------------------------------------------------------- root entry ---
 
 // rootMsg builds the tree broadcast a live root sends at the start of a
-// broadcast phase.
+// broadcast phase, or returns nil when it sends none: a root that joins a
+// center is re-rooted by the center's new-cluster flood.
 func (nd *distNode) rootMsg(env *local.Env, ph phase) treeMsg {
 	n := nEstimate(env)
 	switch ph.kind {
 	case phTrialBcast:
-		idle := nd.fCount >= nd.p.threshold(ph.level, n) || nd.x.empty()
+		idle := len(nd.queried) >= nd.p.threshold(ph.level, n) || nd.x.empty()
 		var draws int
 		nd.sampleOrder = nil
 		if !idle {
 			nd.sampleOrder, draws = nd.x.drawDistinct(env.Rand(), nd.p.samplesPerTrial(ph.level, n))
 		}
-		return mTrial{Samples: nd.sampleOrder, Draws: draws, FAdds: nd.takeFAdds(), Idle: idle}
+		return mTrial{Samples: nd.sampleOrder, Draws: draws, FAdds: nd.takeFAdds()}
 	case phCenterBcast:
-		nd.isCenterFlag = env.Rand().Bernoulli(nd.p.centerProb(ph.level, n))
+		isCenter := env.Rand().Bernoulli(nd.p.centerProb(ph.level, n))
 		probes := make([]graph.EdgeID, 0, len(nd.queried))
 		for _, e := range nd.queried {
 			probes = append(probes, e)
 		}
 		slices.Sort(probes)
-		return mCenter{IsCenter: nd.isCenterFlag, Probes: probes, FAdds: nd.takeFAdds()}
+		return mCenter{IsCenter: isCenter, Probes: probes, FAdds: nd.takeFAdds()}
 	case phFSBcast:
 		// Below level K only a root that would otherwise end up
 		// unclustered-and-not-light needs rescuing: non-center, unexplored
 		// edges remaining, and no center among its queried neighbors.
 		nd.fsOrder = nil
-		if !nd.x.empty() && (ph.level == nd.p.K || (!nd.isCenterFlag && nd.smallestQueriedCenter() == noNode)) {
+		if !nd.x.empty() && (ph.level == nd.p.K || (!nd.centerCluster && nd.smallestQueriedCenter() == noNode)) {
 			nd.fsOrder = nd.x.snapshot()
 			nd.failSafes++
 		}
 		return mFS{Edges: nd.fsOrder}
 	case phDecideBcast:
 		msg := mDecide{Decision: decDead}
-		if nd.isCenterFlag {
+		if nd.centerCluster {
 			msg.Decision = decCenter
 		} else if target := nd.smallestQueriedCenter(); target != noNode {
 			msg = mDecide{Decision: decJoin, JoinEdge: nd.queried[target]}
 		}
 		msg.FAdds = nd.takeFAdds()
 		return msg
+	case phNewCluster:
+		if nd.decis != decCenter {
+			return nil
+		}
+		if nd.pendingNewB == nil {
+			panic(fmt.Sprintf("core: node %d: center root has no merged boundary", nd.id))
+		}
+		nd.cb = nd.pendingNewB
+		nd.growTree()
+		nd.resetRootLevelState()
+		return mNewCluster{Root: nd.id, B: nd.cb}
 	case phFlushBcast:
 		return mFlush{FAdds: nd.takeFAdds()}
 	}
@@ -444,20 +437,6 @@ func (nd *distNode) smallestQueriedCenter() graph.NodeID {
 		}
 	}
 	return target
-}
-
-func (nd *distNode) rootNewClusterFlood(env *local.Env) {
-	if nd.pendingNewB == nil {
-		panic(fmt.Sprintf("core: node %d: center root has no merged boundary", nd.id))
-	}
-	nd.cb = nd.pendingNewB
-	nd.growTree()
-	nd.depth = 0
-	nd.resetRootLevelState()
-	for _, e := range nd.tree {
-		env.Send(e, mNewCluster{Root: nd.id, B: nd.cb, Depth: 0})
-		nd.sent.Tree++
-	}
 }
 
 // growTree adds the accepted join edges, and extra, to the cluster tree. The
@@ -498,8 +477,6 @@ func (nd *distNode) handleMessage(env *local.Env, ph phase, m local.Message) {
 	case mJoin:
 		nd.acceptedJoins = append(nd.acceptedJoins, m.Edge)
 		nd.items = append(nd.items, convItem{Kind: convJoin, Edge: m.Edge, B: msg.B})
-	case mNewCluster:
-		nd.handleNewCluster(env, m.Edge, msg)
 	default:
 		panic(fmt.Sprintf("core: node %d: unexpected message %T in phase %v", nd.id, m.Payload, ph))
 	}
@@ -545,22 +522,22 @@ func (nd *distNode) ownIncident(edges []graph.EdgeID) []graph.EdgeID {
 	return out
 }
 
-func (m mTrial) apply(nd *distNode) {
+func (m mTrial) apply(nd *distNode, _ graph.EdgeID) {
 	nd.markFAdds(m.FAdds)
-	nd.mySamples = nd.ownIncident(m.Samples)
+	nd.mySends = nd.ownIncident(m.Samples)
 }
 
-func (m mCenter) apply(nd *distNode) {
+func (m mCenter) apply(nd *distNode, _ graph.EdgeID) {
 	nd.markFAdds(m.FAdds)
 	nd.centerCluster = m.IsCenter
-	nd.myProbes = nd.ownIncident(m.Probes)
+	nd.mySends = nd.ownIncident(m.Probes)
 }
 
-func (m mFS) apply(nd *distNode) {
-	nd.myFS = nd.ownIncident(m.Edges)
+func (m mFS) apply(nd *distNode, _ graph.EdgeID) {
+	nd.mySends = nd.ownIncident(m.Edges)
 }
 
-func (m mDecide) apply(nd *distNode) {
+func (m mDecide) apply(nd *distNode, _ graph.EdgeID) {
 	nd.markFAdds(m.FAdds)
 	nd.decis = m.Decision
 	switch m.Decision {
@@ -568,31 +545,23 @@ func (m mDecide) apply(nd *distNode) {
 		nd.dead = true // cb is frozen as the final boundary
 	case decJoin:
 		if nd.myEdges[m.JoinEdge] {
-			nd.sendJoin = true
 			nd.joinEdge = m.JoinEdge
 		}
 	}
 }
 
-func (m mFlush) apply(nd *distNode) {
+func (m mFlush) apply(nd *distNode, _ graph.EdgeID) {
 	nd.markFAdds(m.FAdds)
 }
 
-func (nd *distNode) handleNewCluster(env *local.Env, from graph.EdgeID, m mNewCluster) {
-	if nd.floodSeen {
-		panic(fmt.Sprintf("core: node %d: duplicate new-cluster flood", nd.id))
+// apply re-roots a member of the merged cluster: the arrival edge joins its
+// tree as its parent edge. The root re-rooted itself in rootMsg.
+func (m mNewCluster) apply(nd *distNode, from graph.EdgeID) {
+	if from == noEdge {
+		return
 	}
-	nd.floodSeen = true
 	nd.growTree(from)
-	for _, e := range nd.tree {
-		if e != from {
-			env.Send(e, mNewCluster{Root: m.Root, B: m.B, Depth: m.Depth + 1})
-			nd.sent.Tree++
-		}
-	}
-	nd.hasParent = true
 	nd.parent = from
-	nd.depth = m.Depth + 1
 	nd.clusterRoot = m.Root
 	nd.cb = m.B
 	nd.isRoot = false
@@ -647,7 +616,7 @@ func (nd *distNode) finalizeTrialConv(env *local.Env, ph phase) {
 		if it.Root == nd.id {
 			panic(fmt.Sprintf("core: root %d: boundary contains intra-cluster edge %d", nd.id, e))
 		}
-		if nd.fCount >= threshold {
+		if len(nd.queried) >= threshold {
 			return false // budget reached; mirrors the centralized cap
 		}
 		if _, dup := nd.queried[it.Root]; dup {
@@ -684,7 +653,6 @@ func (nd *distNode) walkReplies(order []graph.EdgeID, visit func(e graph.EdgeID,
 
 func (nd *distNode) addF(root graph.NodeID, e graph.EdgeID) {
 	nd.queried[root] = e
-	nd.fCount++
 	nd.fPending = append(nd.fPending, e)
 	nd.fDecided = append(nd.fDecided, e)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -83,16 +84,75 @@ func TestDistributedSpannerValid(t *testing.T) {
 	}
 }
 
+// TestDistributedSEqualsFDecided checks that S, assembled from the
+// endpoints' knowledge, is exactly the union of the F-sets the cluster roots
+// decided.
 func TestDistributedSEqualsFDecided(t *testing.T) {
 	g := gen.ConnectedGNP(150, 0.08, xrand.New(5))
 	res := buildDist(t, g, Default(2, 2), 13)
-	if len(res.S) != len(res.FDecided) {
-		t.Fatalf("|S| = %d but |FDecided| = %d", len(res.S), len(res.FDecided))
+	decided := make(map[graph.EdgeID]bool)
+	for _, nd := range res.nodes {
+		for _, e := range nd.fDecided {
+			decided[e] = true
+		}
+	}
+	if len(res.S) != len(decided) {
+		t.Fatalf("|S| = %d but the roots decided %d edges", len(res.S), len(decided))
 	}
 	for e := range res.S {
-		if !res.FDecided[e] {
+		if !decided[e] {
 			t.Fatalf("edge %d known to endpoints but never decided by a root", e)
 		}
+	}
+}
+
+// TestDistributedClusterTreesConsistent checks the cluster trees the
+// new-cluster floods leave behind: every non-root node's parent edge is in
+// its tree, every root names itself as its cluster's root, and every tree
+// edge is in both endpoints' trees, whose cluster roots agree.
+func TestDistributedClusterTreesConsistent(t *testing.T) {
+	dense := Default(2, 7)
+	dense.C = 0.5
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		p    Params
+		seed uint64
+	}{
+		{"torus36", gen.Torus(36, 36), Default(2, 7), 7},
+		{"complete112", gen.Complete(112), dense, 5},
+		{"gnp-k2", gen.ConnectedGNP(300, 0.05, xrand.New(3)), Default(2, 2), 11},
+		{"gnp-k3", gen.ConnectedGNP(400, 0.03, xrand.New(4)), Default(3, 2), 13},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := buildDist(t, tc.g, tc.p, tc.seed)
+			for v, nd := range res.nodes {
+				if nd.isRoot {
+					if nd.clusterRoot != graph.NodeID(v) {
+						t.Fatalf("root %d names %d as its cluster root", v, nd.clusterRoot)
+					}
+				} else if !slices.Contains(nd.tree, nd.parent) {
+					t.Fatalf("node %d: parent edge %d not in its tree %v", v, nd.parent, nd.tree)
+				}
+				for _, e := range nd.tree {
+					ge, ok := tc.g.EdgeByID(e)
+					if !ok || (ge.U != graph.NodeID(v) && ge.V != graph.NodeID(v)) {
+						t.Fatalf("node %d: tree edge %d is not incident", v, e)
+					}
+					w := ge.U
+					if w == graph.NodeID(v) {
+						w = ge.V
+					}
+					far := res.nodes[w]
+					if !slices.Contains(far.tree, e) {
+						t.Fatalf("tree edge %d is in node %d's tree but not node %d's", e, v, w)
+					}
+					if far.clusterRoot != nd.clusterRoot {
+						t.Fatalf("tree edge %d joins clusters %d and %d", e, nd.clusterRoot, far.clusterRoot)
+					}
+				}
+			}
+		})
 	}
 }
 

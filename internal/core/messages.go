@@ -27,10 +27,12 @@ func newBoundary(edges []graph.EdgeID) *boundary {
 
 // treeMsg is a tree broadcast: a cluster root builds it (rootMsg), and every
 // node of the cluster applies it and relays it to its tree children
-// (broadcast). mTrial, mCenter, mFS, mDecide and mFlush implement it.
+// (broadcast). mTrial, mCenter, mFS, mDecide, mFlush and mNewCluster
+// implement it.
 type treeMsg interface {
-	// apply is what the message does at a cluster node, the root included.
-	apply(nd *distNode)
+	// apply is what the message does at a cluster node, the root included;
+	// from is the edge it arrived on (noEdge at the root).
+	apply(nd *distNode, from graph.EdgeID)
 }
 
 // mTrial flows down the cluster tree at each trial: the root's sampled query
@@ -41,7 +43,6 @@ type mTrial struct {
 	Samples []graph.EdgeID
 	Draws   int
 	FAdds   []graph.EdgeID
-	Idle    bool // the root finished early; no queries this trial
 }
 
 // mQuery asks the far endpoint of a sampled edge (FS: of a fail-safe edge)
@@ -107,10 +108,7 @@ type mDecide struct {
 }
 
 // mJoin crosses the join edge into the center cluster.
-type mJoin struct {
-	JoinerRoot graph.NodeID
-	B          *boundary
-}
+type mJoin struct{ B *boundary }
 
 // convKind tells what a convergecast item reports. Each convergecast
 // aggregates one kind.
@@ -142,13 +140,11 @@ type convItem struct {
 // It is a slice, so an empty aggregate boxes without allocating.
 type mConv []convItem
 
-// mNewCluster floods the merged cluster: new root, new boundary, and hop
-// depth. Receipt re-roots joiner trees automatically (first-arrival edge
-// becomes the parent).
+// mNewCluster floods the merged cluster: new root and new boundary. Receipt
+// re-roots joiner trees (the arrival edge becomes the parent).
 type mNewCluster struct {
-	Root  graph.NodeID
-	B     *boundary
-	Depth int
+	Root graph.NodeID
+	B    *boundary
 }
 
 // mFlush is the final-level broadcast of the last F additions.
@@ -157,7 +153,9 @@ type mFlush struct{ FAdds []graph.EdgeID }
 // Payload sizes (local.Sizer): one unit per O(log n)-bit word — an edge ID,
 // a node ID, a flag. Shared *boundary references count their full list
 // length: sharing is a simulator optimization, but the model "transmits"
-// the set.
+// the set. mTrial, mJoin and mNewCluster each bill one word more than they
+// carry (an idle flag, the joiner's root, a hop depth), so that their word
+// bill stays comparable with runs pinned before those fields were dropped.
 
 func blen(b *boundary) int64 {
 	if b == nil {

@@ -200,10 +200,15 @@ func WithObserver(obs Observer) Option {
 // duplicates are billed honestly — every send still counts in Messages, and
 // PhaseCost.Dropped / PhaseCost.Duplicated attribute the damage.
 //
-// The stage-1 spanner construction is exempt: schemes treat the sampler's
-// spanner as pre-provisioned infrastructure (it is memoized across runs and
-// its artifact must not depend on the adversary), so only the simulated,
-// collection, gossip, and replayed-execution stages feel the profile. Named
+// Exactly these stages feel the profile: direct execution, every collection
+// that runs on the LOCAL engine (scheme2's stage-2 collection and hybrid's
+// residue flood included), gossip, and the convergecasts (gossip-converge's
+// termination detection and globalcompute's globalcast). Three stages never
+// do. The stage-1 Sampler is exempt because schemes treat its spanner as
+// pre-provisioned infrastructure: it is memoized across runs, and its
+// artifact must not depend on the adversary. scheme1-congest's collection
+// is scheduled centrally, not run on the engine. Replay of the collected
+// balls runs each node's algorithm locally, with no network to perturb. Named
 // profiles ship in the internal registry; resolve them through the serve
 // API or cmd/simulate's -adversary flag, or construct an AdversaryProfile
 // literal here. The option keeps its own copy of p, slices included.
