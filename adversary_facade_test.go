@@ -149,13 +149,13 @@ func TestGossipEarlyStopUnderDelayExactBill(t *testing.T) {
 	var full []int64
 	fullCfg := cfg
 	fullCfg.OnRound = func(_ int, m int64) { full = append(full, m) }
-	if _, _, err := broadcast.Gossip(context.Background(), g, payloads, nil, 0, schedule, fullCfg); err != nil {
+	if _, _, err := broadcast.Gossip(context.Background(), g, payloads, nil, schedule, fullCfg); err != nil {
 		t.Fatal(err)
 	}
 	bi := broadcast.NewBallIndex(g, tBall)
 	cover := -1
 	for r := 0; r <= schedule && cover < 0; r++ {
-		clipped, _, err := broadcast.Gossip(context.Background(), g, payloads, nil, 0, r, cfg)
+		clipped, _, err := broadcast.Gossip(context.Background(), g, payloads, nil, r, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -249,7 +249,7 @@ var misnamedSeeds = map[string]string{
 // change to the table silently retargets every seed whose byte it moves.
 // A seed's name must end with its scheme's name or with that name's last
 // dash-separated word ("dup-regular-converge" runs gossip-converge), unless
-// misnamedSeeds lists it.
+// misnamedSeeds lists it. Every registered scheme must have a seed.
 func TestFuzzAdversarySeedsTargetNamedScheme(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzAdversaryProfile")
 	entries, err := os.ReadDir(dir)
@@ -259,6 +259,7 @@ func TestFuzzAdversarySeedsTargetNamedScheme(t *testing.T) {
 	if len(entries) == 0 {
 		t.Fatalf("no seeds under %s", dir)
 	}
+	seeded := map[string]bool{}
 	for _, e := range entries {
 		name := e.Name()
 		blob, err := os.ReadFile(filepath.Join(dir, name))
@@ -278,6 +279,7 @@ func TestFuzzAdversarySeedsTargetNamedScheme(t *testing.T) {
 			t.Fatalf("%s: %d bytes, the fuzz body skips inputs under 10", name, len(data))
 		}
 		got := fuzzScheme(data[4]).Name()
+		seeded[got] = true
 		want, ok := misnamedSeeds[name]
 		if !ok {
 			words := strings.Split(got, "-")
@@ -289,6 +291,11 @@ func TestFuzzAdversarySeedsTargetNamedScheme(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("seed %s runs scheme %s (byte %#02x), want %s", name, got, data[4], want)
+		}
+	}
+	for _, name := range repro.SchemeNames() {
+		if !seeded[name] {
+			t.Errorf("scheme %s has no committed seed under %s", name, dir)
 		}
 	}
 }

@@ -177,7 +177,7 @@ func BenchmarkLongGossipMemory(b *testing.B) {
 		b.Run(fmt.Sprintf("rounds=%d", rounds), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, _, err := broadcast.Gossip(context.Background(), g, payloads, nil, 0, rounds, local.Config{Seed: 7})
+				res, _, err := broadcast.Gossip(context.Background(), g, payloads, nil, rounds, local.Config{Seed: 7})
 				if err != nil {
 					b.Fatal(err)
 				}

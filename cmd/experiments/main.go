@@ -11,7 +11,7 @@
 // until the table prints.
 //
 // With -longrun N the suite is skipped and a single fixed N-round gossip
-// schedule (broadcast.Gossip with no cover target, so it never stops early)
+// schedule (broadcast.Gossip with no ball index, so it never stops early)
 // runs with a streaming MetricsSink attached. Every run is O(1) memory in
 // executed rounds, so the sink's JSON snapshot, the run's only per-round
 // record, is printed.
@@ -92,7 +92,7 @@ func runLong(rounds int) {
 	cfg := local.Config{Seed: 1, Workers: -1,
 		OnRound: func(r int, m int64) { sink.RoundCompleted("gossip", r, m) }}
 	start := time.Now()
-	res, _, err := broadcast.Gossip(context.Background(), g, make([][]graph.EdgeID, g.NumNodes()), nil, 0, rounds, cfg)
+	res, _, err := broadcast.Gossip(context.Background(), g, make([][]graph.EdgeID, g.NumNodes()), nil, rounds, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,23 +32,22 @@ import (
 func main() {
 	log.SetFlags(0)
 	var (
-		kind       = flag.String("graph", "complete", "graph family: "+strings.Join(gen.FamilyNames(), "|"))
-		n          = flag.Int("n", 300, "node count")
-		deg        = flag.Float64("deg", 16, "average degree (gnp/regular/pa/expander)")
-		graphPath  = flag.String("graphpath", "", "edge-list file for -graph edgelist")
-		alg        = flag.String("alg", "maxid", "algorithm: maxid|mis|coloring|bfs")
-		t          = flag.Int("t", 4, "round budget for maxid/bfs (mis/coloring use their whp budgets)")
-		scheme     = flag.String("scheme", "scheme1", "execution scheme: "+strings.Join(repro.SchemeNames(), "|"))
-		gamma      = flag.Int("gamma", 1, "Sampler level parameter for the schemes")
-		stageK     = flag.Int("stagek", 2, "stage-2 stretch parameter for scheme2/scheme2en")
-		bandwidth  = flag.Int("bandwidth", 0, "CONGEST word cap per edge per round for scheme1-congest (0 = ceil(log2 n))")
-		hybridFrac = flag.Float64("hybridfrac", 0.5, "fraction of t-balls the hybrid scheme's gossip stage seeds, in (0,1]")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		advName    = flag.String("adversary", "", "adversary profile: "+strings.Join(repro.AdversaryProfiles(), "|")+" (empty = flawless network)")
-		repeat     = flag.Int("repeat", 1, "run the scheme this many times on one engine; repeats reuse the cached stage-1 spanner")
-		progress   = flag.Bool("progress", false, "stream live per-round progress from the observer")
-		nocache    = flag.Bool("nocache", false, "disable the engine's stage-1 spanner cache")
-		metrics    = flag.Bool("metrics", false, "stream rounds into a bounded MetricsSink and print its JSON snapshot after the runs")
+		kind      = flag.String("graph", "complete", "graph family: "+strings.Join(gen.FamilyNames(), "|"))
+		n         = flag.Int("n", 300, "node count")
+		deg       = flag.Float64("deg", 16, "average degree (gnp/regular/pa/expander)")
+		graphPath = flag.String("graphpath", "", "edge-list file for -graph edgelist")
+		alg       = flag.String("alg", "maxid", "algorithm: maxid|mis|coloring|bfs")
+		t         = flag.Int("t", 4, "round budget for maxid/bfs (mis/coloring use their whp budgets)")
+		scheme    = flag.String("scheme", "scheme1", "execution scheme: "+strings.Join(repro.SchemeNames(), "|"))
+		gamma     = flag.Int("gamma", 1, "Sampler level parameter for the schemes")
+		stageK    = flag.Int("stagek", 2, "stage-2 stretch parameter for scheme2/scheme2en")
+		bandwidth = flag.Int("bandwidth", 0, "CONGEST word cap per edge per round for scheme1-congest (0 = ceil(log2 n))")
+		seed      = flag.Uint64("seed", 1, "random seed")
+		advName   = flag.String("adversary", "", "adversary profile: "+strings.Join(repro.AdversaryProfiles(), "|")+" (empty = flawless network)")
+		repeat    = flag.Int("repeat", 1, "run the scheme this many times on one engine; repeats reuse the cached stage-1 spanner")
+		progress  = flag.Bool("progress", false, "stream live per-round progress from the observer")
+		nocache   = flag.Bool("nocache", false, "disable the engine's stage-1 spanner cache")
+		metrics   = flag.Bool("metrics", false, "stream rounds into a bounded MetricsSink and print its JSON snapshot after the runs")
 	)
 	flag.Parse()
 
@@ -68,7 +67,6 @@ func main() {
 		repro.WithConcurrency(-1),
 		repro.WithGamma(*gamma),
 		repro.WithStageK(*stageK),
-		repro.WithHybridFraction(*hybridFrac),
 		repro.WithObserver(progressObserver(*progress)),
 	}
 	if *bandwidth != 0 {

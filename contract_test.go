@@ -8,7 +8,7 @@ package repro_test
 // engine's runaway round guard must never cancel a run whose *billed*
 // rounds fit the budget, even for schemes that legitimately execute more
 // rounds than they bill (gossip draining delayed rumors past its cover
-// round, hybrid's geometric seeding retries, congest's dilation).
+// round, congest's dilation).
 
 import (
 	"context"
@@ -76,9 +76,8 @@ func TestObserverSingleGoroutineContract(t *testing.T) {
 // test: for every scheme, measure an unbudgeted run's billed rounds, then
 // rerun with WithMaxRounds set to exactly that bill. The run must succeed
 // with identical outputs — schemes that execute unbilled schedule rounds
-// (gossip executes the round after its billed cover round; hybrid replays
-// geometrically growing gossip budgets; congest executes its dilated
-// schedule) must not trip the executed-rounds backstop.
+// (gossip executes the round after its billed cover round; congest executes
+// its dilated schedule) must not trip the executed-rounds backstop.
 func TestRoundGuardNeverCancelsWithinBudget(t *testing.T) {
 	g := gen.ConnectedGNP(30, 0.14, xrand.New(13))
 	spec := repro.MaxID(2)
@@ -109,16 +108,16 @@ func TestRoundGuardNeverCancelsWithinBudget(t *testing.T) {
 			}
 			// One under the bill must fail with the typed budget error, and
 			// cleanly — not via a spurious mid-flight cancellation of some
-			// other scheme's schedule. (Schemes whose schedule length is the
-			// budget itself — gossip, hybrid — may legitimately bill fewer
-			// rounds under the smaller budget, so only the equal-budget case
-			// above asserts success.)
+			// other scheme's schedule. (gossip, whose schedule length is the
+			// budget itself, may legitimately bill fewer rounds under the
+			// smaller budget, so only the equal-budget case above asserts
+			// success.)
 			if _, err := repro.NewEngine(
 				repro.WithSeed(4),
 				repro.WithNoCache(),
 				repro.WithMaxRounds(ref.Rounds-1),
 			).RunScheme(context.Background(), s, g, spec); err == nil {
-				if s.Name() == "gossip" || s.Name() == "hybrid" {
+				if s.Name() == "gossip" {
 					return // smaller budget can still cover; success is legal
 				}
 				t.Fatalf("budget one under the %d billed rounds succeeded", ref.Rounds)

@@ -2,9 +2,9 @@ package repro_test
 
 // Black-box tests of the gossip family: both gossip schemes share one
 // early-stopped gossip stage, so their bills and outputs agree under every
-// adversary profile; that stage, and hybrid's, executes exactly cover+1
-// rounds, the CI assertion; and gossip-converge bills termination detection
-// as its own phase.
+// adversary profile; that stage executes exactly cover+1 rounds, the CI
+// assertion; and gossip-converge bills termination detection as its own
+// phase.
 
 import (
 	"context"
@@ -115,8 +115,8 @@ func TestGossipEarlyStopBillEquivalence(t *testing.T) {
 
 // TestEarlyStopExecutesFewerRounds is the CI assertion: on the smoke graph,
 // with no adversary and under every shipped profile in which it covers, the
-// gossip stage of gossip, gossip-converge (its gossip(earlystop) phase) and
-// hybrid (its gossip(seed) phase) executes exactly its billed rounds + 1 simulator rounds — rounds
+// gossip stage of gossip and gossip-converge (its gossip(earlystop) phase)
+// executes exactly its billed rounds + 1 simulator rounds — rounds
 // 0..cover — strictly fewer than the 100·n+1 rounds of the fixed schedule
 // its budget allows, even with delayed messages still in flight. That the
 // stopped prefix is the fixed schedule's own execution is pinned in
@@ -137,7 +137,6 @@ func TestEarlyStopExecutesFewerRounds(t *testing.T) {
 			for _, tc := range []struct{ scheme, phase string }{
 				{"gossip", "gossip"},
 				{"gossip-converge", "gossip(earlystop)"},
-				{"hybrid", "gossip(seed)"},
 			} {
 				_, obs, err := runCounted(tc.scheme, opts...)
 				i := slices.IndexFunc(obs.phases, func(c repro.PhaseCost) bool { return c.Name == tc.phase })

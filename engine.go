@@ -240,7 +240,7 @@ func (e *Engine) RunWith(ctx context.Context, scheme string, g *Graph, spec Algo
 // the run fails with ErrRoundBudget, and a pipeline whose *executed* rounds
 // overshoot a safety multiple of the budget (a runaway protocol) is
 // cancelled in flight and reported the same way. Schemes with their own
-// schedule semantics (gossip's fixed-length seeding schedule) may execute
+// schedule semantics (gossip's fixed-length schedule) may execute
 // more rounds than they bill; the budget governs what the result charges.
 // Because it charges only what the run actually spends, the budget
 // interacts with the spanner cache by design: a run that fails the budget

@@ -114,7 +114,6 @@ func ExampleSchemes() {
 	// globalcompute
 	// gossip
 	// gossip-converge
-	// hybrid
 	// scheme1
 	// scheme1-congest
 	// scheme2

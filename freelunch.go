@@ -19,9 +19,8 @@
 //     (the Elkin–Neiman stage anticipated by the paper's concluding
 //     remarks), "scheme1-congest" (scheme1 under a CONGEST-style
 //     WithBandwidth word cap, reporting its round dilation),
-//     "hybrid" (gossip seeds WithHybridFraction of the t-balls, the
-//     Sampler spanner collects the residue), "globalcompute" (the paper's
-//     Section 7 extension: a spanner BFS tree convergecasts all knowledge),
+//     "globalcompute" (the paper's Section 7 extension: a spanner BFS tree
+//     convergecasts all knowledge),
 //     and the push–pull baseline family: "gossip" (an oracle-stopped lower
 //     bound: a central oracle halts the round loop at the cover round, and
 //     the bill runs through it) and "gossip-converge" (distributed

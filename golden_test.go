@@ -146,3 +146,30 @@ func TestSchemeGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestGoldenFilesHaveAWriter is the reverse of the drift guard: every file
+// under testdata/golden must be one a golden test above writes, so a file
+// left behind by a removed scheme or profile fails instead of lingering.
+func TestGoldenFilesHaveAWriter(t *testing.T) {
+	want := map[string]bool{
+		"spanner-centralized.golden": true,
+		"spanner-distributed.golden": true,
+	}
+	for _, name := range repro.SchemeNames() {
+		want["scheme-"+name+".golden"] = true
+	}
+	for _, profile := range repro.AdversaryProfiles() {
+		for _, scheme := range adversaryGoldenSchemes {
+			want["adversary-"+profile+"-"+scheme+".golden"] = true
+		}
+	}
+	entries, err := os.ReadDir(filepath.Join("testdata", "golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !want[e.Name()] {
+			t.Errorf("testdata/golden/%s has no golden test that writes it", e.Name())
+		}
+	}
+}

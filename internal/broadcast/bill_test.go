@@ -23,9 +23,8 @@ func portLists(g *graph.Graph) [][]graph.EdgeID {
 }
 
 // TestBroadcastBillPin pins the bills of every primitive on one fixed graph
-// with port-list payloads: messages, rounds and payload units of Flood (all
-// seeds and a seed subset) and FloodBudget (one-word and unbounded
-// bandwidth), and messages, rounds, units and cover round of Gossip (early
+// with port-list payloads: messages, rounds and payload units of Flood and
+// FloodBudget (one-word and unbounded bandwidth), and messages, rounds, units and cover round of Gossip (early
 // stop and fixed schedule). Every value except gossip's units was recorded
 // when rumors still carried their payloads as interface values. Gossip then
 // charged one word per rumor (15134 and 82330 units here); it now charges
@@ -34,10 +33,6 @@ func TestBroadcastBillPin(t *testing.T) {
 	ctx := context.Background()
 	g := gen.ConnectedGNP(40, 0.1, xrand.New(7))
 	payloads := portLists(g)
-	seeds := make([]bool, g.NumNodes())
-	for v := range seeds {
-		seeds[v] = v%3 == 0
-	}
 	bi := NewBallIndex(g, 2)
 	type bill struct {
 		msgs   int64
@@ -51,13 +46,9 @@ func TestBroadcastBillPin(t *testing.T) {
 		want bill
 	}{
 		{"flood/all-seeds", func() (*Result, int, error) {
-			r, err := Flood(ctx, g, payloads, nil, 3, local.Config{Seed: 1})
+			r, err := Flood(ctx, g, payloads, 3, local.Config{Seed: 1})
 			return r, -1, err
 		}, bill{456, 4, 14973, -1}},
-		{"flood/seed-subset", func() (*Result, int, error) {
-			r, err := Flood(ctx, g, payloads, seeds, 3, local.Config{Seed: 1})
-			return r, -1, err
-		}, bill{356, 4, 6953, -1}},
 		{"flood-budget/bw=1", func() (*Result, int, error) {
 			r, err := FloodBudget(ctx, g, payloads, 3, 1, local.Config{})
 			return r, -1, err
@@ -67,10 +58,10 @@ func TestBroadcastBillPin(t *testing.T) {
 			return r, -1, err
 		}, bill{456, 4, 14973, -1}},
 		{"gossip/early-stop", func() (*Result, int, error) {
-			return Gossip(ctx, g, payloads, bi, g.NumNodes(), 2000, local.Config{Seed: 5})
+			return Gossip(ctx, g, payloads, bi, 2000, local.Config{Seed: 5})
 		}, bill{680, 9, 73958, 8}},
 		{"gossip/fixed-schedule", func() (*Result, int, error) {
-			r, _, err := Gossip(ctx, g, payloads, nil, 0, 30, local.Config{Seed: 5})
+			r, _, err := Gossip(ctx, g, payloads, nil, 30, local.Config{Seed: 5})
 			if err != nil {
 				return nil, 0, err
 			}

@@ -19,8 +19,8 @@
 // from the same table, so a node records only whom it heard: its Known, a
 // set of origins, is both its dedup set and its result. A Result's Known,
 // together with the payload table the run was given, is the collection
-// simulate replays from, and its Run is the bill: a gossip run with a cover
-// target ends at the barrier of its cover round, so its Run and Known cover
+// simulate replays from, and its Run is the bill: a gossip run with a ball
+// index ends at the barrier of its cover round, so its Run and Known cover
 // exactly rounds 0..cover.
 package broadcast
 
@@ -39,9 +39,6 @@ type Result struct {
 	// Known is, per node, the set of origins it heard, itself included;
 	// the payload of origin u is entry u of the run's payload table.
 	Known []map[graph.NodeID]struct{}
-	// Covered counts the nodes that had heard every member of their ball
-	// when the run ended. Only Gossip with a ball index sets it.
-	Covered int
 	// Run carries the LOCAL cost metrics.
 	Run local.Result
 }
@@ -96,7 +93,6 @@ func validate(host *graph.Graph, payloads [][]graph.EdgeID, rounds int) error {
 // two buffers.
 type floodNode struct {
 	t     int
-	seed  bool // whether this node injects its own rumor
 	known map[graph.NodeID]struct{}
 	fresh []batch
 }
@@ -106,9 +102,7 @@ func (p *floodNode) Step(env *local.Env, round int, inbox []local.Message) {
 	cur.origins = cur.origins[:0]
 	if round == 0 {
 		p.known = map[graph.NodeID]struct{}{env.ID(): {}}
-		if p.seed {
-			cur.origins = append(cur.origins, env.ID())
-		}
+		cur.origins = append(cur.origins, env.ID())
 	}
 	for _, m := range inbox {
 		for _, o := range m.Payload.(*batch).origins {
@@ -129,19 +123,13 @@ func (p *floodNode) Step(env *local.Env, round int, inbox []local.Message) {
 	}
 }
 
-// Flood floods the rumors of the seeding nodes over host for exactly rounds
-// rounds: node v seeds iff seeds[v] (nil seeds means every node seeds).
-// Every node forwards everything it hears and knows its own payload, so
-// after the run Known[v] holds v itself plus every seeding node within
-// host-distance rounds of v. The hybrid scheme floods a seed subset to
-// collect only the residue its gossip stage left uncovered. Cancelling ctx
-// aborts the underlying run.
-func Flood(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, seeds []bool, rounds int, cfg local.Config) (*Result, error) {
+// Flood floods every node's rumor over host for exactly rounds rounds.
+// Every node forwards everything it hears, so after the run Known[v] holds
+// every node within host-distance rounds of v, v itself included.
+// Cancelling ctx aborts the underlying run.
+func Flood(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, rounds int, cfg local.Config) (*Result, error) {
 	if err := validate(host, payloads, rounds); err != nil {
 		return nil, err
-	}
-	if seeds != nil && len(seeds) != host.NumNodes() {
-		return nil, fmt.Errorf("broadcast: %d seed flags for %d nodes", len(seeds), host.NumNodes())
 	}
 	nodes := make([]*floodNode, host.NumNodes())
 	rounds = clampSchedule(&cfg, rounds)
@@ -149,7 +137,6 @@ func Flood(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, se
 	run, err := local.RunCtx(ctx, host, func(v graph.NodeID) local.Protocol {
 		nd := &floodNode{
 			t:     rounds,
-			seed:  seeds == nil || seeds[v],
 			fresh: make([]batch, parities),
 		}
 		for i := range nd.fresh {
@@ -314,9 +301,9 @@ func (p *gossipNode) Step(env *local.Env, round int, inbox []local.Message) {
 // its cover round. Cancelling ctx aborts the underlying run.
 //
 // With bi set, the run stops centrally at the barrier of its cover round:
-// the first round after which at least target nodes have heard the rumor of
-// every member of their distance-t ball (per bi); target = host.NumNodes()
-// waits for every ball. The cover round is -1 if the schedule ended first.
+// the first round after which every node has heard the rumor of every member
+// of its distance-t ball (per bi). The cover round is -1 if the schedule
+// ended first.
 // The run itself is the bill: Run covers rounds 0..cover, and Known holds
 // exactly what was delivered by then. Messages still in flight under an
 // adversary's delays were billed when sent. The executed prefix is
@@ -326,16 +313,13 @@ func (p *gossipNode) Step(env *local.Env, round int, inbox []local.Message) {
 //
 // With bi nil, the whole fixed schedule runs and the cover round is -1; it
 // is the reference the early-stop tests compare against.
-func Gossip(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, bi *BallIndex, target, rounds int, cfg local.Config) (*Result, int, error) {
+func Gossip(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, bi *BallIndex, rounds int, cfg local.Config) (*Result, int, error) {
 	if err := validate(host, payloads, rounds); err != nil {
 		return nil, 0, err
 	}
 	n := host.NumNodes()
 	if bi != nil && bi.Nodes() != n {
 		return nil, 0, fmt.Errorf("broadcast: ball index spans %d nodes, host has %d", bi.Nodes(), n)
-	}
-	if bi != nil && (target < 0 || target > n) {
-		return nil, 0, fmt.Errorf("broadcast: cover target %d outside [0,%d]", target, n)
 	}
 	nodes := make([]*gossipNode, n)
 	rounds = clampSchedule(&cfg, rounds)
@@ -344,7 +328,7 @@ func Gossip(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, b
 	cover := -1
 	if bi != nil {
 		cfg.StopWhen = func(round int, _ int64) bool {
-			if track.covered.Load() < int64(target) {
+			if track.covered.Load() < int64(n) {
 				return false
 			}
 			cover = round
@@ -367,11 +351,7 @@ func Gossip(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, b
 	if err != nil {
 		return nil, 0, err
 	}
-	res := &Result{
-		Known:   make([]map[graph.NodeID]struct{}, n),
-		Covered: int(track.covered.Load()),
-		Run:     run,
-	}
+	res := &Result{Known: make([]map[graph.NodeID]struct{}, n), Run: run}
 	for v, nd := range nodes {
 		res.Known[v] = nd.known
 	}
@@ -380,9 +360,9 @@ func Gossip(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, b
 
 // BallIndex is the per-node distance-t ball membership of one graph,
 // computed once (graph.Balls: one search kernel, one flat array) and reused
-// across every query that needs it: the gossip early-stop tracker's
-// per-arrival checks and hybrid's residue scan. Each ball is kept as the
-// ascending node list graph.Ball returns, so membership is a binary search.
+// across every query that needs it, such as the gossip early-stop tracker's
+// per-arrival checks. Each ball is kept as the ascending node list
+// graph.Ball returns, so membership is a binary search.
 // A BallIndex is immutable once built and safe for concurrent readers.
 type BallIndex struct {
 	balls [][]graph.NodeID

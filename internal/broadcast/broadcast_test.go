@@ -15,7 +15,7 @@ import (
 // fixedGossip runs the fixed-schedule reference: Gossip with no ball index.
 func fixedGossip(t testing.TB, g *graph.Graph, payloads [][]graph.EdgeID, rounds int, cfg local.Config) *Result {
 	t.Helper()
-	res, cover, err := Gossip(context.Background(), g, payloads, nil, 0, rounds, cfg)
+	res, cover, err := Gossip(context.Background(), g, payloads, nil, rounds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestFloodExactBalls(t *testing.T) {
 	g := gen.ConnectedGNP(120, 0.04, xrand.New(1))
 	payloads := testPayloads(g.NumNodes())
 	for _, tRounds := range []int{0, 1, 3} {
-		res, err := Flood(context.Background(), g, payloads, nil, tRounds, local.Config{Seed: 2})
+		res, err := Flood(context.Background(), g, payloads, tRounds, local.Config{Seed: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestFloodMessageCost(t *testing.T) {
 	// (round 0 sends on every half-edge... each node sends its own rumor).
 	g := gen.Grid(8, 8)
 	const tr = 4
-	res, err := Flood(context.Background(), g, testPayloads(g.NumNodes()), nil, tr, local.Config{})
+	res, err := Flood(context.Background(), g, testPayloads(g.NumNodes()), tr, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestFloodOnSpannerCoversBalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	const tr = 2
-	res, err := Flood(context.Background(), h, testPayloads(g.NumNodes()), nil, sp.StretchBound()*tr, local.Config{})
+	res, err := Flood(context.Background(), h, testPayloads(g.NumNodes()), sp.StretchBound()*tr, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestFloodOnSpannerCoversBalls(t *testing.T) {
 	}
 	// And it should cost far fewer messages than flooding g directly when g
 	// is dense relative to the spanner.
-	direct, err := Flood(context.Background(), g, testPayloads(g.NumNodes()), nil, tr, local.Config{})
+	direct, err := Flood(context.Background(), g, testPayloads(g.NumNodes()), tr, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,18 +176,15 @@ func TestFloodOnSpannerCoversBalls(t *testing.T) {
 }
 
 func TestFloodValidation(t *testing.T) {
-	if _, err := Flood(context.Background(), nil, nil, nil, 1, local.Config{}); err == nil {
+	if _, err := Flood(context.Background(), nil, nil, 1, local.Config{}); err == nil {
 		t.Fatal("nil host accepted")
 	}
 	g := gen.Path(3)
-	if _, err := Flood(context.Background(), g, testPayloads(2), nil, 1, local.Config{}); err == nil {
+	if _, err := Flood(context.Background(), g, testPayloads(2), 1, local.Config{}); err == nil {
 		t.Fatal("short payloads accepted")
 	}
-	if _, err := Flood(context.Background(), g, testPayloads(3), nil, -1, local.Config{}); err == nil {
+	if _, err := Flood(context.Background(), g, testPayloads(3), -1, local.Config{}); err == nil {
 		t.Fatal("negative rounds accepted")
-	}
-	if _, err := Flood(context.Background(), g, testPayloads(3), make([]bool, 2), 1, local.Config{}); err == nil {
-		t.Fatal("short seed flags accepted")
 	}
 }
 
@@ -234,7 +231,7 @@ func TestGossipNoLedgerBillingExact(t *testing.T) {
 			if streamed {
 				cfg = onRounds(cfg, &stream)
 			}
-			res, got, err := Gossip(context.Background(), g, payloads, bi, g.NumNodes(), rounds, cfg)
+			res, got, err := Gossip(context.Background(), g, payloads, bi, rounds, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -27,7 +27,7 @@ func TestFloodBudgetMatchesFlood(t *testing.T) {
 	g := gen.ConnectedGNP(50, 0.1, xrand.New(3))
 	payloads := testPayloads(g.NumNodes())
 	const rounds = 4
-	plain, err := Flood(context.Background(), g, payloads, nil, rounds, local.Config{})
+	plain, err := Flood(context.Background(), g, payloads, rounds, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestFloodBudgetSplitsAndCovers(t *testing.T) {
 	g := gen.ConnectedGNP(50, 0.1, xrand.New(3))
 	payloads := testPayloads(g.NumNodes())
 	const rounds = 4
-	plain, err := Flood(context.Background(), g, payloads, nil, rounds, local.Config{})
+	plain, err := Flood(context.Background(), g, payloads, rounds, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,33 +168,5 @@ func TestFloodBudgetRejectsBadBandwidth(t *testing.T) {
 	g := gen.Path(4)
 	if _, err := FloodBudget(context.Background(), g, testPayloads(4), 2, 0, local.Config{}); err == nil {
 		t.Fatal("zero bandwidth accepted")
-	}
-}
-
-// TestFloodSeedsSubset pins the selective flood: only seeded origins
-// circulate, every node still knows itself, and nil seeds means everyone.
-func TestFloodSeedsSubset(t *testing.T) {
-	g := gen.Cycle(8)
-	payloads := testPayloads(8)
-	seeds := make([]bool, 8)
-	seeds[0], seeds[4] = true, true
-	res, err := Flood(context.Background(), g, payloads, seeds, 8, local.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < 8; v++ {
-		for origin := range res.Known[v] {
-			if int(origin) != v && !seeds[origin] {
-				t.Fatalf("node %d heard unseeded origin %d", v, origin)
-			}
-		}
-		if _, ok := res.Known[v][graph.NodeID(v)]; !ok {
-			t.Fatalf("node %d does not know itself", v)
-		}
-		for _, origin := range []graph.NodeID{0, 4} {
-			if _, ok := res.Known[v][origin]; !ok {
-				t.Fatalf("node %d missed seeded origin %d", v, origin)
-			}
-		}
 	}
 }

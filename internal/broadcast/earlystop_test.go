@@ -1,7 +1,7 @@
 package broadcast
 
 // Tests for the gossip early-stop machinery: the tracker-driven early stop
-// of Gossip (a ball index and a cover target), whose executed prefix must be
+// of Gossip (a ball index), whose executed prefix must be
 // bit-identical to the fixed schedule's and whose run is its bill, and the
 // explicit min-semantics between a caller-provided round budget and the
 // broadcast protocols' own schedule lengths.
@@ -55,7 +55,7 @@ func TestGossipEarlyStopMatchesFixedSchedule(t *testing.T) {
 			if tc.streamed {
 				cfg = onRounds(cfg, &stream)
 			}
-			early, got, err := Gossip(context.Background(), g, payloads, bi, g.NumNodes(), schedule, cfg)
+			early, got, err := Gossip(context.Background(), g, payloads, bi, schedule, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,52 +88,13 @@ func TestGossipEarlyStopMatchesFixedSchedule(t *testing.T) {
 	}
 }
 
-// TestGossipCoverTargetMatchesSortedCoverRounds pins the fractional cover
-// target hybrid's seeding stage rides: the stop round equals the need-th
-// smallest per-node cover round of the full run.
-func TestGossipCoverTargetMatchesSortedCoverRounds(t *testing.T) {
-	g := gen.ConnectedGNP(50, 0.1, xrand.New(21))
-	const tBall = 2
-	const schedule = 5000
-	payloads := testPayloads(g.NumNodes())
-	bi := NewBallIndex(g, tBall)
-
-	perNode := coverRounds(t, g, payloads, bi, schedule, local.Config{Seed: 8})
-	need := g.NumNodes() / 2
-	// The need-th smallest completion round, computed the pedestrian way.
-	want := -1
-	for r := 0; r <= schedule; r++ {
-		done := 0
-		for _, cr := range perNode {
-			if cr >= 0 && cr <= r {
-				done++
-			}
-		}
-		if done >= need {
-			want = r
-			break
-		}
-	}
-	if want < 0 {
-		t.Fatalf("full schedule never covered %d nodes", need)
-	}
-
-	_, got, err := Gossip(context.Background(), g, payloads, bi, need, schedule, local.Config{Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("gossip with cover target %d stopped at round %d, want %d", need, got, want)
-	}
-}
-
 // TestGossipEarlyStopBudgetExhausted: a schedule too short to cover must
 // report -1, exactly like the reference coverRound on the same schedule.
 func TestGossipEarlyStopBudgetExhausted(t *testing.T) {
 	g := gen.ConnectedGNP(40, 0.1, xrand.New(5))
 	bi := NewBallIndex(g, 3)
 	payloads := testPayloads(g.NumNodes())
-	_, cover, err := Gossip(context.Background(), g, payloads, bi, g.NumNodes(), 1, local.Config{Seed: 2})
+	_, cover, err := Gossip(context.Background(), g, payloads, bi, 1, local.Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +136,7 @@ func TestScheduleBudgetClamp(t *testing.T) {
 			t.Run(eng.name+"/flood/"+tc.name, func(t *testing.T) {
 				cfg := eng.cfg
 				cfg.MaxRounds = tc.budget
-				res, err := Flood(context.Background(), g, payloads, nil, tc.schedule, cfg)
+				res, err := Flood(context.Background(), g, payloads, tc.schedule, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -196,7 +196,6 @@ type distNode struct {
 	fPending      []graph.EdgeID
 	sampleOrder   []graph.EdgeID
 	fsOrder       []graph.EdgeID
-	pendingNewB   *boundary
 	failSafes     int // fail-safe broadcasts that carried edges
 
 	// Member transients (prepared by broadcast receipt, consumed by the
@@ -273,7 +272,6 @@ func (nd *distNode) resetRootLevelState() {
 	nd.queriedCenter = make(map[graph.NodeID]bool)
 	nd.sampleOrder = nil
 	nd.fsOrder = nil
-	nd.pendingNewB = nil
 	nd.decis = decNone
 }
 
@@ -404,10 +402,6 @@ func (nd *distNode) rootMsg(env *local.Env, ph phase) treeMsg {
 		if nd.decis != decCenter {
 			return nil
 		}
-		if nd.pendingNewB == nil {
-			panic(fmt.Sprintf("core: node %d: center root has no merged boundary", nd.id))
-		}
-		nd.cb = nd.pendingNewB
 		nd.growTree()
 		nd.resetRootLevelState()
 		return mNewCluster{Root: nd.id, B: nd.cb}
@@ -569,7 +563,6 @@ func (m mNewCluster) apply(nd *distNode, from graph.EdgeID) {
 	nd.x = edgePool{}
 	nd.queried = nil
 	nd.queriedCenter = nil
-	nd.pendingNewB = nil
 }
 
 // -------------------------------------------------------- convergecasts ---
@@ -699,7 +692,9 @@ func (nd *distNode) finalizeFSConv() {
 // own using the count-one rule: an edge ID contributed by two constituent
 // boundaries has both endpoints inside the merged cluster and disappears.
 // Sorting the concatenated lists puts equal IDs side by side, so the merged
-// boundary is the IDs that occur exactly once, already in order.
+// boundary is the IDs that occur exactly once, already in order. It replaces
+// the center root's cb at once: nothing reads the root's cb before the
+// new-cluster flood carries it.
 func (nd *distNode) finalizeJoinConv() {
 	if nd.decis != decCenter {
 		nd.items = nil // stale aggregates at a joining/dying old root
@@ -716,7 +711,7 @@ func (nd *distNode) finalizeJoinConv() {
 			edges = append(edges, e)
 		}
 	}
-	nd.pendingNewB = &boundary{list: edges}
+	nd.cb = &boundary{list: edges}
 	nd.items = nil
 }
 

@@ -73,11 +73,10 @@ type AlgoSpec struct {
 // default"; invalid values are rejected by the engine's own validation and
 // surface as 400s.
 type RunOptions struct {
-	Seed           uint64  `json:"seed,omitempty"`
-	Gamma          int     `json:"gamma,omitempty"`
-	StageK         int     `json:"stage_k,omitempty"`
-	Bandwidth      int     `json:"bandwidth,omitempty"`
-	HybridFraction float64 `json:"hybrid_fraction,omitempty"`
+	Seed      uint64 `json:"seed,omitempty"`
+	Gamma     int    `json:"gamma,omitempty"`
+	StageK    int    `json:"stage_k,omitempty"`
+	Bandwidth int    `json:"bandwidth,omitempty"`
 	// KT1 is honored by the direct scheme only; any other scheme answers
 	// 400 (repro.ErrKT1Unsupported).
 	KT1 bool `json:"kt1,omitempty"`
@@ -331,9 +330,6 @@ func (o RunOptions) extras(defaultDeadline, maxDeadline time.Duration) ([]repro.
 	}
 	if o.Bandwidth != 0 {
 		out = append(out, repro.WithBandwidth(o.Bandwidth))
-	}
-	if o.HybridFraction != 0 {
-		out = append(out, repro.WithHybridFraction(o.HybridFraction))
 	}
 	if o.KT1 {
 		out = append(out, repro.WithKT1(true))

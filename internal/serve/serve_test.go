@@ -100,7 +100,7 @@ func TestServeLoadSharedFingerprints(t *testing.T) {
 		`{"scheme":"scheme1","graph":{"family":"gnp","n":72,"deg":6,"seed":1},"algorithm":{"name":"maxid","t":3}}`,
 		`{"scheme":"scheme1","graph":{"family":"gnp","n":72,"deg":6,"seed":2},"algorithm":{"name":"maxid","t":3}}`,
 		`{"scheme":"scheme2en","graph":{"family":"complete","n":32},"algorithm":{"name":"maxid","t":2}}`,
-		`{"scheme":"hybrid","graph":{"family":"grid","n":36},"algorithm":{"name":"bfs","t":3}}`,
+		`{"scheme":"gossip-converge","graph":{"family":"grid","n":36},"algorithm":{"name":"bfs","t":3}}`,
 	}
 
 	// Warm each spec once so the concurrent wave can hit warm caches.

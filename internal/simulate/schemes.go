@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math"
 
 	"repro/internal/algorithms"
-	"repro/internal/broadcast"
 	"repro/internal/core"
 	"repro/internal/globalcompute"
 	"repro/internal/graph"
@@ -368,71 +366,6 @@ func GossipConverge(ctx context.Context, g *graph.Graph, spec algorithms.Spec, b
 		return nil, fmt.Errorf("gossip-converge termination detection returned a false verdict from all-true predicates")
 	}
 	res.bill(hooks, "converge(halt)", run)
-	return res, nil
-}
-
-// HybridSrc composes the gossip baseline with the Sampler spanner pipeline:
-// push–pull gossip runs until a target fraction of nodes holds its complete
-// t-ball (phase "gossip(seed)", billed up to that round), and the spanner
-// then floods only the residue — the rumors some node still misses — for
-// stretch·t rounds (phase "collect(residue)"). The merged collection covers
-// every t-ball, so replayed outputs are bit-identical to direct execution.
-// The stage-1 spanner is built first so engine caches amortize it exactly as
-// for the pure spanner schemes. gossipBudget bounds the seeding stage's
-// schedule; failing to cover the fraction within it is an ErrRoundBudget.
-func HybridSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, fraction float64, gossipBudget int, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
-	if fraction <= 0 || fraction > 1 {
-		return nil, fmt.Errorf("hybrid fraction %v outside (0,1]", fraction)
-	}
-	st1, res, err := stage1(ctx, "hybrid", g, p, cfg, hooks, src)
-	if err != nil {
-		return nil, err
-	}
-
-	n := g.NumNodes()
-	ports := portsOf(g)
-	need := int(math.Ceil(fraction * float64(n)))
-
-	// Gossip stops at the seeding deadline — the earliest round by which
-	// the target fraction of nodes holds its complete t-ball — without
-	// simulating the schedule's dead tail (the default budget is 100·n
-	// rounds; the fraction is typically covered in O(polylog n)). Its run
-	// is the stage's bill, and its Known is what it delivered by the
-	// deadline. The ball index is built once and shared by the per-arrival
-	// cover tracking and the residue scan below.
-	bi := broadcast.NewBallIndex(g, spec.T)
-	gos, seedRound, err := broadcast.Gossip(ctx, g, ports, bi, need, gossipBudget, hooks.RoundConfig(cfg, "gossip(seed)"))
-	if err != nil {
-		return nil, fmt.Errorf("hybrid gossip stage: %w", err)
-	}
-	if seedRound < 0 {
-		return nil, fmt.Errorf("hybrid gossip stage covered %d of the %d required t-balls within %d rounds: %w",
-			gos.Covered, need, gossipBudget, ErrRoundBudget)
-	}
-	res.bill(hooks, "gossip(seed)", gos.Run, billedThrough(seedRound))
-
-	// Residue senders: every origin some node's t-ball still misses at the
-	// seeding deadline (central bookkeeping).
-	residue := make([]bool, n)
-	for v := 0; v < n; v++ {
-		for _, u := range bi.Members(graph.NodeID(v)) {
-			if _, ok := gos.Known[v][u]; !ok {
-				residue[u] = true
-			}
-		}
-	}
-	fl, err := broadcast.Flood(ctx, st1.Host, ports, residue, st1.Stretch*spec.T, hooks.RoundConfig(cfg, "collect(residue)"))
-	if err != nil {
-		return nil, fmt.Errorf("hybrid residue collection: %w", err)
-	}
-	res.bill(hooks, "collect(residue)", fl.Run)
-
-	// Merge what gossip had delivered by the seeding deadline into the
-	// residue flood's Known, in place.
-	for v, known := range fl.Known {
-		maps.Copy(known, gos.Known[v])
-	}
-	res.Coll = newCollection(ports, fl.Known, cfg.Seed, fl.Run)
 	return res, nil
 }
 

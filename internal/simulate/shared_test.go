@@ -21,8 +21,9 @@ import (
 )
 
 // collectionScheme is one collection pipeline of the facade's scheme table
-// (scheme.go), at the facade's default options — γ = 1, stage-2 k = 2,
-// hybrid fraction 0.5 and a ⌈log2 n⌉-word bandwidth — except the gossip
+// (scheme.go), at the Sampler level γ given to collectionSchemes and the
+// facade's other default options — stage-2 k = 2 and a ⌈log2 n⌉-word
+// bandwidth — except the gossip
 // budget: 10·n rounds in place of 100·n, which every flawless or lossy run
 // here covers well within, and which keeps the runs a crash profile
 // starves short.
@@ -31,8 +32,8 @@ type collectionScheme struct {
 	run  func(ctx context.Context, g *graph.Graph, spec algorithms.Spec, cfg local.Config) (*SchemeResult, error)
 }
 
-func collectionSchemes(t *testing.T) []collectionScheme {
-	p := Scheme1Params(1)
+func collectionSchemes(t *testing.T, gamma int) []collectionScheme {
+	p := Scheme1Params(gamma)
 	bs := construction(t, spanner.BaswanaSenConstruction, 2)
 	en := construction(t, spanner.ElkinNeimanConstruction, 2)
 	return []collectionScheme{
@@ -44,9 +45,6 @@ func collectionSchemes(t *testing.T) []collectionScheme {
 		}},
 		{"gossip-converge", func(ctx context.Context, g *graph.Graph, spec algorithms.Spec, cfg local.Config) (*SchemeResult, error) {
 			return GossipConverge(ctx, g, spec, 10*g.NumNodes(), cfg, Hooks{})
-		}},
-		{"hybrid", func(ctx context.Context, g *graph.Graph, spec algorithms.Spec, cfg local.Config) (*SchemeResult, error) {
-			return HybridSrc(ctx, g, spec, p, 0.5, 10*g.NumNodes(), cfg, Hooks{}, nil)
 		}},
 		{"scheme1", func(ctx context.Context, g *graph.Graph, spec algorithms.Spec, cfg local.Config) (*SchemeResult, error) {
 			return Scheme1Src(ctx, g, spec, p, cfg, Hooks{}, nil)
@@ -187,7 +185,7 @@ func TestSharedReplayMatchesLightCone(t *testing.T) {
 	var checked, shared, open int
 	for _, gc := range graphs {
 		n := gc.g.NumNodes()
-		for _, sc := range collectionSchemes(t) {
+		for _, sc := range collectionSchemes(t, 1) {
 			for _, spec := range algs {
 				for _, prof := range profiles {
 					cfg := local.Config{Seed: 5}

@@ -140,7 +140,7 @@ func portsOf(g *graph.Graph) [][]graph.EdgeID {
 func Collect(ctx context.Context, g, host *graph.Graph, rounds int, seed uint64, cfg local.Config) (*Collection, error) {
 	cfg.Seed = seed
 	table := portsOf(g)
-	fl, err := broadcast.Flood(ctx, host, table, nil, rounds, cfg)
+	fl, err := broadcast.Flood(ctx, host, table, rounds, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +175,7 @@ func CollectBudget(ctx context.Context, g, host *graph.Graph, rounds, bw int, se
 func GossipCollectEarly(ctx context.Context, g *graph.Graph, t, maxRounds int, seed uint64, cfg local.Config) (*Collection, int, int64, error) {
 	cfg.Seed = seed
 	table := portsOf(g)
-	gos, cover, err := broadcast.Gossip(ctx, g, table, broadcast.NewBallIndex(g, t), g.NumNodes(), maxRounds, cfg)
+	gos, cover, err := broadcast.Gossip(ctx, g, table, broadcast.NewBallIndex(g, t), maxRounds, cfg)
 	if err != nil {
 		return nil, 0, 0, err
 	}

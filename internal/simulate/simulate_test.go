@@ -38,13 +38,6 @@ func TestCollectDirectEqualsBalls(t *testing.T) {
 				coll, _, _, err := GossipCollectEarly(ctx, g, tr, 600, 7, local.Config{})
 				return coll, err
 			}},
-			{"HybridSrc", false, func() (*Collection, error) {
-				res, err := HybridSrc(ctx, g, spec, Scheme1Params(1), 0.5, 600, cfg, Hooks{}, nil)
-				if err != nil {
-					return nil, err
-				}
-				return res.Coll, nil
-			}},
 			{"GlobalCollectSrc", false, func() (*Collection, error) {
 				res, err := GlobalCollectSrc(ctx, g, spec, Scheme1Params(1), cfg, Hooks{}, nil)
 				if err != nil {
@@ -429,5 +422,49 @@ func TestStage2ReplayMatchesDirectPerNode(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestFinalSpannerVerifies checks the theorem's spanner claim on every
+// spanner-carrying collection scheme: the spanner that carried the final
+// collection is a subgraph of G with stretch at most the StretchUsed its
+// result reports, on every generated family that builds without a file, at
+// three seeds and γ ∈ {1, 2}. It runs on the flawless network only: under
+// an adversary scheme2's stage 2 replays a damaged collection, and its
+// spanner carries no such guarantee.
+func TestFinalSpannerVerifies(t *testing.T) {
+	ctx := context.Background()
+	spec := algorithms.MaxID(1)
+	for _, gamma := range []int{1, 2} {
+		checks := 0
+		for _, sc := range collectionSchemes(t, gamma) {
+			if strings.HasPrefix(sc.name, "gossip") {
+				continue // no spanner carries a gossip collection
+			}
+			for _, fam := range gen.Families() {
+				if fam.Name == "edgelist" {
+					continue // it loads its graph from a file
+				}
+				for seed := uint64(1); seed <= 3; seed++ {
+					g, err := gen.Build(gen.Spec{Family: fam.Name, N: 40, Degree: 4, Seed: seed})
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("gamma=%d/%s/%s/seed=%d", gamma, sc.name, fam.Name, seed)
+					res, err := sc.run(ctx, g, spec, local.Config{Seed: seed})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if res.FinalSpanner == nil {
+						t.Fatalf("%s: the result carries no spanner", name)
+					}
+					if _, _, err := graph.VerifySpanner(g, res.FinalSpanner, res.StretchUsed); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					checks++
+				}
+			}
+		}
+		t.Logf("γ=%d: %d spanners verified", gamma, checks)
 	}
 }

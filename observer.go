@@ -23,8 +23,6 @@ type PhaseCost = simulate.PhaseCost
 //   - "collect" — a spanner-carried collection flood;
 //   - "collect(congest)" — the bandwidth-budgeted collection of
 //     scheme1-congest, including its zero-message filler rounds;
-//   - "collect(residue)" — the hybrid scheme's residue flood;
-//   - "gossip(seed)" — the hybrid scheme's gossip seeding stage;
 //   - "gossip" — the push–pull gossip baseline, run until a central oracle
 //     sees every t-ball covered: an oracle-stopped lower bound;
 //   - "gossip(earlystop)" — the same gossip stage under the

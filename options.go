@@ -57,10 +57,6 @@ type Options struct {
 	// WithBandwidth was given) resolves at run time to ⌈log2 n⌉ — the
 	// CONGEST model's canonical O(log n)-bit message in words.
 	Bandwidth int
-	// HybridFraction is the fraction of nodes the hybrid scheme's gossip
-	// stage must cover with complete t-balls before the spanner collects the
-	// residue. Must lie in (0,1]; default 0.5.
-	HybridFraction float64
 	// CacheSize bounds the engine's stage-1 spanner cache (LRU eviction).
 	// Zero means DefaultCacheSize.
 	CacheSize int
@@ -120,10 +116,10 @@ func WithConcurrency(n int) Option { return func(o *Options) { o.Concurrency = n
 // WithMaxRounds sets the engine's round budget: a positive budget makes any
 // scheme whose billed LOCAL rounds exceed it fail with ErrRoundBudget (a
 // runaway pipeline is additionally cancelled in flight once its executed
-// rounds pass a safety multiple of the budget). The gossip and hybrid
-// schemes also use it as their gossip stage's round budget (0 means 100·n,
-// matching the historical driver default), and self-halting protocols
-// inherit it as their MaxRounds bound.
+// rounds pass a safety multiple of the budget). The two gossip schemes also
+// use it as their gossip stage's round budget (0 means 100·n, matching the
+// historical driver default), and self-halting protocols inherit it as their
+// MaxRounds bound.
 func WithMaxRounds(r int) Option { return func(o *Options) { o.MaxRounds = r } }
 
 // WithDeadline sets the engine's wall-clock budget per run — the duration
@@ -146,11 +142,6 @@ func WithDeadline(d time.Duration) Option {
 func WithBandwidth(words int) Option {
 	return func(o *Options) { o.Bandwidth, o.bandwidthSet = words, true }
 }
-
-// WithHybridFraction sets the fraction of nodes (in (0,1]) whose t-balls the
-// hybrid scheme's gossip stage must complete before the Sampler spanner
-// collects the residue. Default 0.5.
-func WithHybridFraction(f float64) Option { return func(o *Options) { o.HybridFraction = f } }
 
 // WithCacheSize bounds the engine's stage-1 spanner cache to the given
 // number of entries, evicting least-recently-used artifacts beyond it.
@@ -201,17 +192,17 @@ func WithObserver(obs Observer) Option {
 // PhaseCost.Dropped / PhaseCost.Duplicated attribute the damage.
 //
 // Exactly these stages feel the profile: direct execution, every collection
-// that runs on the LOCAL engine (scheme2's stage-2 collection and hybrid's
-// residue flood included), gossip, and the convergecasts (gossip-converge's
-// termination detection and globalcompute's globalcast). Three stages never
-// do. The stage-1 Sampler is exempt because schemes treat its spanner as
-// pre-provisioned infrastructure: it is memoized across runs, and its
-// artifact must not depend on the adversary. scheme1-congest's collection
-// is scheduled centrally, not run on the engine. Replay of the collected
-// balls runs each node's algorithm locally, with no network to perturb. Named
-// profiles ship in the internal registry; resolve them through the serve
-// API or cmd/simulate's -adversary flag, or construct an AdversaryProfile
-// literal here. The option keeps its own copy of p, slices included.
+// that runs on the LOCAL engine (scheme2's stage-2 collection included),
+// gossip, and the convergecasts (gossip-converge's termination detection and
+// globalcompute's globalcast). Three stages never do. The stage-1 Sampler
+// is exempt because schemes treat its spanner as pre-provisioned
+// infrastructure: it is memoized across runs, and its artifact must not
+// depend on the adversary. scheme1-congest's collection is scheduled
+// centrally, not run on the engine. Replay of the collected balls runs each
+// node's algorithm locally, with no network to perturb. Named profiles ship
+// in the internal registry; resolve them through the serve API or
+// cmd/simulate's -adversary flag, or construct an AdversaryProfile literal
+// here. The option keeps its own copy of p, slices included.
 func WithAdversary(p AdversaryProfile) Option {
 	p = p.Clone()
 	return func(o *Options) { o.Adversary = &p }
@@ -219,7 +210,7 @@ func WithAdversary(p AdversaryProfile) Option {
 
 // newOptions applies defaults and then the given options.
 func newOptions(opts []Option) Options {
-	o := Options{Gamma: 1, StageK: 2, HybridFraction: 0.5}
+	o := Options{Gamma: 1, StageK: 2}
 	for _, fn := range opts {
 		if fn != nil {
 			fn(&o)
@@ -241,8 +232,8 @@ func (o *Options) bandwidth(n int) int {
 	return bw
 }
 
-// gossipBudget resolves the gossip round budget for the gossip and hybrid
-// schemes: the configured MaxRounds, or the historical 100·n default.
+// gossipBudget resolves the gossip round budget for the two gossip schemes:
+// the configured MaxRounds, or the historical 100·n default.
 func (o *Options) gossipBudget(n int) int {
 	if o.MaxRounds > 0 {
 		return o.MaxRounds
@@ -340,9 +331,6 @@ func (o *Options) validate() error {
 	}
 	if o.bandwidthSet && o.Bandwidth < 1 {
 		return fmt.Errorf("bandwidth %d < 1 word per edge per round (use WithBandwidth)", o.Bandwidth)
-	}
-	if o.HybridFraction <= 0 || o.HybridFraction > 1 {
-		return fmt.Errorf("hybrid fraction %v outside (0,1] (use WithHybridFraction)", o.HybridFraction)
 	}
 	if o.CacheSize < 0 {
 		return fmt.Errorf("negative CacheSize %d (use WithCacheSize)", o.CacheSize)

@@ -3,7 +3,7 @@ package repro_test
 // Tests for the registry growth of this PR: the engine-wide option
 // validation matrix, the WithMaxRounds round-budget guard, the LRU bound on
 // the stage-1 spanner cache, and the scheme-specific behaviour of the
-// CONGEST-budgeted and hybrid pipelines.
+// CONGEST-budgeted pipeline.
 
 import (
 	"context"
@@ -19,8 +19,7 @@ import (
 
 // TestSchemeValidationMatrix is the registry-wide validation table: every
 // registered scheme must reject every nonsense option value — Gamma < 1,
-// StageK < 1, Bandwidth < 1, HybridFraction outside (0,1], a negative
-// CacheSize, a sub-1 LogNSlack — before any simulation work starts (no
+// StageK < 1, Bandwidth < 1, a negative CacheSize, a sub-1 LogNSlack — before any simulation work starts (no
 // round event may fire).
 func TestSchemeValidationMatrix(t *testing.T) {
 	g := testGraph()
@@ -34,8 +33,6 @@ func TestSchemeValidationMatrix(t *testing.T) {
 		{"stagek0", repro.WithStageK(0)},
 		{"bandwidth0", repro.WithBandwidth(0)},
 		{"bandwidth-negative", repro.WithBandwidth(-8)},
-		{"hybridfraction0", repro.WithHybridFraction(0)},
-		{"hybridfraction-above-1", repro.WithHybridFraction(1.01)},
 		{"cachesize-negative", repro.WithCacheSize(-1)},
 		{"lognslack-below-1", repro.WithLogNSlack(0.5)},
 		{"deadline0", repro.WithDeadline(0)},
@@ -61,7 +58,7 @@ func TestSchemeValidationMatrix(t *testing.T) {
 
 // TestRoundBudgetGuard is the per-scheme budget table: with a budget far
 // below what any pipeline needs, every registered scheme must fail with the
-// typed ErrRoundBudget — the gossip-backed schemes through their seeding
+// typed ErrRoundBudget — the gossip schemes through their gossip
 // schedule, the rest through the engine-level guard on billed rounds.
 func TestRoundBudgetGuard(t *testing.T) {
 	g := testGraph()
@@ -289,43 +286,5 @@ func TestCongestBandwidth(t *testing.T) {
 	}
 	if nc.Dilation <= 1 {
 		t.Fatalf("one-word bandwidth reported dilation %v, want > 1", nc.Dilation)
-	}
-}
-
-// TestHybridResidue pins the hybrid composition: at fraction 1 the gossip
-// stage covers every t-ball, so the spanner's residue flood carries nothing;
-// at a small fraction the residue flood does the heavy lifting. Outputs
-// match direct execution in both regimes (the fidelity matrix checks the
-// default fraction).
-func TestHybridResidue(t *testing.T) {
-	g := testGraph()
-	spec := repro.MaxID(3)
-	const seed = 7
-	direct, err := repro.NewEngine(repro.WithSeed(seed)).Run(context.Background(), "direct", g, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	residueOf := func(res *repro.SimulationResult) repro.PhaseCost {
-		t.Helper()
-		for _, ph := range res.Phases {
-			if ph.Name == "collect(residue)" {
-				return ph
-			}
-		}
-		t.Fatalf("no collect(residue) phase in %+v", res.Phases)
-		return repro.PhaseCost{}
-	}
-	for _, fraction := range []float64{0.1, 1} {
-		res, err := repro.NewEngine(repro.WithSeed(seed), repro.WithHybridFraction(fraction)).
-			Run(context.Background(), "hybrid", g, spec)
-		if err != nil {
-			t.Fatalf("fraction %v: %v", fraction, err)
-		}
-		sameOutputs(t, fmt.Sprintf("fraction %v", fraction), res.Outputs, direct.Outputs)
-		if fraction == 1 {
-			if msgs := residueOf(res).Messages; msgs != 0 {
-				t.Fatalf("full gossip coverage still flooded %d residue messages", msgs)
-			}
-		}
 	}
 }

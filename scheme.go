@@ -107,14 +107,6 @@ var schemes = []Scheme{
 		},
 	},
 	{
-		name: "hybrid",
-		desc: "gossip seeds WithHybridFraction of the t-balls, the Sampler spanner collects the residue",
-		pipeline: func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*simulate.SchemeResult, error) {
-			return simulate.HybridSrc(ctx, g, spec, o.samplerParams(), o.HybridFraction,
-				o.gossipBudget(g.NumNodes()), o.localConfig(), o.hooks(), o.stage1)
-		},
-	},
-	{
 		name: "scheme1",
 		desc: "Theorem 3 (i): Sampler spanner + stretch·t-round collection",
 		pipeline: func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*simulate.SchemeResult, error) {
