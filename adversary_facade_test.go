@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -162,7 +163,7 @@ func TestGossipEarlyStopUnderDelayExactBill(t *testing.T) {
 		cover = r
 		for v, known := range clipped.Known {
 			for _, u := range bi.Members(repro.NodeID(v)) {
-				if _, ok := known[u]; !ok {
+				if _, ok := slices.BinarySearch(known, u); !ok {
 					cover = -1
 				}
 			}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -69,7 +70,7 @@ func main() {
 		missing := 0
 		for v := 0; v < g.NumNodes(); v++ {
 			for _, u := range g.Ball(graph.NodeID(v), tr) {
-				if _, ok := coll.Ports[v][u]; !ok {
+				if _, ok := slices.BinarySearch(coll.Ports[v], u); !ok {
 					missing++
 				}
 			}

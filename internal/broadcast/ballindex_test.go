@@ -2,7 +2,7 @@ package broadcast
 
 import (
 	"context"
-	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/adversary"
@@ -63,7 +63,7 @@ func TestGossipDelayedConcurrentMatchesSequential(t *testing.T) {
 					concCover, conc.Run.Messages, seqCover, seq.Run.Messages)
 			}
 			for v := range seq.Known {
-				if !maps.Equal(conc.Known[v], seq.Known[v]) {
+				if !slices.Equal(conc.Known[v], seq.Known[v]) {
 					t.Fatalf("node %d heard %d origins concurrently, %d sequentially", v, len(conc.Known[v]), len(seq.Known[v]))
 				}
 				if !heardBall(bi, graph.NodeID(v), seq.Known[v]) {

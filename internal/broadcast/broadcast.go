@@ -16,17 +16,20 @@
 // Every primitive shares one rumor model. M_v is node v's port list, entry
 // v of a payload table [][]graph.EdgeID; a rumor is the bare origin ID v,
 // charged 1 + len(M_v) words wherever it travels. Every receiver reads M_v
-// from the same table, so a node records only whom it heard: its Known, a
-// set of origins, is both its dedup set and its result. A Result's Known,
-// together with the payload table the run was given, is the collection
-// simulate replays from, and its Run is the bill: a gossip run with a ball
-// index ends at the barrier of its cover round, so its Run and Known cover
-// exactly rounds 0..cover.
+// from the same table, so a node records only whom it heard. Flood and
+// Gossip keep that record as an origin bitset of n bits per node, both the
+// dedup set and the result: a run holds n/8 bytes per node, allocated once
+// when the run starts. A Result's Known lists each node's heard origins
+// strictly ascending. Known, together with the payload table the run was
+// given, is the collection simulate replays from, and the Run is the bill:
+// a gossip run with a ball index ends at the barrier of its cover round, so
+// its Run and Known cover exactly rounds 0..cover.
 package broadcast
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -36,9 +39,11 @@ import (
 
 // Result is the outcome of a broadcast run.
 type Result struct {
-	// Known is, per node, the set of origins it heard, itself included;
-	// the payload of origin u is entry u of the run's payload table.
-	Known []map[graph.NodeID]struct{}
+	// Known is, per node, the origins it heard, itself included, strictly
+	// ascending; the payload of origin u is entry u of the run's payload
+	// table. The rows may share one backing array: each is capped at its
+	// length, so appending to one never writes another.
+	Known [][]graph.NodeID
 	// Run carries the LOCAL cost metrics.
 	Run local.Result
 }
@@ -83,8 +88,69 @@ func validate(host *graph.Graph, payloads [][]graph.EdgeID, rounds int) error {
 	return nil
 }
 
+// originSet is one node's heard set: bit o says whether the node has heard
+// origin o, so the dedup test is one word load and the heard origins come
+// out ascending from a scan of the words. A run's sets are the capped rows
+// of one flat n×⌈n/64⌉ word array, allocated once when the run starts: n/8
+// bytes per node whatever the balls' sizes, where a hash set costs a few
+// words per heard origin. Near n ≈ 32k with balls of ~220 nodes the bitset
+// outgrows such a map. Each set is written only by its own node's Step.
+type originSet []uint64
+
+// newOriginSets returns n empty origin sets over the origins [0, n).
+func newOriginSets(n int) []originSet {
+	w := (n + 63) / 64
+	flat := make([]uint64, n*w)
+	sets := make([]originSet, n)
+	for v := range sets {
+		sets[v] = flat[v*w : (v+1)*w : (v+1)*w]
+	}
+	return sets
+}
+
+// add records origin o and reports whether it was new.
+//
+//freelunch:noalloc
+func (s originSet) add(o graph.NodeID) bool {
+	w, bit := uint32(o)>>6, uint64(1)<<(uint32(o)&63)
+	if s[w]&bit != 0 {
+		return false
+	}
+	s[w] |= bit
+	return true
+}
+
+// list appends the heard origins to dst in ascending order.
+func (s originSet) list(dst []graph.NodeID) []graph.NodeID {
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, graph.NodeID(i<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	return dst
+}
+
+// heardLists returns every set's origins ascending: Result.Known, as capped
+// rows of one array.
+func heardLists(sets []originSet) [][]graph.NodeID {
+	total := 0
+	for _, s := range sets {
+		for _, w := range s {
+			total += bits.OnesCount64(w)
+		}
+	}
+	flat := make([]graph.NodeID, 0, total)
+	known := make([][]graph.NodeID, len(sets))
+	for v, s := range sets {
+		lo := len(flat)
+		flat = s.list(flat)
+		known[v] = flat[lo:len(flat):len(flat)]
+	}
+	return known
+}
+
 // floodNode floods newly learned rumors to all neighbors each round. Its one
-// set, known, is both the dedup set and the result. The outgoing batch is
+// set, heard, is both the dedup set and the result. The outgoing batch is
 // buffered by round parity: a batch sent in round r is read by receivers in
 // round r+1 — or, under an adversary with delivery delays, as late as round
 // r+1+B — so the buffer ring holds B+2 batches and the buffer of parity p is
@@ -93,7 +159,7 @@ func validate(host *graph.Graph, payloads [][]graph.EdgeID, rounds int) error {
 // two buffers.
 type floodNode struct {
 	t     int
-	known map[graph.NodeID]struct{}
+	heard originSet
 	fresh []batch
 }
 
@@ -101,13 +167,12 @@ func (p *floodNode) Step(env *local.Env, round int, inbox []local.Message) {
 	cur := &p.fresh[round%len(p.fresh)]
 	cur.origins = cur.origins[:0]
 	if round == 0 {
-		p.known = map[graph.NodeID]struct{}{env.ID(): {}}
+		p.heard.add(env.ID())
 		cur.origins = append(cur.origins, env.ID())
 	}
 	for _, m := range inbox {
 		for _, o := range m.Payload.(*batch).origins {
-			if _, ok := p.known[o]; !ok {
-				p.known[o] = struct{}{}
+			if p.heard.add(o) {
 				cur.origins = append(cur.origins, o)
 			}
 		}
@@ -131,28 +196,24 @@ func Flood(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, ro
 	if err := validate(host, payloads, rounds); err != nil {
 		return nil, err
 	}
-	nodes := make([]*floodNode, host.NumNodes())
+	sets := newOriginSets(host.NumNodes())
 	rounds = clampSchedule(&cfg, rounds)
 	parities := 2 + maxDelay(cfg)
 	run, err := local.RunCtx(ctx, host, func(v graph.NodeID) local.Protocol {
 		nd := &floodNode{
 			t:     rounds,
+			heard: sets[v],
 			fresh: make([]batch, parities),
 		}
 		for i := range nd.fresh {
 			nd.fresh[i].payloads = payloads
 		}
-		nodes[v] = nd
 		return nd
 	}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Run: run, Known: make([]map[graph.NodeID]struct{}, len(nodes))}
-	for v, nd := range nodes {
-		res.Known[v] = nd.known
-	}
-	return res, nil
+	return &Result{Run: run, Known: heardLists(sets)}, nil
 }
 
 // maxDelay is the configured adversary's delivery-delay bound (0 without an
@@ -223,7 +284,7 @@ func (tr *arrivalTracker) learn(v, u graph.NodeID) {
 
 // gossipNode implements synchronous push–pull gossip: each round it pushes
 // its full rumor set over one uniformly random incident edge and answers
-// last round's pushes with its full set. known is the dedup set and the
+// last round's pushes with its full set. heard is the dedup set and the
 // result, as in floodNode; order lists the same origins in the order this
 // node learned them, and only ever grows by appending.
 //
@@ -241,7 +302,7 @@ func (tr *arrivalTracker) learn(v, u graph.NodeID) {
 type gossipNode struct {
 	t       int
 	track   *arrivalTracker
-	known   map[graph.NodeID]struct{}
+	heard   originSet
 	order   []graph.NodeID
 	replyTo []graph.EdgeID
 	push    []gossipPush
@@ -253,7 +314,7 @@ type gossipPull struct{ batch }
 
 func (p *gossipNode) Step(env *local.Env, round int, inbox []local.Message) {
 	if round == 0 {
-		p.known = map[graph.NodeID]struct{}{env.ID(): {}}
+		p.heard.add(env.ID())
 		p.order = append(p.order, env.ID())
 		p.track.learn(env.ID(), env.ID())
 	}
@@ -267,8 +328,7 @@ func (p *gossipNode) Step(env *local.Env, round int, inbox []local.Message) {
 			in = &msg.batch
 		}
 		for _, o := range in.origins {
-			if _, ok := p.known[o]; !ok {
-				p.known[o] = struct{}{}
+			if p.heard.add(o) {
 				p.order = append(p.order, o)
 				p.track.learn(env.ID(), o)
 			}
@@ -321,7 +381,7 @@ func Gossip(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, b
 	if bi != nil && bi.Nodes() != n {
 		return nil, 0, fmt.Errorf("broadcast: ball index spans %d nodes, host has %d", bi.Nodes(), n)
 	}
-	nodes := make([]*gossipNode, n)
+	sets := newOriginSets(n)
 	rounds = clampSchedule(&cfg, rounds)
 	parities := 2 + maxDelay(cfg)
 	track := newArrivalTracker(n, bi)
@@ -339,23 +399,19 @@ func Gossip(ctx context.Context, host *graph.Graph, payloads [][]graph.EdgeID, b
 		nd := &gossipNode{
 			t:     rounds,
 			track: track,
+			heard: sets[v],
 			push:  make([]gossipPush, parities),
 			pull:  make([]gossipPull, parities),
 		}
 		for i := range nd.push {
 			nd.push[i].payloads, nd.pull[i].payloads = payloads, payloads
 		}
-		nodes[v] = nd
 		return nd
 	}, cfg)
 	if err != nil {
 		return nil, 0, err
 	}
-	res := &Result{Known: make([]map[graph.NodeID]struct{}, n), Run: run}
-	for v, nd := range nodes {
-		res.Known[v] = nd.known
-	}
-	return res, cover, nil
+	return &Result{Known: heardLists(sets), Run: run}, cover, nil
 }
 
 // BallIndex is the per-node distance-t ball membership of one graph,

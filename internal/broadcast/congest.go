@@ -19,6 +19,8 @@ package broadcast
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/local"
@@ -70,7 +72,7 @@ func FloodBudget(ctx context.Context, host *graph.Graph, payloads [][]graph.Edge
 	queues := make([]edgeQueue, base[n])
 
 	hops := make([]map[graph.NodeID]int, n) // best hop count per heard origin
-	res := &Result{Known: make([]map[graph.NodeID]struct{}, n)}
+	res := &Result{Known: make([][]graph.NodeID, n)}
 	enqueue := func(v int, it qitem) {
 		for qi := base[v]; qi < base[v+1]; qi++ {
 			queues[qi].items = append(queues[qi].items, it)
@@ -78,7 +80,6 @@ func FloodBudget(ctx context.Context, host *graph.Graph, payloads [][]graph.Edge
 	}
 	for v := 0; v < n; v++ {
 		hops[v] = map[graph.NodeID]int{graph.NodeID(v): 0}
-		res.Known[v] = map[graph.NodeID]struct{}{graph.NodeID(v): {}}
 		if rounds > 0 {
 			enqueue(v, qitem{origin: graph.NodeID(v), hops: 1})
 		}
@@ -138,9 +139,6 @@ func FloodBudget(ctx context.Context, host *graph.Graph, payloads [][]graph.Edge
 				continue
 			}
 			hops[v][a.it.origin] = a.it.hops
-			if !heard {
-				res.Known[v][a.it.origin] = struct{}{}
-			}
 			if a.it.hops < rounds {
 				enqueue(v, qitem{origin: a.it.origin, hops: a.it.hops + 1})
 			}
@@ -173,6 +171,9 @@ func FloodBudget(ctx context.Context, host *graph.Graph, payloads [][]graph.Edge
 			cfg.OnRound(round, 0)
 		}
 		round++
+	}
+	for v := range hops {
+		res.Known[v] = slices.Sorted(maps.Keys(hops[v]))
 	}
 	res.Run.Halted = true
 	return res, nil

@@ -2,6 +2,7 @@ package broadcast
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -43,13 +44,8 @@ func TestFloodBudgetMatchesFlood(t *testing.T) {
 		t.Fatalf("payload units %d != %d", budgeted.Run.PayloadUnits, plain.Run.PayloadUnits)
 	}
 	for v := range plain.Known {
-		if len(budgeted.Known[v]) != len(plain.Known[v]) {
-			t.Fatalf("node %d knows %d origins, flood knows %d", v, len(budgeted.Known[v]), len(plain.Known[v]))
-		}
-		for origin := range plain.Known[v] {
-			if _, ok := budgeted.Known[v][origin]; !ok {
-				t.Fatalf("node %d missed origin %d that the flood delivered", v, origin)
-			}
+		if !slices.Equal(budgeted.Known[v], plain.Known[v]) {
+			t.Fatalf("node %d knows %v, flood knows %v", v, budgeted.Known[v], plain.Known[v])
 		}
 	}
 }
@@ -73,14 +69,9 @@ func TestFloodBudgetSplitsAndCovers(t *testing.T) {
 		t.Fatalf("one-word cap did not dilate: %d rounds vs %d", narrow.Run.Rounds, plain.Run.Rounds)
 	}
 	for v := range plain.Known {
-		if len(narrow.Known[v]) != len(plain.Known[v]) {
-			t.Fatalf("node %d: budgeted flood knows %d origins, flood %d — bandwidth changed knowledge",
-				v, len(narrow.Known[v]), len(plain.Known[v]))
-		}
-		for origin := range plain.Known[v] {
-			if _, ok := narrow.Known[v][origin]; !ok {
-				t.Fatalf("node %d lost origin %d under the one-word cap", v, origin)
-			}
+		if !slices.Equal(narrow.Known[v], plain.Known[v]) {
+			t.Fatalf("node %d: budgeted flood knows %v, flood %v — bandwidth changed knowledge",
+				v, narrow.Known[v], plain.Known[v])
 		}
 	}
 }

@@ -100,12 +100,10 @@ func checkReplays(t *testing.T, name string, shared *replayer, c *Collection, sp
 // synthetic phantoms inside the balls, as a lossy network does.
 func dropOrigins(c *Collection, period, phase int) *Collection {
 	out := cloneCollection(c)
-	for v, m := range out.Ports {
-		for _, u := range sortedOrigins(m) {
-			if int(u) != v && int(u)%period == phase {
-				delete(m, u)
-			}
-		}
+	for v, h := range out.Ports {
+		out.Ports[v] = slices.DeleteFunc(h, func(u graph.NodeID) bool {
+			return int(u) != v && int(u)%period == phase
+		})
 	}
 	return out
 }
@@ -296,9 +294,10 @@ func FuzzReplayHorizon(f *testing.F) {
 		}
 		dropped := 0
 		for rest := data[6:]; len(rest) >= 2; rest = rest[2:] {
-			m := coll.Ports[int(rest[0])%coll.N]
-			if origins := sortedOrigins(m); len(origins) > 0 {
-				delete(m, origins[int(rest[1])%len(origins)])
+			v := int(rest[0]) % coll.N
+			if h := coll.Ports[v]; len(h) > 0 {
+				i := int(rest[1]) % len(h)
+				coll.Ports[v] = slices.Delete(h, i, i+1)
 				dropped++
 			}
 		}

@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -152,8 +151,7 @@ func TestReplayRejectsOutOfRangeOrigin(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coll.Ports[0][tc.origin] = struct{}{}
-			delete(coll.Ports[0], tc.drop)
+			coll.Ports[0] = deleteOrigin(insertOrigin(coll.Ports[0], tc.origin), tc.drop)
 			_, err = coll.Replay(spec, 0)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Replay error %v, want one containing %q", err, tc.want)
@@ -180,23 +178,35 @@ func cloneCollection(c *Collection) *Collection {
 	for u, row := range c.Table {
 		table[u] = slices.Clone(row)
 	}
-	heard := make([]map[graph.NodeID]struct{}, len(c.Ports))
-	for v, m := range c.Ports {
-		heard[v] = maps.Clone(m)
+	heard := make([][]graph.NodeID, len(c.Ports))
+	for v, h := range c.Ports {
+		heard[v] = slices.Clone(h)
 	}
 	return newCollection(table, heard, c.Seed, c.Run)
 }
 
-// sortedOrigins returns a heard set in ascending order, so fuzz mutations
-// are deterministic for a given input.
-func sortedOrigins(m map[graph.NodeID]struct{}) []graph.NodeID {
-	return slices.Sorted(maps.Keys(m))
+// insertOrigin adds origin o to the ascending heard set h at its place, if
+// h lacks it.
+func insertOrigin(h []graph.NodeID, o graph.NodeID) []graph.NodeID {
+	if i, ok := slices.BinarySearch(h, o); !ok {
+		return slices.Insert(h, i, o)
+	}
+	return h
+}
+
+// deleteOrigin removes origin o from the ascending heard set h, if h has it.
+func deleteOrigin(h []graph.NodeID, o graph.NodeID) []graph.NodeID {
+	if i, ok := slices.BinarySearch(h, o); ok {
+		return slices.Delete(h, i, i+1)
+	}
+	return h
 }
 
 // FuzzReplayDetectsCorruption generalizes TestReplayDetectsCorruptCollection
 // to arbitrary corruption of a collection: byte flips in the table's edge
 // IDs, injected and dropped table ports, forged origins in the heard sets,
-// in range and out of it, and deleted origins. The first byte picks the
+// in range and out of it, deleted origins, two adjacent origins swapped out
+// of ascending order, and a duplicated origin. The first byte picks the
 // base collection: a GNP collected over t rounds, whose heard sets are
 // open, or K_12 collected on itself, whose heard sets are all closed, so
 // that ReplayAllN shares one run among them. The invariant is that Replay
@@ -225,7 +235,7 @@ func FuzzReplayDetectsCorruption(f *testing.F) {
 	// missed, so its heard set is its component and it alone shares a run.
 	forged := []byte{0}
 	for u := range bases[0].N {
-		if _, ok := bases[0].Ports[0][graph.NodeID(u)]; !ok {
+		if _, ok := slices.BinarySearch(bases[0].Ports[0], graph.NodeID(u)); !ok {
 			forged = append(forged, 0, 3, byte(u), 0)
 		}
 	}
@@ -243,6 +253,12 @@ func FuzzReplayDetectsCorruption(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 0, 20})
 	f.Add([]byte{1, 0, 1, 0, 3})
 	f.Add([]byte{1, 1, 5, 0, 0, 0, 1, 0, 200, 1, 1, 0, 200})
+	// Heard sets out of order: on the open base, node 0 swaps its second
+	// and third origins; on the closed base, node 1 loses origin 5 and
+	// hears origin 0 twice, which restores its component's count, so only
+	// the order check keeps it out of the run node 0 shares.
+	f.Add([]byte{0, 0, 6, 1, 0})
+	f.Add([]byte{1, 1, 5, 5, 0, 1, 7, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -255,19 +271,18 @@ func FuzzReplayDetectsCorruption(f *testing.F) {
 			v := int(data[0]) % len(c.Ports)
 			op, a, b := data[1], data[2], data[3]
 			data = data[4:]
-			m := c.Ports[v]
-			origins := sortedOrigins(m)
-			if len(origins) == 0 {
+			h := c.Ports[v]
+			if len(h) == 0 {
 				continue
 			}
 			// A table op corrupts the row of one of v's heard origins, or
 			// v's own row in place of a forged origin's, which has none.
-			origin := origins[int(a)%len(origins)]
+			origin := h[int(a)%len(h)]
 			if int(origin) < 0 || int(origin) >= c.N {
 				origin = graph.NodeID(v)
 			}
 			ports := c.Table[origin]
-			switch op % 6 {
+			switch op % 8 {
 			case 0: // flip one byte of a table edge ID
 				if mask := graph.EdgeID(uint64(a) << (8 * (b % 8))); mask != 0 && len(ports) > 0 {
 					i := int(b) % len(ports)
@@ -284,9 +299,8 @@ func FuzzReplayDetectsCorruption(f *testing.F) {
 					mutated = true
 				}
 			case 3: // forge an in-range origin v never heard of
-				target := graph.NodeID(int(a) % c.N)
-				if _, ok := m[target]; !ok {
-					m[target] = struct{}{}
+				if target := graph.NodeID(int(a) % c.N); !slices.Contains(h, target) {
+					c.Ports[v] = insertOrigin(h, target)
 					mutated = true
 				}
 			case 4: // forge an origin outside [0, N): a synthetic phantom's ID, or negative
@@ -294,10 +308,20 @@ func FuzzReplayDetectsCorruption(f *testing.F) {
 				if b%2 == 1 {
 					target = graph.NodeID(-1 - int(a))
 				}
-				m[target] = struct{}{}
+				c.Ports[v] = insertOrigin(h, target)
 				mutated = true
 			case 5: // delete an origin v heard
-				delete(m, origins[int(a)%len(origins)])
+				c.Ports[v] = slices.Delete(h, int(a)%len(h), int(a)%len(h)+1)
+				mutated = true
+			case 6: // swap two adjacent origins, so the set is out of order
+				if len(h) > 1 {
+					i := int(a) % (len(h) - 1)
+					h[i], h[i+1] = h[i+1], h[i]
+					mutated = true
+				}
+			case 7: // duplicate an origin v heard
+				i := int(a) % len(h)
+				c.Ports[v] = slices.Insert(h, i, h[i])
 				mutated = true
 			}
 		}

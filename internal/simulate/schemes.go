@@ -403,9 +403,10 @@ func GlobalCollectSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec,
 
 	// Every node holds the merged table (the root's map, shared and
 	// read-only from here on). A table of n origins names every node, so
-	// every node heard all of them and the heard sets alias one full set.
-	all := make(map[graph.NodeID]struct{}, n)
-	heard := make([]map[graph.NodeID]struct{}, n)
+	// every node heard all of them and the heard sets alias one ascending
+	// slice 0..n-1.
+	all := make([]graph.NodeID, n)
+	heard := make([][]graph.NodeID, n)
 	for v := 0; v < n; v++ {
 		if table := vals[v]; len(table) != n {
 			// An incomplete table means the wave/convergecast starved within
@@ -413,7 +414,7 @@ func GlobalCollectSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec,
 			// failure, typed so callers can test for it.
 			return nil, fmt.Errorf("globalcompute: node %d's table covers %d of %d nodes: %w", v, len(table), n, ErrRoundBudget)
 		}
-		all[graph.NodeID(v)] = struct{}{}
+		all[v] = graph.NodeID(v)
 		heard[v] = all
 	}
 	res.Coll = newCollection(ports, heard, cfg.Seed, run)

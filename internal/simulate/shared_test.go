@@ -105,7 +105,7 @@ func closedInG(g *graph.Graph, c *Collection) int {
 	closed := 0
 	for v, heard := range c.Ports {
 		ok := len(heard) == size[label[v]]
-		for u := range heard {
+		for _, u := range heard {
 			ok = ok && int(u) >= 0 && int(u) < len(label) && label[u] == label[v]
 		}
 		if ok {
@@ -305,10 +305,9 @@ func TestSharedReplayClosure(t *testing.T) {
 	}{
 		{"clean", func(*Collection) {}, 8},
 		{"dangling port", func(c *Collection) { c.Table[5] = c.Table[5][1:] }, 4},
-		{"missing origin", func(c *Collection) { delete(c.Ports[0], 2) }, 7},
+		{"missing origin", func(c *Collection) { c.Ports[0] = deleteOrigin(c.Ports[0], 2) }, 7},
 		{"origin from the other component", func(c *Collection) {
-			delete(c.Ports[0], 2)
-			c.Ports[0][6] = struct{}{}
+			c.Ports[0] = insertOrigin(deleteOrigin(c.Ports[0], 2), 6)
 		}, 7},
 	} {
 		c := cloneCollection(base)

@@ -11,9 +11,12 @@
 // reconstruction possible: two collected nodes are adjacent iff their port
 // lists share an edge ID. The collection is the broadcast's own record: the
 // one payload table every node broadcast (Collection.Table, row u being u's
-// port list) and the set of origins each node heard (Collection.Ports,
+// port list) and the origins each node heard (Collection.Ports,
 // broadcast.Result.Known as the flood or gossip left it). Every collection
-// is built by one constructor from these two.
+// is built by one constructor from these two. A heard set is a strictly
+// ascending origin slice; replay rejects one that is not with a
+// *HeardOrderError naming the node, because a repeated origin could stand
+// in for a missing one.
 //
 // Replay runs only the light cone of the replayed node v. After t rounds,
 // v's output depends on a node at distance d only through that node's
@@ -88,10 +91,11 @@ type Collection struct {
 	// Table[u] is u's incident edge IDs in the original graph, ascending:
 	// the payload table the broadcast carried, one row per origin.
 	Table [][]graph.EdgeID
-	// Ports[v] is the set of origins v heard, itself included: the
-	// broadcast result's Known, held as is. v knows Table[u] for every u in
-	// it.
-	Ports []map[graph.NodeID]struct{}
+	// Ports[v] is the origins v heard, itself included, strictly ascending:
+	// the broadcast result's Known, held as is. v knows Table[u] for every
+	// u in it. Replay rejects a heard set that is not strictly ascending
+	// with a *HeardOrderError, and ReplayAllN never shares a run for it.
+	Ports [][]graph.NodeID
 	// Run is the cost of the collection phase.
 	Run local.Result
 
@@ -112,7 +116,7 @@ type component struct {
 
 // newCollection is the one constructor of a Collection: the payload table
 // the broadcast carried and every node's heard set.
-func newCollection(table [][]graph.EdgeID, heard []map[graph.NodeID]struct{}, seed uint64, run local.Result) *Collection {
+func newCollection(table [][]graph.EdgeID, heard [][]graph.NodeID, seed uint64, run local.Result) *Collection {
 	return &Collection{N: len(table), Seed: seed, Table: table, Ports: heard, Run: run}
 }
 
@@ -263,11 +267,14 @@ func (c *Collection) replayAll(ctx context.Context, spec algorithms.Spec, concur
 
 // closed reports whether v's heard set is closed, and v's component: the
 // component has no dangling port, v heard as many origins as it has
-// members, and every origin v heard is one of them. A heard set is a set,
-// so the three together make it the component. The count test rejects an
-// open heard set of any other size in O(1); only a set of the component's
-// size is walked. Every node of a collection whose table pair rejects is
-// open.
+// members, and every origin v heard is one of them. The walk also requires
+// the heard set to be strictly ascending, so its origins are distinct and
+// the three together make it the component; a repeated origin could
+// otherwise pass the count test while a member is missing. The count test
+// rejects an open heard set of any other size in O(1); only a set of the
+// component's size is walked. Every node of a collection whose table pair
+// rejects is open, and so is every node whose heard set is out of order,
+// whose light-cone replay then reports the error.
 //
 //freelunch:noalloc
 func (c *Collection) closed(v int) (int32, bool) {
@@ -279,13 +286,22 @@ func (c *Collection) closed(v int) (int32, bool) {
 	if c.comps[k].open || len(heard) != int(c.comps[k].size) {
 		return k, false
 	}
-	//freelunch:orderok a membership test: every order gives the same answer
-	for u := range heard {
-		if int(u) < 0 || int(u) >= len(c.comp) || c.comp[u] != k {
+	for i, u := range heard {
+		if (i > 0 && u <= heard[i-1]) || int(u) < 0 || int(u) >= len(c.comp) || c.comp[u] != k {
 			return k, false
 		}
 	}
 	return k, true
+}
+
+// HeardOrderError reports a heard set that is not strictly ascending: at
+// node Node, origin Origin follows Prev, which is equal or larger.
+type HeardOrderError struct {
+	Node, Prev, Origin graph.NodeID
+}
+
+func (e *HeardOrderError) Error() string {
+	return fmt.Sprintf("simulate: node %d's heard set is not strictly ascending: origin %d follows %d", e.Node, e.Origin, e.Prev)
 }
 
 // pair returns, for every table port, the port's other owner: peers[u][i]
@@ -513,9 +529,9 @@ func (r *replayer) replayShared(ctx context.Context, c *Collection, spec algorit
 // adversary dropped messages) can put a synthetic phantom at distance
 // d+1 <= t, and there it must step.
 //
-// A corrupt collection fails with an error: a heard origin outside
-// [0, c.N) (which would alias a synthetic phantom), or a table c.pair
-// rejects.
+// A corrupt collection fails with an error: a heard set that is not
+// strictly ascending (a *HeardOrderError), a heard origin outside [0, c.N)
+// (which would alias a synthetic phantom), or a table c.pair rejects.
 //
 //freelunch:noalloc
 func (r *replayer) rebuild(c *Collection, t int, v graph.NodeID) error {
@@ -531,23 +547,18 @@ func (r *replayer) rebuild(c *Collection, t int, v graph.NodeID) error {
 	}
 	heard := c.Ports[v]
 	defer r.unmark(heard)
-	var (
-		badOrigin graph.NodeID
-		forged    bool // some origin lies outside [0, c.N); badOrigin is the smallest
-	)
-	//freelunch:orderok marking a set; the error reports the smallest offender
-	for origin := range heard {
+	// The walk stops at the first defect. Up to it the set is ascending, so
+	// an origin out of range is the smallest one.
+	for i, origin := range heard {
+		if i > 0 && origin <= heard[i-1] {
+			//freelunch:allocok error path: built once and ends the replay
+			return &HeardOrderError{Node: v, Prev: heard[i-1], Origin: origin}
+		}
 		if int(origin) < 0 || int(origin) >= c.N {
-			if !forged || origin < badOrigin {
-				badOrigin, forged = origin, true
-			}
-			continue
+			//freelunch:allocok error path: formats once and ends the replay
+			return fmt.Errorf("simulate: node %d heard of origin %d outside [0, %d)", v, origin, c.N)
 		}
 		r.heard[origin] = true
-	}
-	if forged {
-		//freelunch:allocok error path: formats once and ends the replay
-		return fmt.Errorf("simulate: node %d heard of origin %d outside [0, %d)", v, badOrigin, c.N)
 	}
 	peers, err := c.pair()
 	if err != nil {
@@ -638,12 +649,12 @@ func (r *replayer) rebuild(c *Collection, t int, v graph.NodeID) error {
 // unmark resets every heard and mark entry the current replay touched.
 //
 //freelunch:noalloc
-func (r *replayer) unmark(heard map[graph.NodeID]struct{}) {
+func (r *replayer) unmark(heard []graph.NodeID) {
 	for _, u := range r.nodes {
 		r.mark[u] = -1
 	}
 	r.nodes = r.nodes[:0]
-	for u := range heard {
+	for _, u := range heard {
 		if int(u) >= 0 && int(u) < len(r.heard) {
 			r.heard[u] = false
 		}

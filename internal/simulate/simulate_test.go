@@ -2,12 +2,16 @@ package simulate
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/adversary"
 	"repro/internal/algorithms"
+	"repro/internal/broadcast"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
@@ -64,7 +68,7 @@ func TestCollectDirectEqualsBalls(t *testing.T) {
 					t.Fatalf("t=%d %s: node %d heard %d origins, ball %d", tr, p.name, v, len(coll.Ports[v]), len(ball))
 				}
 				for _, u := range ball {
-					if _, ok := coll.Ports[v][u]; !ok {
+					if _, ok := slices.BinarySearch(coll.Ports[v], u); !ok {
 						t.Fatalf("t=%d %s: node %d never heard ball member %d", tr, p.name, v, u)
 					}
 				}
@@ -295,34 +299,160 @@ func TestSchemeBeatsDirectOnDenseGraph(t *testing.T) {
 	}
 }
 
-// TestReplayDetectsCorruptCollection checks that pairing a corrupt table
-// fails every replay: an edge claimed by three rows, or named twice by one
-// row (a self-loop).
-func TestReplayDetectsCorruptCollection(t *testing.T) {
-	g := gen.Path(3)
-	for _, tc := range []struct {
-		name    string
-		corrupt func(table [][]graph.EdgeID) string // returns the wanted error
-	}{
-		{"third-owner", func(table [][]graph.EdgeID) string {
-			table[2] = append(table[2], table[0][0])
-			return fmt.Sprintf("edge %d claimed by 3 nodes", table[0][0])
-		}},
-		{"self-loop", func(table [][]graph.EdgeID) string {
-			table[0] = append(table[0], 99, 99)
-			return "reconstructed self-loop on edge 99"
-		}},
-	} {
-		coll, err := Collect(context.Background(), g, g, 2, 1, local.Config{})
-		if err != nil {
-			t.Fatal(err)
+// TestHeardSetsAscending checks the order Collection.Ports promises: every
+// heard-set producer returns strictly ascending heard sets. Flood runs on
+// the sequential engine and on 2 workers, flawless and under the delay2,
+// drop10 and crash2 profiles; FloodBudget, Gossip with and without a ball
+// index, and globalcompute's collection run flawless. On the flawless
+// network Flood's Known[v] must also be exactly graph.Ball(v, rounds). The
+// graphs are every generated family at n in {1, 63, 64, 65}, so heard
+// origins fall on both sides of a 64-bit word boundary.
+func TestHeardSetsAscending(t *testing.T) {
+	ctx := context.Background()
+	const rounds = 2
+	profiles := []adversary.Profile{{Name: "flawless"}}
+	for _, name := range []string{"delay2", "drop10", "crash2"} {
+		prof, ok := adversary.Named(name)
+		if !ok {
+			t.Fatalf("no %s profile", name)
 		}
-		want := tc.corrupt(coll.Table)
-		for v := 0; v < g.NumNodes(); v++ {
-			if _, err := coll.Replay(algorithms.MaxID(2), graph.NodeID(v)); err == nil || !strings.Contains(err.Error(), want) {
-				t.Fatalf("%s: node %d: error %v, want one containing %q", tc.name, v, err, want)
+		profiles = append(profiles, prof)
+	}
+	for _, n := range []int{1, 63, 64, 65} {
+		exact := 0 // graphs built with exactly n nodes
+		for _, fam := range gen.Families() {
+			if fam.Name == "edgelist" {
+				continue // it loads its graph from a file
+			}
+			g, err := gen.Build(gen.Spec{Family: fam.Name, N: n, Degree: 4, Seed: 1})
+			if err != nil {
+				continue // a shape the family rejects
+			}
+			if g.NumNodes() == n {
+				exact++
+			}
+			name := fmt.Sprintf("%s/n=%d", fam.Name, g.NumNodes())
+			table := portsOf(g)
+			for _, prof := range profiles {
+				for _, workers := range []int{0, 2} {
+					cfg := local.Config{Seed: 5, Workers: workers}
+					if prof.Name != "flawless" {
+						cfg.Adversary = adversary.Compile(prof, 5)
+					}
+					fl, err := broadcast.Flood(ctx, g, table, rounds, cfg)
+					if err != nil {
+						t.Fatalf("%s: flood %s workers=%d: %v", name, prof.Name, workers, err)
+					}
+					requireAscending(t, fmt.Sprintf("%s: flood %s workers=%d", name, prof.Name, workers), fl.Known)
+					if cfg.Adversary != nil {
+						continue
+					}
+					for v, heard := range fl.Known {
+						if ball := g.Ball(graph.NodeID(v), rounds); !slices.Equal(heard, ball) {
+							t.Fatalf("%s: flood workers=%d: node %d heard %v, ball %v", name, workers, v, heard, ball)
+						}
+					}
+				}
+			}
+			budget, err := broadcast.FloodBudget(ctx, g, table, rounds, 3, local.Config{})
+			if err != nil {
+				t.Fatalf("%s: budgeted flood: %v", name, err)
+			}
+			requireAscending(t, name+": budgeted flood", budget.Known)
+			for _, bi := range []*broadcast.BallIndex{nil, broadcast.NewBallIndex(g, rounds)} {
+				gos, _, err := broadcast.Gossip(ctx, g, table, bi, 4*g.NumNodes(), local.Config{Seed: 5})
+				if err != nil {
+					t.Fatalf("%s: gossip: %v", name, err)
+				}
+				requireAscending(t, fmt.Sprintf("%s: gossip ball index %v", name, bi != nil), gos.Known)
+			}
+			if g.NumNodes() > 1 && g.Connected() {
+				res, err := GlobalCollectSrc(ctx, g, algorithms.MaxID(rounds), Scheme1Params(1), local.Config{Seed: 5}, Hooks{}, nil)
+				if err != nil {
+					t.Fatalf("%s: globalcompute: %v", name, err)
+				}
+				requireAscending(t, name+": globalcompute", res.Coll.Ports)
 			}
 		}
+		if exact == 0 {
+			t.Fatalf("no family built a graph of exactly %d nodes", n)
+		}
+	}
+}
+
+// requireAscending fails t unless every heard set is strictly ascending.
+func requireAscending(t *testing.T, name string, heard [][]graph.NodeID) {
+	t.Helper()
+	for v, h := range heard {
+		for i := 1; i < len(h); i++ {
+			if h[i] <= h[i-1] {
+				t.Fatalf("%s: node %d's heard set %v is not strictly ascending", name, v, h)
+			}
+		}
+	}
+}
+
+// TestReplayDetectsCorruptCollection checks that pairing a corrupt table
+// fails every replay: an edge claimed by three rows, or named twice by one
+// row (a self-loop). It also checks that a heard set out of strictly
+// ascending order fails its own node's replay, and only that one, with a
+// *HeardOrderError naming the node: two origins swapped, or an origin heard
+// twice in place of a missing one, which keeps the count of node 2's closed
+// component and so must not share its run.
+func TestReplayDetectsCorruptCollection(t *testing.T) {
+	g := gen.Path(3)
+	all := []graph.NodeID{0, 1, 2}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(c *Collection) string // returns the wanted error
+		failing []graph.NodeID             // the nodes whose replay must fail
+		order   bool                       // a *HeardOrderError with exactly the wanted text
+	}{
+		{"third-owner", func(c *Collection) string {
+			c.Table[2] = append(c.Table[2], c.Table[0][0])
+			return fmt.Sprintf("edge %d claimed by 3 nodes", c.Table[0][0])
+		}, all, false},
+		{"self-loop", func(c *Collection) string {
+			c.Table[0] = append(c.Table[0], 99, 99)
+			return "reconstructed self-loop on edge 99"
+		}, all, false},
+		{"unsorted-heard-set", func(c *Collection) string {
+			c.Ports[1][0], c.Ports[1][1] = c.Ports[1][1], c.Ports[1][0]
+			return "simulate: node 1's heard set is not strictly ascending: origin 0 follows 1"
+		}, []graph.NodeID{1}, true},
+		{"duplicate-origin", func(c *Collection) string {
+			c.Ports[2] = []graph.NodeID{0, 0, 2}
+			return "simulate: node 2's heard set is not strictly ascending: origin 0 follows 0"
+		}, []graph.NodeID{2}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coll, err := Collect(context.Background(), g, g, 2, 1, local.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := tc.corrupt(coll)
+			spec := algorithms.MaxID(2)
+			for v := 0; v < g.NumNodes(); v++ {
+				_, err := coll.Replay(spec, graph.NodeID(v))
+				if !slices.Contains(tc.failing, graph.NodeID(v)) {
+					if err != nil {
+						t.Fatalf("node %d: %v", v, err)
+					}
+					continue
+				}
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("node %d: error %v, want one containing %q", v, err, want)
+				}
+				var order *HeardOrderError
+				if tc.order && (err.Error() != want || !errors.As(err, &order) || order.Node != graph.NodeID(v)) {
+					t.Fatalf("node %d: error %v, want exactly %q from a *HeardOrderError naming node %d", v, err, want, v)
+				}
+			}
+			_, err = coll.ReplayAllN(context.Background(), spec, 2)
+			if first := fmt.Sprintf("node %d: ", tc.failing[0]); err == nil || !strings.Contains(err.Error(), first) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("ReplayAllN error %v, want node %d's %q", err, tc.failing[0], want)
+			}
+		})
 	}
 }
 
