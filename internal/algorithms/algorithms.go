@@ -31,8 +31,9 @@ type Spec struct {
 	New func(v graph.NodeID) local.Protocol
 	// Output extracts a node's final output from its protocol instance. For
 	// the facade's target algorithms the returned value must be comparable
-	// with == for fidelity checks. A spanner.Construction's outputs are edge
-	// sets (map[graph.EdgeID]bool), compared as sets.
+	// with == for fidelity checks. A spanner.Construction's outputs are
+	// strictly ascending edge lists ([]graph.EdgeID), compared with
+	// reflect.DeepEqual.
 	Output func(p local.Protocol) any
 }
 

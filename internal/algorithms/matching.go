@@ -1,6 +1,8 @@
 package algorithms
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/local"
 )
@@ -19,7 +21,7 @@ type MatchNode struct {
 	T       int
 	Matched graph.EdgeID
 
-	taken     map[graph.EdgeID]bool
+	taken     []graph.EdgeID // edges known to lead to a matched node, ascending
 	proposer  bool
 	proposed  graph.EdgeID
 	announced bool
@@ -41,11 +43,10 @@ type matchTaken struct{}
 func (p *MatchNode) Step(env *local.Env, round int, inbox []local.Message) {
 	if round == 0 {
 		p.Matched = NoMatch
-		p.taken = make(map[graph.EdgeID]bool)
 	}
 	for _, m := range inbox {
 		if _, ok := m.Payload.(matchTaken); ok {
-			p.taken[m.Edge] = true
+			p.taken = graph.InsertEdgeID(p.taken, m.Edge)
 		}
 	}
 	switch round % 3 {
@@ -114,7 +115,7 @@ func (p *MatchNode) Step(env *local.Env, round int, inbox []local.Message) {
 func (p *MatchNode) openEdges(env *local.Env) []graph.EdgeID {
 	var out []graph.EdgeID
 	for _, pt := range env.Ports() {
-		if !p.taken[pt.Edge] {
+		if _, taken := slices.BinarySearch(p.taken, pt.Edge); !taken {
 			out = append(out, pt.Edge)
 		}
 	}

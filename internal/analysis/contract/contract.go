@@ -35,6 +35,7 @@ import (
 // are serving or reporting layers where wall-clock and map order are
 // legitimate.
 var DeterministicPackages = map[string]bool{
+	"repro/internal/algorithms":    true,
 	"repro/internal/graph":         true,
 	"repro/internal/graph/gen":     true,
 	"repro/internal/local":         true,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -161,7 +162,7 @@ func BuildDistributed(ctx context.Context, g *graph.Graph, p Params, seed uint64
 		nodes:          nodes,
 	}
 	for _, nd := range nodes {
-		for e := range nd.inS {
+		for _, e := range nd.inS {
 			res.S[e] = true
 		}
 		res.Traffic.add(nd.sent)
@@ -177,7 +178,7 @@ type distNode struct {
 	id       graph.NodeID
 	phaseIdx int
 
-	myEdges map[graph.EdgeID]bool // my incident edges (immutable after init)
+	edges []graph.EdgeID // my incident edges, ascending (the level-0 boundary's list)
 
 	// Cluster membership (current level).
 	dead          bool
@@ -214,7 +215,7 @@ type distNode struct {
 	items       []convItem
 
 	// Outputs.
-	inS      map[graph.EdgeID]bool
+	inS      []graph.EdgeID // my incident spanner edges, ascending
 	fDecided []graph.EdgeID // F-edges decided here as a root; tests union them
 	sent     Traffic        // this node's sends, by kind
 }
@@ -251,19 +252,22 @@ func (nd *distNode) Step(env *local.Env, round int, inbox []local.Message) {
 // init sets up the level-0 singleton cluster: every node is its own root,
 // its boundary is its incident edge set, and its tree is empty.
 func (nd *distNode) init(env *local.Env) {
-	ports := env.Ports()
-	nd.myEdges = make(map[graph.EdgeID]bool, len(ports))
-	edges := make([]graph.EdgeID, 0, len(ports))
-	for _, pt := range ports {
-		nd.myEdges[pt.Edge] = true
-		edges = append(edges, pt.Edge)
+	nd.edges = make([]graph.EdgeID, 0, env.Degree())
+	for _, pt := range env.Ports() {
+		nd.edges = append(nd.edges, pt.Edge)
 	}
 	nd.isRoot = true
 	nd.clusterRoot = nd.id
 	nd.joinEdge = noEdge // 0 is a valid edge ID
-	nd.cb = newBoundary(edges)
+	// Boundaries are immutable, so the level-0 boundary shares the list.
+	nd.cb = &boundary{list: nd.edges}
 	nd.resetRootLevelState()
-	nd.inS = make(map[graph.EdgeID]bool)
+}
+
+// mine reports whether e is incident to this node.
+func (nd *distNode) mine(e graph.EdgeID) bool {
+	_, ok := slices.BinarySearch(nd.edges, e)
+	return ok
 }
 
 func (nd *distNode) resetRootLevelState() {
@@ -459,11 +463,11 @@ func (nd *distNode) handleMessage(env *local.Env, ph phase, m local.Message) {
 		nd.items = append(nd.items, msg...)
 		nd.convWaiting--
 	case mAccept:
-		nd.inS[m.Edge] = true
+		nd.inS = graph.InsertEdgeID(nd.inS, m.Edge)
 	case mProbe:
 		// A probe travels over an F-edge of the probing cluster, so this
 		// edge is in the spanner; record that before answering.
-		nd.inS[m.Edge] = true
+		nd.inS = graph.InsertEdgeID(nd.inS, m.Edge)
 		env.Send(m.Edge, mProbeReply{Root: nd.clusterRoot, IsCenter: nd.centerCluster})
 		nd.sent.Probe++
 	case mProbeReply:
@@ -495,8 +499,8 @@ func (nd *distNode) composeReply(ph phase, fs bool) mReply {
 // queues far-endpoint notifications.
 func (nd *distNode) markFAdds(fAdds []graph.EdgeID) {
 	for _, e := range fAdds {
-		if nd.myEdges[e] {
-			nd.inS[e] = true
+		if nd.mine(e) {
+			nd.inS = graph.InsertEdgeID(nd.inS, e)
 			nd.accepts = append(nd.accepts, e)
 		}
 	}
@@ -509,7 +513,7 @@ func (nd *distNode) markFAdds(fAdds []graph.EdgeID) {
 func (nd *distNode) ownIncident(edges []graph.EdgeID) []graph.EdgeID {
 	var out []graph.EdgeID
 	for _, e := range edges {
-		if nd.myEdges[e] {
+		if nd.mine(e) {
 			out = append(out, e)
 		}
 	}
@@ -538,7 +542,7 @@ func (m mDecide) apply(nd *distNode, _ graph.EdgeID) {
 	case decDead:
 		nd.dead = true // cb is frozen as the final boundary
 	case decJoin:
-		if nd.myEdges[m.JoinEdge] {
+		if nd.mine(m.JoinEdge) {
 			nd.joinEdge = m.JoinEdge
 		}
 	}
@@ -624,21 +628,20 @@ func (nd *distNode) finalizeTrialConv(env *local.Env, ph phase) {
 
 // walkReplies is the reply lookup both reply reductions share: it hands
 // visit each edge of order that is still unexplored, with the reply that
-// answered the query over it, until visit returns false.
+// answered the query over it, until visit returns false. It sorts the
+// root's items by edge (each queried edge has one reply) to look them up.
 func (nd *distNode) walkReplies(order []graph.EdgeID, visit func(e graph.EdgeID, it convItem) bool) {
-	byEdge := make(map[graph.EdgeID]convItem, len(nd.items))
-	for _, it := range nd.items {
-		byEdge[it.Edge] = it
-	}
+	byEdge := func(it convItem, e graph.EdgeID) int { return cmp.Compare(it.Edge, e) }
+	slices.SortFunc(nd.items, func(a, b convItem) int { return byEdge(a, b.Edge) })
 	for _, e := range order {
 		if !nd.x.contains(e) {
 			continue // peeled earlier in this walk (parallel duplicate)
 		}
-		it, ok := byEdge[e]
+		i, ok := slices.BinarySearchFunc(nd.items, e, byEdge)
 		if !ok {
 			panic(fmt.Sprintf("core: root %d: no reply for queried edge %d", nd.id, e))
 		}
-		if !visit(e, it) {
+		if !visit(e, nd.items[i]) {
 			return
 		}
 	}

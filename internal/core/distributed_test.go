@@ -163,7 +163,7 @@ func TestDistributedBothEndpointsKnow(t *testing.T) {
 		ge, _ := g.EdgeByID(e)
 		knows := 0
 		for _, v := range []graph.NodeID{ge.U, ge.V} {
-			if res.nodes[v].inS[e] {
+			if slices.Contains(res.nodes[v].inS, e) {
 				knows++
 			}
 		}
@@ -173,7 +173,7 @@ func TestDistributedBothEndpointsKnow(t *testing.T) {
 	}
 	// And no node claims a non-incident or non-spanner edge.
 	for v, nd := range res.nodes {
-		for e := range nd.inS {
+		for _, e := range nd.inS {
 			if !res.S[e] {
 				t.Fatalf("node %d claims unknown spanner edge %d", v, e)
 			}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"slices"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // boundary is an immutable cluster-boundary set shared by reference between
 // a cluster's members and, crucially, inside messages: the LOCAL model does
@@ -13,12 +9,6 @@ import (
 // read-only.
 type boundary struct {
 	list []graph.EdgeID // sorted
-}
-
-func newBoundary(edges []graph.EdgeID) *boundary {
-	b := &boundary{list: append([]graph.EdgeID(nil), edges...)}
-	slices.Sort(b.list)
-	return b
 }
 
 // Message payloads of the distributed Sampler. Every type is dispatched on

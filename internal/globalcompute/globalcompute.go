@@ -101,8 +101,8 @@ type gcNode[T any] struct {
 	dist     int
 	parent   graph.EdgeID
 	hasPar   bool
-	children map[graph.EdgeID]bool
-	pending  map[graph.EdgeID]bool // children that have not reported yet
+	children []graph.EdgeID // ascending
+	pending  []graph.EdgeID // children that have not reported yet, ascending
 	acc      T
 	sentUp   bool
 	value    T
@@ -114,7 +114,6 @@ func (p *gcNode[T]) Step(env *local.Env, round int, inbox []local.Message) {
 		p.root = env.ID()
 		p.dist = 0
 		p.acc = p.input
-		p.children = make(map[graph.EdgeID]bool)
 		p.flood(env, gcMsg[T]{Kind: gcWave, Root: p.root, Dist: 0}, noEdge)
 		return
 	}
@@ -130,9 +129,9 @@ func (p *gcNode[T]) Step(env *local.Env, round int, inbox []local.Message) {
 				improved, from, fromDist = true, m.Edge, msg.Dist
 			}
 		case gcParent:
-			p.children[m.Edge] = true
-			if p.pending != nil {
-				p.pending[m.Edge] = true
+			p.children = graph.InsertEdgeID(p.children, m.Edge)
+			if round > p.waveRounds {
+				p.pending = graph.InsertEdgeID(p.pending, m.Edge)
 			}
 		case gcAgg:
 			// Once the accumulator has been sent up it is aliased by the
@@ -143,15 +142,12 @@ func (p *gcNode[T]) Step(env *local.Env, round int, inbox []local.Message) {
 			if !p.sentUp {
 				p.acc = p.merge(p.acc, msg.Value)
 			}
-			delete(p.pending, m.Edge)
+			if i, ok := slices.BinarySearch(p.pending, m.Edge); ok {
+				p.pending = slices.Delete(p.pending, i, i+1)
+			}
 		case gcDone:
 			if !p.haveVal {
-				p.haveVal = true
-				p.value = msg.Value
-				for _, e := range sortedChildren(p.children) {
-					env.Send(e, gcMsg[T]{Kind: gcDone, Value: p.value})
-				}
-				env.Halt()
+				p.finish(env, msg.Value)
 				return
 			}
 		}
@@ -159,55 +155,47 @@ func (p *gcNode[T]) Step(env *local.Env, round int, inbox []local.Message) {
 	if improved {
 		p.hasPar = true
 		p.parent = from
-		p.children = make(map[graph.EdgeID]bool) // stale subtree forgotten
+		p.children = p.children[:0] // stale subtree forgotten
 		p.flood(env, gcMsg[T]{Kind: gcWave, Root: p.root, Dist: fromDist + 1}, from)
 	}
 	// Wave settling deadline: register with the final parent, then start
 	// the convergecast once every registered child has reported.
 	if round == p.waveRounds {
-		p.pending = make(map[graph.EdgeID]bool, len(p.children))
-		for e := range p.children {
-			p.pending[e] = true
-		}
+		p.pending = slices.Clone(p.children)
 		if p.hasPar {
 			env.Send(p.parent, gcMsg[T]{Kind: gcParent})
 		}
 	}
-	if round > p.waveRounds && p.pending != nil && len(p.pending) == 0 && !p.sentUp {
+	if round > p.waveRounds && len(p.pending) == 0 && !p.sentUp {
 		p.sentUp = true
 		if p.hasPar {
 			env.Send(p.parent, gcMsg[T]{Kind: gcAgg, Value: p.acc})
 		} else {
-			// Root: the aggregate is complete; flood the result.
-			p.haveVal = true
-			p.value = p.acc
-			for _, e := range sortedChildren(p.children) {
-				env.Send(e, gcMsg[T]{Kind: gcDone, Value: p.value})
-			}
-			env.Halt()
+			p.finish(env, p.acc) // root: the aggregate is complete
 		}
 	}
 }
 
-// sortedChildren returns the child edge set in increasing edge-ID order.
-// The gcDone fan-out iterates it instead of the map so the send sweep (and
-// with it message sequence assignment) is the same in every run.
-func sortedChildren(m map[graph.EdgeID]bool) []graph.EdgeID {
-	ids := make([]graph.EdgeID, 0, len(m))
-	for e := range m {
-		ids = append(ids, e)
+// finish adopts the merged value, floods it down the tree in edge order and
+// halts.
+func (p *gcNode[T]) finish(env *local.Env, value T) {
+	p.haveVal = true
+	p.value = value
+	var done any = gcMsg[T]{Kind: gcDone, Value: value} // boxed once per sweep
+	for _, e := range p.children {
+		env.Send(e, done)
 	}
-	slices.Sort(ids)
-	return ids
+	env.Halt()
 }
 
 // noEdge marks "no arrival edge" for the initial wave.
 const noEdge = graph.EdgeID(-1)
 
 func (p *gcNode[T]) flood(env *local.Env, msg gcMsg[T], except graph.EdgeID) {
+	var wave any = msg // boxed once per sweep
 	for _, pt := range env.Ports() {
 		if pt.Edge != except {
-			env.Send(pt.Edge, msg)
+			env.Send(pt.Edge, wave)
 		}
 	}
 }

@@ -5,25 +5,13 @@ import (
 	"repro/internal/xrand"
 )
 
-// This file holds the two typed constructors that are not a Spec family's
+// This file holds the one typed constructor that is not a Spec family's
 // implementation itself; every other family's implementation (Complete,
 // GNP, Grid, ...) is exported directly, so a typed call and the matching
 // Build produce bit-identical graphs: same construction order, same RNG
 // consumption, same fingerprints. External input — CLI flags, HTTP bodies —
 // goes through Build, which validates parameters and returns errors instead
 // of panicking.
-
-// RandomRegular returns a d-regular graph on n nodes via the pairing model,
-// retrying until the pairing is simple. n*d must be even and d < n. It
-// panics when no simple pairing turns up within the retry budget; Build
-// returns that failure as an error instead.
-func RandomRegular(n, d int, rng *xrand.RNG) *graph.Graph {
-	g, err := randomRegular(n, d, rng)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
 
 // ConnectedGNP returns G(n, p) patched to be connected: one extra edge joins
 // a random representative of each non-first component to a random node of

@@ -180,56 +180,95 @@ func RandomTree(n int, rng *xrand.RNG) *graph.Graph {
 	return g
 }
 
-// regularAttempts bounds randomRegular's pairing retries (the historical
+// regularAttempts bounds RandomRegular's pairing retries (the historical
 // budget, so every graph that built before still builds identically). A
 // pairing is simple with probability about exp(−(d²−1)/4), so the budget
-// covers small degrees and gives up on degrees the pairing model cannot
-// reach in reasonable time.
+// covers small degrees; past it the stub-matching repair finishes the graph.
 const regularAttempts = 1002
 
-// randomRegular returns a d-regular graph on n nodes via the pairing model,
-// retrying until the pairing is simple. n*d must be even and d < n. It
-// returns an error when no simple pairing turns up within regularAttempts
-// tries.
-func randomRegular(n, d int, rng *xrand.RNG) (*graph.Graph, error) {
+// RandomRegular returns a simple d-regular graph on n nodes. It draws
+// configuration-model pairings until one is simple, and once regularAttempts
+// of them have failed (degree 6 and up, typically) it builds the graph with
+// the stub-matching repair instead. n*d must be even and 0 <= d < n.
+func RandomRegular(n, d int, rng *xrand.RNG) *graph.Graph {
 	if n*d%2 != 0 || d >= n || d < 0 {
 		panic(fmt.Sprintf("gen: invalid RandomRegular(%d,%d)", n, d))
 	}
+	stubs := make([]graph.NodeID, 0, n*d)
 	for attempt := 0; attempt < regularAttempts; attempt++ {
-		if g, ok := tryPairing(n, d, rng); ok {
-			return g, nil
+		if g, ok := tryPairing(n, d, appendStubs(stubs[:0], n, d), rng); ok {
+			return g
 		}
 	}
-	return nil, fmt.Errorf("gen: no simple %d-regular pairing on %d nodes in %d attempts", d, n, regularAttempts)
+	// The repair wedges ever more often as d nears n, so past n/2 it builds
+	// the sparser complement, whose own complement is d-regular.
+	k := min(d, n-1-d)
+	pending := make([]graph.NodeID, 0, n*k)
+	for {
+		g := graph.NewWithCapacity(n, n*k/2)
+		if !matchStubs(g, make(map[uint64]bool, n*k/2), appendStubs(stubs[:0], n, k), pending, rng) {
+			continue
+		}
+		if k < d {
+			g = complement(g)
+		}
+		return g
+	}
 }
 
-func tryPairing(n, d int, rng *xrand.RNG) (*graph.Graph, bool) {
-	stubs := make([]graph.NodeID, 0, n*d)
-	for v := 0; v < n; v++ {
-		for i := 0; i < d; i++ {
-			stubs = append(stubs, graph.NodeID(v))
+// complement returns the simple graph on h's nodes whose edges are exactly
+// the pairs h does not join, in lexicographic order.
+func complement(h *graph.Graph) *graph.Graph {
+	n := h.NumNodes()
+	adj := make([]bool, n*n)
+	for _, e := range h.Edges() {
+		adj[int(e.U)*n+int(e.V)], adj[int(e.V)*n+int(e.U)] = true, true
+	}
+	g := graph.NewWithCapacity(n, n*(n-1)/2-h.NumEdges())
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if !adj[u*n+v] {
+				g.AddEdge(graph.NodeID(u), graph.NodeID(v))
+			}
 		}
 	}
+	return g
+}
+
+// tryPairing shuffles stubs and pairs them in order: the configuration
+// model. It fails on the first self-loop or parallel edge.
+func tryPairing(n, d int, stubs []graph.NodeID, rng *xrand.RNG) (*graph.Graph, bool) {
 	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	type pair struct{ a, b graph.NodeID }
-	seen := make(map[pair]bool, n*d/2)
+	seen := make(map[uint64]bool, n*d/2)
 	g := graph.NewWithCapacity(n, n*d/2)
 	for i := 0; i < len(stubs); i += 2 {
 		u, v := stubs[i], stubs[i+1]
-		if u == v {
+		if u == v || seen[edgeKey(u, v)] {
 			return nil, false
 		}
-		a, b := u, v
-		if a > b {
-			a, b = b, a
-		}
-		if seen[pair{a, b}] {
-			return nil, false
-		}
-		seen[pair{a, b}] = true
+		seen[edgeKey(u, v)] = true
 		g.AddEdge(u, v)
 	}
 	return g, true
+}
+
+// appendStubs appends k half-edges ("stubs") for each of the n nodes to
+// stubs, node by node.
+func appendStubs(stubs []graph.NodeID, n, k int) []graph.NodeID {
+	for v := 0; v < n; v++ {
+		for i := 0; i < k; i++ {
+			stubs = append(stubs, graph.NodeID(v))
+		}
+	}
+	return stubs
+}
+
+// edgeKey names the undirected pair {u, v} in a seen-edge set.
+func edgeKey(u, v graph.NodeID) uint64 {
+	if u > v {
+		u, v = v, u
+	}
+	return uint64(u)<<32 | uint64(v)
 }
 
 // Barbell returns two cliques of size cliqueN joined by a path of pathLen
@@ -314,16 +353,9 @@ func Expander(n, d int, rng *xrand.RNG) *graph.Graph {
 	if d >= n {
 		panic(fmt.Sprintf("gen: expander(%d,%d): simple d-regular needs d < n", n, d))
 	}
-	edgeKey := func(u, v graph.NodeID) uint64 {
-		if u > v {
-			u, v = v, u
-		}
-		return uint64(u)<<32 | uint64(v)
-	}
 	perm := make([]graph.NodeID, n)
 	stubs := make([]graph.NodeID, 0, n*(d-2))
 	pending := make([]graph.NodeID, 0, n*(d-2))
-restart:
 	for {
 		g := graph.NewWithCapacity(n, n*d/2)
 		seen := make(map[uint64]bool, n*d/2)
@@ -336,39 +368,45 @@ restart:
 			g.AddEdge(u, v)
 			seen[edgeKey(u, v)] = true
 		}
-		stubs = stubs[:0]
-		for v := 0; v < n; v++ {
-			for k := 2; k < d; k++ {
-				stubs = append(stubs, graph.NodeID(v))
-			}
+		if matchStubs(g, seen, appendStubs(stubs[:0], n, d-2), pending, rng) {
+			return g
 		}
-		for len(stubs) > 0 {
-			rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-			pending = pending[:0]
-			progress := false
-			for i := 0; i+1 < len(stubs); i += 2 {
-				u, v := stubs[i], stubs[i+1]
-				if u == v || seen[edgeKey(u, v)] {
-					pending = append(pending, u, v)
-					continue
-				}
-				g.AddEdge(u, v)
-				seen[edgeKey(u, v)] = true
-				progress = true
-			}
-			stubs, pending = pending, stubs
-			if !progress && len(stubs) > 0 && !stubsSuitable(stubs, seen, edgeKey) {
-				continue restart
-			}
-		}
-		return g
 	}
+}
+
+// matchStubs is the stub-matching repair: it shuffles the half-edges in
+// stubs (one entry per half-edge, naming its node) and pairs them in order,
+// adding each pair to g and seen unless it would be a self-loop or repeat an
+// edge of seen; those pairs wait for the next shuffle. It returns false when
+// the pass wedges with only unusable pairs left, which only a restart can
+// mend. pending is a spare buffer with stubs' capacity.
+func matchStubs(g *graph.Graph, seen map[uint64]bool, stubs, pending []graph.NodeID, rng *xrand.RNG) bool {
+	for len(stubs) > 0 {
+		rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+		pending = pending[:0]
+		progress := false
+		for i := 0; i+1 < len(stubs); i += 2 {
+			u, v := stubs[i], stubs[i+1]
+			if u == v || seen[edgeKey(u, v)] {
+				pending = append(pending, u, v)
+				continue
+			}
+			g.AddEdge(u, v)
+			seen[edgeKey(u, v)] = true
+			progress = true
+		}
+		stubs, pending = pending, stubs
+		if !progress && len(stubs) > 0 && !stubsSuitable(stubs, seen) {
+			return false
+		}
+	}
+	return true
 }
 
 // stubsSuitable reports whether some pair of remaining stubs can still form a
 // new simple edge; when it cannot, the stub-matching pass is wedged and only
 // a full restart can finish the graph.
-func stubsSuitable(stubs []graph.NodeID, seen map[uint64]bool, edgeKey func(u, v graph.NodeID) uint64) bool {
+func stubsSuitable(stubs []graph.NodeID, seen map[uint64]bool) bool {
 	for i := 0; i < len(stubs); i++ {
 		for j := i + 1; j < len(stubs); j++ {
 			if stubs[i] != stubs[j] && !seen[edgeKey(stubs[i], stubs[j])] {

@@ -181,18 +181,14 @@ var registry = map[string]Family{
 		build:  func(s Spec, rng *xrand.RNG) (*graph.Graph, error) { return RandomTree(s.N, rng), nil },
 	},
 	"regular": {
-		Name: "regular", Description: "random d-regular graph (pairing model), patched connected",
+		Name: "regular", Description: "random simple d-regular graph (pairing model, stub matching past its retries), patched connected",
 		Seeded: true,
 		build: func(s Spec, rng *xrand.RNG) (*graph.Graph, error) {
 			d := int(s.Degree)
 			if d < 1 || d >= s.N || s.N*d%2 != 0 {
 				return nil, fmt.Errorf("gen: regular needs 1 <= deg < n with n*deg even, got n=%d deg=%d", s.N, d)
 			}
-			g, err := randomRegular(s.N, d, rng)
-			if err != nil {
-				return nil, err
-			}
-			return Connectify(g, rng), nil
+			return Connectify(RandomRegular(s.N, d, rng), rng), nil
 		},
 	},
 	"pa": {

@@ -49,6 +49,15 @@ func TestBuildMatchesConstructors(t *testing.T) {
 				return Connectify(RandomRegular(40, 4, rng), rng).Fingerprint()
 			}(),
 		},
+		{
+			// Degree 6 on 4096 nodes exhausts the pairing retries, so the
+			// stub-matching repair builds it.
+			Spec{Family: "regular", N: 4096, Degree: 6, Seed: 2},
+			func() uint64 {
+				rng := xrand.New(2)
+				return Connectify(RandomRegular(4096, 6, rng), rng).Fingerprint()
+			}(),
+		},
 		{Spec{Family: "pa", N: 50, Degree: 3, Seed: 5}, PreferentialAttachment(50, 3, xrand.New(5)).Fingerprint()},
 		{Spec{Family: "expander", N: 40, Degree: 4, Seed: 8}, Expander(40, 4, xrand.New(8)).Fingerprint()},
 	}
@@ -73,8 +82,7 @@ func TestBuildValidation(t *testing.T) {
 		{Family: "torus", N: 4}, // derived side 2 < 3
 		{Family: "cycle", N: 2}, // a doubled edge, not a simple graph
 		{Family: "regular", N: 10, Degree: 11},
-		{Family: "regular", N: 5, Degree: 3},    // odd n*d
-		{Family: "regular", N: 4096, Degree: 6}, // no simple pairing within the retry budget
+		{Family: "regular", N: 5, Degree: 3}, // odd n*d
 		{Family: "pa", N: 3, Degree: 8},
 		{Family: "gnp", N: 10, P: 1.5},
 		{Family: "gnm", N: 5, M: 100},
@@ -102,6 +110,19 @@ func TestFamiliesSortedAndComplete(t *testing.T) {
 	for _, f := range Families() {
 		if f.Description == "" {
 			t.Errorf("family %s has no description", f.Name)
+		}
+		if f.Name == "edgelist" {
+			continue // it loads its graph from a file
+		}
+		// cmd/simulate's default degree: every generated family builds it.
+		s := Spec{Family: f.Name, N: 300, Degree: 16, Seed: 1}
+		g, err := Build(s)
+		if err != nil {
+			t.Errorf("Build(%+v): %v", s, err)
+			continue
+		}
+		if err := g.Validate(); err != nil {
+			t.Errorf("Build(%+v): %v", s, err)
 		}
 	}
 }

@@ -61,6 +61,17 @@ type NodeID int32
 // dense); both endpoints of an edge know its ID.
 type EdgeID int64
 
+// InsertEdgeID adds e to s, a strictly ascending edge set, unless s holds
+// it already, and returns the set. LOCAL protocols keep their incident-edge
+// state in such sets: the order of the engine's port lists and inboxes.
+func InsertEdgeID(s []EdgeID, e EdgeID) []EdgeID {
+	i, ok := slices.BinarySearch(s, e)
+	if ok {
+		return s
+	}
+	return slices.Insert(s, i, e)
+}
+
 // Half is one endpoint's view of an incident edge: the edge's unique ID and
 // the node at the other end. In the KT0-with-edge-IDs model an algorithm may
 // use Edge but must not look at Peer; the simulator enforces this by not

@@ -253,7 +253,8 @@ func TestServeDrain(t *testing.T) {
 	}
 }
 
-// TestServeErrorMapping pins the HTTP status for each failure class.
+// TestServeErrorMapping pins the HTTP status for each failure class, and
+// that a regular graph past the generator's pairing retries is no failure.
 func TestServeErrorMapping(t *testing.T) {
 	_, hs := newTestServer(t, Config{MaxNodes: 256, MaxT: 16})
 	cases := []struct {
@@ -265,7 +266,7 @@ func TestServeErrorMapping(t *testing.T) {
 		{"malformed json", `{"scheme":`, http.StatusBadRequest},
 		{"unknown field", `{"scheme":"direct","bogus":1}`, http.StatusBadRequest},
 		{"unknown family", `{"scheme":"direct","graph":{"family":"mobius","n":16}}`, http.StatusBadRequest},
-		{"unreachable regular", `{"scheme":"direct","graph":{"family":"regular","n":200,"deg":12}}`, http.StatusBadRequest},
+		{"regular past the pairing retries", `{"scheme":"direct","graph":{"family":"regular","n":200,"deg":12}}`, http.StatusOK},
 		{"self loop", `{"scheme":"direct","graph":{"edges":[[0,0]]}}`, http.StatusBadRequest},
 		{"negative endpoint", `{"scheme":"direct","graph":{"edges":[[-1,2]]}}`, http.StatusBadRequest},
 		{"over node cap", `{"scheme":"direct","graph":{"family":"complete","n":512}}`, http.StatusBadRequest},

@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -380,16 +381,26 @@ func TestHeardSetsAscending(t *testing.T) {
 	}
 }
 
-// requireAscending fails t unless every heard set is strictly ascending.
-func requireAscending(t *testing.T, name string, heard [][]graph.NodeID) {
+// requireAscending fails t unless every node's set (a heard set, or a
+// construction's edge list) is strictly ascending.
+func requireAscending[T cmp.Ordered](t *testing.T, name string, sets [][]T) {
 	t.Helper()
-	for v, h := range heard {
+	for v, h := range sets {
 		for i := 1; i < len(h); i++ {
 			if h[i] <= h[i-1] {
-				t.Fatalf("%s: node %d's heard set %v is not strictly ascending", name, v, h)
+				t.Fatalf("%s: node %d's set %v is not strictly ascending", name, v, h)
 			}
 		}
 	}
+}
+
+// edgeSets asserts a spanner construction's per-node outputs to edge lists.
+func edgeSets(outs []any) [][]graph.EdgeID {
+	sets := make([][]graph.EdgeID, len(outs))
+	for v, o := range outs {
+		sets[v] = o.([]graph.EdgeID)
+	}
+	return sets
 }
 
 // TestReplayDetectsCorruptCollection checks that pairing a corrupt table
@@ -513,8 +524,9 @@ func construction(t *testing.T, build func(int) (spanner.Construction, error), k
 // TestStage2ReplayMatchesDirectPerNode checks scheme2's stage 2 node by
 // node. The union comparisons above would pass even if a replayed node
 // missed an edge its other endpoint holds; here every node's replayed edge
-// set, collected over a stage-1 host, must equal its own output in a direct
-// run of the same construction at the same seed, at every worker count.
+// list, collected over a stage-1 host, must equal its own output in a direct
+// run of the same construction at the same seed, at every worker count, and
+// every output, replayed and direct, must be strictly ascending.
 func TestStage2ReplayMatchesDirectPerNode(t *testing.T) {
 	ctx := context.Background()
 	const seed = 31
@@ -534,6 +546,7 @@ func TestStage2ReplayMatchesDirectPerNode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			requireAscending(t, fmt.Sprintf("%s/%s direct", gc.name, c.Name), edgeSets(want))
 			coll, err := Collect(ctx, gc.g, st1.Host, st1.Stretch*c.T, seed, local.Config{})
 			if err != nil {
 				t.Fatal(err)
@@ -544,6 +557,7 @@ func TestStage2ReplayMatchesDirectPerNode(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					requireAscending(t, "replayed", edgeSets(got))
 					for v := range want {
 						if !reflect.DeepEqual(got[v], want[v]) {
 							t.Fatalf("node %d: replayed %v, direct %v", v, got[v], want[v])

@@ -1,10 +1,10 @@
 package spanner
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/algorithms"
 	"repro/internal/graph"
@@ -112,16 +112,17 @@ type BSNode struct {
 	isCenter    bool
 	parent      graph.EdgeID
 	hasParent   bool
-	children    map[graph.EdgeID]bool
-	sampledNow  bool // my cluster's coin this iteration
+	children    []graph.EdgeID // ascending
+	sampledNow  bool           // my cluster's coin this iteration
 	coinKnown   bool
 	anns        []bsAnn // announcements heard this iteration
 	pendingJoin graph.EdgeID
 	hasJoin     bool
 	accepts     []graph.EdgeID
 
-	// InS is the node's final knowledge: its incident spanner edges.
-	InS map[graph.EdgeID]bool
+	// InS is the node's final knowledge: its incident spanner edges,
+	// strictly ascending.
+	InS []graph.EdgeID
 }
 
 type bsAnn struct {
@@ -137,7 +138,7 @@ const unclustered = graph.NodeID(-1)
 
 // NewBSNode returns a protocol instance for one node.
 func NewBSNode(k int) *BSNode {
-	return &BSNode{K: k, children: make(map[graph.EdgeID]bool), InS: make(map[graph.EdgeID]bool)}
+	return &BSNode{K: k}
 }
 
 // Step implements local.Protocol.
@@ -157,9 +158,9 @@ func (nd *BSNode) Step(env *local.Env, round int, inbox []local.Message) {
 		case bsAnnounceMsg:
 			nd.anns = append(nd.anns, bsAnn{Edge: m.Edge, Cluster: msg.Cluster, Sampled: msg.Sampled})
 		case bsParentMsg:
-			nd.children[m.Edge] = true
+			nd.children = graph.InsertEdgeID(nd.children, m.Edge)
 		case bsAcceptMsg:
-			nd.InS[m.Edge] = true
+			nd.InS = graph.InsertEdgeID(nd.InS, m.Edge)
 		default:
 			panic(fmt.Sprintf("spanner: unexpected message %T", m.Payload))
 		}
@@ -184,8 +185,9 @@ func (nd *BSNode) Step(env *local.Env, round int, inbox []local.Message) {
 			nd.anns = nil // final phase has no coin rounds; reset here
 		}
 		if nd.clustered {
+			var ann any = bsAnnounceMsg{Cluster: nd.cluster, Sampled: nd.sampledNow} // boxed once per sweep
 			for _, pt := range env.Ports() {
-				env.Send(pt.Edge, bsAnnounceMsg{Cluster: nd.cluster, Sampled: nd.sampledNow})
+				env.Send(pt.Edge, ann)
 			}
 		}
 	case bsDecide:
@@ -232,22 +234,12 @@ func (nd *BSNode) learnCoin(env *local.Env, msg bsCoinMsg, from graph.EdgeID) {
 }
 
 func (nd *BSNode) forwardCoin(env *local.Env, from graph.EdgeID) {
-	for _, e := range sortedEdges(nd.children) {
+	var coin any = bsCoinMsg{Cluster: nd.cluster, Sampled: nd.sampledNow} // boxed once per sweep
+	for _, e := range nd.children {
 		if e != from {
-			env.Send(e, bsCoinMsg{Cluster: nd.cluster, Sampled: nd.sampledNow})
+			env.Send(e, coin)
 		}
 	}
-}
-
-// sortedEdges returns a map's edge keys in increasing ID order, so send
-// sweeps over edge sets fire in the same order every run.
-func sortedEdges[V any](m map[graph.EdgeID]V) []graph.EdgeID {
-	ids := make([]graph.EdgeID, 0, len(m))
-	for e := range m {
-		ids = append(ids, e)
-	}
-	slices.Sort(ids)
-	return ids
 }
 
 func (nd *BSNode) flushAccepts(env *local.Env) {
@@ -266,7 +258,7 @@ func (nd *BSNode) decideIteration(env *local.Env) {
 	}
 	// My cluster was not sampled: I re-decide individually, dropping my old
 	// tree links.
-	nd.children = make(map[graph.EdgeID]bool)
+	nd.children = nil
 	nd.hasParent = false
 	nd.isCenter = false
 
@@ -275,16 +267,14 @@ func (nd *BSNode) decideIteration(env *local.Env) {
 		nd.cluster = best
 		nd.hasParent = true
 		nd.parent = bestEdge
-		nd.InS[bestEdge] = true
-		nd.accepts = append(nd.accepts, bestEdge)
+		nd.keep(bestEdge)
 		nd.pendingJoin = bestEdge
 		nd.hasJoin = true
 		return
 	}
 	// No sampled neighbor: connect to every neighboring cluster and leave.
 	for _, e := range bsClusterEdges(nd.anns, unclustered) {
-		nd.InS[e] = true
-		nd.accepts = append(nd.accepts, e)
+		nd.keep(e)
 	}
 	nd.clustered = false
 	nd.cluster = unclustered
@@ -297,9 +287,15 @@ func (nd *BSNode) decideFinal() {
 		return
 	}
 	for _, e := range bsClusterEdges(nd.anns, nd.cluster) {
-		nd.InS[e] = true
-		nd.accepts = append(nd.accepts, e)
+		nd.keep(e)
 	}
+}
+
+// keep puts e in the spanner and queues the accept that tells e's far
+// endpoint.
+func (nd *BSNode) keep(e graph.EdgeID) {
+	nd.InS = graph.InsertEdgeID(nd.InS, e)
+	nd.accepts = append(nd.accepts, e)
 }
 
 // bsBestSampled returns the smallest sampled cluster among announcements and
@@ -319,22 +315,19 @@ func bsBestSampled(anns []bsAnn) (graph.NodeID, graph.EdgeID) {
 }
 
 // bsClusterEdges returns one (smallest-ID) edge per announced cluster,
-// excluding the given cluster, in deterministic order.
+// excluding the given cluster, in ascending order. It sorts anns by
+// (cluster, edge), so each cluster's smallest edge comes first in its run.
 func bsClusterEdges(anns []bsAnn, exclude graph.NodeID) []graph.EdgeID {
-	perCluster := make(map[graph.NodeID]graph.EdgeID)
-	for _, a := range anns {
-		if a.Cluster == exclude {
-			continue
-		}
-		if e, ok := perCluster[a.Cluster]; !ok || a.Edge < e {
-			perCluster[a.Cluster] = a.Edge
+	slices.SortFunc(anns, func(a, b bsAnn) int {
+		return cmp.Or(cmp.Compare(a.Cluster, b.Cluster), cmp.Compare(a.Edge, b.Edge))
+	})
+	var out []graph.EdgeID
+	for i, a := range anns {
+		if a.Cluster != exclude && (i == 0 || anns[i-1].Cluster != a.Cluster) {
+			out = append(out, a.Edge)
 		}
 	}
-	out := make([]graph.EdgeID, 0, len(perCluster))
-	for _, e := range perCluster {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

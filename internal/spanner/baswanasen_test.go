@@ -3,6 +3,7 @@ package spanner_test
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -27,14 +28,14 @@ func construct(t testing.TB, build func(int) (spanner.Construction, error), k in
 // direct runs c on g directly under the LOCAL engine (simulate.Direct, the
 // construction's Θ(k·m)-message baseline) and returns every node's incident
 // spanner edges and the run's cost.
-func direct(c spanner.Construction, g *graph.Graph, seed uint64, cfg local.Config) ([]map[graph.EdgeID]bool, local.Result, error) {
+func direct(c spanner.Construction, g *graph.Graph, seed uint64, cfg local.Config) ([][]graph.EdgeID, local.Result, error) {
 	outs, run, err := simulate.Direct(context.Background(), g, c.Spec, seed, cfg)
 	if err != nil {
 		return nil, run, err
 	}
-	nodes := make([]map[graph.EdgeID]bool, len(outs))
+	nodes := make([][]graph.EdgeID, len(outs))
 	for v, o := range outs {
-		nodes[v] = o.(map[graph.EdgeID]bool)
+		nodes[v] = o.([]graph.EdgeID)
 	}
 	return nodes, run, nil
 }
@@ -179,13 +180,13 @@ func TestDistributedBSMessageComplexityIsThetaM(t *testing.T) {
 // bothEndpointsKnow fails t unless every edge some node outputs is output
 // by both of its endpoints — the property that makes spanner.Edges, a
 // union, equal to what any single endpoint knows.
-func bothEndpointsKnow(t *testing.T, g *graph.Graph, nodes []map[graph.EdgeID]bool) {
+func bothEndpointsKnow(t *testing.T, g *graph.Graph, nodes [][]graph.EdgeID) {
 	t.Helper()
 	n := 0
 	for _, edges := range nodes {
-		for e := range edges {
+		for _, e := range edges {
 			ge, _ := g.EdgeByID(e)
-			if !nodes[ge.U][e] || !nodes[ge.V][e] {
+			if !slices.Contains(nodes[ge.U], e) || !slices.Contains(nodes[ge.V], e) {
 				t.Fatalf("edge %d not known to both endpoints", e)
 			}
 			n++

@@ -73,16 +73,16 @@ func (enMsg) PayloadUnits() int64 { return 1 }
 type ENNode struct {
 	K int
 
-	first   float64                  // earliest arrival time seen
-	bestVia map[graph.EdgeID]float64 // earliest arrival per incident edge
-	InS     map[graph.EdgeID]bool    // final knowledge: incident spanner edges
+	first   float64        // earliest arrival time seen
+	bestVia []float64      // earliest arrival per port, in port order
+	InS     []graph.EdgeID // final knowledge: incident spanner edges, strictly ascending
 }
 
 var _ local.Protocol = (*ENNode)(nil)
 
 // NewENNode returns a protocol instance for one node.
 func NewENNode(k int) *ENNode {
-	return &ENNode{K: k, bestVia: make(map[graph.EdgeID]float64), InS: make(map[graph.EdgeID]bool)}
+	return &ENNode{K: k}
 }
 
 // Step implements local.Protocol.
@@ -102,45 +102,56 @@ func (nd *ENNode) Step(env *local.Env, round int, inbox []local.Message) {
 			r = float64(nd.K) * (1 - env.Rand().Float64()/16) // unreachable in practice
 		}
 		nd.first = float64(nd.K) - r // own start time
-		for _, pt := range env.Ports() {
-			env.Send(pt.Edge, enMsg{T: nd.first + 1})
-			nd.bestVia[pt.Edge] = math.Inf(1)
+		nd.bestVia = make([]float64, env.Degree())
+		for i := range nd.bestVia {
+			nd.bestVia[i] = math.Inf(1)
 		}
+		nd.wave(env)
 	case round <= nd.K:
 		// Ingest this round's arrivals, forward the best strict improvement.
+		// The inbox and the ports both ascend by edge, so one pass finds
+		// every arrival's port.
 		improved := false
+		ports, i := env.Ports(), 0
 		for _, m := range inbox {
-			t := m.Payload.(enMsg).T
-			if t < nd.bestVia[m.Edge] {
-				nd.bestVia[m.Edge] = t
+			for ports[i].Edge < m.Edge {
+				i++
 			}
+			t := m.Payload.(enMsg).T
+			nd.bestVia[i] = min(nd.bestVia[i], t)
 			if t < nd.first {
 				nd.first = t
 				improved = true
 			}
 		}
 		if improved && round < nd.K {
-			for _, pt := range env.Ports() {
-				env.Send(pt.Edge, enMsg{T: nd.first + 1})
-			}
+			nd.wave(env)
 		}
 	case round == nd.K+1:
 		// Keep every edge that delivered an arrival within one time unit of
 		// the first. Strict inequality excludes exact ties (same source at
 		// the same distance via the far endpoint), which is what sparsifies
 		// the level sets of m.
-		for _, e := range sortedEdges(nd.bestVia) {
-			if nd.bestVia[e] < nd.first+1 {
-				nd.InS[e] = true
-				env.Send(e, enAccept{})
+		for i, pt := range env.Ports() {
+			if nd.bestVia[i] < nd.first+1 {
+				nd.InS = append(nd.InS, pt.Edge)
+				env.Send(pt.Edge, enAccept{})
 			}
 		}
 	default:
 		for _, m := range inbox {
 			if _, ok := m.Payload.(enAccept); ok {
-				nd.InS[m.Edge] = true
+				nd.InS = graph.InsertEdgeID(nd.InS, m.Edge)
 			}
 		}
 		env.Halt()
+	}
+}
+
+// wave sends the node's current first arrival, one hop on, over every port.
+func (nd *ENNode) wave(env *local.Env) {
+	var msg any = enMsg{T: nd.first + 1} // boxed once per sweep
+	for _, pt := range env.Ports() {
+		env.Send(pt.Edge, msg)
 	}
 }

@@ -33,11 +33,12 @@ import (
 
 // Construction is a distributed spanner construction as a fixed-round LOCAL
 // algorithm. Spec.T is its round budget, and each node's output is its
-// incident spanner edges, a map[graph.EdgeID]bool. Both endpoints of every
-// spanner edge hold it (the protocols send accept messages), so Edges over
-// all outputs is the spanner, and Stretch bounds that spanner's stretch.
+// incident spanner edges, a strictly ascending []graph.EdgeID (nil when it
+// has none). Both endpoints of every spanner edge hold it (the protocols
+// send accept messages), so Edges over all outputs is the spanner, and
+// Stretch bounds that spanner's stretch.
 //
-// Outputs are edge sets, not ==-comparable values: compare two runs node by
+// Outputs are slices, not ==-comparable values: compare two runs node by
 // node with reflect.DeepEqual, or their spanners as sets.
 type Construction struct {
 	algorithms.Spec
@@ -50,7 +51,7 @@ type Construction struct {
 func Edges(outs []any) map[graph.EdgeID]bool {
 	s := make(map[graph.EdgeID]bool)
 	for _, o := range outs {
-		for e := range o.(map[graph.EdgeID]bool) {
+		for _, e := range o.([]graph.EdgeID) {
 			s[e] = true
 		}
 	}

@@ -190,11 +190,8 @@ type MetricFamily struct {
 
 // MetricFamilies maps the snapshot onto Prometheus-style metric families,
 // attaching base labels (e.g. {scheme="scheme1"}) to every sample alongside
-// the per-phase "phase" label. The phase label values are the Observer
-// phase names (see Observer's documented list: "direct", "sampler",
-// "sampler(cached)", "simulate-bs"/"simulate-en", "collect",
-// "collect(congest)", "collect(residue)", "gossip(seed)", "gossip",
-// "globalcast"). The log-bucketed per-round message histogram becomes a
+// the per-phase "phase" label. The phase label values are the phase names
+// listed on Observer. The log-bucketed per-round message histogram becomes a
 // cumulative Prometheus histogram: each [lo, hi) power-of-two bucket turns
 // into the inclusive upper bound le = hi−1 (message counts are integers),
 // with _sum the executed messages and _count the executed rounds.
