@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -188,7 +189,7 @@ func TestMatchingValid(t *testing.T) {
 			out := runSpec(t, g, Matching(MatchingRounds(g.NumNodes())), 13)
 			// Consistency: a matched node's partner reports the same edge,
 			// and matched edges are disjoint.
-			matchedEdges := map[graph.EdgeID]int{}
+			var claims []graph.EdgeID
 			for v, o := range out {
 				e := o.(graph.EdgeID)
 				if e == NoMatch {
@@ -204,12 +205,18 @@ func TestMatchingValid(t *testing.T) {
 				if out[ge.Other(graph.NodeID(v))].(graph.EdgeID) != e {
 					t.Fatalf("node %d and partner disagree on edge %d", v, e)
 				}
-				matchedEdges[e]++
+				claims = append(claims, e)
 			}
-			for e, c := range matchedEdges {
-				if c != 2 {
-					t.Fatalf("edge %d claimed by %d endpoints", e, c)
+			slices.Sort(claims)
+			for i := 0; i < len(claims); {
+				j := i
+				for j < len(claims) && claims[j] == claims[i] {
+					j++
 				}
+				if j-i != 2 {
+					t.Fatalf("edge %d claimed by %d endpoints", claims[i], j-i)
+				}
+				i = j
 			}
 			// Maximality: every edge has a matched endpoint.
 			for _, e := range g.Edges() {

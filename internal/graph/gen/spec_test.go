@@ -11,7 +11,10 @@ import (
 // TestBuildMatchesConstructors pins the redesign's compatibility contract:
 // a Spec builds the bit-identical graph (same fingerprint, hence same edge
 // IDs in the same insertion order) as the historical constructor call it
-// replaces, including RNG consumption order for seeded families.
+// replaces, including RNG consumption order for seeded families. Rows
+// with a literal fingerprint pin the random-regular and expander builds
+// themselves, so a change to their pairing or stub-matching RNG order
+// shows even though the constructors above share that code.
 func TestBuildMatchesConstructors(t *testing.T) {
 	cases := []struct {
 		spec Spec
@@ -49,15 +52,16 @@ func TestBuildMatchesConstructors(t *testing.T) {
 				return Connectify(RandomRegular(40, 4, rng), rng).Fingerprint()
 			}(),
 		},
-		{
-			// Degree 6 on 4096 nodes exhausts the pairing retries, so the
-			// stub-matching repair builds it.
-			Spec{Family: "regular", N: 4096, Degree: 6, Seed: 2},
-			func() uint64 {
-				rng := xrand.New(2)
-				return Connectify(RandomRegular(4096, 6, rng), rng).Fingerprint()
-			}(),
-		},
+		// Builds that succeed within the pairing retries, and expanders
+		// (one of them repaired by stub matching), as the graphs built
+		// before the regular family gained its repair.
+		{Spec{Family: "regular", N: 40, Degree: 4, Seed: 2}, 0x6e4eb9939f49da8d},
+		{Spec{Family: "regular", N: 300, Degree: 4, Seed: 1}, 0x313aa14d9165714a},
+		{Spec{Family: "expander", N: 40, Degree: 4, Seed: 8}, 0xf6dedf0957d14d0d},
+		{Spec{Family: "expander", N: 300, Degree: 16, Seed: 1}, 0x737d6b1ec6eaccb2},
+		// Degree 6 on 4096 nodes exhausts the pairing retries, so the
+		// stub-matching repair builds it.
+		{Spec{Family: "regular", N: 4096, Degree: 6, Seed: 2}, 0x7d954e76b9cf3309},
 		{Spec{Family: "pa", N: 50, Degree: 3, Seed: 5}, PreferentialAttachment(50, 3, xrand.New(5)).Fingerprint()},
 		{Spec{Family: "expander", N: 40, Degree: 4, Seed: 8}, Expander(40, 4, xrand.New(8)).Fingerprint()},
 	}
@@ -67,7 +71,7 @@ func TestBuildMatchesConstructors(t *testing.T) {
 			t.Fatalf("Build(%+v): %v", c.spec, err)
 		}
 		if got := g.Fingerprint(); got != c.want {
-			t.Errorf("Build(%+v) fingerprint %x, want %x (constructor path)", c.spec, got, c.want)
+			t.Errorf("Build(%+v) fingerprint %x, want %x", c.spec, got, c.want)
 		}
 		if err := g.Validate(); err != nil {
 			t.Errorf("Build(%+v): %v", c.spec, err)

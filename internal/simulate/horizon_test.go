@@ -158,13 +158,12 @@ func TestReplayHorizonDidNotHalt(t *testing.T) {
 
 // TestReplayLocality is the metamorphic locality test: adding or deleting
 // edges of G outside B_{t+1}(v), with n and every other edge ID fixed,
-// changes neither v's direct output nor its output from any collection
-// pipeline — Collect on G and every pipeline of collectionSchemes, each
-// replayed at v. A t-round algorithm reads only B_t(v) and the degrees of
-// its rim, so no such edit may reach v; replay, and its light cone, stand
-// on exactly this. A collection depends on t only, so each pipeline runs
-// once per graph and t and serves both algorithms. Under -short the
-// pipelines other than Collect run at t = 2 only.
+// changes neither v's direct output nor its replayed one. A t-round
+// algorithm reads only B_t(v) and the degrees of its rim, so no such edit
+// may reach v; replay, and its light cone, stand on exactly this. The
+// first part replays Collect on G under unrestricted edits; the second
+// replays every pipeline of collectionSchemes under edits that keep G
+// connected and simple, the shape those pipelines require.
 func TestReplayLocality(t *testing.T) {
 	ctx := context.Background()
 	graphs := []struct {
@@ -175,11 +174,64 @@ func TestReplayLocality(t *testing.T) {
 		{"torus9x9", gen.Torus(9, 9)},
 		{"tree70", gen.RandomTree(70, xrand.New(42))},
 	}
-	pipelines := append([]collectionScheme{{"collect", func(ctx context.Context, g *graph.Graph, spec algorithms.Spec, cfg local.Config) (*SchemeResult, error) {
-		coll, err := Collect(ctx, g, g, spec.T, cfg.Seed, cfg)
-		return &SchemeResult{Coll: coll}, err
-	}}}, collectionSchemes(t, 1)...)
-	collect := func(pipes []collectionScheme, g *graph.Graph, tt int, seed uint64) []*Collection {
+	rng := xrand.New(43)
+	perturbed := 0
+	for _, gc := range graphs {
+		n := gc.g.NumNodes()
+		for tt := 1; tt <= 3; tt++ {
+			for _, spec := range []algorithms.Spec{algorithms.MaxID(tt), algorithms.MIS(tt)} {
+				seed := uint64(11 + tt)
+				direct, _, err := Direct(ctx, gc.g, spec, seed, local.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				coll, err := Collect(ctx, gc.g, gc.g, tt, seed, local.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for trial := 0; trial < 4; trial++ {
+					v := graph.NodeID(rng.Intn(n))
+					replayed, err := coll.Replay(spec, v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					g2, edits := perturbOutside(gc.g, v, tt+1, false, rng)
+					if edits == 0 {
+						continue // B_{t+1}(v) covers the graph
+					}
+					perturbed++
+					name := fmt.Sprintf("%s/%s/t=%d/v=%d/%d edits", gc.name, spec.Name, tt, v, edits)
+					direct2, _, err := Direct(ctx, g2, spec, seed, local.Config{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if direct2[v] != direct[v] {
+						t.Fatalf("%s: direct output moved from %v to %v", name, direct[v], direct2[v])
+					}
+					coll2, err := Collect(ctx, g2, g2, tt, seed, local.Config{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					replayed2, err := coll2.Replay(spec, v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if replayed2 != replayed || replayed2 != direct[v] {
+						t.Fatalf("%s: replay output moved from %v to %v (direct %v)", name, replayed, replayed2, direct[v])
+					}
+				}
+			}
+		}
+	}
+	if perturbed < 40 {
+		t.Fatalf("only %d of 72 trials left room outside B_{t+1}(v) to perturb", perturbed)
+	}
+
+	// Every other collection pipeline. A collection depends on t only, so
+	// each pipeline runs once per graph, t and trial and serves both
+	// algorithms. Under -short only t = 2 runs.
+	pipes := collectionSchemes(t, 1)
+	collect := func(g *graph.Graph, tt int, seed uint64) []*Collection {
 		colls := make([]*Collection, len(pipes))
 		for i, p := range pipes {
 			res, err := p.run(ctx, g, algorithms.MaxID(tt), local.Config{Seed: seed})
@@ -190,11 +242,14 @@ func TestReplayLocality(t *testing.T) {
 		}
 		return colls
 	}
-	rng := xrand.New(43)
-	perturbed := 0
+	rng = xrand.New(44)
+	trials, perturbed := 0, 0
 	for _, gc := range graphs {
 		n := gc.g.NumNodes()
 		for tt := 1; tt <= 3; tt++ {
+			if testing.Short() && tt != 2 {
+				continue
+			}
 			seed := uint64(11 + tt)
 			specs := []algorithms.Spec{algorithms.MaxID(tt), algorithms.MIS(tt)}
 			direct := make([][]any, len(specs))
@@ -204,19 +259,16 @@ func TestReplayLocality(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			pipes := pipelines
-			if testing.Short() && tt != 2 {
-				pipes = pipelines[:1]
-			}
-			colls := collect(pipes, gc.g, tt, seed)
+			colls := collect(gc.g, tt, seed)
 			for trial := 0; trial < 4; trial++ {
+				trials++
 				v := graph.NodeID(rng.Intn(n))
-				g2, edits := perturbOutside(gc.g, v, tt+1, rng)
+				g2, edits := perturbOutside(gc.g, v, tt+1, true, rng)
 				if edits == 0 {
 					continue // B_{t+1}(v) covers the graph
 				}
 				perturbed++
-				colls2 := collect(pipes, g2, tt, seed)
+				colls2 := collect(g2, tt, seed)
 				for i, spec := range specs {
 					name := fmt.Sprintf("%s/%s/t=%d/v=%d/%d edits", gc.name, spec.Name, tt, v, edits)
 					direct2, _, err := Direct(ctx, g2, spec, seed, local.Config{})
@@ -243,17 +295,17 @@ func TestReplayLocality(t *testing.T) {
 			}
 		}
 	}
-	if perturbed < 20 {
-		t.Fatalf("only %d of 36 trials left room outside B_{t+1}(v) to perturb", perturbed)
+	if 2*perturbed < trials {
+		t.Fatalf("only %d of %d pipeline trials left room outside B_{t+1}(v) to perturb", perturbed, trials)
 	}
 }
 
 // perturbOutside returns a copy of g with edges added and deleted among
 // the nodes outside B_r(v), and the number of edits. Kept edges keep their
-// IDs and new edges take fresh ones. The copy keeps the model's shape: a
-// deletion that would disconnect it is undone, and a new edge joins a pair
-// not already adjacent, so a connected simple g stays connected and simple.
-func perturbOutside(g *graph.Graph, v graph.NodeID, r int, rng *xrand.RNG) (*graph.Graph, int) {
+// IDs and new edges take fresh ones. With keepShape, a deletion that would
+// disconnect the copy is undone and a new edge joins only a pair not
+// already adjacent, so a connected simple g stays connected and simple.
+func perturbOutside(g *graph.Graph, v graph.NodeID, r int, keepShape bool, rng *xrand.RNG) (*graph.Graph, int) {
 	dist := g.BFS(v, r)
 	var far []graph.NodeID
 	for u, d := range dist {
@@ -271,7 +323,7 @@ func perturbOutside(g *graph.Graph, v graph.NodeID, r int, rng *xrand.RNG) (*gra
 			if err := out.RemoveEdgeID(e.ID); err != nil {
 				panic(err)
 			}
-			if !out.Connected() {
+			if keepShape && !out.Connected() {
 				if err := out.AddEdgeWithID(e.ID, e.U, e.V); err != nil {
 					panic(err)
 				}
@@ -282,7 +334,7 @@ func perturbOutside(g *graph.Graph, v graph.NodeID, r int, rng *xrand.RNG) (*gra
 	}
 	for k := 0; k < len(far); k++ {
 		a, b := far[rng.Intn(len(far))], far[rng.Intn(len(far))]
-		if a != b && len(out.EdgesBetween(a, b)) == 0 {
+		if a != b && (!keepShape || len(out.EdgesBetween(a, b)) == 0) {
 			out.AddEdge(a, b)
 			edits++
 		}

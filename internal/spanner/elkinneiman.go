@@ -73,8 +73,11 @@ func (enMsg) PayloadUnits() int64 { return 1 }
 type ENNode struct {
 	K int
 
-	first   float64        // earliest arrival time seen
-	bestVia []float64      // earliest arrival per port, in port order
+	first float64 // earliest arrival time seen
+	// bestVia is the earliest arrival per port, indexed by the port
+	// positions of round 0: the ports must stay the same for the whole run.
+	// EN never runs under adversary edge events, which would rebuild them.
+	bestVia []float64
 	InS     []graph.EdgeID // final knowledge: incident spanner edges, strictly ascending
 }
 
