@@ -117,7 +117,7 @@ func main() {
 	}
 }
 
-func report(g *graph.Graph, s map[graph.EdgeID]bool, bound int) {
+func report(g *graph.Graph, s []graph.EdgeID, bound int) {
 	_, rep, err := graph.VerifySpanner(g, s, bound)
 	if err != nil {
 		log.Fatalf("spanner verification failed: %v", err)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -356,14 +357,9 @@ func (e *Engine) BuildSpanner(ctx context.Context, g *Graph) (*Spanner, error) {
 		return nil, err
 	}
 	hooks.PhaseDone(cost)
-	// Copy the edge set: the cached artifact is shared across runs and must
-	// stay immutable.
-	edges := make(map[EdgeID]bool, len(st1.S))
-	for id := range st1.S {
-		edges[id] = true
-	}
+	// Clone the edge set: the cached artifact is shared and must stay immutable.
 	return &Spanner{
-		Edges:        edges,
+		Edges:        slices.Clone(st1.S),
 		StretchBound: st1.Stretch,
 		Rounds:       st1.Rounds,
 		Messages:     st1.Messages,

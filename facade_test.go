@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -440,17 +441,16 @@ func TestBuildSpannerCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the caller's copy: the cache must be unaffected.
-	for id := range first.Edges {
-		delete(first.Edges, id)
-		break
-	}
+	// Corrupt the caller's copy in place: the cache must be unaffected.
+	want := slices.Clone(first.Edges)
+	first.Edges[0] = -1
 	second, err := eng.BuildSpanner(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(second.Edges) != len(first.Edges)+1 {
-		t.Fatalf("cached spanner has %d edges, want %d", len(second.Edges), len(first.Edges)+1)
+	if !slices.Equal(second.Edges, want) {
+		t.Fatalf("cached spanner has %d edges starting %v, want %d starting %v",
+			len(second.Edges), second.Edges[:1], len(want), want[:1])
 	}
 	if second.StretchBound != first.StretchBound {
 		t.Fatalf("stretch drifted: %d != %d", second.StretchBound, first.StretchBound)

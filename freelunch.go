@@ -116,8 +116,8 @@ func NewGraph(n int) *Graph { return graph.New(n) }
 
 // Spanner is a constructed spanner with its certificate and cost.
 type Spanner struct {
-	// Edges is the spanner edge set S ⊆ E.
-	Edges map[EdgeID]bool
+	// Edges is the spanner edge set S ⊆ E, strictly ascending.
+	Edges []EdgeID
 	// StretchBound is the certified stretch 2·3^K − 1.
 	StretchBound int
 	// Rounds and Messages are the distributed construction costs (zero for

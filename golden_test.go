@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -60,17 +59,12 @@ func renderResult(res *repro.SimulationResult) string {
 }
 
 // renderSpanner serializes a built spanner: certificate, costs, and the
-// sorted edge set.
+// edge set in its ascending order.
 func renderSpanner(sp *repro.Spanner) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "stretchBound=%d rounds=%d messages=%d edges=%d\n",
 		sp.StretchBound, sp.Rounds, sp.Messages, len(sp.Edges))
-	ids := make([]repro.EdgeID, 0, len(sp.Edges))
-	for id := range sp.Edges {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range sp.Edges {
 		fmt.Fprintf(&b, "edge %d\n", id)
 	}
 	return b.String()

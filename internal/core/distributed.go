@@ -87,9 +87,9 @@ func (t *Traffic) add(o Traffic) {
 
 // DistResult is the outcome of the distributed Sampler.
 type DistResult struct {
-	// S is the spanner edge set, assembled from the endpoints' local
-	// knowledge (every edge of S is known to both its endpoints).
-	S map[graph.EdgeID]bool
+	// S is the spanner edge set, strictly ascending: the union of the
+	// nodes' incident spanner edges (each edge known to both endpoints).
+	S []graph.EdgeID
 	// Run carries the LOCAL-model cost metrics (rounds, messages).
 	Run local.Result
 	// Traffic splits Run.Messages by message kind.
@@ -155,19 +155,18 @@ func BuildDistributed(ctx context.Context, g *graph.Graph, p Params, seed uint64
 		return nil, fmt.Errorf("core: distributed Sampler did not halt within its schedule (%d rounds)", sched.total)
 	}
 	res := &DistResult{
-		S:              make(map[graph.EdgeID]bool),
 		Run:            run,
 		ScheduleRounds: sched.total,
 		Params:         p,
 		nodes:          nodes,
 	}
 	for _, nd := range nodes {
-		for _, e := range nd.inS {
-			res.S[e] = true
-		}
+		res.S = append(res.S, nd.inS...)
 		res.Traffic.add(nd.sent)
 		res.FailSafeNodes += nd.failSafes
 	}
+	slices.Sort(res.S)
+	res.S = slices.Compact(res.S)
 	return res, nil
 }
 

@@ -90,17 +90,17 @@ func TestDistributedSpannerValid(t *testing.T) {
 func TestDistributedSEqualsFDecided(t *testing.T) {
 	g := gen.ConnectedGNP(150, 0.08, xrand.New(5))
 	res := buildDist(t, g, Default(2, 2), 13)
-	decided := make(map[graph.EdgeID]bool)
+	var decided []graph.EdgeID
 	for _, nd := range res.nodes {
-		for _, e := range nd.fDecided {
-			decided[e] = true
-		}
+		decided = append(decided, nd.fDecided...)
 	}
+	slices.Sort(decided)
+	decided = slices.Compact(decided)
 	if len(res.S) != len(decided) {
 		t.Fatalf("|S| = %d but the roots decided %d edges", len(res.S), len(decided))
 	}
-	for e := range res.S {
-		if !decided[e] {
+	for _, e := range res.S {
+		if _, ok := slices.BinarySearch(decided, e); !ok {
 			t.Fatalf("edge %d known to endpoints but never decided by a root", e)
 		}
 	}
@@ -159,7 +159,7 @@ func TestDistributedClusterTreesConsistent(t *testing.T) {
 func TestDistributedBothEndpointsKnow(t *testing.T) {
 	g := gen.ConnectedGNP(120, 0.08, xrand.New(6))
 	res := buildDist(t, g, Default(1, 2), 17)
-	for e := range res.S {
+	for _, e := range res.S {
 		ge, _ := g.EdgeByID(e)
 		knows := 0
 		for _, v := range []graph.NodeID{ge.U, ge.V} {
@@ -174,7 +174,7 @@ func TestDistributedBothEndpointsKnow(t *testing.T) {
 	// And no node claims a non-incident or non-spanner edge.
 	for v, nd := range res.nodes {
 		for _, e := range nd.inS {
-			if !res.S[e] {
+			if _, ok := slices.BinarySearch(res.S, e); !ok {
 				t.Fatalf("node %d claims unknown spanner edge %d", v, e)
 			}
 			ge, _ := g.EdgeByID(e)
@@ -199,10 +199,8 @@ func TestDistributedEnginesAgree(t *testing.T) {
 	if len(seq.S) != len(con.S) {
 		t.Fatalf("engines disagree on |S|: %d vs %d", len(seq.S), len(con.S))
 	}
-	for e := range seq.S {
-		if !con.S[e] {
-			t.Fatal("engines disagree on spanner membership")
-		}
+	if !slices.Equal(seq.S, con.S) {
+		t.Fatal("engines disagree on spanner membership")
 	}
 	if seq.Run.Messages != con.Run.Messages {
 		t.Fatalf("engines disagree on messages: %d vs %d", seq.Run.Messages, con.Run.Messages)

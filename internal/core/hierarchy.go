@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 
@@ -22,7 +21,7 @@ import (
 //
 // It returns nil if all invariants hold.
 func (r *Result) ValidateHierarchy(g *graph.Graph) error {
-	for _, id := range slices.Sorted(maps.Keys(r.S)) {
+	for _, id := range r.S {
 		if !g.HasEdgeID(id) {
 			return fmt.Errorf("core: spanner edge %d not in input graph", id)
 		}
@@ -41,16 +40,16 @@ func (r *Result) ValidateHierarchy(g *graph.Graph) error {
 
 func validateLevel(lvl *Level, g, h *graph.Graph) error {
 	// Disjointness of the level's clusters over original nodes.
-	seen := make(map[graph.NodeID]int, g.NumNodes())
+	owner := slices.Repeat([]int{-1}, g.NumNodes()) // cluster of each node, or -1
 	for v, members := range lvl.OrigMembers {
 		if len(members) == 0 {
 			return fmt.Errorf("node %d has no members", v)
 		}
 		for _, m := range members {
-			if prev, dup := seen[m]; dup {
+			if prev := owner[m]; prev >= 0 {
 				return fmt.Errorf("original node %d in clusters %d and %d", m, prev, v)
 			}
-			seen[m] = v
+			owner[m] = v
 		}
 	}
 	// Lemma 8: induced diameter bound.
@@ -62,7 +61,8 @@ func validateLevel(lvl *Level, g, h *graph.Graph) error {
 	}
 	// One center per next-level cluster, and unclustered ⇒ light.
 	if lvl.Assign != nil {
-		centersPerCluster := make(map[int]int)
+		// Contract took dense cluster indices, so each is below len(Assign).
+		centersPerCluster := make([]int, len(lvl.Assign))
 		for v, c := range lvl.Assign {
 			if c == graph.Dropped {
 				if !lvl.Light[v] {
@@ -74,8 +74,8 @@ func validateLevel(lvl *Level, g, h *graph.Graph) error {
 				centersPerCluster[c]++
 			}
 		}
-		for _, c := range slices.Sorted(maps.Keys(centersPerCluster)) {
-			if count := centersPerCluster[c]; count != 1 {
+		for c, count := range centersPerCluster {
+			if count > 1 {
 				return fmt.Errorf("cluster %d has %d centers", c, count)
 			}
 		}

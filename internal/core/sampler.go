@@ -62,8 +62,8 @@ const noNode = graph.NodeID(-1)
 
 // Result is the output of algorithm Sampler.
 type Result struct {
-	// S is the spanner edge set (IDs refer to the input graph).
-	S map[graph.EdgeID]bool
+	// S is the spanner edge set, strictly ascending (input-graph IDs).
+	S []graph.EdgeID
 	// Levels records the hierarchy, index = level.
 	Levels []*Level
 	// Params echoes the parameters used.
@@ -88,7 +88,7 @@ func Build(g *graph.Graph, p Params, seed uint64) (*Result, error) {
 		return nil, fmt.Errorf("core: nil graph")
 	}
 	n := g.NumNodes()
-	res := &Result{S: make(map[graph.EdgeID]bool), Params: p}
+	res := &Result{Params: p}
 	rng := xrand.New(seed).Derive(0xC0DE)
 
 	cur := g
@@ -119,10 +119,10 @@ func Build(g *graph.Graph, p Params, seed uint64) (*Result, error) {
 		// Collect this level's F into S.
 		before := len(res.S)
 		for _, fv := range lvl.F {
-			for _, e := range fv {
-				res.S[e] = true
-			}
+			res.S = append(res.S, fv...)
 		}
+		slices.Sort(res.S)
+		res.S = slices.Compact(res.S)
 		lvl.EdgesAdded = len(res.S) - before
 		res.TotalSamples += lvl.Samples
 		res.FailSafeNodes += lvl.FailSafe

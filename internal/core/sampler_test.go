@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -321,15 +320,13 @@ func TestDeterminism(t *testing.T) {
 	if len(a.S) != len(b.S) {
 		t.Fatalf("sizes differ: %d vs %d", len(a.S), len(b.S))
 	}
-	for e := range a.S {
-		if !b.S[e] {
-			t.Fatal("edge sets differ for identical seeds")
-		}
+	if !slices.Equal(a.S, b.S) {
+		t.Fatal("edge sets differ for identical seeds")
 	}
 	c := buildOn(t, g, Default(2, 3), 43)
 	diff := 0
-	for e := range a.S {
-		if !c.S[e] {
+	for _, e := range a.S {
+		if _, ok := slices.BinarySearch(c.S, e); !ok {
 			diff++
 		}
 	}
@@ -420,7 +417,7 @@ func TestPeelingLimitsSamplesOnSkewedMultiplicities(t *testing.T) {
 	// Node 0 must have discovered all 11 distinct neighbors (it is light at
 	// some level or the fail-safe fired; either way F covers them).
 	found := map[graph.NodeID]bool{}
-	for e := range res.S {
+	for _, e := range res.S {
 		ge, _ := g.EdgeByID(e)
 		if ge.U == hub || ge.V == hub {
 			found[ge.Other(hub)] = true
@@ -495,13 +492,24 @@ func shuffledIDGraph(n int, p float64, seed uint64) *graph.Graph {
 	return g
 }
 
-// spannerDigest is an FNV-1a digest of S's edge IDs in ascending order.
-func spannerDigest(s map[graph.EdgeID]bool) uint64 {
+// spannerDigest is an FNV-1a digest of S's edge IDs in S's order.
+func spannerDigest(s []graph.EdgeID) uint64 {
 	h := fnv.New64a()
-	for _, e := range slices.Sorted(maps.Keys(s)) {
+	for _, e := range s {
 		_ = binary.Write(h, binary.LittleEndian, int64(e))
 	}
 	return h.Sum64()
+}
+
+// requireAscending fails t unless the spanner edge set s is strictly
+// ascending.
+func requireAscending(t *testing.T, s []graph.EdgeID) {
+	t.Helper()
+	for i := 1; i < len(s); i++ {
+		if s[i] <= s[i-1] {
+			t.Fatalf("S is not strictly ascending: %d then %d", s[i-1], s[i])
+		}
+	}
 }
 
 // TestCentralizedSamplerPin pins the centralized Sampler where the spanner
@@ -550,6 +558,7 @@ func TestCentralizedSamplerPin(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			res := buildOn(t, tc.g, tc.p, 21)
 			verify(t, tc.g, res)
+			requireAscending(t, res.S)
 			var levels []levelPin
 			for _, lvl := range res.Levels {
 				levels = append(levels, levelPin{lvl.Trials, lvl.Samples, lvl.EdgesAdded, lvl.FailSafe})
@@ -564,12 +573,12 @@ func TestCentralizedSamplerPin(t *testing.T) {
 
 // TestValidateHierarchyNamesSmallestForeignEdge checks that the error for a
 // spanner edge missing from the input graph is reproducible: it names the
-// smallest such edge, whatever order S's map yields.
+// smallest such edge, whatever order the foreign edges are added in.
 func TestValidateHierarchyNamesSmallestForeignEdge(t *testing.T) {
 	g := gen.Path(4)
 	res := buildOn(t, g, Default(1, 2), 1)
 	for _, e := range []graph.EdgeID{90, 70, 80} {
-		res.S[e] = true
+		res.S = graph.InsertEdgeID(res.S, e)
 	}
 	err := res.ValidateHierarchy(g)
 	if err == nil || err.Error() != "core: spanner edge 70 not in input graph" {

@@ -18,7 +18,7 @@
 // Callers supply the host — G itself for the direct baseline, or the
 // Sampler spanner's subgraph, which the engine builds and caches like every
 // other stage-1 spanner. The registry's "globalcompute" scheme convergecasts
-// port tables with it; DetectTermination convergecasts completion
+// origin lists with it; DetectTermination convergecasts completion
 // predicates under AND. Both take a context (cancellation aborts within one
 // node step) and honor local.Config.OnRound, so engine observers see every
 // round of the wave, convergecast, and broadcast phases.
@@ -67,20 +67,13 @@ func (m gcMsg[T]) PayloadUnits() int64 {
 	}
 }
 
-// valueUnits sizes a carried aggregate in O(log n)-bit words: scalars are one
-// word, a convergecast table of port lists costs one word per origin plus one
-// per port.
+// valueUnits sizes a carried aggregate in O(log n)-bit words: by its
+// local.Sizer, or as one word when it has none.
 func valueUnits(v any) int64 {
-	switch t := v.(type) {
-	case map[graph.NodeID][]graph.EdgeID:
-		var u int64
-		for _, ports := range t {
-			u += 1 + int64(len(ports))
-		}
-		return u
-	default:
-		return 1
+	if s, ok := v.(local.Sizer); ok {
+		return s.PayloadUnits()
 	}
+	return 1
 }
 
 // gcNode runs leader election by min-ID wave + BFS-tree aggregation.

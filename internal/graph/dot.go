@@ -3,16 +3,15 @@ package graph
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // DOTOptions styles a Graphviz export.
 type DOTOptions struct {
 	// Name is the graph name in the DOT header.
 	Name string
-	// Highlight marks edges (e.g. a spanner) to draw bold red; the rest are
-	// drawn light gray.
-	Highlight map[EdgeID]bool
+	// Highlight is a strictly ascending set of the graph's edges (e.g. a
+	// spanner) to draw bold red; the rest are drawn light gray.
+	Highlight []EdgeID
 	// NodeLabel overrides node labels (nil: the node ID).
 	NodeLabel func(NodeID) string
 	// NodeGroup assigns a fill-color class per node (e.g. a cluster index);
@@ -51,16 +50,18 @@ func (g *Graph) WriteDOT(w io.Writer, opts DOTOptions) error {
 			return err
 		}
 	}
-	edges := append([]Edge(nil), g.edges...)
-	sort.Slice(edges, func(i, j int) bool { return edges[i].ID < edges[j].ID })
-	for _, e := range edges {
+	hi := opts.Highlight
+	for _, e := range g.EdgesByID() {
 		style := `color="#cccccc"`
-		if opts.Highlight[e.ID] {
-			style = `color="#d62728" penwidth=2.0`
+		if len(hi) > 0 && hi[0] == e.ID {
+			style, hi = `color="#d62728" penwidth=2.0`, hi[1:]
 		}
 		if _, err := fmt.Fprintf(w, "  %d -- %d [%s];\n", e.U, e.V, style); err != nil {
 			return err
 		}
+	}
+	if len(hi) > 0 {
+		return fmt.Errorf("graph: highlight edge %d not in graph or out of ascending order", hi[0])
 	}
 	_, err := fmt.Fprintln(w, "}")
 	return err

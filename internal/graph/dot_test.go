@@ -12,7 +12,7 @@ func TestWriteDOT(t *testing.T) {
 	var b strings.Builder
 	err := g.WriteDOT(&b, DOTOptions{
 		Name:      "test",
-		Highlight: map[EdgeID]bool{e1: true},
+		Highlight: []EdgeID{e1},
 		NodeLabel: func(v NodeID) string { return "n" + string(rune('0'+v)) },
 		NodeGroup: func(v NodeID) int { return int(v) % 2 },
 	})
@@ -44,6 +44,9 @@ func TestWriteDOTDefaults(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `graph "G" {`) {
 		t.Fatal("default graph name missing")
+	}
+	if err := g.WriteDOT(&b, DOTOptions{Highlight: []EdgeID{7}}); err == nil {
+		t.Fatal("highlight of an unknown edge accepted")
 	}
 }
 

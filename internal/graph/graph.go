@@ -328,6 +328,15 @@ func (g *Graph) Incident(v NodeID) []Half { return g.rows(v) }
 // the graph and must not be modified.
 func (g *Graph) Edges() []Edge { return g.edges }
 
+// EdgesByID returns all edges in ascending ID order, freshly allocated.
+func (g *Graph) EdgesByID() []Edge {
+	out := make([]Edge, len(g.byID))
+	for i, idx := range g.byID {
+		out[i] = g.edges[idx]
+	}
+	return out
+}
+
 // EdgeByID returns the edge with the given ID. The lookup is a binary search
 // over the sorted ID index: allocation-free, O(log m).
 //
@@ -409,18 +418,15 @@ func (g *Graph) Clone() *Graph {
 	}
 }
 
-// SubgraphByEdges returns the spanning subgraph of g containing exactly the
-// edges whose IDs appear in keep (same node set, edge IDs preserved, edges
-// inserted in ascending ID order so the result is deterministic). Unknown
-// IDs in keep are an error: a spanner must be a subset of E.
-func (g *Graph) SubgraphByEdges(keep map[EdgeID]bool) (*Graph, error) {
-	ids := make([]EdgeID, 0, len(keep))
-	for id := range keep {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	h := NewWithCapacity(g.n, len(ids))
-	for _, id := range ids {
+// SubgraphByEdges returns the spanning subgraph of g (same nodes, edge IDs
+// kept) with exactly the edges of keep, a strictly ascending subset of E. An
+// out-of-order or repeated ID is an error naming the pair, as is an unknown ID.
+func (g *Graph) SubgraphByEdges(keep []EdgeID) (*Graph, error) {
+	h := NewWithCapacity(g.n, len(keep))
+	for i, id := range keep {
+		if i > 0 && keep[i-1] >= id {
+			return nil, fmt.Errorf("graph: edge set not strictly ascending: %d then %d", keep[i-1], id)
+		}
 		e, ok := g.EdgeByID(id)
 		if !ok {
 			return nil, fmt.Errorf("graph: edge %d not in graph", id)

@@ -134,7 +134,7 @@ func TestSubgraphByEdges(t *testing.T) {
 	e1 := g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	e3 := g.AddEdge(2, 3)
-	h, err := g.SubgraphByEdges(map[EdgeID]bool{e1: true, e3: true})
+	h, err := g.SubgraphByEdges([]EdgeID{e1, e3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestSubgraphByEdges(t *testing.T) {
 	if !h.HasEdgeID(e1) || !h.HasEdgeID(e3) {
 		t.Fatal("subgraph lost an edge ID")
 	}
-	if _, err := g.SubgraphByEdges(map[EdgeID]bool{999: true}); err == nil {
+	if _, err := g.SubgraphByEdges([]EdgeID{999}); err == nil {
 		t.Fatal("unknown edge ID accepted")
 	}
 }
@@ -290,10 +290,10 @@ func TestEdgeStretchCycle(t *testing.T) {
 			removed = id
 		}
 	}
-	keep := make(map[EdgeID]bool)
-	for _, e := range g.Edges() {
+	var keep []EdgeID
+	for _, e := range g.EdgesByID() {
 		if e.ID != removed {
-			keep[e.ID] = true
+			keep = append(keep, e.ID)
 		}
 	}
 	h, err := g.SubgraphByEdges(keep)
@@ -323,15 +323,15 @@ func TestVerifySpanner(t *testing.T) {
 	for v := 0; v < n; v++ {
 		g.AddEdge(NodeID(v), NodeID((v+1)%n))
 	}
-	all := make(map[EdgeID]bool)
-	for _, e := range g.Edges() {
-		all[e.ID] = true
+	var all []EdgeID
+	for _, e := range g.EdgesByID() {
+		all = append(all, e.ID)
 	}
 	if _, _, err := VerifySpanner(g, all, 1); err != nil {
 		t.Fatalf("full graph is a 1-spanner: %v", err)
 	}
 	// Empty edge set is not a spanner of a cycle.
-	if _, _, err := VerifySpanner(g, map[EdgeID]bool{}, 3); err == nil {
+	if _, _, err := VerifySpanner(g, []EdgeID{}, 3); err == nil {
 		t.Fatal("empty spanner accepted")
 	}
 }

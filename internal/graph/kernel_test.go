@@ -281,10 +281,10 @@ func checkKernel(t *testing.T, g *graph.Graph, seed uint64) {
 	}
 
 	// EdgeStretch of a random spanning subgraph, bounded and unbounded.
-	keep := map[graph.EdgeID]bool{}
-	for _, e := range g.Edges() {
+	var keep []graph.EdgeID
+	for _, e := range g.EdgesByID() {
 		if rng.Intn(3) > 0 {
-			keep[e.ID] = true
+			keep = append(keep, e.ID)
 		}
 	}
 	h, err := g.SubgraphByEdges(keep)

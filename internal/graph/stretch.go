@@ -72,10 +72,10 @@ func EdgeStretch(g, h *Graph, bound int) (StretchReport, error) {
 	return rep, nil
 }
 
-// VerifySpanner checks that the edge set S (given by IDs) is a subset of g's
-// edges and that the induced subgraph is an alpha-spanner of g. It returns
-// the subgraph and a report. This is the oracle used by every spanner test.
-func VerifySpanner(g *Graph, s map[EdgeID]bool, alpha int) (*Graph, StretchReport, error) {
+// VerifySpanner checks that the strictly ascending edge set s is a subset of
+// g's edges and that the induced subgraph is an alpha-spanner of g. It
+// returns the subgraph and a report. This is the oracle of every spanner test.
+func VerifySpanner(g *Graph, s []EdgeID, alpha int) (*Graph, StretchReport, error) {
 	h, err := g.SubgraphByEdges(s)
 	if err != nil {
 		return nil, StretchReport{}, fmt.Errorf("spanner not a subgraph: %w", err)

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
+	"slices"
 
 	"repro/internal/algorithms"
 	"repro/internal/core"
@@ -70,10 +70,10 @@ type SchemeResult struct {
 	// StretchUsed is the stretch bound of the spanner that carried the
 	// final collection.
 	StretchUsed int
-	// FinalSpanner is the edge set of the spanner that carried the final
-	// collection (Sampler's for Scheme1Src; the simulated off-the-shelf
-	// construction's for Scheme2WithSrc; nil when no spanner carried it).
-	FinalSpanner map[graph.EdgeID]bool
+	// FinalSpanner is the ascending edge set of the spanner that carried the
+	// final collection: Sampler's for Scheme1Src (a cached Stage1's S, so
+	// read-only), the simulated construction's for Scheme2WithSrc, or nil.
+	FinalSpanner []graph.EdgeID
 }
 
 // TotalMessages sums message costs across phases.
@@ -130,8 +130,8 @@ func starved(err error) error {
 // floods over it. A Stage1 is immutable once built and safe to share across
 // concurrent pipeline runs (collections and replays only read it).
 type Stage1 struct {
-	// S is the spanner edge set.
-	S map[graph.EdgeID]bool
+	// S is the spanner edge set, strictly ascending.
+	S []graph.EdgeID
 	// Host is the materialized subgraph H = (V, S) that collections flood.
 	Host *graph.Graph
 	// Stretch is the certified stretch bound 2·3^K − 1.
@@ -369,12 +369,28 @@ func GossipConverge(ctx context.Context, g *graph.Graph, spec algorithms.Spec, b
 	return res, nil
 }
 
+// origins is GlobalCollectSrc's convergecast value: the ascending origins a
+// subtree heard, priced like broadcast rumors at 1 + len(M_o) words each.
+type origins struct {
+	ids   []graph.NodeID
+	ports [][]graph.EdgeID // M_o is ports[o]
+}
+
+// PayloadUnits implements local.Sizer.
+func (o origins) PayloadUnits() int64 {
+	var u int64
+	for _, v := range o.ids {
+		u += 1 + int64(len(o.ports[v]))
+	}
+	return u
+}
+
 // GlobalCollectSrc realizes the paper's Section 7 extension as a collection
 // pipeline: the Sampler spanner elects a root and builds a BFS tree, every
-// node's port list is convergecast up the tree and the merged table is
+// node's origin is convergecast up the tree and the merged origin list is
 // flooded back down (phase "globalcast"), after which every node can replay
 // any node's t-ball locally. Rounds are O(stretch · diameter); messages are
-// O(n) tree messages carrying tables instead of Θ(t·m) flood traffic. A
+// O(n) tree messages carrying port lists instead of Θ(t·m) flood traffic. A
 // convergecast that starves within its schedule is an ErrRoundBudget.
 func GlobalCollectSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
 	st1, res, err := stage1(ctx, "globalcompute", g, p, cfg, hooks, src)
@@ -384,12 +400,14 @@ func GlobalCollectSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec,
 
 	n := g.NumNodes()
 	ports := portsOf(g)
-	inputs := make([]map[graph.NodeID][]graph.EdgeID, n)
-	for v := 0; v < n; v++ {
-		inputs[v] = map[graph.NodeID][]graph.EdgeID{graph.NodeID(v): ports[v]}
+	inputs := make([]origins, n)
+	for v := range inputs {
+		inputs[v] = origins{ids: []graph.NodeID{graph.NodeID(v)}, ports: ports}
 	}
-	merge := func(a, b map[graph.NodeID][]graph.EdgeID) map[graph.NodeID][]graph.EdgeID {
-		maps.Copy(a, b)
+	merge := func(a, b origins) origins {
+		a.ids = slices.Concat(a.ids, b.ids)
+		slices.Sort(a.ids)
+		a.ids = slices.Compact(a.ids)
 		return a
 	}
 	// The wave deadline must upper-bound the host diameter; the host is a
@@ -401,21 +419,17 @@ func GlobalCollectSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec,
 	}
 	res.bill(hooks, "globalcast", run)
 
-	// Every node holds the merged table (the root's map, shared and
-	// read-only from here on). A table of n origins names every node, so
-	// every node heard all of them and the heard sets alias one ascending
-	// slice 0..n-1.
-	all := make([]graph.NodeID, n)
+	// Every node's heard set is the origin list it received: the root's
+	// merged list, shared and read-only from here on.
 	heard := make([][]graph.NodeID, n)
-	for v := 0; v < n; v++ {
-		if table := vals[v]; len(table) != n {
-			// An incomplete table means the wave/convergecast starved within
+	for v, val := range vals {
+		if len(val.ids) != n {
+			// An incomplete list means the wave/convergecast starved within
 			// its schedule (an adversarial network can do this): a budget
 			// failure, typed so callers can test for it.
-			return nil, fmt.Errorf("globalcompute: node %d's table covers %d of %d nodes: %w", v, len(table), n, ErrRoundBudget)
+			return nil, fmt.Errorf("globalcompute: node %d's table covers %d of %d nodes: %w", v, len(val.ids), n, ErrRoundBudget)
 		}
-		all[v] = graph.NodeID(v)
-		heard[v] = all
+		heard[v] = val.ids
 	}
 	res.Coll = newCollection(ports, heard, cfg.Seed, run)
 	return res, nil

@@ -569,11 +569,40 @@ func TestStage2ReplayMatchesDirectPerNode(t *testing.T) {
 	}
 }
 
+// TestGlobalcastBillPin pins the bill of GlobalCollectSrc's "globalcast"
+// phase (messages, rounds and payload units) on a sparse and a dense graph.
+// The values were recorded when the convergecast carried a map from origin
+// to port list; it now carries an ascending origin list priced by the rumor
+// rule, 1 + len(M_o) words per origin, which is the same bill.
+func TestGlobalcastBillPin(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		gamma  int
+		msgs   int64
+		rounds int
+		units  int64
+	}{
+		{"gnp60", gen.ConnectedGNP(60, 0.1, xrand.New(4)), 1, 1313, 14, 29689},
+		{"complete30", gen.Complete(30), 2, 1566, 8, 31854},
+	} {
+		res, err := GlobalCollectSrc(context.Background(), tc.g, algorithms.MaxID(2), Scheme1Params(tc.gamma), local.Config{Seed: 3}, Hooks{}, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		run := res.Coll.Run
+		if run.Messages != tc.msgs || run.Rounds != tc.rounds || run.PayloadUnits != tc.units {
+			t.Fatalf("%s: globalcast bill (messages, rounds, units) = (%d, %d, %d), want (%d, %d, %d)",
+				tc.name, run.Messages, run.Rounds, run.PayloadUnits, tc.msgs, tc.rounds, tc.units)
+		}
+	}
+}
+
 // TestFinalSpannerVerifies checks the theorem's spanner claim on every
 // spanner-carrying collection scheme: the spanner that carried the final
-// collection is a subgraph of G with stretch at most the StretchUsed its
-// result reports, on every generated family that builds without a file, at
-// three seeds and γ ∈ {1, 2}. It runs on the flawless network only: under
+// collection is a strictly ascending edge set, a subgraph of G with stretch
+// at most the StretchUsed its result reports, on every generated family
+// that builds without a file, at three seeds and γ ∈ {1, 2}. It runs on the flawless network only: under
 // an adversary scheme2's stage 2 replays a damaged collection, and its
 // spanner carries no such guarantee.
 func TestFinalSpannerVerifies(t *testing.T) {
@@ -601,6 +630,11 @@ func TestFinalSpannerVerifies(t *testing.T) {
 					}
 					if res.FinalSpanner == nil {
 						t.Fatalf("%s: the result carries no spanner", name)
+					}
+					for i, s := 1, res.FinalSpanner; i < len(s); i++ {
+						if s[i] <= s[i-1] {
+							t.Fatalf("%s: FinalSpanner not strictly ascending: %d then %d", name, s[i-1], s[i])
+						}
 					}
 					if _, _, err := graph.VerifySpanner(g, res.FinalSpanner, res.StretchUsed); err != nil {
 						t.Fatalf("%s: %v", name, err)

@@ -42,7 +42,7 @@ func direct(c spanner.Construction, g *graph.Graph, seed uint64, cfg local.Confi
 
 // build is direct reduced to the spanner it built: the union of the
 // per-node outputs.
-func build(t testing.TB, c spanner.Construction, g *graph.Graph, seed uint64, cfg local.Config) (map[graph.EdgeID]bool, local.Result) {
+func build(t testing.TB, c spanner.Construction, g *graph.Graph, seed uint64, cfg local.Config) ([]graph.EdgeID, local.Result) {
 	t.Helper()
 	outs, run, err := simulate.Direct(context.Background(), g, c.Spec, seed, cfg)
 	if err != nil {

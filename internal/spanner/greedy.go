@@ -8,8 +8,8 @@ import (
 
 // Result is Greedy's output.
 type Result struct {
-	// S is the spanner edge set.
-	S map[graph.EdgeID]bool
+	// S is the spanner edge set, strictly ascending.
+	S []graph.EdgeID
 	// K is the stretch parameter: S is a (2K−1)-spanner.
 	K int
 }
@@ -24,8 +24,8 @@ func (r *Result) StretchBound() int { return 2*r.K - 1 }
 // against which the message-efficient constructions are measured (a purely
 // centralized algorithm; no distributed analogue is implied).
 //
-// For unweighted graphs any edge order is valid; we use ascending edge ID
-// for determinism.
+// For unweighted graphs any edge order is valid; Greedy uses ascending edge
+// ID, so S is independent of insertion order and ascending as built.
 func Greedy(g *graph.Graph, k int) (*Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("spanner: k = %d, need k >= 1", k)
@@ -34,24 +34,15 @@ func Greedy(g *graph.Graph, k int) (*Result, error) {
 		return nil, fmt.Errorf("spanner: nil graph")
 	}
 	bound := 2*k - 1
-	res := &Result{S: make(map[graph.EdgeID]bool), K: k}
+	res := &Result{K: k}
 	// Incrementally maintained spanner adjacency.
 	adj := make([][]graph.NodeID, g.NumNodes())
-	type pair struct{ a, b graph.NodeID }
-	seen := make(map[pair]bool, g.NumEdges())
-	for _, e := range g.Edges() {
-		a, b := e.U, e.V
-		if a > b {
-			a, b = b, a
-		}
-		if seen[pair{a, b}] {
-			continue // parallel duplicate: never needed
-		}
+	for _, e := range g.EdgesByID() {
+		// A parallel duplicate of a kept edge is at distance 1: dropped.
 		if boundedDist(adj, e.U, e.V, bound) <= bound {
 			continue
 		}
-		seen[pair{a, b}] = true
-		res.S[e.ID] = true
+		res.S = append(res.S, e.ID)
 		adj[e.U] = append(adj[e.U], e.V)
 		adj[e.V] = append(adj[e.V], e.U)
 	}

@@ -1,6 +1,7 @@
 package spanner_test
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -75,6 +76,36 @@ func TestGreedyDropsParallelEdges(t *testing.T) {
 	}
 }
 
+// TestGreedyProcessesEdgesByID pins Greedy's edge order on a graph whose
+// insertion order is not its ID order: a 4-cycle inserted in descending ID
+// order. At k = 2 the last edge processed closes a cycle of length 4 ≤ 2k
+// and is dropped, so processing by ascending ID drops the highest ID.
+func TestGreedyProcessesEdgesByID(t *testing.T) {
+	g := graph.New(4)
+	for i, id := range []graph.EdgeID{3, 2, 1, 0} {
+		if err := g.AddEdgeWithID(id, graph.NodeID(i), graph.NodeID((i+1)%4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := spanner.Greedy(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []graph.EdgeID{0, 1, 2}; !slices.Equal(res.S, want) {
+		t.Fatalf("greedy kept %v, want %v (edge 3, the highest ID, dropped)", res.S, want)
+	}
+}
+
+// ascending reports whether s is strictly ascending.
+func ascending(s []graph.EdgeID) bool {
+	for i := 1; i < len(s); i++ {
+		if s[i] <= s[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestGreedyProperty(t *testing.T) {
 	check := func(seed uint64, nRaw, kRaw uint8) bool {
 		n := int(nRaw%40) + 5
@@ -86,7 +117,7 @@ func TestGreedyProperty(t *testing.T) {
 			return false
 		}
 		_, _, err = graph.VerifySpanner(g, res.S, res.StretchBound())
-		return err == nil
+		return err == nil && ascending(res.S)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

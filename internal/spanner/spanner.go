@@ -26,6 +26,7 @@ package spanner
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/algorithms"
 	"repro/internal/graph"
@@ -47,15 +48,14 @@ type Construction struct {
 }
 
 // Edges returns the spanner a construction's run built: the union of its
-// per-node outputs.
-func Edges(outs []any) map[graph.EdgeID]bool {
-	s := make(map[graph.EdgeID]bool)
+// per-node outputs, strictly ascending.
+func Edges(outs []any) []graph.EdgeID {
+	var s []graph.EdgeID
 	for _, o := range outs {
-		for _, e := range o.([]graph.EdgeID) {
-			s[e] = true
-		}
+		s = append(s, o.([]graph.EdgeID)...)
 	}
-	return s
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
 // SizeBound returns the expected-size bound k·n^{1+1/k} for reporting.
