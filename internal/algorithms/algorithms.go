@@ -208,7 +208,7 @@ type ColorNode struct {
 	Color int // 0 = undecided; final colors are 1..deg+1
 
 	proposal int
-	taken    map[int]bool
+	taken    []bool // taken[c]: a neighbor finalized color c ≤ deg+1
 }
 
 var _ local.Protocol = (*ColorNode)(nil)
@@ -223,12 +223,13 @@ type colorFinal struct{ C int }
 // so that messages landing exactly at round T still update the final state.
 func (p *ColorNode) Step(env *local.Env, round int, inbox []local.Message) {
 	if p.taken == nil {
-		p.taken = make(map[int]bool)
+		p.taken = make([]bool, env.Degree()+2)
 	}
 	if round%2 == 0 {
 		// Round A: ingest finalized neighbor colors, then propose.
 		for _, m := range inbox {
-			if f, ok := m.Payload.(colorFinal); ok {
+			// A color above deg+1 never enters the palette.
+			if f, ok := m.Payload.(colorFinal); ok && f.C < len(p.taken) {
 				p.taken[f.C] = true
 			}
 		}

@@ -170,7 +170,8 @@ func BuildDistributed(ctx context.Context, g *graph.Graph, p Params, seed uint64
 	return res, nil
 }
 
-// distNode is the per-node protocol state machine.
+// distNode is the per-node protocol state machine. Its sets are ascending
+// slices, and a root's X_v is an edgePool: it keeps no map.
 type distNode struct {
 	sched    *schedule
 	p        Params
@@ -190,13 +191,12 @@ type distNode struct {
 	decis         decision
 
 	// Root-only level state.
-	x             edgePool
-	queried       map[graph.NodeID]graph.EdgeID // one F-edge per queried cluster
-	queriedCenter map[graph.NodeID]bool
-	fPending      []graph.EdgeID
-	sampleOrder   []graph.EdgeID
-	fsOrder       []graph.EdgeID
-	failSafes     int // fail-safe broadcasts that carried edges
+	x           edgePool
+	queried     []queriedCluster // ascending by Root
+	fPending    []graph.EdgeID
+	sampleOrder []graph.EdgeID
+	fsOrder     []graph.EdgeID
+	failSafes   int // fail-safe broadcasts that carried edges
 
 	// Member transients (prepared by broadcast receipt, consumed by the
 	// following send slot). mySends holds the trial's sampled edges, the
@@ -217,6 +217,14 @@ type distNode struct {
 	inS      []graph.EdgeID // my incident spanner edges, ascending
 	fDecided []graph.EdgeID // F-edges decided here as a root; tests union them
 	sent     Traffic        // this node's sends, by kind
+}
+
+// queriedCluster is one cluster a root has queried: the F-edge it added
+// toward the cluster and whether the cluster reported itself a center.
+type queriedCluster struct {
+	Root   graph.NodeID
+	Edge   graph.EdgeID
+	Center bool
 }
 
 var _ local.Protocol = (*distNode)(nil)
@@ -271,8 +279,7 @@ func (nd *distNode) mine(e graph.EdgeID) bool {
 
 func (nd *distNode) resetRootLevelState() {
 	nd.x = newEdgePool(slices.Clone(nd.cb.list)) // the boundary is shared
-	nd.queried = make(map[graph.NodeID]graph.EdgeID)
-	nd.queriedCenter = make(map[graph.NodeID]bool)
+	nd.queried = nd.queried[:0]
 	nd.sampleOrder = nil
 	nd.fsOrder = nil
 	nd.decis = decNone
@@ -377,8 +384,8 @@ func (nd *distNode) rootMsg(env *local.Env, ph phase) treeMsg {
 	case phCenterBcast:
 		isCenter := env.Rand().Bernoulli(nd.p.centerProb(ph.level, n))
 		probes := make([]graph.EdgeID, 0, len(nd.queried))
-		for _, e := range nd.queried {
-			probes = append(probes, e)
+		for _, q := range nd.queried {
+			probes = append(probes, q.Edge)
 		}
 		slices.Sort(probes)
 		return mCenter{IsCenter: isCenter, Probes: probes, FAdds: nd.takeFAdds()}
@@ -387,7 +394,7 @@ func (nd *distNode) rootMsg(env *local.Env, ph phase) treeMsg {
 		// unclustered-and-not-light needs rescuing: non-center, unexplored
 		// edges remaining, and no center among its queried neighbors.
 		nd.fsOrder = nil
-		if !nd.x.empty() && (ph.level == nd.p.K || (!nd.centerCluster && nd.smallestQueriedCenter() == noNode)) {
+		if !nd.x.empty() && (ph.level == nd.p.K || (!nd.centerCluster && nd.smallestQueriedCenter() == noEdge)) {
 			nd.fsOrder = nd.x.snapshot()
 			nd.failSafes++
 		}
@@ -396,8 +403,8 @@ func (nd *distNode) rootMsg(env *local.Env, ph phase) treeMsg {
 		msg := mDecide{Decision: decDead}
 		if nd.centerCluster {
 			msg.Decision = decCenter
-		} else if target := nd.smallestQueriedCenter(); target != noNode {
-			msg = mDecide{Decision: decJoin, JoinEdge: nd.queried[target]}
+		} else if e := nd.smallestQueriedCenter(); e != noEdge {
+			msg = mDecide{Decision: decJoin, JoinEdge: e}
 		}
 		msg.FAdds = nd.takeFAdds()
 		return msg
@@ -422,18 +429,21 @@ func (nd *distNode) takeFAdds() []graph.EdgeID {
 	return f
 }
 
-// smallestQueriedCenter returns the smallest queried center, or noNode if
-// none: the center a non-center root joins (the paper allows an arbitrary
-// choice; smallest keeps runs reproducible).
-func (nd *distNode) smallestQueriedCenter() graph.NodeID {
-	target := noNode
-	//freelunch:orderok the smallest key is the same in every order
-	for u, isC := range nd.queriedCenter {
-		if isC && (target == noNode || u < target) {
-			target = u
+// smallestQueriedCenter returns the F-edge to the smallest queried center,
+// or noEdge if none: the center a non-center root joins (the paper allows an
+// arbitrary choice; smallest keeps runs reproducible).
+func (nd *distNode) smallestQueriedCenter() graph.EdgeID {
+	for _, q := range nd.queried {
+		if q.Center {
+			return q.Edge
 		}
 	}
-	return target
+	return noEdge
+}
+
+// findQueried binary-searches queried for root's entry.
+func (nd *distNode) findQueried(root graph.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(nd.queried, root, func(q queriedCluster, r graph.NodeID) int { return cmp.Compare(q.Root, r) })
 }
 
 // growTree adds the accepted join edges, and extra, to the cluster tree. The
@@ -487,10 +497,7 @@ func (nd *distNode) composeReply(ph phase, fs bool) mReply {
 	if ph.level == 0 && !nd.dead {
 		b = nil
 	}
-	isCenter := false
-	if fs {
-		isCenter = nd.centerCluster && !nd.dead
-	}
+	isCenter := fs && nd.centerCluster && !nd.dead
 	return mReply{Root: nd.clusterRoot, Dead: nd.dead, IsCenter: isCenter, B: b}
 }
 
@@ -565,7 +572,6 @@ func (m mNewCluster) apply(nd *distNode, from graph.EdgeID) {
 	nd.decis = decNone
 	nd.x = edgePool{}
 	nd.queried = nil
-	nd.queriedCenter = nil
 }
 
 // -------------------------------------------------------- convergecasts ---
@@ -615,7 +621,7 @@ func (nd *distNode) finalizeTrialConv(env *local.Env, ph phase) {
 		if len(nd.queried) >= threshold {
 			return false // budget reached; mirrors the centralized cap
 		}
-		if _, dup := nd.queried[it.Root]; dup {
+		if _, dup := nd.findQueried(it.Root); dup {
 			panic(fmt.Sprintf("core: root %d: cluster %d re-discovered; peeling failed", nd.id, it.Root))
 		}
 		nd.addF(it.Root, e)
@@ -646,10 +652,17 @@ func (nd *distNode) walkReplies(order []graph.EdgeID, visit func(e graph.EdgeID,
 	}
 }
 
-func (nd *distNode) addF(root graph.NodeID, e graph.EdgeID) {
-	nd.queried[root] = e
+// addF adds e to F as the edge toward root's cluster, inserting root into
+// queried or overwriting its edge, and returns root's entry.
+func (nd *distNode) addF(root graph.NodeID, e graph.EdgeID) *queriedCluster {
+	i, ok := nd.findQueried(root)
+	if !ok {
+		nd.queried = slices.Insert(nd.queried, i, queriedCluster{Root: root})
+	}
+	nd.queried[i].Edge = e
 	nd.fPending = append(nd.fPending, e)
 	nd.fDecided = append(nd.fDecided, e)
+	return &nd.queried[i]
 }
 
 func (nd *distNode) peelReply(e graph.EdgeID, it convItem) {
@@ -662,10 +675,11 @@ func (nd *distNode) peelReply(e graph.EdgeID, it convItem) {
 
 func (nd *distNode) finalizeProbeConv() {
 	for _, it := range nd.items {
-		if _, known := nd.queried[it.Root]; !known {
+		i, known := nd.findQueried(it.Root)
+		if !known {
 			panic(fmt.Sprintf("core: root %d: probe reply from unknown cluster %d", nd.id, it.Root))
 		}
-		nd.queriedCenter[it.Root] = it.IsCenter
+		nd.queried[i].Center = it.IsCenter
 	}
 }
 
@@ -678,8 +692,7 @@ func (nd *distNode) finalizeFSConv() {
 	}
 	nd.walkReplies(nd.fsOrder, func(e graph.EdgeID, it convItem) bool {
 		if !it.Dead {
-			nd.addF(it.Root, e)
-			nd.queriedCenter[it.Root] = it.IsCenter
+			nd.addF(it.Root, e).Center = it.IsCenter
 		}
 		nd.peelReply(e, it)
 		return true

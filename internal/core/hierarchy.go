@@ -101,7 +101,7 @@ func (r *Result) Trace() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Sampler k=%d h=%d  (stretch bound %d, size exponent %.3f)\n",
 		r.Params.K, r.Params.H, r.StretchBound(), r.Params.PredictedSizeExponent())
-	for _, lvl := range r.Levels {
+	for j, lvl := range r.Levels {
 		fmt.Fprintf(&b, "level %d: |V_%d|=%d |E_%d|=%d  threshold=%d samples/trial=%d p_j=%.4f\n",
 			lvl.J, lvl.J, lvl.G.NumNodes(), lvl.J, lvl.G.NumEdges(),
 			lvl.Threshold, lvl.SamplesPerTrial, lvl.CenterProb)
@@ -117,7 +117,7 @@ func (r *Result) Trace() string {
 		fmt.Fprintf(&b, "  light=%d heavy=%d trials=%d samples=%d failsafe=%d spanner+=%d\n",
 			light, heavy, lvl.Trials, lvl.Samples, lvl.FailSafe, lvl.EdgesAdded)
 		if lvl.Assign != nil {
-			clusters := make(map[int][]int)
+			clusters := make([][]int, r.Levels[j+1].G.NumNodes()) // V_{j+1}
 			dropped := 0
 			for v, c := range lvl.Assign {
 				if c == graph.Dropped {
@@ -128,8 +128,8 @@ func (r *Result) Trace() string {
 			}
 			fmt.Fprintf(&b, "  centers->clusters=%d unclustered=%d\n", len(clusters), dropped)
 			if lvl.G.NumNodes() <= 32 {
-				for c := 0; c < len(clusters); c++ {
-					fmt.Fprintf(&b, "    C%d: %v\n", c, clusters[c])
+				for c, members := range clusters {
+					fmt.Fprintf(&b, "    C%d: %v\n", c, members)
 				}
 			}
 		}

@@ -124,13 +124,7 @@ func (p Params) samplesPerTrial(j, n int) int {
 	return atLeast1(v)
 }
 
-func atLeast1(v float64) int {
-	iv := int(math.Ceil(v))
-	if iv < 1 {
-		return 1
-	}
-	return iv
-}
+func atLeast1(v float64) int { return max(1, int(math.Ceil(v))) }
 
 // PredictedSizeExponent returns 1 + δ, the exponent of the paper's Õ(n^{1+δ})
 // spanner size bound; experiment E1 fits measured sizes against it.

@@ -8,17 +8,20 @@ import (
 )
 
 // edgePool is X_v, a level-graph node's unexplored edge pool, and both
-// Samplers draw from and peel it: the centralized Sampler indexes it by
-// neighbor (neighborhood), the distributed root peels it by the boundary sets
-// that query replies carry, since it cannot tell which cluster an edge leads
-// to. It supports O(1) uniform sampling with replacement and O(1) removal.
-// The pool keeps its caller's order — the centralized Sampler's incident
-// order, the distributed root's sorted boundary — and removal moves the last
-// edge into the hole, so every draw is a function of that order and the
-// removals so far.
+// Samplers draw from and peel it: the centralized Sampler peels it by
+// neighbor (neighborhood), the distributed root by the boundary sets that
+// query replies carry, since it cannot tell which cluster an edge leads to.
+// It supports O(1) uniform sampling with replacement and O(log d) removal
+// and lookup, d the pool's initial size. The pool keeps its caller's order —
+// the centralized Sampler's incident order, the distributed root's sorted
+// boundary — and removal moves the last edge into the hole, so every draw is
+// a function of that order and the removals so far.
 type edgePool struct {
 	list []graph.EdgeID
-	pos  map[graph.EdgeID]int
+	// keys is the pool's initial edges, ascending and frozen; pos[r] is the
+	// index in list of keys[r], or -1 once that edge has left the pool.
+	keys []graph.EdgeID
+	pos  []int32
 
 	// stamp[i] == epoch marks list[i] as already drawn in the current
 	// drawDistinct call; bumping epoch clears every mark at once.
@@ -26,12 +29,15 @@ type edgePool struct {
 	epoch int
 }
 
-// newEdgePool builds a pool over edges, in their order. The pool takes the
-// slice over and reorders it as edges leave.
+// newEdgePool builds a pool over edges, which must be distinct, in their
+// order. The pool takes the slice over and reorders it as edges leave.
 func newEdgePool(edges []graph.EdgeID) edgePool {
-	p := edgePool{list: edges, pos: make(map[graph.EdgeID]int, len(edges))}
+	keys := slices.Clone(edges)
+	slices.Sort(keys)
+	p := edgePool{list: edges, keys: keys, pos: make([]int32, len(edges))}
 	for i, e := range edges {
-		p.pos[e] = i
+		r, _ := slices.BinarySearch(keys, e)
+		p.pos[r] = int32(i)
 	}
 	return p
 }
@@ -41,8 +47,8 @@ func (p *edgePool) size() int   { return len(p.list) }
 
 // contains reports whether e is still unexplored.
 func (p *edgePool) contains(e graph.EdgeID) bool {
-	_, ok := p.pos[e]
-	return ok
+	r, ok := slices.BinarySearch(p.keys, e)
+	return ok && p.pos[r] >= 0
 }
 
 // drawDistinct draws count edges uniformly with replacement — exactly count
@@ -72,16 +78,15 @@ func (p *edgePool) drawDistinct(rng *xrand.RNG, count int) ([]graph.EdgeID, int)
 
 // remove deletes e if present.
 func (p *edgePool) remove(e graph.EdgeID) {
-	i, ok := p.pos[e]
-	if !ok {
+	r, ok := slices.BinarySearch(p.keys, e)
+	if !ok || p.pos[r] < 0 {
 		return
 	}
-	last := len(p.list) - 1
-	moved := p.list[last]
-	p.list[i] = moved
-	p.pos[moved] = i
+	// The last edge fills the hole; if that is e itself (m == r), -1 wins.
+	i, last := p.pos[r], len(p.list)-1
+	m, _ := slices.BinarySearch(p.keys, p.list[last])
+	p.list[i], p.pos[m], p.pos[r] = p.list[last], i, -1
 	p.list = p.list[:last]
-	delete(p.pos, e)
 }
 
 // removeAll deletes every listed edge that is present (peeling a replying
@@ -92,10 +97,14 @@ func (p *edgePool) removeAll(edges []graph.EdgeID) {
 	}
 }
 
-// snapshot returns the remaining edges in sorted order (used by the
+// snapshot returns the remaining edges in ascending order (used by the
 // fail-safe broadcast, whose content must be deterministic).
 func (p *edgePool) snapshot() []graph.EdgeID {
-	out := append([]graph.EdgeID(nil), p.list...)
-	slices.Sort(out)
+	out := make([]graph.EdgeID, 0, len(p.list))
+	for r, e := range p.keys {
+		if p.pos[r] >= 0 {
+			out = append(out, e)
+		}
+	}
 	return out
 }

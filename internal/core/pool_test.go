@@ -98,3 +98,97 @@ func TestEdgePoolKeepsCallerOrder(t *testing.T) {
 		t.Fatalf("pool over %v lists %v", want, p.list)
 	}
 }
+
+// refPool is the reference for edgePool: a plain slice searched linearly,
+// with the same swap-with-last removal.
+type refPool []graph.EdgeID
+
+func (r *refPool) remove(e graph.EdgeID) {
+	i := slices.Index(*r, e)
+	if i < 0 {
+		return
+	}
+	last := len(*r) - 1
+	(*r)[i] = (*r)[last]
+	*r = (*r)[:last]
+}
+
+// TestEdgePoolMatchesReference runs seeded random operation sequences on
+// pools over unsorted, sparse IDs and checks every step against refPool:
+// draws, membership and the list order must agree, and snapshot must list
+// the remaining edges in ascending order. Removals include absent, already
+// removed and foreign IDs.
+func TestEdgePoolMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := xrand.New(seed)
+		size := rng.Intn(60)
+		span := 5*size + 5
+		var initial []graph.EdgeID
+		for _, x := range rng.Perm(span)[:size] {
+			initial = append(initial, graph.EdgeID(x))
+		}
+		ref := refPool(slices.Clone(initial))
+		p := newEdgePool(slices.Clone(initial))
+		// anyID is a pool edge (live or removed) or a foreign ID, negative
+		// ones included.
+		anyID := func() graph.EdgeID {
+			if size > 0 && rng.Bool() {
+				return initial[rng.Intn(size)]
+			}
+			return graph.EdgeID(rng.Intn(span+10) - 5)
+		}
+		for op := 0; op < 150; op++ {
+			switch rng.Intn(5) {
+			case 0:
+				count, s := rng.Intn(3*size+2), rng.Uint64()
+				got, draws := p.drawDistinct(xrand.New(s), count)
+				var want []graph.EdgeID
+				wantDraws := 0
+				if len(ref) > 0 {
+					want, wantDraws = plainDraws(ref, xrand.New(s), count), count
+				}
+				if !slices.Equal(got, want) || draws != wantDraws {
+					t.Fatalf("seed %d op %d: drew %v (%d draws), want %v (%d)", seed, op, got, draws, want, wantDraws)
+				}
+			case 1:
+				e := anyID()
+				p.remove(e)
+				ref.remove(e)
+			case 2:
+				if len(ref) > 0 {
+					e := ref[rng.Intn(len(ref))]
+					p.remove(e)
+					ref.remove(e)
+				}
+			case 3:
+				batch := make([]graph.EdgeID, rng.Intn(8))
+				for i := range batch {
+					batch[i] = anyID()
+				}
+				p.removeAll(batch)
+				for _, e := range batch {
+					ref.remove(e)
+				}
+			case 4:
+				if e := anyID(); p.contains(e) != slices.Contains(ref, e) {
+					t.Fatalf("seed %d op %d: contains(%d) = %v, reference %v", seed, op, e, p.contains(e), ref)
+				}
+			}
+			if !slices.Equal(p.list, ref) {
+				t.Fatalf("seed %d op %d: list %v, reference %v", seed, op, p.list, ref)
+			}
+			if p.size() != len(ref) || p.empty() != (len(ref) == 0) {
+				t.Fatalf("seed %d op %d: size %d, reference %d", seed, op, p.size(), len(ref))
+			}
+			snap := p.snapshot()
+			for i := 1; i < len(snap); i++ {
+				if snap[i] <= snap[i-1] {
+					t.Fatalf("seed %d op %d: snapshot %v not ascending", seed, op, snap)
+				}
+			}
+			if want := slices.Sorted(slices.Values(ref)); !slices.Equal(snap, want) {
+				t.Fatalf("seed %d op %d: snapshot %v, want %v", seed, op, snap, want)
+			}
+		}
+	}
+}

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/graph"
@@ -53,7 +53,7 @@ type Level struct {
 	EdgesAdded int
 
 	// Per-node working state carried from step 1 into step 2.
-	queried []map[graph.NodeID]graph.EdgeID // v -> (neighbor -> query edge)
+	queried [][]graph.NodeID // v -> its queried neighbors, ascending
 	nbhd    []*neighborhood
 }
 
@@ -110,8 +110,9 @@ func Build(g *graph.Graph, p Params, seed uint64) (*Result, error) {
 		levelRNG := rng.Derive(uint64(j))
 		runClusterStep1(lvl, p, levelRNG.Derive(0x51))
 
+		numClusters := 0
 		if j < p.K {
-			markCentersAndCluster(lvl, levelRNG.Derive(0xCE))
+			numClusters = markCentersAndCluster(lvl, levelRNG.Derive(0xCE))
 		} else {
 			finalLevelFailSafe(lvl)
 		}
@@ -130,12 +131,6 @@ func Build(g *graph.Graph, p Params, seed uint64) (*Result, error) {
 		if j == p.K {
 			break
 		}
-		numClusters := 0
-		for _, c := range lvl.Assign {
-			if c != graph.Dropped && c+1 > numClusters {
-				numClusters = c + 1
-			}
-		}
 		next, err := graph.Contract(cur, lvl.Assign, numClusters)
 		if err != nil {
 			return nil, fmt.Errorf("core: level %d contraction: %w", j, err)
@@ -153,41 +148,33 @@ func Build(g *graph.Graph, p Params, seed uint64) (*Result, error) {
 }
 
 // neighborhood is the centralized Sampler's per-node state: the pool X_v
-// and, over it, a neighbor index that peels a neighbor's whole bundle of
-// parallel edges at once.
+// and, beside it, the node's incident halves sorted by peer, so that each
+// neighbor's bundle of parallel edges is one run that peels at once. A run
+// keeps the incident order, and the pool tells which of its edges are still
+// unexplored.
 type neighborhood struct {
 	edgePool
-	byNbr map[graph.NodeID][]graph.EdgeID // neighbor -> its unexplored edges
+	byPeer []graph.Half
 }
 
 func newNeighborhood(g *graph.Graph, v graph.NodeID) *neighborhood {
 	inc := g.Incident(v)
 	edges := make([]graph.EdgeID, len(inc))
-	byNbr := make(map[graph.NodeID][]graph.EdgeID)
 	for i, h := range inc {
 		edges[i] = h.Edge
-		byNbr[h.Peer] = append(byNbr[h.Peer], h.Edge)
 	}
-	return &neighborhood{edgePool: newEdgePool(edges), byNbr: byNbr}
-}
-
-// removeOne deletes a single edge, which leads to u, from the pool (the
-// no-peeling ablation path; see Params.DisablePeeling).
-func (nb *neighborhood) removeOne(u graph.NodeID, e graph.EdgeID) {
-	nb.remove(e)
-	rest := slices.DeleteFunc(nb.byNbr[u], func(other graph.EdgeID) bool { return other == e })
-	if len(rest) == 0 {
-		delete(nb.byNbr, u)
-	} else {
-		nb.byNbr[u] = rest
-	}
+	byPeer := slices.Clone(inc)
+	slices.SortStableFunc(byPeer, func(a, b graph.Half) int { return cmp.Compare(a.Peer, b.Peer) })
+	return &neighborhood{edgePool: newEdgePool(edges), byPeer: byPeer}
 }
 
 // peel removes every edge leading to u from the pool ("peeling off" the
 // neighbor in the paper's terminology).
 func (nb *neighborhood) peel(u graph.NodeID) {
-	nb.removeAll(nb.byNbr[u])
-	delete(nb.byNbr, u)
+	i, _ := slices.BinarySearchFunc(nb.byPeer, u, func(h graph.Half, u graph.NodeID) int { return cmp.Compare(h.Peer, u) })
+	for ; i < len(nb.byPeer) && nb.byPeer[i].Peer == u; i++ {
+		nb.remove(nb.byPeer[i].Edge)
+	}
 }
 
 // runClusterStep1 executes the first step of procedure Cluster_j (the
@@ -198,14 +185,13 @@ func runClusterStep1(lvl *Level, p Params, rng *xrand.RNG) {
 	lvl.F = make([][]graph.EdgeID, nj)
 	lvl.Light = make([]bool, nj)
 	lvl.Heavy = make([]bool, nj)
-	lvl.queried = make([]map[graph.NodeID]graph.EdgeID, nj)
+	lvl.queried = make([][]graph.NodeID, nj)
 	lvl.nbhd = make([]*neighborhood, nj)
 	for v := 0; v < nj; v++ {
 		nodeRNG := rng.Derive(uint64(v))
 		nb := newNeighborhood(g, graph.NodeID(v))
 		lvl.nbhd[v] = nb
-		queried := make(map[graph.NodeID]graph.EdgeID)
-		lvl.queried[v] = queried
+		var queried []graph.NodeID
 
 		for trial := 0; trial < 2*p.H && len(lvl.F[v]) < lvl.Threshold && !nb.empty(); trial++ {
 			lvl.Trials++
@@ -231,21 +217,23 @@ func runClusterStep1(lvl *Level, p Params, rng *xrand.RNG) {
 				}
 				ge, _ := g.EdgeByID(e)
 				u := ge.Other(graph.NodeID(v))
-				if _, dup := queried[u]; dup {
+				i, dup := slices.BinarySearch(queried, u)
+				if dup {
 					// Reachable only with peeling disabled (E10 ablation):
 					// the duplicate neighbor wastes the sample.
-					nb.removeOne(u, e)
+					nb.remove(e)
 					continue
 				}
-				queried[u] = e
+				queried = slices.Insert(queried, i, u)
 				lvl.F[v] = append(lvl.F[v], e)
 				if p.DisablePeeling {
-					nb.removeOne(u, e)
+					nb.remove(e)
 				} else {
 					nb.peel(u)
 				}
 			}
 		}
+		lvl.queried[v] = queried
 		if nb.empty() {
 			lvl.Light[v] = true
 		} else if len(queried) >= lvl.Threshold {
@@ -259,12 +247,19 @@ func runClusterStep1(lvl *Level, p Params, rng *xrand.RNG) {
 // query message per remaining unexplored edge).
 func (lvl *Level) exhaust(v int) {
 	nb := lvl.nbhd[v]
-	for _, u := range slices.Sorted(maps.Keys(nb.byNbr)) {
-		e := nb.byNbr[u][0]
-		lvl.queried[v][u] = e
-		lvl.F[v] = append(lvl.F[v], e)
-		lvl.Samples += int64(len(nb.byNbr[u]))
-		nb.peel(u)
+	for _, h := range nb.byPeer {
+		if !nb.contains(h.Edge) {
+			continue
+		}
+		// h is the first unexplored edge to its peer: it joins F, and every
+		// unexplored edge to the peer is billed one query and peeled.
+		size := nb.size()
+		nb.peel(h.Peer)
+		lvl.Samples += int64(size - nb.size())
+		lvl.F[v] = append(lvl.F[v], h.Edge)
+		if i, ok := slices.BinarySearch(lvl.queried[v], h.Peer); !ok {
+			lvl.queried[v] = slices.Insert(lvl.queried[v], i, h.Peer)
+		}
 	}
 	lvl.Light[v] = true
 	lvl.Heavy[v] = false
@@ -273,52 +268,42 @@ func (lvl *Level) exhaust(v int) {
 
 // markCentersAndCluster executes the second step of Cluster_j: draw centers,
 // apply the fail-safe to would-be-unclustered non-light nodes, and merge
-// every non-center with a queried center into that center's cluster.
-func markCentersAndCluster(lvl *Level, rng *xrand.RNG) {
+// every non-center with a queried center into that center's cluster. It
+// returns the number of clusters, which Assign indexes densely.
+func markCentersAndCluster(lvl *Level, rng *xrand.RNG) int {
 	nj := lvl.G.NumNodes()
 	lvl.Center = make([]bool, nj)
 	for v := 0; v < nj; v++ {
 		lvl.Center[v] = rng.Derive(uint64(v)).Bernoulli(lvl.CenterProb)
 	}
-	for v := 0; v < nj; v++ {
-		if lvl.Center[v] || lvl.Light[v] {
-			continue
-		}
-		if lvl.queriedCenter(v) == noNode {
-			lvl.exhaust(v)
-		}
-	}
-	lvl.Assign = make([]int, nj)
+	lvl.Assign = slices.Repeat([]int{graph.Dropped}, nj)
 	next := 0
 	for v := 0; v < nj; v++ {
 		if lvl.Center[v] {
 			lvl.Assign[v] = next
 			next++
-		} else {
-			lvl.Assign[v] = graph.Dropped
 		}
 	}
 	for v := 0; v < nj; v++ {
-		if lvl.Center[v] {
-			continue
+		if !lvl.Center[v] && !lvl.Light[v] && lvl.queriedCenter(v) == noNode {
+			lvl.exhaust(v)
 		}
-		if u := lvl.queriedCenter(v); u != noNode {
+		if u := lvl.queriedCenter(v); u != noNode && !lvl.Center[v] {
 			lvl.Assign[v] = lvl.Assign[u]
 		}
 	}
+	return next
 }
 
 // queriedCenter returns the smallest queried center of v, or noNode if none
 // (the paper allows an arbitrary choice; smallest makes runs reproducible).
 func (lvl *Level) queriedCenter(v int) graph.NodeID {
-	best := noNode
-	//freelunch:orderok the smallest key is the same in every order
-	for u := range lvl.queried[v] {
-		if lvl.Center[u] && (best == noNode || u < best) {
-			best = u
+	for _, u := range lvl.queried[v] {
+		if lvl.Center[u] {
+			return u
 		}
 	}
-	return best
+	return noNode
 }
 
 // finalLevelFailSafe enforces the paper's Lemma 6 corollary ("every node in

@@ -34,7 +34,7 @@ const (
 	phFlushAccept                      // owners notify far endpoints of spanner membership
 )
 
-var phaseNames = map[phaseKind]string{
+var phaseNames = [...]string{
 	phTrialBcast: "trial-bcast", phTrialQuery: "trial-query", phTrialReply: "trial-reply",
 	phTrialConv: "trial-conv", phCenterBcast: "center-bcast", phProbeSend: "probe-send",
 	phProbeReply: "probe-reply", phProbeConv: "probe-conv", phFSBcast: "fs-bcast",
@@ -85,19 +85,17 @@ func buildSchedule(p Params) *schedule {
 			add(phProbeSend, j, -1, 1)
 			add(phProbeReply, j, -1, 1)
 			add(phProbeConv, j, -1, tree)
-			add(phFSBcast, j, -1, tree)
-			add(phFSQuery, j, -1, 1)
-			add(phFSReply, j, -1, 1)
-			add(phFSConv, j, -1, tree)
+		}
+		add(phFSBcast, j, -1, tree)
+		add(phFSQuery, j, -1, 1)
+		add(phFSReply, j, -1, 1)
+		add(phFSConv, j, -1, tree)
+		if j < p.K {
 			add(phDecideBcast, j, -1, tree)
 			add(phJoinSend, j, -1, 1)
 			add(phJoinConv, j, -1, tree)
 			add(phNewCluster, j, -1, pow3(j+1)) // depth 3^{j+1}-1, plus one
 		} else {
-			add(phFSBcast, j, -1, tree)
-			add(phFSQuery, j, -1, 1)
-			add(phFSReply, j, -1, 1)
-			add(phFSConv, j, -1, tree)
 			add(phFlushBcast, j, -1, tree)
 			add(phFlushAccept, j, -1, 1)
 		}

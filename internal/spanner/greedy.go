@@ -2,6 +2,7 @@ package spanner
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -35,11 +36,14 @@ func Greedy(g *graph.Graph, k int) (*Result, error) {
 	}
 	bound := 2*k - 1
 	res := &Result{K: k}
-	// Incrementally maintained spanner adjacency.
+	// Incrementally maintained spanner adjacency, and the search state every
+	// edge test reuses (see within).
 	adj := make([][]graph.NodeID, g.NumNodes())
+	dist := slices.Repeat([]int32{-1}, g.NumNodes())
+	var queue []graph.NodeID
 	for _, e := range g.EdgesByID() {
 		// A parallel duplicate of a kept edge is at distance 1: dropped.
-		if boundedDist(adj, e.U, e.V, bound) <= bound {
+		if within(adj, dist, &queue, e.U, e.V, bound) {
 			continue
 		}
 		res.S = append(res.S, e.ID)
@@ -49,31 +53,27 @@ func Greedy(g *graph.Graph, k int) (*Result, error) {
 	return res, nil
 }
 
-// boundedDist returns the distance from src to dst in the partial spanner,
-// or bound+1 if it exceeds bound.
-func boundedDist(adj [][]graph.NodeID, src, dst graph.NodeID, bound int) int {
-	if src == dst {
-		return 0
-	}
-	dist := map[graph.NodeID]int{src: 0}
-	queue := []graph.NodeID{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if dist[v] >= bound {
-			continue
-		}
-		for _, u := range adj[v] {
-			if _, ok := dist[u]; ok {
-				continue
-			}
-			d := dist[v] + 1
+// within reports whether dst is at most bound hops from src != dst in the
+// partial spanner, by a BFS that queues nodes in *queue (reused storage).
+// dist is -1 at every node before and after: the search resets what it set.
+func within(adj [][]graph.NodeID, dist []int32, queue *[]graph.NodeID, src, dst graph.NodeID, bound int) bool {
+	q, found := append((*queue)[:0], src), false
+	dist[src] = 0
+	for i := 0; i < len(q) && !found && int(dist[q[i]]) < bound; i++ {
+		for _, u := range adj[q[i]] {
 			if u == dst {
-				return d
+				found = true
+				break
 			}
-			dist[u] = d
-			queue = append(queue, u)
+			if dist[u] < 0 {
+				dist[u] = dist[q[i]] + 1
+				q = append(q, u)
+			}
 		}
 	}
-	return bound + 1
+	for _, v := range q {
+		dist[v] = -1
+	}
+	*queue = q
+	return found
 }

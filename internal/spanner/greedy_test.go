@@ -96,6 +96,25 @@ func TestGreedyProcessesEdgesByID(t *testing.T) {
 	}
 }
 
+// TestGreedyAllocsDoNotGrowWithEdges checks that Greedy reuses one search
+// state across its edge tests. Doubling n quadruples K_n's edge count, but
+// at k = 3 Greedy keeps a star, so its allocations (the ID-sorted edge copy,
+// the search state and the spanner's adjacency) may only double.
+func TestGreedyAllocsDoNotGrowWithEdges(t *testing.T) {
+	allocs := func(n int) float64 {
+		g := gen.Complete(n)
+		return testing.AllocsPerRun(2, func() {
+			if _, err := spanner.Greedy(g, 3); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(60), allocs(120)
+	if large > 2*small+16 {
+		t.Fatalf("Greedy(K_120, 3) made %v allocations against K_60's %v: they grow with the edge count", large, small)
+	}
+}
+
 // ascending reports whether s is strictly ascending.
 func ascending(s []graph.EdgeID) bool {
 	for i := 1; i < len(s); i++ {
