@@ -237,6 +237,24 @@ func BenchmarkSamplerDistributedTorus(b *testing.B) {
 	b.ReportMetric(float64(msgs), "msgs/op")
 }
 
+// BenchmarkSamplerDistributedComplete is the dense cold regime the torus
+// row misses: on K_512 the replies carry large cluster boundaries, and
+// peeling them out of X_v is the root's main cost. It runs the sequential
+// engine, so the row measures the protocol, not the scheduler.
+func BenchmarkSamplerDistributedComplete(b *testing.B) {
+	g := gen.Complete(512)
+	b.ResetTimer()
+	var msgs int64
+	for i := 0; i < b.N; i++ {
+		res, err := core.BuildDistributed(context.Background(), g, simulate.Scheme1Params(1), uint64(i), local.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		msgs = res.Run.Messages
+	}
+	b.ReportMetric(float64(msgs), "msgs/op")
+}
+
 func BenchmarkLocalEngineSequential(b *testing.B) {
 	benchLocalEngine(b, 0)
 }

@@ -144,7 +144,7 @@ func BuildDistributed(ctx context.Context, g *graph.Graph, p Params, seed uint64
 	cfg.Seed = seed
 	cfg.MaxRounds = sched.total + 1
 	run, err := local.RunCtx(ctx, g, func(v graph.NodeID) local.Protocol {
-		nd := &distNode{sched: sched, p: p, id: v}
+		nd := &distNode{sched: sched, id: v}
 		nodes[v] = nd
 		return nd
 	}, cfg)
@@ -174,9 +174,10 @@ func BuildDistributed(ctx context.Context, g *graph.Graph, p Params, seed uint64
 // slices, and a root's X_v is an edgePool: it keeps no map.
 type distNode struct {
 	sched    *schedule
-	p        Params
 	id       graph.NodeID
 	phaseIdx int
+	n        int        // nEstimate, fixed for the run
+	knobs    levelKnobs // the current level's, kept by live roots only
 
 	edges []graph.EdgeID // my incident edges, ascending (the level-0 boundary's list)
 
@@ -219,6 +220,14 @@ type distNode struct {
 	sent     Traffic        // this node's sends, by kind
 }
 
+// levelKnobs holds a level's threshold, per-trial sample count and
+// center-marking probability. A live root evaluates them once as it enters
+// the level; every broadcast and reduction of the level reads them.
+type levelKnobs struct {
+	threshold, samples int
+	centerProb         float64
+}
+
 // queriedCluster is one cluster a root has queried: the F-edge it added
 // toward the cluster and whether the cluster reported itself a center.
 type queriedCluster struct {
@@ -259,6 +268,7 @@ func (nd *distNode) Step(env *local.Env, round int, inbox []local.Message) {
 // init sets up the level-0 singleton cluster: every node is its own root,
 // its boundary is its incident edge set, and its tree is empty.
 func (nd *distNode) init(env *local.Env) {
+	nd.n = nEstimate(env)
 	nd.edges = make([]graph.EdgeID, 0, env.Degree())
 	for _, pt := range env.Ports() {
 		nd.edges = append(nd.edges, pt.Edge)
@@ -297,6 +307,11 @@ func (nd *distNode) children() int {
 // ---------------------------------------------------------------- entry ---
 
 func (nd *distNode) enterPhase(env *local.Env, ph phase) {
+	if ph.kind == phTrialBcast && ph.trial == 0 && nd.isRoot && !nd.dead {
+		// A level opens with its first trial broadcast.
+		p, j := nd.sched.p, ph.level
+		nd.knobs = levelKnobs{p.threshold(j, nd.n), p.samplesPerTrial(j, nd.n), p.centerProb(j, nd.n)}
+	}
 	switch ph.kind {
 	case phTrialBcast, phCenterBcast, phFSBcast, phDecideBcast, phNewCluster, phFlushBcast:
 		nd.bcastSeen = false
@@ -371,18 +386,17 @@ func (nd *distNode) broadcast(env *local.Env, from graph.EdgeID, msg treeMsg) {
 // broadcast phase, or returns nil when it sends none: a root that joins a
 // center is re-rooted by the center's new-cluster flood.
 func (nd *distNode) rootMsg(env *local.Env, ph phase) treeMsg {
-	n := nEstimate(env)
 	switch ph.kind {
 	case phTrialBcast:
-		idle := len(nd.queried) >= nd.p.threshold(ph.level, n) || nd.x.empty()
+		idle := len(nd.queried) >= nd.knobs.threshold || nd.x.empty()
 		var draws int
 		nd.sampleOrder = nil
 		if !idle {
-			nd.sampleOrder, draws = nd.x.drawDistinct(env.Rand(), nd.p.samplesPerTrial(ph.level, n))
+			nd.sampleOrder, draws = nd.x.drawDistinct(env.Rand(), nd.knobs.samples)
 		}
 		return mTrial{Samples: nd.sampleOrder, Draws: draws, FAdds: nd.takeFAdds()}
 	case phCenterBcast:
-		isCenter := env.Rand().Bernoulli(nd.p.centerProb(ph.level, n))
+		isCenter := env.Rand().Bernoulli(nd.knobs.centerProb)
 		probes := make([]graph.EdgeID, 0, len(nd.queried))
 		for _, q := range nd.queried {
 			probes = append(probes, q.Edge)
@@ -394,7 +408,7 @@ func (nd *distNode) rootMsg(env *local.Env, ph phase) treeMsg {
 		// unclustered-and-not-light needs rescuing: non-center, unexplored
 		// edges remaining, and no center among its queried neighbors.
 		nd.fsOrder = nil
-		if !nd.x.empty() && (ph.level == nd.p.K || (!nd.centerCluster && nd.smallestQueriedCenter() == noEdge)) {
+		if !nd.x.empty() && (ph.level == nd.sched.p.K || (!nd.centerCluster && nd.smallestQueriedCenter() == noEdge)) {
 			nd.fsOrder = nd.x.snapshot()
 			nd.failSafes++
 		}
@@ -595,7 +609,7 @@ func (nd *distNode) convMaybeComplete(env *local.Env, ph phase) {
 	}
 	switch ph.kind {
 	case phTrialConv:
-		nd.finalizeTrialConv(env, ph)
+		nd.finalizeTrialConv()
 	case phProbeConv:
 		nd.finalizeProbeConv()
 	case phFSConv:
@@ -608,8 +622,7 @@ func (nd *distNode) convMaybeComplete(env *local.Env, ph phase) {
 // finalizeTrialConv is the root's reduction of a trial: process replies in
 // first-draw order, peel replying clusters out of X_v, and grow F up to the
 // threshold budget — the exact logic of the centralized Cluster_j step 1.
-func (nd *distNode) finalizeTrialConv(env *local.Env, ph phase) {
-	threshold := nd.p.threshold(ph.level, nEstimate(env))
+func (nd *distNode) finalizeTrialConv() {
 	nd.walkReplies(nd.sampleOrder, func(e graph.EdgeID, it convItem) bool {
 		if it.Dead {
 			nd.peelReply(e, it)
@@ -618,7 +631,7 @@ func (nd *distNode) finalizeTrialConv(env *local.Env, ph phase) {
 		if it.Root == nd.id {
 			panic(fmt.Sprintf("core: root %d: boundary contains intra-cluster edge %d", nd.id, e))
 		}
-		if len(nd.queried) >= threshold {
+		if len(nd.queried) >= nd.knobs.threshold {
 			return false // budget reached; mirrors the centralized cap
 		}
 		if _, dup := nd.findQueried(it.Root); dup {

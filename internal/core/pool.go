@@ -19,14 +19,17 @@ import (
 type edgePool struct {
 	list []graph.EdgeID
 	// keys is the pool's initial edges, ascending and frozen; pos[r] is the
-	// index in list of keys[r], or -1 once that edge has left the pool.
+	// index in list of keys[r], or -1 once that edge has left the pool, and
+	// rank[i] is the index in keys of list[i], so pos[rank[i]] == i.
 	keys []graph.EdgeID
 	pos  []int32
+	rank []int32
 
 	// stamp[i] == epoch marks list[i] as already drawn in the current
-	// drawDistinct call; bumping epoch clears every mark at once.
-	stamp []int
-	epoch int
+	// drawDistinct call; bumping epoch clears every mark at once. A pool
+	// lives one level, so it sees at most 2H calls.
+	stamp []int32
+	epoch int32
 }
 
 // newEdgePool builds a pool over edges, which must be distinct, in their
@@ -34,10 +37,12 @@ type edgePool struct {
 func newEdgePool(edges []graph.EdgeID) edgePool {
 	keys := slices.Clone(edges)
 	slices.Sort(keys)
-	p := edgePool{list: edges, keys: keys, pos: make([]int32, len(edges))}
+	n := len(edges)
+	idx := make([]int32, 2*n) // pos and rank share one allocation
+	p := edgePool{list: edges, keys: keys, pos: idx[:n:n], rank: idx[n:]}
 	for i, e := range edges {
 		r, _ := slices.BinarySearch(keys, e)
-		p.pos[r] = int32(i)
+		p.pos[r], p.rank[i] = int32(i), int32(r)
 	}
 	return p
 }
@@ -56,21 +61,30 @@ func (p *edgePool) contains(e graph.EdgeID) bool {
 // together with the number of draws. A trial's draws repeat heavily once the
 // pool is small, and a repeat adds nothing: the root's reduction skips every
 // edge it has already peeled, and a member queries each incident edge once.
-// On an empty pool it draws nothing.
+// So once every pool edge has been drawn, the remaining draws can reveal
+// nothing, and rng.SkipIntn passes over them: the stream still ends exactly
+// count Intn calls on, and count is still the draw count returned. On an
+// empty pool it draws nothing.
 func (p *edgePool) drawDistinct(rng *xrand.RNG, count int) ([]graph.EdgeID, int) {
-	if len(p.list) == 0 {
+	size := len(p.list)
+	if size == 0 {
 		return nil, 0
 	}
 	if p.stamp == nil {
-		p.stamp = make([]int, len(p.list)) // the list only shrinks
+		p.stamp = make([]int32, size) // the list only shrinks
 	}
 	p.epoch++
-	out := make([]graph.EdgeID, 0, min(count, len(p.list)))
-	for range count {
-		i := rng.Intn(len(p.list))
-		if p.stamp[i] != p.epoch {
-			p.stamp[i] = p.epoch
-			out = append(out, p.list[i])
+	out := make([]graph.EdgeID, 0, min(count, size))
+	for d := range count {
+		i := rng.Intn(size)
+		if p.stamp[i] == p.epoch {
+			continue
+		}
+		p.stamp[i] = p.epoch
+		out = append(out, p.list[i])
+		if len(out) == size {
+			rng.SkipIntn(size, count-d-1)
+			break
 		}
 	}
 	return out, count
@@ -78,22 +92,45 @@ func (p *edgePool) drawDistinct(rng *xrand.RNG, count int) ([]graph.EdgeID, int)
 
 // remove deletes e if present.
 func (p *edgePool) remove(e graph.EdgeID) {
-	r, ok := slices.BinarySearch(p.keys, e)
-	if !ok || p.pos[r] < 0 {
+	if r, ok := slices.BinarySearch(p.keys, e); ok {
+		p.removeRank(r)
+	}
+}
+
+// removeRank deletes keys[r] if it is still in the pool.
+func (p *edgePool) removeRank(r int) {
+	if p.pos[r] < 0 {
 		return
 	}
-	// The last edge fills the hole; if that is e itself (m == r), -1 wins.
+	// The last edge fills the hole; if that is keys[r] itself (m == r), -1 wins.
 	i, last := p.pos[r], len(p.list)-1
-	m, _ := slices.BinarySearch(p.keys, p.list[last])
-	p.list[i], p.pos[m], p.pos[r] = p.list[last], i, -1
-	p.list = p.list[:last]
+	m := p.rank[last]
+	p.list[i], p.rank[i], p.pos[m], p.pos[r] = p.list[last], m, i, -1
+	p.list, p.rank = p.list[:last], p.rank[:last]
 }
 
 // removeAll deletes every listed edge that is present (peeling a replying
-// cluster's boundary out of X_v).
+// cluster's boundary out of X_v). A boundary is ascending, so each search
+// gallops forward from where the last one ended: most boundary edges are not
+// in the pool, and those fall between keys the walk has just passed. A
+// descent in edges restarts the walk from the front, so any order is handled.
 func (p *edgePool) removeAll(edges []graph.EdgeID) {
-	for _, e := range edges {
-		p.remove(e)
+	lo := 0
+	for k, e := range edges {
+		if k > 0 && e < edges[k-1] {
+			lo = 0
+		}
+		// Gallop: probe keys[hi] at doubling strides until one is at or
+		// above e; the key sought lies in keys[lo:hi+1].
+		hi, step := lo, 1
+		for hi < len(p.keys) && p.keys[hi] < e {
+			lo, hi, step = hi+1, hi+step, 2*step
+		}
+		r, ok := slices.BinarySearch(p.keys[lo:min(hi+1, len(p.keys))], e)
+		lo += r
+		if ok {
+			p.removeRank(lo)
+		}
 	}
 }
 

@@ -51,19 +51,45 @@ func checkDraw(t *testing.T, p *edgePool, seed uint64, count int) []graph.EdgeID
 	return got
 }
 
+// drawsToExhaust returns how many plain draws from seed it takes to see
+// every position of a pool of size.
+func drawsToExhaust(size int, seed uint64) int {
+	rng, seen := xrand.New(seed), make([]bool, size)
+	for d, left := 1, size; ; d++ {
+		if i := rng.Intn(size); !seen[i] {
+			seen[i], left = true, left-1
+			if left == 0 {
+				return d
+			}
+		}
+	}
+}
+
+// TestDrawDistinct checks drawDistinct against plain draws, including where
+// the RNG stream ends. Every case but the first exhausts its pool, so the
+// draws after the last new edge are skipped, not made: on a power-of-two
+// pool (4, and a pool of one) the skip is O(1), on any other it replays
+// Intn's rejection test, and a pool exhausted on the very last draw skips
+// nothing.
 func TestDrawDistinct(t *testing.T) {
+	const seed = 11
 	for _, tc := range []struct {
 		name        string
 		size, count int
 	}{
 		{"fewer-draws-than-pool", 200, 12},
 		{"draws-dwarf-pool", 4, 288},
+		{"non-power-of-two-pool", 5, 288},
 		{"pool-of-one", 1, 50},
+		{"exhausted-on-last-draw", 6, drawsToExhaust(6, seed)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := checkDraw(t, testPool(tc.size), 11, tc.count)
+			got := checkDraw(t, testPool(tc.size), seed, tc.count)
 			if len(got) == 0 || len(got) > min(tc.size, tc.count) {
 				t.Fatalf("%d distinct edges from %d draws on a pool of %d", len(got), tc.count, tc.size)
+			}
+			if tc.count > tc.size && len(got) != tc.size {
+				t.Fatalf("%d draws on a pool of %d found only %d edges; the case does not reach the skip", tc.count, tc.size, len(got))
 			}
 		})
 	}
@@ -115,9 +141,11 @@ func (r *refPool) remove(e graph.EdgeID) {
 
 // TestEdgePoolMatchesReference runs seeded random operation sequences on
 // pools over unsorted, sparse IDs and checks every step against refPool:
-// draws, membership and the list order must agree, and snapshot must list
-// the remaining edges in ascending order. Removals include absent, already
-// removed and foreign IDs.
+// draws, membership and the list order must agree, every live slot's rank
+// must point back at it (pos[rank[i]] == i), and snapshot must list the
+// remaining edges in ascending order. Removals include absent, already
+// removed and foreign IDs, and removeAll gets ascending batches, as a
+// boundary is, and unsorted ones.
 func TestEdgePoolMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := xrand.New(seed)
@@ -165,6 +193,9 @@ func TestEdgePoolMatchesReference(t *testing.T) {
 				for i := range batch {
 					batch[i] = anyID()
 				}
+				if rng.Bool() {
+					slices.Sort(batch) // a boundary's order
+				}
 				p.removeAll(batch)
 				for _, e := range batch {
 					ref.remove(e)
@@ -179,6 +210,14 @@ func TestEdgePoolMatchesReference(t *testing.T) {
 			}
 			if p.size() != len(ref) || p.empty() != (len(ref) == 0) {
 				t.Fatalf("seed %d op %d: size %d, reference %d", seed, op, p.size(), len(ref))
+			}
+			if len(p.rank) != len(p.list) {
+				t.Fatalf("seed %d op %d: %d ranks for %d live slots", seed, op, len(p.rank), len(p.list))
+			}
+			for i, r := range p.rank {
+				if p.keys[r] != p.list[i] || p.pos[r] != int32(i) {
+					t.Fatalf("seed %d op %d: slot %d holds %d, rank %d (key %d, pos %d)", seed, op, i, p.list[i], r, p.keys[r], p.pos[r])
+				}
 			}
 			snap := p.snapshot()
 			for i := 1; i < len(snap); i++ {

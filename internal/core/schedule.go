@@ -58,15 +58,17 @@ func (p phase) String() string {
 	return fmt.Sprintf("L%d %s t%d [%d,%d)", p.level, p.kind, p.trial, p.start, p.start+p.dur)
 }
 
-// schedule is the shared immutable phase table.
+// schedule is the shared immutable phase table, with the parameters it was
+// laid out for.
 type schedule struct {
+	p      Params
 	phases []phase
 	total  int // total rounds
 }
 
 // buildSchedule lays out the global phase table for the given parameters.
 func buildSchedule(p Params) *schedule {
-	s := &schedule{}
+	s := &schedule{p: p}
 	add := func(kind phaseKind, level, trial, dur int) {
 		s.phases = append(s.phases, phase{kind: kind, level: level, trial: trial, start: s.total, dur: dur})
 		s.total += dur

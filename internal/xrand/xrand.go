@@ -15,7 +15,10 @@
 // goroutine-per-node simulator needs.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic pseudorandom number generator. The zero value is a
 // valid generator seeded with 0; prefer New or Derive for explicit seeding.
@@ -78,23 +81,34 @@ func (r *RNG) Intn(n int) int {
 	// Lemire's multiply-shift rejection method, unbiased.
 	bound := uint64(n)
 	for {
-		v := r.Uint64()
-		hi, lo := mulHiLo(v, bound)
+		hi, lo := bits.Mul64(r.Uint64(), bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
 }
 
-// mulHiLo returns the high and low 64 bits of a*b.
-func mulHiLo(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	lo = a * b
-	hi = aHi*bHi + t>>32 + (t&mask+aLo*bHi)>>32
-	return hi, lo
+// SkipIntn advances the stream to exactly where k calls of Intn(n) would
+// leave it, without computing their results: a draw's value is its product's
+// high word, but only the low word's rejection test decides how many outputs
+// it consumes. When n is a power of two no output is ever rejected and the
+// skip is O(1). It panics if n <= 0.
+func (r *RNG) SkipIntn(n, k int) {
+	if n <= 0 {
+		panic("xrand: SkipIntn called with n <= 0")
+	}
+	bound := uint64(n)
+	thresh := -bound % bound
+	if thresh == 0 {
+		r.state += uint64(max(k, 0)) * gamma
+		return
+	}
+	for range k {
+		r.state += gamma
+		for mix64(r.state)*bound < thresh {
+			r.state += gamma
+		}
+	}
 }
 
 // Int63n returns a uniform value in [0, n). It panics if n <= 0.

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -66,6 +67,67 @@ func TestIntnRange(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestIntnPinned pins Intn's outputs, and where it leaves the stream, at
+// bounds from 1 to MaxInt64, including one (3·2^61) that rejects about a
+// quarter of its draws. The values were recorded from the portable
+// 32-bit-limb multiply that bits.Mul64 replaced.
+func TestIntnPinned(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		want []int
+		next uint64 // the Uint64 after the six draws
+	}{
+		{1, []int{0, 0, 0, 0, 0, 0}, 4028864712777624925},
+		{3, []int{2, 0, 0, 1, 0, 2}, 4028864712777624925},
+		{10, []int{7, 1, 2, 3, 0, 8}, 4028864712777624925},
+		{1000003, []int{741567, 159910, 278601, 344191, 38030, 868230}, 4028864712777624925},
+		{3 << 61, []int{5129796574783228279, 1927231405673536446, 2380949272596845911, 263074794803236218, 6005992922123620898, 1510824267291609346}, 14769051326987775908},
+		{math.MaxInt64, []int{6839728766377637705, 1474913046063446145, 2569641874231381928, 3174599030129127881, 350766393070981624, 8007990562831494530}, 4028864712777624925},
+	} {
+		r := New(42)
+		got := make([]int, len(tc.want))
+		for i := range got {
+			got[i] = r.Intn(tc.n)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("Intn(%d) drew %v, want %v", tc.n, got, tc.want)
+		}
+		if next := r.Uint64(); next != tc.next {
+			t.Errorf("Intn(%d): next Uint64 %d, want %d", tc.n, next, tc.next)
+		}
+	}
+}
+
+// TestSkipIntnMatchesIntn checks that SkipIntn(n, k) leaves the stream
+// where k plain Intn(n) calls do: on the O(1) power-of-two path (2, 64),
+// on bounds that almost never reject, and at 3·2^61, where about a quarter
+// of all draws are rejected and redrawn.
+func TestSkipIntnMatchesIntn(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 64, 1000003, 3 << 61, math.MaxInt64} {
+		for _, k := range []int{0, 1, 17, 10000} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				plain, skip := New(seed), New(seed)
+				for range k {
+					plain.Intn(n)
+				}
+				skip.SkipIntn(n, k)
+				if a, b := skip.Uint64(), plain.Uint64(); a != b {
+					t.Fatalf("n=%d k=%d seed %d: after SkipIntn the next Uint64 is %d, after %d Intn calls %d", n, k, seed, a, k, b)
+				}
+			}
+		}
+	}
+}
+
+func TestSkipIntnPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SkipIntn(0, 1) did not panic")
+		}
+	}()
+	New(1).SkipIntn(0, 1)
 }
 
 func TestIntnPanics(t *testing.T) {
