@@ -92,17 +92,11 @@ func (p *edgePool) drawDistinct(rng *xrand.RNG, count int) ([]graph.EdgeID, int)
 
 // remove deletes e if present.
 func (p *edgePool) remove(e graph.EdgeID) {
-	if r, ok := slices.BinarySearch(p.keys, e); ok {
-		p.removeRank(r)
-	}
-}
-
-// removeRank deletes keys[r] if it is still in the pool.
-func (p *edgePool) removeRank(r int) {
-	if p.pos[r] < 0 {
+	r, ok := slices.BinarySearch(p.keys, e)
+	if !ok || p.pos[r] < 0 {
 		return
 	}
-	// The last edge fills the hole; if that is keys[r] itself (m == r), -1 wins.
+	// The last edge fills the hole; if that is e itself (m == r), -1 wins.
 	i, last := p.pos[r], len(p.list)-1
 	m := p.rank[last]
 	p.list[i], p.rank[i], p.pos[m], p.pos[r] = p.list[last], m, i, -1
@@ -110,27 +104,10 @@ func (p *edgePool) removeRank(r int) {
 }
 
 // removeAll deletes every listed edge that is present (peeling a replying
-// cluster's boundary out of X_v). A boundary is ascending, so each search
-// gallops forward from where the last one ended: most boundary edges are not
-// in the pool, and those fall between keys the walk has just passed. A
-// descent in edges restarts the walk from the front, so any order is handled.
+// cluster's boundary out of X_v).
 func (p *edgePool) removeAll(edges []graph.EdgeID) {
-	lo := 0
-	for k, e := range edges {
-		if k > 0 && e < edges[k-1] {
-			lo = 0
-		}
-		// Gallop: probe keys[hi] at doubling strides until one is at or
-		// above e; the key sought lies in keys[lo:hi+1].
-		hi, step := lo, 1
-		for hi < len(p.keys) && p.keys[hi] < e {
-			lo, hi, step = hi+1, hi+step, 2*step
-		}
-		r, ok := slices.BinarySearch(p.keys[lo:min(hi+1, len(p.keys))], e)
-		lo += r
-		if ok {
-			p.removeRank(lo)
-		}
+	for _, e := range edges {
+		p.remove(e)
 	}
 }
 

@@ -144,8 +144,7 @@ func (r *refPool) remove(e graph.EdgeID) {
 // draws, membership and the list order must agree, every live slot's rank
 // must point back at it (pos[rank[i]] == i), and snapshot must list the
 // remaining edges in ascending order. Removals include absent, already
-// removed and foreign IDs, and removeAll gets ascending batches, as a
-// boundary is, and unsorted ones.
+// removed and foreign IDs.
 func TestEdgePoolMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := xrand.New(seed)
@@ -192,9 +191,6 @@ func TestEdgePoolMatchesReference(t *testing.T) {
 				batch := make([]graph.EdgeID, rng.Intn(8))
 				for i := range batch {
 					batch[i] = anyID()
-				}
-				if rng.Bool() {
-					slices.Sort(batch) // a boundary's order
 				}
 				p.removeAll(batch)
 				for _, e := range batch {
